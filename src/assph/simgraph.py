@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
+# rows per block when cosine_matrix mirrors its lower triangle
+_MIRROR_ROWS = 256
+
 KINDS = ("cosine", "probability", "fused", "structural", "semantic")
 
 # value range per kind, checked with a small slack for float32 rounding
@@ -70,17 +73,36 @@ def _as_kind(sim: SimMatrix, kind: str, op: str) -> np.ndarray:
 
 
 def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
-    """Per-row indices of the k largest entries.
+    """Per-row indices of the k largest entries, as a set.
 
-    Ordering is by descending value with ties broken by ascending index;
-    the stable sort on the negated row realizes exactly that rule.
+    The set is the k largest values with ties broken by ascending index.
+    Each row's indices come back in ascending index order, not by value:
+    a selection, not a sort.  k clamps to the row length.
     """
-    order = np.argsort(-values, axis=1, kind="stable")
-    return order[:, :k]
+    m, n = values.shape
+    k = min(k, n)
+    kth = np.partition(values, n - k, axis=1)[:, n - k:n - k + 1]
+    keep = values >= kth
+    # a row with more than k entries at or above its k-th value has ties
+    # at that value; keep the lowest-index ones that fit
+    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    if over.size:
+        rows, cut = values[over], kth[over]
+        above, tied = rows > cut, rows == cut
+        room = k - np.count_nonzero(above, axis=1)
+        keep[over] = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+    return (np.flatnonzero(keep) % n).reshape(m, k)
 
 
 def cosine_matrix(features: np.ndarray) -> SimMatrix:
-    """Pairwise cosine similarity of feature rows."""
+    """Pairwise cosine similarity of feature rows.
+
+    Products are computed in float64 and rounded to float32; the clip to
+    [-1, 1] and the mirror of the lower triangle onto the upper one, which
+    makes symmetry exact, then run in float32.  Rounding is elementwise
+    and monotone and keeps -1 and 1, so this gives the bits that clipping
+    and mirroring in float64 before rounding would.
+    """
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 1:
         raise DataError(f"cosine_matrix: expected a non-empty 2-d matrix, got {f.shape}")
@@ -88,11 +110,17 @@ def cosine_matrix(features: np.ndarray) -> SimMatrix:
     if np.any(norms == 0.0):
         raise DataError(f"cosine_matrix: zero-norm row {int(np.argmax(norms == 0.0))}")
     fn = f / norms[:, None]
-    s = fn @ fn.T
+    s = (fn @ fn.T).astype(np.float32)
     np.clip(s, -1.0, 1.0, out=s)
-    s = np.tril(s) + np.tril(s, -1).T  # mirror so symmetry is exact
+    m = s.shape[0]
+    for lo in range(0, m, _MIRROR_ROWS):
+        hi = min(lo + _MIRROR_ROWS, m)
+        block = s[lo:hi, lo:hi]
+        upper = np.triu_indices(hi - lo, 1)
+        block[upper] = block.T[upper]
+        s[lo:hi, hi:] = s[hi:, lo:hi].T
     np.fill_diagonal(s, 1.0)
-    return SimMatrix(s.astype(np.float32), "cosine")
+    return SimMatrix(s, "cosine")
 
 
 def probability_map(sim: SimMatrix) -> SimMatrix:

@@ -213,6 +213,7 @@ class TrainState:
     features_image: np.ndarray
     features_text: np.ndarray
     labels: np.ndarray | None
+    label_share: np.ndarray | None  # corrmine.label_share(labels)
     semantic: np.ndarray
     rel: corrmine.CorrelationSet
     params_image: hashnet.HashNetParams
@@ -279,6 +280,7 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
         features_image=fi,
         features_text=ft,
         labels=labels,
+        label_share=corrmine.label_share(labels) if labels is not None else None,
         semantic=semantic,
         rel=rel,
         params_image=params_image,
@@ -361,9 +363,10 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
         state.rel = corrmine.adaptive_update(state.rel, hi_all, ht_all,
                                              cfg.kr, cfg.tau,
                                              pairwise=cfg.pair_corr)
-    precision = None
+    stats = None
     if state.labels is not None:
-        precision = corrmine.correlation_stats(state.rel, state.labels)["precision"]
+        stats = corrmine.correlation_stats(state.rel, state.labels,
+                                           share=state.label_share)
 
     mean = sums / max(n_iter, 1)
     return EpochRecord(
@@ -374,8 +377,8 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
         loss_sr=float(mean[1]),
         loss_cp=float(mean[2]),
         loss_sa=float(mean[3]),
-        r_popcount=state.rel.popcount(),
-        r_precision=precision,
+        r_popcount=stats["count"] if stats else state.rel.popcount(),
+        r_precision=stats["precision"] if stats else None,
         code_flips_image=flips_i,
         code_flips_text=flips_t,
         wall_time=time.perf_counter() - t0,

@@ -98,6 +98,47 @@ def naive_relation(sim_image_values, sim_text_values, kr: int, tau: int) -> np.n
     return rel
 
 
+def argsort_top_k(values, k: int) -> np.ndarray:
+    """Top-k sets by stable argsort of the negated rows, then slicing.
+
+    Returns each row's set in ascending index order, the layout
+    simgraph.top_k_indices promises.
+    """
+    order = np.argsort(-np.asarray(values), axis=1, kind="stable")[:, :k]
+    return np.sort(order, axis=1)
+
+
+def dense_second_order(adj_a, adj_b, tau: int) -> np.ndarray:
+    """Neighbor-overlap counts as an integer matmul, symmetrized by max."""
+    a = np.asarray(adj_a, dtype=np.int64)
+    b = np.asarray(adj_b, dtype=np.int64)
+    counts = a @ b.T
+    return (np.maximum(counts, counts.T) >= tau).astype(np.uint8)
+
+
+def tril_mirror_cosine(features) -> np.ndarray:
+    """Cosine in float64, symmetrized by float64 tril sums, then cast."""
+    f = np.asarray(features, dtype=np.float64)
+    fn = f / np.linalg.norm(f, axis=1)[:, None]
+    s = np.clip(fn @ fn.T, -1.0, 1.0)
+    s = np.tril(s) + np.tril(s, -1).T
+    np.fill_diagonal(s, 1.0)
+    return s.astype(np.float32)
+
+
+def dense_correlation_stats(rel_dense, labels) -> dict:
+    """Relation size and label precision from the unpacked 0/1 matrix."""
+    dense = np.asarray(rel_dense).astype(bool)
+    off = dense.copy()
+    np.fill_diagonal(off, False)
+    if not off.any():
+        return {"count": int(dense.sum()), "precision": 1.0, "no_offdiag": True}
+    lab = np.asarray(labels, dtype=np.float32)
+    share = (lab @ lab.T) > 0
+    return {"count": int(dense.sum()), "precision": float(share[off].mean()),
+            "no_offdiag": False}
+
+
 def naive_hamming(code_a, code_b) -> int:
     return sum(1 for x, y in zip(code_a, code_b) if x != y)
 

@@ -6,7 +6,7 @@ import pytest
 
 from assph import corrmine, simgraph
 from assph.errors import ConfigError, DataError, DivergenceError
-from oracles import naive_relation
+from oracles import dense_correlation_stats, dense_second_order, naive_relation
 
 
 def cosine_of(rng, m, d):
@@ -111,6 +111,23 @@ class TestSecondOrder:
                 for j in range(m):
                     expect[i, j] = 1 if len(sets[i] & sets[j]) >= tau else 0
             npt.assert_array_equal(out, expect)
+
+    def test_matches_dense_reference(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        m = 23
+        a = (rng.random((m, m)) < 0.2).astype(np.uint8)
+        b = (rng.random((m, m)) < 0.3).astype(np.uint8)
+        a[:, [3, 8]] = 0  # neighbors no row of a picks
+        b[:, [8, 15]] = 0  # ... or no row of b
+        a[5] = 0  # a row with no neighbors at all
+        cases = [(a, b), (b, a), (a, a), (a, np.zeros_like(a))]
+        for join_pairs in (corrmine._JOIN_PAIRS, 7):  # one block, many
+            monkeypatch.setattr(corrmine, "_JOIN_PAIRS", join_pairs)
+            for x, y in cases:
+                for tau in (1, 2, 3):
+                    out = corrmine.second_order(x, y, tau)
+                    assert out.dtype == np.uint8
+                    npt.assert_array_equal(out, dense_second_order(x, y, tau))
 
     def test_tau_above_kr_keeps_only_diagonal_or_less(self):
         rng = np.random.default_rng(4)
@@ -267,3 +284,19 @@ class TestCorrelationStats:
         stats = corrmine.correlation_stats(rel, labels)
         expect = (m // 2 - 1) / (m - 1)  # fraction of same-class others
         npt.assert_allclose(stats["precision"], expect)
+
+
+class TestLabelShare:
+    def test_stats_match_dense_reference(self):
+        rng = np.random.default_rng(15)
+        for m in (9, 16, 29):
+            base = (rng.random((m, m)) < 0.25).astype(np.uint8)
+            dense = base | base.T
+            np.fill_diagonal(dense, 1)
+            rel = corrmine.CorrelationSet.from_dense(dense)
+            labels = (rng.random((m, 4)) < 0.3).astype(np.int8)
+            labels[0] = 0  # an unlabeled row shares no label, not even with itself
+            expect = dense_correlation_stats(dense, labels)
+            assert corrmine.correlation_stats(rel, labels) == expect
+            share = corrmine.label_share(labels)
+            assert corrmine.correlation_stats(rel, labels, share=share) == expect

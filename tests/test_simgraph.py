@@ -6,7 +6,7 @@ import pytest
 
 from assph import simgraph
 from assph.errors import ConfigError, DataError
-from oracles import naive_semantic
+from oracles import argsort_top_k, naive_semantic, tril_mirror_cosine
 
 
 def random_features(rng, m, d):
@@ -41,6 +41,47 @@ class TestCosineMatrix:
     def test_validator_accepts_output(self):
         rng = np.random.default_rng(2)
         simgraph.cosine_matrix(random_features(rng, 20, 4)).validate()
+
+    def test_bits_match_tril_mirror(self):
+        rng = np.random.default_rng(3)
+        block = simgraph._MIRROR_ROWS
+        for m in (1, 7, block, block + 1, 2 * block + 37):
+            f = random_features(rng, m, 6)
+            got = simgraph.cosine_matrix(f).values
+            assert got.dtype == np.float32
+            npt.assert_array_equal(got.view(np.uint32),
+                                   tril_mirror_cosine(f).view(np.uint32))
+
+
+class TestTopKIndices:
+    def _check(self, values):
+        n = values.shape[1]
+        for k in sorted({1, 2, n // 2 + 1, n, n + 3}):
+            got = simgraph.top_k_indices(values, k)
+            npt.assert_array_equal(got, argsort_top_k(values, k))
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(20)
+        for m, n in ((1, 1), (5, 9), (30, 30), (17, 64)):
+            self._check(rng.random((m, n)).astype(np.float32))
+
+    def test_tie_heavy_rows(self):
+        rng = np.random.default_rng(21)
+        for m, n in ((6, 11), (40, 40), (9, 100)):
+            self._check((np.round(rng.random((m, n)) * 8) / 8).astype(np.float32))
+
+    def test_all_equal_rows(self):
+        self._check(np.full((4, 10), 0.5, dtype=np.float32))
+        mixed = np.full((6, 12), 0.25, dtype=np.float32)
+        mixed[::2] = np.linspace(0.0, 1.0, 12, dtype=np.float32)
+        self._check(mixed)
+
+    def test_k_at_least_row_length_keeps_every_index(self):
+        rng = np.random.default_rng(22)
+        values = rng.random((3, 5)).astype(np.float32)
+        for k in (5, 8):
+            npt.assert_array_equal(simgraph.top_k_indices(values, k),
+                                   np.tile(np.arange(5), (3, 1)))
 
 
 class TestProbabilityMap:
