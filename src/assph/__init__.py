@@ -5,25 +5,10 @@ reconstructing a structurally-smoothed semantic similarity matrix,
 pulling adaptively mined correlated pairs together, and refining against
 detached sign codes.  Ships a synthetic data generator, a training loop,
 a Hamming-ranking evaluation kit, and a CLI front end.
+
+Import the modules themselves (``from assph import trainer``).  The
+package re-exports nothing, so importing ``assph.cli`` does not load
+numpy before ``--threads`` has capped the BLAS pools.
 """
 
 __version__ = "0.1.0"
-
-from .corrmine import (CorrelationSet, adaptive_update, correlation_stats,
-                       first_order_correlations, init_correlations,
-                       knn_adjacency, second_order)
-from .dataio import (DatasetBundle, Split, SynthConfig, generate_synthetic,
-                     load_bundle, load_features, load_labels, save_bundle,
-                     write_features, write_labels)
-from .errors import ConfigError, DataError, DivergenceError
-from .evalkit import (EvalReport, average_precision, evaluate_direction,
-                      hamming, map_eval, rank)
-from .hashnet import (HashNetParams, backward, forward, init_params,
-                      load_checkpoint, load_codes, save_checkpoint,
-                      save_codes, sgd_step, sign_codes)
-from .objective import (LossWeights, loss_cp, loss_sa, loss_sr,
-                        pairwise_cosine, total_loss_and_grads)
-from .simgraph import (SimMatrix, build_semantic, combine, cosine_matrix,
-                       fuse, probability_map, structural, topk_normalize)
-from .trainer import (EpochRecord, OptimizerConfig, TrainConfig, TrainResult,
-                      eta_schedule, train, train_epoch)

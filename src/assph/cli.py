@@ -9,19 +9,25 @@ Every run writes a manifest.json into its output directory recording the
 resolved configuration, sha256 digests of the inputs, the output files,
 the package version, and wall-clock timings.
 
-Heavy imports happen inside the handlers so the --threads flag (default
-1, for bit-reproducible runs) can pin the BLAS thread pools before numpy
-loads.
+The training flags of build-sim, train and ablate are generated from the
+fields of ``config.TrainConfig``, the same keys a --config file and the
+manifest use.  This module and ``config`` import no numpy; the handlers
+import the numeric modules, so the --threads flag (default 1, for
+bit-reproducible runs) caps the BLAS thread pools before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 import time
+
+from .config import HIDDEN_ACTS, PROFILES, TrainConfig
+from .errors import ConfigError, DataError, DivergenceError
 
 
 def _sha256(path: str) -> str:
@@ -67,47 +73,22 @@ def _bundle_input_paths(bundle_arg: str) -> list[str]:
     return paths
 
 
-_OVERRIDE_KEYS = (
-    "code_length", "epochs", "batch_size", "ks", "kr", "tau", "gamma",
-    "mu1", "mu2", "beta", "learning_rate", "momentum", "weight_decay",
-    "eta_base", "d_hidden", "seed", "hidden_act",
-    "adaptive", "bin_opt", "corr", "struct", "pair_corr",
-)
-
-
 def _add_config_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file with training config keys")
     sub.add_argument("--profile", help="built-in hyperparameter profile name")
-    sub.add_argument("--code-length", type=int)
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch-size", type=int)
-    sub.add_argument("--ks", type=int)
-    sub.add_argument("--kr", type=int)
-    sub.add_argument("--tau", type=int)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--mu1", type=float)
-    sub.add_argument("--mu2", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--learning-rate", type=float)
-    sub.add_argument("--momentum", type=float)
-    sub.add_argument("--weight-decay", type=float)
-    sub.add_argument("--eta-base", type=float)
-    sub.add_argument("--d-hidden", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--hidden-act", choices=("relu", "tanh"))
-    sub.add_argument("--adaptive", action=argparse.BooleanOptionalAction)
-    sub.add_argument("--bin-opt", action=argparse.BooleanOptionalAction)
-    sub.add_argument("--corr", action=argparse.BooleanOptionalAction)
-    sub.add_argument("--struct", action=argparse.BooleanOptionalAction)
-    sub.add_argument("--pair-corr", action=argparse.BooleanOptionalAction)
+    for f in dataclasses.fields(TrainConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type is bool:
+            sub.add_argument(flag, action=argparse.BooleanOptionalAction)
+        elif f.name == "hidden_act":
+            sub.add_argument(flag, choices=HIDDEN_ACTS)
+        else:
+            sub.add_argument(flag, type=f.type)
 
 
-def _resolve_config(args: argparse.Namespace):
+def _resolve_config(args: argparse.Namespace) -> TrainConfig:
     """defaults < profile < config file < explicit flags."""
-    from .errors import ConfigError
-    from .trainer import PROFILES, TrainConfig
-
-    flat = TrainConfig().to_dict()
+    flat = {}
     if args.profile:
         if args.profile not in PROFILES:
             raise ConfigError(
@@ -124,14 +105,11 @@ def _resolve_config(args: argparse.Namespace):
                 raise ConfigError(f"invalid config JSON: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(flat)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         flat.update(file_cfg)
-    for key in _OVERRIDE_KEYS:
-        value = getattr(args, key, None)
+    for f in dataclasses.fields(TrainConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            flat[key] = value
+            flat[f.name] = value
     return TrainConfig.from_dict(flat)
 
 
@@ -309,8 +287,6 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
-    from .errors import ConfigError
-
     try:
         values = [int(v) for v in str(text).split(",") if v != ""]
     except ValueError:
@@ -322,7 +298,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from .dataio import load_labels
-    from .errors import DataError
     from .evalkit import evaluate_direction
     from .hashnet import load_codes
 
@@ -365,11 +340,8 @@ _VARIANTS = {
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from .dataio import load_bundle
-    from .errors import ConfigError, DataError
-    from .trainer import TrainConfig, train
+    from .trainer import train
 
     t0 = time.perf_counter()
     cfg = _resolve_config(args)
@@ -389,7 +361,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     outputs = ["ablation.json"]
     runs = [("ASSPH", {})] + [_VARIANTS[v] for v in names]
     for title, patch in runs:
-        run_cfg = TrainConfig.from_dict({**cfg.to_dict(), **patch})
+        run_cfg = dataclasses.replace(cfg, **patch)
         result = train(bundle, run_cfg)
         sub = os.path.join(args.out, title)
         os.makedirs(sub, exist_ok=True)
@@ -456,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--hidden-act", choices=("relu", "tanh"), default="relu")
+    p.add_argument("--hidden-act", choices=HIDDEN_ACTS, default="relu")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("eval", help="score stored codes against labels")
@@ -489,8 +461,6 @@ def dispatch(argv: list[str]) -> int:
     # cap BLAS pools before numpy comes in; harmless if numpy is loaded
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, str(max(args.threads, 1)))
-    from .errors import ConfigError, DataError, DivergenceError
-
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import HIDDEN_ACTS
 from .errors import ConfigError, DataError, DivergenceError
-
-HIDDEN_ACTS = ("relu", "tanh")
 
 _CKPT_MAGIC = b"ASSP"
 _CKPT_VERSION = 1

@@ -24,27 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import LossWeights
 from .errors import ConfigError, DataError, DivergenceError
 
 FREEZE_MODES = ("none", "image", "text")
-
-
-@dataclass
-class LossWeights:
-    """Term weights: mu1 on the correlation term, mu2 on agreement, plus
-    the target cosine level beta for correlated pairs."""
-
-    mu1: float = 2.0
-    mu2: float = 1.0
-    beta: float = 1.5
-
-    def validate(self) -> None:
-        if not (np.isfinite(self.mu1) and self.mu1 >= 0):
-            raise ConfigError(f"mu1 must be a finite real >= 0, got {self.mu1}")
-        if not (np.isfinite(self.mu2) and self.mu2 >= 0):
-            raise ConfigError(f"mu2 must be a finite real >= 0, got {self.mu2}")
-        if not (np.isfinite(self.beta) and self.beta >= 1):
-            raise ConfigError(f"beta must be a finite real >= 1, got {self.beta}")
 
 
 @dataclass
@@ -68,51 +51,6 @@ def _normalized(h: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
             "(cosine undefined; training diverged)"
         )
     return h / norms[:, None], norms
-
-
-def pairwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[i, j] = cosine of a's row i with b's row j."""
-    a_hat, _ = _normalized(a, "first argument")
-    b_hat, _ = _normalized(b, "second argument")
-    if a_hat.shape[1] != b_hat.shape[1]:
-        raise DataError(
-            f"pairwise_cosine: column mismatch {a_hat.shape[1]} vs {b_hat.shape[1]}"
-        )
-    return a_hat @ b_hat.T
-
-
-def loss_sr(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray) -> float:
-    """Semantic reconstruction: S against all three cosine matrices."""
-    s = np.asarray(s_batch, dtype=np.float64)
-    return float(
-        ((s - pairwise_cosine(hi, ht)) ** 2).sum()
-        + ((s - pairwise_cosine(hi, hi)) ** 2).sum()
-        + ((s - pairwise_cosine(ht, ht)) ** 2).sum()
-    )
-
-
-def loss_sa(hi: np.ndarray, ht: np.ndarray) -> float:
-    """Agreement between the intra- and cross-modal cosine views."""
-    c_it = pairwise_cosine(hi, ht)
-    c_ii = pairwise_cosine(hi, hi)
-    c_tt = pairwise_cosine(ht, ht)
-    return float(
-        ((c_ii - c_tt) ** 2).sum()
-        + ((c_it - c_ii) ** 2).sum()
-        + ((c_it - c_tt) ** 2).sum()
-    )
-
-
-def loss_cp(hi: np.ndarray, ht: np.ndarray, r_batch: np.ndarray,
-            beta: float) -> float:
-    """Pull correlated pairs' cross-modal cosine toward beta.
-
-    The mask is elementwise, so only pairs in the relation contribute.
-    beta above the cosine ceiling keeps pulling saturated pairs together.
-    """
-    r = np.asarray(r_batch, dtype=np.float64)
-    c_it = pairwise_cosine(hi, ht)
-    return float((r * (c_it - beta) ** 2).sum())
 
 
 def _grad_pair(g: np.ndarray, c: np.ndarray, a_hat: np.ndarray,

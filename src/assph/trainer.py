@@ -19,158 +19,14 @@ the neighborhood-overlap mining rule for plain symmetrized KNN.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import corrmine, hashnet, objective, simgraph
+from .config import PROFILES, TrainConfig  # noqa: F401  (trainer.PROFILES is public)
 from .dataio import DatasetBundle
 from .errors import ConfigError, DivergenceError
-
-PROFILES = {
-    # reference hyperparameters the published MAP numbers were produced with
-    "paper-default": {
-        "epochs": 50,
-        "batch_size": 32,
-        "ks": 2000,
-        "kr": 50,
-        "tau": 1,
-        "gamma": 0.3,
-        "mu1": 2.0,
-        "mu2": 1.0,
-        "beta": 1.5,
-        "learning_rate": 0.001,
-        "momentum": 0.9,
-        "weight_decay": 0.0005,
-        "eta_base": 1.0,
-        "d_hidden": 4096,
-        "hidden_act": "relu",
-    },
-}
-
-
-@dataclass
-class OptimizerConfig:
-    learning_rate: float = 0.001
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
-
-    def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-
-
-@dataclass
-class TrainConfig:
-    """Everything one training run depends on, seed included."""
-
-    code_length: int = 64
-    epochs: int = 50
-    batch_size: int = 32
-    ks: int = 2000
-    kr: int = 50
-    tau: int = 1
-    gamma: float = 0.3
-    weights: objective.LossWeights = field(default_factory=objective.LossWeights)
-    opt: OptimizerConfig = field(default_factory=OptimizerConfig)
-    eta_base: float = 1.0
-    d_hidden: int = 4096
-    seed: int = 0
-    hidden_act: str = "relu"
-    adaptive: bool = True
-    bin_opt: bool = True
-    corr: bool = True
-    struct: bool = True
-    pair_corr: bool = False
-
-    def validate(self) -> None:
-        for name in ("code_length", "epochs", "batch_size", "ks", "kr", "d_hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.tau < 1:
-            raise ConfigError(f"tau must be >= 1, got {self.tau}")
-        if not 0 <= self.gamma <= 1:
-            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.eta_base <= 0:
-            raise ConfigError(f"eta_base must be > 0, got {self.eta_base}")
-        if self.hidden_act not in hashnet.HIDDEN_ACTS:
-            raise ConfigError(f"hidden_act must be one of {hashnet.HIDDEN_ACTS}")
-        self.weights.validate()
-        self.opt.validate()
-
-    def to_dict(self) -> dict:
-        flat = {
-            "code_length": self.code_length,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "ks": self.ks,
-            "kr": self.kr,
-            "tau": self.tau,
-            "gamma": self.gamma,
-            "mu1": self.weights.mu1,
-            "mu2": self.weights.mu2,
-            "beta": self.weights.beta,
-            "learning_rate": self.opt.learning_rate,
-            "momentum": self.opt.momentum,
-            "weight_decay": self.opt.weight_decay,
-            "eta_base": self.eta_base,
-            "d_hidden": self.d_hidden,
-            "seed": self.seed,
-            "hidden_act": self.hidden_act,
-            "adaptive": self.adaptive,
-            "bin_opt": self.bin_opt,
-            "corr": self.corr,
-            "struct": self.struct,
-            "pair_corr": self.pair_corr,
-        }
-        return flat
-
-    @classmethod
-    def from_dict(cls, flat: dict) -> "TrainConfig":
-        cfg = cls()
-        known = set(cfg.to_dict())
-        unknown = set(flat) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged = cfg.to_dict()
-        merged.update(flat)
-        try:
-            cfg = cls(
-                code_length=int(merged["code_length"]),
-                epochs=int(merged["epochs"]),
-                batch_size=int(merged["batch_size"]),
-                ks=int(merged["ks"]),
-                kr=int(merged["kr"]),
-                tau=int(merged["tau"]),
-                gamma=float(merged["gamma"]),
-                weights=objective.LossWeights(
-                    mu1=float(merged["mu1"]),
-                    mu2=float(merged["mu2"]),
-                    beta=float(merged["beta"]),
-                ),
-                opt=OptimizerConfig(
-                    learning_rate=float(merged["learning_rate"]),
-                    momentum=float(merged["momentum"]),
-                    weight_decay=float(merged["weight_decay"]),
-                ),
-                eta_base=float(merged["eta_base"]),
-                d_hidden=int(merged["d_hidden"]),
-                seed=int(merged["seed"]),
-                hidden_act=str(merged["hidden_act"]),
-                adaptive=bool(merged["adaptive"]),
-                bin_opt=bool(merged["bin_opt"]),
-                corr=bool(merged["corr"]),
-                struct=bool(merged["struct"]),
-                pair_corr=bool(merged["pair_corr"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}")
-        cfg.validate()
-        return cfg
 
 
 def eta_schedule(epoch: int, eta_base: float = 1.0) -> float:
@@ -249,9 +105,9 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
     semantic = simgraph.build_semantic(fi32, ft32, cfg.ks, gamma_eff).values
 
     weights_eff = objective.LossWeights(
-        mu1=cfg.weights.mu1 if cfg.corr else 0.0,
-        mu2=cfg.weights.mu2,
-        beta=cfg.weights.beta,
+        mu1=cfg.mu1 if cfg.corr else 0.0,
+        mu2=cfg.mu2,
+        beta=cfg.beta,
     )
     if cfg.corr:
         sim_i = simgraph.cosine_matrix(fi32)
@@ -300,7 +156,6 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
     m = cfg.batch_size
     n_iter = fi.shape[0] // m
     perm = state.rng.permutation(fi.shape[0])
-    opt = cfg.opt
     sums = np.zeros(4)
 
     for it in range(n_iter):
@@ -322,10 +177,10 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
                                cfg.hidden_act)
         g_t = hashnet.backward(state.params_text, xt, eta, out.grad_text,
                                cfg.hidden_act)
-        hashnet.sgd_step(state.params_image, g_i, opt.learning_rate,
-                         opt.momentum, opt.weight_decay)
-        hashnet.sgd_step(state.params_text, g_t, opt.learning_rate,
-                         opt.momentum, opt.weight_decay)
+        hashnet.sgd_step(state.params_image, g_i, cfg.learning_rate,
+                         cfg.momentum, cfg.weight_decay)
+        hashnet.sgd_step(state.params_text, g_t, cfg.learning_rate,
+                         cfg.momentum, cfg.weight_decay)
 
         if cfg.bin_opt:
             # refresh soft codes under the just-updated parameters, then
@@ -339,15 +194,15 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
                                                    freeze="text")
             g_i = hashnet.backward(state.params_image, xi, eta,
                                    out_i.grad_image, cfg.hidden_act)
-            hashnet.sgd_step(state.params_image, g_i, opt.learning_rate,
-                             opt.momentum, opt.weight_decay)
+            hashnet.sgd_step(state.params_image, g_i, cfg.learning_rate,
+                             cfg.momentum, cfg.weight_decay)
             out_t = objective.total_loss_and_grads(b_i, ht2, s_b, r_b,
                                                    state.weights_eff,
                                                    freeze="image")
             g_t = hashnet.backward(state.params_text, xt, eta,
                                    out_t.grad_text, cfg.hidden_act)
-            hashnet.sgd_step(state.params_text, g_t, opt.learning_rate,
-                             opt.momentum, opt.weight_decay)
+            hashnet.sgd_step(state.params_text, g_t, cfg.learning_rate,
+                             cfg.momentum, cfg.weight_decay)
 
     # end of epoch: one full pass for diagnostics and adaptive mining
     hi_all = hashnet.forward(state.params_image, fi, eta, cfg.hidden_act)

@@ -1,12 +1,16 @@
 """Command-line surface: file layouts, exit codes, reproducibility."""
 
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from assph import cli, dataio, hashnet
+from assph.config import HIDDEN_ACTS, TrainConfig
 
 TRAIN_FLAGS = ["--code-length", "8", "--epochs", "2", "--batch-size", "24",
                "--ks", "12", "--kr", "4", "--d-hidden", "16",
@@ -264,6 +268,44 @@ class TestConfigResolution:
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_non_boolean_switch_in_config_file(self, data_dir, tmp_path,
+                                               capsys):
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump({"adaptive": "false"}, open(cfg_path, "w"))
+        code = cli.dispatch(["train", "--bundle", data_dir,
+                             "--out", str(tmp_path / "x"),
+                             "--config", cfg_path] + TRAIN_FLAGS)
+        assert code == 2
+        assert "bad config value: adaptive" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "x"))
+
+
+def _non_default(field):
+    """A valid value of a non-bool config field other than its default."""
+    if field.type is str:
+        return next(a for a in HIDDEN_ACTS if a != field.default)
+    return field.default + (1 if field.type is int else 0.05)
+
+
+class TestFlagsMatchFields:
+    """Every TrainConfig field is a flag of each training command, and the
+    flag's value lands in the resolved config."""
+
+    @pytest.mark.parametrize("command", ["train", "build-sim", "ablate"])
+    @pytest.mark.parametrize("field", dataclasses.fields(TrainConfig),
+                             ids=lambda f: f.name)
+    def test_flag_lands_in_config(self, command, field):
+        flag = field.name.replace("_", "-")
+        if field.type is bool:
+            cases = [([f"--{flag}"], True), ([f"--no-{flag}"], False)]
+        else:
+            value = _non_default(field)
+            cases = [([f"--{flag}", str(value)], value)]
+        for extra, value in cases:
+            args = cli.build_parser().parse_args(
+                [command, "--bundle", "b", "--out", "o"] + extra)
+            assert getattr(cli._resolve_config(args), field.name) == value
+
 
 class TestExitCodes:
     def test_bad_config_value(self, data_dir, tmp_path, capsys):
@@ -315,6 +357,15 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli.dispatch(["--help"]) == 0
         assert "synth" in capsys.readouterr().out
+
+    def test_import_loads_no_numpy(self):
+        # --threads only caps the BLAS pools if numpy loads after dispatch
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        probe = "import sys, assph.cli; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
     def test_threads_flag_accepted(self, tmp_path):
         out = str(tmp_path / "s")

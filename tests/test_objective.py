@@ -22,28 +22,54 @@ def scalar_cosine(a, b):
     return out
 
 
+def terms(hi, ht, s=None, r=None, beta=1.5):
+    """total_loss_and_grads with zero S and R unless given."""
+    m = len(hi)
+    s = np.zeros((m, m)) if s is None else s
+    r = np.zeros((m, m)) if r is None else r
+    return objective.total_loss_and_grads(
+        hi, ht, s, r, objective.LossWeights(beta=beta))
+
+
+def objective_cosine(hi, ht, beta=1.5):
+    """The cross-modal cosine matrix the objective uses, read back from the
+    cp term one masked pair at a time: cp = (c_ij - beta)^2, c_ij <= beta."""
+    m = len(hi)
+    out = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            r = np.zeros((m, m))
+            r[i, j] = 1.0
+            out[i, j] = beta - math.sqrt(terms(hi, ht, r=r, beta=beta).cp)
+    return out
+
+
 class TestPairwiseCosine:
+    """The cross-modal cosines inside the objective, read back through cp."""
+
     def test_orthonormal_identity(self):
-        npt.assert_allclose(objective.pairwise_cosine(np.eye(3), np.eye(3)),
+        npt.assert_allclose(objective_cosine(np.eye(3), np.eye(3)),
                             np.eye(3), atol=1e-12)
 
     def test_orthogonal_rows(self):
-        out = objective.pairwise_cosine(np.array([[1.0, 0.0]]),
-                                        np.array([[0.0, 1.0]]))
+        out = objective_cosine(np.array([[1.0, 0.0]]),
+                               np.array([[0.0, 1.0]]))
         npt.assert_allclose(out, [[0.0]], atol=1e-12)
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((5, 8))
-        b = rng.standard_normal((6, 8))
-        npt.assert_allclose(objective.pairwise_cosine(a, b),
-                            scalar_cosine(a, b), atol=1e-12)
+        b = rng.standard_normal((5, 8))
+        npt.assert_allclose(objective_cosine(a, b), scalar_cosine(a, b),
+                            atol=1e-12)
 
     def test_zero_row_diverges(self):
         a = np.ones((3, 4))
         a[1] = 0.0
         with pytest.raises(DivergenceError, match="row 1"):
-            objective.pairwise_cosine(a, np.ones((2, 4)))
+            terms(a, np.ones((3, 4)))
+        with pytest.raises(DivergenceError, match="row 1"):
+            terms(np.ones((3, 4)), a)
 
 
 class TestLossValues:
@@ -51,24 +77,24 @@ class TestLossValues:
         hi = np.eye(3) * 2.0  # orthonormal directions, scaled
         ht = np.eye(3) * 0.5
         s = np.eye(3)
-        assert objective.loss_sr(hi, ht, s) == pytest.approx(0.0, abs=1e-20)
+        assert terms(hi, ht, s=s).sr == pytest.approx(0.0, abs=1e-20)
 
     def test_sr_single_pair(self):
         hi = np.array([[1.0, 0.0]])
         ht = np.array([[0.0, 1.0]])
         # C_it = 0, C_ii = C_tt = 1, target 1 -> only the cross term misses
-        assert objective.loss_sr(hi, ht, np.array([[1.0]])) == pytest.approx(1.0)
+        assert terms(hi, ht, s=np.array([[1.0]])).sr == pytest.approx(1.0)
 
     def test_sa_single_pair(self):
         hi = np.array([[1.0, 0.0]])
         ht = np.array([[0.0, 1.0]])
         # C_ii = C_tt = 1 agree; the two cross-vs-intra gaps are 1 each
-        assert objective.loss_sa(hi, ht) == pytest.approx(2.0)
+        assert terms(hi, ht).sa == pytest.approx(2.0)
 
     def test_cp_single_pair(self):
         hi = np.array([[1.0, 0.0]])
         ht = np.array([[0.0, 1.0]])
-        out = objective.loss_cp(hi, ht, np.array([[1.0]]), beta=1.5)
+        out = terms(hi, ht, r=np.array([[1.0]]), beta=1.5).cp
         assert out == pytest.approx(2.25)
 
     def test_cp_mask_is_elementwise(self):
@@ -76,11 +102,10 @@ class TestLossValues:
         hi = rng.standard_normal((4, 6))
         ht = rng.standard_normal((4, 6))
         r = np.zeros((4, 4))
-        assert objective.loss_cp(hi, ht, r, 1.5) == 0.0
+        assert terms(hi, ht, r=r).cp == 0.0
         r[2, 3] = 1.0
-        c = objective.pairwise_cosine(hi, ht)
-        assert objective.loss_cp(hi, ht, r, 1.5) == pytest.approx(
-            (c[2, 3] - 1.5) ** 2)
+        c = scalar_cosine(hi, ht)
+        assert terms(hi, ht, r=r).cp == pytest.approx((c[2, 3] - 1.5) ** 2)
 
     def test_total_worked_example(self):
         hi = np.array([[1.0, 0.0]])
@@ -93,7 +118,7 @@ class TestLossValues:
         assert out.cp == pytest.approx(2.25)
         assert out.total == pytest.approx(1.0 + 2.0 * 2.25 + 1.0 * 2.0)
 
-    def test_total_matches_component_functions(self):
+    def test_terms_match_scalar_loops(self):
         rng = np.random.default_rng(2)
         hi = rng.standard_normal((6, 5))
         ht = rng.standard_normal((6, 5))
@@ -104,9 +129,16 @@ class TestLossValues:
         np.fill_diagonal(r, 1)
         weights = objective.LossWeights(mu1=1.7, mu2=0.6, beta=1.2)
         out = objective.total_loss_and_grads(hi, ht, s, r, weights)
-        assert out.sr == pytest.approx(objective.loss_sr(hi, ht, s))
-        assert out.sa == pytest.approx(objective.loss_sa(hi, ht))
-        assert out.cp == pytest.approx(objective.loss_cp(hi, ht, r, 1.2))
+        c_it = scalar_cosine(hi, ht)
+        c_ii = scalar_cosine(hi, hi)
+        c_tt = scalar_cosine(ht, ht)
+        assert out.sr == pytest.approx(((s - c_it) ** 2).sum()
+                                       + ((s - c_ii) ** 2).sum()
+                                       + ((s - c_tt) ** 2).sum())
+        assert out.sa == pytest.approx(((c_ii - c_tt) ** 2).sum()
+                                       + ((c_it - c_ii) ** 2).sum()
+                                       + ((c_it - c_tt) ** 2).sum())
+        assert out.cp == pytest.approx((r * (c_it - 1.2) ** 2).sum())
         assert out.total == pytest.approx(
             out.sr + 1.7 * out.cp + 0.6 * out.sa)
 

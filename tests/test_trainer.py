@@ -17,8 +17,7 @@ def bundle():
 
 def small_config(**overrides):
     base = dict(code_length=16, epochs=3, batch_size=30, ks=15, kr=4,
-                d_hidden=32, seed=5,
-                opt=trainer.OptimizerConfig(learning_rate=3e-4))
+                d_hidden=32, seed=5, learning_rate=3e-4)
     base.update(overrides)
     return trainer.TrainConfig(**base)
 
@@ -50,13 +49,36 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bad config value"):
             trainer.TrainConfig.from_dict({"epochs": "many"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("adaptive", "false"), ("adaptive", 0), ("epochs", 2.9),
+        ("epochs", True), ("tau", True), ("gamma", False), ("seed", "1.5"),
+        ("epochs", float("inf")),
+    ])
+    def test_value_of_wrong_kind_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"bad config value: {key}"):
+            trainer.TrainConfig.from_dict({key: value})
+
+    def test_whole_numbers_coerced(self):
+        cfg = trainer.TrainConfig.from_dict({"epochs": 3.0, "gamma": 1,
+                                             "adaptive": False})
+        assert cfg.epochs == 3 and type(cfg.epochs) is int
+        assert cfg.gamma == 1.0 and type(cfg.gamma) is float
+        assert cfg.adaptive is False
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["learning_rate", "weight_decay",
+                                     "eta_base", "gamma", "mu1", "beta"])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            trainer.TrainConfig.from_dict({key: value})
+
     def test_validation_errors(self):
         with pytest.raises(ConfigError, match="gamma"):
             small_config(gamma=1.5).validate()
         with pytest.raises(ConfigError, match="batch_size"):
             small_config(batch_size=0).validate()
         with pytest.raises(ConfigError, match="momentum"):
-            small_config(opt=trainer.OptimizerConfig(momentum=1.0)).validate()
+            small_config(momentum=1.0).validate()
         with pytest.raises(ConfigError, match="hidden_act"):
             small_config(hidden_act="gelu").validate()
 
@@ -65,8 +87,8 @@ class TestConfig:
         assert cfg.epochs == 50
         assert cfg.batch_size == 32
         assert cfg.d_hidden == 4096
-        assert cfg.opt.learning_rate == pytest.approx(0.001)
-        assert cfg.weights.beta == pytest.approx(1.5)
+        assert cfg.learning_rate == pytest.approx(0.001)
+        assert cfg.beta == pytest.approx(1.5)
 
 
 class TestInitState:
@@ -223,8 +245,7 @@ class TestTrain:
         assert score > 0.85
 
     def test_divergence_raises(self, bundle):
-        cfg = small_config(epochs=5,
-                           opt=trainer.OptimizerConfig(learning_rate=1e308))
+        cfg = small_config(epochs=5, learning_rate=1e308)
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError, match="non-finite"):
                 trainer.train(bundle, cfg)
