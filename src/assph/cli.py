@@ -308,10 +308,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     db_codes = load_codes(args.db_codes)
     query_labels = load_labels(args.query_labels)
     db_labels = load_labels(args.db_labels)
-    if query_labels.shape[0] != query_codes.shape[0]:
-        raise DataError("eval: query labels and codes disagree on row count")
-    if db_labels.shape[0] != db_codes.shape[0]:
-        raise DataError("eval: db labels and codes disagree on row count")
     report = evaluate_direction(args.direction, query_codes, db_codes,
                                 query_labels, db_labels, map_cutoffs, k_grid)
     os.makedirs(args.out, exist_ok=True)

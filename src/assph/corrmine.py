@@ -144,7 +144,8 @@ def second_order(adj_a: np.ndarray, adj_b: np.ndarray, tau: int = 1) -> np.ndarr
         hits[keys] = 1
         lo = hi
     hits = hits.reshape(m, m)
-    return hits | hits.T
+    # a self-join counts (i, j) and (j, i) alike, so its hits are symmetric
+    return hits if a is b else hits | hits.T
 
 
 def first_order_correlations(sim_image: SimMatrix, sim_text: SimMatrix,

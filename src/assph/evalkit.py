@@ -1,8 +1,14 @@
 """Hamming-space retrieval evaluation: ranking, MAP, and curve protocols.
 
 Distances between +-1 code rows are D = (K - <b_q, b_d>) / 2, an integer
-in [0, K].  Rankings sort by ascending distance with ties broken by
-ascending database index, so every metric here is exactly reproducible.
+in [0, K], held in the smallest unsigned dtype that holds K (uint8 up to
+K = 255, uint16 up to 65535).  Rankings sort by ascending distance with
+ties broken by ascending database index, so every metric here is exactly
+reproducible.
+
+evaluate_direction ranks the queries in blocks of _BLOCK_PAIRS // D rows
+(at least one), whose arrays take some 30 bytes per query-item pair, about
+32 MB whatever Q is; only a few numbers per query and radius outlive them.
 
 Average precision truncated at a cutoff divides by the number of relevant
 items inside the cutoff window; queries with no relevant item in the
@@ -21,110 +27,93 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
+# query-item pairs ranked per block of queries
+_BLOCK_PAIRS = 1 << 20
+
 
 def _check_codes(codes: np.ndarray, name: str) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[0] < 1:
         raise DataError(f"{name}: expected a non-empty 2-d code matrix")
-    if not np.isin(codes, (-1, 1)).all():
+    if not (np.abs(codes) == 1).all():
         raise DataError(f"{name}: code entries must be -1 or +1")
-    return codes.astype(np.int8)
-
-
-def hamming(code_a: np.ndarray, code_b: np.ndarray) -> int:
-    """Number of disagreeing bits between two +-1 code vectors."""
-    a = np.asarray(code_a).ravel()
-    b = np.asarray(code_b).ravel()
-    if a.shape != b.shape:
-        raise DataError(f"hamming: length mismatch {a.shape} vs {b.shape}")
-    return int((len(a) - int(a @ b)) // 2)
+    return codes.astype(np.float32)
 
 
 def hamming_matrix(query_codes: np.ndarray, db_codes: np.ndarray) -> np.ndarray:
-    """Integer distance matrix, queries by database rows."""
+    """Distance matrix, queries by database rows, in the smallest
+    unsigned dtype that holds the code length."""
     q = _check_codes(query_codes, "query codes")
     d = _check_codes(db_codes, "db codes")
     if q.shape[1] != d.shape[1]:
         raise DataError(f"code length mismatch: {q.shape[1]} vs {d.shape[1]}")
     k = q.shape[1]
     # float32 matmul of +-1 rows is exact: |dot| <= K << 2**24
-    dots = q.astype(np.float32) @ d.astype(np.float32).T
-    return ((k - dots) / 2).astype(np.int64)
+    return ((k - q @ d.T) / 2).astype(np.min_scalar_type(k))
 
 
-@dataclass
-class RankedRetrieval:
-    """One query's database ordering and the distances along it."""
+def rank(query_codes: np.ndarray, db_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank the database for every query: (ordering, distances), both Q x D.
 
-    query_index: int
-    ordering: np.ndarray
-    distances: np.ndarray
-
-
-def rank(query_codes: np.ndarray, db_codes: np.ndarray) -> list[RankedRetrieval]:
-    """Rank the database for every query.
-
-    Ascending distance, ties by ascending database index (stable argsort
-    on the integer distances).
+    Row q of ordering lists database indices by ascending distance, ties
+    by ascending index (one stable argsort over all rows); row q of
+    distances holds the distances along that ordering.
     """
     dist = hamming_matrix(query_codes, db_codes)
-    out = []
-    for qi in range(dist.shape[0]):
-        order = np.argsort(dist[qi], kind="stable")
-        out.append(RankedRetrieval(query_index=qi, ordering=order,
-                                   distances=dist[qi][order]))
-    return out
+    ordering = np.argsort(dist, axis=1, kind="stable")
+    return ordering, np.take_along_axis(dist, ordering, axis=1)
 
 
-def average_precision(relevance_flags: np.ndarray, cutoff: int | None = None) -> float:
-    """AP of one ranked flag list, truncated at cutoff when given.
+def average_precision(ranked_flags: np.ndarray, cutoff: int | None = None) -> np.ndarray:
+    """AP of each row of ranked 0/1 flags, truncated at cutoff when given.
 
-    Denominator is the number of relevant items inside the truncated
-    list; an empty relevant set yields 0.
+    A row's denominator is the number of relevant items inside its
+    truncated list; a row with none scores 0.
     """
-    flags = np.asarray(relevance_flags).ravel()
-    if not np.isin(flags, (0, 1)).all():
+    flags = np.asarray(ranked_flags)
+    if flags.ndim != 2:
+        raise DataError("average_precision: expected a 2-d block of ranked flags")
+    if not np.array_equal(flags, flags != 0):
         raise DataError("average_precision: flags must be 0/1")
     if cutoff is not None:
         if cutoff < 1:
             raise ConfigError(f"average_precision: cutoff must be >= 1, got {cutoff}")
-        flags = flags[:cutoff]
-    n_rel = int(flags.sum())
-    if n_rel == 0:
-        return 0.0
-    cum = np.cumsum(flags)
-    precision_at = cum / np.arange(1, len(flags) + 1)
-    return float(precision_at[flags == 1].sum() / n_rel)
+        flags = flags[:, :cutoff]
+    rows, cols = np.divmod(np.flatnonzero(flags), flags.shape[1])
+    hit_ranks = np.split(cols + 1, np.searchsorted(rows, np.arange(1, len(flags))))
+    # one 1-d sum per row, in rank order, so each AP is bit-exact
+    return np.array([(np.arange(1, r.size + 1) / r).sum() / r.size if r.size else 0.0
+                     for r in hit_ranks])
 
 
 def relevance_matrix(query_labels: np.ndarray, db_labels: np.ndarray) -> np.ndarray:
-    """rel[q, d] = 1 iff the query and database item share any label."""
+    """rel[q, d] is True iff the query and database item share any label."""
     q = np.asarray(query_labels, dtype=np.float32)
     d = np.asarray(db_labels, dtype=np.float32)
     if q.ndim != 2 or d.ndim != 2 or q.shape[1] != d.shape[1]:
         raise DataError(
             f"relevance_matrix: label shapes {q.shape} and {d.shape} incompatible"
         )
-    return ((q @ d.T) > 0).astype(np.int8)
+    return (q @ d.T) > 0
 
 
 def map_eval(query_codes: np.ndarray, db_codes: np.ndarray,
              query_labels: np.ndarray, db_labels: np.ndarray,
              cutoff: int | None = None) -> float:
     """Mean AP over all queries (zero-relevant queries count as 0)."""
-    rel = relevance_matrix(query_labels, db_labels)
-    rankings = rank(query_codes, db_codes)
-    if rel.shape != (len(rankings), db_codes.shape[0]):
-        raise DataError("map_eval: label rows mismatch code rows")
-    aps = [average_precision(rel[r.query_index][r.ordering], cutoff)
-           for r in rankings]
-    return float(np.mean(aps))
+    report = evaluate_direction("map", query_codes, db_codes, query_labels,
+                                db_labels, [] if cutoff is None else [cutoff])
+    return report.map_all if cutoff is None else report.map_at[int(cutoff)]
 
 
-def curves(rankings: list[RankedRetrieval], relevance: np.ndarray,
+def curves(dist_hist: np.ndarray, rel_hist: np.ndarray, topk_hits: np.ndarray,
            k_grid: list[int]) -> tuple[list[tuple[float, float]],
                                        list[tuple[int, float]]]:
-    """Precision-recall and top-k precision curves.
+    """Precision-recall and top-k precision curves from per-query counts.
+
+    dist_hist[q, r] counts the database items at distance r from query q
+    and rel_hist[q, r] the relevant ones among them; topk_hits[q, i]
+    counts the relevant items among query q's first k_grid[i] results.
 
     Returns (pr_points, topk_points).  pr_points are (recall, precision)
     pairs per Hamming radius, averaged over queries with at least one
@@ -132,45 +121,28 @@ def curves(rankings: list[RankedRetrieval], relevance: np.ndarray,
     recall 0/1 endpoints dropped.  topk_points are (k, mean precision@k)
     over all queries.
     """
-    if not rankings:
-        raise DataError("curves: no rankings given")
-    k_grid = list(k_grid)
-    if any(k < 1 for k in k_grid) or sorted(k_grid) != k_grid:
-        raise ConfigError(f"curves: k_grid must be ascending positive ints, got {k_grid}")
-    relevance = np.asarray(relevance)
-    n_db = relevance.shape[1]
-    rel_sorted = np.stack([relevance[r.query_index][r.ordering] for r in rankings])
-    dist_sorted = np.stack([r.distances for r in rankings])
-    cum_rel = np.cumsum(rel_sorted, axis=1)
-
-    topk_points = []
-    for k in k_grid:
-        kk = min(k, n_db)
-        topk_points.append((k, float(np.mean(cum_rel[:, kk - 1] / k))))
-
-    totals = rel_sorted.sum(axis=1)
+    topk_points = [(k, float(np.mean(topk_hits[:, i] / k)))
+                   for i, k in enumerate(k_grid)]
+    totals = rel_hist.sum(axis=1)
     eligible = totals > 0
     if not np.any(eligible):
         return [], topk_points
-    max_radius = int(dist_sorted.max())
-    raw_points = []
-    for radius in range(max_radius + 1):
-        # per query: how many of the leading ranked entries fall within radius
-        n_ret = (dist_sorted <= radius).sum(axis=1)
-        n_rel_ret = np.where(n_ret > 0, cum_rel[np.arange(len(rankings)),
-                                                np.maximum(n_ret - 1, 0)], 0)
-        prec = n_rel_ret / np.maximum(n_ret, 1)  # zero retrieved -> precision 0
-        rec = n_rel_ret / np.maximum(totals, 1)
-        raw_points.append((float(rec[eligible].mean()),
-                           float(prec[eligible].mean())))
+    n_radii = int(np.flatnonzero(dist_hist.any(axis=0))[-1]) + 1
+    # radius by query, so each radius averages one contiguous vector of
+    # the eligible queries in query order
+    n_ret = np.ascontiguousarray(np.cumsum(dist_hist[eligible, :n_radii], axis=1).T)
+    n_rel_ret = np.ascontiguousarray(np.cumsum(rel_hist[eligible, :n_radii], axis=1).T)
+    precision = n_rel_ret / np.maximum(n_ret, 1)  # zero retrieved -> precision 0
+    recall = n_rel_ret / totals[eligible]
     pr_points = []
     seen = set()
-    for rec, prec in raw_points:
+    for rec, prec in zip(recall, precision):
+        rec = float(rec.mean())
         if rec in seen:
             continue
         seen.add(rec)
         if 0.0 < rec < 1.0:
-            pr_points.append((rec, prec))
+            pr_points.append((rec, float(prec.mean())))
     return pr_points, topk_points
 
 
@@ -215,25 +187,48 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
                        db_codes: np.ndarray, query_labels: np.ndarray,
                        db_labels: np.ndarray, map_cutoffs: list[int] = (50,),
                        k_grid: list[int] | None = None) -> EvalReport:
-    """Full metric bundle for one direction (e.g. image query, text db)."""
-    rel = relevance_matrix(query_labels, db_labels)
-    rankings = rank(query_codes, db_codes)
-    aps_all = [average_precision(rel[r.query_index][r.ordering]) for r in rankings]
-    map_at = {}
-    for cutoff in map_cutoffs:
-        aps = [average_precision(rel[r.query_index][r.ordering], cutoff)
-               for r in rankings]
-        map_at[int(cutoff)] = float(np.mean(aps))
+    """Full metric bundle for one direction (e.g. image query, text db).
+
+    Each block of queries is ranked once; MAP@all, every MAP@cutoff, the
+    top-k counts and the distance histograms all read its one ranked
+    relevance matrix.
+    """
+    query_labels, db_labels = np.asarray(query_labels), np.asarray(db_labels)
+    for role, codes, labels in (("query", query_codes, query_labels),
+                                ("db", db_codes, db_labels)):
+        if len(labels) != len(codes):
+            raise DataError(f"{role} labels and codes row count mismatch: "
+                            f"{len(labels)} vs {len(codes)}")
+    n_q, n_db, k = len(query_codes), len(db_codes), int(query_codes.shape[1])
     if k_grid is None:
-        n_db = db_codes.shape[0]
-        k_grid = sorted({min(k, n_db) for k in (1, 5, 10, 25, 50, 100, 250,
-                                                500, 1000) if k <= n_db} | {n_db})
-    pr_curve, topk_curve = curves(rankings, rel, k_grid)
+        k_grid = sorted({top for top in (1, 5, 10, 25, 50, 100, 250, 500, 1000)
+                         if top <= n_db} | {n_db})
+    k_grid = list(k_grid)
+    if any(top < 1 for top in k_grid) or sorted(k_grid) != k_grid:
+        raise ConfigError(f"k_grid must be ascending positive ints, got {k_grid}")
+    cutoffs = [int(c) for c in map_cutoffs]
+    aps = np.zeros((1 + len(cutoffs), n_q))
+    topk_hits = np.zeros((n_q, len(k_grid)), dtype=np.int64)
+    hists = np.zeros((n_q, k + 1, 2), dtype=np.int64)  # [query, distance, relevant]
+    step = max(1, _BLOCK_PAIRS // n_db)
+    for lo in range(0, n_q, step):
+        block = slice(lo, lo + step)
+        ordering, distances = rank(query_codes[block], db_codes)
+        flags = np.take_along_axis(
+            relevance_matrix(query_labels[block], db_labels), ordering, axis=1)
+        for row, cutoff in zip(aps, [None] + cutoffs):
+            row[block] = average_precision(flags, cutoff)
+        for i, top in enumerate(k_grid):
+            topk_hits[block, i] = np.count_nonzero(flags[:, :top], axis=1)
+        keys = distances + np.arange(len(flags))[:, None] * (k + 1)
+        hists[block] = np.bincount((2 * keys + flags).ravel(), minlength=hists[block].size
+                                   ).reshape(-1, k + 1, 2)
+    pr_curve, topk_curve = curves(hists.sum(axis=2), hists[..., 1], topk_hits, k_grid)
     return EvalReport(
         direction=direction,
-        code_length=int(query_codes.shape[1]),
-        map_all=float(np.mean(aps_all)),
-        map_at=map_at,
+        code_length=k,
+        map_all=float(np.mean(aps[0])),
+        map_at={c: float(np.mean(row)) for c, row in zip(cutoffs, aps[1:])},
         pr_curve=pr_curve,
         topk_curve=topk_curve,
     )

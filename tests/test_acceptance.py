@@ -226,12 +226,12 @@ class TestEvaluationExactness:
 
         axioms = True
         for _ in range(10_000):
-            a, b, c = np.where(rng.standard_normal((3, 16)) >= 0, 1, -1)
-            dab = evalkit.hamming(a, b)
-            axioms &= dab == evalkit.hamming(b, a)
-            axioms &= evalkit.hamming(a, a) == 0
-            axioms &= dab <= evalkit.hamming(a, c) + evalkit.hamming(c, b)
-            axioms &= 0 <= dab <= 16
+            abc = np.where(rng.standard_normal((3, 16)) >= 0, 1, -1)
+            dist = evalkit.hamming_matrix(abc, abc).astype(int)  # rows a, b, c
+            axioms &= dist[0, 1] == dist[1, 0]
+            axioms &= dist[0, 0] == 0
+            axioms &= dist[0, 1] <= dist[0, 2] + dist[2, 1]
+            axioms &= 0 <= dist[0, 1] <= 16
         elapsed = time.perf_counter() - t0
         ok = max_gap <= 1e-9 and axioms and elapsed < 5.0
         _verdict(ok, "evaluation metrics exact",

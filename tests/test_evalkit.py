@@ -15,9 +15,10 @@ def random_codes(rng, rows, k):
 
 class TestHamming:
     def test_examples(self):
-        assert evalkit.hamming([1, 1, 1], [1, 1, 1]) == 0
-        assert evalkit.hamming([1, 1, 1], [-1, -1, -1]) == 3
-        assert evalkit.hamming([1, -1, 1, -1], [1, 1, 1, 1]) == 2
+        npt.assert_array_equal(
+            evalkit.hamming_matrix([[1, 1, 1]], [[1, 1, 1], [-1, -1, -1]]), [[0, 3]])
+        npt.assert_array_equal(
+            evalkit.hamming_matrix([[1, -1, 1, -1]], [[1, 1, 1, 1]]), [[2]])
 
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -29,14 +30,25 @@ class TestHamming:
     def test_metric_axioms(self):
         rng = np.random.default_rng(1)
         k = 16
-        for _ in range(10_000):
-            a, b, c = random_codes(rng, 3, k)
-            dab = evalkit.hamming(a, b)
-            assert 0 <= dab <= k
-            assert dab == evalkit.hamming(b, a)
-            assert evalkit.hamming(a, a) == 0
-            assert dab <= evalkit.hamming(a, c) + evalkit.hamming(c, b)
-            assert dab == int((a != b).sum())
+        for _ in range(50):
+            # all 22**3 = 10648 ordered triples of rows
+            codes = random_codes(rng, 22, k)
+            dist = evalkit.hamming_matrix(codes, codes).astype(int)
+            assert ((0 <= dist) & (dist <= k)).all()
+            npt.assert_array_equal(dist, dist.T)
+            npt.assert_array_equal(np.diag(dist), 0)
+            # dist[a, b] <= dist[a, c] + dist[c, b] for every c
+            assert (dist[:, None, :] <= dist[:, :, None] + dist[None, :, :]).all()
+            npt.assert_array_equal(dist, (codes[:, None] != codes[None]).sum(axis=2))
+
+    def test_dtype_holds_code_length(self):
+        rng = np.random.default_rng(9)
+        for k, dtype in ((8, np.uint8), (255, np.uint8), (256, np.uint16),
+                         (300, np.uint16)):
+            codes = random_codes(rng, 3, k)
+            dist = evalkit.hamming_matrix(codes, -codes)
+            assert dist.dtype == dtype
+            npt.assert_array_equal(np.diag(dist), k)
 
     def test_rejects_non_binary(self):
         with pytest.raises(DataError, match="-1 or \\+1"):
@@ -44,66 +56,75 @@ class TestHamming:
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(DataError, match="mismatch"):
-            evalkit.hamming(np.ones(4), np.ones(5))
+            evalkit.hamming_matrix(np.ones((1, 4)), np.ones((1, 5)))
 
 
 class TestRank:
     def test_exact_match_first_ties_by_index(self):
         q = np.array([[1, 1]])
         db = np.array([[1, -1], [-1, 1], [1, 1]])
-        out = evalkit.rank(q, db)
-        npt.assert_array_equal(out[0].ordering, [2, 0, 1])
-        npt.assert_array_equal(out[0].distances, [0, 1, 1])
+        ordering, distances = evalkit.rank(q, db)
+        npt.assert_array_equal(ordering, [[2, 0, 1]])
+        npt.assert_array_equal(distances, [[0, 1, 1]])
 
     def test_matches_scalar_ranker(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             q = random_codes(rng, 4, 8)
             db = random_codes(rng, 15, 8)
-            got = evalkit.rank(q, db)
-            expected = naive_rank(q, db)
-            for qi in range(4):
-                npt.assert_array_equal(got[qi].ordering, expected[qi])
+            ordering, _ = evalkit.rank(q, db)
+            npt.assert_array_equal(ordering, naive_rank(q, db))
 
     def test_distances_non_decreasing(self):
         rng = np.random.default_rng(3)
         q = random_codes(rng, 5, 12)
         db = random_codes(rng, 40, 12)
-        for r in evalkit.rank(q, db):
-            assert (np.diff(r.distances) >= 0).all()
+        ordering, distances = evalkit.rank(q, db)
+        assert (np.diff(distances.astype(int), axis=1) >= 0).all()
+        npt.assert_array_equal(
+            distances, np.take_along_axis(evalkit.hamming_matrix(q, db), ordering, 1))
 
 
 class TestAveragePrecision:
     def test_hand_values(self):
-        assert evalkit.average_precision([1, 1, 0]) == pytest.approx(1.0)
-        assert evalkit.average_precision([0, 1]) == pytest.approx(0.5)
-        assert evalkit.average_precision([1, 0, 1]) == pytest.approx(
+        assert evalkit.average_precision([[1, 1, 0]])[0] == pytest.approx(1.0)
+        assert evalkit.average_precision([[0, 1]])[0] == pytest.approx(0.5)
+        assert evalkit.average_precision([[1, 0, 1]])[0] == pytest.approx(
             (1.0 + 2.0 / 3.0) / 2.0)
-        assert evalkit.average_precision([0, 0, 0]) == 0.0
+        assert evalkit.average_precision([[0, 0, 0]])[0] == 0.0
+        # the same rows as one block, a trailing miss padding [0, 1]
+        npt.assert_allclose(
+            evalkit.average_precision([[1, 1, 0], [0, 1, 0], [1, 0, 1], [0, 0, 0]]),
+            [1.0, 0.5, (1.0 + 2.0 / 3.0) / 2.0, 0.0])
 
     def test_cutoff_window(self):
-        flags = [0, 1, 0, 1]
+        flags = [[0, 1, 0, 1]]
         # within the first two entries only the rank-2 hit counts
-        assert evalkit.average_precision(flags, cutoff=2) == pytest.approx(0.5)
-        assert evalkit.average_precision(flags, cutoff=1) == 0.0
-        assert evalkit.average_precision(flags, cutoff=4) == pytest.approx(
+        assert evalkit.average_precision(flags, cutoff=2)[0] == pytest.approx(0.5)
+        assert evalkit.average_precision(flags, cutoff=1)[0] == 0.0
+        assert evalkit.average_precision(flags, cutoff=4)[0] == pytest.approx(
             (0.5 + 0.5) / 2.0)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            flags = (rng.random(rng.integers(1, 30)) < 0.3).astype(int)
+            # a block of rows, some without any hit
+            flags = (rng.random((int(rng.integers(1, 6)), int(rng.integers(1, 30))))
+                     < rng.random()).astype(int)
             cutoff = int(rng.integers(1, 35))
-            assert evalkit.average_precision(flags) == pytest.approx(
-                naive_average_precision(list(flags)))
-            assert evalkit.average_precision(flags, cutoff) == pytest.approx(
-                naive_average_precision(list(flags), cutoff))
+            npt.assert_allclose(evalkit.average_precision(flags),
+                                [naive_average_precision(list(row)) for row in flags])
+            npt.assert_allclose(evalkit.average_precision(flags, cutoff),
+                                [naive_average_precision(list(row), cutoff)
+                                 for row in flags])
 
     def test_rejects_bad_flags(self):
         with pytest.raises(DataError, match="0/1"):
-            evalkit.average_precision([0, 2, 1])
+            evalkit.average_precision([[0, 2, 1]])
+        with pytest.raises(DataError, match="2-d"):
+            evalkit.average_precision([0, 1, 1])
         with pytest.raises(ConfigError, match="cutoff"):
-            evalkit.average_precision([1], cutoff=0)
+            evalkit.average_precision([[1]], cutoff=0)
 
 
 class TestRelevance:
@@ -189,14 +210,22 @@ def naive_pr_curve(dist, rel):
     return out
 
 
+def curves_of(q, db, rel, k_grid):
+    """evaluate_direction's (pr_curve, topk_curve) when query i's relevant
+    items are the set entries of rel[i]: query i alone has label i."""
+    rel = np.asarray(rel)
+    report = evalkit.evaluate_direction("i2t", q, db, np.eye(len(rel), dtype=int),
+                                        rel.T, map_cutoffs=[], k_grid=k_grid)
+    return report.pr_curve, report.topk_curve
+
+
 class TestCurves:
     def test_topk_hand_case(self):
         q = np.array([[1, 1, 1, 1]])
         db = np.array([[1, 1, 1, 1], [1, 1, 1, -1],
                        [1, -1, -1, -1], [-1, -1, -1, -1]])
         rel = np.array([[1, 0, 1, 0]])
-        rankings = evalkit.rank(q, db)
-        _, topk = evalkit.curves(rankings, rel, [2, 4])
+        _, topk = curves_of(q, db, rel, [2, 4])
         assert topk == [(2, 0.5), (4, 0.5)]
 
     def test_topk_denominator_is_k(self):
@@ -204,7 +233,7 @@ class TestCurves:
         q = np.array([[1, 1]])
         db = np.array([[1, 1], [1, -1]])
         rel = np.array([[1, 1]])
-        _, topk = evalkit.curves(evalkit.rank(q, db), rel, [4])
+        _, topk = curves_of(q, db, rel, [4])
         assert topk == [(4, 0.5)]
 
     def test_pr_single_intermediate_point(self):
@@ -212,7 +241,7 @@ class TestCurves:
         q = np.array([[1, 1, 1, 1]])
         db = np.array([[1, 1, 1, 1], [1, 1, 1, -1], [1, 1, -1, -1]])
         rel = np.array([[1, 0, 1]])
-        pr, _ = evalkit.curves(evalkit.rank(q, db), rel, [1])
+        pr, _ = curves_of(q, db, rel, [1])
         # radius 1 repeats recall 0.5 -> deduplicated; radius 2 reaches
         # recall 1 -> endpoint dropped; only radius 0 survives
         assert pr == [(0.5, 1.0)]
@@ -223,15 +252,14 @@ class TestCurves:
             q = random_codes(rng, 6, 8)
             db = random_codes(rng, 25, 8)
             rel = (rng.random((6, 25)) < 0.3).astype(int)
-            rankings = evalkit.rank(q, db)
             dist = evalkit.hamming_matrix(q, db)
-            got, _ = evalkit.curves(rankings, rel, [5])
+            got, _ = curves_of(q, db, rel, [5])
             npt.assert_allclose(got, naive_pr_curve(dist, rel), atol=1e-12)
 
     def test_no_relevant_queries(self):
         q = np.array([[1, 1]])
         db = np.array([[1, 1], [1, -1]])
-        pr, topk = evalkit.curves(evalkit.rank(q, db), np.zeros((1, 2), int), [1])
+        pr, topk = curves_of(q, db, np.zeros((1, 2), int), [1])
         assert pr == []
         assert topk == [(1, 0.0)]
 
@@ -239,7 +267,52 @@ class TestCurves:
         q = np.array([[1, 1]])
         db = np.array([[1, 1]])
         with pytest.raises(ConfigError, match="k_grid"):
-            evalkit.curves(evalkit.rank(q, db), np.ones((1, 1), int), [5, 2])
+            curves_of(q, db, np.ones((1, 1), int), [5, 2])
+
+
+class TestBlocks:
+    """Queries ranked over several blocks give the one-block result,
+    which matches the scalar oracles."""
+
+    def _fixture(self, rng, k):
+        n_q, n_db = 7, 40
+        q = random_codes(rng, n_q, k)
+        db = random_codes(rng, n_db, k)
+        db[3] = -q[0]  # at distance K, past uint8 when K = 300
+        db[20:] = db[:20]  # every item has a twin at equal distance
+        q[2] = q[1]  # query twins on either side of a two-row block boundary
+        q[5] = db[7]
+        ql = (rng.random((n_q, 3)) < 0.5).astype(int)
+        ql[[1, 2]] = [1, 0, 0]
+        ql[4] = 0  # shares no label: no relevant item
+        dl = (rng.random((n_db, 3)) < 0.4).astype(int)
+        return q, db, ql, dl
+
+    @pytest.mark.parametrize("k", [4, 300])
+    def test_blocks_match_oracles(self, monkeypatch, k):
+        rng = np.random.default_rng(k)
+        q, db, ql, dl = self._fixture(rng, k)
+        args = (q, db, ql, dl, [5, 50], [1, 10, 40, 60])
+        whole = evalkit.evaluate_direction("i2t", *args)
+        # blocks of two queries: rows 0-1, 2-3, 4-5 and a one-row tail
+        monkeypatch.setattr(evalkit, "_BLOCK_PAIRS", 2 * len(db))
+        blocked = evalkit.evaluate_direction("i2t", *args)
+        assert blocked == whole
+
+        rel = evalkit.relevance_matrix(ql, dl)
+        assert not rel[4].any() and rel.any(axis=1).sum() >= 5
+        orders = naive_rank(q, db)
+        ranked = [rel[qi][orders[qi]] for qi in range(len(q))]
+        for cutoff, got in ((None, blocked.map_all), (5, blocked.map_at[5]),
+                            (50, blocked.map_at[50])):
+            want = np.mean([naive_average_precision(r, cutoff) for r in ranked])
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+        assert blocked.topk_curve == [
+            (top, float(np.mean([r[:top].sum() / top for r in ranked])))
+            for top in (1, 10, 40, 60)]
+        dist = np.array([[naive_hamming(a, b) for b in db] for a in q])
+        assert dist.max() == k
+        assert blocked.pr_curve == naive_pr_curve(dist, rel)
 
 
 class TestReport:
@@ -253,6 +326,20 @@ class TestReport:
         dl[dl.sum(axis=1) == 0, 0] = 1
         return evalkit.evaluate_direction("i2t", q, db, ql, dl,
                                           map_cutoffs=[5, 50])
+
+    @pytest.mark.parametrize("role", ["query", "db"])
+    def test_label_rows_must_match_code_rows(self, role):
+        rng = np.random.default_rng(10)
+        q = random_codes(rng, 4, 8)
+        db = random_codes(rng, 30, 8)
+        ql = (rng.random((4, 3)) < 0.5).astype(int)
+        dl = (rng.random((30, 3)) < 0.5).astype(int)
+        if role == "query":
+            ql = np.vstack([ql, ql[:2]])  # 6 label rows for 4 query codes
+        else:
+            dl = dl[:25]  # 25 label rows for 30 db codes
+        with pytest.raises(DataError, match=f"{role} labels and codes row count"):
+            evalkit.evaluate_direction("i2t", q, db, ql, dl)
 
     def test_auto_k_grid_caps_at_db_size(self):
         report = self._report()
