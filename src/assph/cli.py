@@ -187,7 +187,7 @@ def _encode_split(params, features, idx, hidden_act):
 
     from .hashnet import forward, sign_codes
 
-    h = forward(params, features[idx].astype(np.float64), 1.0, hidden_act)
+    h = forward(params, features[idx].astype(np.float64), 1.0, hidden_act).h
     return sign_codes(h)
 
 
@@ -274,7 +274,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     params = load_checkpoint(args.checkpoint)
     feats = load_features(args.features, expected_dim=params.d_in)
     codes = sign_codes(forward(params, feats.astype(np.float64), 1.0,
-                               args.hidden_act))
+                               args.hidden_act).h)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     save_codes(codes, args.out)

@@ -48,8 +48,11 @@ class CorrelationSet:
         if not np.all(dense == (dense != 0)):  # every entry is 0 or 1
             raise DataError("correlation set entries must be 0/1")
         dense = dense.astype(np.uint8)
-        if not np.array_equal(dense, dense.T):
-            raise DataError("correlation set must be symmetric")
+        # symmetry tile by tile: rows [s, s+256) right of the diagonal
+        # against the same columns below it, never a strided M x M transpose
+        for s in range(0, dense.shape[0], 256):
+            if not np.array_equal(dense[s:s + 256, s:], dense[s:, s:s + 256].T):
+                raise DataError("correlation set must be symmetric")
         if not np.all(np.diag(dense) == 1):
             raise DataError("correlation set must include every self pair")
         return cls(dense.shape[0], np.packbits(dense, axis=1), epoch)

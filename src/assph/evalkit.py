@@ -40,16 +40,31 @@ def _check_codes(codes: np.ndarray, name: str) -> np.ndarray:
     return codes.astype(np.float32)
 
 
-def hamming_matrix(query_codes: np.ndarray, db_codes: np.ndarray) -> np.ndarray:
-    """Distance matrix, queries by database rows, in the smallest
-    unsigned dtype that holds the code length."""
+def _check_pair(query_codes: np.ndarray, db_codes: np.ndarray) -> tuple[np.ndarray,
+                                                                        np.ndarray]:
     q = _check_codes(query_codes, "query codes")
     d = _check_codes(db_codes, "db codes")
     if q.shape[1] != d.shape[1]:
         raise DataError(f"code length mismatch: {q.shape[1]} vs {d.shape[1]}")
+    return q, d
+
+
+def _distances(q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """hamming_matrix of codes _check_pair has checked and converted."""
     k = q.shape[1]
     # float32 matmul of +-1 rows is exact: |dot| <= K << 2**24
     return ((k - q @ d.T) / 2).astype(np.min_scalar_type(k))
+
+
+def _sort_rows(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    ordering = np.argsort(dist, axis=1, kind="stable")
+    return ordering, np.take_along_axis(dist, ordering, axis=1)
+
+
+def hamming_matrix(query_codes: np.ndarray, db_codes: np.ndarray) -> np.ndarray:
+    """Distance matrix, queries by database rows, in the smallest
+    unsigned dtype that holds the code length."""
+    return _distances(*_check_pair(query_codes, db_codes))
 
 
 def rank(query_codes: np.ndarray, db_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -59,9 +74,7 @@ def rank(query_codes: np.ndarray, db_codes: np.ndarray) -> tuple[np.ndarray, np.
     by ascending index (one stable argsort over all rows); row q of
     distances holds the distances along that ordering.
     """
-    dist = hamming_matrix(query_codes, db_codes)
-    ordering = np.argsort(dist, axis=1, kind="stable")
-    return ordering, np.take_along_axis(dist, ordering, axis=1)
+    return _sort_rows(hamming_matrix(query_codes, db_codes))
 
 
 def average_precision(ranked_flags: np.ndarray, cutoff: int | None = None) -> np.ndarray:
@@ -199,6 +212,7 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
         if len(labels) != len(codes):
             raise DataError(f"{role} labels and codes row count mismatch: "
                             f"{len(labels)} vs {len(codes)}")
+    query_codes, db_codes = _check_pair(query_codes, db_codes)
     n_q, n_db, k = len(query_codes), len(db_codes), int(query_codes.shape[1])
     if k_grid is None:
         k_grid = sorted({top for top in (1, 5, 10, 25, 50, 100, 250, 500, 1000)
@@ -213,7 +227,7 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
     step = max(1, _BLOCK_PAIRS // n_db)
     for lo in range(0, n_q, step):
         block = slice(lo, lo + step)
-        ordering, distances = rank(query_codes[block], db_codes)
+        ordering, distances = _sort_rows(_distances(query_codes[block], db_codes))
         flags = np.take_along_axis(
             relevance_matrix(query_labels[block], db_labels), ordering, axis=1)
         for row, cutoff in zip(aps, [None] + cutoffs):

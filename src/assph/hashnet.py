@@ -4,8 +4,14 @@ Each modality owns one network mapping features to K soft hash values:
 H = tanh(eta * (W2 @ act(W1 @ x + b1) + b2)).  The eta factor scales only
 the final pre-activation; pushing it up over training drives tanh toward
 its saturated +-1 plateau so the soft values approach binary codes.
-Gradients are computed analytically (no autodiff), and the optimizer is
-plain SGD with momentum and weight decay on the weight matrices only.
+Gradients are computed analytically (no autodiff): forward returns an
+Activations record (input, hidden layer, output) and backward reads it, so
+no pass is run twice.  Callers that only need the output take ``.h`` and
+drop the record.  The optimizer is plain SGD with momentum and weight
+decay on the weight matrices only; it walks each parameter in flat blocks
+of _SGD_BLOCK elements through one scratch buffer, so a step reads and
+writes each parameter, velocity and gradient once (40 bytes per float64
+parameter) and allocates no parameter-sized temporaries.
 
 Checkpoints serialize as magic ``ASSP`` + version/dims (uint32 LE) + the
 four parameter arrays as float32.  Code matrices serialize as magic
@@ -14,6 +20,7 @@ four parameter arrays as float32.  Code matrices serialize as magic
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -28,6 +35,9 @@ _CKPT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sIIII")
 _CODES_MAGIC = b"ASSB"
 _CODES_HEADER = struct.Struct("<4sII")
+
+# parameter elements sgd_step updates per block
+_SGD_BLOCK = 1 << 16
 
 
 @dataclass
@@ -44,9 +54,15 @@ class HashNetParams:
     vb2: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        for name in ("vw1", "vb1", "vw2", "vb2"):
-            if getattr(self, name) is None:
-                setattr(self, name, np.zeros_like(getattr(self, name[1:])))
+        # sgd_step updates flat views in place, so every array is held
+        # C-contiguous float64 (init_params and load_checkpoint build them
+        # so, and then nothing is copied)
+        for name in ("w1", "b1", "w2", "b2"):
+            p = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            v = getattr(self, "v" + name)
+            setattr(self, name, p)
+            setattr(self, "v" + name, np.zeros_like(p) if v is None
+                    else np.ascontiguousarray(v, dtype=np.float64))
 
     @property
     def d_in(self) -> int:
@@ -98,56 +114,82 @@ def _check_forward_args(params: HashNetParams, x: np.ndarray, eta: float,
     return x
 
 
+@dataclass
+class Activations:
+    """One forward pass, as backward needs it: the float64 input rows x,
+    the hidden layer a1 = act(W1 x + b1) and the output h."""
+
+    x: np.ndarray
+    a1: np.ndarray
+    h: np.ndarray
+    eta: float
+    hidden_act: str
+
+
 def forward(params: HashNetParams, x: np.ndarray, eta: float,
-            hidden_act: str = "relu") -> np.ndarray:
-    """Soft hash values in (-1, 1) for a batch of feature rows."""
+            hidden_act: str = "relu") -> Activations:
+    """Soft hash values in (-1, 1) for a batch of feature rows (``.h``),
+    with the activations backward reuses."""
     x = _check_forward_args(params, x, eta, hidden_act)
-    pre1 = x @ params.w1.T + params.b1
-    a1 = np.maximum(pre1, 0.0) if hidden_act == "relu" else np.tanh(pre1)
+    a1 = x @ params.w1.T
+    a1 += params.b1  # pre-activation, replaced in place by the activation
+    a1 = np.maximum(a1, 0.0, out=a1) if hidden_act == "relu" else np.tanh(a1, out=a1)
     pre2 = a1 @ params.w2.T + params.b2
-    return np.tanh(eta * pre2)
+    return Activations(x=x, a1=a1, h=np.tanh(eta * pre2), eta=eta,
+                       hidden_act=hidden_act)
 
 
-def backward(params: HashNetParams, x: np.ndarray, eta: float,
-             d_h: np.ndarray, hidden_act: str = "relu") -> Grads:
+def backward(params: HashNetParams, acts: Activations, d_h: np.ndarray,
+             grads: Grads | None = None) -> Grads:
     """Parameter gradients given dL/dH at the network output.
 
-    Recomputes the forward caches internally; dL/dpre2 = dL/dH * eta *
-    (1 - H^2), then the usual two-layer chain.
+    acts must come from forward on these parameters, before any update.
+    dL/dpre2 = dL/dH * eta * (1 - H^2), then the usual two-layer chain;
+    the relu mask a1 > 0 selects the same entries as pre1 > 0.  Given
+    grads (an earlier result for this network), the gradients are written
+    into its arrays, so a training loop allocates them once.
     """
-    x = _check_forward_args(params, x, eta, hidden_act)
+    if acts.x.shape[1] != params.d_in or acts.a1.shape[1] != params.d_hidden:
+        raise DataError("backward: activations do not match the network's shape")
     d_h = np.asarray(d_h, dtype=np.float64)
-    if d_h.shape != (x.shape[0], params.code_length):
+    if d_h.shape != acts.h.shape:
         raise DataError(f"backward: dLdH shape {d_h.shape} mismatches output")
-    pre1 = x @ params.w1.T + params.b1
-    a1 = np.maximum(pre1, 0.0) if hidden_act == "relu" else np.tanh(pre1)
-    h = np.tanh(eta * (a1 @ params.w2.T + params.b2))
-
-    d_pre2 = d_h * eta * (1.0 - h * h)
-    g_w2 = d_pre2.T @ a1
-    g_b2 = d_pre2.sum(axis=0)
+    if grads is None:
+        grads = Grads(*(np.empty_like(getattr(params, name))
+                        for name in ("w1", "b1", "w2", "b2")))
+    a1 = acts.a1
+    d_pre2 = d_h * acts.eta * (1.0 - acts.h * acts.h)
+    np.matmul(d_pre2.T, a1, out=grads.w2)
+    np.sum(d_pre2, axis=0, out=grads.b2)
     d_a1 = d_pre2 @ params.w2
-    if hidden_act == "relu":
-        d_pre1 = d_a1 * (pre1 > 0.0)
+    if acts.hidden_act == "relu":
+        d_pre1 = d_a1 * (a1 > 0.0)
     else:
         d_pre1 = d_a1 * (1.0 - a1 * a1)
-    g_w1 = d_pre1.T @ x
-    g_b1 = d_pre1.sum(axis=0)
-    return Grads(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
+    np.matmul(d_pre1.T, acts.x, out=grads.w1)
+    np.sum(d_pre1, axis=0, out=grads.b1)
+    return grads
 
 
 def sgd_step(params: HashNetParams, grads: Grads, lr: float,
              momentum: float, weight_decay: float) -> None:
     """In-place SGD update: vel <- momentum*vel + (g + wd*p); p <- p - lr*vel.
 
-    Weight decay touches the weight matrices only, never the biases.
+    Weight decay touches the weight matrices only, never the biases.  Each
+    parameter is walked in flat blocks of _SGD_BLOCK elements, each block
+    checked for a finite step before it is applied; a DivergenceError may
+    leave the parameters partly updated, which ends the run anyway.
     """
-    if lr <= 0.0:
-        raise ConfigError(f"sgd_step: lr must be > 0, got {lr}")
+    if not (lr > 0.0 and math.isfinite(lr)):
+        raise ConfigError(f"sgd_step: lr must be a positive finite real, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ConfigError(f"sgd_step: momentum must be in [0, 1), got {momentum}")
-    if weight_decay < 0.0:
-        raise ConfigError(f"sgd_step: weight_decay must be >= 0, got {weight_decay}")
+    if not (weight_decay >= 0.0 and math.isfinite(weight_decay)):
+        raise ConfigError(
+            f"sgd_step: weight_decay must be a finite real >= 0, got {weight_decay}")
+    size = min(_SGD_BLOCK, max(params.w1.size, params.b1.size,
+                               params.w2.size, params.b2.size))
+    scratch, finite = np.empty(size), np.empty(size, dtype=bool)
     for p_name, v_name, g, decayed in (
         ("w1", "vw1", grads.w1, True),
         ("b1", "vb1", grads.b1, False),
@@ -156,12 +198,27 @@ def sgd_step(params: HashNetParams, grads: Grads, lr: float,
     ):
         p = getattr(params, p_name)
         v = getattr(params, v_name)
-        step = g + weight_decay * p if decayed else g
-        if not np.all(np.isfinite(step)):
-            raise DivergenceError(f"sgd_step: non-finite gradient for {p_name}")
-        v *= momentum
-        v += step
-        p -= lr * v
+        g = np.asarray(g)
+        if g.shape != p.shape:
+            raise DataError(f"sgd_step: gradient shape {g.shape} mismatches "
+                            f"{p_name} {p.shape}")
+        if not (p.flags.c_contiguous and v.flags.c_contiguous):
+            raise DataError(f"sgd_step: {p_name} and its velocity must be C-contiguous")
+        p, v, g = p.reshape(-1), v.reshape(-1), g.reshape(-1)
+        for lo in range(0, p.size, _SGD_BLOCK):
+            block = slice(lo, lo + _SGD_BLOCK)
+            pb, vb, gb = p[block], v[block], g[block]
+            buf = scratch[:pb.size]
+            if decayed:
+                np.multiply(weight_decay, pb, out=buf)
+                step = np.add(gb, buf, out=buf)
+            else:
+                step = gb
+            if not np.isfinite(step, out=finite[:pb.size]).all():
+                raise DivergenceError(f"sgd_step: non-finite gradient for {p_name}")
+            vb *= momentum
+            vb += step
+            pb -= np.multiply(lr, vb, out=buf)
 
 
 def sign_codes(h: np.ndarray) -> np.ndarray:

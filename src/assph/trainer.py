@@ -127,9 +127,9 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
                                       cfg.code_length, cfg.seed + 1)
     eta0 = eta_schedule(1, cfg.eta_base)
     prev_i = hashnet.sign_codes(hashnet.forward(params_image, fi, eta0,
-                                                cfg.hidden_act))
+                                                cfg.hidden_act).h)
     prev_t = hashnet.sign_codes(hashnet.forward(params_text, ft, eta0,
-                                                cfg.hidden_act))
+                                                cfg.hidden_act).h)
     return TrainState(
         cfg=cfg,
         weights_eff=weights_eff,
@@ -157,6 +157,7 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
     n_iter = fi.shape[0] // m
     perm = state.rng.permutation(fi.shape[0])
     sums = np.zeros(4)
+    g_i = g_t = None  # gradient arrays, allocated by the first backward
 
     for it in range(n_iter):
         idx = perm[it * m:(it + 1) * m]
@@ -164,19 +165,17 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
         s_b = state.semantic[np.ix_(idx, idx)].astype(np.float64)
         r_b = state.rel.batch(idx)
 
-        hi = hashnet.forward(state.params_image, xi, eta, cfg.hidden_act)
-        ht = hashnet.forward(state.params_text, xt, eta, cfg.hidden_act)
-        out = objective.total_loss_and_grads(hi, ht, s_b, r_b,
+        acts_i = hashnet.forward(state.params_image, xi, eta, cfg.hidden_act)
+        acts_t = hashnet.forward(state.params_text, xt, eta, cfg.hidden_act)
+        out = objective.total_loss_and_grads(acts_i.h, acts_t.h, s_b, r_b,
                                              state.weights_eff, freeze="none")
         if not np.isfinite(out.total):
             raise DivergenceError(
                 f"non-finite loss at epoch {epoch} iteration {it}"
             )
         sums += (out.total, out.sr, out.cp, out.sa)
-        g_i = hashnet.backward(state.params_image, xi, eta, out.grad_image,
-                               cfg.hidden_act)
-        g_t = hashnet.backward(state.params_text, xt, eta, out.grad_text,
-                               cfg.hidden_act)
+        g_i = hashnet.backward(state.params_image, acts_i, out.grad_image, g_i)
+        g_t = hashnet.backward(state.params_text, acts_t, out.grad_text, g_t)
         hashnet.sgd_step(state.params_image, g_i, cfg.learning_rate,
                          cfg.momentum, cfg.weight_decay)
         hashnet.sgd_step(state.params_text, g_t, cfg.learning_rate,
@@ -185,28 +184,26 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
         if cfg.bin_opt:
             # refresh soft codes under the just-updated parameters, then
             # hold each side's detached sign codes fixed in turn
-            hi2 = hashnet.forward(state.params_image, xi, eta, cfg.hidden_act)
-            ht2 = hashnet.forward(state.params_text, xt, eta, cfg.hidden_act)
-            b_i = hashnet.sign_codes(hi2).astype(np.float64)
-            b_t = hashnet.sign_codes(ht2).astype(np.float64)
-            out_i = objective.total_loss_and_grads(hi2, b_t, s_b, r_b,
+            acts_i = hashnet.forward(state.params_image, xi, eta, cfg.hidden_act)
+            acts_t = hashnet.forward(state.params_text, xt, eta, cfg.hidden_act)
+            b_i = hashnet.sign_codes(acts_i.h).astype(np.float64)
+            b_t = hashnet.sign_codes(acts_t.h).astype(np.float64)
+            out_i = objective.total_loss_and_grads(acts_i.h, b_t, s_b, r_b,
                                                    state.weights_eff,
                                                    freeze="text")
-            g_i = hashnet.backward(state.params_image, xi, eta,
-                                   out_i.grad_image, cfg.hidden_act)
+            g_i = hashnet.backward(state.params_image, acts_i, out_i.grad_image, g_i)
             hashnet.sgd_step(state.params_image, g_i, cfg.learning_rate,
                              cfg.momentum, cfg.weight_decay)
-            out_t = objective.total_loss_and_grads(b_i, ht2, s_b, r_b,
+            out_t = objective.total_loss_and_grads(b_i, acts_t.h, s_b, r_b,
                                                    state.weights_eff,
                                                    freeze="image")
-            g_t = hashnet.backward(state.params_text, xt, eta,
-                                   out_t.grad_text, cfg.hidden_act)
+            g_t = hashnet.backward(state.params_text, acts_t, out_t.grad_text, g_t)
             hashnet.sgd_step(state.params_text, g_t, cfg.learning_rate,
                              cfg.momentum, cfg.weight_decay)
 
     # end of epoch: one full pass for diagnostics and adaptive mining
-    hi_all = hashnet.forward(state.params_image, fi, eta, cfg.hidden_act)
-    ht_all = hashnet.forward(state.params_text, ft, eta, cfg.hidden_act)
+    hi_all = hashnet.forward(state.params_image, fi, eta, cfg.hidden_act).h
+    ht_all = hashnet.forward(state.params_text, ft, eta, cfg.hidden_act).h
     codes_i = hashnet.sign_codes(hi_all)
     codes_t = hashnet.sign_codes(ht_all)
     flips_i = int((codes_i != state.prev_codes_image).sum())

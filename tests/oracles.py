@@ -166,6 +166,37 @@ def naive_average_precision(flags, cutoff=None) -> float:
     return math.fsum(precisions) / len(precisions)
 
 
+def naive_backward(params, x, eta, d_h, hidden_act="relu"):
+    """Gradients after recomputing the forward pass, pre-activations kept."""
+    x = np.asarray(x, dtype=np.float64)
+    pre1 = x @ params.w1.T + params.b1
+    a1 = np.maximum(pre1, 0.0) if hidden_act == "relu" else np.tanh(pre1)
+    h = np.tanh(eta * (a1 @ params.w2.T + params.b2))
+    d_pre2 = d_h * eta * (1.0 - h * h)
+    d_a1 = d_pre2 @ params.w2
+    if hidden_act == "relu":
+        d_pre1 = d_a1 * (pre1 > 0.0)
+    else:
+        d_pre1 = d_a1 * (1.0 - a1 * a1)
+    return {"w1": d_pre1.T @ x, "b1": d_pre1.sum(axis=0),
+            "w2": d_pre2.T @ a1, "b2": d_pre2.sum(axis=0)}
+
+
+def naive_sgd_step(params, grads, lr, momentum, weight_decay):
+    """Whole-array momentum SGD with weight decay on w1 and w2 only;
+    grads maps each parameter name to its gradient."""
+    for name in ("w1", "b1", "w2", "b2"):
+        p = getattr(params, name)
+        v = getattr(params, "v" + name)
+        g = grads[name]
+        step = g + weight_decay * p if name.startswith("w") else g
+        if not np.all(np.isfinite(step)):
+            raise FloatingPointError(f"non-finite gradient for {name}")
+        v *= momentum
+        v += step
+        p -= lr * v
+
+
 def central_difference(fn, arr, step):
     """Central finite differences of a scalar function over one array.
 

@@ -63,10 +63,10 @@ def _map_both(bundle, result) -> tuple[float, float]:
     q, r = bundle.split.query, bundle.split.retrieval
     fi = bundle.image_features.astype(np.float64)
     ft = bundle.text_features.astype(np.float64)
-    ci_q = hashnet.sign_codes(hashnet.forward(result.params_image, fi[q], 1.0))
-    ct_q = hashnet.sign_codes(hashnet.forward(result.params_text, ft[q], 1.0))
-    ci_d = hashnet.sign_codes(hashnet.forward(result.params_image, fi[r], 1.0))
-    ct_d = hashnet.sign_codes(hashnet.forward(result.params_text, ft[r], 1.0))
+    ci_q = hashnet.sign_codes(hashnet.forward(result.params_image, fi[q], 1.0).h)
+    ct_q = hashnet.sign_codes(hashnet.forward(result.params_text, ft[q], 1.0).h)
+    ci_d = hashnet.sign_codes(hashnet.forward(result.params_image, fi[r], 1.0).h)
+    ct_d = hashnet.sign_codes(hashnet.forward(result.params_text, ft[r], 1.0).h)
     ql, dl = bundle.labels[q], bundle.labels[r]
     return (evalkit.map_eval(ci_q, ct_d, ql, dl),
             evalkit.map_eval(ct_q, ci_d, ql, dl))
@@ -113,31 +113,31 @@ class TestGradients:
 
             if freeze == "text":
                 const_t = hashnet.sign_codes(
-                    hashnet.forward(pt, xt, eta, act)).astype(np.float64)
+                    hashnet.forward(pt, xt, eta, act).h).astype(np.float64)
             if freeze == "image":
                 const_i = hashnet.sign_codes(
-                    hashnet.forward(pi, xi, eta, act)).astype(np.float64)
+                    hashnet.forward(pi, xi, eta, act).h).astype(np.float64)
 
             def loss():
                 hi = (const_i if freeze == "image"
-                      else hashnet.forward(pi, xi, eta, act))
+                      else hashnet.forward(pi, xi, eta, act).h)
                 ht = (const_t if freeze == "text"
-                      else hashnet.forward(pt, xt, eta, act))
+                      else hashnet.forward(pt, xt, eta, act).h)
                 return objective.total_loss_and_grads(
                     hi, ht, s, r, weights, freeze).total
 
-            hi = (const_i if freeze == "image"
-                  else hashnet.forward(pi, xi, eta, act))
-            ht = (const_t if freeze == "text"
-                  else hashnet.forward(pt, xt, eta, act))
+            acts_i = hashnet.forward(pi, xi, eta, act)
+            acts_t = hashnet.forward(pt, xt, eta, act)
+            hi = const_i if freeze == "image" else acts_i.h
+            ht = const_t if freeze == "text" else acts_t.h
             out = objective.total_loss_and_grads(hi, ht, s, r, weights, freeze)
             checks = []
             if freeze != "image":
-                gi = hashnet.backward(pi, xi, eta, out.grad_image, act)
+                gi = hashnet.backward(pi, acts_i, out.grad_image)
                 checks += [(pi.w1, gi.w1), (pi.b1, gi.b1),
                            (pi.w2, gi.w2), (pi.b2, gi.b2)]
             if freeze != "text":
-                gt = hashnet.backward(pt, xt, eta, out.grad_text, act)
+                gt = hashnet.backward(pt, acts_t, out.grad_text)
                 checks += [(pt.w1, gt.w1), (pt.b1, gt.b1),
                            (pt.w2, gt.w2), (pt.b2, gt.b2)]
             for arr, analytic in checks:
@@ -271,7 +271,7 @@ class TestSaturation:
         rng = np.random.default_rng(1)
         params = hashnet.init_params(12, 16, 8, seed=1)
         x = rng.standard_normal((20, 12))
-        means = [float(np.abs(hashnet.forward(params, x, float(e))).mean())
+        means = [float(np.abs(hashnet.forward(params, x, float(e)).h).mean())
                  for e in range(1, 51)]
         diffs = np.diff(means)
         ok = bool((diffs >= -1e-12).all())

@@ -152,6 +152,16 @@ class TestCorrelationSet:
         with pytest.raises(DataError, match="symmetric"):
             corrmine.CorrelationSet.from_dense(dense)
 
+    @pytest.mark.parametrize("i, j", [(280, 295), (295, 280), (10, 290), (290, 10)])
+    def test_asymmetric_entry_in_last_partial_tile_rejected(self, i, j):
+        # order 300 checks in tiles [0, 256) and [256, 300)
+        dense = np.eye(300, dtype=np.uint8)
+        dense[5, 299] = dense[299, 5] = 1
+        corrmine.CorrelationSet.from_dense(dense)
+        dense[i, j] = 1
+        with pytest.raises(DataError, match="symmetric"):
+            corrmine.CorrelationSet.from_dense(dense)
+
     def test_missing_diagonal_rejected(self):
         with pytest.raises(DataError, match="self pair"):
             corrmine.CorrelationSet.from_dense(np.zeros((3, 3), dtype=np.uint8))

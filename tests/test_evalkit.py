@@ -341,6 +341,28 @@ class TestReport:
         with pytest.raises(DataError, match=f"{role} labels and codes row count"):
             evalkit.evaluate_direction("i2t", q, db, ql, dl)
 
+    @pytest.mark.parametrize("role", ["query", "db"])
+    def test_codes_checked_once_per_direction(self, monkeypatch, role):
+        monkeypatch.setattr(evalkit, "_BLOCK_PAIRS", 60)  # two queries per block
+        checked = []
+        real_check = evalkit._check_codes
+
+        def spy(codes, name):
+            checked.append(name)
+            return real_check(codes, name)
+
+        monkeypatch.setattr(evalkit, "_check_codes", spy)
+        rng = np.random.default_rng(11)
+        q = random_codes(rng, 9, 8)
+        db = random_codes(rng, 30, 8)
+        ql = np.ones((9, 2), dtype=int)
+        dl = np.ones((30, 2), dtype=int)
+        evalkit.evaluate_direction("i2t", q, db, ql, dl)
+        assert checked == ["query codes", "db codes"]
+        (q if role == "query" else db)[-1, -1] = 0  # in the last block
+        with pytest.raises(DataError, match=f"{role} codes: code entries must be -1 or"):
+            evalkit.evaluate_direction("i2t", q, db, ql, dl)
+
     def test_auto_k_grid_caps_at_db_size(self):
         report = self._report()
         ks = [k for k, _ in report.topk_curve]

@@ -1,12 +1,14 @@
 """Encoder networks: init, forward/backward, SGD, codes, and containers."""
 
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from assph import hashnet
-from assph.errors import ConfigError, DataError
-from oracles import central_difference, gradient_errors
+from assph.errors import ConfigError, DataError, DivergenceError
+from oracles import central_difference, gradient_errors, naive_backward, naive_sgd_step
 
 
 class TestInitParams:
@@ -44,35 +46,35 @@ class TestForward:
     def test_zero_weights_give_zero_output(self):
         p = hashnet.HashNetParams(w1=np.zeros((4, 3)), b1=np.zeros(4),
                                   w2=np.zeros((2, 4)), b2=np.zeros(2))
-        h = hashnet.forward(p, np.ones((5, 3)), eta=1.0)
+        h = hashnet.forward(p, np.ones((5, 3)), eta=1.0).h
         npt.assert_array_equal(h, 0.0)
 
     def test_constant_bias_path(self):
         p = hashnet.HashNetParams(w1=np.zeros((4, 3)), b1=np.zeros(4),
                                   w2=np.zeros((2, 4)),
                                   b2=np.array([0.5, -0.25]))
-        h = hashnet.forward(p, np.zeros((3, 3)), eta=2.0)
+        h = hashnet.forward(p, np.zeros((3, 3)), eta=2.0).h
         npt.assert_allclose(h, np.tile(np.tanh([1.0, -0.5]), (3, 1)))
 
     def test_output_in_open_interval(self):
         rng = np.random.default_rng(0)
         p = hashnet.init_params(6, 12, 8, seed=0)
-        h = hashnet.forward(p, rng.standard_normal((30, 6)), eta=3.0)
+        h = hashnet.forward(p, rng.standard_normal((30, 6)), eta=3.0).h
         assert np.abs(h).max() < 1.0
 
     def test_large_eta_saturates(self):
         rng = np.random.default_rng(1)
         p = hashnet.init_params(6, 12, 8, seed=1)
-        h = hashnet.forward(p, rng.standard_normal((20, 6)), eta=1e3)
+        h = hashnet.forward(p, rng.standard_normal((20, 6)), eta=1e3).h
         assert np.abs(h).min() > 0.99
 
     def test_abs_output_monotone_in_eta(self):
         rng = np.random.default_rng(2)
         p = hashnet.init_params(5, 9, 6, seed=2)
         x = rng.standard_normal((15, 5))
-        prev = np.abs(hashnet.forward(p, x, eta=1.0))
+        prev = np.abs(hashnet.forward(p, x, eta=1.0).h)
         for eta in (2.0, 4.0, 8.0):
-            cur = np.abs(hashnet.forward(p, x, eta=eta))
+            cur = np.abs(hashnet.forward(p, x, eta=eta).h)
             assert (cur >= prev - 1e-12).all()
             prev = cur
 
@@ -81,8 +83,8 @@ class TestForward:
         p = hashnet.init_params(5, 7, 4, seed=3)
         x = rng.standard_normal((10, 5))
         perm = rng.permutation(10)
-        npt.assert_allclose(hashnet.forward(p, x, 2.0)[perm],
-                            hashnet.forward(p, x[perm], 2.0))
+        npt.assert_allclose(hashnet.forward(p, x, 2.0).h[perm],
+                            hashnet.forward(p, x[perm], 2.0).h)
 
     def test_tanh_hidden_variant(self):
         rng = np.random.default_rng(4)
@@ -90,7 +92,7 @@ class TestForward:
         x = rng.standard_normal((6, 5))
         pre1 = x @ p.w1.T + p.b1
         expect = np.tanh(1.5 * (np.tanh(pre1) @ p.w2.T + p.b2))
-        npt.assert_allclose(hashnet.forward(p, x, 1.5, "tanh"), expect)
+        npt.assert_allclose(hashnet.forward(p, x, 1.5, "tanh").h, expect)
 
     def test_bad_eta(self):
         p = hashnet.init_params(3, 4, 2, seed=0)
@@ -107,8 +109,8 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(5)
         p = hashnet.init_params(4, 6, 3, seed=5)
-        g = hashnet.backward(p, rng.standard_normal((7, 4)), 2.0,
-                             np.zeros((7, 3)))
+        acts = hashnet.forward(p, rng.standard_normal((7, 4)), 2.0)
+        g = hashnet.backward(p, acts, np.zeros((7, 3)))
         for arr in (g.w1, g.b1, g.w2, g.b2):
             npt.assert_array_equal(arr, 0.0)
 
@@ -118,8 +120,9 @@ class TestBackward:
                                   w2=np.array([[1.0]]), b2=np.array([0.3]))
         x = np.array([[0.7]])
         eta = 2.5
-        h = hashnet.forward(p, x, eta)
-        g = hashnet.backward(p, x, eta, np.ones((1, 1)))
+        acts = hashnet.forward(p, x, eta)
+        g = hashnet.backward(p, acts, np.ones((1, 1)))
+        h = acts.h
         npt.assert_allclose(g.b2, eta * (1 - h[0, 0] ** 2))
 
     def test_matches_finite_differences(self):
@@ -129,16 +132,45 @@ class TestBackward:
             x = rng.standard_normal((5, 4))
             d_h = rng.standard_normal((5, 3))
             eta = 1.7
-            grads = hashnet.backward(p, x, eta, d_h, hidden_act)
+            grads = hashnet.backward(p, hashnet.forward(p, x, eta, hidden_act), d_h)
 
             def loss():
-                return float((hashnet.forward(p, x, eta, hidden_act) * d_h).sum())
+                return float((hashnet.forward(p, x, eta, hidden_act).h * d_h).sum())
 
             for analytic, arr in ((grads.w1, p.w1), (grads.b1, p.b1),
                                   (grads.w2, p.w2), (grads.b2, p.b2)):
                 numeric = central_difference(loss, arr, step=1e-3)
                 errors = gradient_errors(analytic, numeric)
                 assert errors.max() <= 1e-4
+
+
+    @pytest.mark.parametrize("hidden_act", ["relu", "tanh"])
+    def test_reuses_forward_activations_exactly(self, hidden_act):
+        rng = np.random.default_rng(11)
+        p = hashnet.init_params(6, 9, 5, seed=11)
+        p.w1[2] = 0.0  # hidden unit 2 and input row 0 pre-activate to exactly 0
+        p.b1[:] = np.where(np.arange(9) % 2, 0.1, 0.0)
+        x = rng.standard_normal((8, 6))
+        x[0] = 0.0
+        d_h = rng.standard_normal((8, 5))
+        assert ((x @ p.w1.T + p.b1) == 0.0).sum() >= 8
+        acts = hashnet.forward(p, x, 1.3, hidden_act)
+        expect = naive_backward(p, x, 1.3, d_h, hidden_act)
+        fresh = hashnet.backward(p, acts, d_h)
+        earlier = hashnet.backward(p, acts, rng.standard_normal((8, 5)))
+        reused = hashnet.backward(p, acts, d_h, earlier)
+        assert reused is earlier
+        for grads in (fresh, reused):
+            for name in ("w1", "b1", "w2", "b2"):
+                npt.assert_array_equal(getattr(grads, name), expect[name])
+
+    def test_rejects_mismatched_activations(self):
+        p = hashnet.init_params(4, 6, 3, seed=0)
+        acts = hashnet.forward(hashnet.init_params(4, 7, 3, seed=0), np.ones((2, 4)), 1.0)
+        with pytest.raises(DataError, match="shape"):
+            hashnet.backward(p, acts, np.ones((2, 3)))
+        with pytest.raises(DataError, match="dLdH"):
+            hashnet.backward(p, hashnet.forward(p, np.ones((2, 4)), 1.0), np.ones((3, 3)))
 
 
 class TestSgdStep:
@@ -185,6 +217,66 @@ class TestSgdStep:
         with pytest.raises(ConfigError):
             hashnet.sgd_step(p, self._zero_grads(), lr=0.1, momentum=1.0,
                              weight_decay=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(lr=float("nan")), dict(lr=float("inf")),
+        dict(weight_decay=float("nan")), dict(weight_decay=float("inf")),
+        dict(momentum=float("nan")),
+    ])
+    def test_non_finite_hyperparams_rejected(self, kwargs):
+        p = self._unit_params()
+        before = copy.deepcopy(p)
+        args = {**dict(lr=0.1, momentum=0.9, weight_decay=0.01), **kwargs}
+        with pytest.raises(ConfigError):
+            hashnet.sgd_step(p, self._zero_grads(), **args)
+        for name in ("w1", "b1", "w2", "b2", "vw1", "vb1", "vw2", "vb2"):
+            npt.assert_array_equal(getattr(p, name), getattr(before, name))
+
+    @staticmethod
+    def _random_grads(rng, p):
+        return hashnet.Grads(**{n: rng.standard_normal(getattr(p, n).shape)
+                                for n in ("w1", "b1", "w2", "b2")})
+
+    @pytest.mark.parametrize("block, dims", [(7, (5, 9, 4)), (None, (300, 250, 3))])
+    def test_blocks_match_whole_array_update(self, monkeypatch, block, dims):
+        # (5, 9, 4): sizes 45, 9, 36, 4, none a multiple of 7;
+        # (300, 250, 3): w1 has 75000 elements, past one default block
+        if block is not None:
+            monkeypatch.setattr(hashnet, "_SGD_BLOCK", block)
+        rng = np.random.default_rng(12)
+        p = hashnet.init_params(*dims, seed=12)
+        ref = copy.deepcopy(p)
+        for _ in range(3):
+            g = self._random_grads(rng, p)
+            hashnet.sgd_step(p, g, 0.05, 0.9, 0.3)
+            naive_sgd_step(ref, vars(g), 0.05, 0.9, 0.3)
+        for name in ("w1", "b1", "w2", "b2", "vw1", "vb1", "vw2", "vb2"):
+            npt.assert_array_equal(getattr(p, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("name, value", [("w1", np.nan), ("b2", np.inf)])
+    def test_non_finite_gradient_names_parameter(self, monkeypatch, name, value):
+        monkeypatch.setattr(hashnet, "_SGD_BLOCK", 7)
+        rng = np.random.default_rng(13)
+        p = hashnet.init_params(5, 9, 4, seed=13)
+        g = self._random_grads(rng, p)
+        getattr(g, name).flat[-1] = value  # w1's last block holds 3 elements
+        with pytest.raises(DivergenceError,
+                           match=f"^sgd_step: non-finite gradient for {name}$"):
+            hashnet.sgd_step(p, g, 0.05, 0.9, 0.3)
+
+    def test_non_contiguous_parameters_update_in_place(self):
+        w1 = np.arange(6.0).reshape(2, 3).T  # transposed view
+        p = hashnet.HashNetParams(w1=w1, b1=np.zeros(3), w2=np.ones((1, 3)),
+                                  b2=np.zeros(1))
+        ref = copy.deepcopy(p)
+        g = hashnet.Grads(w1=np.ones((3, 2)), b1=np.ones(3),
+                          w2=np.ones((1, 3)), b2=np.ones(1))
+        hashnet.sgd_step(p, g, 0.1, 0.5, 0.2)
+        naive_sgd_step(ref, vars(g), 0.1, 0.5, 0.2)
+        npt.assert_array_equal(p.w1, ref.w1)
+        p.w1 = p.w1.T.copy().T
+        with pytest.raises(DataError, match="C-contiguous"):
+            hashnet.sgd_step(p, g, 0.1, 0.5, 0.2)
 
 
 class TestSignCodes:

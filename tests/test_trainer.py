@@ -1,11 +1,14 @@
 """Training loop: schedule, config plumbing, determinism, update order."""
 
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from assph import corrmine, dataio, evalkit, hashnet, objective, trainer
 from assph.errors import ConfigError, DivergenceError
+from oracles import naive_backward, naive_sgd_step
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +169,57 @@ class TestTrainEpoch:
         assert "".join(order) == "it" * rec.iterations
 
 
+def reference_batches(state, epoch):
+    """train_epoch's batches with a recomputing backward and whole-array SGD."""
+    cfg = state.cfg
+    eta = trainer.eta_schedule(epoch, cfg.eta_base)
+    fi, ft = state.features_image, state.features_text
+    pi, pt = state.params_image, state.params_text
+    m = cfg.batch_size
+    perm = state.rng.permutation(fi.shape[0])
+
+    def step(params, x, d_h):
+        naive_sgd_step(params, naive_backward(params, x, eta, d_h, cfg.hidden_act),
+                       cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+
+    for it in range(fi.shape[0] // m):
+        idx = perm[it * m:(it + 1) * m]
+        xi, xt = fi[idx], ft[idx]
+        s_b = state.semantic[np.ix_(idx, idx)].astype(np.float64)
+        r_b = state.rel.batch(idx)
+        hi = hashnet.forward(pi, xi, eta, cfg.hidden_act).h
+        ht = hashnet.forward(pt, xt, eta, cfg.hidden_act).h
+        out = objective.total_loss_and_grads(hi, ht, s_b, r_b, state.weights_eff)
+        step(pi, xi, out.grad_image)  # both gradients read pre-update weights
+        step(pt, xt, out.grad_text)
+        if cfg.bin_opt:
+            hi = hashnet.forward(pi, xi, eta, cfg.hidden_act).h
+            ht = hashnet.forward(pt, xt, eta, cfg.hidden_act).h
+            b_i = hashnet.sign_codes(hi).astype(np.float64)
+            b_t = hashnet.sign_codes(ht).astype(np.float64)
+            step(pi, xi, objective.total_loss_and_grads(
+                hi, b_t, s_b, r_b, state.weights_eff, freeze="text").grad_image)
+            step(pt, xt, objective.total_loss_and_grads(
+                b_i, ht, s_b, r_b, state.weights_eff, freeze="image").grad_text)
+
+
+class TestEpochExactness:
+    @pytest.mark.parametrize("hidden_act, bin_opt", [
+        ("relu", True), ("tanh", True), ("relu", False)])
+    def test_epoch_matches_recomputing_reference(self, bundle, hidden_act, bin_opt):
+        cfg = small_config(hidden_act=hidden_act, bin_opt=bin_opt, weight_decay=0.01)
+        state = trainer.init_state(bundle, cfg)
+        ref = copy.deepcopy(state)
+        for epoch in (1, 2):
+            trainer.train_epoch(state, epoch)
+            reference_batches(ref, epoch)
+            ref.rel = state.rel  # the reference mines nothing
+            for side in ("params_image", "params_text"):
+                for name in ("w1", "b1", "w2", "b2", "vw1", "vb1", "vw2", "vb2"):
+                    npt.assert_array_equal(getattr(getattr(state, side), name),
+                                           getattr(getattr(ref, side), name))
+
+
 class TestTrain:
     def test_deterministic_given_seed(self, bundle):
         cfg = small_config(epochs=2)
@@ -221,8 +275,8 @@ class TestTrain:
         semantic = state.semantic.astype(np.float64)
 
         def full_loss(params_image, params_text):
-            hi = hashnet.forward(params_image, state.features_image, eta_end)
-            ht = hashnet.forward(params_text, state.features_text, eta_end)
+            hi = hashnet.forward(params_image, state.features_image, eta_end).h
+            ht = hashnet.forward(params_text, state.features_text, eta_end).h
             return objective.total_loss_and_grads(
                 hi, ht, semantic, r_full, state.weights_eff).total
 
@@ -239,8 +293,8 @@ class TestTrain:
         labels = bundle.labels[idx]
         fi = bundle.image_features[idx].astype(np.float64)
         ft = bundle.text_features[idx].astype(np.float64)
-        ci = hashnet.sign_codes(hashnet.forward(res.params_image, fi, 1.0))
-        ct = hashnet.sign_codes(hashnet.forward(res.params_text, ft, 1.0))
+        ci = hashnet.sign_codes(hashnet.forward(res.params_image, fi, 1.0).h)
+        ct = hashnet.sign_codes(hashnet.forward(res.params_text, ft, 1.0).h)
         score = evalkit.map_eval(ci, ct, labels, labels)
         assert score > 0.85
 
