@@ -140,24 +140,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_build_sim(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from . import corrmine, simgraph
+    from . import corrmine, trainer
     from .dataio import load_bundle, write_features
 
     t0 = time.perf_counter()
     cfg = _resolve_config(args)
     bundle = load_bundle(args.bundle)
     train_idx = bundle.split.train
-    fi = bundle.image_features[train_idx]
-    ft = bundle.text_features[train_idx]
-    gamma = cfg.gamma if cfg.struct else 0.0
-    semantic = simgraph.build_semantic(fi, ft, cfg.ks, gamma)
-
-    sim_i = simgraph.cosine_matrix(fi)
-    sim_t = simgraph.cosine_matrix(ft)
-    if cfg.pair_corr:
-        rel = corrmine.first_order_correlations(sim_i, sim_t, cfg.kr)
-    else:
-        rel = corrmine.init_correlations(sim_i, sim_t, cfg.kr, cfg.tau)
+    semantic, rel = trainer.build_targets(bundle.image_features[train_idx],
+                                          bundle.text_features[train_idx], cfg)
 
     os.makedirs(args.out, exist_ok=True)
     write_features(semantic.values, os.path.join(args.out, "semantic.assf"))

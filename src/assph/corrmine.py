@@ -45,9 +45,14 @@ class CorrelationSet:
         dense = np.asarray(dense)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise DataError(f"correlation set must be square, got {dense.shape}")
-        if not np.all(dense == (dense != 0)):  # every entry is 0 or 1
+        # every entry is 0 or 1; the miners' uint8 needs only a max
+        if dense.dtype == np.uint8:
+            binary = dense.size == 0 or dense.max() <= 1
+        else:
+            binary = dense.dtype == np.bool_ or np.all(dense == (dense != 0))
+        if not binary:
             raise DataError("correlation set entries must be 0/1")
-        dense = dense.astype(np.uint8)
+        dense = dense.astype(np.uint8, copy=False)
         # symmetry tile by tile: rows [s, s+256) right of the diagonal
         # against the same columns below it, never a strided M x M transpose
         for s in range(0, dense.shape[0], 256):

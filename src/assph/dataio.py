@@ -101,31 +101,43 @@ def validate_labels(labels: np.ndarray, name: str = "labels") -> np.ndarray:
 
 
 def load_labels(path: str) -> np.ndarray:
-    """Parse a CSV label matrix of 0/1 ints; every row needs at least one 1."""
+    """Parse a CSV label matrix of 0/1 ints; every row needs at least one 1.
+
+    Blank lines are skipped, but the row numbers in parse errors count
+    them.
+    A file of one-character cells parses as one byte array; any other
+    cell sends the file through int() row by row, which finds the first
+    bad row or the values of exotic spellings such as " 1" or "+0".
+    """
     if not os.path.exists(path):
         raise DataError(f"label file not found: {path}")
-    rows = []
-    width = None
     with open(path) as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DataError(f"{path}: ragged row {i} ({len(cells)} cells, expected {width})")
+        lines = [(i, s) for i, s in enumerate(map(str.strip, fh.read().split("\n"))) if s]
+    if not lines:
+        raise DataError(f"{path}: no label rows")
+    width = lines[0][1].count(",") + 1
+    ragged = next((n for n, (_, s) in enumerate(lines) if s.count(",") + 1 != width),
+                  len(lines))
+    rows = lines[:ragged]
+    # one-character cells lie at the even offsets of the joined rows
+    text = ",".join(s for _, s in rows).encode()
+    digits = np.frombuffer(text, dtype=np.uint8)[::2] - ord("0")
+    if len(text) == 2 * len(rows) * width - 1 and np.all(digits <= 1):
+        labels = digits.reshape(len(rows), width)
+    else:
+        labels = np.empty((len(rows), width), dtype=np.int8)
+        for n, (i, s) in enumerate(rows):
             try:
-                row = [int(c) for c in cells]
+                row = [int(c) for c in s.split(",")]
             except ValueError:
-                raise DataError(f"{path}: non-integer entry at row {i}")
+                raise DataError(f"{path}: non-integer entry at row {i}") from None
             if any(v not in (0, 1) for v in row):
                 raise DataError(f"{path}: non-binary entry at row {i}")
-            rows.append(row)
-    if not rows:
-        raise DataError(f"{path}: no label rows")
-    return validate_labels(np.array(rows, dtype=np.int8), name=path)
+            labels[n] = row
+    if ragged < len(lines):
+        i, s = lines[ragged]
+        raise DataError(f"{path}: ragged row {i} ({s.count(',') + 1} cells, expected {width})")
+    return validate_labels(labels, name=path)
 
 
 def write_labels(labels: np.ndarray, path: str) -> None:

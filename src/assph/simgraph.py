@@ -1,13 +1,18 @@
 """Construction of the semantic similarity matrix from raw features.
 
-The pipeline runs cosine -> probability remap -> cross-modal fusion ->
+The pipeline runs cosine -> probability remap and cross-modal fusion ->
 top-K row normalization -> structural co-neighborhood product -> affine
 blend back onto [-1, 1].  Each stage is exposed on its own so tests can
 pin it against a scalar reference, and each output is tagged with a kind
 so a stage cannot be fed the wrong matrix.
 
-All stages compute in float64 and store float32; every matrix is square
-over the same instance set.
+Every matrix is square over the same instance set and stored float32,
+except two float64 ones: the neighbor weights W (float32-rounded values)
+and the product W @ W.T.  The other stages walk blocks of _BLOCK_ROWS
+rows, compute each block in float64 temporaries and write its float32
+rows, so none of them makes a whole-matrix float64 temporary.
+build_semantic writes each stage over a buffer the stage before it is
+done with, starting from the two cosines it is given.
 """
 
 from __future__ import annotations
@@ -19,19 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-# rows per block when cosine_matrix mirrors its lower triangle
-_MIRROR_ROWS = 256
-
-KINDS = ("cosine", "probability", "fused", "structural", "semantic")
-
-# value range per kind, checked with a small slack for float32 rounding
-_RANGES = {
-    "cosine": (-1.0, 1.0),
-    "probability": (0.0, 1.0),
-    "fused": (0.0, 1.0),
-    "structural": (0.0, 1.0),
-    "semantic": (-1.0, 1.0),
-}
+# rows per block of the row-wise stages and of the triangle mirror
+_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -45,31 +39,28 @@ class SimMatrix:
     def order(self) -> int:
         return self.values.shape[0]
 
-    def validate(self, atol: float = 1e-6) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown similarity kind '{self.kind}'")
-        v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise DataError(f"similarity matrix must be square, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise DataError("similarity matrix has non-finite entries")
-        lo, hi = _RANGES[self.kind]
-        if v.min() < lo - atol or v.max() > hi + atol:
-            raise DataError(
-                f"{self.kind} values outside [{lo}, {hi}]: "
-                f"min {v.min():.6g}, max {v.max():.6g}"
-            )
-        if np.abs(v - v.T).max() > 1e-5:
-            raise DataError(f"{self.kind} matrix is asymmetric beyond tolerance")
-        if self.kind == "cosine" and np.abs(np.diag(v) - 1.0).max() > atol:
-            raise DataError("cosine matrix diagonal is not 1")
-
 
 def _as_kind(sim: SimMatrix, kind: str, op: str) -> np.ndarray:
     if not isinstance(sim, SimMatrix) or sim.kind != kind:
         got = sim.kind if isinstance(sim, SimMatrix) else type(sim).__name__
         raise ConfigError(f"{op} expects a {kind} matrix, got {got}")
     return sim.values
+
+
+def _row_blocks(m: int):
+    """(lo, hi) bounds of consecutive blocks of _BLOCK_ROWS rows."""
+    step = _BLOCK_ROWS
+    return ((lo, min(lo + step, m)) for lo in range(0, m, step))
+
+
+def _mirror_lower(s: np.ndarray) -> None:
+    """Copy the lower triangle of a square matrix onto the upper one, in
+    place, one diagonal tile and the strip right of it at a time."""
+    for lo, hi in _row_blocks(s.shape[0]):
+        tile = s[lo:hi, lo:hi]
+        upper = np.triu_indices(hi - lo, 1)
+        tile[upper] = tile.T[upper]
+        s[lo:hi, hi:] = s[hi:, lo:hi].T
 
 
 def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
@@ -112,39 +103,50 @@ def cosine_matrix(features: np.ndarray) -> SimMatrix:
     fn = f / norms[:, None]
     s = (fn @ fn.T).astype(np.float32)
     np.clip(s, -1.0, 1.0, out=s)
-    m = s.shape[0]
-    for lo in range(0, m, _MIRROR_ROWS):
-        hi = min(lo + _MIRROR_ROWS, m)
-        block = s[lo:hi, lo:hi]
-        upper = np.triu_indices(hi - lo, 1)
-        block[upper] = block.T[upper]
-        s[lo:hi, hi:] = s[hi:, lo:hi].T
+    _mirror_lower(s)
     np.fill_diagonal(s, 1.0)
     return SimMatrix(s, "cosine")
 
 
-def probability_map(sim: SimMatrix) -> SimMatrix:
-    """Affine remap of cosine values from [-1, 1] onto [0, 1]."""
-    s = _as_kind(sim, "cosine", "probability_map")
-    p = (s.astype(np.float64) + 1.0) / 2.0
-    return SimMatrix(p.astype(np.float32), "probability")
+def _probability(cos_rows: np.ndarray) -> np.ndarray:
+    """Cosine rows remapped from [-1, 1] onto [0, 1], rounded to float32
+    and held in float64."""
+    p = cos_rows.astype(np.float64)
+    p += 1.0
+    p /= 2.0
+    return p.astype(np.float32).astype(np.float64)
 
 
-def fuse(prob_image: SimMatrix, prob_text: SimMatrix) -> SimMatrix:
-    """Probabilistic-OR fusion of the two modality probability maps."""
-    a = _as_kind(prob_image, "probability", "fuse").astype(np.float64)
-    b = _as_kind(prob_text, "probability", "fuse").astype(np.float64)
+def fuse(cos_image: SimMatrix, cos_text: SimMatrix,
+         out: np.ndarray | None = None) -> SimMatrix:
+    """Probabilistic-OR fusion of the two modalities' cosines.
+
+    Each cosine is remapped onto [0, 1] as a probability p (rounded to
+    float32), and the pair fuses to p_i + p_t - p_i * p_t.  The result
+    goes into out, a float32 buffer of the same shape that may be either
+    input's values, or into a new array.
+    """
+    a = _as_kind(cos_image, "cosine", "fuse")
+    b = _as_kind(cos_text, "cosine", "fuse")
     if a.shape != b.shape:
         raise DataError(f"fuse: shape mismatch {a.shape} vs {b.shape}")
-    out = a + b - a * b
-    return SimMatrix(out.astype(np.float32), "fused")
+    if out is None:
+        out = np.empty(a.shape, dtype=np.float32)
+    for lo, hi in _row_blocks(a.shape[0]):
+        p = _probability(a[lo:hi])
+        q = _probability(b[lo:hi])
+        out[lo:hi] = p + q - p * q
+    return SimMatrix(out, "fused")
 
 
 def topk_normalize(fused_sim: SimMatrix, ks: int) -> np.ndarray:
     """Keep each row's ks strongest links and normalize them to sum 1.
 
-    Returns a row-stochastic float32 matrix with at most ks nonzeros per
-    row.  ks larger than the matrix order clamps with a warning.
+    Returns the row-stochastic weights W with at most ks nonzeros per row,
+    as float64 holding float32-rounded values, the precision the
+    structural product reads.  Each block of rows is scattered into a
+    zero-filled float64 block, summed along the rows and divided.  ks
+    larger than the matrix order clamps with a warning.
     """
     s = _as_kind(fused_sim, "fused", "topk_normalize")
     m = s.shape[0]
@@ -153,74 +155,95 @@ def topk_normalize(fused_sim: SimMatrix, ks: int) -> np.ndarray:
     if ks > m:
         warnings.warn(f"topk_normalize: ks={ks} exceeds order {m}, clamping")
         ks = m
-    nn = top_k_indices(s, ks)
-    rows = np.repeat(np.arange(m), ks)
-    out = np.zeros((m, m), dtype=np.float64)
-    vals = s[rows, nn.ravel()].astype(np.float64)
-    out[rows, nn.ravel()] = vals
-    sums = out.sum(axis=1)
-    if np.any(sums == 0.0):
-        raise DataError(
-            f"topk_normalize: row {int(np.argmax(sums == 0.0))} has zero neighbor mass"
-        )
-    out /= sums[:, None]
-    return out.astype(np.float32)
+    w = np.empty((m, m), dtype=np.float64)
+    for lo, hi in _row_blocks(m):
+        rows = s[lo:hi]
+        nn = top_k_indices(rows, ks)
+        block = np.zeros((hi - lo, m), dtype=np.float64)
+        np.put_along_axis(block, nn, np.take_along_axis(rows, nn, axis=1), axis=1)
+        sums = block.sum(axis=1)
+        if np.any(sums == 0.0):
+            raise DataError(f"topk_normalize: row {lo + int(np.argmax(sums == 0.0))} "
+                            "has zero neighbor mass")
+        block /= sums[:, None]
+        w[lo:hi] = block.astype(np.float32)
+    return w
 
 
-def structural(neighbor_weights: np.ndarray, ks: int) -> SimMatrix:
+def structural(neighbor_weights: np.ndarray, ks: int,
+               out: np.ndarray | None = None) -> SimMatrix:
     """Shared-neighborhood similarity: ks * (W @ W.T), clipped to [0, 1].
 
     Two instances score high when their normalized neighbor weight rows
-    overlap; the ks factor undoes the 1/ks scale of uniform rows.
+    overlap; the ks factor undoes the 1/ks scale of uniform rows.  The
+    float64 product is scaled, mirrored from its lower triangle (exact
+    symmetry) and clipped in place, then rounded into out, a float32
+    buffer of the same shape, or into a new array.
     """
     w = np.asarray(neighbor_weights, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise DataError(f"structural: expected square weights, got {w.shape}")
     if ks < 1:
         raise ConfigError(f"structural: ks must be >= 1, got {ks}")
-    prod = ks * (w @ w.T)
-    prod = np.tril(prod) + np.tril(prod, -1).T  # exact symmetry
+    prod = w @ w.T
+    prod *= ks
+    _mirror_lower(prod)
     np.clip(prod, 0.0, 1.0, out=prod)
-    return SimMatrix(prod.astype(np.float32), "structural")
+    if out is None:
+        out = np.empty(prod.shape, dtype=np.float32)
+    out[...] = prod
+    return SimMatrix(out, "structural")
 
 
-def combine(fused_sim: SimMatrix, structural_sim: SimMatrix, gamma: float) -> SimMatrix:
-    """Blend fused and structural maps, then stretch onto [-1, 1]."""
-    a = _as_kind(fused_sim, "fused", "combine").astype(np.float64)
-    b = _as_kind(structural_sim, "structural", "combine").astype(np.float64)
-    if a.shape != b.shape:
-        raise DataError(f"combine: shape mismatch {a.shape} vs {b.shape}")
+def combine(fused_sim: SimMatrix, structural_sim: SimMatrix | None, gamma: float,
+            out: np.ndarray | None = None) -> SimMatrix:
+    """Blend fused and structural maps, then stretch onto [-1, 1].
+
+    structural_sim None stands for the skipped stage of gamma == 0: the
+    result is the stretched fusion alone.  The result goes into out, a
+    float32 buffer of the same shape that may be either input's values,
+    or into a new array.
+    """
+    a = _as_kind(fused_sim, "fused", "combine")
+    if structural_sim is None:
+        b = None
+        if gamma != 0.0:
+            raise ConfigError(f"combine: gamma {gamma} needs a structural matrix")
+    else:
+        b = _as_kind(structural_sim, "structural", "combine")
+        if a.shape != b.shape:
+            raise DataError(f"combine: shape mismatch {a.shape} vs {b.shape}")
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"combine: gamma must be in [0, 1], got {gamma}")
-    s = 2.0 * ((1.0 - gamma) * a + gamma * b) - 1.0
-    np.clip(s, -1.0, 1.0, out=s)
-    return SimMatrix(s.astype(np.float32), "semantic")
+    if out is None:
+        out = np.empty(a.shape, dtype=np.float32)
+    for lo, hi in _row_blocks(a.shape[0]):
+        blend = 0.0 if b is None else b[lo:hi].astype(np.float64)
+        s = 2.0 * ((1.0 - gamma) * a[lo:hi].astype(np.float64) + gamma * blend) - 1.0
+        np.clip(s, -1.0, 1.0, out=s)
+        out[lo:hi] = s
+    return SimMatrix(out, "semantic")
 
 
-def build_semantic(
-    image_features: np.ndarray,
-    text_features: np.ndarray,
-    ks: int,
-    gamma: float,
-) -> SimMatrix:
-    """Full pipeline from paired features to the semantic target matrix.
+def build_semantic(cos_image: SimMatrix, cos_text: SimMatrix,
+                   ks: int, gamma: float) -> SimMatrix:
+    """Full pipeline from the two modalities' cosines to the semantic target.
 
+    The cosines are consumed: the fusion is written over the image
+    cosine's buffer, and the structural map and then the result over the
+    text cosine's, so the only matrices made here are W and W @ W.T.
     With gamma == 0 the structural stage is skipped entirely; the result
-    is the stretched fusion alone.
+    is the stretched fusion alone, written over the fusion.
     """
-    if image_features.shape[0] != text_features.shape[0]:
-        raise DataError(
-            f"build_semantic: row mismatch {image_features.shape[0]} "
-            f"vs {text_features.shape[0]}"
-        )
+    a = _as_kind(cos_image, "cosine", "build_semantic")
+    b = _as_kind(cos_text, "cosine", "build_semantic")
+    if a.shape != b.shape:
+        raise DataError(f"build_semantic: row mismatch {a.shape[0]} vs {b.shape[0]}")
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"build_semantic: gamma must be in [0, 1], got {gamma}")
-    prob_i = probability_map(cosine_matrix(image_features))
-    prob_t = probability_map(cosine_matrix(text_features))
-    fused = fuse(prob_i, prob_t)
+    fused = fuse(cos_image, cos_text, out=cos_image.values)
     if gamma == 0.0:
-        zero = SimMatrix(np.zeros_like(fused.values), "structural")
-        return combine(fused, zero, 0.0)
-    weights = topk_normalize(fused, ks)
-    struct = structural(weights, min(ks, fused.order))
-    return combine(fused, struct, gamma)
+        return combine(fused, None, 0.0, out=fused.values)
+    struct = structural(topk_normalize(fused, ks), min(ks, fused.order),
+                        out=cos_text.values)
+    return combine(fused, struct, gamma, out=struct.values)

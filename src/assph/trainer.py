@@ -87,6 +87,27 @@ class TrainResult:
     history: list
 
 
+def build_targets(image_features: np.ndarray, text_features: np.ndarray,
+                  cfg: TrainConfig, mine: bool = True
+                  ) -> tuple[simgraph.SimMatrix, corrmine.CorrelationSet]:
+    """The semantic matrix and the seed relation of one training split.
+
+    Each modality's cosine is computed once: the seed mining reads both,
+    then build_semantic reuses their buffers.  With mine False the
+    relation is the identity.  gamma counts only when cfg.struct is on.
+    """
+    cos_i = simgraph.cosine_matrix(image_features)
+    cos_t = simgraph.cosine_matrix(text_features)
+    if not mine:
+        rel = corrmine.CorrelationSet.identity(cos_i.order)
+    elif cfg.pair_corr:
+        rel = corrmine.first_order_correlations(cos_i, cos_t, cfg.kr)
+    else:
+        rel = corrmine.init_correlations(cos_i, cos_t, cfg.kr, cfg.tau)
+    gamma = cfg.gamma if cfg.struct else 0.0
+    return simgraph.build_semantic(cos_i, cos_t, cfg.ks, gamma), rel
+
+
 def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
     """Validate inputs and build all pre-training artifacts."""
     cfg.validate()
@@ -101,23 +122,12 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
     ft32 = bundle.text_features[train_idx]
     labels = bundle.labels[train_idx] if bundle.labels is not None else None
 
-    gamma_eff = cfg.gamma if cfg.struct else 0.0
-    semantic = simgraph.build_semantic(fi32, ft32, cfg.ks, gamma_eff).values
-
+    semantic, rel = build_targets(fi32, ft32, cfg, mine=cfg.corr)
     weights_eff = objective.LossWeights(
         mu1=cfg.mu1 if cfg.corr else 0.0,
         mu2=cfg.mu2,
         beta=cfg.beta,
     )
-    if cfg.corr:
-        sim_i = simgraph.cosine_matrix(fi32)
-        sim_t = simgraph.cosine_matrix(ft32)
-        if cfg.pair_corr:
-            rel = corrmine.first_order_correlations(sim_i, sim_t, cfg.kr)
-        else:
-            rel = corrmine.init_correlations(sim_i, sim_t, cfg.kr, cfg.tau)
-    else:
-        rel = corrmine.CorrelationSet.identity(m_train)
 
     fi = fi32.astype(np.float64)
     ft = ft32.astype(np.float64)
@@ -137,7 +147,7 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
         features_text=ft,
         labels=labels,
         label_share=corrmine.label_share(labels) if labels is not None else None,
-        semantic=semantic,
+        semantic=semantic.values,
         rel=rel,
         params_image=params_image,
         params_text=params_text,

@@ -126,6 +126,37 @@ def tril_mirror_cosine(features) -> np.ndarray:
     return s.astype(np.float32)
 
 
+def whole_matrix_semantic(fi, ft, ks: int, gamma: float) -> np.ndarray:
+    """The similarity pipeline one whole matrix per stage.
+
+    Each stage computes in float64 over the full M x M matrix and stores
+    float32, as simgraph did before it worked in row blocks; the blocked
+    pipeline must reproduce these bits.
+    """
+    prob_i = ((tril_mirror_cosine(fi).astype(np.float64) + 1.0) / 2.0).astype(np.float32)
+    prob_t = ((tril_mirror_cosine(ft).astype(np.float64) + 1.0) / 2.0).astype(np.float32)
+    a = prob_i.astype(np.float64)
+    b = prob_t.astype(np.float64)
+    fused = (a + b - a * b).astype(np.float32)
+    if gamma == 0.0:
+        struct = np.zeros_like(fused)
+    else:
+        m = fused.shape[0]
+        ks = min(ks, m)
+        nn = argsort_top_k(fused, ks).ravel()
+        rows = np.repeat(np.arange(m), ks)
+        w = np.zeros((m, m), dtype=np.float64)
+        w[rows, nn] = fused[rows, nn].astype(np.float64)
+        w /= w.sum(axis=1)[:, None]
+        w = w.astype(np.float32).astype(np.float64)
+        prod = ks * (w @ w.T)
+        prod = np.tril(prod) + np.tril(prod, -1).T
+        struct = np.clip(prod, 0.0, 1.0).astype(np.float32)
+    s = 2.0 * ((1.0 - gamma) * fused.astype(np.float64)
+               + gamma * struct.astype(np.float64)) - 1.0
+    return np.clip(s, -1.0, 1.0).astype(np.float32)
+
+
 def dense_correlation_stats(rel_dense, labels) -> dict:
     """Relation size and label precision from the unpacked 0/1 matrix."""
     dense = np.asarray(rel_dense).astype(bool)

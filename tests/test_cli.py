@@ -83,6 +83,22 @@ class TestBuildSim:
         assert stats["epoch"] == 0
         assert 0.0 <= stats["precision"] <= 1.0
 
+    def test_each_cosine_computed_once(self, data_dir, tmp_path, monkeypatch):
+        from assph import corrmine, simgraph
+        calls = []
+        real = simgraph.cosine_matrix
+
+        def counted(features):
+            calls.append(features.shape)
+            return real(features)
+
+        monkeypatch.setattr(simgraph, "cosine_matrix", counted)
+        monkeypatch.setattr(corrmine, "cosine_matrix", counted)
+        out = str(tmp_path / "simc")
+        assert cli.dispatch(["build-sim", "--bundle", data_dir, "--out", out,
+                             "--ks", "12", "--kr", "4"]) == 0
+        assert len(calls) == 2
+
     def test_pair_corr_variant(self, data_dir, tmp_path):
         out = str(tmp_path / "simp")
         code = cli.dispatch(["build-sim", "--bundle", data_dir, "--out", out,

@@ -162,6 +162,24 @@ class TestCorrelationSet:
         with pytest.raises(DataError, match="symmetric"):
             corrmine.CorrelationSet.from_dense(dense)
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_non_binary_entry_rejected(self, bad):
+        dtypes = [np.float64] if isinstance(bad, float) else [np.int64, np.float64]
+        if bad == 2:
+            dtypes.append(np.uint8)
+        for dtype in dtypes:
+            dense = np.eye(4).astype(dtype)
+            dense[1, 2] = dense[2, 1] = bad
+            with pytest.raises(DataError, match="0/1"):
+                corrmine.CorrelationSet.from_dense(dense)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64, np.float64])
+    def test_binary_dtypes_accepted(self, dtype):
+        dense = np.eye(5, dtype=dtype)
+        dense[0, 3] = dense[3, 0] = 1
+        rel = corrmine.CorrelationSet.from_dense(dense)
+        npt.assert_array_equal(rel.to_dense(), dense.astype(np.uint8))
+
     def test_missing_diagonal_rejected(self):
         with pytest.raises(DataError, match="self pair"):
             corrmine.CorrelationSet.from_dense(np.zeros((3, 3), dtype=np.uint8))

@@ -121,6 +121,43 @@ class TestLabels:
         with pytest.raises(DataError):
             dataio.load_labels(path)
 
+    @pytest.mark.parametrize("bad, message", [
+        ("1,2", "non-binary entry at row 3"),
+        ("1,x", "non-integer entry at row 3"),
+        ("1,", "non-integer entry at row 3"),
+        ("1,0,1", "ragged row 3 \\(3 cells, expected 2\\)"),
+    ])
+    def test_blank_lines_count_in_row_numbers(self, tmp_path, bad, message):
+        path = str(tmp_path / "l.csv")
+        with open(path, "w") as fh:
+            fh.write(f"1,0\n\n0,1\n{bad}\n1,1\n")
+        with pytest.raises(DataError, match=message):
+            dataio.load_labels(path)
+
+    def test_first_bad_row_wins(self, tmp_path):
+        path = str(tmp_path / "l.csv")
+        with open(path, "w") as fh:
+            fh.write("1,0\n1,5\n1\n")
+        with pytest.raises(DataError, match="non-binary entry at row 1"):
+            dataio.load_labels(path)
+        with open(path, "w") as fh:
+            fh.write("1,0\n1\n1,5\n")
+        with pytest.raises(DataError, match="ragged row 1"):
+            dataio.load_labels(path)
+
+    def test_no_label_rows(self, tmp_path):
+        path = str(tmp_path / "l.csv")
+        with open(path, "w") as fh:
+            fh.write("\n  \n")
+        with pytest.raises(DataError, match="no label rows"):
+            dataio.load_labels(path)
+
+    def test_int_spellings_and_blank_lines_parse(self, tmp_path):
+        path = str(tmp_path / "l.csv")
+        with open(path, "w") as fh:
+            fh.write("\n 1, 0 \n\n+0,01\r\n")
+        npt.assert_array_equal(dataio.load_labels(path), [[1, 0], [0, 1]])
+
     def test_roundtrip_random(self, tmp_path):
         rng = np.random.default_rng(3)
         labels = (rng.random((100, 10)) < 0.3).astype(np.int8)

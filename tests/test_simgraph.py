@@ -1,16 +1,30 @@
 """Similarity pipeline: stagewise contracts plus the scalar oracle."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from assph import simgraph
 from assph.errors import ConfigError, DataError
-from oracles import argsort_top_k, naive_semantic, tril_mirror_cosine
+from oracles import (argsort_top_k, naive_semantic, tril_mirror_cosine,
+                     whole_matrix_semantic)
 
 
 def random_features(rng, m, d):
     return rng.standard_normal((m, d)).astype(np.float32)
+
+
+def cosine(arr):
+    return simgraph.SimMatrix(np.asarray(arr, dtype=np.float32), "cosine")
+
+
+def semantic(fi, ft, ks, gamma):
+    """build_semantic from features; it consumes the cosines it is given."""
+    return simgraph.build_semantic(simgraph.cosine_matrix(fi),
+                                   simgraph.cosine_matrix(ft), ks, gamma)
 
 
 class TestCosineMatrix:
@@ -38,13 +52,17 @@ class TestCosineMatrix:
         with pytest.raises(DataError, match="zero-norm row 1"):
             simgraph.cosine_matrix(f)
 
-    def test_validator_accepts_output(self):
+    def test_output_contract(self):
         rng = np.random.default_rng(2)
-        simgraph.cosine_matrix(random_features(rng, 20, 4)).validate()
+        s = simgraph.cosine_matrix(random_features(rng, 20, 4)).values
+        assert s.shape == (20, 20) and np.isfinite(s).all()
+        npt.assert_array_equal(s, s.T)
+        assert s.min() >= -1.0 and s.max() <= 1.0
+        npt.assert_array_equal(np.diag(s), 1.0)
 
     def test_bits_match_tril_mirror(self):
         rng = np.random.default_rng(3)
-        block = simgraph._MIRROR_ROWS
+        block = simgraph._BLOCK_ROWS
         for m in (1, 7, block, block + 1, 2 * block + 37):
             f = random_features(rng, m, 6)
             got = simgraph.cosine_matrix(f).values
@@ -85,60 +103,74 @@ class TestTopKIndices:
 
 
 class TestProbabilityMap:
+    """The remap of each cosine c onto p = (c + 1) / 2, which fuse applies
+    to both modalities before the OR; against p = 0 the OR is p itself."""
+
     def test_endpoints(self):
-        s = simgraph.SimMatrix(
-            np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=np.float32), "cosine")
-        p = simgraph.probability_map(s)
-        npt.assert_allclose(p.values, [[1.0, 0.0], [0.0, 1.0]])
-        assert p.kind == "probability"
+        c = cosine([[1.0, -1.0], [-1.0, 1.0]])
+        out = simgraph.fuse(c, cosine(-np.ones((2, 2))))
+        npt.assert_allclose(out.values, [[1.0, 0.0], [0.0, 1.0]])
+        assert out.kind == "fused"
 
     def test_midpoint(self):
-        s = simgraph.SimMatrix(np.zeros((2, 2), dtype=np.float32), "cosine")
-        s.values[:] = [[1.0, 0.0], [0.0, 1.0]]
-        npt.assert_allclose(simgraph.probability_map(s).values,
+        c = cosine([[1.0, 0.0], [0.0, 1.0]])
+        npt.assert_allclose(simgraph.fuse(c, cosine(-np.ones((2, 2)))).values,
                             [[1.0, 0.5], [0.5, 1.0]])
+        # and 0.5 OR 0.5 is 0.75
+        npt.assert_allclose(simgraph.fuse(c, cosine(c.values)).values,
+                            [[1.0, 0.75], [0.75, 1.0]])
 
     def test_order_preserved(self):
         rng = np.random.default_rng(3)
         s = simgraph.cosine_matrix(random_features(rng, 15, 6))
-        p = simgraph.probability_map(s)
-        npt.assert_array_equal(np.argsort(s.values, axis=1),
-                               np.argsort(p.values, axis=1))
+        p = simgraph.fuse(s, cosine(-np.ones((15, 15))))
+        npt.assert_array_equal(np.argsort(s.values, axis=1, kind="stable"),
+                               np.argsort(p.values, axis=1, kind="stable"))
 
     def test_wrong_kind_rejected(self):
         p = simgraph.SimMatrix(np.full((2, 2), 0.5, dtype=np.float32),
                                "probability")
         with pytest.raises(ConfigError, match="expects a cosine"):
-            simgraph.probability_map(p)
+            simgraph.fuse(p, p)
 
 
 class TestFuse:
-    def _prob(self, arr):
-        return simgraph.SimMatrix(np.asarray(arr, dtype=np.float32),
-                                  "probability")
+    """Probabilistic OR of the two probabilities: p_i + p_t - p_i * p_t."""
 
     def test_identity_and_absorb(self):
-        a = self._prob([[1.0, 0.0], [0.0, 1.0]])
-        b = self._prob([[1.0, 0.7], [0.7, 1.0]])
+        a = cosine([[1.0, -1.0], [-1.0, 1.0]])
+        b = cosine([[1.0, 0.4], [0.4, 1.0]])
         out = simgraph.fuse(a, b).values
-        # fuse(0, x) = x and fuse(1, x) = 1
-        npt.assert_allclose(out, [[1.0, 0.7], [0.7, 1.0]])
+        # fuse(0, x) = x and fuse(1, x) = 1 on probabilities
+        npt.assert_allclose(out, [[1.0, 0.7], [0.7, 1.0]], rtol=1e-6)
 
     def test_formula(self):
-        a = self._prob([[1.0, 0.2], [0.2, 1.0]])
-        b = self._prob([[1.0, 0.5], [0.5, 1.0]])
+        a = cosine([[1.0, -0.6], [-0.6, 1.0]])
+        b = cosine([[1.0, 0.0], [0.0, 1.0]])
         npt.assert_allclose(simgraph.fuse(a, b).values[0, 1],
                             0.2 + 0.5 - 0.1, rtol=1e-6)
 
     def test_dominates_both_inputs(self):
         rng = np.random.default_rng(4)
-        a = self._prob(rng.random((20, 20)).astype(np.float32))
-        a.values[:] = (a.values + a.values.T) / 2
-        b = self._prob(rng.random((20, 20)).astype(np.float32))
-        b.values[:] = (b.values + b.values.T) / 2
+        a = simgraph.cosine_matrix(random_features(rng, 20, 6))
+        b = simgraph.cosine_matrix(random_features(rng, 20, 5))
         out = simgraph.fuse(a, b).values
-        assert (out >= a.values - 1e-6).all()
-        assert (out >= b.values - 1e-6).all()
+        assert (out >= (a.values + 1) / 2 - 1e-6).all()
+        assert (out >= (b.values + 1) / 2 - 1e-6).all()
+
+    def test_out_may_be_an_input(self, monkeypatch):
+        monkeypatch.setattr(simgraph, "_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(12)
+        a = simgraph.cosine_matrix(random_features(rng, 30, 6))
+        b = simgraph.cosine_matrix(random_features(rng, 30, 5))
+        want = simgraph.fuse(a, b).values
+        got = simgraph.fuse(a, b, out=a.values)
+        assert got.values is a.values
+        npt.assert_array_equal(got.values.view(np.uint32), want.view(np.uint32))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DataError, match="shape mismatch"):
+            simgraph.fuse(cosine(np.eye(2)), cosine(np.eye(3)))
 
 
 class TestTopkNormalize:
@@ -173,6 +205,13 @@ class TestTopkNormalize:
             assert ((out > 0).sum(axis=1) <= 7).all()
             npt.assert_allclose(out.sum(axis=1), 1.0, rtol=1e-5)
 
+    def test_weights_are_float32_values(self):
+        rng = np.random.default_rng(13)
+        out = simgraph.topk_normalize(
+            self._fused(rng.uniform(0.01, 1.0, (20, 20))), 4)
+        assert out.dtype == np.float64
+        npt.assert_array_equal(out, out.astype(np.float32))
+
     def test_matches_scalar_selection(self):
         rng = np.random.default_rng(7)
         vals = rng.uniform(0.0, 1.0, (50, 50)).astype(np.float32)
@@ -183,6 +222,13 @@ class TestTopkNormalize:
             total = vals[i, picked].astype(np.float64).sum()
             expect[picked] = vals[i, picked] / total
             npt.assert_allclose(out[i], expect, rtol=1e-5, atol=1e-7)
+
+    def test_zero_mass_row_named_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(simgraph, "_BLOCK_ROWS", 7)
+        vals = np.full((20, 20), 0.5, dtype=np.float32)
+        vals[17] = 0.0
+        with pytest.raises(DataError, match="row 17 has zero neighbor mass"):
+            simgraph.topk_normalize(self._fused(vals), 3)
 
     def test_bad_ks(self):
         with pytest.raises(ConfigError, match="ks"):
@@ -236,6 +282,14 @@ class TestCombine:
         npt.assert_allclose(out.values, 2 * fused.values - 1, rtol=1e-6)
         assert out.kind == "semantic"
 
+    def test_skipped_structural_equals_zero_structural(self):
+        fused, struct = self._pair()
+        zero = simgraph.SimMatrix(np.zeros_like(struct.values), "structural")
+        npt.assert_array_equal(simgraph.combine(fused, None, 0.0).values,
+                               simgraph.combine(fused, zero, 0.0).values)
+        with pytest.raises(ConfigError, match="needs a structural"):
+            simgraph.combine(fused, None, 0.5)
+
     def test_gamma_one_keeps_structural(self):
         fused, struct = self._pair()
         out = simgraph.combine(fused, struct, 1.0)
@@ -256,7 +310,7 @@ class TestCombine:
 class TestBuildSemantic:
     def test_identical_rows_give_all_ones(self):
         f = np.tile(np.array([[1.0, 2.0, 3.0]], dtype=np.float32), (5, 1))
-        out = simgraph.build_semantic(f, f, ks=2, gamma=0.3)
+        out = semantic(f, f, ks=2, gamma=0.3)
         npt.assert_allclose(out.values, np.ones((5, 5)), atol=1e-6)
 
     def test_range_and_symmetry(self):
@@ -264,21 +318,71 @@ class TestBuildSemantic:
         for gamma in (0.0, 0.5, 1.0):
             fi = random_features(rng, 25, 6)
             ft = random_features(rng, 25, 4)
-            out = simgraph.build_semantic(fi, ft, ks=5, gamma=gamma)
-            out.validate()
-            assert out.values.min() >= -1.0 - 1e-6
-            assert out.values.max() <= 1.0 + 1e-6
+            out = semantic(fi, ft, ks=5, gamma=gamma)
+            assert out.kind == "semantic"
+            v = out.values
+            assert v.dtype == np.float32 and v.shape == (25, 25)
+            assert np.isfinite(v).all()
+            npt.assert_array_equal(v, v.T)
+            assert v.min() >= -1.0 and v.max() <= 1.0
 
     def test_matches_scalar_oracle_small(self):
         rng = np.random.default_rng(11)
         fi = random_features(rng, 30, 5)
         ft = random_features(rng, 30, 4)
         for gamma in (0.0, 0.3, 1.0):
-            got = simgraph.build_semantic(fi, ft, ks=6, gamma=gamma).values
+            got = semantic(fi, ft, ks=6, gamma=gamma).values
             expect = naive_semantic(fi, ft, ks=6, gamma=gamma)
             npt.assert_allclose(got, expect, atol=1e-5)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+    def test_blocks_match_whole_matrix_oracle(self, monkeypatch, gamma):
+        monkeypatch.setattr(simgraph, "_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(14)
+        for m in (1, 6, 13, 50):
+            fi = random_features(rng, m, 8)
+            ft = random_features(rng, m, 5)
+            for ks in sorted({1, 4, m - 1, m, m + 3} - {0}):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # ks > m clamps
+                    got = semantic(fi, ft, ks, gamma).values
+                want = whole_matrix_semantic(fi, ft, ks, gamma)
+                npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32),
+                                       err_msg=f"m={m} ks={ks} gamma={gamma}")
+
+    def test_default_blocks_match_whole_matrix_oracle(self):
+        rng = np.random.default_rng(15)
+        m = simgraph._BLOCK_ROWS + 45
+        fi = random_features(rng, m, 12)
+        ft = random_features(rng, m, 7)
+        for gamma in (0.0, 0.3):
+            got = semantic(fi, ft, 20, gamma).values
+            want = whole_matrix_semantic(fi, ft, 20, gamma)
+            npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_result_reuses_the_cosine_buffers(self):
+        rng = np.random.default_rng(16)
+        cos_i = simgraph.cosine_matrix(random_features(rng, 12, 4))
+        cos_t = simgraph.cosine_matrix(random_features(rng, 12, 3))
+        out = simgraph.build_semantic(cos_i, cos_t, 3, 0.3)
+        assert out.values is cos_t.values
+        cos_i = simgraph.cosine_matrix(random_features(rng, 12, 4))
+        out = simgraph.build_semantic(cos_i, cos_t, 3, 0.0)
+        assert out.values is cos_i.values
+
+    def test_peak_memory_below_24_bytes_per_pair(self):
+        m = 600
+        rng = np.random.default_rng(17)
+        cos_i = simgraph.cosine_matrix(random_features(rng, m, 16))
+        cos_t = simgraph.cosine_matrix(random_features(rng, m, 8))
+        tracemalloc.start()
+        try:
+            simgraph.build_semantic(cos_i, cos_t, 60, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * m * m + (1 << 20), peak
+
     def test_row_mismatch(self):
         with pytest.raises(DataError, match="row mismatch"):
-            simgraph.build_semantic(np.ones((3, 2), dtype=np.float32),
-                                    np.ones((4, 2), dtype=np.float32), 2, 0.3)
+            simgraph.build_semantic(cosine(np.eye(3)), cosine(np.eye(4)), 2, 0.3)

@@ -121,6 +121,35 @@ class TestInitState:
         expected = corrmine.first_order_correlations(sim_i, sim_t, 4)
         npt.assert_array_equal(state.rel.to_dense(), expected.to_dense())
 
+    @pytest.mark.parametrize("overrides", [{}, {"corr": False}, {"pair_corr": True}])
+    def test_each_cosine_computed_once(self, bundle, monkeypatch, overrides):
+        from assph import simgraph
+        calls = []
+        real = simgraph.cosine_matrix
+
+        def counted(features):
+            calls.append(features.shape)
+            return real(features)
+
+        monkeypatch.setattr(simgraph, "cosine_matrix", counted)
+        monkeypatch.setattr(corrmine, "cosine_matrix", counted)
+        trainer.init_state(bundle, small_config(**overrides))
+        assert calls == [(90, 16), (90, 12)]
+
+    def test_targets_match_separate_cosines(self, bundle):
+        from assph import simgraph
+        cfg = small_config()
+        idx = np.asarray(bundle.split.train)
+        fi, ft = bundle.image_features[idx], bundle.text_features[idx]
+        semantic, rel = trainer.build_targets(fi, ft, cfg)
+        want = simgraph.build_semantic(simgraph.cosine_matrix(fi),
+                                       simgraph.cosine_matrix(ft), cfg.ks, cfg.gamma)
+        npt.assert_array_equal(semantic.values, want.values)
+        expected = corrmine.init_correlations(simgraph.cosine_matrix(fi),
+                                              simgraph.cosine_matrix(ft),
+                                              cfg.kr, cfg.tau)
+        npt.assert_array_equal(rel.bits, expected.bits)
+
     def test_initial_codes_shape(self, bundle):
         state = trainer.init_state(bundle, small_config())
         assert state.prev_codes_image.shape == (90, 16)
