@@ -56,23 +56,6 @@ def _write_manifest(out_dir: str, command: str, config: dict,
         fh.write("\n")
 
 
-def _bundle_input_paths(bundle_arg: str) -> list[str]:
-    path = bundle_arg
-    if os.path.isdir(path):
-        path = os.path.join(path, "bundle.json")
-    paths = [path]
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-        base = os.path.dirname(path)
-        for key in ("image_features", "text_features", "labels"):
-            if manifest.get(key):
-                paths.append(os.path.join(base, manifest[key]))
-    except (OSError, json.JSONDecodeError):
-        pass  # load_bundle reports the real problem
-    return paths
-
-
 def _add_config_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file with training config keys")
     sub.add_argument("--profile", help="built-in hyperparameter profile name")
@@ -165,9 +148,8 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
         json.dump(stats, fh, indent=1, sort_keys=True)
         fh.write("\n")
     outputs = ["semantic.assf", "correlations.csv", "stats.json"]
-    _write_manifest(args.out, "build-sim", cfg.to_dict(),
-                    _bundle_input_paths(args.bundle), outputs,
-                    {"total_s": time.perf_counter() - t0})
+    _write_manifest(args.out, "build-sim", cfg.to_dict(), bundle.files,
+                    outputs, {"total_s": time.perf_counter() - t0})
     print(f"build-sim: semantic {semantic.order}x{semantic.order}, "
           f"{rel.popcount()} correlated pairs")
     return 0
@@ -242,7 +224,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     reports, eval_outputs = _self_evaluate(bundle, result, cfg, args.out,
                                            map_cutoffs)
     outputs.extend(eval_outputs)
-    inputs = _bundle_input_paths(args.bundle)
+    inputs = list(bundle.files)
     if args.config:
         inputs.append(args.config)
     _write_manifest(args.out, "train", cfg.to_dict(), inputs, outputs,
@@ -366,7 +348,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     with open(os.path.join(args.out, "ablation.json"), "w") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    inputs = _bundle_input_paths(args.bundle)
+    inputs = list(bundle.files)
     if args.config:
         inputs.append(args.config)
     _write_manifest(args.out, "ablate", cfg.to_dict(), inputs, outputs,

@@ -41,7 +41,7 @@ class CorrelationSet:
         self.epoch = epoch
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, epoch: int = 0) -> "CorrelationSet":
+    def from_dense(cls, dense: np.ndarray) -> "CorrelationSet":
         dense = np.asarray(dense)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise DataError(f"correlation set must be square, got {dense.shape}")
@@ -60,11 +60,11 @@ class CorrelationSet:
                 raise DataError("correlation set must be symmetric")
         if not np.all(np.diag(dense) == 1):
             raise DataError("correlation set must include every self pair")
-        return cls(dense.shape[0], np.packbits(dense, axis=1), epoch)
+        return cls(dense.shape[0], np.packbits(dense, axis=1))
 
     @classmethod
-    def identity(cls, order: int, epoch: int = 0) -> "CorrelationSet":
-        return cls.from_dense(np.eye(order, dtype=np.uint8), epoch)
+    def identity(cls, order: int) -> "CorrelationSet":
+        return cls.from_dense(np.eye(order, dtype=np.uint8))
 
     def to_dense(self) -> np.ndarray:
         return np.unpackbits(self.bits, axis=1, count=self.order)
@@ -76,9 +76,6 @@ class CorrelationSet:
         if other.order != self.order:
             raise DataError(f"union: order mismatch {self.order} vs {other.order}")
         return CorrelationSet(self.order, self.bits | other.bits, epoch)
-
-    def contains(self, other: "CorrelationSet") -> bool:
-        return bool(np.all((self.bits & other.bits) == other.bits))
 
     def batch(self, idx: np.ndarray) -> np.ndarray:
         """Dense float64 submatrix over the given instance indices."""
@@ -167,7 +164,7 @@ def first_order_correlations(sim_image: SimMatrix, sim_text: SimMatrix,
     r1t = knn_adjacency(sim_text, kr)
     dense = r1i | r1i.T | r1t | r1t.T
     np.fill_diagonal(dense, 1)
-    return CorrelationSet.from_dense(dense, epoch=0)
+    return CorrelationSet.from_dense(dense)
 
 
 def init_correlations(sim_image: SimMatrix, sim_text: SimMatrix,
@@ -181,7 +178,7 @@ def init_correlations(sim_image: SimMatrix, sim_text: SimMatrix,
         | second_order(r1i, r1t, tau)
     )
     np.fill_diagonal(dense, 1)
-    return CorrelationSet.from_dense(dense, epoch=0)
+    return CorrelationSet.from_dense(dense)
 
 
 def adaptive_update(rel: CorrelationSet, hidden_image: np.ndarray,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,12 +182,17 @@ class Split:
 
 @dataclass
 class DatasetBundle:
-    """Paired image/text features with labels and a role split."""
+    """Paired image/text features with labels and a role split.
+
+    files lists the paths load_bundle read it from, bundle.json first;
+    it is empty for a bundle built in memory.
+    """
 
     image_features: np.ndarray
     text_features: np.ndarray
     labels: np.ndarray | None
     split: Split
+    files: list[str] = field(default_factory=list)
 
     def validate(self) -> None:
         fi = validate_features(self.image_features, "image features")
@@ -327,11 +332,14 @@ def load_bundle(path: str) -> DatasetBundle:
     for key in ("image_features", "text_features", "split"):
         if key not in manifest:
             raise DataError(f"{path}: manifest missing key '{key}'")
-    fi = load_features(os.path.join(base, manifest["image_features"]))
-    ft = load_features(os.path.join(base, manifest["text_features"]))
+    files = [path, os.path.join(base, manifest["image_features"]),
+             os.path.join(base, manifest["text_features"])]
+    fi = load_features(files[1])
+    ft = load_features(files[2])
     labels = None
     if manifest.get("labels"):
-        labels = load_labels(os.path.join(base, manifest["labels"]))
+        files.append(os.path.join(base, manifest["labels"]))
+        labels = load_labels(files[3])
     sp = manifest["split"]
     for cell in ("train", "query", "retrieval"):
         if cell not in sp:
@@ -341,6 +349,7 @@ def load_bundle(path: str) -> DatasetBundle:
         query=np.asarray(sp["query"], dtype=np.int64),
         retrieval=np.asarray(sp["retrieval"], dtype=np.int64),
     )
-    bundle = DatasetBundle(image_features=fi, text_features=ft, labels=labels, split=split)
+    bundle = DatasetBundle(image_features=fi, text_features=ft, labels=labels,
+                           split=split, files=files)
     bundle.validate()
     return bundle

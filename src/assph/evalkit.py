@@ -110,15 +110,6 @@ def relevance_matrix(query_labels: np.ndarray, db_labels: np.ndarray) -> np.ndar
     return (q @ d.T) > 0
 
 
-def map_eval(query_codes: np.ndarray, db_codes: np.ndarray,
-             query_labels: np.ndarray, db_labels: np.ndarray,
-             cutoff: int | None = None) -> float:
-    """Mean AP over all queries (zero-relevant queries count as 0)."""
-    report = evaluate_direction("map", query_codes, db_codes, query_labels,
-                                db_labels, [] if cutoff is None else [cutoff])
-    return report.map_all if cutoff is None else report.map_at[int(cutoff)]
-
-
 def curves(dist_hist: np.ndarray, rel_hist: np.ndarray, topk_hits: np.ndarray,
            k_grid: list[int]) -> tuple[list[tuple[float, float]],
                                        list[tuple[int, float]]]:
@@ -245,17 +236,4 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
         map_at={c: float(np.mean(row)) for c, row in zip(cutoffs, aps[1:])},
         pr_curve=pr_curve,
         topk_curve=topk_curve,
-    )
-
-
-def load_report(path: str) -> EvalReport:
-    with open(path) as fh:
-        raw = json.load(fh)
-    return EvalReport(
-        direction=raw["direction"],
-        code_length=int(raw["code_length"]),
-        map_all=float(raw["map_all"]),
-        map_at={int(k): float(v) for k, v in raw["map_at"].items()},
-        pr_curve=[(float(r), float(p)) for r, p in raw["pr_curve"]],
-        topk_curve=[(int(k), float(p)) for k, p in raw["topk_curve"]],
     )

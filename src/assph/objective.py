@@ -13,9 +13,6 @@ slices:
     sa = |C_ii - C_tt|^2 + |C_it - C_ii|^2 + |C_it - C_tt|^2
     cp = sum R * (C_it - beta)^2
     total = sr + mu1 * cp + mu2 * sa
-
-A freeze mode turns one side into a constant (used when that side is a
-detached binary code matrix); its gradient is exactly zero.
 """
 
 from __future__ import annotations
@@ -25,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LossWeights
-from .errors import ConfigError, DataError, DivergenceError
-
-FREEZE_MODES = ("none", "image", "text")
+from .errors import DataError, DivergenceError
 
 
 @dataclass
@@ -71,18 +66,14 @@ def _grad_self(g: np.ndarray, c: np.ndarray, a_hat: np.ndarray,
 
 def total_loss_and_grads(hi: np.ndarray, ht: np.ndarray,
                          s_batch: np.ndarray, r_batch: np.ndarray,
-                         weights: LossWeights,
-                         freeze: str = "none") -> LossOutput:
+                         weights: LossWeights) -> LossOutput:
     """Weighted objective plus dL/dHi and dL/dHt.
 
-    With freeze == "image" or "text", the frozen side is treated as a
-    constant: the loss value is unchanged and its gradient is exactly
-    zero.  Terms touching only the frozen side drop out of the other
-    gradient on their own; no special-casing is needed.
+    When one side is a constant, such as detached sign codes, its
+    gradient is simply not applied: terms touching only that side drop
+    out of the other side's gradient on their own.
     """
     weights.validate()
-    if freeze not in FREEZE_MODES:
-        raise ConfigError(f"freeze must be one of {FREEZE_MODES}, got '{freeze}'")
     hi_hat, hi_norms = _normalized(hi, "image batch")
     ht_hat, ht_norms = _normalized(ht, "text batch")
     m = hi_hat.shape[0]
@@ -116,13 +107,6 @@ def total_loss_and_grads(hi: np.ndarray, ht: np.ndarray,
 
     d_hi_pair, d_ht_pair = _grad_pair(g_it, c_it, hi_hat, hi_norms,
                                       ht_hat, ht_norms)
-    if freeze == "image":
-        grad_image = np.zeros_like(hi_hat)
-    else:
-        grad_image = d_hi_pair + _grad_self(g_ii, c_ii, hi_hat, hi_norms)
-    if freeze == "text":
-        grad_text = np.zeros_like(ht_hat)
-    else:
-        grad_text = d_ht_pair + _grad_self(g_tt, c_tt, ht_hat, ht_norms)
     return LossOutput(total=total, sr=sr, sa=sa, cp=cp,
-                      grad_image=grad_image, grad_text=grad_text)
+                      grad_image=d_hi_pair + _grad_self(g_ii, c_ii, hi_hat, hi_norms),
+                      grad_text=d_ht_pair + _grad_self(g_tt, c_tt, ht_hat, ht_norms))

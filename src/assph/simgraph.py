@@ -92,16 +92,18 @@ def cosine_matrix(features: np.ndarray) -> SimMatrix:
     [-1, 1] and the mirror of the lower triangle onto the upper one, which
     makes symmetry exact, then run in float32.  Rounding is elementwise
     and monotone and keeps -1 and 1, so this gives the bits that clipping
-    and mirroring in float64 before rounding would.
+    and mirroring in float64 before rounding would.  The rows are
+    normalized in one private float64 copy, so the input is never
+    written.
     """
-    f = np.asarray(features, dtype=np.float64)
+    f = np.array(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 1:
         raise DataError(f"cosine_matrix: expected a non-empty 2-d matrix, got {f.shape}")
     norms = np.linalg.norm(f, axis=1)
     if np.any(norms == 0.0):
         raise DataError(f"cosine_matrix: zero-norm row {int(np.argmax(norms == 0.0))}")
-    fn = f / norms[:, None]
-    s = (fn @ fn.T).astype(np.float32)
+    f /= norms[:, None]
+    s = (f @ f.T).astype(np.float32)
     np.clip(s, -1.0, 1.0, out=s)
     _mirror_lower(s)
     np.fill_diagonal(s, 1.0)

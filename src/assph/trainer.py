@@ -10,7 +10,7 @@ whole training set is pushed through both encoders once for diagnostics
 and, when adaptive mining is on, to grow the correlation set.
 
 The tanh sharpness follows eta = eta_base * epoch, so codes soften early
-and freeze late.  Ablation switches turn off adaptive mining, binary
+and settle late.  Ablation switches turn off adaptive mining, binary
 refinement, the correlation term (identity relation, mu1 forced to 0),
 or the structural similarity stage (gamma forced to 0); pair_corr swaps
 the neighborhood-overlap mining rule for plain symmetrized KNN.
@@ -88,17 +88,17 @@ class TrainResult:
 
 
 def build_targets(image_features: np.ndarray, text_features: np.ndarray,
-                  cfg: TrainConfig, mine: bool = True
+                  cfg: TrainConfig
                   ) -> tuple[simgraph.SimMatrix, corrmine.CorrelationSet]:
     """The semantic matrix and the seed relation of one training split.
 
     Each modality's cosine is computed once: the seed mining reads both,
-    then build_semantic reuses their buffers.  With mine False the
+    then build_semantic reuses their buffers.  With cfg.corr off the
     relation is the identity.  gamma counts only when cfg.struct is on.
     """
     cos_i = simgraph.cosine_matrix(image_features)
     cos_t = simgraph.cosine_matrix(text_features)
-    if not mine:
+    if not cfg.corr:
         rel = corrmine.CorrelationSet.identity(cos_i.order)
     elif cfg.pair_corr:
         rel = corrmine.first_order_correlations(cos_i, cos_t, cfg.kr)
@@ -122,7 +122,7 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
     ft32 = bundle.text_features[train_idx]
     labels = bundle.labels[train_idx] if bundle.labels is not None else None
 
-    semantic, rel = build_targets(fi32, ft32, cfg, mine=cfg.corr)
+    semantic, rel = build_targets(fi32, ft32, cfg)
     weights_eff = objective.LossWeights(
         mu1=cfg.mu1 if cfg.corr else 0.0,
         mu2=cfg.mu2,
@@ -178,7 +178,7 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
         acts_i = hashnet.forward(state.params_image, xi, eta, cfg.hidden_act)
         acts_t = hashnet.forward(state.params_text, xt, eta, cfg.hidden_act)
         out = objective.total_loss_and_grads(acts_i.h, acts_t.h, s_b, r_b,
-                                             state.weights_eff, freeze="none")
+                                             state.weights_eff)
         if not np.isfinite(out.total):
             raise DivergenceError(
                 f"non-finite loss at epoch {epoch} iteration {it}"
@@ -193,20 +193,19 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
 
         if cfg.bin_opt:
             # refresh soft codes under the just-updated parameters, then
-            # hold each side's detached sign codes fixed in turn
+            # fit each side against the other's detached sign codes, whose
+            # gradient is not applied
             acts_i = hashnet.forward(state.params_image, xi, eta, cfg.hidden_act)
             acts_t = hashnet.forward(state.params_text, xt, eta, cfg.hidden_act)
             b_i = hashnet.sign_codes(acts_i.h).astype(np.float64)
             b_t = hashnet.sign_codes(acts_t.h).astype(np.float64)
             out_i = objective.total_loss_and_grads(acts_i.h, b_t, s_b, r_b,
-                                                   state.weights_eff,
-                                                   freeze="text")
+                                                   state.weights_eff)
             g_i = hashnet.backward(state.params_image, acts_i, out_i.grad_image, g_i)
             hashnet.sgd_step(state.params_image, g_i, cfg.learning_rate,
                              cfg.momentum, cfg.weight_decay)
             out_t = objective.total_loss_and_grads(b_i, acts_t.h, s_b, r_b,
-                                                   state.weights_eff,
-                                                   freeze="image")
+                                                   state.weights_eff)
             g_t = hashnet.backward(state.params_text, acts_t, out_t.grad_text, g_t)
             hashnet.sgd_step(state.params_text, g_t, cfg.learning_rate,
                              cfg.momentum, cfg.weight_decay)

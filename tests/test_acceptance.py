@@ -68,8 +68,8 @@ def _map_both(bundle, result) -> tuple[float, float]:
     ci_d = hashnet.sign_codes(hashnet.forward(result.params_image, fi[r], 1.0).h)
     ct_d = hashnet.sign_codes(hashnet.forward(result.params_text, ft[r], 1.0).h)
     ql, dl = bundle.labels[q], bundle.labels[r]
-    return (evalkit.map_eval(ci_q, ct_d, ql, dl),
-            evalkit.map_eval(ct_q, ci_d, ql, dl))
+    return (evalkit.evaluate_direction("I2T", ci_q, ct_d, ql, dl).map_all,
+            evalkit.evaluate_direction("T2I", ct_q, ci_d, ql, dl).map_all)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,8 @@ class TestGradients:
         worst_rel = 0.0
         tiny_ok = True
         for case in range(20):
-            freeze = ("none", "image", "text")[case % 3]
+            # the named side is replaced by its detached sign codes, a constant
+            constant = ("none", "image", "text")[case % 3]
             act = "relu" if case % 2 == 0 else "tanh"
             m = int(rng.integers(2, 5))
             xi = rng.standard_normal((m, 8))
@@ -111,32 +112,31 @@ class TestGradients:
             pi = hashnet.init_params(8, 16, 8, seed=case)
             pt = hashnet.init_params(8, 16, 8, seed=100 + case)
 
-            if freeze == "text":
+            if constant == "text":
                 const_t = hashnet.sign_codes(
                     hashnet.forward(pt, xt, eta, act).h).astype(np.float64)
-            if freeze == "image":
+            if constant == "image":
                 const_i = hashnet.sign_codes(
                     hashnet.forward(pi, xi, eta, act).h).astype(np.float64)
 
             def loss():
-                hi = (const_i if freeze == "image"
+                hi = (const_i if constant == "image"
                       else hashnet.forward(pi, xi, eta, act).h)
-                ht = (const_t if freeze == "text"
+                ht = (const_t if constant == "text"
                       else hashnet.forward(pt, xt, eta, act).h)
-                return objective.total_loss_and_grads(
-                    hi, ht, s, r, weights, freeze).total
+                return objective.total_loss_and_grads(hi, ht, s, r, weights).total
 
             acts_i = hashnet.forward(pi, xi, eta, act)
             acts_t = hashnet.forward(pt, xt, eta, act)
-            hi = const_i if freeze == "image" else acts_i.h
-            ht = const_t if freeze == "text" else acts_t.h
-            out = objective.total_loss_and_grads(hi, ht, s, r, weights, freeze)
+            hi = const_i if constant == "image" else acts_i.h
+            ht = const_t if constant == "text" else acts_t.h
+            out = objective.total_loss_and_grads(hi, ht, s, r, weights)
             checks = []
-            if freeze != "image":
+            if constant != "image":
                 gi = hashnet.backward(pi, acts_i, out.grad_image)
                 checks += [(pi.w1, gi.w1), (pi.b1, gi.b1),
                            (pi.w2, gi.w2), (pi.b2, gi.b2)]
-            if freeze != "text":
+            if constant != "text":
                 gt = hashnet.backward(pt, acts_t, out.grad_text)
                 checks += [(pt.w1, gt.w1), (pt.b1, gt.b1),
                            (pt.w2, gt.w2), (pt.b2, gt.b2)]
@@ -219,8 +219,8 @@ class TestEvaluationExactness:
             dl[dl.sum(axis=1) == 0, 0] = 1
             rel = evalkit.relevance_matrix(ql, dl)
             orders = naive_rank(qc, dc)
-            for cutoff in (None, 50):
-                got = evalkit.map_eval(qc, dc, ql, dl, cutoff)
+            report = evalkit.evaluate_direction("I2T", qc, dc, ql, dl, [50])
+            for cutoff, got in ((None, report.map_all), (50, report.map_at[50])):
                 want = float(np.mean([
                     naive_average_precision(rel[qi][orders[qi]], cutoff)
                     for qi in range(nq)]))
@@ -328,7 +328,7 @@ class TestSyntheticEfficacy:
         for _ in range(10):
             qc = np.where(rng.standard_normal((len(q), 32)) >= 0, 1, -1)
             dc = np.where(rng.standard_normal((len(r), 32)) >= 0, 1, -1)
-            base.append(evalkit.map_eval(qc, dc, ql, dl))
+            base.append(evalkit.evaluate_direction("I2T", qc, dc, ql, dl).map_all)
         bar = float(np.mean(base) + 3.0 * np.std(base))
 
         mean_i2t = float(np.mean([row["i2t"] for row in runs["full"]]))

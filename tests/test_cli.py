@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from assph import cli, dataio, hashnet
+from assph import cli, dataio, hashnet, trainer
 from assph.config import HIDDEN_ACTS, TrainConfig
 
 TRAIN_FLAGS = ["--code-length", "8", "--epochs", "2", "--batch-size", "24",
@@ -105,6 +105,53 @@ class TestBuildSim:
                              "--ks", "12", "--kr", "4", "--pair-corr"])
         assert code == 0
         assert os.path.exists(os.path.join(out, "stats.json"))
+
+    def test_no_corr_writes_the_identity(self, data_dir, tmp_path):
+        out = str(tmp_path / "simn")
+        assert cli.dispatch(["build-sim", "--bundle", data_dir, "--out", out,
+                             "--ks", "12", "--kr", "4", "--no-corr"]) == 0
+        lines = open(os.path.join(out, "correlations.csv")).read().splitlines()
+        assert lines == ["i,j"] + [f"{i},{i}" for i in range(72)]
+        stats = json.load(open(os.path.join(out, "stats.json")))
+        assert stats["count"] == stats["order"] == 72
+        assert stats["no_offdiag"] is True
+        # the relation train starts from under the same config
+        config = json.load(open(os.path.join(out, "manifest.json")))["config"]
+        assert config["corr"] is False
+        state = trainer.init_state(dataio.load_bundle(data_dir),
+                                   TrainConfig.from_dict(config))
+        ii, jj = np.nonzero(np.triu(state.rel.to_dense()))
+        assert lines[1:] == [f"{i},{j}" for i, j in zip(ii, jj)]
+
+
+class TestManifestInputs:
+    @pytest.mark.parametrize("command", ["build-sim", "train"])
+    def test_same_for_directory_and_manifest_path(self, data_dir, tmp_path,
+                                                  command):
+        keys = []
+        for name, bundle in (("dir", data_dir),
+                             ("path", os.path.join(data_dir, "bundle.json"))):
+            out = str(tmp_path / name)
+            assert cli.dispatch([command, "--bundle", bundle, "--out", out]
+                                + TRAIN_FLAGS) == 0
+            manifest = json.load(open(os.path.join(out, "manifest.json")))
+            keys.append(sorted(manifest["inputs"]))
+        assert keys[0] == keys[1]
+        assert keys[0] == [os.path.join(data_dir, name) for name in
+                           ("bundle.json", "image.assf", "labels.csv",
+                            "text.assf")]
+
+    def test_unlabeled_bundle_lists_three_files(self, data_dir, tmp_path):
+        bundle = dataclasses.replace(dataio.load_bundle(data_dir), labels=None)
+        unlabeled = str(tmp_path / "unlabeled")
+        dataio.save_bundle(bundle, unlabeled)
+        out = str(tmp_path / "sim")
+        assert cli.dispatch(["build-sim", "--bundle", unlabeled, "--out", out]
+                            + TRAIN_FLAGS) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert sorted(manifest["inputs"]) == [
+            os.path.join(unlabeled, name)
+            for name in ("bundle.json", "image.assf", "text.assf")]
 
 
 class TestTrain:

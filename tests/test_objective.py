@@ -171,47 +171,10 @@ class TestLossValues:
         assert permuted == pytest.approx(base, rel=1e-12)
 
 
-class TestFreezeModes:
-    def _setup(self, seed):
-        rng = np.random.default_rng(seed)
-        hi = rng.standard_normal((4, 5))
-        ht = rng.standard_normal((4, 5))
-        s = np.clip((rng.random((4, 4)) - 0.5) * 2, -1, 1)
-        s = (s + s.T) / 2
-        r = np.eye(4)
-        r[0, 1] = r[1, 0] = 1
-        return hi, ht, s, r, objective.LossWeights(mu1=2.0, mu2=1.0, beta=1.5)
-
-    def test_frozen_side_gradient_is_zero(self):
-        hi, ht, s, r, weights = self._setup(5)
-        out_t = objective.total_loss_and_grads(hi, ht, s, r, weights, "text")
-        npt.assert_array_equal(out_t.grad_text, 0.0)
-        out_i = objective.total_loss_and_grads(hi, ht, s, r, weights, "image")
-        npt.assert_array_equal(out_i.grad_image, 0.0)
-
-    def test_loss_value_unchanged_by_freeze(self):
-        hi, ht, s, r, weights = self._setup(6)
-        values = [objective.total_loss_and_grads(hi, ht, s, r, weights, f).total
-                  for f in ("none", "image", "text")]
-        assert values[0] == pytest.approx(values[1])
-        assert values[0] == pytest.approx(values[2])
-
-    def test_unfrozen_gradient_matches_unfrozen_mode(self):
-        hi, ht, s, r, weights = self._setup(7)
-        out_none = objective.total_loss_and_grads(hi, ht, s, r, weights)
-        out_text = objective.total_loss_and_grads(hi, ht, s, r, weights, "text")
-        npt.assert_allclose(out_text.grad_image, out_none.grad_image)
-
-    def test_bad_mode(self):
-        hi, ht, s, r, weights = self._setup(8)
-        with pytest.raises(ConfigError, match="freeze"):
-            objective.total_loss_and_grads(hi, ht, s, r, weights, "both")
-
-
 class TestGradients:
     def test_matches_finite_differences_all_modes(self):
         rng = np.random.default_rng(9)
-        for freeze in ("none", "image", "text"):
+        for _ in range(3):
             hi = rng.standard_normal((3, 4))
             ht = rng.standard_normal((3, 4))
             s = np.clip((rng.random((3, 3)) - 0.5) * 2, -1, 1)
@@ -219,18 +182,15 @@ class TestGradients:
             r = np.eye(3)
             r[0, 2] = r[2, 0] = 1
             weights = objective.LossWeights(mu1=2.0, mu2=1.0, beta=1.5)
-            out = objective.total_loss_and_grads(hi, ht, s, r, weights, freeze)
+            out = objective.total_loss_and_grads(hi, ht, s, r, weights)
 
             def loss():
-                return objective.total_loss_and_grads(hi, ht, s, r, weights,
-                                                      freeze).total
+                return objective.total_loss_and_grads(hi, ht, s, r, weights).total
 
-            if freeze != "image":
-                fd = central_difference(loss, hi, step=1e-4)
-                assert gradient_errors(out.grad_image, fd).max() <= 1e-4
-            if freeze != "text":
-                fd = central_difference(loss, ht, step=1e-4)
-                assert gradient_errors(out.grad_text, fd).max() <= 1e-4
+            fd = central_difference(loss, hi, step=1e-4)
+            assert gradient_errors(out.grad_image, fd).max() <= 1e-4
+            fd = central_difference(loss, ht, step=1e-4)
+            assert gradient_errors(out.grad_text, fd).max() <= 1e-4
 
     def test_binary_codes_as_frozen_side(self):
         # the asymmetric phase feeds +-1 codes; the gradients must still match
@@ -240,11 +200,10 @@ class TestGradients:
         s = np.zeros((4, 4))
         r = np.eye(4)
         weights = objective.LossWeights()
-        out = objective.total_loss_and_grads(hi, b_t, s, r, weights, "text")
+        out = objective.total_loss_and_grads(hi, b_t, s, r, weights)
 
         def loss():
-            return objective.total_loss_and_grads(hi, b_t, s, r, weights,
-                                                  "text").total
+            return objective.total_loss_and_grads(hi, b_t, s, r, weights).total
 
         fd = central_difference(loss, hi, step=1e-4)
         assert gradient_errors(out.grad_image, fd).max() <= 1e-4

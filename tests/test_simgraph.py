@@ -70,6 +70,27 @@ class TestCosineMatrix:
             npt.assert_array_equal(got.view(np.uint32),
                                    tril_mirror_cosine(f).view(np.uint32))
 
+    def test_float64_input_left_unchanged(self):
+        rng = np.random.default_rng(4)
+        f = rng.standard_normal((30, 6)) * 5.0
+        before = f.copy()
+        simgraph.cosine_matrix(f)
+        npt.assert_array_equal(f, before)
+
+    def test_peak_memory_one_feature_copy(self):
+        # one float64 copy of the features (8 M d), the float64 product and
+        # its float32 rounding (12 M^2); the norms' M x d square fits too
+        m, d = 512, 512
+        f = random_features(np.random.default_rng(5), m, d)
+        assert 8 * m * d > 1 << 20
+        tracemalloc.start()
+        try:
+            simgraph.cosine_matrix(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * d + 12 * m * m + (1 << 20), peak
+
 
 class TestTopKIndices:
     def _check(self, values):

@@ -227,9 +227,9 @@ def reference_batches(state, epoch):
             b_i = hashnet.sign_codes(hi).astype(np.float64)
             b_t = hashnet.sign_codes(ht).astype(np.float64)
             step(pi, xi, objective.total_loss_and_grads(
-                hi, b_t, s_b, r_b, state.weights_eff, freeze="text").grad_image)
+                hi, b_t, s_b, r_b, state.weights_eff).grad_image)
             step(pt, xt, objective.total_loss_and_grads(
-                b_i, ht, s_b, r_b, state.weights_eff, freeze="image").grad_text)
+                b_i, ht, s_b, r_b, state.weights_eff).grad_text)
 
 
 class TestEpochExactness:
@@ -324,7 +324,7 @@ class TestTrain:
         ft = bundle.text_features[idx].astype(np.float64)
         ci = hashnet.sign_codes(hashnet.forward(res.params_image, fi, 1.0).h)
         ct = hashnet.sign_codes(hashnet.forward(res.params_text, ft, 1.0).h)
-        score = evalkit.map_eval(ci, ct, labels, labels)
+        score = evalkit.evaluate_direction("I2T", ci, ct, labels, labels).map_all
         assert score > 0.85
 
     def test_divergence_raises(self, bundle):
