@@ -56,6 +56,11 @@ def _write_manifest(out_dir: str, command: str, config: dict,
         fh.write("\n")
 
 
+def _inputs(bundle, args: argparse.Namespace) -> list[str]:
+    """The files a training command read: the bundle's, then --config."""
+    return list(bundle.files) + ([args.config] if args.config else [])
+
+
 def _add_config_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file with training config keys")
     sub.add_argument("--profile", help="built-in hyperparameter profile name")
@@ -148,7 +153,7 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
         json.dump(stats, fh, indent=1, sort_keys=True)
         fh.write("\n")
     outputs = ["semantic.assf", "correlations.csv", "stats.json"]
-    _write_manifest(args.out, "build-sim", cfg.to_dict(), bundle.files,
+    _write_manifest(args.out, "build-sim", cfg.to_dict(), _inputs(bundle, args),
                     outputs, {"total_s": time.perf_counter() - t0})
     print(f"build-sim: semantic {semantic.order}x{semantic.order}, "
           f"{rel.popcount()} correlated pairs")
@@ -224,10 +229,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     reports, eval_outputs = _self_evaluate(bundle, result, cfg, args.out,
                                            map_cutoffs)
     outputs.extend(eval_outputs)
-    inputs = list(bundle.files)
-    if args.config:
-        inputs.append(args.config)
-    _write_manifest(args.out, "train", cfg.to_dict(), inputs, outputs,
+    _write_manifest(args.out, "train", cfg.to_dict(), _inputs(bundle, args), outputs,
                     {"train_s": t_train,
                      "total_s": time.perf_counter() - t0})
     line = f"train: {cfg.epochs} epochs done"
@@ -348,10 +350,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     with open(os.path.join(args.out, "ablation.json"), "w") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    inputs = list(bundle.files)
-    if args.config:
-        inputs.append(args.config)
-    _write_manifest(args.out, "ablate", cfg.to_dict(), inputs, outputs,
+    _write_manifest(args.out, "ablate", cfg.to_dict(), _inputs(bundle, args), outputs,
                     {"total_s": time.perf_counter() - t0})
     return 0
 

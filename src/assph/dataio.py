@@ -89,8 +89,9 @@ def validate_labels(labels: np.ndarray, name: str = "labels") -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise DataError(f"{name}: expected a 2-d matrix, got shape {labels.shape}")
-    if not np.isin(labels, (0, 1)).all():
-        bad = int(np.argwhere(~np.isin(labels, (0, 1)).all(axis=1))[0, 0])
+    binary = labels == (labels != 0)
+    if not binary.all():
+        bad = int(np.argwhere(~binary.all(axis=1))[0, 0])
         raise DataError(f"{name}: non-binary entry at row {bad}")
     labels = labels.astype(np.int8)
     sums = labels.sum(axis=1)

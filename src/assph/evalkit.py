@@ -7,8 +7,8 @@ ties broken by ascending database index, so every metric here is exactly
 reproducible.
 
 evaluate_direction ranks the queries in blocks of _BLOCK_PAIRS // D rows
-(at least one), whose arrays take some 30 bytes per query-item pair, about
-32 MB whatever Q is; only a few numbers per query and radius outlive them.
+(at least one), whose arrays take some 20 bytes per query-item pair, about
+24 MB whatever Q is; only a few numbers per query and radius outlive them.
 
 Average precision truncated at a cutoff divides by the number of relevant
 items inside the cutoff window; queries with no relevant item in the
@@ -53,12 +53,10 @@ def _distances(q: np.ndarray, d: np.ndarray) -> np.ndarray:
     """hamming_matrix of codes _check_pair has checked and converted."""
     k = q.shape[1]
     # float32 matmul of +-1 rows is exact: |dot| <= K << 2**24
-    return ((k - q @ d.T) / 2).astype(np.min_scalar_type(k))
-
-
-def _sort_rows(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ordering = np.argsort(dist, axis=1, kind="stable")
-    return ordering, np.take_along_axis(dist, ordering, axis=1)
+    dist = q @ d.T
+    np.subtract(k, dist, out=dist)
+    dist *= 0.5
+    return dist.astype(np.min_scalar_type(k))
 
 
 def hamming_matrix(query_codes: np.ndarray, db_codes: np.ndarray) -> np.ndarray:
@@ -74,7 +72,9 @@ def rank(query_codes: np.ndarray, db_codes: np.ndarray) -> tuple[np.ndarray, np.
     by ascending index (one stable argsort over all rows); row q of
     distances holds the distances along that ordering.
     """
-    return _sort_rows(hamming_matrix(query_codes, db_codes))
+    dist = hamming_matrix(query_codes, db_codes)
+    ordering = np.argsort(dist, axis=1, kind="stable")
+    return ordering, np.take_along_axis(dist, ordering, axis=1)
 
 
 def average_precision(ranked_flags: np.ndarray, cutoff: int | None = None) -> np.ndarray:
@@ -86,7 +86,7 @@ def average_precision(ranked_flags: np.ndarray, cutoff: int | None = None) -> np
     flags = np.asarray(ranked_flags)
     if flags.ndim != 2:
         raise DataError("average_precision: expected a 2-d block of ranked flags")
-    if not np.array_equal(flags, flags != 0):
+    if flags.dtype != bool and not np.array_equal(flags, flags != 0):
         raise DataError("average_precision: flags must be 0/1")
     if cutoff is not None:
         if cutoff < 1:
@@ -193,9 +193,10 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
                        k_grid: list[int] | None = None) -> EvalReport:
     """Full metric bundle for one direction (e.g. image query, text db).
 
-    Each block of queries is ranked once; MAP@all, every MAP@cutoff, the
-    top-k counts and the distance histograms all read its one ranked
-    relevance matrix.
+    Each block of queries is ranked by one stable sort and its relevance
+    gathered into rank order once; MAP@all, every MAP@cutoff and the top-k
+    counts read that ranked block.  The distance histograms count the
+    unsorted distances, since a count does not depend on order.
     """
     query_labels, db_labels = np.asarray(query_labels), np.asarray(db_labels)
     for role, codes, labels in (("query", query_codes, query_labels),
@@ -218,16 +219,25 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
     step = max(1, _BLOCK_PAIRS // n_db)
     for lo in range(0, n_q, step):
         block = slice(lo, lo + step)
-        ordering, distances = _sort_rows(_distances(query_codes[block], db_codes))
-        flags = np.take_along_axis(
-            relevance_matrix(query_labels[block], db_labels), ordering, axis=1)
+        dist = _distances(query_codes[block], db_codes)
+        rel = relevance_matrix(query_labels[block], db_labels)
+        rows = np.arange(len(dist))[:, None]
+        # histogram key of each pair: ((row * (K + 1)) + distance) * 2 + relevant
+        keys = dist.astype(np.intp)
+        keys += rows * (k + 1)
+        keys *= 2
+        keys += rel
+        hists[block] = np.bincount(keys.ravel(), minlength=hists[block].size
+                                   ).reshape(-1, k + 1, 2)
+        del keys  # freed before the sort makes its Q x D index arrays
+        # flat indices into rel, in rank order
+        ordering = np.argsort(dist, axis=1, kind="stable")
+        ordering += rows * n_db
+        flags = rel.ravel().take(ordering)
         for row, cutoff in zip(aps, [None] + cutoffs):
             row[block] = average_precision(flags, cutoff)
         for i, top in enumerate(k_grid):
             topk_hits[block, i] = np.count_nonzero(flags[:, :top], axis=1)
-        keys = distances + np.arange(len(flags))[:, None] * (k + 1)
-        hists[block] = np.bincount((2 * keys + flags).ravel(), minlength=hists[block].size
-                                   ).reshape(-1, k + 1, 2)
     pr_curve, topk_curve = curves(hists.sum(axis=2), hists[..., 1], topk_hits, k_grid)
     return EvalReport(
         direction=direction,

@@ -268,7 +268,7 @@ def save_codes(codes: np.ndarray, path: str) -> None:
     codes = np.asarray(codes)
     if codes.ndim != 2:
         raise DataError(f"save_codes: expected a 2-d matrix, got {codes.shape}")
-    if not np.isin(codes, (-1, 1)).all():
+    if codes.dtype.kind not in "biuf" or not (np.abs(codes) == 1).all():
         raise DataError("save_codes: entries must be -1 or +1")
     with open(path, "wb") as fh:
         fh.write(_CODES_HEADER.pack(_CODES_MAGIC, codes.shape[0], codes.shape[1]))
@@ -287,6 +287,6 @@ def load_codes(path: str) -> np.ndarray:
     if len(payload) != rows * k:
         raise DataError(f"{path}: codes payload size mismatch")
     codes = np.frombuffer(payload, dtype=np.int8).reshape(rows, k)
-    if not np.isin(codes, (-1, 1)).all():
+    if not (np.abs(codes) == 1).all():
         raise DataError(f"{path}: codes contain values other than -1/+1")
     return codes

@@ -1,14 +1,19 @@
 """Straight-line scalar reference implementations.
 
-These deliberately avoid the library's vectorized code paths: plain
+Most deliberately avoid the library's vectorized code paths: plain
 Python loops, math.fsum accumulation, and explicit tie rules.  Stage
 outputs round to float32 exactly where the library's containers declare
 32-bit storage, so both sides select neighbors from identical values.
+Others are earlier versions of a library stage (whole_matrix_semantic,
+naive_backward, naive_sgd_step, sorted_gather_direction) that the
+current one must match bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from assph import evalkit
 
 
 def f32(x: float) -> float:
@@ -195,6 +200,39 @@ def naive_average_precision(flags, cutoff=None) -> float:
     if not precisions:
         return 0.0
     return math.fsum(precisions) / len(precisions)
+
+
+def sorted_gather_direction(direction, query_codes, db_codes, query_labels,
+                            db_labels, map_cutoffs, k_grid, block_rows):
+    """evaluate_direction's block loop as it was when each block sorted
+    its distances along with the relevance: take_along_axis gathers both,
+    and the histograms count the sorted pairs."""
+    q = np.asarray(query_codes, dtype=np.float32)
+    d = np.asarray(db_codes, dtype=np.float32)
+    n_q, k = len(q), q.shape[1]
+    aps = np.zeros((1 + len(map_cutoffs), n_q))
+    topk_hits = np.zeros((n_q, len(k_grid)), dtype=np.int64)
+    hists = np.zeros((n_q, k + 1, 2), dtype=np.int64)
+    for lo in range(0, n_q, block_rows):
+        block = slice(lo, lo + block_rows)
+        dist = ((k - q[block] @ d.T) / 2).astype(np.min_scalar_type(k))
+        ordering = np.argsort(dist, axis=1, kind="stable")
+        distances = np.take_along_axis(dist, ordering, axis=1)
+        flags = np.take_along_axis(
+            evalkit.relevance_matrix(query_labels[block], db_labels), ordering, axis=1)
+        for row, cutoff in zip(aps, [None] + list(map_cutoffs)):
+            row[block] = evalkit.average_precision(flags, cutoff)
+        for i, top in enumerate(k_grid):
+            topk_hits[block, i] = np.count_nonzero(flags[:, :top], axis=1)
+        keys = distances + np.arange(len(flags))[:, None] * (k + 1)
+        hists[block] = np.bincount((2 * keys + flags).ravel(), minlength=hists[block].size
+                                   ).reshape(-1, k + 1, 2)
+    pr_curve, topk_curve = evalkit.curves(hists.sum(axis=2), hists[..., 1],
+                                          topk_hits, list(k_grid))
+    return evalkit.EvalReport(
+        direction=direction, code_length=k, map_all=float(np.mean(aps[0])),
+        map_at={c: float(np.mean(row)) for c, row in zip(map_cutoffs, aps[1:])},
+        pr_curve=pr_curve, topk_curve=topk_curve)
 
 
 def naive_backward(params, x, eta, d_h, hidden_act="relu"):

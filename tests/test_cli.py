@@ -141,6 +141,19 @@ class TestManifestInputs:
                            ("bundle.json", "image.assf", "labels.csv",
                             "text.assf")]
 
+    @pytest.mark.parametrize("command", ["build-sim", "train"])
+    def test_config_file_listed(self, data_dir, tmp_path, command):
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump({"ks": 10}, open(cfg_path, "w"))
+        out = str(tmp_path / command)
+        assert cli.dispatch([command, "--bundle", data_dir, "--out", out,
+                             "--config", cfg_path] + TRAIN_FLAGS) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert sorted(manifest["inputs"]) == sorted(
+            [os.path.join(data_dir, name) for name in
+             ("bundle.json", "image.assf", "labels.csv", "text.assf")] + [cfg_path])
+        assert manifest["inputs"][cfg_path] == cli._sha256(cfg_path)
+
     def test_unlabeled_bundle_lists_three_files(self, data_dir, tmp_path):
         bundle = dataclasses.replace(dataio.load_bundle(data_dir), labels=None)
         unlabeled = str(tmp_path / "unlabeled")

@@ -158,6 +158,25 @@ class TestLabels:
             fh.write("\n 1, 0 \n\n+0,01\r\n")
         npt.assert_array_equal(dataio.load_labels(path), [[1, 0], [0, 1]])
 
+    @pytest.mark.parametrize("bad", [
+        np.array([[1, 0], [0, 1], [1, -128]], dtype=np.int8),
+        np.array([[1, 0], [0, 1], [2, 1]]),
+        np.array([[1, 0], [0, 1], [1, 0.5]]),
+        np.array([[1, 0], [0, 1], [np.nan, 1]]),
+    ], ids=["int8-min", "two", "half", "nan"])
+    def test_validate_rejects_non_binary(self, bad):
+        with pytest.raises(DataError, match="labels: non-binary entry at row 2"):
+            dataio.validate_labels(bad)
+        # the first bad row is named
+        with pytest.raises(DataError, match="non-binary entry at row 0"):
+            dataio.validate_labels(np.vstack([bad[2:], bad]))
+
+    def test_validate_accepts_bool(self):
+        labels = np.array([[True, False], [True, True]])
+        got = dataio.validate_labels(labels)
+        assert got.dtype == np.int8
+        npt.assert_array_equal(got, [[1, 0], [1, 1]])
+
     def test_roundtrip_random(self, tmp_path):
         rng = np.random.default_rng(3)
         labels = (rng.random((100, 10)) < 0.3).astype(np.int8)

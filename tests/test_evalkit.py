@@ -8,7 +8,8 @@ import pytest
 
 from assph import evalkit
 from assph.errors import ConfigError, DataError
-from oracles import naive_average_precision, naive_hamming, naive_rank
+from oracles import (naive_average_precision, naive_hamming, naive_rank,
+                     sorted_gather_direction)
 
 
 def random_codes(rng, rows, k):
@@ -119,6 +120,21 @@ class TestAveragePrecision:
             npt.assert_allclose(evalkit.average_precision(flags, cutoff),
                                 [naive_average_precision(list(row), cutoff)
                                  for row in flags])
+
+    def test_bool_flags_match_int_flags(self):
+        flags = np.random.default_rng(12).random((5, 40)) < 0.3
+        for cutoff in (None, 7):
+            npt.assert_array_equal(
+                evalkit.average_precision(flags, cutoff),
+                evalkit.average_precision(flags.astype(np.int8), cutoff))
+
+    @pytest.mark.parametrize("bad", [np.array([[1, -128]], dtype=np.int8),
+                                     np.array([[1.0, 0.5]]),
+                                     np.array([[np.nan, 1.0]])],
+                             ids=["int8-min", "half", "nan"])
+    def test_non_bool_flags_still_checked(self, bad):
+        with pytest.raises(DataError, match="0/1"):
+            evalkit.average_precision(bad)
 
     def test_rejects_bad_flags(self):
         with pytest.raises(DataError, match="0/1"):
@@ -311,6 +327,41 @@ class TestBlocks:
         dist = np.array([[naive_hamming(a, b) for b in db] for a in q])
         assert dist.max() == k
         assert blocked.pr_curve == naive_pr_curve(dist, rel)
+
+
+class TestSortedGatherOracle:
+    """The block loop histograms unsorted distances and gathers relevance
+    by flat index; its reports equal the sorted-gather loop's exactly."""
+
+    def _fixture(self, rng, k):
+        n_q, n_db = 9, 64
+        q = random_codes(rng, n_q, k)
+        db = random_codes(rng, n_db, k)
+        db[3] = -q[0]  # at distance K
+        db[32:] = db[:32]  # every item has a twin at equal distance
+        q[2] = q[1]
+        q[6] = db[10]
+        ql = (rng.random((n_q, 4)) < 0.4).astype(np.int8)
+        ql[4] = 0  # shares no label: no relevant item
+        dl = (rng.random((n_db, 4)) < 0.4).astype(np.int8)
+        return q, db, ql, dl
+
+    @pytest.mark.parametrize("k", [17, 64, 300])
+    @pytest.mark.parametrize("block_rows", [2, 4, None])
+    def test_reports_match(self, monkeypatch, k, block_rows):
+        rng = np.random.default_rng(100 + k)
+        q, db, ql, dl = self._fixture(rng, k)
+        if block_rows is not None:
+            # blocks of 2 leave a one-row tail of 9 queries, blocks of 4 too
+            monkeypatch.setattr(evalkit, "_BLOCK_PAIRS", block_rows * len(db))
+        rows = max(1, evalkit._BLOCK_PAIRS // len(db))
+        cutoffs, k_grid = [1, 5, 50], [1, 3, 10, 64, 100]
+        got = evalkit.evaluate_direction("t2i", q, db, ql, dl, cutoffs, k_grid)
+        want = sorted_gather_direction("t2i", q, db, ql, dl, cutoffs, k_grid, rows)
+        assert got == want
+        assert evalkit.hamming_matrix(q, db).max() == k
+        assert not evalkit.relevance_matrix(ql, dl)[4].any()
+        assert got.pr_curve and 0.0 < got.map_all < 1.0
 
 
 class TestReport:

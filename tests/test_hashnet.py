@@ -350,6 +350,35 @@ class TestCodesIO:
         with pytest.raises(DataError, match="-1 or \\+1"):
             hashnet.save_codes(np.zeros((2, 2)), str(tmp_path / "c.assb"))
 
+    @pytest.mark.parametrize("bad", [
+        np.array([[1, -128]], dtype=np.int8),  # abs(-128) wraps to -128
+        np.array([[1, 2]]),
+        np.array([[1.0, 0.5]]),
+        np.array([[1.0, np.nan]]),
+        np.array([[True, False]]),
+        np.array([[1 + 0j, 1j]]),
+        np.array([["1", "-1"]]),
+    ], ids=["int8-min", "two", "half", "nan", "bool-false", "complex", "str"])
+    def test_non_code_values_rejected(self, tmp_path, bad):
+        with pytest.raises(DataError, match="-1 or \\+1"):
+            hashnet.save_codes(bad, str(tmp_path / "c.assb"))
+
+    def test_bool_true_saves_as_plus_one(self, tmp_path):
+        path = str(tmp_path / "c.assb")
+        hashnet.save_codes(np.ones((2, 3), dtype=bool), path)
+        npt.assert_array_equal(hashnet.load_codes(path), np.ones((2, 3), np.int8))
+
+    @pytest.mark.parametrize("byte", [0x80, 0x02, 0x00])
+    def test_payload_byte_other_than_code_rejected(self, tmp_path, byte):
+        path = str(tmp_path / "c.assb")
+        hashnet.save_codes(-np.ones((3, 4), dtype=np.int8), path)
+        raw = bytearray(open(path, "rb").read())
+        raw[-5] = byte
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with pytest.raises(DataError, match="other than"):
+            hashnet.load_codes(path)
+
     def test_corrupted_payload_rejected(self, tmp_path):
         path = str(tmp_path / "c.assb")
         hashnet.save_codes(np.ones((2, 2), dtype=np.int8), path)
