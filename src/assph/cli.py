@@ -139,13 +139,11 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
                                           bundle.text_features[train_idx], cfg)
 
     os.makedirs(args.out, exist_ok=True)
-    write_features(semantic.values, os.path.join(args.out, "semantic.assf"))
-    dense = rel.to_dense()
-    ii, jj = np.nonzero(np.triu(dense))
+    write_features(semantic, os.path.join(args.out, "semantic.assf"))
+    pairs = np.argwhere(np.triu(rel.to_dense()))
     with open(os.path.join(args.out, "correlations.csv"), "w") as fh:
         fh.write("i,j\n")
-        for a, b in zip(ii.tolist(), jj.tolist()):
-            fh.write(f"{a},{b}\n")
+        np.savetxt(fh, pairs, fmt="%d", delimiter=",")
     stats = {"count": rel.popcount(), "order": rel.order, "epoch": rel.epoch}
     if bundle.labels is not None:
         stats.update(corrmine.correlation_stats(rel, bundle.labels[train_idx]))
@@ -155,7 +153,7 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
     outputs = ["semantic.assf", "correlations.csv", "stats.json"]
     _write_manifest(args.out, "build-sim", cfg.to_dict(), _inputs(bundle, args),
                     outputs, {"total_s": time.perf_counter() - t0})
-    print(f"build-sim: semantic {semantic.order}x{semantic.order}, "
+    print(f"build-sim: semantic {len(semantic)}x{len(semantic)}, "
           f"{rel.popcount()} correlated pairs")
     return 0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergenceError
-from .simgraph import SimMatrix, cosine_matrix, top_k_indices
+from .simgraph import cosine_matrix, top_k_indices
 
 # pairs second_order expands per block of its join
 _JOIN_PAIRS = 1 << 20
@@ -83,20 +83,18 @@ class CorrelationSet:
         return rows[:, idx].astype(np.float64)
 
 
-def knn_adjacency(sim: SimMatrix, kr: int) -> np.ndarray:
+def knn_adjacency(sim: np.ndarray, kr: int) -> np.ndarray:
     """0/1 matrix marking each row's kr nearest neighbors under sim.
 
     Ties resolve by ascending index; kr clamps to the matrix order.  Rows
     are exactly min(kr, order)-hot, and the unit self-similarity of any
     cosine-like input keeps each instance inside its own neighbor set.
     """
-    if not isinstance(sim, SimMatrix):
-        raise ConfigError("knn_adjacency expects a SimMatrix")
     if kr < 1:
         raise ConfigError(f"knn_adjacency: kr must be >= 1, got {kr}")
-    m = sim.order
+    m = sim.shape[0]
     kr = min(kr, m)
-    nn = top_k_indices(sim.values, kr)
+    nn = top_k_indices(sim, kr)
     adj = np.zeros((m, m), dtype=np.uint8)
     adj[np.repeat(np.arange(m), kr), nn.ravel()] = 1
     return adj
@@ -153,7 +151,7 @@ def second_order(adj_a: np.ndarray, adj_b: np.ndarray, tau: int = 1) -> np.ndarr
     return hits if a is b else hits | hits.T
 
 
-def first_order_correlations(sim_image: SimMatrix, sim_text: SimMatrix,
+def first_order_correlations(sim_image: np.ndarray, sim_text: np.ndarray,
                              kr: int) -> CorrelationSet:
     """Pairwise-only relation: symmetrized first-order KNN of each modality.
 
@@ -167,7 +165,7 @@ def first_order_correlations(sim_image: SimMatrix, sim_text: SimMatrix,
     return CorrelationSet.from_dense(dense)
 
 
-def init_correlations(sim_image: SimMatrix, sim_text: SimMatrix,
+def init_correlations(sim_image: np.ndarray, sim_text: np.ndarray,
                       kr: int, tau: int = 1) -> CorrelationSet:
     """Seed relation from second-order overlaps within and across modalities."""
     r1i = knn_adjacency(sim_image, kr)

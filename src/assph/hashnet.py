@@ -246,6 +246,8 @@ def load_checkpoint(path: str) -> HashNetParams:
         _, version, d_in, d_hidden, k = _CKPT_HEADER.unpack(head)
         if version != _CKPT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
+        if min(d_in, d_hidden, k) < 1:
+            raise DataError(f"{path}: bad dimensions {d_in}x{d_hidden}x{k}")
         sizes = (d_hidden * d_in, d_hidden, k * d_hidden, k)
         payload = fh.read()
     if len(payload) != 4 * sum(sizes):

@@ -3,8 +3,7 @@
 The pipeline runs cosine -> probability remap and cross-modal fusion ->
 top-K row normalization -> structural co-neighborhood product -> affine
 blend back onto [-1, 1].  Each stage is exposed on its own so tests can
-pin it against a scalar reference, and each output is tagged with a kind
-so a stage cannot be fed the wrong matrix.
+pin it against a scalar reference; stages take and return plain arrays.
 
 Every matrix is square over the same instance set and stored float32,
 except two float64 ones: the neighbor weights W (float32-rounded values)
@@ -18,7 +17,6 @@ done with, starting from the two cosines it is given.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,25 +24,6 @@ from .errors import ConfigError, DataError
 
 # rows per block of the row-wise stages and of the triangle mirror
 _BLOCK_ROWS = 256
-
-
-@dataclass
-class SimMatrix:
-    """A square instance-similarity matrix tagged with its pipeline stage."""
-
-    values: np.ndarray
-    kind: str
-
-    @property
-    def order(self) -> int:
-        return self.values.shape[0]
-
-
-def _as_kind(sim: SimMatrix, kind: str, op: str) -> np.ndarray:
-    if not isinstance(sim, SimMatrix) or sim.kind != kind:
-        got = sim.kind if isinstance(sim, SimMatrix) else type(sim).__name__
-        raise ConfigError(f"{op} expects a {kind} matrix, got {got}")
-    return sim.values
 
 
 def _row_blocks(m: int):
@@ -85,7 +64,7 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     return (np.flatnonzero(keep) % n).reshape(m, k)
 
 
-def cosine_matrix(features: np.ndarray) -> SimMatrix:
+def cosine_matrix(features: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity of feature rows.
 
     Products are computed in float64 and rounded to float32; the clip to
@@ -107,7 +86,7 @@ def cosine_matrix(features: np.ndarray) -> SimMatrix:
     np.clip(s, -1.0, 1.0, out=s)
     _mirror_lower(s)
     np.fill_diagonal(s, 1.0)
-    return SimMatrix(s, "cosine")
+    return s
 
 
 def _probability(cos_rows: np.ndarray) -> np.ndarray:
@@ -119,29 +98,25 @@ def _probability(cos_rows: np.ndarray) -> np.ndarray:
     return p.astype(np.float32).astype(np.float64)
 
 
-def fuse(cos_image: SimMatrix, cos_text: SimMatrix,
-         out: np.ndarray | None = None) -> SimMatrix:
+def fuse(cos_image: np.ndarray, cos_text: np.ndarray,
+         out: np.ndarray) -> np.ndarray:
     """Probabilistic-OR fusion of the two modalities' cosines.
 
     Each cosine is remapped onto [0, 1] as a probability p (rounded to
     float32), and the pair fuses to p_i + p_t - p_i * p_t.  The result
     goes into out, a float32 buffer of the same shape that may be either
-    input's values, or into a new array.
+    input, and out is returned.
     """
-    a = _as_kind(cos_image, "cosine", "fuse")
-    b = _as_kind(cos_text, "cosine", "fuse")
-    if a.shape != b.shape:
-        raise DataError(f"fuse: shape mismatch {a.shape} vs {b.shape}")
-    if out is None:
-        out = np.empty(a.shape, dtype=np.float32)
-    for lo, hi in _row_blocks(a.shape[0]):
-        p = _probability(a[lo:hi])
-        q = _probability(b[lo:hi])
+    if cos_image.shape != cos_text.shape:
+        raise DataError(f"fuse: shape mismatch {cos_image.shape} vs {cos_text.shape}")
+    for lo, hi in _row_blocks(cos_image.shape[0]):
+        p = _probability(cos_image[lo:hi])
+        q = _probability(cos_text[lo:hi])
         out[lo:hi] = p + q - p * q
-    return SimMatrix(out, "fused")
+    return out
 
 
-def topk_normalize(fused_sim: SimMatrix, ks: int) -> np.ndarray:
+def topk_normalize(fused: np.ndarray, ks: int) -> np.ndarray:
     """Keep each row's ks strongest links and normalize them to sum 1.
 
     Returns the row-stochastic weights W with at most ks nonzeros per row,
@@ -150,8 +125,7 @@ def topk_normalize(fused_sim: SimMatrix, ks: int) -> np.ndarray:
     zero-filled float64 block, summed along the rows and divided.  ks
     larger than the matrix order clamps with a warning.
     """
-    s = _as_kind(fused_sim, "fused", "topk_normalize")
-    m = s.shape[0]
+    m = fused.shape[0]
     if ks < 1:
         raise ConfigError(f"topk_normalize: ks must be >= 1, got {ks}")
     if ks > m:
@@ -159,7 +133,7 @@ def topk_normalize(fused_sim: SimMatrix, ks: int) -> np.ndarray:
         ks = m
     w = np.empty((m, m), dtype=np.float64)
     for lo, hi in _row_blocks(m):
-        rows = s[lo:hi]
+        rows = fused[lo:hi]
         nn = top_k_indices(rows, ks)
         block = np.zeros((hi - lo, m), dtype=np.float64)
         np.put_along_axis(block, nn, np.take_along_axis(rows, nn, axis=1), axis=1)
@@ -173,14 +147,14 @@ def topk_normalize(fused_sim: SimMatrix, ks: int) -> np.ndarray:
 
 
 def structural(neighbor_weights: np.ndarray, ks: int,
-               out: np.ndarray | None = None) -> SimMatrix:
+               out: np.ndarray) -> np.ndarray:
     """Shared-neighborhood similarity: ks * (W @ W.T), clipped to [0, 1].
 
     Two instances score high when their normalized neighbor weight rows
     overlap; the ks factor undoes the 1/ks scale of uniform rows.  The
     float64 product is scaled, mirrored from its lower triangle (exact
     symmetry) and clipped in place, then rounded into out, a float32
-    buffer of the same shape, or into a new array.
+    buffer of the same shape, and out is returned.
     """
     w = np.asarray(neighbor_weights, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -191,44 +165,36 @@ def structural(neighbor_weights: np.ndarray, ks: int,
     prod *= ks
     _mirror_lower(prod)
     np.clip(prod, 0.0, 1.0, out=prod)
-    if out is None:
-        out = np.empty(prod.shape, dtype=np.float32)
     out[...] = prod
-    return SimMatrix(out, "structural")
+    return out
 
 
-def combine(fused_sim: SimMatrix, structural_sim: SimMatrix | None, gamma: float,
-            out: np.ndarray | None = None) -> SimMatrix:
+def combine(fused: np.ndarray, struct: np.ndarray | None, gamma: float,
+            out: np.ndarray) -> np.ndarray:
     """Blend fused and structural maps, then stretch onto [-1, 1].
 
-    structural_sim None stands for the skipped stage of gamma == 0: the
-    result is the stretched fusion alone.  The result goes into out, a
-    float32 buffer of the same shape that may be either input's values,
-    or into a new array.
+    struct None stands for the skipped stage of gamma == 0: the result is
+    the stretched fusion alone.  The result goes into out, a float32
+    buffer of the same shape that may be either input, and out is
+    returned.
     """
-    a = _as_kind(fused_sim, "fused", "combine")
-    if structural_sim is None:
-        b = None
+    if struct is None:
         if gamma != 0.0:
             raise ConfigError(f"combine: gamma {gamma} needs a structural matrix")
-    else:
-        b = _as_kind(structural_sim, "structural", "combine")
-        if a.shape != b.shape:
-            raise DataError(f"combine: shape mismatch {a.shape} vs {b.shape}")
+    elif fused.shape != struct.shape:
+        raise DataError(f"combine: shape mismatch {fused.shape} vs {struct.shape}")
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"combine: gamma must be in [0, 1], got {gamma}")
-    if out is None:
-        out = np.empty(a.shape, dtype=np.float32)
-    for lo, hi in _row_blocks(a.shape[0]):
-        blend = 0.0 if b is None else b[lo:hi].astype(np.float64)
-        s = 2.0 * ((1.0 - gamma) * a[lo:hi].astype(np.float64) + gamma * blend) - 1.0
+    for lo, hi in _row_blocks(fused.shape[0]):
+        blend = 0.0 if struct is None else struct[lo:hi].astype(np.float64)
+        s = 2.0 * ((1.0 - gamma) * fused[lo:hi].astype(np.float64) + gamma * blend) - 1.0
         np.clip(s, -1.0, 1.0, out=s)
         out[lo:hi] = s
-    return SimMatrix(out, "semantic")
+    return out
 
 
-def build_semantic(cos_image: SimMatrix, cos_text: SimMatrix,
-                   ks: int, gamma: float) -> SimMatrix:
+def build_semantic(cos_image: np.ndarray, cos_text: np.ndarray,
+                   ks: int, gamma: float) -> np.ndarray:
     """Full pipeline from the two modalities' cosines to the semantic target.
 
     The cosines are consumed: the fusion is written over the image
@@ -237,15 +203,14 @@ def build_semantic(cos_image: SimMatrix, cos_text: SimMatrix,
     With gamma == 0 the structural stage is skipped entirely; the result
     is the stretched fusion alone, written over the fusion.
     """
-    a = _as_kind(cos_image, "cosine", "build_semantic")
-    b = _as_kind(cos_text, "cosine", "build_semantic")
-    if a.shape != b.shape:
-        raise DataError(f"build_semantic: row mismatch {a.shape[0]} vs {b.shape[0]}")
+    if cos_image.shape != cos_text.shape:
+        raise DataError(f"build_semantic: row mismatch {cos_image.shape[0]} "
+                        f"vs {cos_text.shape[0]}")
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"build_semantic: gamma must be in [0, 1], got {gamma}")
-    fused = fuse(cos_image, cos_text, out=cos_image.values)
+    fused = fuse(cos_image, cos_text, out=cos_image)
     if gamma == 0.0:
-        return combine(fused, None, 0.0, out=fused.values)
-    struct = structural(topk_normalize(fused, ks), min(ks, fused.order),
-                        out=cos_text.values)
-    return combine(fused, struct, gamma, out=struct.values)
+        return combine(fused, None, 0.0, out=fused)
+    struct = structural(topk_normalize(fused, ks), min(ks, len(fused)),
+                        out=cos_text)
+    return combine(fused, struct, gamma, out=struct)

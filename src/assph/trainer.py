@@ -89,7 +89,7 @@ class TrainResult:
 
 def build_targets(image_features: np.ndarray, text_features: np.ndarray,
                   cfg: TrainConfig
-                  ) -> tuple[simgraph.SimMatrix, corrmine.CorrelationSet]:
+                  ) -> tuple[np.ndarray, corrmine.CorrelationSet]:
     """The semantic matrix and the seed relation of one training split.
 
     Each modality's cosine is computed once: the seed mining reads both,
@@ -99,7 +99,7 @@ def build_targets(image_features: np.ndarray, text_features: np.ndarray,
     cos_i = simgraph.cosine_matrix(image_features)
     cos_t = simgraph.cosine_matrix(text_features)
     if not cfg.corr:
-        rel = corrmine.CorrelationSet.identity(cos_i.order)
+        rel = corrmine.CorrelationSet.identity(len(cos_i))
     elif cfg.pair_corr:
         rel = corrmine.first_order_correlations(cos_i, cos_t, cfg.kr)
     else:
@@ -147,7 +147,7 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
         features_text=ft,
         labels=labels,
         label_share=corrmine.label_share(labels) if labels is not None else None,
-        semantic=semantic.values,
+        semantic=semantic,
         rel=rel,
         params_image=params_image,
         params_text=params_text,

@@ -83,6 +83,24 @@ class TestBuildSim:
         assert stats["epoch"] == 0
         assert 0.0 <= stats["precision"] <= 1.0
 
+    @pytest.mark.parametrize("tau", [1, 2])
+    def test_correlations_csv_lists_the_relation(self, data_dir, tmp_path, tau):
+        out = str(tmp_path / f"simt{tau}")
+        assert cli.dispatch(["build-sim", "--bundle", data_dir, "--out", out,
+                             "--ks", "12", "--kr", "4", "--tau", str(tau)]) == 0
+        config = json.load(open(os.path.join(out, "manifest.json")))["config"]
+        assert config["tau"] == tau
+        bundle = dataio.load_bundle(data_dir)
+        idx = bundle.split.train
+        _, rel = trainer.build_targets(bundle.image_features[idx],
+                                       bundle.text_features[idx],
+                                       TrainConfig.from_dict(config))
+        ii, jj = np.nonzero(np.triu(rel.to_dense()))
+        assert ii.size > rel.order  # some off-diagonal pairs to pin
+        want = "i,j\n" + "".join(f"{i},{j}\n" for i, j in zip(ii, jj))
+        with open(os.path.join(out, "correlations.csv"), newline="") as fh:
+            assert fh.read() == want
+
     def test_each_cosine_computed_once(self, data_dir, tmp_path, monkeypatch):
         from assph import corrmine, simgraph
         calls = []
@@ -402,6 +420,21 @@ class TestExitCodes:
                              "--checkpoint", str(tmp_path / "nope.assp"),
                              "--out", str(tmp_path / "c.assb")])
         assert code == 3
+
+    @pytest.mark.parametrize("d_in, d_hidden, k", [(0, 16, 8), (12, 0, 8), (12, 16, 0)])
+    def test_zero_dimension_checkpoint(self, data_dir, tmp_path, capsys,
+                                       d_in, d_hidden, k):
+        ckpt = str(tmp_path / "zero.assp")
+        hashnet.save_checkpoint(hashnet.HashNetParams(
+            w1=np.zeros((d_hidden, d_in)), b1=np.zeros(d_hidden),
+            w2=np.zeros((k, d_hidden)), b2=np.zeros(k)), ckpt)
+        out = str(tmp_path / "c.assb")
+        code = cli.dispatch(["encode", "--features",
+                             os.path.join(data_dir, "image.assf"),
+                             "--checkpoint", ckpt, "--out", out])
+        assert code == 3
+        assert "bad dimensions" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_eval_row_mismatch(self, data_dir, train_dir, tmp_path, capsys):
         bundle = dataio.load_bundle(data_dir)

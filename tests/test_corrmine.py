@@ -22,7 +22,7 @@ def clustered_features(rng, m, d, n_clusters):
 
 class TestKnnAdjacency:
     def test_identity_like_kr_one(self):
-        s = simgraph.SimMatrix(np.eye(4, dtype=np.float32), "cosine")
+        s = np.eye(4, dtype=np.float32)
         npt.assert_array_equal(corrmine.knn_adjacency(s, 1), np.eye(4))
 
     def test_kr_at_least_order_gives_all_ones(self):
@@ -45,23 +45,21 @@ class TestKnnAdjacency:
             [0.1, 0.2, 1.0, 0.8],
             [0.0, 0.1, 0.8, 1.0],
         ], dtype=np.float32)
-        s = simgraph.SimMatrix(vals, "cosine")
         expect = np.array([
             [1, 1, 0, 0],
             [1, 1, 0, 0],
             [0, 0, 1, 1],
             [0, 0, 1, 1],
         ])
-        npt.assert_array_equal(corrmine.knn_adjacency(s, 2), expect)
+        npt.assert_array_equal(corrmine.knn_adjacency(vals, 2), expect)
 
     def test_tie_breaks_ascending_index(self):
         vals = np.full((3, 3), 0.5, dtype=np.float32)  # every entry ties
-        s = simgraph.SimMatrix(vals, "probability")
-        adj = corrmine.knn_adjacency(s, 2)
+        adj = corrmine.knn_adjacency(vals, 2)
         npt.assert_array_equal(adj, [[1, 1, 0], [1, 1, 0], [1, 1, 0]])
 
     def test_bad_kr(self):
-        s = simgraph.SimMatrix(np.eye(3, dtype=np.float32), "cosine")
+        s = np.eye(3, dtype=np.float32)
         with pytest.raises(ConfigError, match="kr"):
             corrmine.knn_adjacency(s, 0)
 
@@ -215,7 +213,7 @@ class TestInitCorrelations:
         for tau in (1, 2):
             si, st = cosine_of(rng, 25, 6), cosine_of(rng, 25, 5)
             rel = corrmine.init_correlations(si, st, kr=5, tau=tau)
-            expect = naive_relation(si.values, st.values, kr=5, tau=tau)
+            expect = naive_relation(si, st, kr=5, tau=tau)
             npt.assert_array_equal(rel.to_dense(), expect)
 
     def test_scale_invariance(self):

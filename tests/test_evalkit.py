@@ -61,6 +61,19 @@ class TestHamming:
         with pytest.raises(DataError, match="mismatch"):
             evalkit.hamming_matrix(np.ones((1, 4)), np.ones((1, 5)))
 
+    @pytest.mark.parametrize("role", ["query", "db"])
+    def test_rejects_complex_entries(self, role):
+        # abs(1j) == 1, so only the dtype tells this entry from a code bit
+        q, db = np.array([[1, 1]]), np.array([[1, 1], [1, -1]])
+        if role == "query":
+            q = np.array([[1, 1j]])
+        else:
+            db = np.array([[1, 1], [1j, -1]])
+        with pytest.raises(DataError, match=f"{role} codes: code entries must be -1 or"):
+            evalkit.hamming_matrix(q, db)
+        with pytest.raises(DataError, match=f"{role} codes: code entries must be -1 or"):
+            evalkit.evaluate_direction("i2t", q, db, np.ones((1, 2)), np.ones((2, 2)))
+
 
 class TestRank:
     def test_exact_match_first_ties_by_index(self):

@@ -330,6 +330,15 @@ class TestCheckpointIO:
         with pytest.raises(DataError, match="size mismatch"):
             hashnet.load_checkpoint(path)
 
+    @pytest.mark.parametrize("d_in, d_hidden, k", [(0, 4, 2), (3, 0, 4), (3, 4, 0)])
+    def test_zero_dimension_rejected(self, tmp_path, d_in, d_hidden, k):
+        p = hashnet.HashNetParams(w1=np.zeros((d_hidden, d_in)), b1=np.zeros(d_hidden),
+                                  w2=np.zeros((k, d_hidden)), b2=np.zeros(k))
+        path = str(tmp_path / "net.assp")
+        hashnet.save_checkpoint(p, path)
+        with pytest.raises(DataError, match=f"bad dimensions {d_in}x{d_hidden}x{k}"):
+            hashnet.load_checkpoint(path)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = str(tmp_path / "net.assp")
         with open(path, "wb") as fh:

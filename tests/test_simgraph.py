@@ -18,7 +18,12 @@ def random_features(rng, m, d):
 
 
 def cosine(arr):
-    return simgraph.SimMatrix(np.asarray(arr, dtype=np.float32), "cosine")
+    return np.asarray(arr, dtype=np.float32)
+
+
+def new_out(arr):
+    """A fresh float32 buffer for a stage's out, shaped like arr."""
+    return np.empty(np.shape(arr), dtype=np.float32)
 
 
 def semantic(fi, ft, ks, gamma):
@@ -30,7 +35,7 @@ def semantic(fi, ft, ks, gamma):
 class TestCosineMatrix:
     def test_orthogonal_and_antipodal(self):
         f = np.array([[1, 0], [0, 1], [-1, 0]], dtype=np.float32)
-        s = simgraph.cosine_matrix(f).values
+        s = simgraph.cosine_matrix(f)
         npt.assert_allclose(np.diag(s), 1.0)
         npt.assert_allclose(s[0, 1], 0.0, atol=1e-7)
         npt.assert_allclose(s[0, 2], -1.0)
@@ -39,12 +44,12 @@ class TestCosineMatrix:
         rng = np.random.default_rng(0)
         f = random_features(rng, 12, 5)
         scaled = f * rng.uniform(0.1, 10.0, size=(12, 1)).astype(np.float32)
-        npt.assert_allclose(simgraph.cosine_matrix(f).values,
-                            simgraph.cosine_matrix(scaled).values, atol=1e-6)
+        npt.assert_allclose(simgraph.cosine_matrix(f),
+                            simgraph.cosine_matrix(scaled), atol=1e-6)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(1)
-        s = simgraph.cosine_matrix(random_features(rng, 40, 7)).values
+        s = simgraph.cosine_matrix(random_features(rng, 40, 7))
         npt.assert_array_equal(s, s.T)
 
     def test_zero_row_rejected(self):
@@ -54,7 +59,7 @@ class TestCosineMatrix:
 
     def test_output_contract(self):
         rng = np.random.default_rng(2)
-        s = simgraph.cosine_matrix(random_features(rng, 20, 4)).values
+        s = simgraph.cosine_matrix(random_features(rng, 20, 4))
         assert s.shape == (20, 20) and np.isfinite(s).all()
         npt.assert_array_equal(s, s.T)
         assert s.min() >= -1.0 and s.max() <= 1.0
@@ -65,7 +70,7 @@ class TestCosineMatrix:
         block = simgraph._BLOCK_ROWS
         for m in (1, 7, block, block + 1, 2 * block + 37):
             f = random_features(rng, m, 6)
-            got = simgraph.cosine_matrix(f).values
+            got = simgraph.cosine_matrix(f)
             assert got.dtype == np.float32
             npt.assert_array_equal(got.view(np.uint32),
                                    tril_mirror_cosine(f).view(np.uint32))
@@ -129,30 +134,23 @@ class TestProbabilityMap:
 
     def test_endpoints(self):
         c = cosine([[1.0, -1.0], [-1.0, 1.0]])
-        out = simgraph.fuse(c, cosine(-np.ones((2, 2))))
-        npt.assert_allclose(out.values, [[1.0, 0.0], [0.0, 1.0]])
-        assert out.kind == "fused"
+        out = simgraph.fuse(c, cosine(-np.ones((2, 2))), new_out(c))
+        npt.assert_allclose(out, [[1.0, 0.0], [0.0, 1.0]])
 
     def test_midpoint(self):
         c = cosine([[1.0, 0.0], [0.0, 1.0]])
-        npt.assert_allclose(simgraph.fuse(c, cosine(-np.ones((2, 2)))).values,
+        npt.assert_allclose(simgraph.fuse(c, cosine(-np.ones((2, 2))), new_out(c)),
                             [[1.0, 0.5], [0.5, 1.0]])
         # and 0.5 OR 0.5 is 0.75
-        npt.assert_allclose(simgraph.fuse(c, cosine(c.values)).values,
+        npt.assert_allclose(simgraph.fuse(c, cosine(c), new_out(c)),
                             [[1.0, 0.75], [0.75, 1.0]])
 
     def test_order_preserved(self):
         rng = np.random.default_rng(3)
         s = simgraph.cosine_matrix(random_features(rng, 15, 6))
-        p = simgraph.fuse(s, cosine(-np.ones((15, 15))))
-        npt.assert_array_equal(np.argsort(s.values, axis=1, kind="stable"),
-                               np.argsort(p.values, axis=1, kind="stable"))
-
-    def test_wrong_kind_rejected(self):
-        p = simgraph.SimMatrix(np.full((2, 2), 0.5, dtype=np.float32),
-                               "probability")
-        with pytest.raises(ConfigError, match="expects a cosine"):
-            simgraph.fuse(p, p)
+        p = simgraph.fuse(s, cosine(-np.ones((15, 15))), new_out(s))
+        npt.assert_array_equal(np.argsort(s, axis=1, kind="stable"),
+                               np.argsort(p, axis=1, kind="stable"))
 
 
 class TestFuse:
@@ -161,42 +159,42 @@ class TestFuse:
     def test_identity_and_absorb(self):
         a = cosine([[1.0, -1.0], [-1.0, 1.0]])
         b = cosine([[1.0, 0.4], [0.4, 1.0]])
-        out = simgraph.fuse(a, b).values
+        out = simgraph.fuse(a, b, new_out(a))
         # fuse(0, x) = x and fuse(1, x) = 1 on probabilities
         npt.assert_allclose(out, [[1.0, 0.7], [0.7, 1.0]], rtol=1e-6)
 
     def test_formula(self):
         a = cosine([[1.0, -0.6], [-0.6, 1.0]])
         b = cosine([[1.0, 0.0], [0.0, 1.0]])
-        npt.assert_allclose(simgraph.fuse(a, b).values[0, 1],
+        npt.assert_allclose(simgraph.fuse(a, b, new_out(a))[0, 1],
                             0.2 + 0.5 - 0.1, rtol=1e-6)
 
     def test_dominates_both_inputs(self):
         rng = np.random.default_rng(4)
         a = simgraph.cosine_matrix(random_features(rng, 20, 6))
         b = simgraph.cosine_matrix(random_features(rng, 20, 5))
-        out = simgraph.fuse(a, b).values
-        assert (out >= (a.values + 1) / 2 - 1e-6).all()
-        assert (out >= (b.values + 1) / 2 - 1e-6).all()
+        out = simgraph.fuse(a, b, new_out(a))
+        assert (out >= (a + 1) / 2 - 1e-6).all()
+        assert (out >= (b + 1) / 2 - 1e-6).all()
 
     def test_out_may_be_an_input(self, monkeypatch):
         monkeypatch.setattr(simgraph, "_BLOCK_ROWS", 7)
         rng = np.random.default_rng(12)
         a = simgraph.cosine_matrix(random_features(rng, 30, 6))
         b = simgraph.cosine_matrix(random_features(rng, 30, 5))
-        want = simgraph.fuse(a, b).values
-        got = simgraph.fuse(a, b, out=a.values)
-        assert got.values is a.values
-        npt.assert_array_equal(got.values.view(np.uint32), want.view(np.uint32))
+        want = simgraph.fuse(a, b, new_out(a))
+        got = simgraph.fuse(a, b, out=a)
+        assert got is a
+        npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_shape_mismatch(self):
         with pytest.raises(DataError, match="shape mismatch"):
-            simgraph.fuse(cosine(np.eye(2)), cosine(np.eye(3)))
+            simgraph.fuse(cosine(np.eye(2)), cosine(np.eye(3)), new_out(np.eye(2)))
 
 
 class TestTopkNormalize:
     def _fused(self, arr):
-        return simgraph.SimMatrix(np.asarray(arr, dtype=np.float32), "fused")
+        return np.asarray(arr, dtype=np.float32)
 
     def test_worked_row(self):
         row = self._fused([[1.0, 0.9, 0.6, 0.1]] * 4)
@@ -210,7 +208,7 @@ class TestTopkNormalize:
         fused = self._fused(rng.uniform(0.1, 1.0, (6, 6)).astype(np.float32))
         with pytest.warns(UserWarning, match="clamping"):
             out = simgraph.topk_normalize(fused, 10)
-        expect = fused.values / fused.values.sum(axis=1, keepdims=True)
+        expect = fused / fused.sum(axis=1, keepdims=True)
         npt.assert_allclose(out, expect, rtol=1e-5)
 
     def test_ties_break_by_ascending_index(self):
@@ -258,19 +256,19 @@ class TestTopkNormalize:
 
 class TestStructural:
     def test_identity_weights(self):
-        out = simgraph.structural(np.eye(4, dtype=np.float32), 1)
-        npt.assert_allclose(out.values, np.eye(4))
+        out = simgraph.structural(np.eye(4, dtype=np.float32), 1, new_out(np.eye(4)))
+        npt.assert_allclose(out, np.eye(4))
 
     def test_identical_uniform_rows(self):
         w = np.full((2, 2), 0.5, dtype=np.float32)
-        out = simgraph.structural(w, 2)
-        npt.assert_allclose(out.values, np.ones((2, 2)))
+        out = simgraph.structural(w, 2, new_out(w))
+        npt.assert_allclose(out, np.ones((2, 2)))
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(8)
         w = rng.random((60, 60))
         w /= w.sum(axis=1, keepdims=True)
-        out = simgraph.structural(w, 10).values
+        out = simgraph.structural(w, 10, new_out(w))
         npt.assert_array_equal(out, out.T)
 
     def test_matches_triple_loop(self):
@@ -281,7 +279,7 @@ class TestStructural:
             cols = rng.choice(m, size=ks, replace=False)
             vals = rng.random(ks)
             w[i, cols] = vals / vals.sum()
-        out = simgraph.structural(w.astype(np.float32), ks).values
+        out = simgraph.structural(w.astype(np.float32), ks, new_out(w))
         expect = np.zeros((m, m))
         for i in range(m):
             for j in range(m):
@@ -291,57 +289,52 @@ class TestStructural:
 
 class TestCombine:
     def _pair(self):
-        fused = simgraph.SimMatrix(
-            np.array([[1.0, 0.4], [0.4, 1.0]], dtype=np.float32), "fused")
-        struct = simgraph.SimMatrix(
-            np.array([[1.0, 0.8], [0.8, 1.0]], dtype=np.float32), "structural")
+        fused = np.array([[1.0, 0.4], [0.4, 1.0]], dtype=np.float32)
+        struct = np.array([[1.0, 0.8], [0.8, 1.0]], dtype=np.float32)
         return fused, struct
 
     def test_gamma_zero_keeps_fused(self):
         fused, struct = self._pair()
-        out = simgraph.combine(fused, struct, 0.0)
-        npt.assert_allclose(out.values, 2 * fused.values - 1, rtol=1e-6)
-        assert out.kind == "semantic"
+        out = simgraph.combine(fused, struct, 0.0, new_out(fused))
+        npt.assert_allclose(out, 2 * fused - 1, rtol=1e-6)
 
     def test_skipped_structural_equals_zero_structural(self):
         fused, struct = self._pair()
-        zero = simgraph.SimMatrix(np.zeros_like(struct.values), "structural")
-        npt.assert_array_equal(simgraph.combine(fused, None, 0.0).values,
-                               simgraph.combine(fused, zero, 0.0).values)
+        zero = np.zeros_like(struct)
+        npt.assert_array_equal(simgraph.combine(fused, None, 0.0, new_out(fused)),
+                               simgraph.combine(fused, zero, 0.0, new_out(fused)))
         with pytest.raises(ConfigError, match="needs a structural"):
-            simgraph.combine(fused, None, 0.5)
+            simgraph.combine(fused, None, 0.5, new_out(fused))
 
     def test_gamma_one_keeps_structural(self):
         fused, struct = self._pair()
-        out = simgraph.combine(fused, struct, 1.0)
-        npt.assert_allclose(out.values, 2 * struct.values - 1, rtol=1e-6)
+        out = simgraph.combine(fused, struct, 1.0, new_out(fused))
+        npt.assert_allclose(out, 2 * struct - 1, rtol=1e-6)
 
     def test_blend(self):
         fused, struct = self._pair()
-        out = simgraph.combine(fused, struct, 0.25)
-        expect = 2 * (0.75 * fused.values + 0.25 * struct.values) - 1
-        npt.assert_allclose(out.values, expect, atol=1e-6)
+        out = simgraph.combine(fused, struct, 0.25, new_out(fused))
+        expect = 2 * (0.75 * fused + 0.25 * struct) - 1
+        npt.assert_allclose(out, expect, atol=1e-6)
 
     def test_gamma_out_of_range(self):
         fused, struct = self._pair()
         with pytest.raises(ConfigError, match="gamma"):
-            simgraph.combine(fused, struct, 1.5)
+            simgraph.combine(fused, struct, 1.5, new_out(fused))
 
 
 class TestBuildSemantic:
     def test_identical_rows_give_all_ones(self):
         f = np.tile(np.array([[1.0, 2.0, 3.0]], dtype=np.float32), (5, 1))
         out = semantic(f, f, ks=2, gamma=0.3)
-        npt.assert_allclose(out.values, np.ones((5, 5)), atol=1e-6)
+        npt.assert_allclose(out, np.ones((5, 5)), atol=1e-6)
 
     def test_range_and_symmetry(self):
         rng = np.random.default_rng(10)
         for gamma in (0.0, 0.5, 1.0):
             fi = random_features(rng, 25, 6)
             ft = random_features(rng, 25, 4)
-            out = semantic(fi, ft, ks=5, gamma=gamma)
-            assert out.kind == "semantic"
-            v = out.values
+            v = semantic(fi, ft, ks=5, gamma=gamma)
             assert v.dtype == np.float32 and v.shape == (25, 25)
             assert np.isfinite(v).all()
             npt.assert_array_equal(v, v.T)
@@ -352,7 +345,7 @@ class TestBuildSemantic:
         fi = random_features(rng, 30, 5)
         ft = random_features(rng, 30, 4)
         for gamma in (0.0, 0.3, 1.0):
-            got = semantic(fi, ft, ks=6, gamma=gamma).values
+            got = semantic(fi, ft, ks=6, gamma=gamma)
             expect = naive_semantic(fi, ft, ks=6, gamma=gamma)
             npt.assert_allclose(got, expect, atol=1e-5)
 
@@ -366,7 +359,7 @@ class TestBuildSemantic:
             for ks in sorted({1, 4, m - 1, m, m + 3} - {0}):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # ks > m clamps
-                    got = semantic(fi, ft, ks, gamma).values
+                    got = semantic(fi, ft, ks, gamma)
                 want = whole_matrix_semantic(fi, ft, ks, gamma)
                 npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32),
                                        err_msg=f"m={m} ks={ks} gamma={gamma}")
@@ -377,7 +370,7 @@ class TestBuildSemantic:
         fi = random_features(rng, m, 12)
         ft = random_features(rng, m, 7)
         for gamma in (0.0, 0.3):
-            got = semantic(fi, ft, 20, gamma).values
+            got = semantic(fi, ft, 20, gamma)
             want = whole_matrix_semantic(fi, ft, 20, gamma)
             npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
@@ -386,10 +379,10 @@ class TestBuildSemantic:
         cos_i = simgraph.cosine_matrix(random_features(rng, 12, 4))
         cos_t = simgraph.cosine_matrix(random_features(rng, 12, 3))
         out = simgraph.build_semantic(cos_i, cos_t, 3, 0.3)
-        assert out.values is cos_t.values
+        assert out is cos_t
         cos_i = simgraph.cosine_matrix(random_features(rng, 12, 4))
         out = simgraph.build_semantic(cos_i, cos_t, 3, 0.0)
-        assert out.values is cos_i.values
+        assert out is cos_i
 
     def test_peak_memory_below_24_bytes_per_pair(self):
         m = 600

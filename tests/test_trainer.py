@@ -144,7 +144,7 @@ class TestInitState:
         semantic, rel = trainer.build_targets(fi, ft, cfg)
         want = simgraph.build_semantic(simgraph.cosine_matrix(fi),
                                        simgraph.cosine_matrix(ft), cfg.ks, cfg.gamma)
-        npt.assert_array_equal(semantic.values, want.values)
+        npt.assert_array_equal(semantic, want)
         expected = corrmine.init_correlations(simgraph.cosine_matrix(fi),
                                               simgraph.cosine_matrix(ft),
                                               cfg.kr, cfg.tau)
