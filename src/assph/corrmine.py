@@ -16,7 +16,7 @@ from .errors import ConfigError, DataError, DivergenceError
 from .simgraph import cosine_matrix, top_k_indices
 
 # pairs second_order expands per block of its join
-_JOIN_PAIRS = 1 << 20
+_JOIN_PAIRS = 1 << 16
 
 # set bits in each byte value, for counting bits in packed rows
 _BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
@@ -84,52 +84,49 @@ class CorrelationSet:
 
 
 def knn_adjacency(sim: np.ndarray, kr: int) -> np.ndarray:
-    """0/1 matrix marking each row's kr nearest neighbors under sim.
+    """Each row's kr nearest neighbors under sim: top_k_indices(sim, kr).
 
-    Ties resolve by ascending index; kr clamps to the matrix order.  Rows
-    are exactly min(kr, order)-hot, and the unit self-similarity of any
-    cosine-like input keeps each instance inside its own neighbor set.
+    Rows list min(kr, order) indices in ascending order, ties resolved by
+    ascending index; the unit self-similarity of any cosine-like input
+    keeps each instance inside its own neighbor set.
     """
     if kr < 1:
         raise ConfigError(f"knn_adjacency: kr must be >= 1, got {kr}")
-    m = sim.shape[0]
-    kr = min(kr, m)
-    nn = top_k_indices(sim, kr)
-    adj = np.zeros((m, m), dtype=np.uint8)
-    adj[np.repeat(np.arange(m), kr), nn.ravel()] = 1
-    return adj
+    return top_k_indices(sim, kr)
 
 
-def second_order(adj_a: np.ndarray, adj_b: np.ndarray, tau: int = 1) -> np.ndarray:
-    """Pairs whose neighbor sets overlap in tau or more instances.
+def second_order(nn_a: np.ndarray, nn_b: np.ndarray, tau: int,
+                 out: np.ndarray) -> np.ndarray:
+    """Mark in out the pairs whose neighbor lists share tau or more entries.
 
-    out[i, j] = 1 iff max((A @ B.T)[i, j], (B @ A.T)[i, j]) >= tau, where
-    (A @ B.T)[i, j] counts the columns set in both row i of a and row j
-    of b.  No product is formed; the counts come from a join on the
-    shared neighbor: each entry (i, c) of a pairs with every row j of b
-    that also lists c.  At tau == 1 every joined pair is a hit; above it,
-    np.unique counts each pair's repeats.  The join runs over blocks of
-    a's rows that expand about _JOIN_PAIRS pairs each, so its memory does
-    not grow with the order.
+    out[i, j] is set iff rows i of nn_a and j of nn_b overlap in tau or
+    more neighbors, and for a cross join (nn_a is not nn_b) so is out[j, i]:
+    max(A @ B.T, B @ A.T) >= tau for the 0/1 adjacencies the lists stand
+    for.  Other entries keep their values; out, a C-contiguous order x
+    order uint8 buffer, is returned.  No product is formed; each entry
+    (i, c) of nn_a joins every row j of nn_b that also lists c.  At tau == 1
+    every joined pair is a hit; above it, np.unique counts each pair's
+    repeats.  The join runs over blocks of nn_a's rows of about _JOIN_PAIRS
+    pairs each, so its memory does not grow with the order.
     """
-    a = np.asarray(adj_a)
-    b = np.asarray(adj_b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DataError(f"second_order: bad adjacency shapes {a.shape} vs {b.shape}")
+    if nn_a.ndim != 2 or nn_a.shape != nn_b.shape:
+        raise DataError(f"second_order: bad list shapes {nn_a.shape} vs {nn_b.shape}")
     if tau < 1:
         raise ConfigError(f"second_order: tau must be >= 1, got {tau}")
-    m = a.shape[0]
+    m, k = nn_a.shape
+    if out.shape != (m, m) or out.dtype != np.uint8 or not out.flags.c_contiguous:
+        raise DataError(f"second_order: out must be a C-contiguous {m}x{m} uint8 array")
     # rows of b grouped by the neighbor they list:
-    # b_rows[b_start[c]:b_start[c + 1]] are the rows j with b[j, c] set
-    b_rows, b_cols = np.divmod(np.flatnonzero(b != 0), m)
-    b_rows = b_rows[np.argsort(b_cols, kind="stable")]
+    # b_rows[b_start[c]:b_start[c + 1]] are the rows j whose list holds c
+    b_rows = np.argsort(nn_b, axis=None, kind="stable") // k
     b_start = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(np.bincount(b_cols, minlength=m), out=b_start[1:])
-    a_rows, a_cols = np.divmod(np.flatnonzero(a != 0), m)
+    np.cumsum(np.bincount(nn_b.ravel(), minlength=m), out=b_start[1:])
+    a_rows = np.repeat(np.arange(m), k)
+    a_cols = nn_a.ravel()
     fan = b_start[a_cols + 1] - b_start[a_cols]  # pairs joined per entry of a
     ends = np.cumsum(fan)
     firsts = ends - fan
-    hits = np.zeros(m * m, dtype=np.uint8)
+    flat = out.reshape(-1)
     lo = 0
     while lo < a_rows.size:
         # end the block on a row boundary so every repeat of a pair is in it
@@ -144,11 +141,13 @@ def second_order(adj_a: np.ndarray, adj_b: np.ndarray, tau: int = 1) -> np.ndarr
         if tau > 1:
             keys, repeats = np.unique(keys, return_counts=True)
             keys = keys[repeats >= tau]
-        hits[keys] = 1
+        flat[keys] = 1
+        # a self-join counts (i, j) and (j, i) alike, so its hits are symmetric
+        if nn_a is not nn_b:
+            i, j = np.divmod(keys, m)
+            flat[j * m + i] = 1
         lo = hi
-    hits = hits.reshape(m, m)
-    # a self-join counts (i, j) and (j, i) alike, so its hits are symmetric
-    return hits if a is b else hits | hits.T
+    return out
 
 
 def first_order_correlations(sim_image: np.ndarray, sim_text: np.ndarray,
@@ -158,24 +157,22 @@ def first_order_correlations(sim_image: np.ndarray, sim_text: np.ndarray,
     This is the mining rule with the neighborhood-overlap step bypassed;
     it exists to measure what that step buys.
     """
-    r1i = knn_adjacency(sim_image, kr)
-    r1t = knn_adjacency(sim_text, kr)
-    dense = r1i | r1i.T | r1t | r1t.T
-    np.fill_diagonal(dense, 1)
+    nn_i, nn_t = knn_adjacency(sim_image, kr), knn_adjacency(sim_text, kr)
+    dense = np.eye(len(nn_i), dtype=np.uint8)
+    rows = np.repeat(np.arange(len(nn_i)), nn_i.shape[1])
+    for nn in (nn_i.ravel(), nn_t.ravel()):
+        dense[rows, nn] = 1
+        dense[nn, rows] = 1
     return CorrelationSet.from_dense(dense)
 
 
 def init_correlations(sim_image: np.ndarray, sim_text: np.ndarray,
                       kr: int, tau: int = 1) -> CorrelationSet:
     """Seed relation from second-order overlaps within and across modalities."""
-    r1i = knn_adjacency(sim_image, kr)
-    r1t = knn_adjacency(sim_text, kr)
-    dense = (
-        second_order(r1i, r1i, tau)
-        | second_order(r1t, r1t, tau)
-        | second_order(r1i, r1t, tau)
-    )
-    np.fill_diagonal(dense, 1)
+    nn_i, nn_t = knn_adjacency(sim_image, kr), knn_adjacency(sim_text, kr)
+    dense = np.eye(len(nn_i), dtype=np.uint8)
+    for nn_a, nn_b in ((nn_i, nn_i), (nn_t, nn_t), (nn_i, nn_t)):
+        second_order(nn_a, nn_b, tau, dense)
     return CorrelationSet.from_dense(dense)
 
 

@@ -345,11 +345,10 @@ def load_bundle(path: str) -> DatasetBundle:
     for cell in ("train", "query", "retrieval"):
         if cell not in sp:
             raise DataError(f"{path}: split missing cell '{cell}'")
-    split = Split(
-        train=np.asarray(sp["train"], dtype=np.int64),
-        query=np.asarray(sp["query"], dtype=np.int64),
-        retrieval=np.asarray(sp["retrieval"], dtype=np.int64),
-    )
+        # bool is an int subclass, and np.asarray would truncate 0.7 to 0
+        if not isinstance(sp[cell], list) or any(type(v) is not int for v in sp[cell]):
+            raise DataError(f"{path}: split cell '{cell}' is not a list of integer indices")
+    split = Split(train=sp["train"], query=sp["query"], retrieval=sp["retrieval"])
     bundle = DatasetBundle(image_features=fi, text_features=ft, labels=labels,
                            split=split, files=files)
     bundle.validate()

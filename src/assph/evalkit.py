@@ -33,8 +33,8 @@ _BLOCK_PAIRS = 1 << 20
 
 def _check_codes(codes: np.ndarray, name: str) -> np.ndarray:
     codes = np.asarray(codes)
-    if codes.ndim != 2 or codes.shape[0] < 1:
-        raise DataError(f"{name}: expected a non-empty 2-d code matrix")
+    if codes.ndim != 2 or min(codes.shape) < 1:
+        raise DataError(f"{name}: expected a 2-d code matrix with rows and bits")
     if codes.dtype.kind not in "biuf" or not (np.abs(codes) == 1).all():
         raise DataError(f"{name}: code entries must be -1 or +1")
     return codes.astype(np.float32)

@@ -268,8 +268,8 @@ def load_checkpoint(path: str) -> HashNetParams:
 
 def save_codes(codes: np.ndarray, path: str) -> None:
     codes = np.asarray(codes)
-    if codes.ndim != 2:
-        raise DataError(f"save_codes: expected a 2-d matrix, got {codes.shape}")
+    if codes.ndim != 2 or codes.shape[1] < 1:
+        raise DataError(f"save_codes: expected a 2-d matrix of bits, got {codes.shape}")
     if codes.dtype.kind not in "biuf" or not (np.abs(codes) == 1).all():
         raise DataError("save_codes: entries must be -1 or +1")
     with open(path, "wb") as fh:
@@ -285,6 +285,8 @@ def load_codes(path: str) -> np.ndarray:
         if len(head) < _CODES_HEADER.size or head[:4] != _CODES_MAGIC:
             raise DataError(f"{path}: not a codes file")
         _, rows, k = _CODES_HEADER.unpack(head)
+        if k < 1:
+            raise DataError(f"{path}: bad dimensions {rows}x{k}")
         payload = fh.read()
     if len(payload) != rows * k:
         raise DataError(f"{path}: codes payload size mismatch")

@@ -6,12 +6,12 @@ blend back onto [-1, 1].  Each stage is exposed on its own so tests can
 pin it against a scalar reference; stages take and return plain arrays.
 
 Every matrix is square over the same instance set and stored float32,
-except two float64 ones: the neighbor weights W (float32-rounded values)
-and the product W @ W.T.  The other stages walk blocks of _BLOCK_ROWS
-rows, compute each block in float64 temporaries and write its float32
-rows, so none of them makes a whole-matrix float64 temporary.
-build_semantic writes each stage over a buffer the stage before it is
-done with, starting from the two cosines it is given.
+except two float64 ones inside structural: the neighbor weights W
+(float32-rounded values) and the product W @ W.T.  The other stages walk
+blocks of _BLOCK_ROWS rows, compute each block in float64 temporaries
+and write its float32 rows, so none of them makes a whole-matrix float64
+temporary.  fuse writes over one of the two cosines, and build_semantic
+writes its result over the fusion.
 """
 
 from __future__ import annotations
@@ -146,27 +146,24 @@ def topk_normalize(fused: np.ndarray, ks: int) -> np.ndarray:
     return w
 
 
-def structural(neighbor_weights: np.ndarray, ks: int,
-               out: np.ndarray) -> np.ndarray:
+def structural(fused: np.ndarray, ks: int) -> np.ndarray:
     """Shared-neighborhood similarity: ks * (W @ W.T), clipped to [0, 1].
 
-    Two instances score high when their normalized neighbor weight rows
-    overlap; the ks factor undoes the 1/ks scale of uniform rows.  The
-    float64 product is scaled, mirrored from its lower triangle (exact
-    symmetry) and clipped in place, then rounded into out, a float32
-    buffer of the same shape, and out is returned.
+    W = topk_normalize(fused, ks) is formed here and dropped once the
+    product is, so fused, W and W @ W.T are the most that is live.  Two
+    instances score high when their normalized neighbor weight rows
+    overlap; the ks factor (clamped to the order) undoes the 1/ks scale of
+    uniform rows.  The float64 product is scaled, mirrored from its lower
+    triangle (exact symmetry) and clipped in place, and its float32
+    rounding is returned.
     """
-    w = np.asarray(neighbor_weights, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise DataError(f"structural: expected square weights, got {w.shape}")
-    if ks < 1:
-        raise ConfigError(f"structural: ks must be >= 1, got {ks}")
+    w = topk_normalize(fused, ks)
     prod = w @ w.T
-    prod *= ks
+    del w
+    prod *= min(ks, len(fused))
     _mirror_lower(prod)
     np.clip(prod, 0.0, 1.0, out=prod)
-    out[...] = prod
-    return out
+    return prod.astype(np.float32)
 
 
 def combine(fused: np.ndarray, struct: np.ndarray | None, gamma: float,
@@ -193,24 +190,16 @@ def combine(fused: np.ndarray, struct: np.ndarray | None, gamma: float,
     return out
 
 
-def build_semantic(cos_image: np.ndarray, cos_text: np.ndarray,
-                   ks: int, gamma: float) -> np.ndarray:
-    """Full pipeline from the two modalities' cosines to the semantic target.
+def build_semantic(fused: np.ndarray, ks: int, gamma: float) -> np.ndarray:
+    """Semantic target from the fused cosines, written over fused.
 
-    The cosines are consumed: the fusion is written over the image
-    cosine's buffer, and the structural map and then the result over the
-    text cosine's, so the only matrices made here are W and W @ W.T.
+    fused is fuse's output, and the result is the fused buffer itself.
     With gamma == 0 the structural stage is skipped entirely; the result
-    is the stretched fusion alone, written over the fusion.
+    is the stretched fusion alone.
     """
-    if cos_image.shape != cos_text.shape:
-        raise DataError(f"build_semantic: row mismatch {cos_image.shape[0]} "
-                        f"vs {cos_text.shape[0]}")
+    if fused.ndim != 2 or fused.shape[0] != fused.shape[1]:
+        raise DataError(f"build_semantic: expected a square matrix, got {fused.shape}")
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"build_semantic: gamma must be in [0, 1], got {gamma}")
-    fused = fuse(cos_image, cos_text, out=cos_image)
-    if gamma == 0.0:
-        return combine(fused, None, 0.0, out=fused)
-    struct = structural(topk_normalize(fused, ks), min(ks, len(fused)),
-                        out=cos_text)
-    return combine(fused, struct, gamma, out=struct)
+    struct = structural(fused, ks) if gamma != 0.0 else None
+    return combine(fused, struct, gamma, out=fused)

@@ -93,8 +93,9 @@ def build_targets(image_features: np.ndarray, text_features: np.ndarray,
     """The semantic matrix and the seed relation of one training split.
 
     Each modality's cosine is computed once: the seed mining reads both,
-    then build_semantic reuses their buffers.  With cfg.corr off the
-    relation is the identity.  gamma counts only when cfg.struct is on.
+    then the fusion and the target overwrite the image cosine.  With
+    cfg.corr off the relation is the identity.  gamma counts only when
+    cfg.struct is on.
     """
     cos_i = simgraph.cosine_matrix(image_features)
     cos_t = simgraph.cosine_matrix(text_features)
@@ -104,8 +105,11 @@ def build_targets(image_features: np.ndarray, text_features: np.ndarray,
         rel = corrmine.first_order_correlations(cos_i, cos_t, cfg.kr)
     else:
         rel = corrmine.init_correlations(cos_i, cos_t, cfg.kr, cfg.tau)
+    fused = simgraph.fuse(cos_i, cos_t, out=cos_i)
+    # free the text cosine before structural holds W and W @ W.T beside fused
+    del cos_t
     gamma = cfg.gamma if cfg.struct else 0.0
-    return simgraph.build_semantic(cos_i, cos_t, cfg.ks, gamma), rel
+    return simgraph.build_semantic(fused, cfg.ks, gamma), rel
 
 
 def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:

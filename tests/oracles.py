@@ -113,6 +113,15 @@ def argsort_top_k(values, k: int) -> np.ndarray:
     return np.sort(order, axis=1)
 
 
+def dense_adjacency(nn, m: int) -> np.ndarray:
+    """The m x m 0/1 matrix marking, in row i, the columns listed in nn[i]."""
+    adj = np.zeros((m, m), dtype=np.uint8)
+    for i, row in enumerate(np.asarray(nn)):
+        for j in row:
+            adj[i, j] = 1
+    return adj
+
+
 def dense_second_order(adj_a, adj_b, tau: int) -> np.ndarray:
     """Neighbor-overlap counts as an integer matmul, symmetrized by max."""
     a = np.asarray(adj_a, dtype=np.int64)

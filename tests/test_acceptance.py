@@ -169,9 +169,10 @@ class TestSimilarityOracle:
             ft = rng.standard_normal((200, 8)).astype(np.float32)
             fused, struct = naive_pipeline_stages(fi, ft, 40)
             for gamma in (0.0, 0.3, 1.0):
-                got = simgraph.build_semantic(simgraph.cosine_matrix(fi),
-                                              simgraph.cosine_matrix(ft),
-                                              40, gamma)
+                cos_i = simgraph.cosine_matrix(fi)
+                got = simgraph.build_semantic(
+                    simgraph.fuse(cos_i, simgraph.cosine_matrix(ft), out=cos_i),
+                    40, gamma)
                 want = naive_combine(fused, struct, gamma)
                 max_gap = max(max_gap, float(np.abs(got - want).max()))
         elapsed = time.perf_counter() - t0

@@ -436,6 +436,33 @@ class TestExitCodes:
         assert "bad dimensions" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_zero_bit_codes_eval(self, data_dir, tmp_path, capsys):
+        paths = []
+        for name, rows in (("q", 3), ("d", 5)):
+            paths.append(str(tmp_path / f"{name}.assb"))
+            with open(paths[-1], "wb") as fh:
+                fh.write(b"ASSB" + np.array([rows, 0], dtype="<u4").tobytes())
+        labels = str(tmp_path / "l.csv")
+        dataio.write_labels(np.ones((5, 2), dtype=np.int8), labels)
+        out = str(tmp_path / "ev")
+        code = cli.dispatch(["eval", "--query-codes", paths[0], "--db-codes", paths[1],
+                             "--query-labels", labels, "--db-labels", labels,
+                             "--out", out])
+        assert code == 3
+        assert "bad dimensions" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_fractional_split_cell(self, data_dir, tmp_path, capsys):
+        bad = tmp_path / "bundle"
+        dataio.save_bundle(dataio.load_bundle(data_dir), str(bad))
+        manifest = json.loads((bad / "bundle.json").read_text())
+        manifest["split"]["query"] = [i + 0.5 for i in manifest["split"]["query"]]
+        (bad / "bundle.json").write_text(json.dumps(manifest))
+        code = cli.dispatch(["train", "--bundle", str(bad),
+                             "--out", str(tmp_path / "x")] + TRAIN_FLAGS)
+        assert code == 3
+        assert "split cell 'query'" in capsys.readouterr().err
+
     def test_eval_row_mismatch(self, data_dir, train_dir, tmp_path, capsys):
         bundle = dataio.load_bundle(data_dir)
         dl_path = str(tmp_path / "dl.csv")

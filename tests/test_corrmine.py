@@ -1,12 +1,15 @@
 """Correlation mining: KNN adjacency, neighborhood overlaps, adaptive growth."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from assph import corrmine, simgraph
 from assph.errors import ConfigError, DataError, DivergenceError
-from oracles import dense_correlation_stats, dense_second_order, naive_relation
+from oracles import (dense_adjacency, dense_correlation_stats, dense_second_order,
+                     naive_relation)
 
 
 def cosine_of(rng, m, d):
@@ -23,20 +26,26 @@ def clustered_features(rng, m, d, n_clusters):
 class TestKnnAdjacency:
     def test_identity_like_kr_one(self):
         s = np.eye(4, dtype=np.float32)
-        npt.assert_array_equal(corrmine.knn_adjacency(s, 1), np.eye(4))
+        nn = corrmine.knn_adjacency(s, 1)
+        npt.assert_array_equal(dense_adjacency(nn, 4), np.eye(4))
 
     def test_kr_at_least_order_gives_all_ones(self):
         rng = np.random.default_rng(0)
         s = cosine_of(rng, 6, 3)
-        npt.assert_array_equal(corrmine.knn_adjacency(s, 99), np.ones((6, 6)))
+        nn = corrmine.knn_adjacency(s, 99)
+        assert nn.shape == (6, 6)
+        npt.assert_array_equal(dense_adjacency(nn, 6), np.ones((6, 6)))
 
     def test_exact_row_count_and_self_membership(self):
         rng = np.random.default_rng(1)
         for kr in (1, 3, 7):
             s = cosine_of(rng, 20, 5)
-            adj = corrmine.knn_adjacency(s, kr)
+            nn = corrmine.knn_adjacency(s, kr)
+            assert nn.shape == (20, kr)
+            adj = dense_adjacency(nn, 20)
             npt.assert_array_equal(adj.sum(axis=1), kr)
             npt.assert_array_equal(np.diag(adj), 1)
+            npt.assert_array_equal(nn, np.sort(nn, axis=1))
 
     def test_hand_built_top2(self):
         vals = np.array([
@@ -45,18 +54,13 @@ class TestKnnAdjacency:
             [0.1, 0.2, 1.0, 0.8],
             [0.0, 0.1, 0.8, 1.0],
         ], dtype=np.float32)
-        expect = np.array([
-            [1, 1, 0, 0],
-            [1, 1, 0, 0],
-            [0, 0, 1, 1],
-            [0, 0, 1, 1],
-        ])
+        expect = [[0, 1], [0, 1], [2, 3], [2, 3]]
         npt.assert_array_equal(corrmine.knn_adjacency(vals, 2), expect)
 
     def test_tie_breaks_ascending_index(self):
         vals = np.full((3, 3), 0.5, dtype=np.float32)  # every entry ties
-        adj = corrmine.knn_adjacency(vals, 2)
-        npt.assert_array_equal(adj, [[1, 1, 0], [1, 1, 0], [1, 1, 0]])
+        nn = corrmine.knn_adjacency(vals, 2)
+        npt.assert_array_equal(nn, [[0, 1], [0, 1], [0, 1]])
 
     def test_bad_kr(self):
         s = np.eye(3, dtype=np.float32)
@@ -64,36 +68,44 @@ class TestKnnAdjacency:
             corrmine.knn_adjacency(s, 0)
 
 
+def second_order(nn_a, nn_b, tau):
+    """second_order into a fresh zero buffer."""
+    m = len(nn_a)
+    return corrmine.second_order(nn_a, nn_b, tau, np.zeros((m, m), dtype=np.uint8))
+
+
+def random_lists(rng, m, k, skip=()):
+    """m sorted lists of k distinct neighbors, none of them in skip."""
+    pool = np.setdiff1d(np.arange(m), skip)
+    return np.sort([rng.choice(pool, size=k, replace=False) for _ in range(m)], axis=1)
+
+
 class TestSecondOrder:
     def test_identity_adjacency(self):
-        eye = np.eye(5, dtype=np.uint8)
-        npt.assert_array_equal(corrmine.second_order(eye, eye, 1), eye)
+        nn = np.arange(5)[:, None]
+        npt.assert_array_equal(second_order(nn, nn, 1), np.eye(5))
 
     def test_shared_neighbor_worked_example(self):
-        a = np.array([[1, 0, 1], [0, 1, 1], [0, 0, 1]], dtype=np.uint8)
-        # a @ a.T = [[2,1,1],[1,2,1],[1,1,1]] -> all ones at tau=1
-        out = corrmine.second_order(a, a, 1)
-        npt.assert_array_equal(out, np.ones((3, 3)))
+        nn = np.array([[0, 2], [1, 2], [1, 2]])
+        # a @ a.T = [[2,1,1],[1,2,2],[1,2,2]] -> all ones at tau=1
+        npt.assert_array_equal(second_order(nn, nn, 1), np.ones((3, 3)))
 
     def test_tau_two_thresholds_counts(self):
-        a = np.array([[1, 0, 1], [0, 1, 1], [0, 0, 1]], dtype=np.uint8)
-        out = corrmine.second_order(a, a, 2)
-        # only rows 0 and 1 own two neighbors, so only their self-overlaps hit
-        npt.assert_array_equal(out, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+        nn = np.array([[0, 2], [1, 2], [1, 2]])
+        # only rows 1 and 2 share both their neighbors
+        npt.assert_array_equal(second_order(nn, nn, 2),
+                               [[1, 0, 0], [0, 1, 1], [0, 1, 1]])
 
     def test_cross_direction_max(self):
-        a = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-        b = np.array([[0, 1], [0, 1]], dtype=np.uint8)
+        nn_a = np.array([[0], [1]])
+        nn_b = np.array([[1], [1]])
         # a@b.T = [[0,0],[1,1]]; the transpose direction fills (0,1)
-        out = corrmine.second_order(a, b, 1)
-        npt.assert_array_equal(out, [[0, 1], [1, 1]])
+        npt.assert_array_equal(second_order(nn_a, nn_b, 1), [[0, 1], [1, 1]])
 
     def test_symmetric_output(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
-            a = (rng.random((15, 15)) < 0.3).astype(np.uint8)
-            b = (rng.random((15, 15)) < 0.3).astype(np.uint8)
-            out = corrmine.second_order(a, b, 1)
+            out = second_order(random_lists(rng, 15, 4), random_lists(rng, 15, 4), 1)
             npt.assert_array_equal(out, out.T)
 
     def test_matches_set_intersections(self):
@@ -101,9 +113,9 @@ class TestSecondOrder:
         m, kr = 20, 4
         for tau in (1, 2, 3):
             s = cosine_of(rng, m, 6)
-            adj = corrmine.knn_adjacency(s, kr)
-            out = corrmine.second_order(adj, adj, tau)
-            sets = [set(np.nonzero(adj[i])[0].tolist()) for i in range(m)]
+            nn = corrmine.knn_adjacency(s, kr)
+            out = second_order(nn, nn, tau)
+            sets = [set(row.tolist()) for row in nn]
             expect = np.zeros((m, m), dtype=np.uint8)
             for i in range(m):
                 for j in range(m):
@@ -112,25 +124,48 @@ class TestSecondOrder:
 
     def test_matches_dense_reference(self, monkeypatch):
         rng = np.random.default_rng(14)
-        m = 23
-        a = (rng.random((m, m)) < 0.2).astype(np.uint8)
-        b = (rng.random((m, m)) < 0.3).astype(np.uint8)
-        a[:, [3, 8]] = 0  # neighbors no row of a picks
-        b[:, [8, 15]] = 0  # ... or no row of b
-        a[5] = 0  # a row with no neighbors at all
-        cases = [(a, b), (b, a), (a, a), (a, np.zeros_like(a))]
+        m, k = 23, 5
+        a = random_lists(rng, m, k, skip=[3, 8])  # neighbors no row of a picks
+        b = random_lists(rng, m, k, skip=[8, 15])  # ... or no row of b
+        cases = [(a, b), (b, a), (a, a), (b, b)]
         for join_pairs in (corrmine._JOIN_PAIRS, 7):  # one block, many
             monkeypatch.setattr(corrmine, "_JOIN_PAIRS", join_pairs)
             for x, y in cases:
                 for tau in (1, 2, 3):
-                    out = corrmine.second_order(x, y, tau)
+                    out = second_order(x, y, tau)
                     assert out.dtype == np.uint8
-                    npt.assert_array_equal(out, dense_second_order(x, y, tau))
+                    want = dense_second_order(dense_adjacency(x, m),
+                                              dense_adjacency(y, m), tau)
+                    npt.assert_array_equal(out, want)
+
+    def test_marks_land_in_the_callers_buffer(self):
+        rng = np.random.default_rng(16)
+        m = 12
+        a, b = random_lists(rng, m, 3), random_lists(rng, m, 3)
+        for x, y in ((a, a), (a, b)):
+            before = (rng.random((m, m)) < 0.2).astype(np.uint8)
+            out = before.copy()
+            assert corrmine.second_order(x, y, 1, out) is out
+            npt.assert_array_equal(out, before | second_order(x, y, 1))
+
+    @pytest.mark.parametrize("bad", ["strided", "int64", "shape"])
+    def test_bad_out_rejected(self, bad):
+        nn = np.arange(4)[:, None]
+        out = {"strided": np.zeros((4, 8), dtype=np.uint8)[:, ::2],
+               "int64": np.zeros((4, 4), dtype=np.int64),
+               "shape": np.zeros((4, 5), dtype=np.uint8)}[bad]
+        with pytest.raises(DataError, match="out"):
+            corrmine.second_order(nn, nn, 1, out)
+
+    def test_bad_tau(self):
+        nn = np.arange(3)[:, None]
+        with pytest.raises(ConfigError, match="tau"):
+            second_order(nn, nn, 0)
 
     def test_tau_above_kr_keeps_only_diagonal_or_less(self):
         rng = np.random.default_rng(4)
-        adj = corrmine.knn_adjacency(cosine_of(rng, 10, 4), 2)
-        out = corrmine.second_order(adj, adj, 5)
+        nn = corrmine.knn_adjacency(cosine_of(rng, 10, 4), 2)
+        out = second_order(nn, nn, 5)
         assert out.sum() == 0  # no pair can share five of two neighbors
 
 
@@ -227,13 +262,29 @@ class TestInitCorrelations:
         npt.assert_array_equal(rel_a.to_dense(), rel_b.to_dense())
 
 
+    @pytest.mark.parametrize("tau", [1, 2])
+    def test_peak_memory_below_6_bytes_per_pair(self, tau):
+        # the relation is marked into one uint8 buffer; the top-k selection's
+        # float32 copy of a similarity row set is the other large temporary
+        m = 2000
+        rng = np.random.default_rng(17)
+        si, st = cosine_of(rng, m, 8), cosine_of(rng, m, 6)
+        tracemalloc.start()
+        try:
+            corrmine.init_correlations(si, st, kr=20, tau=tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * m * m + (1 << 20), peak
+
+
 class TestFirstOrderCorrelations:
     def test_symmetrized_union(self):
         rng = np.random.default_rng(10)
         si, st = cosine_of(rng, 15, 5), cosine_of(rng, 15, 4)
         rel = corrmine.first_order_correlations(si, st, kr=3)
-        r1i = corrmine.knn_adjacency(si, 3)
-        r1t = corrmine.knn_adjacency(st, 3)
+        r1i = dense_adjacency(corrmine.knn_adjacency(si, 3), 15)
+        r1t = dense_adjacency(corrmine.knn_adjacency(st, 3), 15)
         expect = r1i | r1i.T | r1t | r1t.T
         np.fill_diagonal(expect, 1)
         npt.assert_array_equal(rel.to_dense(), expect)

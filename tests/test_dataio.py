@@ -1,5 +1,7 @@
 """Feature/label containers, bundle manifests, and the synthetic corpus."""
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -290,6 +292,24 @@ class TestBundle:
         )
         with pytest.raises(DataError, match="rows"):
             bundle.validate()
+
+    @pytest.mark.parametrize("cell", [
+        [0.7, 1.7, 2.7],
+        ["0", "1", "2"],
+        [True, 2, 3],
+        [[0, 1], [2, 3]],
+        "0,1,2",
+        {"0": 1},
+    ], ids=["fractions", "strings", "booleans", "nested", "string", "object"])
+    def test_split_cell_of_non_indices_rejected(self, tmp_path, cell):
+        dataio.save_bundle(dataio.generate_synthetic(
+            dataio.SynthConfig(instances=60, seed=2)), str(tmp_path))
+        path = tmp_path / "bundle.json"
+        manifest = json.loads(path.read_text())
+        manifest["split"]["train"] = cell
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="split cell 'train'"):
+            dataio.load_bundle(str(tmp_path))
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest not found"):

@@ -425,6 +425,18 @@ class TestReport:
         with pytest.raises(DataError, match=f"{role} codes: code entries must be -1 or"):
             evalkit.evaluate_direction("i2t", q, db, ql, dl)
 
+    @pytest.mark.parametrize("role", ["query", "db"])
+    def test_zero_bit_codes_rejected(self, role):
+        codes = {"query": np.ones((3, 0)), "db": np.ones((5, 0))}
+        if role == "query":
+            codes["db"] = np.ones((5, 1))
+        else:
+            codes["query"] = np.ones((3, 1))
+        with pytest.raises(DataError, match=f"{role} codes: .*rows and bits"):
+            evalkit.evaluate_direction("i2t", codes["query"], codes["db"],
+                                       np.ones((3, 2), dtype=int),
+                                       np.ones((5, 2), dtype=int))
+
     def test_auto_k_grid_caps_at_db_size(self):
         report = self._report()
         ks = [k for k, _ in report.topk_curve]

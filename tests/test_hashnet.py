@@ -372,6 +372,20 @@ class TestCodesIO:
         with pytest.raises(DataError, match="-1 or \\+1"):
             hashnet.save_codes(bad, str(tmp_path / "c.assb"))
 
+    def test_zero_bit_matrix_rejected(self, tmp_path):
+        path = tmp_path / "c.assb"
+        with pytest.raises(DataError, match="matrix of bits"):
+            hashnet.save_codes(np.ones((4, 0), dtype=np.int8), str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_zero_bit_file_rejected(self, tmp_path, rows):
+        path = str(tmp_path / "c.assb")
+        with open(path, "wb") as fh:
+            fh.write(b"ASSB" + np.array([rows, 0], dtype="<u4").tobytes())
+        with pytest.raises(DataError, match="bad dimensions"):
+            hashnet.load_codes(path)
+
     def test_bool_true_saves_as_plus_one(self, tmp_path):
         path = str(tmp_path / "c.assb")
         hashnet.save_codes(np.ones((2, 3), dtype=bool), path)

@@ -26,10 +26,15 @@ def new_out(arr):
     return np.empty(np.shape(arr), dtype=np.float32)
 
 
+def fused_of(fi, ft):
+    """The fusion of the features' cosines, written over the image cosine."""
+    cos_i = simgraph.cosine_matrix(fi)
+    return simgraph.fuse(cos_i, simgraph.cosine_matrix(ft), out=cos_i)
+
+
 def semantic(fi, ft, ks, gamma):
-    """build_semantic from features; it consumes the cosines it is given."""
-    return simgraph.build_semantic(simgraph.cosine_matrix(fi),
-                                   simgraph.cosine_matrix(ft), ks, gamma)
+    """build_semantic from features; it writes over the fusion it is given."""
+    return simgraph.build_semantic(fused_of(fi, ft), ks, gamma)
 
 
 class TestCosineMatrix:
@@ -256,30 +261,27 @@ class TestTopkNormalize:
 
 class TestStructural:
     def test_identity_weights(self):
-        out = simgraph.structural(np.eye(4, dtype=np.float32), 1, new_out(np.eye(4)))
+        # each row's single strongest link is itself, so W is the identity
+        out = simgraph.structural(np.eye(4, dtype=np.float32), 1)
+        assert out.dtype == np.float32
         npt.assert_allclose(out, np.eye(4))
 
     def test_identical_uniform_rows(self):
-        w = np.full((2, 2), 0.5, dtype=np.float32)
-        out = simgraph.structural(w, 2, new_out(w))
-        npt.assert_allclose(out, np.ones((2, 2)))
+        fused = np.full((2, 2), 0.5, dtype=np.float32)
+        npt.assert_allclose(simgraph.structural(fused, 2), np.ones((2, 2)))
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(8)
-        w = rng.random((60, 60))
-        w /= w.sum(axis=1, keepdims=True)
-        out = simgraph.structural(w, 10, new_out(w))
+        fused = rng.uniform(0.01, 1.0, (60, 60)).astype(np.float32)
+        out = simgraph.structural(fused, 10)
         npt.assert_array_equal(out, out.T)
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(9)
         m, ks = 40, 6
-        w = np.zeros((m, m))
-        for i in range(m):
-            cols = rng.choice(m, size=ks, replace=False)
-            vals = rng.random(ks)
-            w[i, cols] = vals / vals.sum()
-        out = simgraph.structural(w.astype(np.float32), ks, new_out(w))
+        fused = rng.uniform(0.01, 1.0, (m, m)).astype(np.float32)
+        out = simgraph.structural(fused, ks)
+        w = simgraph.topk_normalize(fused, ks)
         expect = np.zeros((m, m))
         for i in range(m):
             for j in range(m):
@@ -374,29 +376,24 @@ class TestBuildSemantic:
             want = whole_matrix_semantic(fi, ft, 20, gamma)
             npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
-    def test_result_reuses_the_cosine_buffers(self):
+    def test_result_is_the_fused_buffer(self):
         rng = np.random.default_rng(16)
-        cos_i = simgraph.cosine_matrix(random_features(rng, 12, 4))
-        cos_t = simgraph.cosine_matrix(random_features(rng, 12, 3))
-        out = simgraph.build_semantic(cos_i, cos_t, 3, 0.3)
-        assert out is cos_t
-        cos_i = simgraph.cosine_matrix(random_features(rng, 12, 4))
-        out = simgraph.build_semantic(cos_i, cos_t, 3, 0.0)
-        assert out is cos_i
+        for gamma in (0.3, 0.0):
+            fused = fused_of(random_features(rng, 12, 4), random_features(rng, 12, 3))
+            assert simgraph.build_semantic(fused, 3, gamma) is fused
 
     def test_peak_memory_below_24_bytes_per_pair(self):
         m = 600
         rng = np.random.default_rng(17)
-        cos_i = simgraph.cosine_matrix(random_features(rng, m, 16))
-        cos_t = simgraph.cosine_matrix(random_features(rng, m, 8))
+        fused = fused_of(random_features(rng, m, 16), random_features(rng, m, 8))
         tracemalloc.start()
         try:
-            simgraph.build_semantic(cos_i, cos_t, 60, 0.3)
+            simgraph.build_semantic(fused, 60, 0.3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 24 * m * m + (1 << 20), peak
 
-    def test_row_mismatch(self):
-        with pytest.raises(DataError, match="row mismatch"):
-            simgraph.build_semantic(cosine(np.eye(3)), cosine(np.eye(4)), 2, 0.3)
+    def test_non_square_rejected(self):
+        with pytest.raises(DataError, match="square"):
+            simgraph.build_semantic(np.ones((3, 4), dtype=np.float32), 2, 0.3)

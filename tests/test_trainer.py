@@ -1,6 +1,7 @@
 """Training loop: schedule, config plumbing, determinism, update order."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -142,13 +143,29 @@ class TestInitState:
         idx = np.asarray(bundle.split.train)
         fi, ft = bundle.image_features[idx], bundle.text_features[idx]
         semantic, rel = trainer.build_targets(fi, ft, cfg)
-        want = simgraph.build_semantic(simgraph.cosine_matrix(fi),
-                                       simgraph.cosine_matrix(ft), cfg.ks, cfg.gamma)
+        cos_i = simgraph.cosine_matrix(fi)
+        fused = simgraph.fuse(cos_i, simgraph.cosine_matrix(ft), out=cos_i)
+        want = simgraph.build_semantic(fused, cfg.ks, cfg.gamma)
         npt.assert_array_equal(semantic, want)
         expected = corrmine.init_correlations(simgraph.cosine_matrix(fi),
                                               simgraph.cosine_matrix(ft),
                                               cfg.kr, cfg.tau)
         npt.assert_array_equal(rel.bits, expected.bits)
+
+    def test_targets_peak_memory_below_21_bytes_per_pair(self):
+        # the text cosine is freed before structural holds W and W @ W.T
+        # beside the fusion: 4 + 8 + 8 bytes per pair at most
+        m = 1000
+        rng = np.random.default_rng(18)
+        fi = rng.standard_normal((m, 16)).astype(np.float32)
+        ft = rng.standard_normal((m, 8)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            trainer.build_targets(fi, ft, small_config(ks=100, kr=10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 21 * m * m + (1 << 20), peak
 
     def test_initial_codes_shape(self, bundle):
         state = trainer.init_state(bundle, small_config())
