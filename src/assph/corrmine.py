@@ -4,8 +4,10 @@ A correlation set is a symmetric reflexive 0/1 relation over training
 instances.  It seeds from second-order neighborhood overlaps of the raw
 feature cosines and grows monotonically between epochs by re-mining the
 same relation from the learned hidden embeddings and unioning it in.
-Bits are kept packed (order^2 bits) so a 5000-instance relation costs a
-few megabytes.
+Bits are kept row-packed (order rows of ceil(order/8) bytes), so a
+5000-instance relation costs a few megabytes.  The miners set their hits
+straight in those packed rows and check the result there; no order x
+order array of any dtype is formed.
 """
 
 from __future__ import annotations
@@ -13,10 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergenceError
-from .simgraph import cosine_matrix, top_k_indices
-
-# pairs second_order expands per block of its join
-_JOIN_PAIRS = 1 << 16
+from .simgraph import _row_blocks, cosine_matrix, top_k_indices
 
 # set bits in each byte value, for counting bits in packed rows
 _BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
@@ -32,6 +31,11 @@ def _diagonal_bits(packed: np.ndarray) -> np.ndarray:
     return (packed[i, i >> 3] >> (7 - (i & 7))) & 1
 
 
+def _mark(packed: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Set bit (rows[e], cols[e]) of row-packed bits for every e."""
+    np.bitwise_or.at(packed, (rows, cols >> 3), (0x80 >> (cols & 7)).astype(np.uint8))
+
+
 class CorrelationSet:
     """Packed symmetric reflexive bit relation plus its mining epoch."""
 
@@ -41,30 +45,28 @@ class CorrelationSet:
         self.epoch = epoch
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "CorrelationSet":
-        dense = np.asarray(dense)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise DataError(f"correlation set must be square, got {dense.shape}")
-        # every entry is 0 or 1; the miners' uint8 needs only a max
-        if dense.dtype == np.uint8:
-            binary = dense.size == 0 or dense.max() <= 1
-        else:
-            binary = dense.dtype == np.bool_ or np.all(dense == (dense != 0))
-        if not binary:
-            raise DataError("correlation set entries must be 0/1")
-        dense = dense.astype(np.uint8, copy=False)
-        # symmetry tile by tile: rows [s, s+256) right of the diagonal
-        # against the same columns below it, never a strided M x M transpose
-        for s in range(0, dense.shape[0], 256):
-            if not np.array_equal(dense[s:s + 256, s:], dense[s:, s:s + 256].T):
+    def from_bits(cls, bits: np.ndarray) -> "CorrelationSet":
+        """The relation of order x ceil(order/8) row-packed uint8 bits, once
+        they are checked: zero past the order, symmetric, reflexive."""
+        order = len(bits)
+        if order & 7 and np.any(bits[:, -1] & (0xFF >> (order & 7))):
+            raise DataError("correlation set has bits set past its order")
+        # symmetry strip by strip: rows [lo, hi) left of column hi against
+        # the same instances' columns above row hi, both unpacked
+        for lo, hi in _row_blocks(order):
+            rows = np.unpackbits(bits[lo:hi, :(hi + 7) >> 3], axis=1, count=hi)
+            cols = np.unpackbits(bits[:hi, lo >> 3:(hi + 7) >> 3], axis=1, count=hi - lo)
+            if not np.array_equal(rows, cols.T):
                 raise DataError("correlation set must be symmetric")
-        if not np.all(np.diag(dense) == 1):
+        if not np.all(_diagonal_bits(bits)):
             raise DataError("correlation set must include every self pair")
-        return cls(dense.shape[0], np.packbits(dense, axis=1))
+        return cls(order, bits)
 
     @classmethod
     def identity(cls, order: int) -> "CorrelationSet":
-        return cls.from_dense(np.eye(order, dtype=np.uint8))
+        bits = np.zeros((order, (order + 7) >> 3), dtype=np.uint8)
+        _mark(bits, np.arange(order), np.arange(order))
+        return cls(order, bits)
 
     def to_dense(self) -> np.ndarray:
         return np.unpackbits(self.bits, axis=1, count=self.order)
@@ -88,65 +90,62 @@ def knn_adjacency(sim: np.ndarray, kr: int) -> np.ndarray:
 
     Rows list min(kr, order) indices in ascending order, ties resolved by
     ascending index; the unit self-similarity of any cosine-like input
-    keeps each instance inside its own neighbor set.
+    keeps each instance inside its own neighbor set.  Selecting per block
+    of rows bounds the temporaries of top_k_indices' tie fix-up.
     """
     if kr < 1:
         raise ConfigError(f"knn_adjacency: kr must be >= 1, got {kr}")
-    return top_k_indices(sim, kr)
+    nn = np.empty((len(sim), min(kr, len(sim))), dtype=np.intp)
+    for lo, hi in _row_blocks(len(sim)):
+        nn[lo:hi] = top_k_indices(sim[lo:hi], kr)
+    return nn
+
+
+def _join(nn_a: np.ndarray, nn_b: np.ndarray, tau: int, out: np.ndarray) -> None:
+    """Set bit (i, j) of out where rows i of nn_a and j of nn_b share tau
+    or more neighbors.  Row c of the listing sets packs the rows of nn_b
+    whose list holds c; a block of nn_a's rows counts its neighbors' sets
+    up to tau in saturating bit-planes, plane p holding the rows seen more
+    than p times (at tau 1, their OR)."""
+    m, k = nn_b.shape
+    sets = np.zeros((m, ((m + 63) >> 6) << 3), dtype=np.uint8)
+    _mark(sets, nn_b.ravel(), np.repeat(np.arange(m), k))
+    sets = sets.view(np.uint64)
+    for lo, hi in _row_blocks(m):
+        planes = np.zeros((tau, hi - lo, sets.shape[1]), dtype=np.uint64)
+        for col in nn_a[lo:hi].T:
+            x = sets[col]
+            for p in range(tau - 1, 0, -1):
+                planes[p] |= planes[p - 1] & x
+            planes[0] |= x
+        out[lo:hi] |= planes[-1].view(np.uint8)[:, :out.shape[1]]
 
 
 def second_order(nn_a: np.ndarray, nn_b: np.ndarray, tau: int,
                  out: np.ndarray) -> np.ndarray:
     """Mark in out the pairs whose neighbor lists share tau or more entries.
 
-    out[i, j] is set iff rows i of nn_a and j of nn_b overlap in tau or
-    more neighbors, and for a cross join (nn_a is not nn_b) so is out[j, i]:
-    max(A @ B.T, B @ A.T) >= tau for the 0/1 adjacencies the lists stand
-    for.  Other entries keep their values; out, a C-contiguous order x
-    order uint8 buffer, is returned.  No product is formed; each entry
-    (i, c) of nn_a joins every row j of nn_b that also lists c.  At tau == 1
-    every joined pair is a hit; above it, np.unique counts each pair's
-    repeats.  The join runs over blocks of nn_a's rows of about _JOIN_PAIRS
-    pairs each, so its memory does not grow with the order.
+    out holds C-contiguous row-packed bits, as CorrelationSet.bits does.
+    Bit (i, j) is set iff rows i of nn_a and j of nn_b share tau or more
+    neighbors, and for a cross join (nn_a is not nn_b) so is bit (j, i):
+    max(A @ B.T, B @ A.T) >= tau for the lists' 0/1 adjacencies, whose
+    rows hold distinct entries.  Other bits keep their values; out is
+    returned.  No product is formed: each row ORs, or above tau 1 counts,
+    the packed sets of rows listing its neighbors; a cross join runs again
+    with a and b swapped.  Cost: tau * order * k * order / 8 byte ops.
     """
     if nn_a.ndim != 2 or nn_a.shape != nn_b.shape:
         raise DataError(f"second_order: bad list shapes {nn_a.shape} vs {nn_b.shape}")
     if tau < 1:
         raise ConfigError(f"second_order: tau must be >= 1, got {tau}")
     m, k = nn_a.shape
-    if out.shape != (m, m) or out.dtype != np.uint8 or not out.flags.c_contiguous:
-        raise DataError(f"second_order: out must be a C-contiguous {m}x{m} uint8 array")
-    # rows of b grouped by the neighbor they list:
-    # b_rows[b_start[c]:b_start[c + 1]] are the rows j whose list holds c
-    b_rows = np.argsort(nn_b, axis=None, kind="stable") // k
-    b_start = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(np.bincount(nn_b.ravel(), minlength=m), out=b_start[1:])
-    a_rows = np.repeat(np.arange(m), k)
-    a_cols = nn_a.ravel()
-    fan = b_start[a_cols + 1] - b_start[a_cols]  # pairs joined per entry of a
-    ends = np.cumsum(fan)
-    firsts = ends - fan
-    flat = out.reshape(-1)
-    lo = 0
-    while lo < a_rows.size:
-        # end the block on a row boundary so every repeat of a pair is in it
-        hi = max(int(np.searchsorted(ends, firsts[lo] + _JOIN_PAIRS, "right")), lo + 1)
-        hi = int(np.searchsorted(a_rows, a_rows[hi - 1], "right"))
-        # entry e of a joins b_rows[b_start[c_e]:b_start[c_e] + fan[e]]
-        width = fan[lo:hi]
-        pos = np.arange(firsts[lo], ends[hi - 1])
-        pos += np.repeat(b_start[a_cols[lo:hi]] - firsts[lo:hi], width)
-        keys = np.repeat(a_rows[lo:hi] * m, width)
-        keys += b_rows[pos]
-        if tau > 1:
-            keys, repeats = np.unique(keys, return_counts=True)
-            keys = keys[repeats >= tau]
-        flat[keys] = 1
-        # a self-join counts (i, j) and (j, i) alike, so its hits are symmetric
-        if nn_a is not nn_b:
-            i, j = np.divmod(keys, m)
-            flat[j * m + i] = 1
-        lo = hi
+    if out.shape != (m, (m + 7) >> 3) or out.dtype != np.uint8 or not out.flags.c_contiguous:
+        raise DataError(f"second_order: out must be C-contiguous packed bits of order {m}")
+    if tau > k:  # no two lists of k distinct entries share more than k
+        return out
+    _join(nn_a, nn_b, tau, out)
+    if nn_a is not nn_b:
+        _join(nn_b, nn_a, tau, out)
     return out
 
 
@@ -158,22 +157,28 @@ def first_order_correlations(sim_image: np.ndarray, sim_text: np.ndarray,
     it exists to measure what that step buys.
     """
     nn_i, nn_t = knn_adjacency(sim_image, kr), knn_adjacency(sim_text, kr)
-    dense = np.eye(len(nn_i), dtype=np.uint8)
-    rows = np.repeat(np.arange(len(nn_i)), nn_i.shape[1])
-    for nn in (nn_i.ravel(), nn_t.ravel()):
-        dense[rows, nn] = 1
-        dense[nn, rows] = 1
-    return CorrelationSet.from_dense(dense)
+    bits = CorrelationSet.identity(len(nn_i)).bits
+    nn = np.hstack((nn_i, nn_t))
+    rows = np.repeat(np.arange(len(nn)), nn.shape[1])
+    _mark(bits, rows, nn.ravel())
+    _mark(bits, nn.ravel(), rows)
+    return CorrelationSet.from_bits(bits)
 
 
 def init_correlations(sim_image: np.ndarray, sim_text: np.ndarray,
                       kr: int, tau: int = 1) -> CorrelationSet:
-    """Seed relation from second-order overlaps within and across modalities."""
+    """Seed relation from second-order overlaps within and across modalities.
+
+    At tau 1 the four directed joins of the image and text lists hit
+    exactly where one self-join of the concatenated lists does.
+    """
     nn_i, nn_t = knn_adjacency(sim_image, kr), knn_adjacency(sim_text, kr)
-    dense = np.eye(len(nn_i), dtype=np.uint8)
-    for nn_a, nn_b in ((nn_i, nn_i), (nn_t, nn_t), (nn_i, nn_t)):
-        second_order(nn_a, nn_b, tau, dense)
-    return CorrelationSet.from_dense(dense)
+    bits = CorrelationSet.identity(len(nn_i)).bits
+    nn = np.hstack((nn_i, nn_t))
+    joins = [(nn, nn)] if tau == 1 else [(nn_i, nn_i), (nn_t, nn_t), (nn_i, nn_t)]
+    for nn_a, nn_b in joins:
+        second_order(nn_a, nn_b, tau, bits)
+    return CorrelationSet.from_bits(bits)
 
 
 def adaptive_update(rel: CorrelationSet, hidden_image: np.ndarray,
@@ -187,16 +192,12 @@ def adaptive_update(rel: CorrelationSet, hidden_image: np.ndarray,
     """
     for name, h in (("image", hidden_image), ("text", hidden_text)):
         if h.shape[0] != rel.order:
-            raise DataError(
-                f"adaptive_update: {name} embeddings have {h.shape[0]} rows, "
-                f"relation order is {rel.order}"
-            )
+            raise DataError(f"adaptive_update: {name} embeddings have {h.shape[0]} "
+                            f"rows, relation order is {rel.order}")
         norms = np.linalg.norm(np.asarray(h, dtype=np.float64), axis=1)
         if np.any(norms == 0.0):
-            raise DivergenceError(
-                f"adaptive_update: zero-norm {name} embedding row "
-                f"{int(np.argmax(norms == 0.0))}; training diverged"
-            )
+            raise DivergenceError(f"adaptive_update: zero-norm {name} embedding row "
+                                  f"{int(np.argmax(norms == 0.0))}; training diverged")
     sim_i = cosine_matrix(hidden_image)
     sim_t = cosine_matrix(hidden_text)
     if pairwise:
@@ -228,15 +229,13 @@ def correlation_stats(rel: CorrelationSet, labels: np.ndarray,
     """
     labels = np.asarray(labels)
     if labels.shape[0] != rel.order:
-        raise DataError(
-            f"correlation_stats: {labels.shape[0]} label rows for order {rel.order}"
-        )
+        raise DataError(f"correlation_stats: {labels.shape[0]} label rows for "
+                        f"order {rel.order}")
     count = rel.popcount()
-    diag = _diagonal_bits(rel.bits)
-    n_off = count - int(diag.sum())
+    n_off = count - rel.order  # every relation holds its self pairs
     if n_off == 0:
         return {"count": count, "precision": 1.0, "no_offdiag": True}
     if share is None:
         share = label_share(labels)
-    shared = _count_bits(rel.bits & share) - int((diag & _diagonal_bits(share)).sum())
+    shared = _count_bits(rel.bits & share) - int(_diagonal_bits(share).sum())
     return {"count": count, "precision": shared / n_off, "no_offdiag": False}

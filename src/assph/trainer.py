@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import corrmine, hashnet, objective, simgraph
-from .config import PROFILES, TrainConfig  # noqa: F401  (trainer.PROFILES is public)
+from .config import TrainConfig
 from .dataio import DatasetBundle
 from .errors import ConfigError, DivergenceError
 

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from assph import evalkit
+from assph import corrmine, evalkit
+from assph.errors import DataError
 
 
 def f32(x: float) -> float:
@@ -116,18 +117,47 @@ def argsort_top_k(values, k: int) -> np.ndarray:
 def dense_adjacency(nn, m: int) -> np.ndarray:
     """The m x m 0/1 matrix marking, in row i, the columns listed in nn[i]."""
     adj = np.zeros((m, m), dtype=np.uint8)
-    for i, row in enumerate(np.asarray(nn)):
-        for j in row:
-            adj[i, j] = 1
+    nn = np.asarray(nn)
+    adj[np.arange(len(nn))[:, None], nn] = 1
     return adj
 
 
 def dense_second_order(adj_a, adj_b, tau: int) -> np.ndarray:
-    """Neighbor-overlap counts as an integer matmul, symmetrized by max."""
-    a = np.asarray(adj_a, dtype=np.int64)
-    b = np.asarray(adj_b, dtype=np.int64)
+    """Neighbor-overlap counts as a matmul, symmetrized by max.
+
+    The counts are whole numbers far below 2**53, so the float64 product
+    holds them exactly.
+    """
+    a = np.asarray(adj_a, dtype=np.float64)
+    b = np.asarray(adj_b, dtype=np.float64)
     counts = a @ b.T
     return (np.maximum(counts, counts.T) >= tau).astype(np.uint8)
+
+
+def dense_init_correlations(nn_image, nn_text, tau: int) -> np.ndarray:
+    """The seed relation from dense adjacencies: the diagonal and the
+    image-image, text-text and cross joins, each a dense_second_order."""
+    m = len(nn_image)
+    ai, at = dense_adjacency(nn_image, m), dense_adjacency(nn_text, m)
+    rel = np.eye(m, dtype=np.uint8)
+    for a, b in ((ai, ai), (at, at), (ai, at)):
+        rel |= dense_second_order(a, b, tau)
+    return rel
+
+
+def relation_from_dense(dense) -> "corrmine.CorrelationSet":
+    """A CorrelationSet of a square 0/1 matrix of any numeric dtype.
+
+    The matrix is checked to be square and 0/1, packed by rows, and handed
+    to CorrelationSet.from_bits, whose packed checks reject what is not
+    symmetric or misses a self pair.
+    """
+    dense = np.asarray(dense)
+    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+        raise DataError(f"correlation set must be square, got {dense.shape}")
+    if not np.all(dense == (dense != 0)):
+        raise DataError("correlation set entries must be 0/1")
+    return corrmine.CorrelationSet.from_bits(np.packbits(dense.astype(np.uint8), axis=1))
 
 
 def tril_mirror_cosine(features) -> np.ndarray:

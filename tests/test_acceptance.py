@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from assph import cli, corrmine, dataio, evalkit, hashnet, objective, simgraph, trainer
+from assph import cli, config, corrmine, dataio, evalkit, hashnet, objective, simgraph, trainer
 from oracles import (
     central_difference,
     naive_average_precision,
@@ -51,12 +51,12 @@ def _efficacy_bundle() -> dataio.DatasetBundle:
                                 gen.labels, split)
 
 
-def _scaled_config(seed: int, **patch) -> trainer.TrainConfig:
-    flat = dict(trainer.PROFILES["paper-default"])
+def _scaled_config(seed: int, **patch) -> config.TrainConfig:
+    flat = dict(config.PROFILES["paper-default"])
     flat.update(SCALED)
     flat["seed"] = seed
     flat.update(patch)
-    return trainer.TrainConfig.from_dict(flat)
+    return config.TrainConfig.from_dict(flat)
 
 
 def _map_both(bundle, result) -> tuple[float, float]:
@@ -286,10 +286,10 @@ class TestSaturation:
                                    dim_text=12, label_cardinality=0.5,
                                    noise_sigma=0.05, seed=9)
         bundle = dataio.generate_synthetic(cfg_d)
-        flat = dict(trainer.PROFILES["paper-default"])
+        flat = dict(config.PROFILES["paper-default"])
         flat.update(code_length=16, ks=50, kr=8, epochs=50, seed=0,
                     learning_rate=1e-4, d_hidden=64)
-        result = trainer.train(bundle, trainer.TrainConfig.from_dict(flat))
+        result = trainer.train(bundle, config.TrainConfig.from_dict(flat))
         tail = result.history[-5:]
         flips = sum(r.code_flips_image + r.code_flips_text for r in tail)
         _verdict(flips == 0, "sign codes stable over final schedule steps",

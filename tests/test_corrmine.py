@@ -8,8 +8,9 @@ import pytest
 
 from assph import corrmine, simgraph
 from assph.errors import ConfigError, DataError, DivergenceError
-from oracles import (dense_adjacency, dense_correlation_stats, dense_second_order,
-                     naive_relation)
+from oracles import (argsort_top_k, dense_adjacency, dense_correlation_stats,
+                     dense_init_correlations, dense_second_order, naive_relation,
+                     relation_from_dense)
 
 
 def cosine_of(rng, m, d):
@@ -68,16 +69,39 @@ class TestKnnAdjacency:
             corrmine.knn_adjacency(s, 0)
 
 
+def packed_zeros(m):
+    return np.zeros((m, (m + 7) // 8), dtype=np.uint8)
+
+
 def second_order(nn_a, nn_b, tau):
-    """second_order into a fresh zero buffer."""
+    """second_order into fresh zero bits, unpacked."""
     m = len(nn_a)
-    return corrmine.second_order(nn_a, nn_b, tau, np.zeros((m, m), dtype=np.uint8))
+    out = corrmine.second_order(nn_a, nn_b, tau, packed_zeros(m))
+    return np.unpackbits(out, axis=1, count=m)
 
 
 def random_lists(rng, m, k, skip=()):
     """m sorted lists of k distinct neighbors, none of them in skip."""
     pool = np.setdiff1d(np.arange(m), skip)
     return np.sort([rng.choice(pool, size=k, replace=False) for _ in range(m)], axis=1)
+
+
+def list_kinds(rng, m, k):
+    """Lists of k neighbors that leave columns unpicked, repeat five rows,
+    or are all one row."""
+    unpicked = random_lists(rng, m, k, skip=rng.permutation(m)[:(m - k) // 2])
+    return {"unpicked": unpicked,
+            "duplicated": unpicked[np.arange(m) % min(m, 5)],
+            "identical": np.repeat(unpicked[:1], m, axis=0)}
+
+
+def feature_kinds(rng, m):
+    """Features with distinct rows, with five rows repeated, and with all
+    rows identical: (image, text) pairs."""
+    fi, ft = rng.standard_normal((m, 6)), rng.standard_normal((m, 4))
+    five = np.arange(m) % min(m, 5)
+    return {"distinct": (fi, ft), "duplicated": (fi[five], ft[five]),
+            "identical": (np.ones((m, 6)), np.ones((m, 4)))}
 
 
 class TestSecondOrder:
@@ -128,8 +152,8 @@ class TestSecondOrder:
         a = random_lists(rng, m, k, skip=[3, 8])  # neighbors no row of a picks
         b = random_lists(rng, m, k, skip=[8, 15])  # ... or no row of b
         cases = [(a, b), (b, a), (a, a), (b, b)]
-        for join_pairs in (corrmine._JOIN_PAIRS, 7):  # one block, many
-            monkeypatch.setattr(corrmine, "_JOIN_PAIRS", join_pairs)
+        for block_rows in (simgraph._BLOCK_ROWS, 7):  # one block of rows, many
+            monkeypatch.setattr(simgraph, "_BLOCK_ROWS", block_rows)
             for x, y in cases:
                 for tau in (1, 2, 3):
                     out = second_order(x, y, tau)
@@ -144,16 +168,16 @@ class TestSecondOrder:
         a, b = random_lists(rng, m, 3), random_lists(rng, m, 3)
         for x, y in ((a, a), (a, b)):
             before = (rng.random((m, m)) < 0.2).astype(np.uint8)
-            out = before.copy()
+            out = np.packbits(before, axis=1)
             assert corrmine.second_order(x, y, 1, out) is out
-            npt.assert_array_equal(out, before | second_order(x, y, 1))
+            npt.assert_array_equal(out, np.packbits(before | second_order(x, y, 1), axis=1))
 
     @pytest.mark.parametrize("bad", ["strided", "int64", "shape"])
     def test_bad_out_rejected(self, bad):
         nn = np.arange(4)[:, None]
-        out = {"strided": np.zeros((4, 8), dtype=np.uint8)[:, ::2],
-               "int64": np.zeros((4, 4), dtype=np.int64),
-               "shape": np.zeros((4, 5), dtype=np.uint8)}[bad]
+        out = {"strided": np.zeros((4, 2), dtype=np.uint8)[:, ::2],
+               "int64": np.zeros((4, 1), dtype=np.int64),
+               "shape": np.zeros((4, 4), dtype=np.uint8)}[bad]  # a dense buffer
         with pytest.raises(DataError, match="out"):
             corrmine.second_order(nn, nn, 1, out)
 
@@ -169,31 +193,103 @@ class TestSecondOrder:
         assert out.sum() == 0  # no pair can share five of two neighbors
 
 
+# orders on both sides of byte and 256-row strip boundaries
+ORDERS = [1, 7, 8, 9, 60, 300, 301, 1000]
+
+
+def kr_values(m):
+    """kr of 1 and a few, and up to 301 rows kr at and past the order too;
+    at 1000 rows whole-order lists only give the all-ones relation again,
+    at seconds per join."""
+    return sorted({1, min(5, m)} | ({m, m + 3} if m <= 301 else set()))
+
+
+class TestPackedMinerOracle:
+    """The packed miner against dense matmul references, bit for bit,
+    padding included."""
+
+    @pytest.mark.parametrize("m", ORDERS)
+    def test_second_order_matches_dense(self, m):
+        rng = np.random.default_rng(m)
+        for k in sorted({min(kr, m) for kr in kr_values(m)}):  # lists hold at most m
+            kinds = list_kinds(rng, m, k)
+            other = list_kinds(rng, m, k)["unpicked"]
+            for name, x in kinds.items():
+                for y in (x, other):
+                    for tau in (1, 2, 3):
+                        out = corrmine.second_order(x, y, tau, packed_zeros(m))
+                        want = dense_second_order(dense_adjacency(x, m),
+                                                  dense_adjacency(y, m), tau)
+                        assert np.array_equal(out, np.packbits(want, axis=1)), \
+                            (name, k, tau, y is x)
+
+    @pytest.mark.parametrize("m", ORDERS)
+    def test_init_correlations_matches_dense(self, m):
+        rng = np.random.default_rng(100 + m)
+        for name, (fi, ft) in feature_kinds(rng, m).items():
+            si, st = simgraph.cosine_matrix(fi), simgraph.cosine_matrix(ft)
+            for kr in kr_values(m):
+                nn_i, nn_t = argsort_top_k(si, kr), argsort_top_k(st, kr)
+                for tau in (1, 2, 3):
+                    rel = corrmine.init_correlations(si, st, kr, tau)
+                    want = dense_init_correlations(nn_i, nn_t, tau)
+                    assert np.array_equal(rel.bits, np.packbits(want, axis=1)), \
+                        (name, kr, tau)
+
+    @pytest.mark.parametrize("m", [9, 60, 301])
+    def test_tau_one_merged_join_equals_the_three_joins(self, m):
+        # one self-join of the concatenated lists stands for the three joins
+        rng = np.random.default_rng(200 + m)
+        for name, (fi, ft) in feature_kinds(rng, m).items():
+            si, st = simgraph.cosine_matrix(fi), simgraph.cosine_matrix(ft)
+            nn_i, nn_t = corrmine.knn_adjacency(si, 4), corrmine.knn_adjacency(st, 4)
+            bits = corrmine.CorrelationSet.identity(m).bits
+            for a, b in ((nn_i, nn_i), (nn_t, nn_t), (nn_i, nn_t)):
+                corrmine.second_order(a, b, 1, bits)
+            rel = corrmine.init_correlations(si, st, 4, 1)
+            npt.assert_array_equal(rel.bits, bits, err_msg=name)
+
+
 class TestCorrelationSet:
     def test_dense_roundtrip_and_popcount(self):
         rng = np.random.default_rng(5)
         base = (rng.random((13, 13)) < 0.3).astype(np.uint8)
         dense = base | base.T
         np.fill_diagonal(dense, 1)
-        rel = corrmine.CorrelationSet.from_dense(dense)
+        rel = relation_from_dense(dense)
+        npt.assert_array_equal(rel.bits, np.packbits(dense, axis=1))
         npt.assert_array_equal(rel.to_dense(), dense)
         assert rel.popcount() == int(dense.sum())
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 300])
+    def test_identity_bits(self, m):
+        rel = corrmine.CorrelationSet.identity(m)
+        npt.assert_array_equal(rel.bits, np.packbits(np.eye(m, dtype=np.uint8), axis=1))
+        assert corrmine.CorrelationSet.from_bits(rel.bits).order == m
 
     def test_asymmetric_rejected(self):
         dense = np.eye(3, dtype=np.uint8)
         dense[0, 1] = 1
         with pytest.raises(DataError, match="symmetric"):
-            corrmine.CorrelationSet.from_dense(dense)
+            relation_from_dense(dense)
 
     @pytest.mark.parametrize("i, j", [(280, 295), (295, 280), (10, 290), (290, 10)])
     def test_asymmetric_entry_in_last_partial_tile_rejected(self, i, j):
-        # order 300 checks in tiles [0, 256) and [256, 300)
+        # order 300 checks the packed bits in strips [0, 256) and [256, 300)
         dense = np.eye(300, dtype=np.uint8)
         dense[5, 299] = dense[299, 5] = 1
-        corrmine.CorrelationSet.from_dense(dense)
-        dense[i, j] = 1
+        bits = np.packbits(dense, axis=1)
+        corrmine.CorrelationSet.from_bits(bits)
+        bits[i, j // 8] |= 0x80 >> (j % 8)
         with pytest.raises(DataError, match="symmetric"):
-            corrmine.CorrelationSet.from_dense(dense)
+            corrmine.CorrelationSet.from_bits(bits)
+
+    @pytest.mark.parametrize("m, col", [(13, 13), (13, 15), (300, 303), (1, 7)])
+    def test_padding_bit_past_the_order_rejected(self, m, col):
+        bits = corrmine.CorrelationSet.identity(m).bits
+        bits[m - 1, col // 8] |= 0x80 >> (col % 8)
+        with pytest.raises(DataError, match="past its order"):
+            corrmine.CorrelationSet.from_bits(bits)
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
     def test_non_binary_entry_rejected(self, bad):
@@ -204,25 +300,40 @@ class TestCorrelationSet:
             dense = np.eye(4).astype(dtype)
             dense[1, 2] = dense[2, 1] = bad
             with pytest.raises(DataError, match="0/1"):
-                corrmine.CorrelationSet.from_dense(dense)
+                relation_from_dense(dense)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64, np.float64])
     def test_binary_dtypes_accepted(self, dtype):
         dense = np.eye(5, dtype=dtype)
         dense[0, 3] = dense[3, 0] = 1
-        rel = corrmine.CorrelationSet.from_dense(dense)
+        rel = relation_from_dense(dense)
         npt.assert_array_equal(rel.to_dense(), dense.astype(np.uint8))
 
     def test_missing_diagonal_rejected(self):
         with pytest.raises(DataError, match="self pair"):
-            corrmine.CorrelationSet.from_dense(np.zeros((3, 3), dtype=np.uint8))
+            corrmine.CorrelationSet.from_bits(np.zeros((3, 1), dtype=np.uint8))
+        # one missing self pair in the last partial strip of order 300
+        bits = corrmine.CorrelationSet.identity(300).bits
+        bits[299, 299 // 8] = 0
+        with pytest.raises(DataError, match="self pair"):
+            corrmine.CorrelationSet.from_bits(bits)
 
     def test_batch_slice(self):
         dense = np.eye(6, dtype=np.uint8)
         dense[1, 4] = dense[4, 1] = 1
-        rel = corrmine.CorrelationSet.from_dense(dense)
+        rel = relation_from_dense(dense)
         sub = rel.batch(np.array([1, 4, 5]))
         npt.assert_array_equal(sub, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+
+
+def init_correlations_peak(si, st, kr, tau):
+    """Traced peak bytes of one init_correlations call."""
+    tracemalloc.start()
+    try:
+        corrmine.init_correlations(si, st, kr=kr, tau=tau)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestInitCorrelations:
@@ -261,21 +372,28 @@ class TestInitCorrelations:
                                            simgraph.cosine_matrix(g * 0.2), 4)
         npt.assert_array_equal(rel_a.to_dense(), rel_b.to_dense())
 
-
     @pytest.mark.parametrize("tau", [1, 2])
-    def test_peak_memory_below_6_bytes_per_pair(self, tau):
-        # the relation is marked into one uint8 buffer; the top-k selection's
-        # float32 copy of a similarity row set is the other large temporary
+    def test_peak_memory_below_1_5_bytes_per_pair(self, tau):
+        # the relation and the listing sets are packed bits; the top-k
+        # selection's copy of a 256-row block is the largest temporary.
+        # Measured 1.2 B/pair at tau 1 and 0.9 at tau 2.
         m = 2000
         rng = np.random.default_rng(17)
         si, st = cosine_of(rng, m, 8), cosine_of(rng, m, 6)
-        tracemalloc.start()
-        try:
-            corrmine.init_correlations(si, st, kr=20, tau=tau)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * m * m + (1 << 20), peak
+        peak = init_correlations_peak(si, st, 20, tau)
+        assert peak < 1.5 * m * m, peak / m / m
+
+    def test_tied_rows_peak_memory_below_4_5_bytes_per_pair(self):
+        # five distinct rows repeated: every row ties with hundreds of others,
+        # so top_k_indices' tie fix-up runs on every row.  Per block of rows
+        # it measured 3.6 B/pair; on the whole matrix at once it took 27.
+        m = 2000
+        rng = np.random.default_rng(19)
+        five = np.arange(m) % 5
+        si = simgraph.cosine_matrix(rng.standard_normal((5, 8))[five])
+        st = simgraph.cosine_matrix(rng.standard_normal((5, 6))[five])
+        peak = init_correlations_peak(si, st, 20, 1)
+        assert peak < 4.5 * m * m, peak / m / m
 
 
 class TestFirstOrderCorrelations:
@@ -346,7 +464,7 @@ class TestCorrelationStats:
         assert stats == {"count": 6, "precision": 1.0, "no_offdiag": True}
 
     def test_same_class_all_pairs(self):
-        rel = corrmine.CorrelationSet.from_dense(np.ones((5, 5), dtype=np.uint8))
+        rel = relation_from_dense(np.ones((5, 5), dtype=np.uint8))
         labels = np.tile([[1, 0]], (5, 1)).astype(np.int8)
         stats = corrmine.correlation_stats(rel, labels)
         assert stats["precision"] == 1.0
@@ -354,7 +472,7 @@ class TestCorrelationStats:
 
     def test_two_disjoint_classes_all_pairs(self):
         m = 8
-        rel = corrmine.CorrelationSet.from_dense(np.ones((m, m), dtype=np.uint8))
+        rel = relation_from_dense(np.ones((m, m), dtype=np.uint8))
         labels = np.zeros((m, 2), dtype=np.int8)
         labels[: m // 2, 0] = 1
         labels[m // 2:, 1] = 1
@@ -370,7 +488,7 @@ class TestLabelShare:
             base = (rng.random((m, m)) < 0.25).astype(np.uint8)
             dense = base | base.T
             np.fill_diagonal(dense, 1)
-            rel = corrmine.CorrelationSet.from_dense(dense)
+            rel = relation_from_dense(dense)
             labels = (rng.random((m, 4)) < 0.3).astype(np.int8)
             labels[0] = 0  # an unlabeled row shares no label, not even with itself
             expect = dense_correlation_stats(dense, labels)

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from assph import corrmine, dataio, evalkit, hashnet, objective, trainer
+from assph import config, corrmine, dataio, evalkit, hashnet, objective, trainer
 from assph.errors import ConfigError, DivergenceError
 from oracles import naive_backward, naive_sgd_step
 
@@ -23,7 +23,7 @@ def small_config(**overrides):
     base = dict(code_length=16, epochs=3, batch_size=30, ks=15, kr=4,
                 d_hidden=32, seed=5, learning_rate=3e-4)
     base.update(overrides)
-    return trainer.TrainConfig(**base)
+    return config.TrainConfig(**base)
 
 
 class TestEtaSchedule:
@@ -43,15 +43,15 @@ class TestConfig:
     def test_round_trip(self):
         cfg = small_config(gamma=0.7, adaptive=False, pair_corr=True,
                            hidden_act="tanh")
-        assert trainer.TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert config.TrainConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
-            trainer.TrainConfig.from_dict({"epochs": 3, "learning_rte": 0.1})
+            config.TrainConfig.from_dict({"epochs": 3, "learning_rte": 0.1})
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad config value"):
-            trainer.TrainConfig.from_dict({"epochs": "many"})
+            config.TrainConfig.from_dict({"epochs": "many"})
 
     @pytest.mark.parametrize("key, value", [
         ("adaptive", "false"), ("adaptive", 0), ("epochs", 2.9),
@@ -60,10 +60,10 @@ class TestConfig:
     ])
     def test_value_of_wrong_kind_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"bad config value: {key}"):
-            trainer.TrainConfig.from_dict({key: value})
+            config.TrainConfig.from_dict({key: value})
 
     def test_whole_numbers_coerced(self):
-        cfg = trainer.TrainConfig.from_dict({"epochs": 3.0, "gamma": 1,
+        cfg = config.TrainConfig.from_dict({"epochs": 3.0, "gamma": 1,
                                              "adaptive": False})
         assert cfg.epochs == 3 and type(cfg.epochs) is int
         assert cfg.gamma == 1.0 and type(cfg.gamma) is float
@@ -74,7 +74,7 @@ class TestConfig:
                                      "eta_base", "gamma", "mu1", "beta"])
     def test_non_finite_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
-            trainer.TrainConfig.from_dict({key: value})
+            config.TrainConfig.from_dict({key: value})
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError, match="gamma"):
@@ -87,7 +87,7 @@ class TestConfig:
             small_config(hidden_act="gelu").validate()
 
     def test_reference_profile_resolves(self):
-        cfg = trainer.TrainConfig.from_dict(trainer.PROFILES["paper-default"])
+        cfg = config.TrainConfig.from_dict(config.PROFILES["paper-default"])
         assert cfg.epochs == 50
         assert cfg.batch_size == 32
         assert cfg.d_hidden == 4096
