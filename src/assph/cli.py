@@ -140,10 +140,10 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     write_features(semantic, os.path.join(args.out, "semantic.assf"))
-    pairs = np.argwhere(np.triu(rel.to_dense()))
     with open(os.path.join(args.out, "correlations.csv"), "w") as fh:
         fh.write("i,j\n")
-        np.savetxt(fh, pairs, fmt="%d", delimiter=",")
+        for pairs in rel.upper_pairs():
+            np.savetxt(fh, pairs, fmt="%d", delimiter=",")
     stats = {"count": rel.popcount(), "order": rel.order, "epoch": rel.epoch}
     if bundle.labels is not None:
         stats.update(corrmine.correlation_stats(rel, bundle.labels[train_idx]))

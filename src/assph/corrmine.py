@@ -15,7 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergenceError
-from .simgraph import _row_blocks, cosine_matrix, top_k_indices
+from .simgraph import _row_blocks, _unit_rows, cosine_blocks, top_k_indices
+# not called here, but bench/tracing.py patches corrmine.cosine_matrix
+from .simgraph import cosine_matrix  # noqa: F401
 
 # set bits in each byte value, for counting bits in packed rows
 _BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
@@ -68,8 +70,14 @@ class CorrelationSet:
         _mark(bits, np.arange(order), np.arange(order))
         return cls(order, bits)
 
-    def to_dense(self) -> np.ndarray:
-        return np.unpackbits(self.bits, axis=1, count=self.order)
+    def upper_pairs(self):
+        """Yield the pairs (i, j), i <= j, as (n, 2) index arrays in
+        row-major order, one per block of rows; only that block's rows are
+        ever unpacked."""
+        for lo, hi in _row_blocks(self.order):
+            rows = np.unpackbits(self.bits[lo:hi], axis=1, count=self.order)
+            i, j = np.nonzero(np.triu(rows, lo))
+            yield np.column_stack((i + lo, j))
 
     def popcount(self) -> int:
         return _count_bits(self.bits)
@@ -85,6 +93,17 @@ class CorrelationSet:
         return rows[:, idx].astype(np.float64)
 
 
+def _select(blocks, m: int, kr: int) -> np.ndarray:
+    """Neighbor lists of m rows from (lo, hi, rows) blocks of a similarity:
+    top_k_indices(rows, kr) per block."""
+    if kr < 1:
+        raise ConfigError(f"knn_adjacency: kr must be >= 1, got {kr}")
+    nn = np.empty((m, min(kr, m)), dtype=np.intp)
+    for lo, hi, rows in blocks:
+        nn[lo:hi] = top_k_indices(rows, kr)
+    return nn
+
+
 def knn_adjacency(sim: np.ndarray, kr: int) -> np.ndarray:
     """Each row's kr nearest neighbors under sim: top_k_indices(sim, kr).
 
@@ -93,12 +112,8 @@ def knn_adjacency(sim: np.ndarray, kr: int) -> np.ndarray:
     keeps each instance inside its own neighbor set.  Selecting per block
     of rows bounds the temporaries of top_k_indices' tie fix-up.
     """
-    if kr < 1:
-        raise ConfigError(f"knn_adjacency: kr must be >= 1, got {kr}")
-    nn = np.empty((len(sim), min(kr, len(sim))), dtype=np.intp)
-    for lo, hi in _row_blocks(len(sim)):
-        nn[lo:hi] = top_k_indices(sim[lo:hi], kr)
-    return nn
+    m = len(sim)
+    return _select(((lo, hi, sim[lo:hi]) for lo, hi in _row_blocks(m)), m, kr)
 
 
 def _join(nn_a: np.ndarray, nn_b: np.ndarray, tau: int, out: np.ndarray) -> None:
@@ -149,6 +164,25 @@ def second_order(nn_a: np.ndarray, nn_b: np.ndarray, tau: int,
     return out
 
 
+def _first_order(nn_i: np.ndarray, nn_t: np.ndarray) -> CorrelationSet:
+    bits = CorrelationSet.identity(len(nn_i)).bits
+    nn = np.hstack((nn_i, nn_t))
+    rows = np.repeat(np.arange(len(nn)), nn.shape[1])
+    _mark(bits, rows, nn.ravel())
+    _mark(bits, nn.ravel(), rows)
+    return CorrelationSet.from_bits(bits)
+
+
+def _second_order_relation(nn_i: np.ndarray, nn_t: np.ndarray,
+                           tau: int) -> CorrelationSet:
+    bits = CorrelationSet.identity(len(nn_i)).bits
+    nn = np.hstack((nn_i, nn_t))
+    joins = [(nn, nn)] if tau == 1 else [(nn_i, nn_i), (nn_t, nn_t), (nn_i, nn_t)]
+    for nn_a, nn_b in joins:
+        second_order(nn_a, nn_b, tau, bits)
+    return CorrelationSet.from_bits(bits)
+
+
 def first_order_correlations(sim_image: np.ndarray, sim_text: np.ndarray,
                              kr: int) -> CorrelationSet:
     """Pairwise-only relation: symmetrized first-order KNN of each modality.
@@ -156,13 +190,7 @@ def first_order_correlations(sim_image: np.ndarray, sim_text: np.ndarray,
     This is the mining rule with the neighborhood-overlap step bypassed;
     it exists to measure what that step buys.
     """
-    nn_i, nn_t = knn_adjacency(sim_image, kr), knn_adjacency(sim_text, kr)
-    bits = CorrelationSet.identity(len(nn_i)).bits
-    nn = np.hstack((nn_i, nn_t))
-    rows = np.repeat(np.arange(len(nn)), nn.shape[1])
-    _mark(bits, rows, nn.ravel())
-    _mark(bits, nn.ravel(), rows)
-    return CorrelationSet.from_bits(bits)
+    return _first_order(knn_adjacency(sim_image, kr), knn_adjacency(sim_text, kr))
 
 
 def init_correlations(sim_image: np.ndarray, sim_text: np.ndarray,
@@ -172,13 +200,8 @@ def init_correlations(sim_image: np.ndarray, sim_text: np.ndarray,
     At tau 1 the four directed joins of the image and text lists hit
     exactly where one self-join of the concatenated lists does.
     """
-    nn_i, nn_t = knn_adjacency(sim_image, kr), knn_adjacency(sim_text, kr)
-    bits = CorrelationSet.identity(len(nn_i)).bits
-    nn = np.hstack((nn_i, nn_t))
-    joins = [(nn, nn)] if tau == 1 else [(nn_i, nn_i), (nn_t, nn_t), (nn_i, nn_t)]
-    for nn_a, nn_b in joins:
-        second_order(nn_a, nn_b, tau, bits)
-    return CorrelationSet.from_bits(bits)
+    return _second_order_relation(knn_adjacency(sim_image, kr),
+                                  knn_adjacency(sim_text, kr), tau)
 
 
 def adaptive_update(rel: CorrelationSet, hidden_image: np.ndarray,
@@ -187,23 +210,24 @@ def adaptive_update(rel: CorrelationSet, hidden_image: np.ndarray,
     """Union the relation mined from hidden embeddings into rel.
 
     The result is monotone (never loses a pair) and carries epoch + 1.
-    A zero-norm hidden row means the network collapsed, so it raises
-    DivergenceError rather than DataError.
+    Each side's neighbor lists are selected from the blocks of
+    cosine_blocks as they stream, so no order x order float32 cosine is
+    held, and only one side's float64 product at a time.  A zero-norm
+    hidden row means the network collapsed, so it raises DivergenceError
+    rather than DataError.
     """
+    units = []
     for name, h in (("image", hidden_image), ("text", hidden_text)):
         if h.shape[0] != rel.order:
             raise DataError(f"adaptive_update: {name} embeddings have {h.shape[0]} "
                             f"rows, relation order is {rel.order}")
-        norms = np.linalg.norm(np.asarray(h, dtype=np.float64), axis=1)
-        if np.any(norms == 0.0):
-            raise DivergenceError(f"adaptive_update: zero-norm {name} embedding row "
-                                  f"{int(np.argmax(norms == 0.0))}; training diverged")
-    sim_i = cosine_matrix(hidden_image)
-    sim_t = cosine_matrix(hidden_text)
+        units.append(_unit_rows(h, lambda i: DivergenceError(
+            f"adaptive_update: zero-norm {name} embedding row {i}; training diverged")))
+    nn_i, nn_t = (_select(cosine_blocks(u), rel.order, kr) for u in units)
     if pairwise:
-        mined = first_order_correlations(sim_i, sim_t, kr)
+        mined = _first_order(nn_i, nn_t)
     else:
-        mined = init_correlations(sim_i, sim_t, kr, tau)
+        mined = _second_order_relation(nn_i, nn_t, tau)
     return rel.union(mined, epoch=rel.epoch + 1)
 
 

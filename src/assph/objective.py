@@ -17,6 +17,7 @@ slices:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +49,6 @@ def _normalized(h: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
     return h / norms[:, None], norms
 
 
-def _grad_pair(g: np.ndarray, c: np.ndarray, a_hat: np.ndarray,
-               a_norms: np.ndarray, b_hat: np.ndarray,
-               b_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # d cos(a_i, b_j) / d a_i = (b_hat_j - c_ij * a_hat_i) / |a_i|
-    d_a = (g @ b_hat - (g * c).sum(axis=1)[:, None] * a_hat) / a_norms[:, None]
-    d_b = (g.T @ a_hat - (g * c).sum(axis=0)[:, None] * b_hat) / b_norms[:, None]
-    return d_a, d_b
-
-
 def _grad_self(g: np.ndarray, c: np.ndarray, a_hat: np.ndarray,
                a_norms: np.ndarray) -> np.ndarray:
     # rows appear on both sides of cos(A, A): fold g and g.T together
@@ -64,15 +56,13 @@ def _grad_self(g: np.ndarray, c: np.ndarray, a_hat: np.ndarray,
     return (h @ a_hat - (h * c).sum(axis=1)[:, None] * a_hat) / a_norms[:, None]
 
 
-def total_loss_and_grads(hi: np.ndarray, ht: np.ndarray,
-                         s_batch: np.ndarray, r_batch: np.ndarray,
-                         weights: LossWeights) -> LossOutput:
-    """Weighted objective plus dL/dHi and dL/dHt.
+# one checked batch pair: unit rows, norms, targets and the three cosine
+# matrices every term reads
+_Cosines = namedtuple("_Cosines", "hi_hat hi_norms ht_hat ht_norms s r c_it c_ii c_tt")
 
-    When one side is a constant, such as detached sign codes, its
-    gradient is simply not applied: terms touching only that side drop
-    out of the other side's gradient on their own.
-    """
+
+def _cosines(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray,
+             r_batch: np.ndarray, weights: LossWeights) -> _Cosines:
     weights.validate()
     hi_hat, hi_norms = _normalized(hi, "image batch")
     ht_hat, ht_norms = _normalized(ht, "text batch")
@@ -85,28 +75,70 @@ def total_loss_and_grads(hi: np.ndarray, ht: np.ndarray,
         raise DataError(
             f"batch slices must be {m}x{m}, got S {s.shape} and R {r.shape}"
         )
+    return _Cosines(hi_hat, hi_norms, ht_hat, ht_norms, s, r,
+                    c_it=hi_hat @ ht_hat.T, c_ii=hi_hat @ hi_hat.T,
+                    c_tt=ht_hat @ ht_hat.T)
 
-    c_it = hi_hat @ ht_hat.T
-    c_ii = hi_hat @ hi_hat.T
-    c_tt = ht_hat @ ht_hat.T
 
+def _g_it(c: _Cosines, weights: LossWeights) -> np.ndarray:
+    """dL/dC_it, which both sides' gradients read."""
+    return 2.0 * (c.c_it - c.s) \
+        + weights.mu1 * 2.0 * c.r * (c.c_it - weights.beta) \
+        + weights.mu2 * 2.0 * ((c.c_it - c.c_ii) + (c.c_it - c.c_tt))
+
+
+def _image_side(c: _Cosines, g_it: np.ndarray, weights: LossWeights) -> np.ndarray:
+    g_ii = 2.0 * (c.c_ii - c.s) \
+        + weights.mu2 * (2.0 * (c.c_ii - c.c_tt) - 2.0 * (c.c_it - c.c_ii))
+    # d cos(hi_i, ht_j) / d hi_i = (ht_hat_j - c_ij * hi_hat_i) / |hi_i|
+    pair = (g_it @ c.ht_hat - (g_it * c.c_it).sum(axis=1)[:, None] * c.hi_hat) \
+        / c.hi_norms[:, None]
+    return pair + _grad_self(g_ii, c.c_ii, c.hi_hat, c.hi_norms)
+
+
+def _text_side(c: _Cosines, g_it: np.ndarray, weights: LossWeights) -> np.ndarray:
+    g_tt = 2.0 * (c.c_tt - c.s) \
+        + weights.mu2 * (-2.0 * (c.c_ii - c.c_tt) - 2.0 * (c.c_it - c.c_tt))
+    # the same derivative for the column side ht_j of cos(hi_i, ht_j)
+    pair = (g_it.T @ c.hi_hat - (g_it * c.c_it).sum(axis=0)[:, None] * c.ht_hat) \
+        / c.ht_norms[:, None]
+    return pair + _grad_self(g_tt, c.c_tt, c.ht_hat, c.ht_norms)
+
+
+def total_loss_and_grads(hi: np.ndarray, ht: np.ndarray,
+                         s_batch: np.ndarray, r_batch: np.ndarray,
+                         weights: LossWeights) -> LossOutput:
+    """Weighted objective plus dL/dHi and dL/dHt.
+
+    When one side is a constant, such as detached sign codes, its
+    gradient is simply not applied: terms touching only that side drop
+    out of the other side's gradient on their own.  image_grad and
+    text_grad compute one of the two gradients alone.
+    """
+    c = _cosines(hi, ht, s_batch, r_batch, weights)
+    s, r, c_it, c_ii, c_tt = c.s, c.r, c.c_it, c.c_ii, c.c_tt
     sr = float(((s - c_it) ** 2).sum() + ((s - c_ii) ** 2).sum()
                + ((s - c_tt) ** 2).sum())
     sa = float(((c_ii - c_tt) ** 2).sum() + ((c_it - c_ii) ** 2).sum()
                + ((c_it - c_tt) ** 2).sum())
     cp = float((r * (c_it - weights.beta) ** 2).sum())
     total = sr + weights.mu1 * cp + weights.mu2 * sa
-
-    g_it = 2.0 * (c_it - s) \
-        + weights.mu1 * 2.0 * r * (c_it - weights.beta) \
-        + weights.mu2 * 2.0 * ((c_it - c_ii) + (c_it - c_tt))
-    g_ii = 2.0 * (c_ii - s) \
-        + weights.mu2 * (2.0 * (c_ii - c_tt) - 2.0 * (c_it - c_ii))
-    g_tt = 2.0 * (c_tt - s) \
-        + weights.mu2 * (-2.0 * (c_ii - c_tt) - 2.0 * (c_it - c_tt))
-
-    d_hi_pair, d_ht_pair = _grad_pair(g_it, c_it, hi_hat, hi_norms,
-                                      ht_hat, ht_norms)
+    g_it = _g_it(c, weights)
     return LossOutput(total=total, sr=sr, sa=sa, cp=cp,
-                      grad_image=d_hi_pair + _grad_self(g_ii, c_ii, hi_hat, hi_norms),
-                      grad_text=d_ht_pair + _grad_self(g_tt, c_tt, ht_hat, ht_norms))
+                      grad_image=_image_side(c, g_it, weights),
+                      grad_text=_text_side(c, g_it, weights))
+
+
+def image_grad(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray,
+               r_batch: np.ndarray, weights: LossWeights) -> np.ndarray:
+    """dL/dHi alone, equal to total_loss_and_grads(...).grad_image: no loss
+    values and no text gradient are computed."""
+    c = _cosines(hi, ht, s_batch, r_batch, weights)
+    return _image_side(c, _g_it(c, weights), weights)
+
+
+def text_grad(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray,
+              r_batch: np.ndarray, weights: LossWeights) -> np.ndarray:
+    """dL/dHt alone, equal to total_loss_and_grads(...).grad_text."""
+    c = _cosines(hi, ht, s_batch, r_batch, weights)
+    return _text_side(c, _g_it(c, weights), weights)

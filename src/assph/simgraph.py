@@ -6,12 +6,17 @@ blend back onto [-1, 1].  Each stage is exposed on its own so tests can
 pin it against a scalar reference; stages take and return plain arrays.
 
 Every matrix is square over the same instance set and stored float32,
-except two float64 ones inside structural: the neighbor weights W
-(float32-rounded values) and the product W @ W.T.  The other stages walk
-blocks of _BLOCK_ROWS rows, compute each block in float64 temporaries
-and write its float32 rows, so none of them makes a whole-matrix float64
-temporary.  fuse writes over one of the two cosines, and build_semantic
-writes its result over the fusion.
+except the float64 products a @ a.T of the cosine (a the unit rows) and
+of structural (a = W, the float32-rounded neighbor weights).  numpy
+computes a @ a.T as one symmetric rank-k update: BLAS syrk fills one
+triangle and numpy copies it onto the other, and without BLAS entries
+(i, j) and (j, i) sum the same products in the same order.  So both
+products are exactly symmetric as computed, and no stage mirrors a
+triangle.  The cosine's float32 rows come from its product one block of
+_BLOCK_ROWS rows at a time; the other stages walk the same blocks,
+compute each in float64 temporaries and write its float32 rows.  fuse
+writes over one of the two cosines, and build_semantic writes its
+result over the fusion.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-# rows per block of the row-wise stages and of the triangle mirror
+# rows per block of the row-wise stages
 _BLOCK_ROWS = 256
 
 
@@ -30,16 +35,6 @@ def _row_blocks(m: int):
     """(lo, hi) bounds of consecutive blocks of _BLOCK_ROWS rows."""
     step = _BLOCK_ROWS
     return ((lo, min(lo + step, m)) for lo in range(0, m, step))
-
-
-def _mirror_lower(s: np.ndarray) -> None:
-    """Copy the lower triangle of a square matrix onto the upper one, in
-    place, one diagonal tile and the strip right of it at a time."""
-    for lo, hi in _row_blocks(s.shape[0]):
-        tile = s[lo:hi, lo:hi]
-        upper = np.triu_indices(hi - lo, 1)
-        tile[upper] = tile.T[upper]
-        s[lo:hi, hi:] = s[hi:, lo:hi].T
 
 
 def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
@@ -64,28 +59,51 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     return (np.flatnonzero(keep) % n).reshape(m, k)
 
 
-def cosine_matrix(features: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity of feature rows.
-
-    Products are computed in float64 and rounded to float32; the clip to
-    [-1, 1] and the mirror of the lower triangle onto the upper one, which
-    makes symmetry exact, then run in float32.  Rounding is elementwise
-    and monotone and keeps -1 and 1, so this gives the bits that clipping
-    and mirroring in float64 before rounding would.  The rows are
-    normalized in one private float64 copy, so the input is never
-    written.
-    """
+def _unit_rows(features: np.ndarray, zero_norm) -> np.ndarray:
+    """A private float64 copy of a non-empty 2-d matrix, each row scaled to
+    unit norm; the input is never written.  A zero-norm row i, whose
+    cosine is undefined, raises the exception zero_norm(i) returns."""
     f = np.array(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 1:
-        raise DataError(f"cosine_matrix: expected a non-empty 2-d matrix, got {f.shape}")
+        raise DataError(f"expected a non-empty 2-d matrix, got {f.shape}")
     norms = np.linalg.norm(f, axis=1)
     if np.any(norms == 0.0):
-        raise DataError(f"cosine_matrix: zero-norm row {int(np.argmax(norms == 0.0))}")
+        raise zero_norm(int(np.argmax(norms == 0.0)))
     f /= norms[:, None]
-    s = (f @ f.T).astype(np.float32)
-    np.clip(s, -1.0, 1.0, out=s)
-    _mirror_lower(s)
-    np.fill_diagonal(s, 1.0)
+    return f
+
+
+def cosine_blocks(unit: np.ndarray):
+    """Yield (lo, hi, rows): rows lo..hi-1 of the float32 cosine of unit.
+
+    unit holds unit-norm float64 rows, as _unit_rows makes them.  The
+    float64 product unit @ unit.T is formed once; each block of rows is
+    rounded into one reused float32 buffer, clipped to [-1, 1] and given
+    unit self-similarity.  Rounding is elementwise and monotone and keeps
+    -1 and 1, so this gives the bits that clipping in float64 before
+    rounding would.  The product is exactly symmetric (see the module
+    docstring), and so is the cosine.  The next block overwrites rows, so
+    a caller that keeps them copies them.  The product is freed when the
+    last block is consumed.
+    """
+    m = len(unit)
+    prod = unit @ unit.T
+    buf = np.empty((min(_BLOCK_ROWS, m), m), dtype=np.float32)
+    for lo, hi in _row_blocks(m):
+        rows = buf[:hi - lo]
+        np.copyto(rows, prod[lo:hi], casting="same_kind")
+        np.clip(rows, -1.0, 1.0, out=rows)
+        np.fill_diagonal(rows[:, lo:hi], 1.0)
+        yield lo, hi, rows
+
+
+def cosine_matrix(features: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarity of feature rows, float32 and exactly
+    symmetric: the blocks of cosine_blocks collected into one matrix."""
+    unit = _unit_rows(features, lambda i: DataError(f"cosine_matrix: zero-norm row {i}"))
+    s = np.empty((len(unit), len(unit)), dtype=np.float32)
+    for lo, hi, rows in cosine_blocks(unit):
+        s[lo:hi] = rows
     return s
 
 
@@ -153,15 +171,14 @@ def structural(fused: np.ndarray, ks: int) -> np.ndarray:
     product is, so fused, W and W @ W.T are the most that is live.  Two
     instances score high when their normalized neighbor weight rows
     overlap; the ks factor (clamped to the order) undoes the 1/ks scale of
-    uniform rows.  The float64 product is scaled, mirrored from its lower
-    triangle (exact symmetry) and clipped in place, and its float32
-    rounding is returned.
+    uniform rows.  The float64 product, exactly symmetric as numpy forms
+    it (see the module docstring), is scaled and clipped in place, and its
+    float32 rounding is returned.
     """
     w = topk_normalize(fused, ks)
     prod = w @ w.T
     del w
     prod *= min(ks, len(fused))
-    _mirror_lower(prod)
     np.clip(prod, 0.0, 1.0, out=prod)
     return prod.astype(np.float32)
 

@@ -203,14 +203,12 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
             acts_t = hashnet.forward(state.params_text, xt, eta, cfg.hidden_act)
             b_i = hashnet.sign_codes(acts_i.h).astype(np.float64)
             b_t = hashnet.sign_codes(acts_t.h).astype(np.float64)
-            out_i = objective.total_loss_and_grads(acts_i.h, b_t, s_b, r_b,
-                                                   state.weights_eff)
-            g_i = hashnet.backward(state.params_image, acts_i, out_i.grad_image, g_i)
+            d_hi = objective.image_grad(acts_i.h, b_t, s_b, r_b, state.weights_eff)
+            g_i = hashnet.backward(state.params_image, acts_i, d_hi, g_i)
             hashnet.sgd_step(state.params_image, g_i, cfg.learning_rate,
                              cfg.momentum, cfg.weight_decay)
-            out_t = objective.total_loss_and_grads(b_i, acts_t.h, s_b, r_b,
-                                                   state.weights_eff)
-            g_t = hashnet.backward(state.params_text, acts_t, out_t.grad_text, g_t)
+            d_ht = objective.text_grad(b_i, acts_t.h, s_b, r_b, state.weights_eff)
+            g_t = hashnet.backward(state.params_text, acts_t, d_ht, g_t)
             hashnet.sgd_step(state.params_text, g_t, cfg.learning_rate,
                              cfg.momentum, cfg.weight_decay)
 

@@ -160,6 +160,11 @@ def relation_from_dense(dense) -> "corrmine.CorrelationSet":
     return corrmine.CorrelationSet.from_bits(np.packbits(dense.astype(np.uint8), axis=1))
 
 
+def to_dense(rel) -> np.ndarray:
+    """The relation's order x order 0/1 uint8 matrix, all rows unpacked."""
+    return np.unpackbits(rel.bits, axis=1, count=rel.order)
+
+
 def tril_mirror_cosine(features) -> np.ndarray:
     """Cosine in float64, symmetrized by float64 tril sums, then cast."""
     f = np.asarray(features, dtype=np.float64)

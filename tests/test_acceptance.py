@@ -20,6 +20,7 @@ from oracles import (
     naive_pipeline_stages,
     naive_rank,
     naive_relation,
+    to_dense,
 )
 
 GEOMETRY = dict(classes=5, instances=2000, dim_image=24, dim_text=48,
@@ -194,7 +195,7 @@ class TestMiningOracle:
             tau = 1 + seed % 2
             sim_i = simgraph.cosine_matrix(fi)
             sim_t = simgraph.cosine_matrix(ft)
-            got = corrmine.init_correlations(sim_i, sim_t, kr, tau).to_dense()
+            got = to_dense(corrmine.init_correlations(sim_i, sim_t, kr, tau))
             want = naive_relation(sim_i, sim_t, kr, tau)
             identical &= bool(np.array_equal(got, want))
         elapsed = time.perf_counter() - t0

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from assph import cli, dataio, hashnet, trainer
 from assph.config import HIDDEN_ACTS, TrainConfig
+from oracles import relation_from_dense, to_dense
 
 TRAIN_FLAGS = ["--code-length", "8", "--epochs", "2", "--batch-size", "24",
                "--ks", "12", "--kr", "4", "--d-hidden", "16",
@@ -95,7 +97,7 @@ class TestBuildSim:
         _, rel = trainer.build_targets(bundle.image_features[idx],
                                        bundle.text_features[idx],
                                        TrainConfig.from_dict(config))
-        ii, jj = np.nonzero(np.triu(rel.to_dense()))
+        ii, jj = np.nonzero(np.triu(to_dense(rel)))
         assert ii.size > rel.order  # some off-diagonal pairs to pin
         want = "i,j\n" + "".join(f"{i},{j}\n" for i, j in zip(ii, jj))
         with open(os.path.join(out, "correlations.csv"), newline="") as fh:
@@ -138,8 +140,35 @@ class TestBuildSim:
         assert config["corr"] is False
         state = trainer.init_state(dataio.load_bundle(data_dir),
                                    TrainConfig.from_dict(config))
-        ii, jj = np.nonzero(np.triu(state.rel.to_dense()))
+        ii, jj = np.nonzero(np.triu(to_dense(state.rel)))
         assert lines[1:] == [f"{i},{j}" for i, j in zip(ii, jj)]
+
+
+    def test_pair_listing_unpacks_one_row_block_at_a_time(self, data_dir, tmp_path,
+                                                          monkeypatch):
+        # a banded relation of order 2000 stands in for the mined one; the
+        # listing holds one 256-row block of unpacked bits and its pairs,
+        # where unpacking and triu-masking the whole relation took 3 B/pair
+        from assph import corrmine
+        m = 2000
+        offset = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+        rel = relation_from_dense(offset <= 3)
+        del offset
+        monkeypatch.setattr(trainer, "build_targets",
+                            lambda fi, ft, cfg: (np.eye(2, dtype=np.float32), rel))
+        monkeypatch.setattr(corrmine, "correlation_stats", lambda rel, labels: {})
+        out = str(tmp_path / "band")
+        tracemalloc.start()
+        try:
+            assert cli.dispatch(["build-sim", "--bundle", data_dir, "--out", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * m * m, peak / m / m
+        with open(os.path.join(out, "correlations.csv")) as fh:
+            lines = fh.read().splitlines()
+        ii, jj = np.nonzero(np.triu(to_dense(rel)))
+        assert lines == ["i,j"] + [f"{i},{j}" for i, j in zip(ii, jj)]
 
 
 class TestManifestInputs:

@@ -10,7 +10,7 @@ from assph import corrmine, simgraph
 from assph.errors import ConfigError, DataError, DivergenceError
 from oracles import (argsort_top_k, dense_adjacency, dense_correlation_stats,
                      dense_init_correlations, dense_second_order, naive_relation,
-                     relation_from_dense)
+                     relation_from_dense, to_dense)
 
 
 def cosine_of(rng, m, d):
@@ -258,7 +258,7 @@ class TestCorrelationSet:
         np.fill_diagonal(dense, 1)
         rel = relation_from_dense(dense)
         npt.assert_array_equal(rel.bits, np.packbits(dense, axis=1))
-        npt.assert_array_equal(rel.to_dense(), dense)
+        npt.assert_array_equal(to_dense(rel), dense)
         assert rel.popcount() == int(dense.sum())
 
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 300])
@@ -307,7 +307,7 @@ class TestCorrelationSet:
         dense = np.eye(5, dtype=dtype)
         dense[0, 3] = dense[3, 0] = 1
         rel = relation_from_dense(dense)
-        npt.assert_array_equal(rel.to_dense(), dense.astype(np.uint8))
+        npt.assert_array_equal(to_dense(rel), dense.astype(np.uint8))
 
     def test_missing_diagonal_rejected(self):
         with pytest.raises(DataError, match="self pair"):
@@ -342,7 +342,7 @@ class TestInitCorrelations:
         si, st = cosine_of(rng, 12, 5), cosine_of(rng, 12, 4)
         rel = corrmine.init_correlations(si, st, kr=1, tau=1)
         # each neighbor set is {self}, so overlaps can only hit on the diagonal
-        npt.assert_array_equal(rel.to_dense(), np.eye(12))
+        npt.assert_array_equal(to_dense(rel), np.eye(12))
 
     def test_two_clusters_stay_separate(self):
         rng = np.random.default_rng(7)
@@ -350,7 +350,7 @@ class TestInitCorrelations:
         ft, _ = clustered_features(rng, 30, 6, 2)
         rel = corrmine.init_correlations(simgraph.cosine_matrix(fi),
                                          simgraph.cosine_matrix(ft), kr=4)
-        dense = rel.to_dense()
+        dense = to_dense(rel)
         cross = dense[np.ix_(assign == 0, assign == 1)]
         assert cross.sum() == 0
 
@@ -360,7 +360,7 @@ class TestInitCorrelations:
             si, st = cosine_of(rng, 25, 6), cosine_of(rng, 25, 5)
             rel = corrmine.init_correlations(si, st, kr=5, tau=tau)
             expect = naive_relation(si, st, kr=5, tau=tau)
-            npt.assert_array_equal(rel.to_dense(), expect)
+            npt.assert_array_equal(to_dense(rel), expect)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)
@@ -370,7 +370,7 @@ class TestInitCorrelations:
                                            simgraph.cosine_matrix(g), 4)
         rel_b = corrmine.init_correlations(simgraph.cosine_matrix(f * 3.5),
                                            simgraph.cosine_matrix(g * 0.2), 4)
-        npt.assert_array_equal(rel_a.to_dense(), rel_b.to_dense())
+        npt.assert_array_equal(to_dense(rel_a), to_dense(rel_b))
 
     @pytest.mark.parametrize("tau", [1, 2])
     def test_peak_memory_below_1_5_bytes_per_pair(self, tau):
@@ -405,7 +405,7 @@ class TestFirstOrderCorrelations:
         r1t = dense_adjacency(corrmine.knn_adjacency(st, 3), 15)
         expect = r1i | r1i.T | r1t | r1t.T
         np.fill_diagonal(expect, 1)
-        npt.assert_array_equal(rel.to_dense(), expect)
+        npt.assert_array_equal(to_dense(rel), expect)
 
 
 class TestAdaptiveUpdate:
@@ -417,7 +417,7 @@ class TestAdaptiveUpdate:
             corrmine.CorrelationSet.identity(20), h_i, h_t, kr=3)
         rel1 = corrmine.adaptive_update(rel0, h_i, h_t, kr=3)
         assert rel1.epoch == 2
-        npt.assert_array_equal(rel0.to_dense(), rel1.to_dense())
+        npt.assert_array_equal(to_dense(rel0), to_dense(rel1))
 
     def test_union_is_monotone(self):
         rng = np.random.default_rng(12)
@@ -438,10 +438,27 @@ class TestAdaptiveUpdate:
         rel = corrmine.adaptive_update(corrmine.CorrelationSet.identity(24),
                                        h.astype(np.float64),
                                        h.astype(np.float64), kr=12)
-        dense = rel.to_dense()
+        dense = to_dense(rel)
         same = assign[:, None] == assign[None, :]
         assert dense[same].mean() > 0.9
         assert dense[~same].sum() == 0
+
+    def test_peak_memory_below_10_bytes_per_pair(self):
+        # one side's float64 product (8 B/pair) and one float32 block of
+        # cosine rows are the most that is held; measured 9.6 B/pair, where
+        # a whole float32 cosine beside the product took 16.1
+        m = 2000
+        rng = np.random.default_rng(23)
+        h_i = np.tanh(rng.standard_normal((m, 32)))
+        h_t = np.tanh(rng.standard_normal((m, 32)))
+        rel = corrmine.CorrelationSet.identity(m)
+        tracemalloc.start()
+        try:
+            corrmine.adaptive_update(rel, h_i, h_t, kr=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * m * m, peak / m / m
 
     def test_zero_norm_row_diverges(self):
         h = np.ones((5, 4))
@@ -495,3 +512,59 @@ class TestLabelShare:
             assert corrmine.correlation_stats(rel, labels) == expect
             share = corrmine.label_share(labels)
             assert corrmine.correlation_stats(rel, labels, share=share) == expect
+
+
+def hidden_codes(kind, m, d, seed):
+    """Embeddings of one regime: spread, all rows equal, or five distinct
+    rows repeated (the collapsed-code regime, every cosine tied)."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return np.tanh(rng.standard_normal((m, d)))
+    if kind == "identical":
+        return np.tile(np.tanh(rng.standard_normal(d)), (m, 1))
+    return np.sign(rng.standard_normal((5, d)))[np.arange(m) % 5]
+
+
+REGIMES = ["random", "identical", "five"]
+BLOCK = simgraph._BLOCK_ROWS
+
+
+class TestStreamedMining:
+    """adaptive_update selects neighbors from cosine_blocks as they stream;
+    lists and relations equal those of the whole float32 cosine."""
+
+    @pytest.mark.parametrize("m", [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 549])
+    @pytest.mark.parametrize("kind", REGIMES)
+    def test_lists_equal_knn_of_cosine_matrix(self, m, kind):
+        h = hidden_codes(kind, m, 12, m)
+        unit = simgraph._unit_rows(h, DataError)
+        for kr in (1, 5, m, m + 3):
+            streamed = corrmine._select(simgraph.cosine_blocks(unit), m, kr)
+            npt.assert_array_equal(
+                streamed, corrmine.knn_adjacency(simgraph.cosine_matrix(h), kr))
+
+    @pytest.mark.parametrize("m", [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 549])
+    @pytest.mark.parametrize("kind", REGIMES)
+    def test_relations_equal_the_miners_on_cosine_matrices(self, m, kind):
+        h_i = hidden_codes(kind, m, 12, m)
+        h_t = hidden_codes(kind, m, 10, m + 1)
+        si, st = simgraph.cosine_matrix(h_i), simgraph.cosine_matrix(h_t)
+        base = corrmine.CorrelationSet.identity(m)
+        for kr in (1, 5, m + 2):
+            for tau, pairwise in ((1, False), (2, False), (1, True)):
+                if pairwise:
+                    want = corrmine.first_order_correlations(si, st, kr)
+                else:
+                    want = corrmine.init_correlations(si, st, kr, tau)
+                got = corrmine.adaptive_update(base, h_i, h_t, kr, tau, pairwise)
+                npt.assert_array_equal(got.bits, want.bits)
+
+    def test_bad_kr_rejected_before_any_product(self, monkeypatch):
+        def no_product(unit):
+            raise AssertionError("cosine formed")
+            yield
+
+        monkeypatch.setattr(corrmine, "cosine_blocks", no_product)
+        with pytest.raises(ConfigError, match="kr"):
+            corrmine.adaptive_update(corrmine.CorrelationSet.identity(4),
+                                     np.ones((4, 3)), np.ones((4, 3)), kr=0)

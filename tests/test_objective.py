@@ -209,6 +209,54 @@ class TestGradients:
         assert gradient_errors(out.grad_image, fd).max() <= 1e-4
 
 
+class TestOneSidedGradients:
+    """image_grad and text_grad, which the asymmetric updates call, return
+    exactly the side total_loss_and_grads computes."""
+
+    @staticmethod
+    def _batch(rng, m, d=8):
+        s = np.clip(rng.standard_normal((m, m)) * 0.5, -1, 1)
+        r = (rng.random((m, m)) < 0.3).astype(float)
+        weights = objective.LossWeights(mu1=0.7, mu2=0.3, beta=1.2)
+        return (np.tanh(rng.standard_normal((m, d))),
+                np.tanh(rng.standard_normal((m, d))), (s + s.T) / 2, r, weights)
+
+    @staticmethod
+    def _assert_sides_equal(hi, ht, s, r, weights):
+        out = objective.total_loss_and_grads(hi, ht, s, r, weights)
+        npt.assert_array_equal(objective.image_grad(hi, ht, s, r, weights),
+                               out.grad_image)
+        npt.assert_array_equal(objective.text_grad(hi, ht, s, r, weights),
+                               out.grad_text)
+
+    @pytest.mark.parametrize("m", [1, 2, 32])
+    def test_random_batches(self, m):
+        rng = np.random.default_rng(11 + m)
+        for _ in range(3):
+            self._assert_sides_equal(*self._batch(rng, m))
+
+    @pytest.mark.parametrize("m", [1, 5, 32])
+    def test_sign_code_batches(self, m):
+        # the two asymmetric updates: one side is the other's sign codes
+        rng = np.random.default_rng(21 + m)
+        hi, ht, s, r, weights = self._batch(rng, m)
+        b_i = np.where(hi >= 0, 1.0, -1.0)
+        b_t = np.where(ht >= 0, 1.0, -1.0)
+        for pair in ((hi, b_t), (b_i, ht), (b_i, b_t)):
+            self._assert_sides_equal(*pair, s, r, weights)
+
+    def test_checks_its_inputs(self):
+        weights = objective.LossWeights()
+        with pytest.raises(DataError, match="shapes"):
+            objective.image_grad(np.ones((3, 4)), np.ones((2, 4)),
+                                 np.zeros((3, 3)), np.eye(3), weights)
+        h = np.ones((3, 4))
+        h[1] = 0.0
+        with pytest.raises(DivergenceError, match="zero-norm row 1"):
+            objective.text_grad(np.ones((3, 4)), h, np.zeros((3, 3)),
+                                np.eye(3), weights)
+
+
 class TestValidation:
     def test_shape_mismatch(self):
         weights = objective.LossWeights()

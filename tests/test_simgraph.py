@@ -71,14 +71,28 @@ class TestCosineMatrix:
         npt.assert_array_equal(np.diag(s), 1.0)
 
     def test_bits_match_tril_mirror(self):
+        # no triangle is mirrored: numpy's f @ f.T must come out exactly
+        # symmetric at every width, or these bits would move
         rng = np.random.default_rng(3)
         block = simgraph._BLOCK_ROWS
-        for m in (1, 7, block, block + 1, 2 * block + 37):
-            f = random_features(rng, m, 6)
-            got = simgraph.cosine_matrix(f)
-            assert got.dtype == np.float32
-            npt.assert_array_equal(got.view(np.uint32),
-                                   tril_mirror_cosine(f).view(np.uint32))
+        for d in (1, 6, 64, 300, 1386):
+            for m in (1, 7, block, block + 1, 2 * block + 37):
+                f = random_features(rng, m, d)
+                got = simgraph.cosine_matrix(f)
+                assert got.dtype == np.float32
+                npt.assert_array_equal(got.view(np.uint32),
+                                       tril_mirror_cosine(f).view(np.uint32))
+
+    def test_blocks_reuse_one_buffer(self):
+        f = random_features(np.random.default_rng(6), 600, 5)
+        unit = simgraph._unit_rows(f, DataError)
+        whole = simgraph.cosine_matrix(f)
+        bases = set()
+        for lo, hi, rows in simgraph.cosine_blocks(unit):
+            assert rows.dtype == np.float32 and rows.shape == (hi - lo, 600)
+            npt.assert_array_equal(rows, whole[lo:hi])
+            bases.add(rows.base.ctypes.data)
+        assert len(bases) == 1
 
     def test_float64_input_left_unchanged(self):
         rng = np.random.default_rng(4)
