@@ -135,8 +135,8 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     bundle = load_bundle(args.bundle)
     train_idx = bundle.split.train
-    semantic, rel = trainer.build_targets(bundle.image_features[train_idx],
-                                          bundle.text_features[train_idx], cfg)
+    semantic, rel, timings = trainer.build_targets(
+        bundle.image_features[train_idx], bundle.text_features[train_idx], cfg)
 
     os.makedirs(args.out, exist_ok=True)
     write_features(semantic, os.path.join(args.out, "semantic.assf"))
@@ -152,7 +152,7 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
         fh.write("\n")
     outputs = ["semantic.assf", "correlations.csv", "stats.json"]
     _write_manifest(args.out, "build-sim", cfg.to_dict(), _inputs(bundle, args),
-                    outputs, {"total_s": time.perf_counter() - t0})
+                    outputs, {**timings, "total_s": time.perf_counter() - t0})
     print(f"build-sim: semantic {len(semantic)}x{len(semantic)}, "
           f"{rel.popcount()} correlated pairs")
     return 0
@@ -228,7 +228,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                                            map_cutoffs)
     outputs.extend(eval_outputs)
     _write_manifest(args.out, "train", cfg.to_dict(), _inputs(bundle, args), outputs,
-                    {"train_s": t_train,
+                    {**result.setup_timings, "train_s": t_train,
                      "total_s": time.perf_counter() - t0})
     line = f"train: {cfg.epochs} epochs done"
     for direction, report in sorted(reports.items()):

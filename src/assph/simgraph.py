@@ -6,17 +6,23 @@ blend back onto [-1, 1].  Each stage is exposed on its own so tests can
 pin it against a scalar reference; stages take and return plain arrays.
 
 Every matrix is square over the same instance set and stored float32,
-except the float64 products a @ a.T of the cosine (a the unit rows) and
-of structural (a = W, the float32-rounded neighbor weights).  numpy
-computes a @ a.T as one symmetric rank-k update: BLAS syrk fills one
-triangle and numpy copies it onto the other, and without BLAS entries
-(i, j) and (j, i) sum the same products in the same order.  So both
-products are exactly symmetric as computed, and no stage mirrors a
-triangle.  The cosine's float32 rows come from its product one block of
-_BLOCK_ROWS rows at a time; the other stages walk the same blocks,
-compute each in float64 temporaries and write its float32 rows.  fuse
-writes over one of the two cosines, and build_semantic writes its
-result over the fusion.
+except the top-K weights W and two float64 products a @ a.T: the
+cosine's (a the unit rows) and the co-neighborhood product (a = W, the
+float32-rounded neighbor weights).  numpy computes a @ a.T as one
+symmetric rank-k update: BLAS syrk fills one triangle and numpy copies
+it onto the other, and without BLAS entries (i, j) and (j, i) sum the
+same products in the same order.  So both products are exactly
+symmetric as computed, and no stage mirrors a triangle.
+
+Two kinds of row block bound the temporaries.  Selections (the cosine's
+float32 rows and each row's top-K) walk blocks of _BLOCK_ROWS rows.  The
+elementwise stages (fuse, and combine, which also scales, clips and
+rounds the co-neighborhood product into the structural map) walk blocks
+of about _BLOCK_ELEMENTS entries, so each float64 temporary stays in a
+core's cache; each stage computes its block in float64 and writes the
+float32 rows, and no M x M float32 structural map is formed.  fuse
+writes over one of the two cosines, and build_semantic writes its result
+over the fusion.
 """
 
 from __future__ import annotations
@@ -27,14 +33,41 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-# rows per block of the row-wise stages
+# rows per block of the selection stages
 _BLOCK_ROWS = 256
+# entries per block of the elementwise stages: 256 KiB per float64 temporary
+_BLOCK_ELEMENTS = 1 << 15
 
 
-def _row_blocks(m: int):
-    """(lo, hi) bounds of consecutive blocks of _BLOCK_ROWS rows."""
-    step = _BLOCK_ROWS
+def _row_blocks(m: int, step: int | None = None):
+    """(lo, hi) bounds of consecutive blocks of step rows, by default
+    _BLOCK_ROWS."""
+    step = step or _BLOCK_ROWS
     return ((lo, min(lo + step, m)) for lo in range(0, m, step))
+
+
+def _elementwise_rows(m: int) -> int:
+    """Rows per block of an elementwise stage over rows of m entries."""
+    return max(1, _BLOCK_ELEMENTS // max(m, 1))
+
+
+def _top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of each row's k largest entries, ties broken by
+    ascending index; 1 <= k <= the row length."""
+    n = values.shape[1]
+    kth = np.partition(values, n - k, axis=1)[:, n - k:n - k + 1]
+    keep = values >= kth
+    # a row with more than k entries at or above its k-th value has ties
+    # at that value; keep the lowest-index ones that fit, counting them in
+    # the narrowest integer that holds n
+    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    if over.size:
+        rows, cut = values[over], kth[over]
+        above, tied = rows > cut, rows == cut
+        room = k - np.count_nonzero(above, axis=1)
+        rank = np.cumsum(tied, axis=1, dtype=np.min_scalar_type(n))
+        keep[over] = above | (tied & (rank <= room[:, None]))
+    return keep
 
 
 def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
@@ -46,17 +79,7 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     """
     m, n = values.shape
     k = min(k, n)
-    kth = np.partition(values, n - k, axis=1)[:, n - k:n - k + 1]
-    keep = values >= kth
-    # a row with more than k entries at or above its k-th value has ties
-    # at that value; keep the lowest-index ones that fit
-    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
-    if over.size:
-        rows, cut = values[over], kth[over]
-        above, tied = rows > cut, rows == cut
-        room = k - np.count_nonzero(above, axis=1)
-        keep[over] = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-    return (np.flatnonzero(keep) % n).reshape(m, k)
+    return (np.flatnonzero(_top_k_mask(values, k)) % n).reshape(m, k)
 
 
 def _unit_rows(features: np.ndarray, zero_norm) -> np.ndarray:
@@ -107,13 +130,11 @@ def cosine_matrix(features: np.ndarray) -> np.ndarray:
     return s
 
 
-def _probability(cos_rows: np.ndarray) -> np.ndarray:
-    """Cosine rows remapped from [-1, 1] onto [0, 1], rounded to float32
-    and held in float64."""
-    p = cos_rows.astype(np.float64)
-    p += 1.0
-    p /= 2.0
-    return p.astype(np.float32).astype(np.float64)
+def _probability(cos_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Cosine rows remapped from [-1, 1] onto [0, 1] in float64 and
+    rounded into out, a float32 buffer of the same shape."""
+    p = np.add(cos_rows, 1.0, dtype=np.float64)
+    return np.divide(p, 2.0, out=out)
 
 
 def fuse(cos_image: np.ndarray, cos_text: np.ndarray,
@@ -121,16 +142,21 @@ def fuse(cos_image: np.ndarray, cos_text: np.ndarray,
     """Probabilistic-OR fusion of the two modalities' cosines.
 
     Each cosine is remapped onto [0, 1] as a probability p (rounded to
-    float32), and the pair fuses to p_i + p_t - p_i * p_t.  The result
-    goes into out, a float32 buffer of the same shape that may be either
-    input, and out is returned.
+    float32), and the pair fuses to p_i + p_t - p_i * p_t, computed in
+    float64 and rounded.  The result goes into out, a float32 buffer of
+    the same shape that may be either input, and out is returned.
     """
     if cos_image.shape != cos_text.shape:
         raise DataError(f"fuse: shape mismatch {cos_image.shape} vs {cos_text.shape}")
-    for lo, hi in _row_blocks(cos_image.shape[0]):
-        p = _probability(cos_image[lo:hi])
-        q = _probability(cos_text[lo:hi])
-        out[lo:hi] = p + q - p * q
+    m, n = cos_image.shape
+    step = _elementwise_rows(n)
+    p_buf = np.empty((min(step, m), n), dtype=np.float32)
+    q_buf = np.empty_like(p_buf)
+    for lo, hi in _row_blocks(m, step):
+        p = _probability(cos_image[lo:hi], p_buf[:hi - lo])
+        q = _probability(cos_text[lo:hi], q_buf[:hi - lo])
+        np.subtract(np.add(p, q, dtype=np.float64),
+                    np.multiply(p, q, dtype=np.float64), out=out[lo:hi])
     return out
 
 
@@ -139,9 +165,9 @@ def topk_normalize(fused: np.ndarray, ks: int) -> np.ndarray:
 
     Returns the row-stochastic weights W with at most ks nonzeros per row,
     as float64 holding float32-rounded values, the precision the
-    structural product reads.  Each block of rows is scattered into a
-    zero-filled float64 block, summed along the rows and divided.  ks
-    larger than the matrix order clamps with a warning.
+    structural product reads.  Each block of W's rows is written straight
+    from the block's top-ks mask, summed along the rows, divided and
+    rounded.  ks larger than the matrix order clamps with a warning.
     """
     m = fused.shape[0]
     if ks < 1:
@@ -150,60 +176,75 @@ def topk_normalize(fused: np.ndarray, ks: int) -> np.ndarray:
         warnings.warn(f"topk_normalize: ks={ks} exceeds order {m}, clamping")
         ks = m
     w = np.empty((m, m), dtype=np.float64)
+    rounded = np.empty((min(_BLOCK_ROWS, m), m), dtype=np.float32)
     for lo, hi in _row_blocks(m):
-        rows = fused[lo:hi]
-        nn = top_k_indices(rows, ks)
-        block = np.zeros((hi - lo, m), dtype=np.float64)
-        np.put_along_axis(block, nn, np.take_along_axis(rows, nn, axis=1), axis=1)
+        rows, block = fused[lo:hi], w[lo:hi]
+        np.multiply(rows, _top_k_mask(rows, ks), out=block)
         sums = block.sum(axis=1)
         if np.any(sums == 0.0):
             raise DataError(f"topk_normalize: row {lo + int(np.argmax(sums == 0.0))} "
                             "has zero neighbor mass")
-        block /= sums[:, None]
-        w[lo:hi] = block.astype(np.float32)
+        block[...] = np.divide(block, sums[:, None], out=rounded[:hi - lo])
     return w
 
 
 def structural(fused: np.ndarray, ks: int) -> np.ndarray:
-    """Shared-neighborhood similarity: ks * (W @ W.T), clipped to [0, 1].
+    """Co-neighborhood product W @ W.T, float64, of W = topk_normalize(fused, ks).
 
-    W = topk_normalize(fused, ks) is formed here and dropped once the
-    product is, so fused, W and W @ W.T are the most that is live.  Two
-    instances score high when their normalized neighbor weight rows
-    overlap; the ks factor (clamped to the order) undoes the 1/ks scale of
-    uniform rows.  The float64 product, exactly symmetric as numpy forms
-    it (see the module docstring), is scaled and clipped in place, and its
-    float32 rounding is returned.
+    Two instances score high when their normalized neighbor weight rows
+    overlap.  W is dropped once the product is formed, so fused, W and
+    W @ W.T are the most that is live.  The product is exactly symmetric
+    as numpy forms it (see the module docstring).  The structural map
+    itself, min(ks, M) * (W @ W.T) clipped to [0, 1] and rounded to
+    float32, is formed block by block inside combine.
     """
     w = topk_normalize(fused, ks)
-    prod = w @ w.T
-    del w
-    prod *= min(ks, len(fused))
-    np.clip(prod, 0.0, 1.0, out=prod)
-    return prod.astype(np.float32)
+    return w @ w.T
 
 
-def combine(fused: np.ndarray, struct: np.ndarray | None, gamma: float,
+def combine(fused: np.ndarray, cooc: np.ndarray | None, ks: int, gamma: float,
             out: np.ndarray) -> np.ndarray:
     """Blend fused and structural maps, then stretch onto [-1, 1].
 
-    struct None stands for the skipped stage of gamma == 0: the result is
-    the stretched fusion alone.  The result goes into out, a float32
-    buffer of the same shape that may be either input, and out is
+    cooc is structural's co-neighborhood product W @ W.T.  Each block of
+    its rows becomes the structural map: scaled by ks, clamped to the
+    order (undoing the 1/ks scale of uniform rows), clipped to [0, 1] and
+    rounded to float32.  Per entry the result is then
+    2 ((1 - gamma) fused + gamma struct) - 1 in float64, clipped to
+    [-1, 1].  cooc None stands for the skipped stage of gamma == 0: the
+    result is the stretched fusion alone.  The result goes into out, a
+    float32 buffer of the same shape that may be fused, and out is
     returned.
     """
-    if struct is None:
+    if cooc is None:
         if gamma != 0.0:
             raise ConfigError(f"combine: gamma {gamma} needs a structural matrix")
-    elif fused.shape != struct.shape:
-        raise DataError(f"combine: shape mismatch {fused.shape} vs {struct.shape}")
+    elif fused.shape != cooc.shape:
+        raise DataError(f"combine: shape mismatch {fused.shape} vs {cooc.shape}")
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"combine: gamma must be in [0, 1], got {gamma}")
-    for lo, hi in _row_blocks(fused.shape[0]):
-        blend = 0.0 if struct is None else struct[lo:hi].astype(np.float64)
-        s = 2.0 * ((1.0 - gamma) * fused[lo:hi].astype(np.float64) + gamma * blend) - 1.0
-        np.clip(s, -1.0, 1.0, out=s)
-        out[lo:hi] = s
+    m, n = fused.shape
+    step = _elementwise_rows(n)
+    s_buf = np.empty((min(step, m), n), dtype=np.float64)
+    if cooc is not None:
+        t_buf = np.empty_like(s_buf)
+        r_buf = np.empty(s_buf.shape, dtype=np.float32)
+        scale = min(ks, m)
+    for lo, hi in _row_blocks(m, step):
+        s = s_buf[:hi - lo]
+        if cooc is None:
+            # gamma == 0: (1 - gamma) * fused + gamma * 0 is fused itself
+            np.multiply(fused[lo:hi], 2.0, out=s, dtype=np.float64)
+        else:
+            t, struct = t_buf[:hi - lo], r_buf[:hi - lo]
+            np.multiply(cooc[lo:hi], scale, out=t)
+            np.clip(t, 0.0, 1.0, out=struct)
+            np.multiply(struct, gamma, out=t, dtype=np.float64)
+            np.multiply(fused[lo:hi], 1.0 - gamma, out=s, dtype=np.float64)
+            s += t
+            s *= 2.0
+        s -= 1.0
+        np.clip(s, -1.0, 1.0, out=out[lo:hi])
     return out
 
 
@@ -218,5 +259,5 @@ def build_semantic(fused: np.ndarray, ks: int, gamma: float) -> np.ndarray:
         raise DataError(f"build_semantic: expected a square matrix, got {fused.shape}")
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"build_semantic: gamma must be in [0, 1], got {gamma}")
-    struct = structural(fused, ks) if gamma != 0.0 else None
-    return combine(fused, struct, gamma, out=fused)
+    cooc = structural(fused, ks) if gamma != 0.0 else None
+    return combine(fused, cooc, ks, gamma, out=fused)

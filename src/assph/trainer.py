@@ -72,6 +72,7 @@ class TrainState:
     label_share: np.ndarray | None  # corrmine.label_share(labels)
     semantic: np.ndarray
     rel: corrmine.CorrelationSet
+    setup_timings: dict  # build_targets' stage timings
     params_image: hashnet.HashNetParams
     params_text: hashnet.HashNetParams
     rng: np.random.Generator
@@ -85,31 +86,41 @@ class TrainResult:
     params_text: hashnet.HashNetParams
     rel: corrmine.CorrelationSet
     history: list
+    setup_timings: dict
 
 
 def build_targets(image_features: np.ndarray, text_features: np.ndarray,
                   cfg: TrainConfig
-                  ) -> tuple[np.ndarray, corrmine.CorrelationSet]:
-    """The semantic matrix and the seed relation of one training split.
+                  ) -> tuple[np.ndarray, corrmine.CorrelationSet, dict]:
+    """The semantic matrix and the seed relation of one training split,
+    plus the wall time of each setup stage.
 
     Each modality's cosine is computed once: the seed mining reads both,
     then the fusion and the target overwrite the image cosine.  With
     cfg.corr off the relation is the identity.  gamma counts only when
-    cfg.struct is on.
+    cfg.struct is on.  The timings are perf_counter seconds: cosine_s for
+    the two cosines, seed_mine_s for the relation and semantic_s for the
+    fusion and the target.
     """
+    t0 = time.perf_counter()
     cos_i = simgraph.cosine_matrix(image_features)
     cos_t = simgraph.cosine_matrix(text_features)
+    t1 = time.perf_counter()
     if not cfg.corr:
         rel = corrmine.CorrelationSet.identity(len(cos_i))
     elif cfg.pair_corr:
         rel = corrmine.first_order_correlations(cos_i, cos_t, cfg.kr)
     else:
         rel = corrmine.init_correlations(cos_i, cos_t, cfg.kr, cfg.tau)
+    t2 = time.perf_counter()
     fused = simgraph.fuse(cos_i, cos_t, out=cos_i)
     # free the text cosine before structural holds W and W @ W.T beside fused
     del cos_t
     gamma = cfg.gamma if cfg.struct else 0.0
-    return simgraph.build_semantic(fused, cfg.ks, gamma), rel
+    semantic = simgraph.build_semantic(fused, cfg.ks, gamma)
+    timings = {"cosine_s": t1 - t0, "seed_mine_s": t2 - t1,
+               "semantic_s": time.perf_counter() - t2}
+    return semantic, rel, timings
 
 
 def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
@@ -126,7 +137,7 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
     ft32 = bundle.text_features[train_idx]
     labels = bundle.labels[train_idx] if bundle.labels is not None else None
 
-    semantic, rel = build_targets(fi32, ft32, cfg)
+    semantic, rel, setup_timings = build_targets(fi32, ft32, cfg)
     weights_eff = objective.LossWeights(
         mu1=cfg.mu1 if cfg.corr else 0.0,
         mu2=cfg.mu2,
@@ -153,6 +164,7 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
         label_share=corrmine.label_share(labels) if labels is not None else None,
         semantic=semantic,
         rel=rel,
+        setup_timings=setup_timings,
         params_image=params_image,
         params_text=params_text,
         rng=np.random.default_rng(cfg.seed + 2),
@@ -259,4 +271,5 @@ def train(bundle: DatasetBundle, cfg: TrainConfig) -> TrainResult:
         params_text=state.params_text,
         rel=state.rel,
         history=history,
+        setup_timings=state.setup_timings,
     )

@@ -94,9 +94,9 @@ class TestBuildSim:
         assert config["tau"] == tau
         bundle = dataio.load_bundle(data_dir)
         idx = bundle.split.train
-        _, rel = trainer.build_targets(bundle.image_features[idx],
-                                       bundle.text_features[idx],
-                                       TrainConfig.from_dict(config))
+        _, rel, _ = trainer.build_targets(bundle.image_features[idx],
+                                          bundle.text_features[idx],
+                                          TrainConfig.from_dict(config))
         ii, jj = np.nonzero(np.triu(to_dense(rel)))
         assert ii.size > rel.order  # some off-diagonal pairs to pin
         want = "i,j\n" + "".join(f"{i},{j}\n" for i, j in zip(ii, jj))
@@ -155,7 +155,7 @@ class TestBuildSim:
         rel = relation_from_dense(offset <= 3)
         del offset
         monkeypatch.setattr(trainer, "build_targets",
-                            lambda fi, ft, cfg: (np.eye(2, dtype=np.float32), rel))
+                            lambda fi, ft, cfg: (np.eye(2, dtype=np.float32), rel, {}))
         monkeypatch.setattr(corrmine, "correlation_stats", lambda rel, labels: {})
         out = str(tmp_path / "band")
         tracemalloc.start()
@@ -212,6 +212,18 @@ class TestManifestInputs:
         assert sorted(manifest["inputs"]) == [
             os.path.join(unlabeled, name)
             for name in ("bundle.json", "image.assf", "text.assf")]
+
+
+class TestManifestTimings:
+    @pytest.mark.parametrize("command", ["build-sim", "train"])
+    def test_setup_stages_timed(self, data_dir, tmp_path, command):
+        out = str(tmp_path / command)
+        assert cli.dispatch([command, "--bundle", data_dir, "--out", out]
+                            + TRAIN_FLAGS) == 0
+        timings = json.load(open(os.path.join(out, "manifest.json")))["timings"]
+        stages = [timings[k] for k in ("cosine_s", "seed_mine_s", "semantic_s")]
+        assert all(t >= 0.0 for t in stages)
+        assert sum(stages) <= timings["total_s"]
 
 
 class TestTrain:

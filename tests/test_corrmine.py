@@ -386,7 +386,8 @@ class TestInitCorrelations:
     def test_tied_rows_peak_memory_below_4_5_bytes_per_pair(self):
         # five distinct rows repeated: every row ties with hundreds of others,
         # so top_k_indices' tie fix-up runs on every row.  Per block of rows
-        # it measured 3.6 B/pair; on the whole matrix at once it took 27.
+        # it measured 2.1 B/pair (3.6 with an int64 tie count); on the whole
+        # matrix at once it took 27.
         m = 2000
         rng = np.random.default_rng(19)
         five = np.arange(m) % 5
@@ -459,6 +460,25 @@ class TestAdaptiveUpdate:
         finally:
             tracemalloc.stop()
         assert peak <= 10 * m * m, peak / m / m
+
+    def test_tied_rows_peak_memory_below_11_bytes_per_pair(self):
+        # five distinct rows repeated: top_k_indices' tie fix-up runs on
+        # every row.  Its per-row tie count is held in the narrowest
+        # integer type that counts a row, not int64: measured 10.85 B/pair,
+        # 12.4 with an int64 count, 9.6 on spread codes
+        m = 2000
+        rng = np.random.default_rng(26)
+        five = np.arange(m) % 5
+        h_i = np.tanh(rng.standard_normal((5, 32)))[five]
+        h_t = np.tanh(rng.standard_normal((5, 32)))[five]
+        rel = corrmine.CorrelationSet.identity(m)
+        tracemalloc.start()
+        try:
+            corrmine.adaptive_update(rel, h_i, h_t, kr=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * m * m, peak / m / m
 
     def test_zero_norm_row_diverges(self):
         h = np.ones((5, 4))

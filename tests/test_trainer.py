@@ -2,6 +2,7 @@
 
 import copy
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +10,7 @@ import pytest
 
 from assph import config, corrmine, dataio, evalkit, hashnet, objective, trainer
 from assph.errors import ConfigError, DivergenceError
-from oracles import naive_backward, naive_sgd_step, to_dense
+from oracles import naive_backward, naive_sgd_step, to_dense, whole_matrix_semantic
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +143,7 @@ class TestInitState:
         cfg = small_config()
         idx = np.asarray(bundle.split.train)
         fi, ft = bundle.image_features[idx], bundle.text_features[idx]
-        semantic, rel = trainer.build_targets(fi, ft, cfg)
+        semantic, rel, _ = trainer.build_targets(fi, ft, cfg)
         cos_i = simgraph.cosine_matrix(fi)
         fused = simgraph.fuse(cos_i, simgraph.cosine_matrix(ft), out=cos_i)
         want = simgraph.build_semantic(fused, cfg.ks, cfg.gamma)
@@ -150,6 +151,43 @@ class TestInitState:
         expected = corrmine.init_correlations(simgraph.cosine_matrix(fi),
                                               simgraph.cosine_matrix(ft),
                                               cfg.kr, cfg.tau)
+        npt.assert_array_equal(rel.bits, expected.bits)
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("overrides", [{}, {"tau": 2}, {"pair_corr": True},
+                                           {"corr": False}, {"struct": False},
+                                           {"ks": 1}, {"ks": 300}])
+    def test_targets_match_oracle_at_any_elementwise_block(self, monkeypatch,
+                                                           rows, overrides):
+        # elementwise blocks of 1 row, of 7 and of the size derived from M,
+        # over 257 clustered rows: one selection block and one row more
+        from assph import simgraph
+        if rows is not None:
+            monkeypatch.setattr(simgraph, "_elementwise_rows", lambda n: rows)
+        rng = np.random.default_rng(27)
+        m = simgraph._BLOCK_ROWS + 1
+        centers = rng.standard_normal((4, 20)) * 4.0
+        fi = (centers[np.arange(m) % 4]
+              + 0.05 * rng.standard_normal((m, 20))).astype(np.float32)
+        ft = rng.standard_normal((m, 9)).astype(np.float32)
+        cfg = small_config(**{"ks": m // 3, "kr": 8, "gamma": 0.3, **overrides})
+        gamma = cfg.gamma if cfg.struct else 0.0
+        cos_i = simgraph.cosine_matrix(fi)
+        fused = simgraph.fuse(cos_i, simgraph.cosine_matrix(ft), out=cos_i)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # ks > m clamps
+            semantic, rel, _ = trainer.build_targets(fi, ft, cfg)
+            separate = simgraph.build_semantic(fused, cfg.ks, gamma)
+            want = whole_matrix_semantic(fi, ft, cfg.ks, gamma)
+        npt.assert_array_equal(semantic.view(np.uint32), want.view(np.uint32))
+        npt.assert_array_equal(semantic.view(np.uint32), separate.view(np.uint32))
+        si, st = simgraph.cosine_matrix(fi), simgraph.cosine_matrix(ft)
+        if not cfg.corr:
+            expected = corrmine.CorrelationSet.identity(m)
+        elif cfg.pair_corr:
+            expected = corrmine.first_order_correlations(si, st, cfg.kr)
+        else:
+            expected = corrmine.init_correlations(si, st, cfg.kr, cfg.tau)
         npt.assert_array_equal(rel.bits, expected.bits)
 
     def test_targets_peak_memory_below_21_bytes_per_pair(self):
