@@ -29,6 +29,9 @@ import time
 from .config import HIDDEN_ACTS, PROFILES, TrainConfig
 from .errors import ConfigError, DataError, DivergenceError
 
+# correlation pairs formatted per string when build-sim writes them
+_CSV_PAIRS = 1 << 16
+
 
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
@@ -126,8 +129,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_build_sim(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from . import corrmine, trainer
     from .dataio import load_bundle, write_features
 
@@ -143,7 +144,9 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
     with open(os.path.join(args.out, "correlations.csv"), "w") as fh:
         fh.write("i,j\n")
         for pairs in rel.upper_pairs():
-            np.savetxt(fh, pairs, fmt="%d", delimiter=",")
+            for lo in range(0, len(pairs), _CSV_PAIRS):
+                chunk = pairs[lo:lo + _CSV_PAIRS]
+                fh.write(("%d,%d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
     stats = {"count": rel.popcount(), "order": rel.order, "epoch": rel.epoch}
     if bundle.labels is not None:
         stats.update(corrmine.correlation_stats(rel, bundle.labels[train_idx]))

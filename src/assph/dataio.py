@@ -44,7 +44,7 @@ def write_features(arr: np.ndarray, path: str) -> None:
     rows, cols = arr.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, rows, cols))
-        fh.write(arr.astype("<f4").tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def load_features(path: str, expected_dim: int | None = None) -> np.ndarray:

@@ -11,7 +11,10 @@ drop the record.  The optimizer is plain SGD with momentum and weight
 decay on the weight matrices only; it walks each parameter in flat blocks
 of _SGD_BLOCK elements through one scratch buffer, so a step reads and
 writes each parameter, velocity and gradient once (40 bytes per float64
-parameter) and allocates no parameter-sized temporaries.
+parameter) and allocates no parameter-sized temporaries.  A training loop
+that updates several networks one after another holds their gradients in
+one workspace (shared_grads), sized for the largest network, so it keeps
+parameters, velocities and one gradient set, not one per network.
 
 Checkpoints serialize as magic ``ASSP`` + version/dims (uint32 LE) + the
 four parameter arrays as float32.  Code matrices serialize as magic
@@ -39,6 +42,8 @@ _CODES_HEADER = struct.Struct("<4sII")
 # parameter elements sgd_step updates per block
 _SGD_BLOCK = 1 << 16
 
+_PARAM_NAMES = ("w1", "b1", "w2", "b2")
+
 
 @dataclass
 class HashNetParams:
@@ -57,7 +62,7 @@ class HashNetParams:
         # sgd_step updates flat views in place, so every array is held
         # C-contiguous float64 (init_params and load_checkpoint build them
         # so, and then nothing is copied)
-        for name in ("w1", "b1", "w2", "b2"):
+        for name in _PARAM_NAMES:
             p = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             v = getattr(self, "v" + name)
             setattr(self, name, p)
@@ -83,6 +88,26 @@ class Grads:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
+
+
+def shared_grads(*nets: HashNetParams) -> list[Grads]:
+    """One Grads per network, all views into one float64 workspace sized
+    for the largest network.
+
+    The views alias, so a network's backward and its sgd_step must both
+    run before the next network's backward writes into the workspace.
+    """
+    workspace = np.empty(max(sum(getattr(p, name).size for name in _PARAM_NAMES)
+                             for p in nets))
+    grads = []
+    for p in nets:
+        views, lo = [], 0
+        for name in _PARAM_NAMES:
+            arr = getattr(p, name)
+            views.append(workspace[lo:lo + arr.size].reshape(arr.shape))
+            lo += arr.size
+        grads.append(Grads(*views))
+    return grads
 
 
 def init_params(d_in: int, d_hidden: int, code_length: int, seed: int) -> HashNetParams:
@@ -156,7 +181,7 @@ def backward(params: HashNetParams, acts: Activations, d_h: np.ndarray,
         raise DataError(f"backward: dLdH shape {d_h.shape} mismatches output")
     if grads is None:
         grads = Grads(*(np.empty_like(getattr(params, name))
-                        for name in ("w1", "b1", "w2", "b2")))
+                        for name in _PARAM_NAMES))
     a1 = acts.a1
     d_pre2 = d_h * acts.eta * (1.0 - acts.h * acts.h)
     np.matmul(d_pre2.T, a1, out=grads.w2)
@@ -232,7 +257,7 @@ def save_checkpoint(params: HashNetParams, path: str) -> None:
         fh.write(_CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION,
                                    params.d_in, params.d_hidden, params.code_length))
         for arr in (params.w1, params.b1, params.w2, params.b2):
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def load_checkpoint(path: str) -> HashNetParams:
@@ -274,7 +299,7 @@ def save_codes(codes: np.ndarray, path: str) -> None:
         raise DataError("save_codes: entries must be -1 or +1")
     with open(path, "wb") as fh:
         fh.write(_CODES_HEADER.pack(_CODES_MAGIC, codes.shape[0], codes.shape[1]))
-        fh.write(codes.astype(np.int8).tobytes())
+        fh.write(np.ascontiguousarray(codes, dtype=np.int8))
 
 
 def load_codes(path: str) -> np.ndarray:

@@ -9,6 +9,13 @@ side is replaced by its detached sign codes.  At the end of an epoch the
 whole training set is pushed through both encoders once for diagnostics
 and, when adaptive mining is on, to grow the correlation set.
 
+Training holds both encoders' parameters and velocities, one gradient
+workspace sized for the larger encoder (each update runs the image
+backward and step, then the text backward and step, so the two sides'
+gradients never need to coexist) and the float32 training features; each
+batch converts its rows to float64 once, and the end-of-epoch pass
+converts inside forward.
+
 The tanh sharpness follows eta = eta_base * epoch, so codes soften early
 and settle late.  Ablation switches turn off adaptive mining, binary
 refinement, the correlation term (identity relation, mu1 forced to 0),
@@ -62,7 +69,8 @@ class EpochRecord:
 
 @dataclass
 class TrainState:
-    """Everything train_epoch needs; restartable across epochs."""
+    """Everything train_epoch needs; restartable across epochs.  The
+    features are the training split's float32 rows, as loaded."""
 
     cfg: TrainConfig
     weights_eff: objective.LossWeights
@@ -144,22 +152,20 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
         beta=cfg.beta,
     )
 
-    fi = fi32.astype(np.float64)
-    ft = ft32.astype(np.float64)
-    params_image = hashnet.init_params(fi.shape[1], cfg.d_hidden,
+    params_image = hashnet.init_params(fi32.shape[1], cfg.d_hidden,
                                        cfg.code_length, cfg.seed)
-    params_text = hashnet.init_params(ft.shape[1], cfg.d_hidden,
+    params_text = hashnet.init_params(ft32.shape[1], cfg.d_hidden,
                                       cfg.code_length, cfg.seed + 1)
     eta0 = eta_schedule(1, cfg.eta_base)
-    prev_i = hashnet.sign_codes(hashnet.forward(params_image, fi, eta0,
+    prev_i = hashnet.sign_codes(hashnet.forward(params_image, fi32, eta0,
                                                 cfg.hidden_act).h)
-    prev_t = hashnet.sign_codes(hashnet.forward(params_text, ft, eta0,
+    prev_t = hashnet.sign_codes(hashnet.forward(params_text, ft32, eta0,
                                                 cfg.hidden_act).h)
     return TrainState(
         cfg=cfg,
         weights_eff=weights_eff,
-        features_image=fi,
-        features_text=ft,
+        features_image=fi32,
+        features_text=ft32,
         labels=labels,
         label_share=corrmine.label_share(labels) if labels is not None else None,
         semantic=semantic,
@@ -183,11 +189,18 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
     n_iter = fi.shape[0] // m
     perm = state.rng.permutation(fi.shape[0])
     sums = np.zeros(4)
-    g_i = g_t = None  # gradient arrays, allocated by the first backward
+    g_i, g_t = hashnet.shared_grads(state.params_image, state.params_text)
+
+    def update(params, acts, d_h, grads):
+        # the two sides' gradients share one workspace, so each side's
+        # step is applied before the other side's backward overwrites it
+        hashnet.backward(params, acts, d_h, grads)
+        hashnet.sgd_step(params, grads, cfg.learning_rate, cfg.momentum,
+                         cfg.weight_decay)
 
     for it in range(n_iter):
         idx = perm[it * m:(it + 1) * m]
-        xi, xt = fi[idx], ft[idx]
+        xi, xt = fi[idx].astype(np.float64), ft[idx].astype(np.float64)
         s_b = state.semantic[np.ix_(idx, idx)].astype(np.float64)
         r_b = state.rel.batch(idx)
 
@@ -200,12 +213,11 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
                 f"non-finite loss at epoch {epoch} iteration {it}"
             )
         sums += (out.total, out.sr, out.cp, out.sa)
-        g_i = hashnet.backward(state.params_image, acts_i, out.grad_image, g_i)
-        g_t = hashnet.backward(state.params_text, acts_t, out.grad_text, g_t)
-        hashnet.sgd_step(state.params_image, g_i, cfg.learning_rate,
-                         cfg.momentum, cfg.weight_decay)
-        hashnet.sgd_step(state.params_text, g_t, cfg.learning_rate,
-                         cfg.momentum, cfg.weight_decay)
+        # the text backward reads only text parameters and activations
+        # formed before either step, so stepping the image side first
+        # changes no bit
+        update(state.params_image, acts_i, out.grad_image, g_i)
+        update(state.params_text, acts_t, out.grad_text, g_t)
 
         if cfg.bin_opt:
             # refresh soft codes under the just-updated parameters, then
@@ -216,14 +228,11 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
             b_i = hashnet.sign_codes(acts_i.h).astype(np.float64)
             b_t = hashnet.sign_codes(acts_t.h).astype(np.float64)
             d_hi = objective.image_grad(acts_i.h, b_t, s_b, r_b, state.weights_eff)
-            g_i = hashnet.backward(state.params_image, acts_i, d_hi, g_i)
-            hashnet.sgd_step(state.params_image, g_i, cfg.learning_rate,
-                             cfg.momentum, cfg.weight_decay)
+            update(state.params_image, acts_i, d_hi, g_i)
             d_ht = objective.text_grad(b_i, acts_t.h, s_b, r_b, state.weights_eff)
-            g_t = hashnet.backward(state.params_text, acts_t, d_ht, g_t)
-            hashnet.sgd_step(state.params_text, g_t, cfg.learning_rate,
-                             cfg.momentum, cfg.weight_decay)
+            update(state.params_text, acts_t, d_ht, g_t)
 
+    del g_i, g_t  # free the gradient workspace before the full pass
     # end of epoch: one full pass for diagnostics and adaptive mining
     hi_all = hashnet.forward(state.params_image, fi, eta, cfg.hidden_act).h
     ht_all = hashnet.forward(state.params_text, ft, eta, cfg.hidden_act).h

@@ -170,6 +170,30 @@ class TestBuildSim:
         ii, jj = np.nonzero(np.triu(to_dense(rel)))
         assert lines == ["i,j"] + [f"{i},{j}" for i, j in zip(ii, jj)]
 
+    def test_pair_listing_matches_savetxt(self, data_dir, tmp_path, monkeypatch):
+        # order 600 spans three 256-row strips; a random symmetric relation
+        # of about 80% of all pairs puts more than 2^16 pairs in the first
+        # strip, so the listing is formatted in several chunks
+        from assph import corrmine
+        m = 600
+        rng = np.random.default_rng(4)
+        dense = np.triu(rng.random((m, m)) < 0.8)
+        dense = dense | dense.T | np.eye(m, dtype=bool)
+        rel = relation_from_dense(dense)
+        first_strip = next(rel.upper_pairs())
+        assert len(first_strip) > cli._CSV_PAIRS
+        monkeypatch.setattr(trainer, "build_targets",
+                            lambda fi, ft, cfg: (np.eye(2, dtype=np.float32), rel, {}))
+        monkeypatch.setattr(corrmine, "correlation_stats", lambda rel, labels: {})
+        out = str(tmp_path / "dense")
+        assert cli.dispatch(["build-sim", "--bundle", data_dir, "--out", out]) == 0
+        expect = tmp_path / "expect.csv"
+        with open(expect, "w") as fh:
+            fh.write("i,j\n")
+            np.savetxt(fh, np.argwhere(np.triu(dense)), fmt="%d", delimiter=",")
+        with open(os.path.join(out, "correlations.csv"), "rb") as fh:
+            assert fh.read() == expect.read_bytes()
+
 
 class TestManifestInputs:
     @pytest.mark.parametrize("command", ["build-sim", "train"])

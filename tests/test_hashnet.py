@@ -164,6 +164,25 @@ class TestBackward:
             for name in ("w1", "b1", "w2", "b2"):
                 npt.assert_array_equal(getattr(grads, name), expect[name])
 
+    def test_shared_workspace_views(self):
+        rng = np.random.default_rng(12)
+        big = hashnet.init_params(6, 9, 5, seed=12)
+        small = hashnet.init_params(4, 9, 5, seed=13)
+        g_big, g_small = hashnet.shared_grads(big, small)
+        names = ("w1", "b1", "w2", "b2")
+        workspace = g_big.w1.base
+        assert workspace.size == sum(getattr(big, n).size for n in names)
+        for grads, p in ((g_big, big), (g_small, small)):
+            for name in names:
+                assert getattr(grads, name).shape == getattr(p, name).shape
+                assert getattr(grads, name).base is workspace
+        x, d_h = rng.standard_normal((8, 4)), rng.standard_normal((8, 5))
+        acts = hashnet.forward(small, x, 1.3)
+        fresh = hashnet.backward(small, acts, d_h)
+        assert hashnet.backward(small, acts, d_h, g_small) is g_small
+        for name in names:
+            npt.assert_array_equal(getattr(g_small, name), getattr(fresh, name))
+
     def test_rejects_mismatched_activations(self):
         p = hashnet.init_params(4, 6, 3, seed=0)
         acts = hashnet.forward(hashnet.init_params(4, 7, 3, seed=0), np.ones((2, 4)), 1.0)

@@ -223,34 +223,64 @@ class TestTrainEpoch:
         assert [r.epoch for r in res.history] == [1, 2, 3]
         assert [r.eta for r in res.history] == [0.5, 1.0, 1.5]
 
-    def test_update_order_with_binary_refinement(self, bundle, monkeypatch):
-        cfg = small_config(epochs=1)
-        state = trainer.init_state(bundle, cfg)
+    @staticmethod
+    def record_updates(state, monkeypatch):
+        """Spy on backward and sgd_step: "bi" is an image backward, "st" a
+        text step, and so on."""
         order = []
-        real_step = hashnet.sgd_step
+        real_backward, real_step = hashnet.backward, hashnet.sgd_step
 
-        def spy(params, grads, lr, momentum, weight_decay):
-            order.append("i" if params is state.params_image else "t")
+        def side(params):
+            return "i" if params is state.params_image else "t"
+
+        def backward(params, acts, d_h, grads=None):
+            order.append("b" + side(params))
+            return real_backward(params, acts, d_h, grads)
+
+        def step(params, grads, lr, momentum, weight_decay):
+            order.append("s" + side(params))
             return real_step(params, grads, lr, momentum, weight_decay)
 
-        monkeypatch.setattr(hashnet, "sgd_step", spy)
+        monkeypatch.setattr(hashnet, "backward", backward)
+        monkeypatch.setattr(hashnet, "sgd_step", step)
+        return order
+
+    # both sides' gradients share one workspace, so each side is stepped
+    # before the other side's backward overwrites it
+
+    def test_update_order_with_binary_refinement(self, bundle, monkeypatch):
+        state = trainer.init_state(bundle, small_config(epochs=1))
+        order = self.record_updates(state, monkeypatch)
         rec = trainer.train_epoch(state, 1)
         # symmetric update then image-vs-binary then text-vs-binary
-        assert "".join(order) == "itit" * rec.iterations
+        assert order == ["bi", "si", "bt", "st"] * 2 * rec.iterations
 
     def test_update_order_without_binary_refinement(self, bundle, monkeypatch):
-        cfg = small_config(epochs=1, bin_opt=False)
-        state = trainer.init_state(bundle, cfg)
-        order = []
-        real_step = hashnet.sgd_step
-
-        def spy(params, grads, lr, momentum, weight_decay):
-            order.append("i" if params is state.params_image else "t")
-            return real_step(params, grads, lr, momentum, weight_decay)
-
-        monkeypatch.setattr(hashnet, "sgd_step", spy)
+        state = trainer.init_state(bundle, small_config(epochs=1, bin_opt=False))
+        order = self.record_updates(state, monkeypatch)
         rec = trainer.train_epoch(state, 1)
-        assert "".join(order) == "it" * rec.iterations
+        assert order == ["bi", "si", "bt", "st"] * rec.iterations
+
+    def test_epoch_holds_one_gradient_workspace(self):
+        # 512/256-d features and 512 hidden units: the image encoder's
+        # gradients dominate.  With both encoders' gradients and a float64
+        # copy of the features the peak was 2.2 times them; one workspace
+        # sized for the image encoder and float32 features hold it near 1.5
+        wide = dataio.generate_synthetic(dataio.SynthConfig(
+            classes=3, instances=200, dim_image=512, dim_text=256,
+            noise_sigma=0.05, seed=1))
+        state = trainer.init_state(wide, small_config(epochs=1, d_hidden=512))
+        assert state.features_image.dtype == np.float32
+        assert state.features_text.dtype == np.float32
+        p = state.params_image
+        grad_bytes = p.w1.nbytes + p.b1.nbytes + p.w2.nbytes + p.b2.nbytes
+        tracemalloc.start()
+        try:
+            trainer.train_epoch(state, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * grad_bytes, peak / grad_bytes
 
 
 def reference_batches(state, epoch):
