@@ -161,13 +161,11 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _encode_split(params, features, idx, hidden_act):
-    import numpy as np
-
+def _encode(params, features, hidden_act):
+    """Sign codes of feature rows; forward converts them to float64."""
     from .hashnet import forward, sign_codes
 
-    h = forward(params, features[idx].astype(np.float64), 1.0, hidden_act).h
-    return sign_codes(h)
+    return sign_codes(forward(params, features, 1.0, hidden_act).h)
 
 
 def _self_evaluate(bundle, result, cfg, out_dir, map_cutoffs):
@@ -176,15 +174,13 @@ def _self_evaluate(bundle, result, cfg, out_dir, map_cutoffs):
     from .hashnet import save_codes
 
     q, r = bundle.split.query, bundle.split.retrieval
+    fi, ft, pi, pt = (bundle.image_features, bundle.text_features,
+                      result.params_image, result.params_text)
     codes = {
-        "query_image": _encode_split(result.params_image,
-                                     bundle.image_features, q, cfg.hidden_act),
-        "query_text": _encode_split(result.params_text,
-                                    bundle.text_features, q, cfg.hidden_act),
-        "db_image": _encode_split(result.params_image,
-                                  bundle.image_features, r, cfg.hidden_act),
-        "db_text": _encode_split(result.params_text,
-                                 bundle.text_features, r, cfg.hidden_act),
+        "query_image": _encode(pi, fi[q], cfg.hidden_act),
+        "query_text": _encode(pt, ft[q], cfg.hidden_act),
+        "db_image": _encode(pi, fi[r], cfg.hidden_act),
+        "db_text": _encode(pt, ft[r], cfg.hidden_act),
     }
     outputs = []
     for name, mat in codes.items():
@@ -241,16 +237,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .dataio import load_features
-    from .hashnet import forward, load_checkpoint, save_codes, sign_codes
+    from .hashnet import load_checkpoint, save_codes
 
     t0 = time.perf_counter()
     params = load_checkpoint(args.checkpoint)
     feats = load_features(args.features, expected_dim=params.d_in)
-    codes = sign_codes(forward(params, feats.astype(np.float64), 1.0,
-                               args.hidden_act).h)
+    codes = _encode(params, feats, args.hidden_act)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     save_codes(codes, args.out)

@@ -38,16 +38,17 @@ PROFILES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     """Term weights: mu1 on the correlation term, mu2 on agreement, plus
-    the target cosine level beta for correlated pairs."""
+    the target cosine level beta for correlated pairs.  Checked once, when
+    built."""
 
     mu1: float = 2.0
     mu2: float = 1.0
     beta: float = 1.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (math.isfinite(self.mu1) and self.mu1 >= 0):
             raise ConfigError(f"mu1 must be a finite real >= 0, got {self.mu1}")
         if not (math.isfinite(self.mu2) and self.mu2 >= 0):
@@ -56,9 +57,14 @@ class LossWeights:
             raise ConfigError(f"beta must be a finite real >= 1, got {self.beta}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Everything one training run depends on, seed included."""
+    """Everything one training run depends on, seed included.
+
+    It checks every value when built, whether by from_dict, directly or by
+    dataclasses.replace, and is frozen, so a TrainConfig holds valid
+    settings and the stages that read it check none of them again.
+    """
 
     code_length: int = 64
     epochs: int = 50
@@ -83,7 +89,7 @@ class TrainConfig:
     struct: bool = True
     pair_corr: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("code_length", "epochs", "batch_size", "ks", "kr", "d_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -95,7 +101,7 @@ class TrainConfig:
             raise ConfigError(f"eta_base must be a finite real > 0, got {self.eta_base}")
         if self.hidden_act not in HIDDEN_ACTS:
             raise ConfigError(f"hidden_act must be one of {HIDDEN_ACTS}")
-        LossWeights(self.mu1, self.mu2, self.beta).validate()
+        LossWeights(self.mu1, self.mu2, self.beta)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(
                 f"learning_rate must be a finite real > 0, got {self.learning_rate}"
@@ -112,16 +118,13 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, flat: dict) -> "TrainConfig":
-        """Validated config from JSON-style keys; absent keys keep their
-        defaults."""
+        """Config from JSON-style keys; absent keys keep their defaults."""
         kinds = {f.name: f.type for f in fields(cls)}
         unknown = set(flat) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**{key: _coerce(key, kinds[key], value)
-                     for key, value in flat.items()})
-        cfg.validate()
-        return cfg
+        return cls(**{key: _coerce(key, kinds[key], value)
+                      for key, value in flat.items()})
 
 
 def _coerce(key: str, kind: type, value):

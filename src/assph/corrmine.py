@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import DataError, DivergenceError
 from .simgraph import _row_blocks, _unit_rows, cosine_blocks, top_k_indices
 # not called here, but bench/tracing.py patches corrmine.cosine_matrix
 from .simgraph import cosine_matrix  # noqa: F401
@@ -96,8 +96,6 @@ class CorrelationSet:
 def _select(blocks, m: int, kr: int) -> np.ndarray:
     """Neighbor lists of m rows from (lo, hi, rows) blocks of a similarity:
     top_k_indices(rows, kr) per block."""
-    if kr < 1:
-        raise ConfigError(f"knn_adjacency: kr must be >= 1, got {kr}")
     nn = np.empty((m, min(kr, m)), dtype=np.intp)
     for lo, hi, rows in blocks:
         nn[lo:hi] = top_k_indices(rows, kr)
@@ -151,8 +149,6 @@ def second_order(nn_a: np.ndarray, nn_b: np.ndarray, tau: int,
     """
     if nn_a.ndim != 2 or nn_a.shape != nn_b.shape:
         raise DataError(f"second_order: bad list shapes {nn_a.shape} vs {nn_b.shape}")
-    if tau < 1:
-        raise ConfigError(f"second_order: tau must be >= 1, got {tau}")
     m, k = nn_a.shape
     if out.shape != (m, (m + 7) >> 3) or out.dtype != np.uint8 or not out.flags.c_contiguous:
         raise DataError(f"second_order: out must be C-contiguous packed bits of order {m}")

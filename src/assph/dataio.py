@@ -47,14 +47,9 @@ def write_features(arr: np.ndarray, path: str) -> None:
         fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
-def load_features(path: str, expected_dim: int | None = None) -> np.ndarray:
-    """Load a feature matrix, accepting the binary container or CSV text.
-
-    The first four bytes decide the format.  Either way the result passes
-    through :func:`validate_features`, so malformed headers, dimension
-    mismatches, zero-norm rows, and non-finite entries all raise
-    :class:`DataError` with the offending location.
-    """
+def _read_features(path: str) -> np.ndarray:
+    """Parse a feature file, the binary container or CSV text as its first
+    four bytes say; the values are not checked."""
     if not os.path.exists(path):
         raise DataError(f"feature file not found: {path}")
     with open(path, "rb") as fh:
@@ -79,7 +74,16 @@ def load_features(path: str, expected_dim: int | None = None) -> np.ndarray:
                 arr = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
             except ValueError as exc:
                 raise DataError(f"{path}: not a feature container and CSV parse failed: {exc}")
-    arr = validate_features(arr, name=path)
+    return arr
+
+
+def load_features(path: str, expected_dim: int | None = None) -> np.ndarray:
+    """Load and check a feature matrix, the binary container or CSV text.
+
+    Malformed headers, dimension mismatches, zero-norm rows and non-finite
+    entries all raise :class:`DataError` with the offending location.
+    """
+    arr = validate_features(_read_features(path), name=path)
     if expected_dim is not None and arr.shape[1] != expected_dim:
         raise DataError(f"{path}: expected {expected_dim} columns, found {arr.shape[1]}")
     return arr
@@ -101,8 +105,9 @@ def validate_labels(labels: np.ndarray, name: str = "labels") -> np.ndarray:
     return labels
 
 
-def load_labels(path: str) -> np.ndarray:
-    """Parse a CSV label matrix of 0/1 ints; every row needs at least one 1.
+def _read_labels(path: str) -> np.ndarray:
+    """Parse a CSV label matrix of 0/1 ints; empty rows are left to
+    validate_labels.
 
     Blank lines are skipped, but the row numbers in parse errors count
     them.
@@ -138,7 +143,12 @@ def load_labels(path: str) -> np.ndarray:
     if ragged < len(lines):
         i, s = lines[ragged]
         raise DataError(f"{path}: ragged row {i} ({s.count(',') + 1} cells, expected {width})")
-    return validate_labels(labels, name=path)
+    return labels
+
+
+def load_labels(path: str) -> np.ndarray:
+    """Load and check a CSV label matrix; every row needs at least one 1."""
+    return validate_labels(_read_labels(path), name=path)
 
 
 def write_labels(labels: np.ndarray, path: str) -> None:
@@ -162,23 +172,22 @@ class Split:
         self.query = np.asarray(self.query, dtype=np.int64)
         self.retrieval = np.asarray(self.retrieval, dtype=np.int64)
 
-    def validate(self, n_rows: int) -> None:
-        for name, idx in (("train", self.train), ("query", self.query),
+    def validate(self, n_rows: int, name: str = "split") -> None:
+        for cell, idx in (("train", self.train), ("query", self.query),
                           ("retrieval", self.retrieval)):
-            idx = np.asarray(idx)
             if idx.size == 0:
-                raise DataError(f"split: empty {name} cell")
+                raise DataError(f"{name}: empty {cell} cell")
             if idx.min() < 0 or idx.max() >= n_rows:
-                raise DataError(f"split: {name} index out of range for {n_rows} rows")
+                raise DataError(f"{name}: {cell} index out of range for {n_rows} rows")
             if len(np.unique(idx)) != len(idx):
-                raise DataError(f"split: duplicate indices in {name}")
+                raise DataError(f"{name}: duplicate indices in {cell}")
         q, r, t = set(self.query.tolist()), set(self.retrieval.tolist()), set(self.train.tolist())
         if q & r:
-            raise DataError("split: query and retrieval cells overlap")
+            raise DataError(f"{name}: query and retrieval cells overlap")
         # train may sit inside retrieval (database includes the training set)
         # or stand apart from it, but never inside the query cell
         if q & t:
-            raise DataError("split: query and train cells overlap")
+            raise DataError(f"{name}: query and train cells overlap")
 
 
 @dataclass
@@ -186,7 +195,10 @@ class DatasetBundle:
     """Paired image/text features with labels and a role split.
 
     files lists the paths load_bundle read it from, bundle.json first;
-    it is empty for a bundle built in memory.
+    it is empty for a bundle built in memory.  The bundle checks its
+    features, labels and split once, when built, and keeps the checked
+    arrays: C-contiguous float32 features and int8 labels.  The messages
+    of a loaded bundle name its files.
     """
 
     image_features: np.ndarray
@@ -195,20 +207,22 @@ class DatasetBundle:
     split: Split
     files: list[str] = field(default_factory=list)
 
-    def validate(self) -> None:
-        fi = validate_features(self.image_features, "image features")
-        ft = validate_features(self.text_features, "text features")
-        if fi.shape[0] != ft.shape[0]:
+    def __post_init__(self) -> None:
+        where = self.files or ["bundle", "image features", "text features", "labels"]
+        self.image_features = validate_features(self.image_features, where[1])
+        self.text_features = validate_features(self.text_features, where[2])
+        rows = self.n_rows
+        if self.text_features.shape[0] != rows:
             raise DataError(
-                f"bundle: image rows {fi.shape[0]} != text rows {ft.shape[0]}"
+                f"{where[0]}: image rows {rows} != text rows {self.text_features.shape[0]}"
             )
         if self.labels is not None:
-            lab = validate_labels(self.labels)
-            if lab.shape[0] != fi.shape[0]:
+            self.labels = validate_labels(self.labels, where[3])
+            if self.labels.shape[0] != rows:
                 raise DataError(
-                    f"bundle: label rows {lab.shape[0]} != feature rows {fi.shape[0]}"
+                    f"{where[0]}: label rows {self.labels.shape[0]} != feature rows {rows}"
                 )
-        self.split.validate(fi.shape[0])
+        self.split.validate(rows, f"{where[0]}: split" if self.files else "split")
 
     @property
     def n_rows(self) -> int:
@@ -279,14 +293,12 @@ def generate_synthetic(cfg: SynthConfig, train_size: int | None = None) -> Datas
             )
         train = np.sort(rng.permutation(retrieval)[:train_size])
 
-    bundle = DatasetBundle(
+    return DatasetBundle(
         image_features=fi.astype(np.float32),
         text_features=ft.astype(np.float32),
         labels=labels,
         split=Split(train=train, query=query, retrieval=retrieval),
     )
-    bundle.validate()
-    return bundle
 
 
 _MANIFEST_NAME = "bundle.json"
@@ -294,7 +306,6 @@ _MANIFEST_NAME = "bundle.json"
 
 def save_bundle(bundle: DatasetBundle, out_dir: str) -> str:
     """Write the bundle's files plus a JSON manifest; returns manifest path."""
-    bundle.validate()
     os.makedirs(out_dir, exist_ok=True)
     write_features(bundle.image_features, os.path.join(out_dir, "image.assf"))
     write_features(bundle.text_features, os.path.join(out_dir, "text.assf"))
@@ -319,7 +330,10 @@ def save_bundle(bundle: DatasetBundle, out_dir: str) -> str:
 
 
 def load_bundle(path: str) -> DatasetBundle:
-    """Load a bundle from its manifest path or the directory holding it."""
+    """Load a bundle from its manifest path or the directory holding it.
+
+    Only the files' formats are checked here; the bundle checks their
+    values when built."""
     if os.path.isdir(path):
         path = os.path.join(path, _MANIFEST_NAME)
     if not os.path.exists(path):
@@ -335,12 +349,12 @@ def load_bundle(path: str) -> DatasetBundle:
             raise DataError(f"{path}: manifest missing key '{key}'")
     files = [path, os.path.join(base, manifest["image_features"]),
              os.path.join(base, manifest["text_features"])]
-    fi = load_features(files[1])
-    ft = load_features(files[2])
+    fi = _read_features(files[1])
+    ft = _read_features(files[2])
     labels = None
     if manifest.get("labels"):
         files.append(os.path.join(base, manifest["labels"]))
-        labels = load_labels(files[3])
+        labels = _read_labels(files[3])
     sp = manifest["split"]
     for cell in ("train", "query", "retrieval"):
         if cell not in sp:
@@ -349,7 +363,5 @@ def load_bundle(path: str) -> DatasetBundle:
         if not isinstance(sp[cell], list) or any(type(v) is not int for v in sp[cell]):
             raise DataError(f"{path}: split cell '{cell}' is not a list of integer indices")
     split = Split(train=sp["train"], query=sp["query"], retrieval=sp["retrieval"])
-    bundle = DatasetBundle(image_features=fi, text_features=ft, labels=labels,
-                           split=split, files=files)
-    bundle.validate()
-    return bundle
+    return DatasetBundle(image_features=fi, text_features=ft, labels=labels,
+                         split=split, files=files)

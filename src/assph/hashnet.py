@@ -23,7 +23,6 @@ four parameter arrays as float32.  Code matrices serialize as magic
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -112,8 +111,6 @@ def shared_grads(*nets: HashNetParams) -> list[Grads]:
 
 def init_params(d_in: int, d_hidden: int, code_length: int, seed: int) -> HashNetParams:
     """Glorot-uniform weights, zero biases, zero velocities; fixed per seed."""
-    if min(d_in, d_hidden, code_length) < 1:
-        raise ConfigError("init_params: all dimensions must be >= 1")
     rng = np.random.default_rng(seed)
     bound1 = np.sqrt(6.0 / (d_in + d_hidden))
     bound2 = np.sqrt(6.0 / (d_hidden + code_length))
@@ -165,23 +162,20 @@ def forward(params: HashNetParams, x: np.ndarray, eta: float,
 
 
 def backward(params: HashNetParams, acts: Activations, d_h: np.ndarray,
-             grads: Grads | None = None) -> Grads:
+             grads: Grads) -> Grads:
     """Parameter gradients given dL/dH at the network output.
 
     acts must come from forward on these parameters, before any update.
     dL/dpre2 = dL/dH * eta * (1 - H^2), then the usual two-layer chain;
-    the relu mask a1 > 0 selects the same entries as pre1 > 0.  Given
-    grads (an earlier result for this network), the gradients are written
-    into its arrays, so a training loop allocates them once.
+    the relu mask a1 > 0 selects the same entries as pre1 > 0.  The
+    gradients are written into the arrays of grads, a Grads of this
+    network's shapes such as shared_grads gives, and grads is returned.
     """
     if acts.x.shape[1] != params.d_in or acts.a1.shape[1] != params.d_hidden:
         raise DataError("backward: activations do not match the network's shape")
     d_h = np.asarray(d_h, dtype=np.float64)
     if d_h.shape != acts.h.shape:
         raise DataError(f"backward: dLdH shape {d_h.shape} mismatches output")
-    if grads is None:
-        grads = Grads(*(np.empty_like(getattr(params, name))
-                        for name in _PARAM_NAMES))
     a1 = acts.a1
     d_pre2 = d_h * acts.eta * (1.0 - acts.h * acts.h)
     np.matmul(d_pre2.T, a1, out=grads.w2)
@@ -200,18 +194,12 @@ def sgd_step(params: HashNetParams, grads: Grads, lr: float,
              momentum: float, weight_decay: float) -> None:
     """In-place SGD update: vel <- momentum*vel + (g + wd*p); p <- p - lr*vel.
 
-    Weight decay touches the weight matrices only, never the biases.  Each
-    parameter is walked in flat blocks of _SGD_BLOCK elements, each block
-    checked for a finite step before it is applied; a DivergenceError may
-    leave the parameters partly updated, which ends the run anyway.
+    Weight decay touches the weight matrices only, never the biases.  The
+    settings are a TrainConfig's, checked when it was built.  Each parameter
+    is walked in flat blocks of _SGD_BLOCK elements, each block checked for
+    a finite step before it is applied; a DivergenceError may leave the
+    parameters partly updated, which ends the run anyway.
     """
-    if not (lr > 0.0 and math.isfinite(lr)):
-        raise ConfigError(f"sgd_step: lr must be a positive finite real, got {lr}")
-    if not 0.0 <= momentum < 1.0:
-        raise ConfigError(f"sgd_step: momentum must be in [0, 1), got {momentum}")
-    if not (weight_decay >= 0.0 and math.isfinite(weight_decay)):
-        raise ConfigError(
-            f"sgd_step: weight_decay must be a finite real >= 0, got {weight_decay}")
     size = min(_SGD_BLOCK, max(params.w1.size, params.b1.size,
                                params.w2.size, params.b2.size))
     scratch, finite = np.empty(size), np.empty(size, dtype=bool)

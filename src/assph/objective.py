@@ -63,7 +63,6 @@ _Cosines = namedtuple("_Cosines", "hi_hat hi_norms ht_hat ht_norms s r c_it c_ii
 
 def _cosines(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray,
              r_batch: np.ndarray, weights: LossWeights) -> _Cosines:
-    weights.validate()
     hi_hat, hi_norms = _normalized(hi, "image batch")
     ht_hat, ht_norms = _normalized(ht, "text batch")
     m = hi_hat.shape[0]

@@ -31,7 +31,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 # rows per block of the selection stages
 _BLOCK_ROWS = 256
@@ -170,8 +170,6 @@ def topk_normalize(fused: np.ndarray, ks: int) -> np.ndarray:
     rounded.  ks larger than the matrix order clamps with a warning.
     """
     m = fused.shape[0]
-    if ks < 1:
-        raise ConfigError(f"topk_normalize: ks must be >= 1, got {ks}")
     if ks > m:
         warnings.warn(f"topk_normalize: ks={ks} exceeds order {m}, clamping")
         ks = m
@@ -216,13 +214,8 @@ def combine(fused: np.ndarray, cooc: np.ndarray | None, ks: int, gamma: float,
     float32 buffer of the same shape that may be fused, and out is
     returned.
     """
-    if cooc is None:
-        if gamma != 0.0:
-            raise ConfigError(f"combine: gamma {gamma} needs a structural matrix")
-    elif fused.shape != cooc.shape:
+    if cooc is not None and fused.shape != cooc.shape:
         raise DataError(f"combine: shape mismatch {fused.shape} vs {cooc.shape}")
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError(f"combine: gamma must be in [0, 1], got {gamma}")
     m, n = fused.shape
     step = _elementwise_rows(n)
     s_buf = np.empty((min(step, m), n), dtype=np.float64)
@@ -257,7 +250,5 @@ def build_semantic(fused: np.ndarray, ks: int, gamma: float) -> np.ndarray:
     """
     if fused.ndim != 2 or fused.shape[0] != fused.shape[1]:
         raise DataError(f"build_semantic: expected a square matrix, got {fused.shape}")
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError(f"build_semantic: gamma must be in [0, 1], got {gamma}")
     cooc = structural(fused, ks) if gamma != 0.0 else None
     return combine(fused, cooc, ks, gamma, out=fused)

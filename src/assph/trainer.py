@@ -38,10 +38,6 @@ from .errors import ConfigError, DivergenceError
 
 def eta_schedule(epoch: int, eta_base: float = 1.0) -> float:
     """Linear sharpness ramp: eta = eta_base * epoch, epochs count from 1."""
-    if epoch < 1:
-        raise ConfigError(f"eta_schedule: epoch must be >= 1, got {epoch}")
-    if eta_base <= 0:
-        raise ConfigError(f"eta_schedule: eta_base must be > 0, got {eta_base}")
     return eta_base * epoch
 
 
@@ -132,10 +128,10 @@ def build_targets(image_features: np.ndarray, text_features: np.ndarray,
 
 
 def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
-    """Validate inputs and build all pre-training artifacts."""
-    cfg.validate()
-    bundle.validate()
-    train_idx = np.asarray(bundle.split.train)
+    """Build all pre-training artifacts.  bundle and cfg checked themselves
+    when built; the batch size against the training rows, which needs
+    both, is checked here."""
+    train_idx = bundle.split.train
     m_train = train_idx.size
     if cfg.batch_size > m_train:
         raise ConfigError(

@@ -134,11 +134,13 @@ class TestGradients:
             out = objective.total_loss_and_grads(hi, ht, s, r, weights)
             checks = []
             if constant != "image":
-                gi = hashnet.backward(pi, acts_i, out.grad_image)
+                gi = hashnet.backward(pi, acts_i, out.grad_image,
+                                      hashnet.shared_grads(pi)[0])
                 checks += [(pi.w1, gi.w1), (pi.b1, gi.b1),
                            (pi.w2, gi.w2), (pi.b2, gi.b2)]
             if constant != "text":
-                gt = hashnet.backward(pt, acts_t, out.grad_text)
+                gt = hashnet.backward(pt, acts_t, out.grad_text,
+                                      hashnet.shared_grads(pt)[0])
                 checks += [(pt.w1, gt.w1), (pt.b1, gt.b1),
                            (pt.w2, gt.w2), (pt.b2, gt.b2)]
             for arr, analytic in checks:

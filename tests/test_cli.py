@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from assph import cli, dataio, hashnet, trainer
-from assph.config import HIDDEN_ACTS, TrainConfig
+from assph.config import HIDDEN_ACTS, LossWeights, TrainConfig
 from oracles import relation_from_dense, to_dense
 
 TRAIN_FLAGS = ["--code-length", "8", "--epochs", "2", "--batch-size", "24",
@@ -193,6 +193,35 @@ class TestBuildSim:
             np.savetxt(fh, np.argwhere(np.triu(dense)), fmt="%d", delimiter=",")
         with open(os.path.join(out, "correlations.csv"), "rb") as fh:
             assert fh.read() == expect.read_bytes()
+
+
+class TestInputsCheckedOnce:
+    def test_train_checks_each_input_once(self, data_dir, tmp_path, monkeypatch):
+        checks = []
+
+        def count(owner, attr, key):
+            real = getattr(owner, attr)
+
+            def counted(*args):
+                checks.append(key(*args))
+                return real(*args)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        count(dataio, "validate_features", lambda arr, name: os.path.basename(name))
+        count(dataio, "validate_labels", lambda arr, name: os.path.basename(name))
+        count(dataio.Split, "validate", lambda split, rows, name: "split")
+        count(TrainConfig, "__post_init__", lambda cfg: "config")
+        count(LossWeights, "__post_init__", lambda weights: "weights")
+        out = str(tmp_path / "run")
+        assert cli.dispatch(["train", "--bundle", data_dir, "--out", out]
+                            + TRAIN_FLAGS) == 0
+        with open(os.path.join(out, "history.jsonl")) as fh:
+            assert sum(json.loads(line)["iterations"] for line in fh) > 2
+        # two LossWeights objects, whatever the iteration count: the
+        # config's own mu1/mu2/beta and the run's effective weights
+        assert sorted(checks) == sorted(["image.assf", "text.assf", "labels.csv",
+                                         "split", "config", "weights", "weights"])
 
 
 class TestManifestInputs:

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from assph import corrmine, simgraph
+from assph import cli, config, corrmine, simgraph
 from assph.errors import ConfigError, DataError, DivergenceError
 from oracles import (argsort_top_k, dense_adjacency, dense_correlation_stats,
                      dense_init_correlations, dense_second_order, naive_relation,
@@ -64,9 +64,9 @@ class TestKnnAdjacency:
         npt.assert_array_equal(nn, [[0, 1], [0, 1], [0, 1]])
 
     def test_bad_kr(self):
-        s = np.eye(3, dtype=np.float32)
+        # the miners trust kr: TrainConfig is its one check
         with pytest.raises(ConfigError, match="kr"):
-            corrmine.knn_adjacency(s, 0)
+            config.TrainConfig(kr=0)
 
 
 def packed_zeros(m):
@@ -182,9 +182,9 @@ class TestSecondOrder:
             corrmine.second_order(nn, nn, 1, out)
 
     def test_bad_tau(self):
-        nn = np.arange(3)[:, None]
+        # second_order trusts tau: TrainConfig is its one check
         with pytest.raises(ConfigError, match="tau"):
-            second_order(nn, nn, 0)
+            config.TrainConfig(tau=0)
 
     def test_tau_above_kr_keeps_only_diagonal_or_less(self):
         rng = np.random.default_rng(4)
@@ -579,12 +579,12 @@ class TestStreamedMining:
                 got = corrmine.adaptive_update(base, h_i, h_t, kr, tau, pairwise)
                 npt.assert_array_equal(got.bits, want.bits)
 
-    def test_bad_kr_rejected_before_any_product(self, monkeypatch):
-        def no_product(unit):
+    def test_bad_kr_rejected_before_any_product(self, tmp_path, monkeypatch):
+        def no_product(*args):
             raise AssertionError("cosine formed")
-            yield
 
         monkeypatch.setattr(corrmine, "cosine_blocks", no_product)
-        with pytest.raises(ConfigError, match="kr"):
-            corrmine.adaptive_update(corrmine.CorrelationSet.identity(4),
-                                     np.ones((4, 3)), np.ones((4, 3)), kr=0)
+        monkeypatch.setattr(simgraph, "cosine_matrix", no_product)
+        # exit 2, not the missing bundle's 3: the config is rejected first
+        assert cli.dispatch(["train", "--bundle", str(tmp_path / "none"),
+                             "--out", str(tmp_path / "out"), "--kr", "0"]) == 2

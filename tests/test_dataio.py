@@ -1,6 +1,7 @@
 """Feature/label containers, bundle manifests, and the synthetic corpus."""
 
 import json
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -283,15 +284,14 @@ class TestBundle:
             split.validate(4)
 
     def test_row_mismatch_rejected(self):
-        bundle = dataio.DatasetBundle(
-            image_features=np.ones((4, 3), dtype=np.float32),
-            text_features=np.ones((5, 3), dtype=np.float32),
-            labels=None,
-            split=dataio.Split(train=np.array([0]), query=np.array([1]),
-                               retrieval=np.array([0, 2, 3])),
-        )
         with pytest.raises(DataError, match="rows"):
-            bundle.validate()
+            dataio.DatasetBundle(
+                image_features=np.ones((4, 3), dtype=np.float32),
+                text_features=np.ones((5, 3), dtype=np.float32),
+                labels=None,
+                split=dataio.Split(train=np.array([0]), query=np.array([1]),
+                                   retrieval=np.array([0, 2, 3])),
+            )
 
     @pytest.mark.parametrize("cell", [
         [0.7, 1.7, 2.7],
@@ -309,6 +309,41 @@ class TestBundle:
         manifest["split"]["train"] = cell
         path.write_text(json.dumps(manifest))
         with pytest.raises(DataError, match="split cell 'train'"):
+            dataio.load_bundle(str(tmp_path))
+
+    def test_checked_when_built(self):
+        fi = np.ones((4, 3), dtype=np.float32)
+        fi[2] = 0.0
+        split = dataio.Split(train=[0, 1], query=[3], retrieval=[0, 1, 2])
+        with pytest.raises(DataError, match="image features: zero-norm row 2"):
+            dataio.DatasetBundle(fi, np.ones((4, 3), dtype=np.float32), None, split)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("image", r"image\.assf: zero-norm row 5"),
+        ("labels", r"labels\.csv: empty label row 7"),
+        ("split", r"bundle\.json: split: query and retrieval cells overlap"),
+    ], ids=["image", "labels", "split"])
+    def test_loaded_bundle_names_its_file(self, tmp_path, bad, message):
+        bundle = dataio.generate_synthetic(dataio.SynthConfig(instances=60, seed=2))
+        dataio.save_bundle(bundle, str(tmp_path))
+        if bad == "image":
+            # write_features would refuse the zero row, so write it raw
+            fi = bundle.image_features.copy()
+            fi[5] = 0.0
+            with open(tmp_path / "image.assf", "wb") as fh:
+                fh.write(struct.pack("<4sIII", b"ASSF", 1, *fi.shape))
+                fh.write(fi.tobytes())
+        elif bad == "labels":
+            labels = bundle.labels.copy()
+            labels[7] = 0
+            (tmp_path / "labels.csv").write_text(
+                "".join(",".join(map(str, row)) + "\n" for row in labels))
+        else:
+            path = tmp_path / "bundle.json"
+            manifest = json.loads(path.read_text())
+            manifest["split"]["query"] = manifest["split"]["train"][:1]
+            path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=message):
             dataio.load_bundle(str(tmp_path))
 
     def test_missing_manifest(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from assph import hashnet
+from assph import config, dataio, hashnet
 from assph.errors import ConfigError, DataError, DivergenceError
 from oracles import central_difference, gradient_errors, naive_backward, naive_sgd_step
 
@@ -38,8 +38,16 @@ class TestInitParams:
         assert np.abs(p.w1).max() > 0.9 * bound1
 
     def test_bad_dims(self):
-        with pytest.raises(ConfigError):
-            hashnet.init_params(0, 4, 2, seed=0)
+        # init_params trusts its dimensions: d_hidden and code_length are a
+        # TrainConfig's, d_in a DatasetBundle's feature width
+        with pytest.raises(ConfigError, match="d_hidden"):
+            config.TrainConfig(d_hidden=0)
+        with pytest.raises(ConfigError, match="code_length"):
+            config.TrainConfig(code_length=0)
+        with pytest.raises(DataError, match="non-empty"):
+            dataio.DatasetBundle(np.ones((2, 0), dtype=np.float32),
+                                 np.ones((2, 3), dtype=np.float32), None,
+                                 dataio.Split(train=[0], query=[1], retrieval=[0]))
 
 
 class TestForward:
@@ -110,7 +118,7 @@ class TestBackward:
         rng = np.random.default_rng(5)
         p = hashnet.init_params(4, 6, 3, seed=5)
         acts = hashnet.forward(p, rng.standard_normal((7, 4)), 2.0)
-        g = hashnet.backward(p, acts, np.zeros((7, 3)))
+        g = hashnet.backward(p, acts, np.zeros((7, 3)), hashnet.shared_grads(p)[0])
         for arr in (g.w1, g.b1, g.w2, g.b2):
             npt.assert_array_equal(arr, 0.0)
 
@@ -121,7 +129,7 @@ class TestBackward:
         x = np.array([[0.7]])
         eta = 2.5
         acts = hashnet.forward(p, x, eta)
-        g = hashnet.backward(p, acts, np.ones((1, 1)))
+        g = hashnet.backward(p, acts, np.ones((1, 1)), hashnet.shared_grads(p)[0])
         h = acts.h
         npt.assert_allclose(g.b2, eta * (1 - h[0, 0] ** 2))
 
@@ -132,7 +140,8 @@ class TestBackward:
             x = rng.standard_normal((5, 4))
             d_h = rng.standard_normal((5, 3))
             eta = 1.7
-            grads = hashnet.backward(p, hashnet.forward(p, x, eta, hidden_act), d_h)
+            grads = hashnet.backward(p, hashnet.forward(p, x, eta, hidden_act), d_h,
+                                     hashnet.shared_grads(p)[0])
 
             def loss():
                 return float((hashnet.forward(p, x, eta, hidden_act).h * d_h).sum())
@@ -156,8 +165,9 @@ class TestBackward:
         assert ((x @ p.w1.T + p.b1) == 0.0).sum() >= 8
         acts = hashnet.forward(p, x, 1.3, hidden_act)
         expect = naive_backward(p, x, 1.3, d_h, hidden_act)
-        fresh = hashnet.backward(p, acts, d_h)
-        earlier = hashnet.backward(p, acts, rng.standard_normal((8, 5)))
+        fresh = hashnet.backward(p, acts, d_h, hashnet.shared_grads(p)[0])
+        earlier = hashnet.backward(p, acts, rng.standard_normal((8, 5)),
+                                   hashnet.shared_grads(p)[0])
         reused = hashnet.backward(p, acts, d_h, earlier)
         assert reused is earlier
         for grads in (fresh, reused):
@@ -178,7 +188,7 @@ class TestBackward:
                 assert getattr(grads, name).base is workspace
         x, d_h = rng.standard_normal((8, 4)), rng.standard_normal((8, 5))
         acts = hashnet.forward(small, x, 1.3)
-        fresh = hashnet.backward(small, acts, d_h)
+        fresh = hashnet.backward(small, acts, d_h, hashnet.shared_grads(small)[0])
         assert hashnet.backward(small, acts, d_h, g_small) is g_small
         for name in names:
             npt.assert_array_equal(getattr(g_small, name), getattr(fresh, name))
@@ -186,10 +196,12 @@ class TestBackward:
     def test_rejects_mismatched_activations(self):
         p = hashnet.init_params(4, 6, 3, seed=0)
         acts = hashnet.forward(hashnet.init_params(4, 7, 3, seed=0), np.ones((2, 4)), 1.0)
+        grads = hashnet.shared_grads(p)[0]
         with pytest.raises(DataError, match="shape"):
-            hashnet.backward(p, acts, np.ones((2, 3)))
+            hashnet.backward(p, acts, np.ones((2, 3)), grads)
         with pytest.raises(DataError, match="dLdH"):
-            hashnet.backward(p, hashnet.forward(p, np.ones((2, 4)), 1.0), np.ones((3, 3)))
+            hashnet.backward(p, hashnet.forward(p, np.ones((2, 4)), 1.0), np.ones((3, 3)),
+                             grads)
 
 
 class TestSgdStep:
@@ -229,27 +241,20 @@ class TestSgdStep:
         npt.assert_allclose(p.w1, 2.0 - lr * 1.0 - lr * (mu * 1.0 + 1.0))
 
     def test_bad_hyperparams(self):
-        p = self._unit_params()
-        with pytest.raises(ConfigError):
-            hashnet.sgd_step(p, self._zero_grads(), lr=0.0, momentum=0.9,
-                             weight_decay=0.0)
-        with pytest.raises(ConfigError):
-            hashnet.sgd_step(p, self._zero_grads(), lr=0.1, momentum=1.0,
-                             weight_decay=0.0)
+        # sgd_step trusts its settings: TrainConfig is their one check
+        with pytest.raises(ConfigError, match="learning_rate"):
+            config.TrainConfig(learning_rate=0.0)
+        with pytest.raises(ConfigError, match="momentum"):
+            config.TrainConfig(momentum=1.0)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(lr=float("nan")), dict(lr=float("inf")),
+        dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
         dict(weight_decay=float("nan")), dict(weight_decay=float("inf")),
         dict(momentum=float("nan")),
     ])
     def test_non_finite_hyperparams_rejected(self, kwargs):
-        p = self._unit_params()
-        before = copy.deepcopy(p)
-        args = {**dict(lr=0.1, momentum=0.9, weight_decay=0.01), **kwargs}
-        with pytest.raises(ConfigError):
-            hashnet.sgd_step(p, self._zero_grads(), **args)
-        for name in ("w1", "b1", "w2", "b2", "vw1", "vb1", "vw2", "vb2"):
-            npt.assert_array_equal(getattr(p, name), getattr(before, name))
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            config.TrainConfig(**kwargs)
 
     @staticmethod
     def _random_grads(rng, p):

@@ -272,6 +272,6 @@ class TestValidation:
 
     def test_bad_weights(self):
         with pytest.raises(ConfigError, match="beta"):
-            objective.LossWeights(beta=0.5).validate()
+            objective.LossWeights(beta=0.5)
         with pytest.raises(ConfigError, match="mu1"):
-            objective.LossWeights(mu1=-1.0).validate()
+            objective.LossWeights(mu1=-1.0)

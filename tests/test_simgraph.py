@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from assph import simgraph
+from assph import config, simgraph
 from assph.errors import ConfigError, DataError
 from oracles import (argsort_top_k, naive_semantic, tril_mirror_cosine,
                      whole_matrix_semantic)
@@ -295,8 +295,9 @@ class TestTopkNormalize:
             simgraph.topk_normalize(self._fused(vals), 3)
 
     def test_bad_ks(self):
+        # topk_normalize trusts ks: TrainConfig is its one check
         with pytest.raises(ConfigError, match="ks"):
-            simgraph.topk_normalize(self._fused(np.ones((3, 3))), 0)
+            config.TrainConfig(ks=0)
 
 
 class TestStructural:
@@ -349,8 +350,6 @@ class TestCombine:
         zero = np.zeros_like(struct)
         npt.assert_array_equal(simgraph.combine(fused, None, 1, 0.0, new_out(fused)),
                                simgraph.combine(fused, zero, 1, 0.0, new_out(fused)))
-        with pytest.raises(ConfigError, match="needs a structural"):
-            simgraph.combine(fused, None, 1, 0.5, new_out(fused))
 
     def test_gamma_one_keeps_structural(self):
         fused, struct = self._pair()
@@ -392,9 +391,10 @@ class TestCombine:
             simgraph.combine(fused, np.eye(3), 1, 0.5, new_out(fused))
 
     def test_gamma_out_of_range(self):
-        fused, struct = self._pair()
-        with pytest.raises(ConfigError, match="gamma"):
-            simgraph.combine(fused, struct, 1, 1.5, new_out(fused))
+        # combine and build_semantic trust gamma: TrainConfig is its one check
+        for gamma in (-0.1, 1.5):
+            with pytest.raises(ConfigError, match="gamma must be in"):
+                config.TrainConfig(gamma=gamma)
 
 
 class TestBuildSemantic:

@@ -1,6 +1,7 @@
 """Training loop: schedule, config plumbing, determinism, update order."""
 
 import copy
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -34,10 +35,10 @@ class TestEtaSchedule:
         assert trainer.eta_schedule(5, eta_base=0.5) == 2.5
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ConfigError, match="epoch"):
-            trainer.eta_schedule(0)
-        with pytest.raises(ConfigError, match="eta_base"):
-            trainer.eta_schedule(1, eta_base=0.0)
+        # eta_schedule trusts eta_base: TrainConfig is its one check
+        for eta_base in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="eta_base"):
+                small_config(eta_base=eta_base)
 
 
 class TestConfig:
@@ -79,13 +80,23 @@ class TestConfig:
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError, match="gamma"):
-            small_config(gamma=1.5).validate()
+            small_config(gamma=1.5)
         with pytest.raises(ConfigError, match="batch_size"):
-            small_config(batch_size=0).validate()
+            small_config(batch_size=0)
         with pytest.raises(ConfigError, match="momentum"):
-            small_config(momentum=1.0).validate()
+            small_config(momentum=1.0)
         with pytest.raises(ConfigError, match="hidden_act"):
-            small_config(hidden_act="gelu").validate()
+            small_config(hidden_act="gelu")
+
+    def test_checked_whenever_built(self):
+        cfg = small_config()
+        with pytest.raises(ConfigError, match="momentum"):
+            dataclasses.replace(cfg, momentum=1.0)
+        # frozen: no value changes after its check
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.gamma = 1.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.LossWeights().beta = 0.5
 
     def test_reference_profile_resolves(self):
         cfg = config.TrainConfig.from_dict(config.PROFILES["paper-default"])
@@ -233,7 +244,7 @@ class TestTrainEpoch:
         def side(params):
             return "i" if params is state.params_image else "t"
 
-        def backward(params, acts, d_h, grads=None):
+        def backward(params, acts, d_h, grads):
             order.append("b" + side(params))
             return real_backward(params, acts, d_h, grads)
 
