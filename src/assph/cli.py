@@ -390,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--hidden-act", choices=HIDDEN_ACTS, default="relu")
+    # the checkpoint does not record its activation, so nothing can default it
+    p.add_argument("--hidden-act", choices=HIDDEN_ACTS, required=True,
+                   help="hidden activation the checkpoint was trained with")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("eval", help="score stored codes against labels")

@@ -40,7 +40,11 @@ def validate_features(arr: np.ndarray, name: str = "features") -> np.ndarray:
 
 def write_features(arr: np.ndarray, path: str) -> None:
     """Serialize a validated feature matrix to the binary container."""
-    arr = validate_features(arr)
+    _write_features(validate_features(arr), path)
+
+
+def _write_features(arr: np.ndarray, path: str) -> None:
+    """write_features of a matrix validate_features has returned."""
     rows, cols = arr.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, rows, cols))
@@ -152,7 +156,11 @@ def load_labels(path: str) -> np.ndarray:
 
 
 def write_labels(labels: np.ndarray, path: str) -> None:
-    labels = validate_labels(labels)
+    _write_labels(validate_labels(labels), path)
+
+
+def _write_labels(labels: np.ndarray, path: str) -> None:
+    """write_labels of a matrix validate_labels has returned."""
     with open(path, "w") as fh:
         for row in labels:
             fh.write(",".join(str(int(v)) for v in row))
@@ -229,9 +237,10 @@ class DatasetBundle:
         return self.image_features.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
-    """Knobs for the synthetic multi-label two-modality corpus."""
+    """Knobs for the synthetic multi-label two-modality corpus, checked
+    once, when built."""
 
     classes: int = 5
     instances: int = 2000
@@ -241,7 +250,7 @@ class SynthConfig:
     noise_sigma: float = 0.1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("classes", "instances", "dim_image", "dim_text"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"synth: {name} must be >= 1")
@@ -262,7 +271,6 @@ def generate_synthetic(cfg: SynthConfig, train_size: int | None = None) -> Datas
     the remainder as retrieval, and takes ``train_size`` retrieval rows
     (all of them by default) as the training set.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     protos_i = rng.standard_normal((cfg.classes, cfg.dim_image))
     protos_i /= np.linalg.norm(protos_i, axis=1, keepdims=True)
@@ -305,10 +313,12 @@ _MANIFEST_NAME = "bundle.json"
 
 
 def save_bundle(bundle: DatasetBundle, out_dir: str) -> str:
-    """Write the bundle's files plus a JSON manifest; returns manifest path."""
+    """Write the bundle's files plus a JSON manifest; returns manifest path.
+
+    The arrays are written as the bundle checked them when built."""
     os.makedirs(out_dir, exist_ok=True)
-    write_features(bundle.image_features, os.path.join(out_dir, "image.assf"))
-    write_features(bundle.text_features, os.path.join(out_dir, "text.assf"))
+    _write_features(bundle.image_features, os.path.join(out_dir, "image.assf"))
+    _write_features(bundle.text_features, os.path.join(out_dir, "text.assf"))
     manifest = {
         "image_features": "image.assf",
         "text_features": "text.assf",
@@ -320,7 +330,7 @@ def save_bundle(bundle: DatasetBundle, out_dir: str) -> str:
         },
     }
     if bundle.labels is not None:
-        write_labels(bundle.labels, os.path.join(out_dir, "labels.csv"))
+        _write_labels(bundle.labels, os.path.join(out_dir, "labels.csv"))
         manifest["labels"] = "labels.csv"
     path = os.path.join(out_dir, _MANIFEST_NAME)
     with open(path, "w") as fh:

@@ -7,8 +7,10 @@ ties broken by ascending database index, so every metric here is exactly
 reproducible.
 
 evaluate_direction ranks the queries in blocks of _BLOCK_PAIRS // D rows
-(at least one), whose arrays take some 20 bytes per query-item pair, about
-24 MB whatever Q is; only a few numbers per query and radius outlive them.
+(at least one), whose arrays peak near 10 bytes per query-item pair (one
+int64 array, the histogram keys or the rank order, beside two 1-byte
+ones), about 11 MB whatever Q is; only a few numbers per query and radius
+outlive them.
 
 Average precision truncated at a cutoff divides by the number of relevant
 items inside the cutoff window; queries with no relevant item in the
@@ -232,8 +234,12 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
         del keys  # freed before the sort makes its Q x D index arrays
         # flat indices into rel, in rank order
         ordering = np.argsort(dist, axis=1, kind="stable")
+        del dist
         ordering += rows * n_db
         flags = rel.ravel().take(ordering)
+        # only flags outlives the gather, so no Q x D index array is alive
+        # while the AP and top-k counts build their temporaries
+        del ordering, rel
         for row, cutoff in zip(aps, [None] + cutoffs):
             row[block] = average_precision(flags, cutoff)
         for i, top in enumerate(k_grid):

@@ -196,7 +196,10 @@ class TestBuildSim:
 
 
 class TestInputsCheckedOnce:
-    def test_train_checks_each_input_once(self, data_dir, tmp_path, monkeypatch):
+    @staticmethod
+    def counter(monkeypatch):
+        """(checks, count): count(owner, attr, key) makes each call of
+        owner.attr append key(*args) to checks."""
         checks = []
 
         def count(owner, attr, key):
@@ -208,6 +211,10 @@ class TestInputsCheckedOnce:
 
             monkeypatch.setattr(owner, attr, counted)
 
+        return checks, count
+
+    def test_train_checks_each_input_once(self, data_dir, tmp_path, monkeypatch):
+        checks, count = self.counter(monkeypatch)
         count(dataio, "validate_features", lambda arr, name: os.path.basename(name))
         count(dataio, "validate_labels", lambda arr, name: os.path.basename(name))
         count(dataio.Split, "validate", lambda split, rows, name: "split")
@@ -222,6 +229,15 @@ class TestInputsCheckedOnce:
         # config's own mu1/mu2/beta and the run's effective weights
         assert sorted(checks) == sorted(["image.assf", "text.assf", "labels.csv",
                                          "split", "config", "weights", "weights"])
+
+    def test_synth_checks_each_array_once(self, tmp_path, monkeypatch):
+        checks, count = self.counter(monkeypatch)
+        # the writers' own checks pass no name
+        count(dataio, "validate_features", lambda arr, name="features": name)
+        count(dataio, "validate_labels", lambda arr, name="labels": name)
+        assert cli.dispatch(["synth", "--out", str(tmp_path / "data"),
+                             "--instances", "60", "--seed", "2"]) == 0
+        assert sorted(checks) == ["image features", "labels", "text features"]
 
 
 class TestManifestInputs:
@@ -348,10 +364,10 @@ class TestEncodeEval:
         dt_codes = str(tmp_path / "dt.assb")
         assert cli.dispatch(["encode", "--features", qi_feats, "--checkpoint",
                              os.path.join(train_dir, "imgnet.assp"),
-                             "--out", qi_codes]) == 0
+                             "--hidden-act", "relu", "--out", qi_codes]) == 0
         assert cli.dispatch(["encode", "--features", dt_feats, "--checkpoint",
                              os.path.join(train_dir, "txtnet.assp"),
-                             "--out", dt_codes]) == 0
+                             "--hidden-act", "relu", "--out", dt_codes]) == 0
 
         # codes must agree with the ones the train command wrote
         np.testing.assert_array_equal(
@@ -372,6 +388,37 @@ class TestEncodeEval:
         assert pr_lines[0] == "recall,precision"
         topk_lines = open(os.path.join(out, "topk_curve.csv")).read().splitlines()
         assert topk_lines[0] == "k,precision"
+
+    def test_encode_needs_the_checkpoint_activation(self, tmp_path, capsys):
+        data, run = str(tmp_path / "data"), str(tmp_path / "run")
+        assert cli.dispatch(["synth", "--out", data, "--instances", "400",
+                             "--dim-image", "24", "--dim-text", "20",
+                             "--seed", "1"]) == 0
+        assert cli.dispatch(["train", "--bundle", data, "--out", run,
+                             "--code-length", "32", "--epochs", "3",
+                             "--ks", "100", "--kr", "5", "--learning-rate", "1e-4",
+                             "--d-hidden", "64", "--hidden-act", "tanh",
+                             "--seed", "0"]) == 0
+        bundle = dataio.load_bundle(data)
+        feats = str(tmp_path / "db_image.assf")
+        dataio.write_features(bundle.image_features[bundle.split.retrieval], feats)
+        argv = ["encode", "--features", feats,
+                "--checkpoint", os.path.join(run, "imgnet.assp")]
+        out = str(tmp_path / "codes" / "db_image.assb")
+
+        # the checkpoint does not record its activation: no default for it
+        assert cli.dispatch(argv + ["--out", out]) == 2
+        assert "--hidden-act" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+        assert cli.dispatch(argv + ["--hidden-act", "tanh", "--out", out]) == 0
+        with open(out, "rb") as got, open(os.path.join(run, "db_image.assb"),
+                                          "rb") as want:
+            assert got.read() == want.read()
+        # relu, the old default, encodes these rows to other codes
+        wrong = str(tmp_path / "relu.assb")
+        assert cli.dispatch(argv + ["--hidden-act", "relu", "--out", wrong]) == 0
+        assert not np.array_equal(hashnet.load_codes(wrong), hashnet.load_codes(out))
 
     def test_eval_k_grid_flag(self, data_dir, train_dir, tmp_path):
         bundle = dataio.load_bundle(data_dir)
@@ -502,6 +549,12 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: config:")
 
+    def test_bad_synth_value(self, tmp_path, capsys):
+        code = cli.dispatch(["synth", "--out", str(tmp_path / "x"), "--classes", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: config: synth: classes")
+        assert not os.path.exists(tmp_path / "x")
+
     def test_missing_bundle(self, tmp_path, capsys):
         code = cli.dispatch(["train", "--bundle", str(tmp_path / "nope"),
                              "--out", str(tmp_path / "x")])
@@ -512,6 +565,7 @@ class TestExitCodes:
         code = cli.dispatch(["encode", "--features",
                              os.path.join(data_dir, "image.assf"),
                              "--checkpoint", str(tmp_path / "nope.assp"),
+                             "--hidden-act", "relu",
                              "--out", str(tmp_path / "c.assb")])
         assert code == 3
 
@@ -525,7 +579,8 @@ class TestExitCodes:
         out = str(tmp_path / "c.assb")
         code = cli.dispatch(["encode", "--features",
                              os.path.join(data_dir, "image.assf"),
-                             "--checkpoint", ckpt, "--out", out])
+                             "--checkpoint", ckpt, "--hidden-act", "relu",
+                             "--out", out])
         assert code == 3
         assert "bad dimensions" in capsys.readouterr().err
         assert not os.path.exists(out)

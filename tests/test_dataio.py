@@ -1,5 +1,6 @@
 """Feature/label containers, bundle manifests, and the synthetic corpus."""
 
+import dataclasses
 import json
 import struct
 
@@ -255,6 +256,12 @@ class TestSynthetic:
         with pytest.raises(ConfigError, match="label_cardinality"):
             dataio.generate_synthetic(dataio.SynthConfig(classes=3,
                                                          label_cardinality=4.0))
+
+    def test_checked_when_built(self):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            dataio.SynthConfig(noise_sigma=-1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dataio.SynthConfig().noise_sigma = -1.0
 
     def test_every_row_has_a_label(self):
         for seed in range(3):

@@ -1,6 +1,7 @@
 """Retrieval metrics: hand values, metric axioms, brute-force parity."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -340,6 +341,34 @@ class TestBlocks:
         dist = np.array([[naive_hamming(a, b) for b in db] for a in q])
         assert dist.max() == k
         assert blocked.pr_curve == naive_pr_curve(dist, rel)
+
+
+class TestBlockFootprint:
+    """A block's arrays take about 10 bytes per query-item pair: the rank
+    order is freed once the relevance flags are gathered, so no Q x D
+    index array is alive while the AP and top-k counts run."""
+
+    def test_bytes_per_block_pair(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        n_q, n_db = 256, 4096
+        q, db = random_codes(rng, n_q, 64), random_codes(rng, n_db, 64)
+        # about 2 of 24 labels per row, so about 1 pair in 6 is relevant
+        ql, dl = ((rng.random((n, 24)) < 2 / 24).astype(np.int8) for n in (n_q, n_db))
+
+        def peak(block_pairs):
+            monkeypatch.setattr(evalkit, "_BLOCK_PAIRS", block_pairs)
+            tracemalloc.start()
+            try:
+                evalkit.evaluate_direction("i2t", q, db, ql, dl)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 4 and 16 blocks; the direction's fixed arrays (the converted
+        # codes, histograms, APs and top-k counts) cancel in the difference
+        big, small = 1 << 18, 1 << 16
+        per_pair = (peak(big) - peak(small)) / (big - small)
+        assert per_pair < 12, per_pair
 
 
 class TestSortedGatherOracle:
