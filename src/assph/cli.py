@@ -130,7 +130,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_build_sim(args: argparse.Namespace) -> int:
     from . import corrmine, trainer
-    from .dataio import load_bundle, write_features
+    from .dataio import _write_features, load_bundle
 
     t0 = time.perf_counter()
     cfg = _resolve_config(args)
@@ -140,7 +140,8 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
         bundle.image_features[train_idx], bundle.text_features[train_idx], cfg)
 
     os.makedirs(args.out, exist_ok=True)
-    write_features(semantic, os.path.join(args.out, "semantic.assf"))
+    # built from checked features, so written as save_bundle writes, unchecked
+    _write_features(semantic, os.path.join(args.out, "semantic.assf"))
     with open(os.path.join(args.out, "correlations.csv"), "w") as fh:
         fh.write("i,j\n")
         for pairs in rel.upper_pairs():

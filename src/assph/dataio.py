@@ -9,6 +9,7 @@ together through a JSON manifest.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import struct
@@ -21,20 +22,38 @@ from .errors import ConfigError, DataError
 _MAGIC = b"ASSF"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIII")
+# entries per block of the feature and code checks: 1 MiB of float32
+_CHECK_ENTRIES = 1 << 18
+
+
+def _check_blocks(arr: np.ndarray):
+    """(lo, block) for consecutive row blocks of a 2-d array, each of at
+    most _CHECK_ENTRIES entries (at least one row)."""
+    step = max(1, _CHECK_ENTRIES // max(arr.shape[1], 1))
+    return ((lo, arr[lo:lo + step]) for lo in range(0, arr.shape[0], step))
 
 
 def validate_features(arr: np.ndarray, name: str = "features") -> np.ndarray:
-    """Check the feature-matrix contract: 2-d float32, finite, no zero rows."""
+    """Check the feature-matrix contract: 2-d float32, finite, no zero rows.
+
+    The rows are checked in blocks, so the check's temporaries stay small
+    whatever the matrix size; a non-finite entry anywhere is reported
+    before a zero-norm row.
+    """
     arr = np.ascontiguousarray(arr, dtype=np.float32)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DataError(f"{name}: expected a non-empty 2-d matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.argwhere(~np.isfinite(arr).all(axis=1))[0, 0])
-        raise DataError(f"{name}: non-finite entry in row {bad}")
-    norms = np.linalg.norm(arr, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.argmax(norms == 0.0))
-        raise DataError(f"{name}: zero-norm row {bad}")
+    zero = None
+    for lo, block in _check_blocks(arr):
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise DataError(f"{name}: non-finite entry in row {lo + int(np.argmin(finite))}")
+        if zero is None:
+            norms = np.linalg.norm(block, axis=1)
+            if np.any(norms == 0.0):
+                zero = lo + int(np.argmax(norms == 0.0))
+    if zero is not None:
+        raise DataError(f"{name}: zero-norm row {zero}")
     return arr
 
 
@@ -53,32 +72,33 @@ def _write_features(arr: np.ndarray, path: str) -> None:
 
 def _read_features(path: str) -> np.ndarray:
     """Parse a feature file, the binary container or CSV text as its first
-    four bytes say; the values are not checked."""
+    four bytes say; the values are not checked.
+
+    The container is read once and its matrix is a read-only view of the
+    file's bytes; CSV text is left to numpy's parser."""
     if not os.path.exists(path):
         raise DataError(f"feature file not found: {path}")
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if head[:4] == _MAGIC:
-            if len(head) < _HEADER.size:
-                raise DataError(f"{path}: truncated header")
-            _, version, rows, cols = _HEADER.unpack(head)
-            if version != _VERSION:
-                raise DataError(f"{path}: unsupported version {version}")
-            if rows < 1 or cols < 1:
-                raise DataError(f"{path}: bad dimensions {rows}x{cols}")
-            payload = fh.read()
-            want = rows * cols * 4
-            if len(payload) != want:
-                raise DataError(
-                    f"{path}: payload is {len(payload)} bytes, header implies {want}"
-                )
-            arr = np.frombuffer(payload, dtype="<f4").reshape(rows, cols)
-        else:
-            try:
-                arr = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
-            except ValueError as exc:
-                raise DataError(f"{path}: not a feature container and CSV parse failed: {exc}")
-    return arr
+        raw = fh.read()
+    if raw[:4] != _MAGIC:
+        raw = None  # freed before numpy parses the text
+        try:
+            return np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"{path}: not a feature container and CSV parse failed: {exc}")
+    if len(raw) < _HEADER.size:
+        raise DataError(f"{path}: truncated header")
+    _, version, rows, cols = _HEADER.unpack_from(raw)
+    if version != _VERSION:
+        raise DataError(f"{path}: unsupported version {version}")
+    if rows < 1 or cols < 1:
+        raise DataError(f"{path}: bad dimensions {rows}x{cols}")
+    want = rows * cols * 4
+    if len(raw) - _HEADER.size != want:
+        raise DataError(
+            f"{path}: payload is {len(raw) - _HEADER.size} bytes, header implies {want}"
+        )
+    return np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(rows, cols)
 
 
 def load_features(path: str, expected_dim: int | None = None) -> np.ndarray:
@@ -109,44 +129,77 @@ def validate_labels(labels: np.ndarray, name: str = "labels") -> np.ndarray:
     return labels
 
 
-def _read_labels(path: str) -> np.ndarray:
-    """Parse a CSV label matrix of 0/1 ints; empty rows are left to
-    validate_labels.
+def _canonical_labels(raw: bytes) -> np.ndarray | None:
+    """The 0/1 matrix of a canonical label file, or None for any other.
+
+    Canonical rows hold one-character 0/1 cells with one ',' between them
+    and end in LF or CR LF, the same in every row; the last row's line end
+    is optional.  Every byte is checked through strided uint8 views of the
+    file, one comparison per role (cell, separator, line end).
+    """
+    end = raw.find(b"\n")
+    if end < 0:
+        end = len(raw)  # one row, no line end
+    eol = b"\r\n" if raw[end - 1:end + 1] == b"\r\n" else b"\n"
+    stride = end + 1  # a row and its line end
+    width = stride - len(eol)  # a row's cells and separators
+    ended, rest = divmod(len(raw), stride)  # rows with a line end, and the rest
+    if width % 2 == 0 or rest not in (0, width):
+        return None
+    rows = ended + (rest > 0)
+    grid = np.ndarray((rows, width), dtype=np.uint8, buffer=raw, strides=(stride, 1))
+    ends = np.ndarray((ended, len(eol)), dtype=np.uint8, buffer=raw, offset=width,
+                      strides=(stride, 1))
+    if not ((grid[:, 1::2] == ord(",")).all()
+            and (ends == np.frombuffer(eol, dtype=np.uint8)).all()):
+        return None
+    labels = grid[:, ::2] - np.uint8(ord("0"))
+    return labels if (labels <= 1).all() else None
+
+
+def _parse_labels(path: str, text: str) -> np.ndarray:
+    """Parse the text of any label file row by row with int().
 
     Blank lines are skipped, but the row numbers in parse errors count
-    them.
-    A file of one-character cells parses as one byte array; any other
-    cell sends the file through int() row by row, which finds the first
-    bad row or the values of exotic spellings such as " 1" or "+0".
+    them; int() takes spellings such as " 1" or "+0", and the first bad
+    row is the one reported.
     """
-    if not os.path.exists(path):
-        raise DataError(f"label file not found: {path}")
-    with open(path) as fh:
-        lines = [(i, s) for i, s in enumerate(map(str.strip, fh.read().split("\n"))) if s]
+    lines = [(i, s) for i, s in enumerate(map(str.strip, text.split("\n"))) if s]
     if not lines:
         raise DataError(f"{path}: no label rows")
     width = lines[0][1].count(",") + 1
     ragged = next((n for n, (_, s) in enumerate(lines) if s.count(",") + 1 != width),
                   len(lines))
-    rows = lines[:ragged]
-    # one-character cells lie at the even offsets of the joined rows
-    text = ",".join(s for _, s in rows).encode()
-    digits = np.frombuffer(text, dtype=np.uint8)[::2] - ord("0")
-    if len(text) == 2 * len(rows) * width - 1 and np.all(digits <= 1):
-        labels = digits.reshape(len(rows), width)
-    else:
-        labels = np.empty((len(rows), width), dtype=np.int8)
-        for n, (i, s) in enumerate(rows):
-            try:
-                row = [int(c) for c in s.split(",")]
-            except ValueError:
-                raise DataError(f"{path}: non-integer entry at row {i}") from None
-            if any(v not in (0, 1) for v in row):
-                raise DataError(f"{path}: non-binary entry at row {i}")
-            labels[n] = row
+    labels = np.empty((ragged, width), dtype=np.int8)
+    for n, (i, s) in enumerate(lines[:ragged]):
+        try:
+            row = [int(c) for c in s.split(",")]
+        except ValueError:
+            raise DataError(f"{path}: non-integer entry at row {i}") from None
+        if any(v not in (0, 1) for v in row):
+            raise DataError(f"{path}: non-binary entry at row {i}")
+        labels[n] = row
     if ragged < len(lines):
         i, s = lines[ragged]
         raise DataError(f"{path}: ragged row {i} ({s.count(',') + 1} cells, expected {width})")
+    return labels
+
+
+def _read_labels(path: str) -> np.ndarray:
+    """Parse a CSV label matrix of 0/1 ints; empty rows are left to
+    validate_labels.
+
+    The file is read once.  A canonical file (_canonical_labels) parses in
+    one pass over its bytes; any other is decoded as text mode would, with
+    universal newlines, and parsed row by row (_parse_labels).
+    """
+    if not os.path.exists(path):
+        raise DataError(f"label file not found: {path}")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    labels = _canonical_labels(raw)
+    if labels is None:
+        labels = _parse_labels(path, io.TextIOWrapper(io.BytesIO(raw)).read())
     return labels
 
 

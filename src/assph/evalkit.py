@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .hashnet import all_signs
 
 # query-item pairs ranked per block of queries
 _BLOCK_PAIRS = 1 << 20
@@ -37,7 +38,7 @@ def _check_codes(codes: np.ndarray, name: str) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.ndim != 2 or min(codes.shape) < 1:
         raise DataError(f"{name}: expected a 2-d code matrix with rows and bits")
-    if codes.dtype.kind not in "biuf" or not (np.abs(codes) == 1).all():
+    if not all_signs(codes):
         raise DataError(f"{name}: code entries must be -1 or +1")
     return codes.astype(np.float32)
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import HIDDEN_ACTS
+from .dataio import _check_blocks
 from .errors import ConfigError, DataError, DivergenceError
 
 _CKPT_MAGIC = b"ASSP"
@@ -253,22 +254,21 @@ def load_checkpoint(path: str) -> HashNetParams:
     if not os.path.exists(path):
         raise DataError(f"checkpoint file not found: {path}")
     with open(path, "rb") as fh:
-        head = fh.read(_CKPT_HEADER.size)
-        if len(head) < _CKPT_HEADER.size or head[:4] != _CKPT_MAGIC:
-            raise DataError(f"{path}: not a checkpoint file")
-        _, version, d_in, d_hidden, k = _CKPT_HEADER.unpack(head)
-        if version != _CKPT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {version}")
-        if min(d_in, d_hidden, k) < 1:
-            raise DataError(f"{path}: bad dimensions {d_in}x{d_hidden}x{k}")
-        sizes = (d_hidden * d_in, d_hidden, k * d_hidden, k)
-        payload = fh.read()
-    if len(payload) != 4 * sum(sizes):
+        raw = fh.read()
+    if len(raw) < _CKPT_HEADER.size or raw[:4] != _CKPT_MAGIC:
+        raise DataError(f"{path}: not a checkpoint file")
+    _, version, d_in, d_hidden, k = _CKPT_HEADER.unpack_from(raw)
+    if version != _CKPT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
+    if min(d_in, d_hidden, k) < 1:
+        raise DataError(f"{path}: bad dimensions {d_in}x{d_hidden}x{k}")
+    sizes = (d_hidden * d_in, d_hidden, k * d_hidden, k)
+    if len(raw) - _CKPT_HEADER.size != 4 * sum(sizes):
         raise DataError(f"{path}: checkpoint payload size mismatch")
     arrs = []
-    offset = 0
+    offset = _CKPT_HEADER.size
     for size in sizes:
-        arrs.append(np.frombuffer(payload, dtype="<f4", count=size,
+        arrs.append(np.frombuffer(raw, dtype="<f4", count=size,
                                   offset=offset).astype(np.float64))
         offset += size * 4
     return HashNetParams(
@@ -279,11 +279,19 @@ def load_checkpoint(path: str) -> HashNetParams:
     )
 
 
+def all_signs(codes: np.ndarray) -> bool:
+    """Whether a 2-d array holds only -1/+1 code entries: a bool, integer
+    or real dtype (abs of a complex entry such as 1j is 1 too), checked in
+    row blocks so no code-sized temporary is formed."""
+    return codes.dtype.kind in "biuf" and all(
+        (np.abs(block) == 1).all() for _, block in _check_blocks(codes))
+
+
 def save_codes(codes: np.ndarray, path: str) -> None:
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[1] < 1:
         raise DataError(f"save_codes: expected a 2-d matrix of bits, got {codes.shape}")
-    if codes.dtype.kind not in "biuf" or not (np.abs(codes) == 1).all():
+    if not all_signs(codes):
         raise DataError("save_codes: entries must be -1 or +1")
     with open(path, "wb") as fh:
         fh.write(_CODES_HEADER.pack(_CODES_MAGIC, codes.shape[0], codes.shape[1]))
@@ -291,19 +299,19 @@ def save_codes(codes: np.ndarray, path: str) -> None:
 
 
 def load_codes(path: str) -> np.ndarray:
+    """Read a code matrix, a read-only view of the file's bytes."""
     if not os.path.exists(path):
         raise DataError(f"codes file not found: {path}")
     with open(path, "rb") as fh:
-        head = fh.read(_CODES_HEADER.size)
-        if len(head) < _CODES_HEADER.size or head[:4] != _CODES_MAGIC:
-            raise DataError(f"{path}: not a codes file")
-        _, rows, k = _CODES_HEADER.unpack(head)
-        if k < 1:
-            raise DataError(f"{path}: bad dimensions {rows}x{k}")
-        payload = fh.read()
-    if len(payload) != rows * k:
+        raw = fh.read()
+    if len(raw) < _CODES_HEADER.size or raw[:4] != _CODES_MAGIC:
+        raise DataError(f"{path}: not a codes file")
+    _, rows, k = _CODES_HEADER.unpack_from(raw)
+    if k < 1:
+        raise DataError(f"{path}: bad dimensions {rows}x{k}")
+    if len(raw) - _CODES_HEADER.size != rows * k:
         raise DataError(f"{path}: codes payload size mismatch")
-    codes = np.frombuffer(payload, dtype=np.int8).reshape(rows, k)
-    if not (np.abs(codes) == 1).all():
+    codes = np.frombuffer(raw, dtype=np.int8, offset=_CODES_HEADER.size).reshape(rows, k)
+    if not all_signs(codes):
         raise DataError(f"{path}: codes contain values other than -1/+1")
     return codes

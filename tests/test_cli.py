@@ -230,6 +230,15 @@ class TestInputsCheckedOnce:
         assert sorted(checks) == sorted(["image.assf", "text.assf", "labels.csv",
                                          "split", "config", "weights", "weights"])
 
+    def test_build_sim_checks_each_input_once(self, data_dir, tmp_path, monkeypatch):
+        checks, count = self.counter(monkeypatch)
+        count(dataio, "validate_features",
+              lambda arr, name="features": os.path.basename(name))
+        assert cli.dispatch(["build-sim", "--bundle", data_dir,
+                             "--out", str(tmp_path / "sim")] + TRAIN_FLAGS) == 0
+        # the semantic matrix build-sim writes is its own, not an input
+        assert sorted(checks) == ["image.assf", "text.assf"]
+
     def test_synth_checks_each_array_once(self, tmp_path, monkeypatch):
         checks, count = self.counter(monkeypatch)
         # the writers' own checks pass no name

@@ -1,14 +1,18 @@
 """Feature/label containers, bundle manifests, and the synthetic corpus."""
 
 import dataclasses
+import io
+import itertools
 import json
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from assph import dataio
+from assph import dataio, hashnet
 from assph.errors import ConfigError, DataError
 
 
@@ -53,6 +57,20 @@ class TestFeatureContainer:
         with pytest.raises(DataError, match="non-finite"):
             dataio.validate_features(mat)
 
+    @pytest.mark.parametrize("bad, message", [
+        ({1: 0.0, 5: np.nan}, "non-finite entry in row 5"),
+        ({3: 0.0, 6: 0.0}, "zero-norm row 3"),
+        ({4: np.inf, 6: np.nan}, "non-finite entry in row 4"),
+    ], ids=["non-finite-first", "first-zero", "first-non-finite"])
+    def test_row_blocks_keep_first_bad_row(self, monkeypatch, bad, message):
+        monkeypatch.setattr(dataio, "_CHECK_ENTRIES", 6)  # two rows per block
+        mat = np.ones((8, 3), dtype=np.float32)
+        for row, value in bad.items():
+            mat[row] = 0.0
+            mat[row, -1] = value
+        with pytest.raises(DataError, match=message):
+            dataio.validate_features(mat)
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = str(tmp_path / "f.assf")
         dataio.write_features(np.ones((4, 4), dtype=np.float32), path)
@@ -85,6 +103,85 @@ class TestFeatureContainer:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             dataio.load_features(str(tmp_path / "nope.assf"))
+
+
+def _container(kind, path):
+    """Write a small valid .assf, .assp or .assb file."""
+    if kind == "assf":
+        dataio.write_features(np.ones((3, 4), dtype=np.float32), path)
+    elif kind == "assp":
+        hashnet.save_checkpoint(hashnet.init_params(4, 3, 2, seed=0), path)
+    else:
+        hashnet.save_codes(np.ones((3, 4), dtype=np.int8), path)
+
+
+_LOADERS = {"assf": dataio.load_features, "assp": hashnet.load_checkpoint,
+            "assb": hashnet.load_codes}
+
+
+class TestContainerReads:
+    """Each file is read once; loading holds about one copy of it."""
+
+    @pytest.mark.parametrize("kind, defect, message", [
+        ("assf", "truncated", "payload is 44 bytes, header implies 48"),
+        ("assf", "oversized", "payload is 52 bytes, header implies 48"),
+        ("assf", "bad-dimensions", "bad dimensions 0x4"),
+        ("assp", "truncated", "checkpoint payload size mismatch"),
+        ("assp", "oversized", "checkpoint payload size mismatch"),
+        ("assp", "bad-dimensions", "bad dimensions 0x3x2"),
+        ("assb", "truncated", "codes payload size mismatch"),
+        ("assb", "oversized", "codes payload size mismatch"),
+        ("assb", "bad-dimensions", "bad dimensions 3x0"),
+    ])
+    def test_malformed_payload_messages(self, tmp_path, kind, defect, message):
+        path = str(tmp_path / f"f.{kind}")
+        _container(kind, path)
+        raw = bytearray(open(path, "rb").read())
+        if defect == "truncated":
+            raw = raw[:-4]
+        elif defect == "oversized":
+            raw += bytes(4)
+        else:  # rows, d_in or bits: the uint32 at offset 8
+            raw[8:12] = bytes(4)
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with pytest.raises(DataError, match=f"{path}: {message}$"):
+            _LOADERS[kind](path)
+
+    @staticmethod
+    def _label_bytes(labels):
+        """A canonical label CSV of a 0/1 matrix, built without a row loop."""
+        cells = np.full((labels.shape[0], 2 * labels.shape[1]), ord(","), np.uint8)
+        cells[:, ::2] = labels + ord("0")
+        cells[:, -1] = ord("\n")
+        return cells.tobytes()
+
+    @pytest.mark.parametrize("loader, bound", [("features", 1.25), ("codes", 1.25),
+                                               ("labels", 2.5)])
+    def test_loading_holds_about_one_copy(self, tmp_path, loader, bound):
+        rng = np.random.default_rng(5)
+        path = str(tmp_path / loader)
+        if loader == "features":
+            dataio.write_features(rng.standard_normal((1000, 2000)).astype(np.float32),
+                                  path)
+            load = dataio.load_features
+        elif loader == "codes":
+            hashnet.save_codes(np.where(rng.random((100000, 64)) < 0.5, 1, -1), path)
+            load = hashnet.load_codes
+        else:
+            labels = (rng.random((100000, 24)) < 0.2).astype(np.uint8)
+            labels[:, 0] = 1
+            with open(path, "wb") as fh:
+                fh.write(self._label_bytes(labels))
+            load = dataio.load_labels
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * os.path.getsize(path)
 
 
 class TestLabels:
@@ -161,6 +258,52 @@ class TestLabels:
         with open(path, "w") as fh:
             fh.write("\n 1, 0 \n\n+0,01\r\n")
         npt.assert_array_equal(dataio.load_labels(path), [[1, 0], [0, 1]])
+
+    @pytest.mark.parametrize("raw", [b"1,0,1\r\n0,1,1\r\n", b"1,0\n0,1\n1,1",
+                                     b"1\n0\n1\n"],
+                             ids=["crlf", "no-final-newline", "width-1"])
+    def test_canonical_file_parses_in_one_pass(self, tmp_path, raw):
+        path = tmp_path / "l.csv"
+        path.write_bytes(raw)
+        fast = dataio._canonical_labels(raw)
+        assert fast is not None
+        npt.assert_array_equal(fast, dataio._parse_labels(str(path), path.read_text()))
+        npt.assert_array_equal(dataio._read_labels(str(path)), fast)
+
+    def test_one_pass_agrees_with_text_parser(self):
+        # every file of up to 6 bytes from these: whatever the one pass
+        # accepts, the row-by-row parser reads the same
+        accepted = 0
+        for n in range(7):
+            for cells in itertools.product((b"0", b"1", b",", b"\n", b"\r"), repeat=n):
+                raw = b"".join(cells)
+                fast = dataio._canonical_labels(raw)
+                if fast is not None:
+                    accepted += 1
+                    text = io.TextIOWrapper(io.BytesIO(raw)).read()
+                    npt.assert_array_equal(fast, dataio._parse_labels("l.csv", text))
+        assert accepted > 50
+
+    @pytest.mark.parametrize("raw, expected", [
+        (b"1,0\n\n0,1\n\n", [[1, 0], [0, 1]]),
+        (b"1, 0\n0 ,1\n", [[1, 0], [0, 1]]),
+        (b"+0, 1\n1,0\n", [[0, 1], [1, 0]]),
+        (b"1,0\r0,1\r", [[1, 0], [0, 1]]),
+        (b"1,0\n2,1\n", "non-binary entry at row 1"),
+        (b"1,0\n1,0,1\n", "ragged row 1 \\(3 cells, expected 2\\)"),
+        (b"", "no label rows"),
+        (b"\xef\xbb\xbf1,0\n0,1\n", "non-integer entry at row 0"),
+    ], ids=["blank-lines", "spaces", "plus-zero", "cr-only", "two", "ragged",
+            "empty", "bom"])
+    def test_other_files_parse_row_by_row(self, tmp_path, raw, expected):
+        path = tmp_path / "l.csv"
+        path.write_bytes(raw)
+        assert dataio._canonical_labels(raw) is None
+        if isinstance(expected, str):
+            with pytest.raises(DataError, match=f"{path}: {expected}"):
+                dataio.load_labels(str(path))
+        else:
+            npt.assert_array_equal(dataio.load_labels(str(path)), expected)
 
     @pytest.mark.parametrize("bad", [
         np.array([[1, 0], [0, 1], [1, -128]], dtype=np.int8),

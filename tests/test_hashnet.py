@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from assph import config, dataio, hashnet
+from assph import config, dataio, evalkit, hashnet
 from assph.errors import ConfigError, DataError, DivergenceError
 from oracles import central_difference, gradient_errors, naive_backward, naive_sgd_step
 
@@ -425,6 +425,42 @@ class TestCodesIO:
             fh.write(raw)
         with pytest.raises(DataError, match="other than"):
             hashnet.load_codes(path)
+
+    @staticmethod
+    def _save(codes, path):
+        hashnet.save_codes(codes, path)
+
+    @staticmethod
+    def _load(codes, path):
+        with open(path, "wb") as fh:
+            fh.write(b"ASSB" + np.array(codes.shape, dtype="<u4").tobytes())
+            fh.write(codes.astype(np.int8).tobytes())
+        hashnet.load_codes(path)
+
+    @staticmethod
+    def _check(codes, path):
+        evalkit._check_codes(codes, "db codes")
+
+    # a file holds int8 bytes, so load_codes never sees 1.5 or 1j
+    @pytest.mark.parametrize("caller, entry, message", [
+        pytest.param(caller, entry, message, id=f"{caller[1:]}-{name}")
+        for caller, message, names in (
+            ("_save", "save_codes: entries must be -1 or \\+1",
+             ("zero", "two", "int8-min", "half", "complex")),
+            ("_load", "codes contain values other than -1/\\+1",
+             ("zero", "two", "int8-min")),
+            ("_check", "db codes: code entries must be -1 or \\+1",
+             ("zero", "two", "int8-min", "half", "complex")))
+        for name, entry in zip(names, (0, 2, np.int8(-128), 1.5, 1j))
+    ])
+    def test_one_sign_rule(self, tmp_path, monkeypatch, caller, entry, message):
+        # several check blocks, the bad entry in the last one
+        monkeypatch.setattr(dataio, "_CHECK_ENTRIES", 8)
+        codes = np.ones((5, 4), dtype=np.result_type(np.int8, entry))
+        codes[::2] = -1
+        codes[-1, -1] = entry
+        with pytest.raises(DataError, match=message):
+            getattr(self, caller)(codes, str(tmp_path / "c.assb"))
 
     def test_corrupted_payload_rejected(self, tmp_path):
         path = str(tmp_path / "c.assb")
