@@ -11,9 +11,10 @@ the package version, and wall-clock timings.
 
 The training flags of build-sim, train and ablate are generated from the
 fields of ``config.TrainConfig``, the same keys a --config file and the
-manifest use.  This module and ``config`` import no numpy; the handlers
-import the numeric modules, so the --threads flag (default 1, for
-bit-reproducible runs) caps the BLAS thread pools before numpy loads.
+manifest use, and synth's corpus flags from those of ``config.SynthConfig``.
+This module and ``config`` import no numpy; the handlers import the
+numeric modules, so the --threads flag (default 1, for bit-reproducible
+runs) caps the BLAS thread pools before numpy loads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import os
 import sys
 import time
 
-from .config import HIDDEN_ACTS, PROFILES, TrainConfig
+from .config import HIDDEN_ACTS, PROFILES, SynthConfig, TrainConfig
 from .errors import ConfigError, DataError, DivergenceError
 
 # correlation pairs formatted per string when build-sim writes them
@@ -64,10 +65,10 @@ def _inputs(bundle, args: argparse.Namespace) -> list[str]:
     return list(bundle.files) + ([args.config] if args.config else [])
 
 
-def _add_config_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with training config keys")
-    sub.add_argument("--profile", help="built-in hyperparameter profile name")
-    for f in dataclasses.fields(TrainConfig):
+def _add_fields(sub: argparse.ArgumentParser, cls) -> None:
+    """One flag per field of the config dataclass cls, with no default of
+    its own, so an absent flag leaves the field to cls."""
+    for f in dataclasses.fields(cls):
         flag = "--" + f.name.replace("_", "-")
         if f.type is bool:
             sub.add_argument(flag, action=argparse.BooleanOptionalAction)
@@ -75,6 +76,18 @@ def _add_config_args(sub: argparse.ArgumentParser) -> None:
             sub.add_argument(flag, choices=HIDDEN_ACTS)
         else:
             sub.add_argument(flag, type=f.type)
+
+
+def _given(args: argparse.Namespace, cls) -> dict:
+    """The fields of cls whose flags were given on the command line."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+            if getattr(args, f.name) is not None}
+
+
+def _add_config_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", help="JSON file with training config keys")
+    sub.add_argument("--profile", help="built-in hyperparameter profile name")
+    _add_fields(sub, TrainConfig)
 
 
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:
@@ -97,31 +110,20 @@ def _resolve_config(args: argparse.Namespace) -> TrainConfig:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         flat.update(file_cfg)
-    for f in dataclasses.fields(TrainConfig):
-        value = getattr(args, f.name)
-        if value is not None:
-            flat[f.name] = value
+    flat.update(_given(args, TrainConfig))
     return TrainConfig.from_dict(flat)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    from .dataio import SynthConfig, generate_synthetic, save_bundle
+    from .dataio import generate_synthetic, save_bundle
 
     t0 = time.perf_counter()
-    cfg = SynthConfig(
-        classes=args.classes,
-        instances=args.instances,
-        dim_image=args.dim_image,
-        dim_text=args.dim_text,
-        label_cardinality=args.label_cardinality,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-    )
+    cfg = SynthConfig(**_given(args, SynthConfig))
     bundle = generate_synthetic(cfg, train_size=args.train_size)
     os.makedirs(args.out, exist_ok=True)
     save_bundle(bundle, args.out)
     outputs = ["bundle.json", "image.assf", "text.assf", "labels.csv"]
-    config = {**cfg.__dict__, "train_size": args.train_size}
+    config = {**dataclasses.asdict(cfg), "train_size": args.train_size}
     _write_manifest(args.out, "synth", config, [], outputs,
                     {"total_s": time.perf_counter() - t0})
     print(f"synth: wrote {bundle.n_rows} instances to {args.out}")
@@ -130,7 +132,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_build_sim(args: argparse.Namespace) -> int:
     from . import corrmine, trainer
-    from .dataio import _write_features, load_bundle
+    from .dataio import load_bundle, write_features
 
     t0 = time.perf_counter()
     cfg = _resolve_config(args)
@@ -140,8 +142,8 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
         bundle.image_features[train_idx], bundle.text_features[train_idx], cfg)
 
     os.makedirs(args.out, exist_ok=True)
-    # built from checked features, so written as save_bundle writes, unchecked
-    _write_features(semantic, os.path.join(args.out, "semantic.assf"))
+    # built from checked features, so written unchecked
+    write_features(semantic, os.path.join(args.out, "semantic.assf"))
     with open(os.path.join(args.out, "correlations.csv"), "w") as fh:
         fh.write("i,j\n")
         for pairs in rel.upper_pairs():
@@ -362,14 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic two-modality bundle")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--instances", type=int, default=2000)
-    p.add_argument("--dim-image", type=int, default=24)
-    p.add_argument("--dim-text", type=int, default=20)
-    p.add_argument("--label-cardinality", type=float, default=1.0)
-    p.add_argument("--noise-sigma", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-size", type=int, default=None)
+    _add_fields(p, SynthConfig)
+    p.add_argument("--train-size", type=int)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("build-sim",

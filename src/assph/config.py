@@ -1,9 +1,11 @@
-"""Training configuration: the one list of training keys.
+"""The two configuration schemas: training and the synthetic corpus.
 
 The fields of ``TrainConfig`` are the keys of a ``--config`` JSON file,
-of the manifest's ``config`` block and of ``PROFILES``, and the CLI
-generates one flag per field (``code_length`` -> ``--code-length``;
-bools get a ``--no-`` form).  Adding a field adds all of them.
+of the manifest's ``config`` block and of ``PROFILES``; the fields of
+``SynthConfig`` are the keys of a synth manifest's ``config`` block.  The
+CLI generates one flag per field of each (``code_length`` ->
+``--code-length``; bools get a ``--no-`` form), so adding a field adds
+all of them, and a field's default is defined here only.
 
 The module imports no numpy, so the CLI can build its parser before
 ``--threads`` caps the BLAS pools.
@@ -16,26 +18,9 @@ from .errors import ConfigError
 
 HIDDEN_ACTS = ("relu", "tanh")
 
-PROFILES = {
-    # reference hyperparameters the published MAP numbers were produced with
-    "paper-default": {
-        "epochs": 50,
-        "batch_size": 32,
-        "ks": 2000,
-        "kr": 50,
-        "tau": 1,
-        "gamma": 0.3,
-        "mu1": 2.0,
-        "mu2": 1.0,
-        "beta": 1.5,
-        "learning_rate": 0.001,
-        "momentum": 0.9,
-        "weight_decay": 0.0005,
-        "eta_base": 1.0,
-        "d_hidden": 4096,
-        "hidden_act": "relu",
-    },
-}
+# named settings a --profile flag applies over the defaults; the paper's
+# hyperparameters are TrainConfig's own defaults, so its profile is empty
+PROFILES = {"paper-default": {}}
 
 
 @dataclass(frozen=True)
@@ -61,7 +46,9 @@ class LossWeights:
 class TrainConfig:
     """Everything one training run depends on, seed included.
 
-    It checks every value when built, whether by from_dict, directly or by
+    The defaults are the source paper's published hyperparameters (ASSPH,
+    arXiv 2207.04214), which ``--profile paper-default`` names.  It checks
+    every value when built, whether by from_dict, directly or by
     dataclasses.replace, and is frozen, so a TrainConfig holds valid
     settings and the stages that read it check none of them again.
     """
@@ -125,6 +112,29 @@ class TrainConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**{key: _coerce(key, kinds[key], value)
                       for key, value in flat.items()})
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    """Knobs for the synthetic multi-label two-modality corpus, checked
+    once, when built."""
+
+    classes: int = 5
+    instances: int = 2000
+    dim_image: int = 24
+    dim_text: int = 20
+    label_cardinality: float = 1.0
+    noise_sigma: float = 0.1
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("classes", "instances", "dim_image", "dim_text"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"synth: {name} must be >= 1")
+        if not 0 < self.label_cardinality <= self.classes:
+            raise ConfigError("synth: label_cardinality must be in (0, classes]")
+        if self.noise_sigma < 0:
+            raise ConfigError("synth: noise_sigma must be >= 0")
 
 
 def _coerce(key: str, kind: type, value):

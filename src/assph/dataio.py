@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import SynthConfig
 from .errors import ConfigError, DataError
 
 _MAGIC = b"ASSF"
@@ -58,12 +59,8 @@ def validate_features(arr: np.ndarray, name: str = "features") -> np.ndarray:
 
 
 def write_features(arr: np.ndarray, path: str) -> None:
-    """Serialize a validated feature matrix to the binary container."""
-    _write_features(validate_features(arr), path)
-
-
-def _write_features(arr: np.ndarray, path: str) -> None:
-    """write_features of a matrix validate_features has returned."""
+    """Serialize a feature matrix to the binary container, unchecked: the
+    matrix is one validate_features returned or one built from such."""
     rows, cols = arr.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, rows, cols))
@@ -209,11 +206,8 @@ def load_labels(path: str) -> np.ndarray:
 
 
 def write_labels(labels: np.ndarray, path: str) -> None:
-    _write_labels(validate_labels(labels), path)
-
-
-def _write_labels(labels: np.ndarray, path: str) -> None:
-    """write_labels of a matrix validate_labels has returned."""
+    """Write a label matrix validate_labels returned as canonical CSV,
+    unchecked."""
     with open(path, "w") as fh:
         for row in labels:
             fh.write(",".join(str(int(v)) for v in row))
@@ -290,29 +284,6 @@ class DatasetBundle:
         return self.image_features.shape[0]
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """Knobs for the synthetic multi-label two-modality corpus, checked
-    once, when built."""
-
-    classes: int = 5
-    instances: int = 2000
-    dim_image: int = 24
-    dim_text: int = 20
-    label_cardinality: float = 1.0
-    noise_sigma: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("classes", "instances", "dim_image", "dim_text"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"synth: {name} must be >= 1")
-        if not 0 < self.label_cardinality <= self.classes:
-            raise ConfigError("synth: label_cardinality must be in (0, classes]")
-        if self.noise_sigma < 0:
-            raise ConfigError("synth: noise_sigma must be >= 0")
-
-
 def generate_synthetic(cfg: SynthConfig, train_size: int | None = None) -> DatasetBundle:
     """Build a deterministic synthetic bundle with shared class structure.
 
@@ -370,8 +341,8 @@ def save_bundle(bundle: DatasetBundle, out_dir: str) -> str:
 
     The arrays are written as the bundle checked them when built."""
     os.makedirs(out_dir, exist_ok=True)
-    _write_features(bundle.image_features, os.path.join(out_dir, "image.assf"))
-    _write_features(bundle.text_features, os.path.join(out_dir, "text.assf"))
+    write_features(bundle.image_features, os.path.join(out_dir, "image.assf"))
+    write_features(bundle.text_features, os.path.join(out_dir, "text.assf"))
     manifest = {
         "image_features": "image.assf",
         "text_features": "text.assf",
@@ -383,7 +354,7 @@ def save_bundle(bundle: DatasetBundle, out_dir: str) -> str:
         },
     }
     if bundle.labels is not None:
-        _write_labels(bundle.labels, os.path.join(out_dir, "labels.csv"))
+        write_labels(bundle.labels, os.path.join(out_dir, "labels.csv"))
         manifest["labels"] = "labels.csv"
     path = os.path.join(out_dir, _MANIFEST_NAME)
     with open(path, "w") as fh:

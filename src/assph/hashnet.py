@@ -150,7 +150,7 @@ class Activations:
 
 
 def forward(params: HashNetParams, x: np.ndarray, eta: float,
-            hidden_act: str = "relu") -> Activations:
+            hidden_act: str) -> Activations:
     """Soft hash values in (-1, 1) for a batch of feature rows (``.h``),
     with the activations backward reuses."""
     x = _check_forward_args(params, x, eta, hidden_act)

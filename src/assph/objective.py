@@ -62,7 +62,7 @@ _Cosines = namedtuple("_Cosines", "hi_hat hi_norms ht_hat ht_norms s r c_it c_ii
 
 
 def _cosines(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray,
-             r_batch: np.ndarray, weights: LossWeights) -> _Cosines:
+             r_batch: np.ndarray) -> _Cosines:
     hi_hat, hi_norms = _normalized(hi, "image batch")
     ht_hat, ht_norms = _normalized(ht, "text batch")
     m = hi_hat.shape[0]
@@ -114,7 +114,7 @@ def total_loss_and_grads(hi: np.ndarray, ht: np.ndarray,
     out of the other side's gradient on their own.  image_grad and
     text_grad compute one of the two gradients alone.
     """
-    c = _cosines(hi, ht, s_batch, r_batch, weights)
+    c = _cosines(hi, ht, s_batch, r_batch)
     s, r, c_it, c_ii, c_tt = c.s, c.r, c.c_it, c.c_ii, c.c_tt
     sr = float(((s - c_it) ** 2).sum() + ((s - c_ii) ** 2).sum()
                + ((s - c_tt) ** 2).sum())
@@ -132,12 +132,12 @@ def image_grad(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray,
                r_batch: np.ndarray, weights: LossWeights) -> np.ndarray:
     """dL/dHi alone, equal to total_loss_and_grads(...).grad_image: no loss
     values and no text gradient are computed."""
-    c = _cosines(hi, ht, s_batch, r_batch, weights)
+    c = _cosines(hi, ht, s_batch, r_batch)
     return _image_side(c, _g_it(c, weights), weights)
 
 
 def text_grad(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray,
               r_batch: np.ndarray, weights: LossWeights) -> np.ndarray:
     """dL/dHt alone, equal to total_loss_and_grads(...).grad_text."""
-    c = _cosines(hi, ht, s_batch, r_batch, weights)
+    c = _cosines(hi, ht, s_batch, r_batch)
     return _text_side(c, _g_it(c, weights), weights)

@@ -60,14 +60,16 @@ def _scaled_config(seed: int, **patch) -> config.TrainConfig:
     return config.TrainConfig.from_dict(flat)
 
 
-def _map_both(bundle, result) -> tuple[float, float]:
+def _map_both(bundle, result, hidden_act) -> tuple[float, float]:
     q, r = bundle.split.query, bundle.split.retrieval
     fi = bundle.image_features.astype(np.float64)
     ft = bundle.text_features.astype(np.float64)
-    ci_q = hashnet.sign_codes(hashnet.forward(result.params_image, fi[q], 1.0).h)
-    ct_q = hashnet.sign_codes(hashnet.forward(result.params_text, ft[q], 1.0).h)
-    ci_d = hashnet.sign_codes(hashnet.forward(result.params_image, fi[r], 1.0).h)
-    ct_d = hashnet.sign_codes(hashnet.forward(result.params_text, ft[r], 1.0).h)
+
+    def codes(params, x):
+        return hashnet.sign_codes(hashnet.forward(params, x, 1.0, hidden_act).h)
+
+    ci_q, ct_q = codes(result.params_image, fi[q]), codes(result.params_text, ft[q])
+    ci_d, ct_d = codes(result.params_image, fi[r]), codes(result.params_text, ft[r])
     ql, dl = bundle.labels[q], bundle.labels[r]
     return (evalkit.evaluate_direction("I2T", ci_q, ct_d, ql, dl).map_all,
             evalkit.evaluate_direction("T2I", ct_q, ci_d, ql, dl).map_all)
@@ -81,8 +83,9 @@ def ablation_suite():
     for name, patch in VARIANTS.items():
         rows = []
         for seed in SEEDS:
-            result = trainer.train(bundle, _scaled_config(seed, **patch))
-            i2t, t2i = _map_both(bundle, result)
+            cfg = _scaled_config(seed, **patch)
+            result = trainer.train(bundle, cfg)
+            i2t, t2i = _map_both(bundle, result, cfg.hidden_act)
             rows.append({"i2t": i2t, "t2i": t2i, "mean": (i2t + t2i) / 2,
                          "history": result.history})
         runs[name] = rows
@@ -277,7 +280,7 @@ class TestSaturation:
         rng = np.random.default_rng(1)
         params = hashnet.init_params(12, 16, 8, seed=1)
         x = rng.standard_normal((20, 12))
-        means = [float(np.abs(hashnet.forward(params, x, float(e)).h).mean())
+        means = [float(np.abs(hashnet.forward(params, x, float(e), "relu").h).mean())
                  for e in range(1, 51)]
         diffs = np.diff(means)
         ok = bool((diffs >= -1e-12).all())

@@ -3,9 +3,12 @@
 A public top-level function or class of ``src/assph``, or a public
 method of such a class, must be used somewhere in ``src`` or ``bench``
 outside its own definition; a name only the tests call is surface to
-delete, not to keep.  A use is a bare name, an attribute, or one
-component of a dotted string such as the ``"evalkit.rank"`` the
-benchmark's tracer patches.
+delete, not to keep.  In ``src`` a use is a bare name, an attribute, or
+one component of a dotted string such as the ``"evalkit.rank"`` the
+benchmark's tracer patches.  In ``bench`` only attributes and dotted
+strings count: the benchmark reaches the package through its modules, and
+a bare name there is one of the benchmark's own, such as its input
+writers.
 """
 
 import ast
@@ -48,10 +51,10 @@ def public_definitions():
 def uses():
     """(path, line) of every use of each name in src and bench."""
     seen = {}
-    for directory in (PACKAGE, os.path.join(ROOT, "bench")):
+    for directory, bare in ((PACKAGE, True), (os.path.join(ROOT, "bench"), False)):
         for path, tree in _modules(directory):
             for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
+                if bare and isinstance(node, ast.Name):
                     names = [node.id]
                 elif isinstance(node, ast.Attribute):
                     names = [node.attr]

@@ -1,5 +1,6 @@
 """Command-line surface: file layouts, exit codes, reproducibility."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from assph import cli, dataio, hashnet, trainer
-from assph.config import HIDDEN_ACTS, LossWeights, TrainConfig
+from assph.config import HIDDEN_ACTS, LossWeights, SynthConfig, TrainConfig
 from oracles import relation_from_dense, to_dense
 
 TRAIN_FLAGS = ["--code-length", "8", "--epochs", "2", "--batch-size", "24",
@@ -64,6 +65,21 @@ class TestSynth:
                              "--instances", "30", "--dim-image", "6",
                              "--dim-text", "5"]) == 0
         assert "synth: wrote 30 instances" in capsys.readouterr().out
+
+
+    def test_flags_are_the_config_fields(self):
+        synth = next(a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices["synth"]
+        flags = {s for a in synth._actions for s in a.option_strings}
+        assert flags - {"-h", "--help"} == {"--out", "--train-size"} | {
+            "--" + f.name.replace("_", "-") for f in dataclasses.fields(SynthConfig)}
+
+    def test_no_flags_records_the_config_defaults(self, tmp_path):
+        out = str(tmp_path / "data")
+        assert cli.dispatch(["synth", "--out", out]) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["config"] == {**dataclasses.asdict(SynthConfig()),
+                                      "train_size": None}
 
 
 class TestBuildSim:

@@ -477,7 +477,7 @@ class TestBundle:
         bundle = dataio.generate_synthetic(dataio.SynthConfig(instances=60, seed=2))
         dataio.save_bundle(bundle, str(tmp_path))
         if bad == "image":
-            # write_features would refuse the zero row, so write it raw
+            # a container with a zero row, written by hand
             fi = bundle.image_features.copy()
             fi[5] = 0.0
             with open(tmp_path / "image.assf", "wb") as fh:

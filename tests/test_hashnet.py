@@ -54,35 +54,35 @@ class TestForward:
     def test_zero_weights_give_zero_output(self):
         p = hashnet.HashNetParams(w1=np.zeros((4, 3)), b1=np.zeros(4),
                                   w2=np.zeros((2, 4)), b2=np.zeros(2))
-        h = hashnet.forward(p, np.ones((5, 3)), eta=1.0).h
+        h = hashnet.forward(p, np.ones((5, 3)), eta=1.0, hidden_act="relu").h
         npt.assert_array_equal(h, 0.0)
 
     def test_constant_bias_path(self):
         p = hashnet.HashNetParams(w1=np.zeros((4, 3)), b1=np.zeros(4),
                                   w2=np.zeros((2, 4)),
                                   b2=np.array([0.5, -0.25]))
-        h = hashnet.forward(p, np.zeros((3, 3)), eta=2.0).h
+        h = hashnet.forward(p, np.zeros((3, 3)), eta=2.0, hidden_act="relu").h
         npt.assert_allclose(h, np.tile(np.tanh([1.0, -0.5]), (3, 1)))
 
     def test_output_in_open_interval(self):
         rng = np.random.default_rng(0)
         p = hashnet.init_params(6, 12, 8, seed=0)
-        h = hashnet.forward(p, rng.standard_normal((30, 6)), eta=3.0).h
+        h = hashnet.forward(p, rng.standard_normal((30, 6)), eta=3.0, hidden_act="relu").h
         assert np.abs(h).max() < 1.0
 
     def test_large_eta_saturates(self):
         rng = np.random.default_rng(1)
         p = hashnet.init_params(6, 12, 8, seed=1)
-        h = hashnet.forward(p, rng.standard_normal((20, 6)), eta=1e3).h
+        h = hashnet.forward(p, rng.standard_normal((20, 6)), eta=1e3, hidden_act="relu").h
         assert np.abs(h).min() > 0.99
 
     def test_abs_output_monotone_in_eta(self):
         rng = np.random.default_rng(2)
         p = hashnet.init_params(5, 9, 6, seed=2)
         x = rng.standard_normal((15, 5))
-        prev = np.abs(hashnet.forward(p, x, eta=1.0).h)
+        prev = np.abs(hashnet.forward(p, x, eta=1.0, hidden_act="relu").h)
         for eta in (2.0, 4.0, 8.0):
-            cur = np.abs(hashnet.forward(p, x, eta=eta).h)
+            cur = np.abs(hashnet.forward(p, x, eta=eta, hidden_act="relu").h)
             assert (cur >= prev - 1e-12).all()
             prev = cur
 
@@ -91,8 +91,8 @@ class TestForward:
         p = hashnet.init_params(5, 7, 4, seed=3)
         x = rng.standard_normal((10, 5))
         perm = rng.permutation(10)
-        npt.assert_allclose(hashnet.forward(p, x, 2.0).h[perm],
-                            hashnet.forward(p, x[perm], 2.0).h)
+        npt.assert_allclose(hashnet.forward(p, x, 2.0, "relu").h[perm],
+                            hashnet.forward(p, x[perm], 2.0, "relu").h)
 
     def test_tanh_hidden_variant(self):
         rng = np.random.default_rng(4)
@@ -105,19 +105,19 @@ class TestForward:
     def test_bad_eta(self):
         p = hashnet.init_params(3, 4, 2, seed=0)
         with pytest.raises(ConfigError, match="eta"):
-            hashnet.forward(p, np.ones((2, 3)), eta=0.0)
+            hashnet.forward(p, np.ones((2, 3)), eta=0.0, hidden_act="relu")
 
     def test_bad_input_width(self):
         p = hashnet.init_params(3, 4, 2, seed=0)
         with pytest.raises(DataError, match="incompatible"):
-            hashnet.forward(p, np.ones((2, 5)), eta=1.0)
+            hashnet.forward(p, np.ones((2, 5)), eta=1.0, hidden_act="relu")
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(5)
         p = hashnet.init_params(4, 6, 3, seed=5)
-        acts = hashnet.forward(p, rng.standard_normal((7, 4)), 2.0)
+        acts = hashnet.forward(p, rng.standard_normal((7, 4)), 2.0, "relu")
         g = hashnet.backward(p, acts, np.zeros((7, 3)), hashnet.shared_grads(p)[0])
         for arr in (g.w1, g.b1, g.w2, g.b2):
             npt.assert_array_equal(arr, 0.0)
@@ -128,7 +128,7 @@ class TestBackward:
                                   w2=np.array([[1.0]]), b2=np.array([0.3]))
         x = np.array([[0.7]])
         eta = 2.5
-        acts = hashnet.forward(p, x, eta)
+        acts = hashnet.forward(p, x, eta, "relu")
         g = hashnet.backward(p, acts, np.ones((1, 1)), hashnet.shared_grads(p)[0])
         h = acts.h
         npt.assert_allclose(g.b2, eta * (1 - h[0, 0] ** 2))
@@ -187,7 +187,7 @@ class TestBackward:
                 assert getattr(grads, name).shape == getattr(p, name).shape
                 assert getattr(grads, name).base is workspace
         x, d_h = rng.standard_normal((8, 4)), rng.standard_normal((8, 5))
-        acts = hashnet.forward(small, x, 1.3)
+        acts = hashnet.forward(small, x, 1.3, "relu")
         fresh = hashnet.backward(small, acts, d_h, hashnet.shared_grads(small)[0])
         assert hashnet.backward(small, acts, d_h, g_small) is g_small
         for name in names:
@@ -195,13 +195,14 @@ class TestBackward:
 
     def test_rejects_mismatched_activations(self):
         p = hashnet.init_params(4, 6, 3, seed=0)
-        acts = hashnet.forward(hashnet.init_params(4, 7, 3, seed=0), np.ones((2, 4)), 1.0)
+        acts = hashnet.forward(hashnet.init_params(4, 7, 3, seed=0), np.ones((2, 4)), 1.0,
+                               "relu")
         grads = hashnet.shared_grads(p)[0]
         with pytest.raises(DataError, match="shape"):
             hashnet.backward(p, acts, np.ones((2, 3)), grads)
         with pytest.raises(DataError, match="dLdH"):
-            hashnet.backward(p, hashnet.forward(p, np.ones((2, 4)), 1.0), np.ones((3, 3)),
-                             grads)
+            hashnet.backward(p, hashnet.forward(p, np.ones((2, 4)), 1.0, "relu"),
+                             np.ones((3, 3)), grads)
 
 
 class TestSgdStep:

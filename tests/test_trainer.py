@@ -106,6 +106,16 @@ class TestConfig:
         assert cfg.learning_rate == pytest.approx(0.001)
         assert cfg.beta == pytest.approx(1.5)
 
+    def test_profiles_restate_no_default(self):
+        # the paper's hyperparameters are the defaults, so its profile only
+        # names them; a profile lists just the values that differ
+        defaults = config.TrainConfig().to_dict()
+        restated = [(name, key) for name, profile in config.PROFILES.items()
+                    for key, value in profile.items() if value == defaults[key]]
+        assert restated == []
+        assert (config.TrainConfig.from_dict(config.PROFILES["paper-default"])
+                == config.TrainConfig())
+
 
 class TestInitState:
     def test_batch_size_exceeds_rows(self, bundle):
@@ -400,8 +410,10 @@ class TestTrain:
         semantic = state.semantic.astype(np.float64)
 
         def full_loss(params_image, params_text):
-            hi = hashnet.forward(params_image, state.features_image, eta_end).h
-            ht = hashnet.forward(params_text, state.features_text, eta_end).h
+            hi = hashnet.forward(params_image, state.features_image, eta_end,
+                                 cfg.hidden_act).h
+            ht = hashnet.forward(params_text, state.features_text, eta_end,
+                                 cfg.hidden_act).h
             return objective.total_loss_and_grads(
                 hi, ht, semantic, r_full, state.weights_eff).total
 
@@ -418,8 +430,10 @@ class TestTrain:
         labels = bundle.labels[idx]
         fi = bundle.image_features[idx].astype(np.float64)
         ft = bundle.text_features[idx].astype(np.float64)
-        ci = hashnet.sign_codes(hashnet.forward(res.params_image, fi, 1.0).h)
-        ct = hashnet.sign_codes(hashnet.forward(res.params_text, ft, 1.0).h)
+        ci = hashnet.sign_codes(hashnet.forward(res.params_image, fi, 1.0,
+                                                cfg.hidden_act).h)
+        ct = hashnet.sign_codes(hashnet.forward(res.params_text, ft, 1.0,
+                                                cfg.hidden_act).h)
         score = evalkit.evaluate_direction("I2T", ci, ct, labels, labels).map_all
         assert score > 0.85
 
