@@ -27,7 +27,7 @@ import os
 import sys
 import time
 
-from .config import HIDDEN_ACTS, PROFILES, SynthConfig, TrainConfig
+from .config import HIDDEN_ACTS, MAP_CUTOFFS, PROFILES, SynthConfig, TrainConfig
 from .errors import ConfigError, DataError, DivergenceError
 
 # correlation pairs formatted per string when build-sim writes them
@@ -150,9 +150,11 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
             for lo in range(0, len(pairs), _CSV_PAIRS):
                 chunk = pairs[lo:lo + _CSV_PAIRS]
                 fh.write(("%d,%d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
-    stats = {"count": rel.popcount(), "order": rel.order, "epoch": rel.epoch}
+    stats = {"order": rel.order, "epoch": rel.epoch}
     if bundle.labels is not None:
         stats.update(corrmine.correlation_stats(rel, bundle.labels[train_idx]))
+    if "count" not in stats:  # no labels, so no correlation_stats count
+        stats["count"] = rel.popcount()
     with open(os.path.join(args.out, "stats.json"), "w") as fh:
         json.dump(stats, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -160,7 +162,7 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
     _write_manifest(args.out, "build-sim", cfg.to_dict(), _inputs(bundle, args),
                     outputs, {**timings, "total_s": time.perf_counter() - t0})
     print(f"build-sim: semantic {len(semantic)}x{len(semantic)}, "
-          f"{rel.popcount()} correlated pairs")
+          f"{stats['count']} correlated pairs")
     return 0
 
 
@@ -213,7 +215,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     cfg = _resolve_config(args)
-    map_cutoffs = _parse_int_list(args.map_at, "map-at")
+    map_cutoffs = _map_cutoffs(args)
     bundle = load_bundle(args.bundle)
     result = train(bundle, cfg)
     t_train = time.perf_counter() - t0
@@ -258,6 +260,13 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
+def _map_cutoffs(args: argparse.Namespace) -> list[int]:
+    """The cutoffs --map-at lists, or MAP_CUTOFFS when it is not given."""
+    if args.map_at is None:
+        return list(MAP_CUTOFFS)
+    return _parse_int_list(args.map_at, "map-at")
+
+
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
         values = [int(v) for v in str(text).split(",") if v != ""]
@@ -274,7 +283,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .hashnet import load_codes
 
     t0 = time.perf_counter()
-    map_cutoffs = _parse_int_list(args.map_at, "map-at")
+    map_cutoffs = _map_cutoffs(args)
     k_grid = _parse_int_list(args.k_grid, "k-grid") if args.k_grid else None
     query_codes = load_codes(args.query_codes)
     db_codes = load_codes(args.db_codes)
@@ -313,7 +322,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     cfg = _resolve_config(args)
-    map_cutoffs = _parse_int_list(args.map_at, "map-at")
+    map_cutoffs = _map_cutoffs(args)
     names = [v for v in args.variants.split(",") if v]
     unknown = [v for v in names if v not in _VARIANTS]
     if unknown:
@@ -378,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train both modality encoders")
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--map-at", default="50",
+    p.add_argument("--map-at",
                    help="comma-separated MAP cutoffs for the self-evaluation")
     _add_config_args(p)
     p.set_defaults(func=cmd_train)
@@ -398,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-labels", required=True)
     p.add_argument("--db-labels", required=True)
     p.add_argument("--direction", default="I2T")
-    p.add_argument("--map-at", default="50")
+    p.add_argument("--map-at")
     p.add_argument("--k-grid", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
@@ -406,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="train the full model plus ablations")
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--map-at", default="50")
+    p.add_argument("--map-at")
     p.add_argument("--variants", default="noadapt,paircorr,nocorr,nobinopt")
     _add_config_args(p)
     p.set_defaults(func=cmd_ablate)

@@ -18,6 +18,9 @@ from .errors import ConfigError
 
 HIDDEN_ACTS = ("relu", "tanh")
 
+# MAP cutoffs a self-evaluation or an eval reports when none are asked for
+MAP_CUTOFFS = (50,)
+
 # named settings a --profile flag applies over the defaults; the paper's
 # hyperparameters are TrainConfig's own defaults, so its profile is empty
 PROFILES = {"paper-default": {}}

@@ -6,15 +6,16 @@ feature cosines and grows monotonically between epochs by re-mining the
 same relation from the learned hidden embeddings and unioning it in.
 Bits are kept row-packed (order rows of ceil(order/8) bytes), so a
 5000-instance relation costs a few megabytes.  The miners set their hits
-straight in those packed rows and check the result there; no order x
-order array of any dtype is formed.
+straight in those packed rows, mirrored, so a mined relation is
+symmetric and reflexive as built; no order x order array of any dtype is
+formed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, DivergenceError
+from .errors import DivergenceError
 from .simgraph import _row_blocks, _unit_rows, cosine_blocks, top_k_indices
 # not called here, but bench/tracing.py patches corrmine.cosine_matrix
 from .simgraph import cosine_matrix  # noqa: F401
@@ -47,24 +48,6 @@ class CorrelationSet:
         self.epoch = epoch
 
     @classmethod
-    def from_bits(cls, bits: np.ndarray) -> "CorrelationSet":
-        """The relation of order x ceil(order/8) row-packed uint8 bits, once
-        they are checked: zero past the order, symmetric, reflexive."""
-        order = len(bits)
-        if order & 7 and np.any(bits[:, -1] & (0xFF >> (order & 7))):
-            raise DataError("correlation set has bits set past its order")
-        # symmetry strip by strip: rows [lo, hi) left of column hi against
-        # the same instances' columns above row hi, both unpacked
-        for lo, hi in _row_blocks(order):
-            rows = np.unpackbits(bits[lo:hi, :(hi + 7) >> 3], axis=1, count=hi)
-            cols = np.unpackbits(bits[:hi, lo >> 3:(hi + 7) >> 3], axis=1, count=hi - lo)
-            if not np.array_equal(rows, cols.T):
-                raise DataError("correlation set must be symmetric")
-        if not np.all(_diagonal_bits(bits)):
-            raise DataError("correlation set must include every self pair")
-        return cls(order, bits)
-
-    @classmethod
     def identity(cls, order: int) -> "CorrelationSet":
         bits = np.zeros((order, (order + 7) >> 3), dtype=np.uint8)
         _mark(bits, np.arange(order), np.arange(order))
@@ -83,8 +66,6 @@ class CorrelationSet:
         return _count_bits(self.bits)
 
     def union(self, other: "CorrelationSet", epoch: int) -> "CorrelationSet":
-        if other.order != self.order:
-            raise DataError(f"union: order mismatch {self.order} vs {other.order}")
         return CorrelationSet(self.order, self.bits | other.bits, epoch)
 
     def batch(self, idx: np.ndarray) -> np.ndarray:
@@ -147,12 +128,7 @@ def second_order(nn_a: np.ndarray, nn_b: np.ndarray, tau: int,
     the packed sets of rows listing its neighbors; a cross join runs again
     with a and b swapped.  Cost: tau * order * k * order / 8 byte ops.
     """
-    if nn_a.ndim != 2 or nn_a.shape != nn_b.shape:
-        raise DataError(f"second_order: bad list shapes {nn_a.shape} vs {nn_b.shape}")
-    m, k = nn_a.shape
-    if out.shape != (m, (m + 7) >> 3) or out.dtype != np.uint8 or not out.flags.c_contiguous:
-        raise DataError(f"second_order: out must be C-contiguous packed bits of order {m}")
-    if tau > k:  # no two lists of k distinct entries share more than k
+    if tau > nn_a.shape[1]:  # no two lists of k distinct entries share more than k
         return out
     _join(nn_a, nn_b, tau, out)
     if nn_a is not nn_b:
@@ -160,44 +136,40 @@ def second_order(nn_a: np.ndarray, nn_b: np.ndarray, tau: int,
     return out
 
 
-def _first_order(nn_i: np.ndarray, nn_t: np.ndarray) -> CorrelationSet:
+def _mine(nn_i: np.ndarray, nn_t: np.ndarray, tau: int,
+          pairwise: bool) -> CorrelationSet:
+    """The relation of two sides' neighbor lists, self pairs included.
+
+    pairwise keeps each listed pair and its mirror: symmetrized
+    first-order KNN, the mining rule with the neighborhood-overlap step
+    bypassed, which exists to measure what that step buys.  Otherwise a
+    pair is mined when its lists overlap in tau or more entries, within
+    either side or across them; at tau 1 the four directed joins of the
+    image and text lists hit exactly where one self-join of the
+    concatenated lists does.  The relation is symmetric and reflexive as
+    built: a listed pair is marked with its mirror, an overlap is
+    symmetric, a cross join runs both ways, and the identity holds every
+    self pair.
+    """
     bits = CorrelationSet.identity(len(nn_i)).bits
     nn = np.hstack((nn_i, nn_t))
-    rows = np.repeat(np.arange(len(nn)), nn.shape[1])
-    _mark(bits, rows, nn.ravel())
-    _mark(bits, nn.ravel(), rows)
-    return CorrelationSet.from_bits(bits)
+    if pairwise:
+        rows = np.repeat(np.arange(len(nn)), nn.shape[1])
+        _mark(bits, rows, nn.ravel())
+        _mark(bits, nn.ravel(), rows)
+    else:
+        joins = [(nn, nn)] if tau == 1 else [(nn_i, nn_i), (nn_t, nn_t), (nn_i, nn_t)]
+        for nn_a, nn_b in joins:
+            second_order(nn_a, nn_b, tau, bits)
+    return CorrelationSet(len(bits), bits)
 
 
-def _second_order_relation(nn_i: np.ndarray, nn_t: np.ndarray,
-                           tau: int) -> CorrelationSet:
-    bits = CorrelationSet.identity(len(nn_i)).bits
-    nn = np.hstack((nn_i, nn_t))
-    joins = [(nn, nn)] if tau == 1 else [(nn_i, nn_i), (nn_t, nn_t), (nn_i, nn_t)]
-    for nn_a, nn_b in joins:
-        second_order(nn_a, nn_b, tau, bits)
-    return CorrelationSet.from_bits(bits)
-
-
-def first_order_correlations(sim_image: np.ndarray, sim_text: np.ndarray,
-                             kr: int) -> CorrelationSet:
-    """Pairwise-only relation: symmetrized first-order KNN of each modality.
-
-    This is the mining rule with the neighborhood-overlap step bypassed;
-    it exists to measure what that step buys.
-    """
-    return _first_order(knn_adjacency(sim_image, kr), knn_adjacency(sim_text, kr))
-
-
-def init_correlations(sim_image: np.ndarray, sim_text: np.ndarray,
-                      kr: int, tau: int = 1) -> CorrelationSet:
-    """Seed relation from second-order overlaps within and across modalities.
-
-    At tau 1 the four directed joins of the image and text lists hit
-    exactly where one self-join of the concatenated lists does.
-    """
-    return _second_order_relation(knn_adjacency(sim_image, kr),
-                                  knn_adjacency(sim_text, kr), tau)
+def init_correlations(sim_image: np.ndarray, sim_text: np.ndarray, kr: int,
+                      tau: int = 1, pairwise: bool = False) -> CorrelationSet:
+    """Seed relation mined from each modality's kr nearest neighbors under
+    its similarity, by the rule _mine describes."""
+    return _mine(knn_adjacency(sim_image, kr), knn_adjacency(sim_text, kr),
+                 tau, pairwise)
 
 
 def adaptive_update(rel: CorrelationSet, hidden_image: np.ndarray,
@@ -209,22 +181,14 @@ def adaptive_update(rel: CorrelationSet, hidden_image: np.ndarray,
     Each side's neighbor lists are selected from the blocks of
     cosine_blocks as they stream, so no order x order float32 cosine is
     held, and only one side's float64 product at a time.  A zero-norm
-    hidden row means the network collapsed, so it raises DivergenceError
-    rather than DataError.
+    hidden row means the network collapsed, so it raises DivergenceError.
     """
     units = []
     for name, h in (("image", hidden_image), ("text", hidden_text)):
-        if h.shape[0] != rel.order:
-            raise DataError(f"adaptive_update: {name} embeddings have {h.shape[0]} "
-                            f"rows, relation order is {rel.order}")
         units.append(_unit_rows(h, lambda i: DivergenceError(
             f"adaptive_update: zero-norm {name} embedding row {i}; training diverged")))
     nn_i, nn_t = (_select(cosine_blocks(u), rel.order, kr) for u in units)
-    if pairwise:
-        mined = _first_order(nn_i, nn_t)
-    else:
-        mined = _second_order_relation(nn_i, nn_t, tau)
-    return rel.union(mined, epoch=rel.epoch + 1)
+    return rel.union(_mine(nn_i, nn_t, tau, pairwise), epoch=rel.epoch + 1)
 
 
 def label_share(labels: np.ndarray) -> np.ndarray:
@@ -247,10 +211,6 @@ def correlation_stats(rel: CorrelationSet, labels: np.ndarray,
     these labels, built here when not given.  Both figures are bit counts
     on the packed rows; no order^2 matrix is unpacked.
     """
-    labels = np.asarray(labels)
-    if labels.shape[0] != rel.order:
-        raise DataError(f"correlation_stats: {labels.shape[0]} label rows for "
-                        f"order {rel.order}")
     count = rel.popcount()
     n_off = count - rel.order  # every relation holds its self pairs
     if n_off == 0:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import MAP_CUTOFFS
 from .errors import ConfigError, DataError
 from .hashnet import all_signs
 
@@ -81,19 +82,14 @@ def rank(query_codes: np.ndarray, db_codes: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def average_precision(ranked_flags: np.ndarray, cutoff: int | None = None) -> np.ndarray:
-    """AP of each row of ranked 0/1 flags, truncated at cutoff when given.
+    """AP of each row of a 2-d block of ranked 0/1 flags, truncated at
+    cutoff (>= 1) when given.
 
     A row's denominator is the number of relevant items inside its
     truncated list; a row with none scores 0.
     """
     flags = np.asarray(ranked_flags)
-    if flags.ndim != 2:
-        raise DataError("average_precision: expected a 2-d block of ranked flags")
-    if flags.dtype != bool and not np.array_equal(flags, flags != 0):
-        raise DataError("average_precision: flags must be 0/1")
     if cutoff is not None:
-        if cutoff < 1:
-            raise ConfigError(f"average_precision: cutoff must be >= 1, got {cutoff}")
         flags = flags[:, :cutoff]
     rows, cols = np.divmod(np.flatnonzero(flags), flags.shape[1])
     hit_ranks = np.split(cols + 1, np.searchsorted(rows, np.arange(1, len(flags))))
@@ -106,10 +102,6 @@ def relevance_matrix(query_labels: np.ndarray, db_labels: np.ndarray) -> np.ndar
     """rel[q, d] is True iff the query and database item share any label."""
     q = np.asarray(query_labels, dtype=np.float32)
     d = np.asarray(db_labels, dtype=np.float32)
-    if q.ndim != 2 or d.ndim != 2 or q.shape[1] != d.shape[1]:
-        raise DataError(
-            f"relevance_matrix: label shapes {q.shape} and {d.shape} incompatible"
-        )
     return (q @ d.T) > 0
 
 
@@ -192,14 +184,16 @@ class EvalReport:
 
 def evaluate_direction(direction: str, query_codes: np.ndarray,
                        db_codes: np.ndarray, query_labels: np.ndarray,
-                       db_labels: np.ndarray, map_cutoffs: list[int] = (50,),
+                       db_labels: np.ndarray, map_cutoffs: list[int] = MAP_CUTOFFS,
                        k_grid: list[int] | None = None) -> EvalReport:
     """Full metric bundle for one direction (e.g. image query, text db).
 
-    Each block of queries is ranked by one stable sort and its relevance
-    gathered into rank order once; MAP@all, every MAP@cutoff and the top-k
-    counts read that ranked block.  The distance histograms count the
-    unsorted distances, since a count does not depend on order.
+    The codes, the labels, the cutoffs and k_grid are checked here, once
+    per call, and the stages below trust them.  Each block of queries is
+    ranked by one stable sort and its relevance gathered into rank order
+    once; MAP@all, every MAP@cutoff and the top-k counts read that ranked
+    block.  The distance histograms count the unsorted distances, since a
+    count does not depend on order.
     """
     query_labels, db_labels = np.asarray(query_labels), np.asarray(db_labels)
     for role, codes, labels in (("query", query_codes, query_labels),
@@ -215,11 +209,19 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
     k_grid = list(k_grid)
     if any(top < 1 for top in k_grid) or sorted(k_grid) != k_grid:
         raise ConfigError(f"k_grid must be ascending positive ints, got {k_grid}")
+    step = max(1, _BLOCK_PAIRS // n_db)
+    if (query_labels.ndim != 2 or db_labels.ndim != 2
+            or query_labels.shape[1] != db_labels.shape[1]):
+        # named as relevance_matrix reads them: the first query block and the db
+        raise DataError(f"relevance_matrix: label shapes {query_labels[:step].shape} "
+                        f"and {db_labels.shape} incompatible")
     cutoffs = [int(c) for c in map_cutoffs]
+    for cutoff in cutoffs:
+        if cutoff < 1:
+            raise ConfigError(f"average_precision: cutoff must be >= 1, got {cutoff}")
     aps = np.zeros((1 + len(cutoffs), n_q))
     topk_hits = np.zeros((n_q, len(k_grid)), dtype=np.int64)
     hists = np.zeros((n_q, k + 1, 2), dtype=np.int64)  # [query, distance, relevant]
-    step = max(1, _BLOCK_PAIRS // n_db)
     for lo in range(0, n_q, step):
         block = slice(lo, lo + step)
         dist = _distances(query_codes[block], db_codes)

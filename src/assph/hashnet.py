@@ -172,11 +172,6 @@ def backward(params: HashNetParams, acts: Activations, d_h: np.ndarray,
     gradients are written into the arrays of grads, a Grads of this
     network's shapes such as shared_grads gives, and grads is returned.
     """
-    if acts.x.shape[1] != params.d_in or acts.a1.shape[1] != params.d_hidden:
-        raise DataError("backward: activations do not match the network's shape")
-    d_h = np.asarray(d_h, dtype=np.float64)
-    if d_h.shape != acts.h.shape:
-        raise DataError(f"backward: dLdH shape {d_h.shape} mismatches output")
     a1 = acts.a1
     d_pre2 = d_h * acts.eta * (1.0 - acts.h * acts.h)
     np.matmul(d_pre2.T, a1, out=grads.w2)
@@ -196,7 +191,8 @@ def sgd_step(params: HashNetParams, grads: Grads, lr: float,
     """In-place SGD update: vel <- momentum*vel + (g + wd*p); p <- p - lr*vel.
 
     Weight decay touches the weight matrices only, never the biases.  The
-    settings are a TrainConfig's, checked when it was built.  Each parameter
+    settings are a TrainConfig's, checked when it was built, and grads has
+    the parameters' shapes, as shared_grads builds it.  Each parameter
     is walked in flat blocks of _SGD_BLOCK elements, each block checked for
     a finite step before it is applied; a DivergenceError may leave the
     parameters partly updated, which ends the run anyway.
@@ -212,12 +208,6 @@ def sgd_step(params: HashNetParams, grads: Grads, lr: float,
     ):
         p = getattr(params, p_name)
         v = getattr(params, v_name)
-        g = np.asarray(g)
-        if g.shape != p.shape:
-            raise DataError(f"sgd_step: gradient shape {g.shape} mismatches "
-                            f"{p_name} {p.shape}")
-        if not (p.flags.c_contiguous and v.flags.c_contiguous):
-            raise DataError(f"sgd_step: {p_name} and its velocity must be C-contiguous")
         p, v, g = p.reshape(-1), v.reshape(-1), g.reshape(-1)
         for lo in range(0, p.size, _SGD_BLOCK):
             block = slice(lo, lo + _SGD_BLOCK)
@@ -288,11 +278,7 @@ def all_signs(codes: np.ndarray) -> bool:
 
 
 def save_codes(codes: np.ndarray, path: str) -> None:
-    codes = np.asarray(codes)
-    if codes.ndim != 2 or codes.shape[1] < 1:
-        raise DataError(f"save_codes: expected a 2-d matrix of bits, got {codes.shape}")
-    if not all_signs(codes):
-        raise DataError("save_codes: entries must be -1 or +1")
+    """Write sign_codes output as it is; load_codes checks what it reads."""
     with open(path, "wb") as fh:
         fh.write(_CODES_HEADER.pack(_CODES_MAGIC, codes.shape[0], codes.shape[1]))
         fh.write(np.ascontiguousarray(codes, dtype=np.int8))

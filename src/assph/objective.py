@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LossWeights
-from .errors import DataError, DivergenceError
+from .errors import DivergenceError
 
 
 @dataclass
@@ -38,8 +38,6 @@ class LossOutput:
 
 def _normalized(h: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2:
-        raise DataError(f"{side}: expected a 2-d matrix, got shape {h.shape}")
     norms = np.linalg.norm(h, axis=1)
     if np.any(norms == 0.0):
         raise DivergenceError(
@@ -56,7 +54,7 @@ def _grad_self(g: np.ndarray, c: np.ndarray, a_hat: np.ndarray,
     return (h @ a_hat - (h * c).sum(axis=1)[:, None] * a_hat) / a_norms[:, None]
 
 
-# one checked batch pair: unit rows, norms, targets and the three cosine
+# one batch pair: unit rows, norms, targets and the three cosine
 # matrices every term reads
 _Cosines = namedtuple("_Cosines", "hi_hat hi_norms ht_hat ht_norms s r c_it c_ii c_tt")
 
@@ -65,15 +63,8 @@ def _cosines(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray,
              r_batch: np.ndarray) -> _Cosines:
     hi_hat, hi_norms = _normalized(hi, "image batch")
     ht_hat, ht_norms = _normalized(ht, "text batch")
-    m = hi_hat.shape[0]
-    if ht_hat.shape != hi_hat.shape:
-        raise DataError(f"batch shapes differ: {hi_hat.shape} vs {ht_hat.shape}")
     s = np.asarray(s_batch, dtype=np.float64)
     r = np.asarray(r_batch, dtype=np.float64)
-    if s.shape != (m, m) or r.shape != (m, m):
-        raise DataError(
-            f"batch slices must be {m}x{m}, got S {s.shape} and R {r.shape}"
-        )
     return _Cosines(hi_hat, hi_norms, ht_hat, ht_norms, s, r,
                     c_it=hi_hat @ ht_hat.T, c_ii=hi_hat @ hi_hat.T,
                     c_tt=ht_hat @ ht_hat.T)

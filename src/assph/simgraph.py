@@ -83,12 +83,10 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def _unit_rows(features: np.ndarray, zero_norm) -> np.ndarray:
-    """A private float64 copy of a non-empty 2-d matrix, each row scaled to
-    unit norm; the input is never written.  A zero-norm row i, whose
-    cosine is undefined, raises the exception zero_norm(i) returns."""
+    """A private float64 copy of a 2-d matrix, each row scaled to unit
+    norm; the input is never written.  A zero-norm row i, whose cosine is
+    undefined, raises the exception zero_norm(i) returns."""
     f = np.array(features, dtype=np.float64)
-    if f.ndim != 2 or f.shape[0] < 1:
-        raise DataError(f"expected a non-empty 2-d matrix, got {f.shape}")
     norms = np.linalg.norm(f, axis=1)
     if np.any(norms == 0.0):
         raise zero_norm(int(np.argmax(norms == 0.0)))
@@ -146,8 +144,6 @@ def fuse(cos_image: np.ndarray, cos_text: np.ndarray,
     float64 and rounded.  The result goes into out, a float32 buffer of
     the same shape that may be either input, and out is returned.
     """
-    if cos_image.shape != cos_text.shape:
-        raise DataError(f"fuse: shape mismatch {cos_image.shape} vs {cos_text.shape}")
     m, n = cos_image.shape
     step = _elementwise_rows(n)
     p_buf = np.empty((min(step, m), n), dtype=np.float32)
@@ -167,7 +163,9 @@ def topk_normalize(fused: np.ndarray, ks: int) -> np.ndarray:
     as float64 holding float32-rounded values, the precision the
     structural product reads.  Each block of W's rows is written straight
     from the block's top-ks mask, summed along the rows, divided and
-    rounded.  ks larger than the matrix order clamps with a warning.
+    rounded.  Every row's mass is positive: a row of fuse's output keeps
+    its unit diagonal, the largest entry, so its top ks sum to at least 1.
+    ks larger than the matrix order clamps with a warning.
     """
     m = fused.shape[0]
     if ks > m:
@@ -178,11 +176,7 @@ def topk_normalize(fused: np.ndarray, ks: int) -> np.ndarray:
     for lo, hi in _row_blocks(m):
         rows, block = fused[lo:hi], w[lo:hi]
         np.multiply(rows, _top_k_mask(rows, ks), out=block)
-        sums = block.sum(axis=1)
-        if np.any(sums == 0.0):
-            raise DataError(f"topk_normalize: row {lo + int(np.argmax(sums == 0.0))} "
-                            "has zero neighbor mass")
-        block[...] = np.divide(block, sums[:, None], out=rounded[:hi - lo])
+        block[...] = np.divide(block, block.sum(axis=1)[:, None], out=rounded[:hi - lo])
     return w
 
 
@@ -214,8 +208,6 @@ def combine(fused: np.ndarray, cooc: np.ndarray | None, ks: int, gamma: float,
     float32 buffer of the same shape that may be fused, and out is
     returned.
     """
-    if cooc is not None and fused.shape != cooc.shape:
-        raise DataError(f"combine: shape mismatch {fused.shape} vs {cooc.shape}")
     m, n = fused.shape
     step = _elementwise_rows(n)
     s_buf = np.empty((min(step, m), n), dtype=np.float64)
@@ -248,7 +240,5 @@ def build_semantic(fused: np.ndarray, ks: int, gamma: float) -> np.ndarray:
     With gamma == 0 the structural stage is skipped entirely; the result
     is the stretched fusion alone.
     """
-    if fused.ndim != 2 or fused.shape[0] != fused.shape[1]:
-        raise DataError(f"build_semantic: expected a square matrix, got {fused.shape}")
     cooc = structural(fused, ks) if gamma != 0.0 else None
     return combine(fused, cooc, ks, gamma, out=fused)

@@ -110,12 +110,11 @@ def build_targets(image_features: np.ndarray, text_features: np.ndarray,
     cos_i = simgraph.cosine_matrix(image_features)
     cos_t = simgraph.cosine_matrix(text_features)
     t1 = time.perf_counter()
-    if not cfg.corr:
-        rel = corrmine.CorrelationSet.identity(len(cos_i))
-    elif cfg.pair_corr:
-        rel = corrmine.first_order_correlations(cos_i, cos_t, cfg.kr)
+    if cfg.corr:
+        rel = corrmine.init_correlations(cos_i, cos_t, cfg.kr, cfg.tau,
+                                         pairwise=cfg.pair_corr)
     else:
-        rel = corrmine.init_correlations(cos_i, cos_t, cfg.kr, cfg.tau)
+        rel = corrmine.CorrelationSet.identity(len(cos_i))
     t2 = time.perf_counter()
     fused = simgraph.fuse(cos_i, cos_t, out=cos_i)
     # free the text cosine before structural holds W and W @ W.T beside fused

@@ -148,16 +148,20 @@ def dense_init_correlations(nn_image, nn_text, tau: int) -> np.ndarray:
 def relation_from_dense(dense) -> "corrmine.CorrelationSet":
     """A CorrelationSet of a square 0/1 matrix of any numeric dtype.
 
-    The matrix is checked to be square and 0/1, packed by rows, and handed
-    to CorrelationSet.from_bits, whose packed checks reject what is not
-    symmetric or misses a self pair.
+    The program trusts the relations its miners build, so the oracle checks
+    its own: the matrix must be square, 0/1, symmetric and hold every self
+    pair.  It is then packed by rows.
     """
     dense = np.asarray(dense)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise DataError(f"correlation set must be square, got {dense.shape}")
     if not np.all(dense == (dense != 0)):
         raise DataError("correlation set entries must be 0/1")
-    return corrmine.CorrelationSet.from_bits(np.packbits(dense.astype(np.uint8), axis=1))
+    if not np.array_equal(dense, dense.T):
+        raise DataError("correlation set must be symmetric")
+    if not np.all(np.diagonal(dense)):
+        raise DataError("correlation set must include every self pair")
+    return corrmine.CorrelationSet(len(dense), np.packbits(dense.astype(np.uint8), axis=1))
 
 
 def to_dense(rel) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Correlation mining: KNN adjacency, neighborhood overlaps, adaptive growth."""
 
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from assph import cli, config, corrmine, simgraph
+from assph import cli, config, corrmine, dataio, simgraph
 from assph.errors import ConfigError, DataError, DivergenceError
 from oracles import (argsort_top_k, dense_adjacency, dense_correlation_stats,
                      dense_init_correlations, dense_second_order, naive_relation,
@@ -172,15 +174,6 @@ class TestSecondOrder:
             assert corrmine.second_order(x, y, 1, out) is out
             npt.assert_array_equal(out, np.packbits(before | second_order(x, y, 1), axis=1))
 
-    @pytest.mark.parametrize("bad", ["strided", "int64", "shape"])
-    def test_bad_out_rejected(self, bad):
-        nn = np.arange(4)[:, None]
-        out = {"strided": np.zeros((4, 2), dtype=np.uint8)[:, ::2],
-               "int64": np.zeros((4, 1), dtype=np.int64),
-               "shape": np.zeros((4, 4), dtype=np.uint8)}[bad]  # a dense buffer
-        with pytest.raises(DataError, match="out"):
-            corrmine.second_order(nn, nn, 1, out)
-
     def test_bad_tau(self):
         # second_order trusts tau: TrainConfig is its one check
         with pytest.raises(ConfigError, match="tau"):
@@ -265,31 +258,12 @@ class TestCorrelationSet:
     def test_identity_bits(self, m):
         rel = corrmine.CorrelationSet.identity(m)
         npt.assert_array_equal(rel.bits, np.packbits(np.eye(m, dtype=np.uint8), axis=1))
-        assert corrmine.CorrelationSet.from_bits(rel.bits).order == m
 
     def test_asymmetric_rejected(self):
         dense = np.eye(3, dtype=np.uint8)
         dense[0, 1] = 1
         with pytest.raises(DataError, match="symmetric"):
             relation_from_dense(dense)
-
-    @pytest.mark.parametrize("i, j", [(280, 295), (295, 280), (10, 290), (290, 10)])
-    def test_asymmetric_entry_in_last_partial_tile_rejected(self, i, j):
-        # order 300 checks the packed bits in strips [0, 256) and [256, 300)
-        dense = np.eye(300, dtype=np.uint8)
-        dense[5, 299] = dense[299, 5] = 1
-        bits = np.packbits(dense, axis=1)
-        corrmine.CorrelationSet.from_bits(bits)
-        bits[i, j // 8] |= 0x80 >> (j % 8)
-        with pytest.raises(DataError, match="symmetric"):
-            corrmine.CorrelationSet.from_bits(bits)
-
-    @pytest.mark.parametrize("m, col", [(13, 13), (13, 15), (300, 303), (1, 7)])
-    def test_padding_bit_past_the_order_rejected(self, m, col):
-        bits = corrmine.CorrelationSet.identity(m).bits
-        bits[m - 1, col // 8] |= 0x80 >> (col % 8)
-        with pytest.raises(DataError, match="past its order"):
-            corrmine.CorrelationSet.from_bits(bits)
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
     def test_non_binary_entry_rejected(self, bad):
@@ -311,12 +285,11 @@ class TestCorrelationSet:
 
     def test_missing_diagonal_rejected(self):
         with pytest.raises(DataError, match="self pair"):
-            corrmine.CorrelationSet.from_bits(np.zeros((3, 1), dtype=np.uint8))
-        # one missing self pair in the last partial strip of order 300
-        bits = corrmine.CorrelationSet.identity(300).bits
-        bits[299, 299 // 8] = 0
+            relation_from_dense(np.zeros((3, 3), dtype=np.uint8))
+        dense = np.eye(300, dtype=np.uint8)
+        dense[299, 299] = 0
         with pytest.raises(DataError, match="self pair"):
-            corrmine.CorrelationSet.from_bits(bits)
+            relation_from_dense(dense)
 
     def test_batch_slice(self):
         dense = np.eye(6, dtype=np.uint8)
@@ -401,7 +374,7 @@ class TestFirstOrderCorrelations:
     def test_symmetrized_union(self):
         rng = np.random.default_rng(10)
         si, st = cosine_of(rng, 15, 5), cosine_of(rng, 15, 4)
-        rel = corrmine.first_order_correlations(si, st, kr=3)
+        rel = corrmine.init_correlations(si, st, kr=3, pairwise=True)
         r1i = dense_adjacency(corrmine.knn_adjacency(si, 3), 15)
         r1t = dense_adjacency(corrmine.knn_adjacency(st, 3), 15)
         expect = r1i | r1i.T | r1t | r1t.T
@@ -487,11 +460,6 @@ class TestAdaptiveUpdate:
             corrmine.adaptive_update(corrmine.CorrelationSet.identity(5),
                                      np.ones((5, 4)), h, kr=2)
 
-    def test_order_mismatch(self):
-        with pytest.raises(DataError, match="rows"):
-            corrmine.adaptive_update(corrmine.CorrelationSet.identity(4),
-                                     np.ones((5, 3)), np.ones((5, 3)), kr=2)
-
 
 class TestCorrelationStats:
     def test_identity_reports_no_offdiag(self):
@@ -516,6 +484,32 @@ class TestCorrelationStats:
         stats = corrmine.correlation_stats(rel, labels)
         expect = (m // 2 - 1) / (m - 1)  # fraction of same-class others
         npt.assert_allclose(stats["precision"], expect)
+
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_build_sim_counts_the_relation_once(self, tmp_path, monkeypatch, capsys,
+                                                labeled):
+        bundle = dataio.generate_synthetic(config.SynthConfig(
+            classes=3, instances=60, dim_image=6, dim_text=5, seed=2))
+        if not labeled:
+            bundle = dataclasses.replace(bundle, labels=None)
+        dataio.save_bundle(bundle, str(tmp_path / "bundle"))
+        counts = []
+        real = corrmine.CorrelationSet.popcount
+
+        def spy(rel):
+            counts.append(real(rel))
+            return counts[-1]
+
+        monkeypatch.setattr(corrmine.CorrelationSet, "popcount", spy)
+        out = tmp_path / "sim"
+        assert cli.dispatch(["build-sim", "--bundle", str(tmp_path / "bundle"),
+                             "--out", str(out), "--ks", "10", "--kr", "3",
+                             "--batch-size", "8"]) == 0
+        assert len(counts) == 1
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["count"] == counts[0]
+        assert capsys.readouterr().out.endswith(f", {counts[0]} correlated pairs\n")
 
 
 class TestLabelShare:
@@ -572,10 +566,7 @@ class TestStreamedMining:
         base = corrmine.CorrelationSet.identity(m)
         for kr in (1, 5, m + 2):
             for tau, pairwise in ((1, False), (2, False), (1, True)):
-                if pairwise:
-                    want = corrmine.first_order_correlations(si, st, kr)
-                else:
-                    want = corrmine.init_correlations(si, st, kr, tau)
+                want = corrmine.init_correlations(si, st, kr, tau, pairwise)
                 got = corrmine.adaptive_update(base, h_i, h_t, kr, tau, pairwise)
                 npt.assert_array_equal(got.bits, want.bits)
 

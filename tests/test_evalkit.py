@@ -1,5 +1,6 @@
 """Retrieval metrics: hand values, metric axioms, brute-force parity."""
 
+import inspect
 import json
 import tracemalloc
 
@@ -142,23 +143,6 @@ class TestAveragePrecision:
                 evalkit.average_precision(flags, cutoff),
                 evalkit.average_precision(flags.astype(np.int8), cutoff))
 
-    @pytest.mark.parametrize("bad", [np.array([[1, -128]], dtype=np.int8),
-                                     np.array([[1.0, 0.5]]),
-                                     np.array([[np.nan, 1.0]])],
-                             ids=["int8-min", "half", "nan"])
-    def test_non_bool_flags_still_checked(self, bad):
-        with pytest.raises(DataError, match="0/1"):
-            evalkit.average_precision(bad)
-
-    def test_rejects_bad_flags(self):
-        with pytest.raises(DataError, match="0/1"):
-            evalkit.average_precision([[0, 2, 1]])
-        with pytest.raises(DataError, match="2-d"):
-            evalkit.average_precision([0, 1, 1])
-        with pytest.raises(ConfigError, match="cutoff"):
-            evalkit.average_precision([[1]], cutoff=0)
-
-
 class TestRelevance:
     def test_any_shared_label(self):
         q = np.array([[1, 0, 1], [0, 1, 0]])
@@ -166,9 +150,28 @@ class TestRelevance:
         npt.assert_array_equal(evalkit.relevance_matrix(q, d),
                                [[1, 1, 0], [0, 0, 1]])
 
-    def test_shape_mismatch(self):
+    def test_shape_mismatch(self, monkeypatch):
+        # checked once, at evaluate_direction's entry, before any ranking
+        monkeypatch.setattr(evalkit, "_distances", None)
+        q = np.ones((2, 4), dtype=np.int8)
         with pytest.raises(DataError, match="incompatible"):
-            evalkit.relevance_matrix(np.ones((2, 3)), np.ones((2, 4)))
+            evalkit.evaluate_direction("i2t", q, q, np.ones((2, 3)), np.ones((2, 4)))
+
+    def test_eval_on_label_files_of_different_widths_exits_3(self, tmp_path, capsys):
+        from assph import cli, dataio, hashnet
+        paths = {name: str(tmp_path / name)
+                 for name in ("q.assb", "d.assb", "ql.csv", "dl.csv")}
+        hashnet.save_codes(np.ones((2, 4), dtype=np.int8), paths["q.assb"])
+        hashnet.save_codes(np.ones((3, 4), dtype=np.int8), paths["d.assb"])
+        dataio.write_labels(np.ones((2, 3), dtype=np.int8), paths["ql.csv"])
+        dataio.write_labels(np.ones((3, 2), dtype=np.int8), paths["dl.csv"])
+        assert cli.dispatch(["eval", "--query-codes", paths["q.assb"],
+                             "--db-codes", paths["d.assb"],
+                             "--query-labels", paths["ql.csv"],
+                             "--db-labels", paths["dl.csv"],
+                             "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == ("error: data: relevance_matrix: label "
+                                           "shapes (2, 3) and (3, 2) incompatible\n")
 
 
 class TestMapEval:
@@ -186,6 +189,13 @@ class TestMapEval:
         # ranked relevance flags are [1, 0, 1, 0]
         assert report.map_all == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
         assert report.map_at[2] == pytest.approx(1.0)
+
+    def test_rejects_cutoff_below_one(self, monkeypatch):
+        # checked once, at evaluate_direction's entry, before any ranking
+        monkeypatch.setattr(evalkit, "_distances", None)
+        q, db, ql, dl = self._hand_fixture()
+        with pytest.raises(ConfigError, match="cutoff must be >= 1, got 0"):
+            evalkit.evaluate_direction("i2t", q, db, ql, dl, map_cutoffs=[2, 0])
 
     def test_perfect_codes(self):
         rng = np.random.default_rng(5)
@@ -465,6 +475,20 @@ class TestReport:
             evalkit.evaluate_direction("i2t", codes["query"], codes["db"],
                                        np.ones((3, 2), dtype=int),
                                        np.ones((5, 2), dtype=int))
+
+    def test_one_map_cutoff_default(self):
+        from assph import cli, config
+        signature = inspect.signature(evalkit.evaluate_direction)
+        assert signature.parameters["map_cutoffs"].default is config.MAP_CUTOFFS
+        parser = cli.build_parser()
+        eval_args = ["--query-codes", "q", "--db-codes", "d", "--query-labels", "ql",
+                     "--db-labels", "dl"]
+        for command, rest in (("train", ["--bundle", "b"]), ("eval", eval_args),
+                              ("ablate", ["--bundle", "b"])):
+            args = parser.parse_args([command, "--out", "o"] + rest)
+            assert cli._map_cutoffs(args) == list(config.MAP_CUTOFFS)
+            args = parser.parse_args([command, "--out", "o", "--map-at", "5,20"] + rest)
+            assert cli._map_cutoffs(args) == [5, 20]
 
     def test_auto_k_grid_caps_at_db_size(self):
         report = self._report()

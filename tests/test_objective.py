@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from assph import objective
-from assph.errors import ConfigError, DataError, DivergenceError
+from assph.errors import ConfigError, DivergenceError
 from oracles import central_difference, gradient_errors
 
 
@@ -247,9 +247,6 @@ class TestOneSidedGradients:
 
     def test_checks_its_inputs(self):
         weights = objective.LossWeights()
-        with pytest.raises(DataError, match="shapes"):
-            objective.image_grad(np.ones((3, 4)), np.ones((2, 4)),
-                                 np.zeros((3, 3)), np.eye(3), weights)
         h = np.ones((3, 4))
         h[1] = 0.0
         with pytest.raises(DivergenceError, match="zero-norm row 1"):
@@ -258,18 +255,6 @@ class TestOneSidedGradients:
 
 
 class TestValidation:
-    def test_shape_mismatch(self):
-        weights = objective.LossWeights()
-        with pytest.raises(DataError, match="shapes"):
-            objective.total_loss_and_grads(np.ones((3, 4)), np.ones((2, 4)),
-                                           np.zeros((3, 3)), np.eye(3), weights)
-
-    def test_bad_slices(self):
-        weights = objective.LossWeights()
-        with pytest.raises(DataError, match="slices"):
-            objective.total_loss_and_grads(np.ones((3, 4)), np.ones((3, 4)),
-                                           np.zeros((2, 2)), np.eye(3), weights)
-
     def test_bad_weights(self):
         with pytest.raises(ConfigError, match="beta"):
             objective.LossWeights(beta=0.5)

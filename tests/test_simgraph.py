@@ -232,9 +232,15 @@ class TestFuse:
         assert got is a
         npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DataError, match="shape mismatch"):
-            simgraph.fuse(cosine(np.eye(2)), cosine(np.eye(3)), new_out(np.eye(2)))
+    def test_unit_diagonal_is_each_rows_largest_entry(self):
+        # so every row's top-ks mass in topk_normalize is at least 1
+        rng = np.random.default_rng(14)
+        f = random_features(rng, 40, 6)
+        a = simgraph.cosine_matrix(np.vstack([f, -f]))
+        b = simgraph.cosine_matrix(random_features(rng, 80, 5))
+        fused = simgraph.fuse(a, b, new_out(a))
+        npt.assert_array_equal(np.diag(fused), 1.0)
+        npt.assert_array_equal(fused.max(axis=1), 1.0)
 
 
 class TestTopkNormalize:
@@ -286,13 +292,6 @@ class TestTopkNormalize:
             total = vals[i, picked].astype(np.float64).sum()
             expect[picked] = vals[i, picked] / total
             npt.assert_allclose(out[i], expect, rtol=1e-5, atol=1e-7)
-
-    def test_zero_mass_row_named_across_blocks(self, monkeypatch):
-        monkeypatch.setattr(simgraph, "_BLOCK_ROWS", 7)
-        vals = np.full((20, 20), 0.5, dtype=np.float32)
-        vals[17] = 0.0
-        with pytest.raises(DataError, match="row 17 has zero neighbor mass"):
-            simgraph.topk_normalize(self._fused(vals), 3)
 
     def test_bad_ks(self):
         # topk_normalize trusts ks: TrainConfig is its one check
@@ -385,11 +384,6 @@ class TestCombine:
         npt.assert_array_equal(got, blend(scaled.astype(np.float32).astype(np.float64)))
         assert not np.array_equal(got, blend(scaled))
 
-    def test_shape_mismatch(self):
-        fused, _ = self._pair()
-        with pytest.raises(DataError, match="shape mismatch"):
-            simgraph.combine(fused, np.eye(3), 1, 0.5, new_out(fused))
-
     def test_gamma_out_of_range(self):
         # combine and build_semantic trust gamma: TrainConfig is its one check
         for gamma in (-0.1, 1.5):
@@ -467,17 +461,6 @@ class TestBuildSemantic:
                     npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32),
                                            err_msg=f"m={m} ks={ks} gamma={gamma}")
 
-    @pytest.mark.parametrize("rows", [1, 7, None])
-    def test_zero_mass_row_named_across_blocks(self, monkeypatch, rows):
-        monkeypatch.setattr(simgraph, "_BLOCK_ROWS", 7)
-        elementwise_rows(monkeypatch, rows)
-        for zero in (0, 6, 7, 13, 14, 19):
-            fused = np.full((20, 20), 0.5, dtype=np.float32)
-            fused[zero] = 0.0
-            fused[19] = 0.0  # a later zero row is not the one named
-            with pytest.raises(DataError, match=f"row {zero} has zero neighbor mass"):
-                simgraph.build_semantic(fused, 3, 0.3)
-
     def test_result_is_the_fused_buffer(self):
         rng = np.random.default_rng(16)
         for gamma in (0.3, 0.0):
@@ -500,7 +483,3 @@ class TestBuildSemantic:
         finally:
             tracemalloc.stop()
         assert peak < 16.5 * m * m, peak / m / m
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DataError, match="square"):
-            simgraph.build_semantic(np.ones((3, 4), dtype=np.float32), 2, 0.3)

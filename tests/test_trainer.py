@@ -141,7 +141,7 @@ class TestInitState:
         from assph import simgraph
         sim_i = simgraph.cosine_matrix(bundle.image_features[idx])
         sim_t = simgraph.cosine_matrix(bundle.text_features[idx])
-        expected = corrmine.first_order_correlations(sim_i, sim_t, 4)
+        expected = corrmine.init_correlations(sim_i, sim_t, 4, pairwise=True)
         npt.assert_array_equal(to_dense(state.rel), to_dense(expected))
 
     @pytest.mark.parametrize("overrides", [{}, {"corr": False}, {"pair_corr": True}])
@@ -203,12 +203,10 @@ class TestInitState:
         npt.assert_array_equal(semantic.view(np.uint32), want.view(np.uint32))
         npt.assert_array_equal(semantic.view(np.uint32), separate.view(np.uint32))
         si, st = simgraph.cosine_matrix(fi), simgraph.cosine_matrix(ft)
-        if not cfg.corr:
-            expected = corrmine.CorrelationSet.identity(m)
-        elif cfg.pair_corr:
-            expected = corrmine.first_order_correlations(si, st, cfg.kr)
+        if cfg.corr:
+            expected = corrmine.init_correlations(si, st, cfg.kr, cfg.tau, cfg.pair_corr)
         else:
-            expected = corrmine.init_correlations(si, st, cfg.kr, cfg.tau)
+            expected = corrmine.CorrelationSet.identity(m)
         npt.assert_array_equal(rel.bits, expected.bits)
 
     def test_targets_peak_memory_below_21_bytes_per_pair(self):
