@@ -46,6 +46,7 @@ def _write_manifest(out_dir: str, command: str, config: dict,
                     inputs: list[str], outputs: list[str],
                     timings: dict) -> None:
     from . import __version__
+    from .dataio import write_json
 
     manifest = {
         "command": command,
@@ -55,9 +56,7 @@ def _write_manifest(out_dir: str, command: str, config: dict,
         "outputs": sorted(outputs),
         "timings": timings,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, os.path.join(out_dir, "manifest.json"))
 
 
 def _inputs(bundle, args: argparse.Namespace) -> list[str]:
@@ -132,7 +131,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_build_sim(args: argparse.Namespace) -> int:
     from . import corrmine, trainer
-    from .dataio import load_bundle, write_features
+    from .dataio import load_bundle, write_features, write_json
 
     t0 = time.perf_counter()
     cfg = _resolve_config(args)
@@ -155,9 +154,7 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
         stats.update(corrmine.correlation_stats(rel, bundle.labels[train_idx]))
     if "count" not in stats:  # no labels, so no correlation_stats count
         stats["count"] = rel.popcount()
-    with open(os.path.join(args.out, "stats.json"), "w") as fh:
-        json.dump(stats, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(stats, os.path.join(args.out, "stats.json"))
     outputs = ["semantic.assf", "correlations.csv", "stats.json"]
     _write_manifest(args.out, "build-sim", cfg.to_dict(), _inputs(bundle, args),
                     outputs, {**timings, "total_s": time.perf_counter() - t0})
@@ -317,7 +314,7 @@ _VARIANTS = {
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    from .dataio import load_bundle
+    from .dataio import load_bundle, write_json
     from .trainer import train
 
     t0 = time.perf_counter()
@@ -353,9 +350,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         "seed": cfg.seed,
         "rows": rows,
     }
-    with open(os.path.join(args.out, "ablation.json"), "w") as fh:
-        json.dump(table, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(table, os.path.join(args.out, "ablation.json"))
     _write_manifest(args.out, "ablate", cfg.to_dict(), _inputs(bundle, args), outputs,
                     {"total_s": time.perf_counter() - t0})
     return 0

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivergenceError
 from .simgraph import _row_blocks, _unit_rows, cosine_blocks, top_k_indices
 # not called here, but bench/tracing.py patches corrmine.cosine_matrix
 from .simgraph import cosine_matrix  # noqa: F401
@@ -183,10 +182,8 @@ def adaptive_update(rel: CorrelationSet, hidden_image: np.ndarray,
     held, and only one side's float64 product at a time.  A zero-norm
     hidden row means the network collapsed, so it raises DivergenceError.
     """
-    units = []
-    for name, h in (("image", hidden_image), ("text", hidden_text)):
-        units.append(_unit_rows(h, lambda i: DivergenceError(
-            f"adaptive_update: zero-norm {name} embedding row {i}; training diverged")))
+    units = [_unit_rows(hidden_image, "image embedding")[0],
+             _unit_rows(hidden_text, "text embedding")[0]]
     nn_i, nn_t = (_select(cosine_blocks(u), rel.order, kr) for u in units)
     return rel.union(_mine(nn_i, nn_t, tau, pairwise), epoch=rel.epoch + 1)
 

@@ -1,16 +1,22 @@
-"""Dataset loading, validation, and synthetic corpus generation.
+"""Dataset loading, validation, the binary containers and synthetic corpus
+generation.
 
-Feature matrices travel in a small binary container: 4-byte magic ``ASSF``,
-then version, rows, cols as little-endian uint32, then the row-major float32
-payload.  Label matrices are plain CSV of 0/1 ints.  A dataset bundle ties
-two feature files, an optional label file, and a train/query/retrieval split
-together through a JSON manifest.
+Every binary file the program reads or writes is one Container: a 4-byte
+magic, little-endian uint32 header fields (a version, where the format has
+one, then the dimensions), then the row-major little-endian payload.  The
+three formats, feature matrices (``ASSF``), network checkpoints (``ASSP``)
+and sign codes (``ASSB``), are the Container instances FEATURES,
+CHECKPOINT and CODES below; hashnet writes and reads its files through the
+last two.  Label matrices are plain CSV of 0/1 ints.  A dataset bundle
+ties two feature files, an optional label file, and a train/query/retrieval
+split together through a JSON manifest.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -20,9 +26,6 @@ import numpy as np
 from .config import SynthConfig
 from .errors import ConfigError, DataError
 
-_MAGIC = b"ASSF"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIII")
 # entries per block of the feature and code checks: 1 MiB of float32
 _CHECK_ENTRIES = 1 << 18
 
@@ -58,13 +61,78 @@ def validate_features(arr: np.ndarray, name: str = "features") -> np.ndarray:
     return arr
 
 
+def _read_file(path: str, kind: str) -> bytes:
+    """The bytes of an input file, read once; kind names the file in the
+    message for a missing one."""
+    if not os.path.exists(path):
+        raise DataError(f"{kind} file not found: {path}")
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+class Container:
+    """One binary format: its magic, the kind of file messages name, the
+    header's version (None for a format without one) and dimension count,
+    the payload's dtype, and shapes, which maps the dimensions to the
+    shapes of the arrays the payload holds one after another."""
+
+    def __init__(self, magic: bytes, kind: str, version: int | None, n_dims: int,
+                 dtype: str, shapes=lambda rows, cols: [(rows, cols)]):
+        self.magic, self.kind, self.version = magic, kind, version
+        self.dtype, self.shapes = np.dtype(dtype), shapes
+        self.header = struct.Struct("<4s" + "I" * (n_dims + (version is not None)))
+
+    def write(self, path: str, dims, arrays) -> None:
+        """Write the header and each array's payload, unchecked: the arrays
+        have the shapes dims implies."""
+        version = () if self.version is None else (self.version,)
+        with open(path, "wb") as fh:
+            fh.write(self.header.pack(self.magic, *version, *dims))
+            for arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype=self.dtype))
+
+    def unpack(self, path: str, raw: bytes) -> list[np.ndarray]:
+        """The payload arrays in a file's bytes, read-only views of them,
+        once the magic, version, dimensions and payload length check."""
+        if len(raw) < self.header.size or raw[:4] != self.magic:
+            raise DataError(f"{path}: not a {self.kind} file")
+        _, *dims = self.header.unpack_from(raw)
+        if self.version is not None:
+            version = dims.pop(0)
+            if version != self.version:
+                raise DataError(f"{path}: unsupported version {version}")
+        if min(dims) < 1:
+            raise DataError(f"{path}: bad dimensions {'x'.join(map(str, dims))}")
+        shapes = self.shapes(*dims)
+        want = sum(map(math.prod, shapes)) * self.dtype.itemsize
+        if len(raw) - self.header.size != want:
+            raise DataError(
+                f"{path}: payload is {len(raw) - self.header.size} bytes, header implies {want}"
+            )
+        arrays, offset = [], self.header.size
+        for shape in shapes:
+            count = math.prod(shape)
+            arrays.append(np.frombuffer(raw, dtype=self.dtype, count=count,
+                                        offset=offset).reshape(shape))
+            offset += count * self.dtype.itemsize
+        return arrays
+
+    def read(self, path: str) -> list[np.ndarray]:
+        """The payload arrays of a file, read once (see unpack)."""
+        return self.unpack(path, _read_file(path, self.kind))
+
+
+FEATURES = Container(b"ASSF", "feature", 1, 2, "<f4")
+CHECKPOINT = Container(b"ASSP", "checkpoint", 1, 3, "<f4",
+                       lambda d_in, d_hidden, k: [(d_hidden, d_in), (d_hidden,),
+                                                  (k, d_hidden), (k,)])
+CODES = Container(b"ASSB", "codes", None, 2, "i1")
+
+
 def write_features(arr: np.ndarray, path: str) -> None:
-    """Serialize a feature matrix to the binary container, unchecked: the
-    matrix is one validate_features returned or one built from such."""
-    rows, cols = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, rows, cols))
-        fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+    """Serialize a feature matrix to its container, unchecked: the matrix
+    is one validate_features returned or one built from such."""
+    FEATURES.write(path, arr.shape, [arr])
 
 
 def _read_features(path: str) -> np.ndarray:
@@ -73,29 +141,14 @@ def _read_features(path: str) -> np.ndarray:
 
     The container is read once and its matrix is a read-only view of the
     file's bytes; CSV text is left to numpy's parser."""
-    if not os.path.exists(path):
-        raise DataError(f"feature file not found: {path}")
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
+    raw = _read_file(path, "feature")
+    if raw[:4] != FEATURES.magic:
         raw = None  # freed before numpy parses the text
         try:
             return np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
         except ValueError as exc:
             raise DataError(f"{path}: not a feature container and CSV parse failed: {exc}")
-    if len(raw) < _HEADER.size:
-        raise DataError(f"{path}: truncated header")
-    _, version, rows, cols = _HEADER.unpack_from(raw)
-    if version != _VERSION:
-        raise DataError(f"{path}: unsupported version {version}")
-    if rows < 1 or cols < 1:
-        raise DataError(f"{path}: bad dimensions {rows}x{cols}")
-    want = rows * cols * 4
-    if len(raw) - _HEADER.size != want:
-        raise DataError(
-            f"{path}: payload is {len(raw) - _HEADER.size} bytes, header implies {want}"
-        )
-    return np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(rows, cols)
+    return FEATURES.unpack(path, raw)[0]
 
 
 def load_features(path: str, expected_dim: int | None = None) -> np.ndarray:
@@ -190,10 +243,7 @@ def _read_labels(path: str) -> np.ndarray:
     one pass over its bytes; any other is decoded as text mode would, with
     universal newlines, and parsed row by row (_parse_labels).
     """
-    if not os.path.exists(path):
-        raise DataError(f"label file not found: {path}")
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_file(path, "label")
     labels = _canonical_labels(raw)
     if labels is None:
         labels = _parse_labels(path, io.TextIOWrapper(io.BytesIO(raw)).read())
@@ -336,6 +386,14 @@ def generate_synthetic(cfg: SynthConfig, train_size: int | None = None) -> Datas
 _MANIFEST_NAME = "bundle.json"
 
 
+def write_json(obj, path: str) -> None:
+    """Write obj as every JSON file the program writes: indent 1, sorted
+    keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def save_bundle(bundle: DatasetBundle, out_dir: str) -> str:
     """Write the bundle's files plus a JSON manifest; returns manifest path.
 
@@ -357,9 +415,7 @@ def save_bundle(bundle: DatasetBundle, out_dir: str) -> str:
         write_labels(bundle.labels, os.path.join(out_dir, "labels.csv"))
         manifest["labels"] = "labels.csv"
     path = os.path.join(out_dir, _MANIFEST_NAME)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, path)
     return path
 
 

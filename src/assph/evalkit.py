@@ -22,12 +22,12 @@ recall, and reported without the recall == 0 and recall == 1 endpoints.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import MAP_CUTOFFS
+from .dataio import write_json
 from .errors import ConfigError, DataError
 from .hashnet import all_signs
 
@@ -167,9 +167,7 @@ class EvalReport:
         }
 
     def save_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     def save_curves_csv(self, pr_path: str, topk_path: str) -> None:
         with open(pr_path, "w") as fh:
@@ -209,16 +207,15 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
     k_grid = list(k_grid)
     if any(top < 1 for top in k_grid) or sorted(k_grid) != k_grid:
         raise ConfigError(f"k_grid must be ascending positive ints, got {k_grid}")
-    step = max(1, _BLOCK_PAIRS // n_db)
     if (query_labels.ndim != 2 or db_labels.ndim != 2
             or query_labels.shape[1] != db_labels.shape[1]):
-        # named as relevance_matrix reads them: the first query block and the db
-        raise DataError(f"relevance_matrix: label shapes {query_labels[:step].shape} "
+        raise DataError(f"relevance_matrix: label shapes {query_labels.shape} "
                         f"and {db_labels.shape} incompatible")
     cutoffs = [int(c) for c in map_cutoffs]
     for cutoff in cutoffs:
         if cutoff < 1:
             raise ConfigError(f"average_precision: cutoff must be >= 1, got {cutoff}")
+    step = max(1, _BLOCK_PAIRS // n_db)
     aps = np.zeros((1 + len(cutoffs), n_q))
     topk_hits = np.zeros((n_q, len(k_grid)), dtype=np.int64)
     hists = np.zeros((n_q, k + 1, 2), dtype=np.int64)  # [query, distance, relevant]

@@ -16,28 +16,20 @@ that updates several networks one after another holds their gradients in
 one workspace (shared_grads), sized for the largest network, so it keeps
 parameters, velocities and one gradient set, not one per network.
 
-Checkpoints serialize as magic ``ASSP`` + version/dims (uint32 LE) + the
-four parameter arrays as float32.  Code matrices serialize as magic
-``ASSB`` + rows/K (uint32 LE) + signed bytes in {-1, +1}.
+Checkpoints (the four parameter arrays as float32) and code matrices
+(signed bytes in {-1, +1}) are written and read through dataio's
+containers CHECKPOINT and CODES, which hold their layouts and their checks.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import HIDDEN_ACTS
-from .dataio import _check_blocks
+from .dataio import CHECKPOINT, CODES, _check_blocks
 from .errors import ConfigError, DataError, DivergenceError
-
-_CKPT_MAGIC = b"ASSP"
-_CKPT_VERSION = 1
-_CKPT_HEADER = struct.Struct("<4sIIII")
-_CODES_MAGIC = b"ASSB"
-_CODES_HEADER = struct.Struct("<4sII")
 
 # parameter elements sgd_step updates per block
 _SGD_BLOCK = 1 << 16
@@ -232,41 +224,13 @@ def sign_codes(h: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(params: HashNetParams, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION,
-                                   params.d_in, params.d_hidden, params.code_length))
-        for arr in (params.w1, params.b1, params.w2, params.b2):
-            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+    CHECKPOINT.write(path, (params.d_in, params.d_hidden, params.code_length),
+                     [getattr(params, name) for name in _PARAM_NAMES])
 
 
 def load_checkpoint(path: str) -> HashNetParams:
     """Read a checkpoint back; momentum state is not stored and loads as zero."""
-    if not os.path.exists(path):
-        raise DataError(f"checkpoint file not found: {path}")
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _CKPT_HEADER.size or raw[:4] != _CKPT_MAGIC:
-        raise DataError(f"{path}: not a checkpoint file")
-    _, version, d_in, d_hidden, k = _CKPT_HEADER.unpack_from(raw)
-    if version != _CKPT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    if min(d_in, d_hidden, k) < 1:
-        raise DataError(f"{path}: bad dimensions {d_in}x{d_hidden}x{k}")
-    sizes = (d_hidden * d_in, d_hidden, k * d_hidden, k)
-    if len(raw) - _CKPT_HEADER.size != 4 * sum(sizes):
-        raise DataError(f"{path}: checkpoint payload size mismatch")
-    arrs = []
-    offset = _CKPT_HEADER.size
-    for size in sizes:
-        arrs.append(np.frombuffer(raw, dtype="<f4", count=size,
-                                  offset=offset).astype(np.float64))
-        offset += size * 4
-    return HashNetParams(
-        w1=arrs[0].reshape(d_hidden, d_in),
-        b1=arrs[1],
-        w2=arrs[2].reshape(k, d_hidden),
-        b2=arrs[3],
-    )
+    return HashNetParams(*(arr.astype(np.float64) for arr in CHECKPOINT.read(path)))
 
 
 def all_signs(codes: np.ndarray) -> bool:
@@ -279,25 +243,12 @@ def all_signs(codes: np.ndarray) -> bool:
 
 def save_codes(codes: np.ndarray, path: str) -> None:
     """Write sign_codes output as it is; load_codes checks what it reads."""
-    with open(path, "wb") as fh:
-        fh.write(_CODES_HEADER.pack(_CODES_MAGIC, codes.shape[0], codes.shape[1]))
-        fh.write(np.ascontiguousarray(codes, dtype=np.int8))
+    CODES.write(path, codes.shape, [codes])
 
 
 def load_codes(path: str) -> np.ndarray:
     """Read a code matrix, a read-only view of the file's bytes."""
-    if not os.path.exists(path):
-        raise DataError(f"codes file not found: {path}")
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _CODES_HEADER.size or raw[:4] != _CODES_MAGIC:
-        raise DataError(f"{path}: not a codes file")
-    _, rows, k = _CODES_HEADER.unpack_from(raw)
-    if k < 1:
-        raise DataError(f"{path}: bad dimensions {rows}x{k}")
-    if len(raw) - _CODES_HEADER.size != rows * k:
-        raise DataError(f"{path}: codes payload size mismatch")
-    codes = np.frombuffer(raw, dtype=np.int8, offset=_CODES_HEADER.size).reshape(rows, k)
+    codes = CODES.read(path)[0]
     if not all_signs(codes):
         raise DataError(f"{path}: codes contain values other than -1/+1")
     return codes

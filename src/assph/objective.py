@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LossWeights
-from .errors import DivergenceError
+from .simgraph import _unit_rows
 
 
 @dataclass
@@ -34,17 +34,6 @@ class LossOutput:
     cp: float
     grad_image: np.ndarray
     grad_text: np.ndarray
-
-
-def _normalized(h: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
-    h = np.asarray(h, dtype=np.float64)
-    norms = np.linalg.norm(h, axis=1)
-    if np.any(norms == 0.0):
-        raise DivergenceError(
-            f"{side}: zero-norm row {int(np.argmax(norms == 0.0))} "
-            "(cosine undefined; training diverged)"
-        )
-    return h / norms[:, None], norms
 
 
 def _grad_self(g: np.ndarray, c: np.ndarray, a_hat: np.ndarray,
@@ -61,8 +50,8 @@ _Cosines = namedtuple("_Cosines", "hi_hat hi_norms ht_hat ht_norms s r c_it c_ii
 
 def _cosines(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray,
              r_batch: np.ndarray) -> _Cosines:
-    hi_hat, hi_norms = _normalized(hi, "image batch")
-    ht_hat, ht_norms = _normalized(ht, "text batch")
+    hi_hat, hi_norms = _unit_rows(hi, "image batch")
+    ht_hat, ht_norms = _unit_rows(ht, "text batch")
     s = np.asarray(s_batch, dtype=np.float64)
     r = np.asarray(r_batch, dtype=np.float64)
     return _Cosines(hi_hat, hi_norms, ht_hat, ht_norms, s, r,

@@ -31,7 +31,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DivergenceError
 
 # rows per block of the selection stages
 _BLOCK_ROWS = 256
@@ -82,22 +82,25 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     return (np.flatnonzero(_top_k_mask(values, k)) % n).reshape(m, k)
 
 
-def _unit_rows(features: np.ndarray, zero_norm) -> np.ndarray:
-    """A private float64 copy of a 2-d matrix, each row scaled to unit
-    norm; the input is never written.  A zero-norm row i, whose cosine is
-    undefined, raises the exception zero_norm(i) returns."""
-    f = np.array(features, dtype=np.float64)
-    norms = np.linalg.norm(f, axis=1)
+def _unit_rows(h: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A private float64 copy of a 2-d matrix of soft codes or embeddings,
+    each row scaled to unit norm, and the row norms; the input is never
+    written.  A zero-norm row has no cosine and means the network
+    collapsed, so it raises DivergenceError naming name and the row."""
+    unit = np.array(h, dtype=np.float64)
+    norms = np.linalg.norm(unit, axis=1)
     if np.any(norms == 0.0):
-        raise zero_norm(int(np.argmax(norms == 0.0)))
-    f /= norms[:, None]
-    return f
+        raise DivergenceError(f"{name}: zero-norm row {int(np.argmax(norms == 0.0))} "
+                              "(cosine undefined; training diverged)")
+    unit /= norms[:, None]
+    return unit, norms
 
 
 def cosine_blocks(unit: np.ndarray):
     """Yield (lo, hi, rows): rows lo..hi-1 of the float32 cosine of unit.
 
-    unit holds unit-norm float64 rows, as _unit_rows makes them.  The
+    unit holds unit-norm float64 rows, as cosine_matrix and _unit_rows
+    make them.  The
     float64 product unit @ unit.T is formed once; each block of rows is
     rounded into one reused float32 buffer, clipped to [-1, 1] and given
     unit self-similarity.  Rounding is elementwise and monotone and keeps
@@ -120,8 +123,10 @@ def cosine_blocks(unit: np.ndarray):
 
 def cosine_matrix(features: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity of feature rows, float32 and exactly
-    symmetric: the blocks of cosine_blocks collected into one matrix."""
-    unit = _unit_rows(features, lambda i: DataError(f"cosine_matrix: zero-norm row {i}"))
+    symmetric: the blocks of cosine_blocks collected into one matrix.  The
+    rows are checked features, none of zero norm."""
+    unit = np.array(features, dtype=np.float64)
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
     s = np.empty((len(unit), len(unit)), dtype=np.float32)
     for lo, hi, rows in cosine_blocks(unit):
         s[lo:hi] = rows

@@ -1,7 +1,8 @@
 """Input checks sit where input enters the program, and nowhere below.
 
-Every ``raise DataError(...)`` and ``raise ConfigError(...)`` in
-``src/assph`` must sit in a function on ENTRY_POINTS: a reader of a file,
+Every construction of a DataError or a ConfigError in ``src/assph``,
+raised where it is built or built in a lambda or a callable and raised
+elsewhere, must sit in a function on ENTRY_POINTS: a reader of a file,
 the constructor of an object that checks itself when built, a library
 entry point or a CLI handler.  The numeric stages below them receive
 arrays the program built from checked inputs and trust them, so a check
@@ -21,10 +22,11 @@ CHECKS = ("DataError", "ConfigError")
 # module.function (module.Class.method) of every function allowed to raise
 # a DataError or a ConfigError
 ENTRY_POINTS = {
-    # readers
+    # readers, and the read and the container codec every file reader shares
+    "dataio._read_file", "dataio.Container.unpack",
     "dataio.validate_features", "dataio._read_features", "dataio.load_features",
-    "dataio.validate_labels", "dataio._parse_labels", "dataio._read_labels",
-    "dataio.load_bundle", "hashnet.load_checkpoint", "hashnet.load_codes",
+    "dataio.validate_labels", "dataio._parse_labels",
+    "dataio.load_bundle", "hashnet.load_codes",
     # constructors of checked objects
     "config.LossWeights.__post_init__", "config.TrainConfig.__post_init__",
     "config.TrainConfig.from_dict", "config._coerce",
@@ -41,8 +43,9 @@ ENTRY_POINTS = {
 
 
 def check_sites():
-    """(file:line, module.function) of each raise of a DataError or a
-    ConfigError, the function being the innermost one around it."""
+    """(file:line, module.function) of each construction of a DataError or
+    a ConfigError, and of each raise of the bare class, the function being
+    the innermost one around it (a lambda counts as part of it)."""
     sites = []
 
     def visit(node, scope, filename):
@@ -50,10 +53,14 @@ def check_sites():
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name], filename)
                 continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if isinstance(exc, ast.Name) and exc.id in CHECKS:
-                    sites.append((f"{filename}:{child.lineno}", ".".join(scope)))
+            if isinstance(child, ast.Call):
+                built = child.func
+            elif isinstance(child, ast.Raise):
+                built = child.exc
+            else:
+                built = None
+            if isinstance(built, ast.Name) and built.id in CHECKS:
+                sites.append((f"{filename}:{child.lineno}", ".".join(scope)))
             visit(child, scope, filename)
 
     for name in sorted(os.listdir(PACKAGE)):

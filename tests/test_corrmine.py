@@ -456,7 +456,7 @@ class TestAdaptiveUpdate:
     def test_zero_norm_row_diverges(self):
         h = np.ones((5, 4))
         h[2] = 0.0
-        with pytest.raises(DivergenceError, match="zero-norm text embedding row 2"):
+        with pytest.raises(DivergenceError, match="text embedding: zero-norm row 2"):
             corrmine.adaptive_update(corrmine.CorrelationSet.identity(5),
                                      np.ones((5, 4)), h, kr=2)
 
@@ -551,7 +551,7 @@ class TestStreamedMining:
     @pytest.mark.parametrize("kind", REGIMES)
     def test_lists_equal_knn_of_cosine_matrix(self, m, kind):
         h = hidden_codes(kind, m, 12, m)
-        unit = simgraph._unit_rows(h, DataError)
+        unit = simgraph._unit_rows(h, "embedding")[0]
         for kr in (1, 5, m, m + 3):
             streamed = corrmine._select(simgraph.cosine_blocks(unit), m, kr)
             npt.assert_array_equal(

@@ -120,19 +120,41 @@ _LOADERS = {"assf": dataio.load_features, "assp": hashnet.load_checkpoint,
 
 
 class TestContainerReads:
-    """Each file is read once; loading holds about one copy of it."""
+    """The three containers share one codec: their bytes, their messages
+    for each malformed file, and one read holding about one copy."""
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("assf", b"ASSF" + bytes.fromhex("01000000 02000000 01000000"
+                                          "0000803f 000000c0")),
+        ("assb", b"ASSB" + bytes.fromhex("02000000 03000000 01ff01 ff01ff")),
+    ], ids=["assf", "assb"])
+    def test_exact_bytes(self, tmp_path, kind, expected):
+        path = str(tmp_path / f"f.{kind}")
+        if kind == "assf":
+            dataio.write_features(np.array([[1.0], [-2.0]], dtype=np.float32), path)
+        else:
+            hashnet.save_codes(np.array([[1, -1, 1], [-1, 1, -1]], dtype=np.int8), path)
+        assert open(path, "rb").read() == expected
 
     @pytest.mark.parametrize("kind, defect, message", [
         ("assf", "truncated", "payload is 44 bytes, header implies 48"),
         ("assf", "oversized", "payload is 52 bytes, header implies 48"),
         ("assf", "bad-dimensions", "bad dimensions 0x4"),
-        ("assp", "truncated", "checkpoint payload size mismatch"),
-        ("assp", "oversized", "checkpoint payload size mismatch"),
+        ("assf", "bad-version", "unsupported version 2"),
+        ("assf", "short-header", "not a feature file"),
+        ("assp", "truncated", "payload is 88 bytes, header implies 92"),
+        ("assp", "oversized", "payload is 96 bytes, header implies 92"),
         ("assp", "bad-dimensions", "bad dimensions 0x3x2"),
-        ("assb", "truncated", "codes payload size mismatch"),
-        ("assb", "oversized", "codes payload size mismatch"),
+        ("assp", "bad-version", "unsupported version 2"),
+        ("assp", "short-header", "not a checkpoint file"),
+        ("assp", "wrong-magic", "not a checkpoint file"),
+        ("assb", "truncated", "payload is 8 bytes, header implies 12"),
+        ("assb", "oversized", "payload is 16 bytes, header implies 12"),
         ("assb", "bad-dimensions", "bad dimensions 3x0"),
-    ])
+        ("assb", "bad-rows", "bad dimensions 0x4"),
+        ("assb", "short-header", "not a codes file"),
+        ("assb", "wrong-magic", "not a codes file"),
+    ])  # a .assf without its magic is read as CSV (TestFeatureContainer)
     def test_malformed_payload_messages(self, tmp_path, kind, defect, message):
         path = str(tmp_path / f"f.{kind}")
         _container(kind, path)
@@ -141,8 +163,16 @@ class TestContainerReads:
             raw = raw[:-4]
         elif defect == "oversized":
             raw += bytes(4)
-        else:  # rows, d_in or bits: the uint32 at offset 8
+        elif defect == "bad-dimensions":  # rows, d_in or bits: the uint32 at offset 8
             raw[8:12] = bytes(4)
+        elif defect == "bad-rows":  # the rows of a header with no version
+            raw[4:8] = bytes(4)
+        elif defect == "bad-version":
+            raw[4] = 2
+        elif defect == "short-header":
+            raw = raw[:8]
+        else:
+            raw[:4] = b"JUNK"
         with open(path, "wb") as fh:
             fh.write(raw)
         with pytest.raises(DataError, match=f"{path}: {message}$"):

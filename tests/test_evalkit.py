@@ -157,6 +157,15 @@ class TestRelevance:
         with pytest.raises(DataError, match="incompatible"):
             evalkit.evaluate_direction("i2t", q, q, np.ones((2, 3)), np.ones((2, 4)))
 
+    def test_width_message_names_the_query_labels(self):
+        # 2000 db rows make query blocks of 524 rows; the message names
+        # the 600 x 24 query labels, not a block
+        q, db = np.ones((600, 8), dtype=np.int8), np.ones((2000, 8), dtype=np.int8)
+        with pytest.raises(DataError, match=r"label shapes \(600, 24\) and "
+                                            r"\(2000, 25\) incompatible"):
+            evalkit.evaluate_direction("i2t", q, db, np.ones((600, 24)),
+                                       np.ones((2000, 25)))
+
     def test_eval_on_label_files_of_different_widths_exits_3(self, tmp_path, capsys):
         from assph import cli, dataio, hashnet
         paths = {name: str(tmp_path / name)

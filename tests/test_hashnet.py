@@ -331,16 +331,6 @@ class TestCheckpointIO:
         assert np.frombuffer(raw[4:20], dtype="<u4").tolist() == [1, 3, 4, 2]
         assert len(raw) == 20 + 4 * (4 * 3 + 4 + 2 * 4 + 2)
 
-    def test_truncated_rejected(self, tmp_path):
-        p = hashnet.init_params(3, 4, 2, seed=0)
-        path = str(tmp_path / "net.assp")
-        hashnet.save_checkpoint(p, path)
-        raw = open(path, "rb").read()
-        with open(path, "wb") as fh:
-            fh.write(raw[:-4])
-        with pytest.raises(DataError, match="size mismatch"):
-            hashnet.load_checkpoint(path)
-
     @pytest.mark.parametrize("d_in, d_hidden, k", [(0, 4, 2), (3, 0, 4), (3, 4, 0)])
     def test_zero_dimension_rejected(self, tmp_path, d_in, d_hidden, k):
         p = hashnet.HashNetParams(w1=np.zeros((d_hidden, d_in)), b1=np.zeros(d_hidden),
@@ -348,13 +338,6 @@ class TestCheckpointIO:
         path = str(tmp_path / "net.assp")
         hashnet.save_checkpoint(p, path)
         with pytest.raises(DataError, match=f"bad dimensions {d_in}x{d_hidden}x{k}"):
-            hashnet.load_checkpoint(path)
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = str(tmp_path / "net.assp")
-        with open(path, "wb") as fh:
-            fh.write(b"JUNKJUNKJUNKJUNKJUNKJUNK")
-        with pytest.raises(DataError, match="not a checkpoint"):
             hashnet.load_checkpoint(path)
 
 
@@ -378,14 +361,6 @@ class TestCodesIO:
     def test_non_code_values_rejected(self, bad):
         # the one sign rule load_codes and evaluate_direction's code check apply
         assert not hashnet.all_signs(bad)
-
-    @pytest.mark.parametrize("rows", [0, 3])
-    def test_zero_bit_file_rejected(self, tmp_path, rows):
-        path = str(tmp_path / "c.assb")
-        with open(path, "wb") as fh:
-            fh.write(b"ASSB" + np.array([rows, 0], dtype="<u4").tobytes())
-        with pytest.raises(DataError, match="bad dimensions"):
-            hashnet.load_codes(path)
 
     def test_bool_true_saves_as_plus_one(self, tmp_path):
         path = str(tmp_path / "c.assb")
