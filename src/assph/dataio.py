@@ -143,9 +143,12 @@ def _read_features(path: str) -> np.ndarray:
     file's bytes; CSV text is left to numpy's parser."""
     raw = _read_file(path, "feature")
     if raw[:4] != FEATURES.magic:
-        raw = None  # freed before numpy parses the text
+        magic, raw = raw[:4], None  # freed before numpy parses the text
         try:
             return np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
+        except UnicodeDecodeError:  # binary bytes: a container whose magic is damaged
+            raise DataError(f"{path}: not a feature file: magic {magic!r}, "
+                            f"expected {FEATURES.magic!r}")
         except ValueError as exc:
             raise DataError(f"{path}: not a feature container and CSV parse failed: {exc}")
     return FEATURES.unpack(path, raw)[0]

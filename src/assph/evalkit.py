@@ -7,10 +7,12 @@ ties broken by ascending database index, so every metric here is exactly
 reproducible.
 
 evaluate_direction ranks the queries in blocks of _BLOCK_PAIRS // D rows
-(at least one), whose arrays peak near 10 bytes per query-item pair (one
-int64 array, the histogram keys or the rank order, beside two 1-byte
-ones), about 11 MB whatever Q is; only a few numbers per query and radius
-outlive them.
+(at least one), whose arrays peak near 10 bytes per query-item pair (the
+int64 rank order beside the 1-byte distances and relevance), about 11 MB
+whatever Q is.  Each block counts its distances per query, sorts them
+once and gathers its relevance into rank order once; every metric then
+reads the hits, the flat rank positions of the relevant items, and only
+a few numbers per query and radius outlive the block.
 
 Average precision truncated at a cutoff divides by the number of relevant
 items inside the cutoff window; queries with no relevant item in the
@@ -53,20 +55,24 @@ def _check_pair(query_codes: np.ndarray, db_codes: np.ndarray) -> tuple[np.ndarr
     return q, d
 
 
-def _distances(q: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """hamming_matrix of codes _check_pair has checked and converted."""
+def _distances(q: np.ndarray, d_half: np.ndarray) -> np.ndarray:
+    """hamming_matrix of query codes _check_pair has checked and converted
+    and db codes it has checked, converted and scaled by -0.5."""
     k = q.shape[1]
-    # float32 matmul of +-1 rows is exact: |dot| <= K << 2**24
-    dist = q @ d.T
-    np.subtract(k, dist, out=dist)
-    dist *= 0.5
-    return dist.astype(np.min_scalar_type(k))
+    # q . (-d / 2) and every partial sum of it are multiples of 0.5 within
+    # [-K/2, K/2], and adding K/2 gives an integer in [0, K]: float32
+    # holds each exactly while K << 2**24, and the cast is one pass
+    prod = q @ d_half.T
+    dist = np.empty(prod.shape, dtype=np.min_scalar_type(k))
+    np.add(prod, k / 2, out=dist, casting="unsafe")
+    return dist
 
 
 def hamming_matrix(query_codes: np.ndarray, db_codes: np.ndarray) -> np.ndarray:
     """Distance matrix, queries by database rows, in the smallest
     unsigned dtype that holds the code length."""
-    return _distances(*_check_pair(query_codes, db_codes))
+    q, d = _check_pair(query_codes, db_codes)
+    return _distances(q, d * -0.5)
 
 
 def rank(query_codes: np.ndarray, db_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,21 +87,18 @@ def rank(query_codes: np.ndarray, db_codes: np.ndarray) -> tuple[np.ndarray, np.
     return ordering, np.take_along_axis(dist, ordering, axis=1)
 
 
-def average_precision(ranked_flags: np.ndarray, cutoff: int | None = None) -> np.ndarray:
-    """AP of each row of a 2-d block of ranked 0/1 flags, truncated at
-    cutoff (>= 1) when given.
+def average_precision(precisions: np.ndarray, starts: np.ndarray,
+                      stops: np.ndarray) -> np.ndarray:
+    """AP of each row of a ranked block from the precision at each of its
+    relevant items, in rank order: row i's are precisions[starts[i]:stops[i]],
+    and a stop before the row's last hit truncates its list at a cutoff.
 
     A row's denominator is the number of relevant items inside its
     truncated list; a row with none scores 0.
     """
-    flags = np.asarray(ranked_flags)
-    if cutoff is not None:
-        flags = flags[:, :cutoff]
-    rows, cols = np.divmod(np.flatnonzero(flags), flags.shape[1])
-    hit_ranks = np.split(cols + 1, np.searchsorted(rows, np.arange(1, len(flags))))
     # one 1-d sum per row, in rank order, so each AP is bit-exact
-    return np.array([(np.arange(1, r.size + 1) / r).sum() / r.size if r.size else 0.0
-                     for r in hit_ranks])
+    return np.array([precisions[a:b].sum() / (b - a) if b > a else 0.0
+                     for a, b in zip(starts.tolist(), stops.tolist())])
 
 
 def relevance_matrix(query_labels: np.ndarray, db_labels: np.ndarray) -> np.ndarray:
@@ -105,13 +108,13 @@ def relevance_matrix(query_labels: np.ndarray, db_labels: np.ndarray) -> np.ndar
     return (q @ d.T) > 0
 
 
-def curves(dist_hist: np.ndarray, rel_hist: np.ndarray, topk_hits: np.ndarray,
+def curves(n_within: np.ndarray, rel_within: np.ndarray, topk_hits: np.ndarray,
            k_grid: list[int]) -> tuple[list[tuple[float, float]],
                                        list[tuple[int, float]]]:
     """Precision-recall and top-k precision curves from per-query counts.
 
-    dist_hist[q, r] counts the database items at distance r from query q
-    and rel_hist[q, r] the relevant ones among them; topk_hits[q, i]
+    n_within[q, r] counts the database items within Hamming radius r of
+    query q and rel_within[q, r] the relevant ones among them; topk_hits[q, i]
     counts the relevant items among query q's first k_grid[i] results.
 
     Returns (pr_points, topk_points).  pr_points are (recall, precision)
@@ -122,15 +125,16 @@ def curves(dist_hist: np.ndarray, rel_hist: np.ndarray, topk_hits: np.ndarray,
     """
     topk_points = [(k, float(np.mean(topk_hits[:, i] / k)))
                    for i, k in enumerate(k_grid)]
-    totals = rel_hist.sum(axis=1)
+    totals = rel_within[:, -1]
     eligible = totals > 0
     if not np.any(eligible):
         return [], topk_points
-    n_radii = int(np.flatnonzero(dist_hist.any(axis=0))[-1]) + 1
+    # radii up to the farthest item of any query
+    n_radii = int(np.count_nonzero((n_within < n_within[:, -1:]).any(axis=0))) + 1
     # radius by query, so each radius averages one contiguous vector of
     # the eligible queries in query order
-    n_ret = np.ascontiguousarray(np.cumsum(dist_hist[eligible, :n_radii], axis=1).T)
-    n_rel_ret = np.ascontiguousarray(np.cumsum(rel_hist[eligible, :n_radii], axis=1).T)
+    n_ret = np.ascontiguousarray(n_within[eligible, :n_radii].T)
+    n_rel_ret = np.ascontiguousarray(rel_within[eligible, :n_radii].T)
     precision = n_rel_ret / np.maximum(n_ret, 1)  # zero retrieved -> precision 0
     recall = n_rel_ret / totals[eligible]
     pr_points = []
@@ -189,9 +193,12 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
     The codes, the labels, the cutoffs and k_grid are checked here, once
     per call, and the stages below trust them.  Each block of queries is
     ranked by one stable sort and its relevance gathered into rank order
-    once; MAP@all, every MAP@cutoff and the top-k counts read that ranked
-    block.  The distance histograms count the unsorted distances, since a
-    count does not depend on order.
+    once; one flatnonzero of the ranked flags gives the hits.  AP@all and
+    every AP@cutoff sum the precision at each hit, j / rank, over a row's
+    hits or their prefix; the top-k counts and the counts of relevant
+    items within each Hamming radius are window ends searchsorted in the
+    hits.  The per-query distance counts come from the unsorted
+    distances, since a count does not depend on order.
     """
     query_labels, db_labels = np.asarray(query_labels), np.asarray(db_labels)
     for role, codes, labels in (("query", query_codes, query_labels),
@@ -199,8 +206,9 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
         if len(labels) != len(codes):
             raise DataError(f"{role} labels and codes row count mismatch: "
                             f"{len(labels)} vs {len(codes)}")
-    query_codes, db_codes = _check_pair(query_codes, db_codes)
-    n_q, n_db, k = len(query_codes), len(db_codes), int(query_codes.shape[1])
+    query_codes, db_half = _check_pair(query_codes, db_codes)
+    db_half *= -0.5  # scaled once for every block's _distances
+    n_q, n_db, k = len(query_codes), len(db_half), int(query_codes.shape[1])
     if k_grid is None:
         k_grid = sorted({top for top in (1, 5, 10, 25, 50, 100, 250, 500, 1000)
                          if top <= n_db} | {n_db})
@@ -209,42 +217,60 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
         raise ConfigError(f"k_grid must be ascending positive ints, got {k_grid}")
     if (query_labels.ndim != 2 or db_labels.ndim != 2
             or query_labels.shape[1] != db_labels.shape[1]):
-        raise DataError(f"relevance_matrix: label shapes {query_labels.shape} "
-                        f"and {db_labels.shape} incompatible")
+        raise DataError(f"evaluate_direction: query and db label shapes "
+                        f"{query_labels.shape} and {db_labels.shape} incompatible")
     cutoffs = [int(c) for c in map_cutoffs]
     for cutoff in cutoffs:
         if cutoff < 1:
             raise ConfigError(f"average_precision: cutoff must be >= 1, got {cutoff}")
     step = max(1, _BLOCK_PAIRS // n_db)
+    # the fixed windows, clipped to the list: each MAP cutoff, then each top k
+    windows = np.minimum(np.array(cutoffs + k_grid, dtype=np.int64), n_db)
     aps = np.zeros((1 + len(cutoffs), n_q))
-    topk_hits = np.zeros((n_q, len(k_grid)), dtype=np.int64)
-    hists = np.zeros((n_q, k + 1, 2), dtype=np.int64)  # [query, distance, relevant]
+    window_hits = np.zeros((n_q, len(windows)), dtype=np.int64)
+    # the items, and the relevant ones, within each Hamming radius of a query
+    n_within = np.zeros((n_q, k + 1), dtype=np.int64)
+    rel_within = np.zeros((n_q, k + 1), dtype=np.int64)
     for lo in range(0, n_q, step):
         block = slice(lo, lo + step)
-        dist = _distances(query_codes[block], db_codes)
+        dist = _distances(query_codes[block], db_half)
         rel = relevance_matrix(query_labels[block], db_labels)
-        rows = np.arange(len(dist))[:, None]
-        # histogram key of each pair: ((row * (K + 1)) + distance) * 2 + relevant
-        keys = dist.astype(np.intp)
-        keys += rows * (k + 1)
-        keys *= 2
-        keys += rel
-        hists[block] = np.bincount(keys.ravel(), minlength=hists[block].size
-                                   ).reshape(-1, k + 1, 2)
-        del keys  # freed before the sort makes its Q x D index arrays
-        # flat indices into rel, in rank order
+        n_within[block] = np.cumsum([np.bincount(row, minlength=k + 1) for row in dist],
+                                    axis=1)
+        # row r of the block is ranked in flat positions offsets[r] onwards
+        offsets = np.arange(len(dist) + 1) * n_db
         ordering = np.argsort(dist, axis=1, kind="stable")
         del dist
-        ordering += rows * n_db
+        ordering += offsets[:-1, None]
         flags = rel.ravel().take(ordering)
-        # only flags outlives the gather, so no Q x D index array is alive
-        # while the AP and top-k counts build their temporaries
         del ordering, rel
-        for row, cutoff in zip(aps, [None] + cutoffs):
-            row[block] = average_precision(flags, cutoff)
-        for i, top in enumerate(k_grid):
-            topk_hits[block, i] = np.count_nonzero(flags[:, :top], axis=1)
-    pr_curve, topk_curve = curves(hists.sum(axis=2), hists[..., 1], topk_hits, k_grid)
+        # flat rank positions of the relevant items, ascending; only these
+        # outlive the flags, so no Q x D array is alive while the metrics
+        # build their temporaries
+        hits = np.flatnonzero(flags)
+        del flags
+        # row r's hits are hits[first[r]:first[r + 1]]
+        first = np.searchsorted(hits, offsets)
+        starts, n_hits = first[:-1], np.diff(first)
+        # the hits among row r's first w ranks end where offsets[r] + w
+        # would go, for the w of each radius and of each fixed window
+        widths = np.hstack([n_within[block], np.tile(windows, (len(starts), 1))])
+        within = np.searchsorted(hits, offsets[:-1, None] + widths) - starts[:, None]
+        rel_within[block], window_hits[block] = within[:, :k + 1], within[:, k + 1:]
+        # the precision at each hit, j / rank: its 1-based place among its
+        # row's hits over its 1-based rank, which the hits turn into in place
+        hits -= np.repeat(offsets[:-1] - 1, n_hits)
+        places = np.arange(1, len(hits) + 1)
+        places -= np.repeat(starts, n_hits)
+        precisions = places / hits
+        del hits, places
+        aps[0, block] = average_precision(precisions, starts, first[1:])
+        for i in range(len(cutoffs)):
+            aps[1 + i, block] = average_precision(precisions, starts,
+                                                  starts + window_hits[block, i])
+        del precisions  # freed before the next block's arrays
+    pr_curve, topk_curve = curves(n_within, rel_within, window_hits[:, len(cutoffs):],
+                                  k_grid)
     return EvalReport(
         direction=direction,
         code_length=k,

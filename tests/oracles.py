@@ -5,8 +5,8 @@ Python loops, math.fsum accumulation, and explicit tie rules.  Stage
 outputs round to float32 exactly where the library's containers declare
 32-bit storage, so both sides select neighbors from identical values.
 Others are earlier versions of a library stage (whole_matrix_semantic,
-naive_backward, naive_sgd_step, sorted_gather_direction) that the
-current one must match bit for bit.
+naive_backward, naive_sgd_step, block_average_precision,
+sorted_gather_direction) that the current one must match bit for bit.
 """
 
 import math
@@ -250,11 +250,22 @@ def naive_average_precision(flags, cutoff=None) -> float:
     return math.fsum(precisions) / len(precisions)
 
 
+def block_average_precision(flags, cutoff=None) -> np.ndarray:
+    """AP of each row of a 2-d block of ranked 0/1 flags, truncated at
+    cutoff when given: evalkit.average_precision as it was when it read
+    the flags, one row's hit ranks split off at a time."""
+    flags = np.asarray(flags)[:, :cutoff]
+    rows, cols = np.divmod(np.flatnonzero(flags), flags.shape[1])
+    hit_ranks = np.split(cols + 1, np.searchsorted(rows, np.arange(1, len(flags))))
+    return np.array([(np.arange(1, r.size + 1) / r).sum() / r.size if r.size else 0.0
+                     for r in hit_ranks])
+
+
 def sorted_gather_direction(direction, query_codes, db_codes, query_labels,
                             db_labels, map_cutoffs, k_grid, block_rows):
     """evaluate_direction's block loop as it was when each block sorted
     its distances along with the relevance: take_along_axis gathers both,
-    and the histograms count the sorted pairs."""
+    the histograms count the sorted pairs, and AP reads the ranked flags."""
     q = np.asarray(query_codes, dtype=np.float32)
     d = np.asarray(db_codes, dtype=np.float32)
     n_q, k = len(q), q.shape[1]
@@ -269,13 +280,14 @@ def sorted_gather_direction(direction, query_codes, db_codes, query_labels,
         flags = np.take_along_axis(
             evalkit.relevance_matrix(query_labels[block], db_labels), ordering, axis=1)
         for row, cutoff in zip(aps, [None] + list(map_cutoffs)):
-            row[block] = evalkit.average_precision(flags, cutoff)
+            row[block] = block_average_precision(flags, cutoff)
         for i, top in enumerate(k_grid):
             topk_hits[block, i] = np.count_nonzero(flags[:, :top], axis=1)
         keys = distances + np.arange(len(flags))[:, None] * (k + 1)
         hists[block] = np.bincount((2 * keys + flags).ravel(), minlength=hists[block].size
                                    ).reshape(-1, k + 1, 2)
-    pr_curve, topk_curve = evalkit.curves(hists.sum(axis=2), hists[..., 1],
+    within = np.cumsum(hists, axis=1)  # the counts within each radius
+    pr_curve, topk_curve = evalkit.curves(within.sum(axis=2), within[..., 1],
                                           topk_hits, list(k_grid))
     return evalkit.EvalReport(
         direction=direction, code_length=k, map_all=float(np.mean(aps[0])),

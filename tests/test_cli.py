@@ -594,6 +594,23 @@ class TestExitCodes:
                              "--out", str(tmp_path / "c.assb")])
         assert code == 3
 
+    def test_damaged_feature_magic(self, tmp_path, capsys):
+        # a 3 x 4 container whose magic is overwritten; its payload is not text
+        feats = str(tmp_path / "f.assf")
+        dataio.write_features(np.full((3, 4), -1.5, dtype=np.float32), feats)
+        with open(feats, "r+b") as fh:
+            fh.write(b"JUNK")
+        ckpt = str(tmp_path / "net.assp")
+        hashnet.save_checkpoint(hashnet.HashNetParams(
+            w1=np.ones((2, 4)), b1=np.zeros(2), w2=np.ones((8, 2)), b2=np.zeros(8)), ckpt)
+        out = str(tmp_path / "c.assb")
+        code = cli.dispatch(["encode", "--features", feats, "--checkpoint", ckpt,
+                             "--hidden-act", "relu", "--out", out])
+        assert code == 3
+        assert capsys.readouterr().err == (f"error: data: {feats}: not a feature file: "
+                                           f"magic b'JUNK', expected b'ASSF'\n")
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("d_in, d_hidden, k", [(0, 16, 8), (12, 0, 8), (12, 16, 0)])
     def test_zero_dimension_checkpoint(self, data_dir, tmp_path, capsys,
                                        d_in, d_hidden, k):

@@ -10,8 +10,8 @@ import pytest
 
 from assph import evalkit
 from assph.errors import ConfigError, DataError
-from oracles import (naive_average_precision, naive_hamming, naive_rank,
-                     sorted_gather_direction)
+from oracles import (block_average_precision, naive_average_precision, naive_hamming,
+                     naive_rank, sorted_gather_direction)
 
 
 def random_codes(rng, rows, k):
@@ -103,25 +103,37 @@ class TestRank:
             distances, np.take_along_axis(evalkit.hamming_matrix(q, db), ordering, 1))
 
 
+def ap_of_flags(flags, cutoff=None):
+    """average_precision of each row of a ranked 0/1 block, truncated at
+    cutoff when given: each row's precisions at its hits, laid end to end."""
+    ranks = [np.flatnonzero(row[:cutoff]) + 1 for row in np.asarray(flags)]
+    precisions = np.concatenate([np.arange(1, r.size + 1) / r for r in ranks])
+    stops = np.cumsum([r.size for r in ranks])
+    return evalkit.average_precision(precisions, stops - [r.size for r in ranks], stops)
+
+
 class TestAveragePrecision:
     def test_hand_values(self):
-        assert evalkit.average_precision([[1, 1, 0]])[0] == pytest.approx(1.0)
-        assert evalkit.average_precision([[0, 1]])[0] == pytest.approx(0.5)
-        assert evalkit.average_precision([[1, 0, 1]])[0] == pytest.approx(
-            (1.0 + 2.0 / 3.0) / 2.0)
-        assert evalkit.average_precision([[0, 0, 0]])[0] == 0.0
+        assert ap_of_flags([[1, 1, 0]])[0] == pytest.approx(1.0)
+        assert ap_of_flags([[0, 1]])[0] == pytest.approx(0.5)
+        assert ap_of_flags([[1, 0, 1]])[0] == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
+        assert ap_of_flags([[0, 0, 0]])[0] == 0.0
         # the same rows as one block, a trailing miss padding [0, 1]
         npt.assert_allclose(
-            evalkit.average_precision([[1, 1, 0], [0, 1, 0], [1, 0, 1], [0, 0, 0]]),
+            ap_of_flags([[1, 1, 0], [0, 1, 0], [1, 0, 1], [0, 0, 0]]),
             [1.0, 0.5, (1.0 + 2.0 / 3.0) / 2.0, 0.0])
 
     def test_cutoff_window(self):
         flags = [[0, 1, 0, 1]]
         # within the first two entries only the rank-2 hit counts
-        assert evalkit.average_precision(flags, cutoff=2)[0] == pytest.approx(0.5)
-        assert evalkit.average_precision(flags, cutoff=1)[0] == 0.0
-        assert evalkit.average_precision(flags, cutoff=4)[0] == pytest.approx(
-            (0.5 + 0.5) / 2.0)
+        assert ap_of_flags(flags, cutoff=2)[0] == pytest.approx(0.5)
+        assert ap_of_flags(flags, cutoff=1)[0] == 0.0
+        assert ap_of_flags(flags, cutoff=4)[0] == pytest.approx((0.5 + 0.5) / 2.0)
+        # the same windows as stops inside the row's precisions [1/2, 2/4]
+        precisions, start = np.array([0.5, 0.5]), np.array([0])
+        npt.assert_array_equal(
+            [evalkit.average_precision(precisions, start, start + n)[0]
+             for n in (0, 1, 2)], [0.0, 0.5, 0.5])
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(4)
@@ -130,18 +142,20 @@ class TestAveragePrecision:
             flags = (rng.random((int(rng.integers(1, 6)), int(rng.integers(1, 30))))
                      < rng.random()).astype(int)
             cutoff = int(rng.integers(1, 35))
-            npt.assert_allclose(evalkit.average_precision(flags),
+            npt.assert_allclose(ap_of_flags(flags),
                                 [naive_average_precision(list(row)) for row in flags])
-            npt.assert_allclose(evalkit.average_precision(flags, cutoff),
+            npt.assert_allclose(ap_of_flags(flags, cutoff),
                                 [naive_average_precision(list(row), cutoff)
                                  for row in flags])
 
-    def test_bool_flags_match_int_flags(self):
-        flags = np.random.default_rng(12).random((5, 40)) < 0.3
-        for cutoff in (None, 7):
-            npt.assert_array_equal(
-                evalkit.average_precision(flags, cutoff),
-                evalkit.average_precision(flags.astype(np.int8), cutoff))
+    def test_bits_match_the_flag_block_oracle(self):
+        # long rows, so each row's sum runs numpy's pairwise blocks
+        rng = np.random.default_rng(12)
+        flags = rng.random((6, 700)) < [[0.0], [0.02], [0.3], [0.7], [1.0], [0.5]]
+        for cutoff in (None, 1, 9, 200, 800):
+            npt.assert_array_equal(ap_of_flags(flags, cutoff),
+                                   block_average_precision(flags, cutoff))
+
 
 class TestRelevance:
     def test_any_shared_label(self):
@@ -179,8 +193,9 @@ class TestRelevance:
                              "--query-labels", paths["ql.csv"],
                              "--db-labels", paths["dl.csv"],
                              "--out", str(tmp_path / "out")]) == 3
-        assert capsys.readouterr().err == ("error: data: relevance_matrix: label "
-                                           "shapes (2, 3) and (3, 2) incompatible\n")
+        assert capsys.readouterr().err == ("error: data: evaluate_direction: query and "
+                                           "db label shapes (2, 3) and (3, 2) "
+                                           "incompatible\n")
 
 
 class TestMapEval:
@@ -391,8 +406,9 @@ class TestBlockFootprint:
 
 
 class TestSortedGatherOracle:
-    """The block loop histograms unsorted distances and gathers relevance
-    by flat index; its reports equal the sorted-gather loop's exactly."""
+    """The block loop counts unsorted distances per row and reads every
+    metric from the hits; its reports equal the sorted-gather loop's
+    exactly."""
 
     def _fixture(self, rng, k):
         n_q, n_db = 9, 64
