@@ -310,6 +310,7 @@ _VARIANTS = {
     "paircorr": ("ASSPH_PairCorr", {"pair_corr": True}),
     "nocorr": ("ASSPH_NoCorr", {"corr": False}),
     "nobinopt": ("ASSPH_NoBinOpt", {"bin_opt": False}),
+    "nostruct": ("ASSPH_NoStruct", {"struct": False}),
 }
 
 
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--map-at")
-    p.add_argument("--variants", default="noadapt,paircorr,nocorr,nobinopt")
+    p.add_argument("--variants", default="noadapt,paircorr,nocorr,nobinopt,nostruct")
     _add_config_args(p)
     p.set_defaults(func=cmd_ablate)
     return parser

@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .evalkit import _overlap, pack_rows
 from .simgraph import _row_blocks, _unit_rows, cosine_blocks, top_k_indices
 # not called here, but bench/tracing.py patches corrmine.cosine_matrix
 from .simgraph import cosine_matrix  # noqa: F401
 
-# set bits in each byte value, for counting bits in packed rows
-_BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
-
 
 def _count_bits(packed: np.ndarray) -> int:
-    return int(_BYTE_POPCOUNT[packed].sum(dtype=np.int64))
+    return int(np.bitwise_count(packed).sum(dtype=np.int64))
 
 
 def _diagonal_bits(packed: np.ndarray) -> np.ndarray:
@@ -192,10 +190,15 @@ def label_share(labels: np.ndarray) -> np.ndarray:
     """Row-packed relation of instance pairs that share at least one label.
 
     It depends on the labels alone, so a training run builds it once and
-    passes it to every correlation_stats call.
+    passes it to every correlation_stats call.  Each block of rows is the
+    overlap of the labels' pack_rows words, as evaluation's relevance is,
+    packed as soon as it is formed, so no order x order array is.
     """
-    labels = np.asarray(labels, dtype=np.float32)
-    return np.packbits((labels @ labels.T) > 0, axis=1)
+    words = pack_rows(np.asarray(labels) != 0)
+    share = np.empty((len(words), (len(words) + 7) >> 3), dtype=np.uint8)
+    for lo, hi in _row_blocks(len(words)):
+        share[lo:hi] = np.packbits(_overlap(words[lo:hi], words), axis=1)
+    return share
 
 
 def correlation_stats(rel: CorrelationSet, labels: np.ndarray,

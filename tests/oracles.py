@@ -235,6 +235,15 @@ def naive_rank(query_codes, db_codes) -> list:
     return orders
 
 
+def naive_relevance(query_labels, db_labels) -> np.ndarray:
+    """rel[q, d] is True iff the rows share a nonzero label, pair by pair
+    over each row's set of nonzero label columns."""
+    query_sets, db_sets = ([set(np.flatnonzero(row).tolist()) for row in np.asarray(labels)]
+                           for labels in (query_labels, db_labels))
+    return np.array([[not a.isdisjoint(b) for b in db_sets] for a in query_sets],
+                    dtype=bool).reshape(len(query_sets), len(db_sets))
+
+
 def naive_average_precision(flags, cutoff=None) -> float:
     flags = list(flags)
     if cutoff is not None:
@@ -265,7 +274,9 @@ def sorted_gather_direction(direction, query_codes, db_codes, query_labels,
                             db_labels, map_cutoffs, k_grid, block_rows):
     """evaluate_direction's block loop as it was when each block sorted
     its distances along with the relevance: take_along_axis gathers both,
-    the histograms count the sorted pairs, and AP reads the ranked flags."""
+    the histograms count the sorted pairs, and AP reads the ranked flags.
+    The distances are the float32 product of the codes and the relevance
+    naive_relevance, so neither shares evalkit's word operations."""
     q = np.asarray(query_codes, dtype=np.float32)
     d = np.asarray(db_codes, dtype=np.float32)
     n_q, k = len(q), q.shape[1]
@@ -278,7 +289,7 @@ def sorted_gather_direction(direction, query_codes, db_codes, query_labels,
         ordering = np.argsort(dist, axis=1, kind="stable")
         distances = np.take_along_axis(dist, ordering, axis=1)
         flags = np.take_along_axis(
-            evalkit.relevance_matrix(query_labels[block], db_labels), ordering, axis=1)
+            naive_relevance(query_labels[block], db_labels), ordering, axis=1)
         for row, cutoff in zip(aps, [None] + list(map_cutoffs)):
             row[block] = block_average_precision(flags, cutoff)
         for i, top in enumerate(k_grid):

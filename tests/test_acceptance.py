@@ -1,7 +1,7 @@
 """Acceptance suite: one test per shipped guarantee, one verdict line each.
 
 The synthetic efficacy and ablation checks share a single block of
-training runs (five variants, three seeds) through a module fixture;
+training runs (six variants, three seeds) through a module fixture;
 its wall time is charged to the efficacy budget.
 """
 
@@ -20,6 +20,7 @@ from oracles import (
     naive_pipeline_stages,
     naive_rank,
     naive_relation,
+    naive_relevance,
     to_dense,
 )
 
@@ -34,6 +35,7 @@ VARIANTS = {
     "paircorr": {"pair_corr": True},
     "nocorr": {"corr": False},
     "nobinopt": {"bin_opt": False},
+    "nostruct": {"struct": False},
 }
 
 
@@ -224,7 +226,7 @@ class TestEvaluationExactness:
             ql[ql.sum(axis=1) == 0, 0] = 1
             dl = (rng.random((nd, 3)) < 0.5).astype(np.int8)
             dl[dl.sum(axis=1) == 0, 0] = 1
-            rel = evalkit.relevance_matrix(ql, dl)
+            rel = naive_relevance(ql, dl)
             orders = naive_rank(qc, dc)
             report = evalkit.evaluate_direction("I2T", qc, dc, ql, dl, [50])
             for cutoff, got in ((None, report.map_all), (50, report.map_at[50])):
@@ -358,7 +360,7 @@ class TestAblationOrdering:
                  for name, rows in runs.items()}
         full = means["full"]
         dominated = {name: full >= means[name]
-                     for name in ("noadapt", "paircorr", "nocorr")}
+                     for name in ("noadapt", "paircorr", "nocorr", "nostruct")}
         nobin_rows = [row["mean"] for row in runs["nobinopt"]]
         nobin_slack = float(np.std(nobin_rows))
         nobin_ok = full >= means["nobinopt"] - nobin_slack

@@ -11,7 +11,7 @@ import pytest
 from assph import evalkit
 from assph.errors import ConfigError, DataError
 from oracles import (block_average_precision, naive_average_precision, naive_hamming,
-                     naive_rank, sorted_gather_direction)
+                     naive_rank, naive_relevance, sorted_gather_direction)
 
 
 def random_codes(rng, rows, k):
@@ -157,12 +157,40 @@ class TestAveragePrecision:
                                    block_average_precision(flags, cutoff))
 
 
+def packed_relevance(query_labels, db_labels):
+    """relevance_matrix of labels packed as evaluate_direction packs them."""
+    return evalkit.relevance_matrix(evalkit.pack_rows(np.asarray(query_labels) != 0),
+                                    evalkit.pack_rows(np.asarray(db_labels) != 0))
+
+
 class TestRelevance:
     def test_any_shared_label(self):
         q = np.array([[1, 0, 1], [0, 1, 0]])
         d = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-        npt.assert_array_equal(evalkit.relevance_matrix(q, d),
-                               [[1, 1, 0], [0, 0, 1]])
+        npt.assert_array_equal(packed_relevance(q, d), [[1, 1, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("n_labels", [1, 8, 9, 64, 65, 80, 130])
+    def test_matches_pairwise_oracle(self, monkeypatch, n_labels):
+        rng = np.random.default_rng(n_labels)
+        ql = (rng.random((23, n_labels)) < 1.5 / n_labels).astype(np.int8)
+        dl = (rng.random((57, n_labels)) < 1.5 / n_labels).astype(np.int8)
+        ql[0], dl[0] = 0, 0  # rows with no label share none
+        ql[1, -1] = dl[1, -1] = 1  # shared in the last column, in the last word
+        want = naive_relevance(ql, dl)
+        assert want.any() and not want.all()
+        npt.assert_array_equal(packed_relevance(ql, dl), want)
+        # chunks of one to three query rows
+        monkeypatch.setattr(evalkit, "_CHUNK_PAIRS", 2 * len(dl))
+        npt.assert_array_equal(packed_relevance(ql, dl), want)
+
+    @pytest.mark.parametrize("width, dtype, n_words", [
+        (1, np.uint8, 1), (8, np.uint8, 1), (9, np.uint16, 1), (32, np.uint32, 1),
+        (33, np.uint64, 1), (64, np.uint64, 1), (65, np.uint64, 2), (130, np.uint64, 3)])
+    def test_pack_rows_narrowest_words(self, width, dtype, n_words):
+        bits = np.ones((3, width), dtype=bool)
+        words = evalkit.pack_rows(bits)
+        assert words.dtype == dtype and words.shape == (3, n_words)
+        npt.assert_array_equal(np.bitwise_count(words).sum(axis=1), width)
 
     def test_shape_mismatch(self, monkeypatch):
         # checked once, at evaluate_direction's entry, before any ranking
@@ -218,7 +246,8 @@ class TestMapEval:
         # checked once, at evaluate_direction's entry, before any ranking
         monkeypatch.setattr(evalkit, "_distances", None)
         q, db, ql, dl = self._hand_fixture()
-        with pytest.raises(ConfigError, match="cutoff must be >= 1, got 0"):
+        with pytest.raises(ConfigError, match="^evaluate_direction: cutoff must be >= 1, "
+                                              "got 0$"):
             evalkit.evaluate_direction("i2t", q, db, ql, dl, map_cutoffs=[2, 0])
 
     def test_perfect_codes(self):
@@ -361,7 +390,7 @@ class TestBlocks:
         blocked = evalkit.evaluate_direction("i2t", *args)
         assert blocked == whole
 
-        rel = evalkit.relevance_matrix(ql, dl)
+        rel = naive_relevance(ql, dl)
         assert not rel[4].any() and rel.any(axis=1).sum() >= 5
         orders = naive_rank(q, db)
         ranked = [rel[qi][orders[qi]] for qi in range(len(q))]
@@ -380,14 +409,18 @@ class TestBlocks:
 class TestBlockFootprint:
     """A block's arrays take about 10 bytes per query-item pair: the rank
     order is freed once the relevance flags are gathered, so no Q x D
-    index array is alive while the AP and top-k counts run."""
+    index array is alive while the AP and top-k counts run, and the word
+    operations of the distances and the relevance run on chunks of rows
+    whose temporaries do not grow with the block."""
 
-    def test_bytes_per_block_pair(self, monkeypatch):
+    @pytest.mark.parametrize("k, n_labels", [(64, 24), (300, 80)])
+    def test_bytes_per_block_pair(self, monkeypatch, k, n_labels):
         rng = np.random.default_rng(0)
         n_q, n_db = 256, 4096
-        q, db = random_codes(rng, n_q, 64), random_codes(rng, n_db, 64)
-        # about 2 of 24 labels per row, so about 1 pair in 6 is relevant
-        ql, dl = ((rng.random((n, 24)) < 2 / 24).astype(np.int8) for n in (n_q, n_db))
+        q, db = random_codes(rng, n_q, k), random_codes(rng, n_db, k)
+        # about 2 labels per row, so about 1 pair in 6 is relevant at 24 labels
+        ql, dl = ((rng.random((n, n_labels)) < 2 / n_labels).astype(np.int8)
+                  for n in (n_q, n_db))
 
         def peak(block_pairs):
             monkeypatch.setattr(evalkit, "_BLOCK_PAIRS", block_pairs)
@@ -398,8 +431,9 @@ class TestBlockFootprint:
             finally:
                 tracemalloc.stop()
 
-        # 4 and 16 blocks; the direction's fixed arrays (the converted
-        # codes, histograms, APs and top-k counts) cancel in the difference
+        # 4 and 16 blocks; the direction's fixed arrays (the packed codes
+        # and labels, histograms, APs and top-k counts) cancel in the
+        # difference
         big, small = 1 << 18, 1 << 16
         per_pair = (peak(big) - peak(small)) / (big - small)
         assert per_pair < 12, per_pair
@@ -437,7 +471,7 @@ class TestSortedGatherOracle:
         want = sorted_gather_direction("t2i", q, db, ql, dl, cutoffs, k_grid, rows)
         assert got == want
         assert evalkit.hamming_matrix(q, db).max() == k
-        assert not evalkit.relevance_matrix(ql, dl)[4].any()
+        assert not naive_relevance(ql, dl)[4].any()
         assert got.pr_curve and 0.0 < got.map_all < 1.0
 
 
