@@ -13,8 +13,9 @@ The training flags of build-sim, train and ablate are generated from the
 fields of ``config.TrainConfig``, the same keys a --config file and the
 manifest use, and synth's corpus flags from those of ``config.SynthConfig``.
 This module and ``config`` import no numpy; the handlers import the
-numeric modules, so the --threads flag (default 1, for bit-reproducible
-runs) caps the BLAS thread pools before numpy loads.
+numeric modules, so the --threads flag caps the BLAS thread pools before
+numpy loads (without it an exported pool size stands, and an unset one
+is 1, for bit-reproducible runs).
 """
 
 from __future__ import annotations
@@ -342,6 +343,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         os.makedirs(sub, exist_ok=True)
         reports, sub_outputs = _self_evaluate(bundle, result, run_cfg, sub,
                                               map_cutoffs)
+        del result  # free this run's state before the next variant trains
         outputs.extend(os.path.join(title, name) for name in sub_outputs)
         rows[title] = {d: reports[d].map_all for d in ("I2T", "T2I")}
         print(f"ablate {title}: I2T {rows[title]['I2T']:.4f}, "
@@ -363,8 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Unsupervised cross-modal hashing with structural "
                     "similarity and adaptive correlation mining.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="BLAS thread cap (default 1 for reproducibility)")
+    parser.add_argument("--threads", type=int,
+                        help="BLAS thread cap; overrides exported OMP_/OPENBLAS_/"
+                             "MKL_NUM_THREADS, which default to 1 for reproducibility")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic two-modality bundle")
@@ -424,9 +427,11 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    # cap BLAS pools before numpy comes in; harmless if numpy is loaded
+    # cap BLAS pools before numpy comes in; harmless if numpy is loaded.
+    # An explicit --threads wins, then an exported value, then 1.
+    threads = None if args.threads is None else str(max(args.threads, 1))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(max(args.threads, 1)))
+        os.environ[var] = threads or os.environ.get(var, "1")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -261,7 +261,7 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
         k_grid = sorted({top for top in (1, 5, 10, 25, 50, 100, 250, 500, 1000)
                          if top <= n_db} | {n_db})
     k_grid = list(k_grid)
-    if any(top < 1 for top in k_grid) or sorted(k_grid) != k_grid:
+    if any(top < 1 for top in k_grid) or sorted(set(k_grid)) != k_grid:
         raise ConfigError(f"k_grid must be ascending positive ints, got {k_grid}")
     if (query_labels.ndim != 2 or db_labels.ndim != 2
             or query_labels.shape[1] != db_labels.shape[1]):

@@ -7,14 +7,18 @@ its saturated +-1 plateau so the soft values approach binary codes.
 Gradients are computed analytically (no autodiff): forward returns an
 Activations record (input, hidden layer, output) and backward reads it, so
 no pass is run twice.  Callers that only need the output take ``.h`` and
-drop the record.  The optimizer is plain SGD with momentum and weight
-decay on the weight matrices only; it walks each parameter in flat blocks
-of _SGD_BLOCK elements through one scratch buffer, so a step reads and
-writes each parameter, velocity and gradient once (40 bytes per float64
-parameter) and allocates no parameter-sized temporaries.  A training loop
-that updates several networks one after another holds their gradients in
-one workspace (shared_grads), sized for the largest network, so it keeps
-parameters, velocities and one gradient set, not one per network.
+drop the record.  Parameters, gradients and momentum are all
+HashNetParams records of w1, b1, w2 and b2.  The optimizer is plain SGD
+with momentum and weight decay on the weight matrices only;
+sgd_step(params, velocity, grads, ...) walks each parameter in flat
+blocks of _SGD_BLOCK elements through one scratch buffer, so a step
+reads and writes each parameter, velocity and gradient once (40 bytes
+per float64 parameter) and allocates no parameter-sized temporaries.
+The caller owns the velocity, so a loaded checkpoint holds weights
+only.  A training loop that updates several networks one after another holds their
+gradients in one workspace (shared_grads), sized for the largest
+network, so it keeps parameters, velocities and one gradient set, not
+one per network.
 
 Checkpoints (the four parameter arrays as float32) and code matrices
 (signed bytes in {-1, +1}) are written and read through dataio's
@@ -23,7 +27,7 @@ containers CHECKPOINT and CODES, which hold their layouts and their checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,27 +43,25 @@ _PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 @dataclass
 class HashNetParams:
-    """Weights, biases, and momentum state of one modality encoder."""
+    """The four arrays of one modality encoder, as a checkpoint holds
+    them: its weights and biases, or a gradient or momentum of the same
+    shapes."""
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    vw1: np.ndarray = field(repr=False, default=None)
-    vb1: np.ndarray = field(repr=False, default=None)
-    vw2: np.ndarray = field(repr=False, default=None)
-    vb2: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         # sgd_step updates flat views in place, so every array is held
-        # C-contiguous float64 (init_params and load_checkpoint build them
-        # so, and then nothing is copied)
+        # C-contiguous float64 (init_params, zeros_like, shared_grads and
+        # load_checkpoint build them so, and then nothing is copied)
         for name in _PARAM_NAMES:
-            p = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            v = getattr(self, "v" + name)
-            setattr(self, name, p)
-            setattr(self, "v" + name, np.zeros_like(p) if v is None
-                    else np.ascontiguousarray(v, dtype=np.float64))
+            setattr(self, name, np.ascontiguousarray(getattr(self, name),
+                                                     dtype=np.float64))
+
+    def arrays(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in _PARAM_NAMES]
 
     @property
     def d_in(self) -> int:
@@ -74,36 +76,31 @@ class HashNetParams:
         return self.w2.shape[0]
 
 
-@dataclass
-class Grads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+def zeros_like(params: HashNetParams) -> HashNetParams:
+    """A record of params' shapes holding zeros: a run's initial momentum."""
+    return HashNetParams(*map(np.zeros_like, params.arrays()))
 
 
-def shared_grads(*nets: HashNetParams) -> list[Grads]:
-    """One Grads per network, all views into one float64 workspace sized
-    for the largest network.
+def shared_grads(*nets: HashNetParams) -> list[HashNetParams]:
+    """One gradient record per network, all views into one float64
+    workspace sized for the largest network.
 
     The views alias, so a network's backward and its sgd_step must both
     run before the next network's backward writes into the workspace.
     """
-    workspace = np.empty(max(sum(getattr(p, name).size for name in _PARAM_NAMES)
-                             for p in nets))
+    workspace = np.empty(max(sum(arr.size for arr in p.arrays()) for p in nets))
     grads = []
     for p in nets:
         views, lo = [], 0
-        for name in _PARAM_NAMES:
-            arr = getattr(p, name)
+        for arr in p.arrays():
             views.append(workspace[lo:lo + arr.size].reshape(arr.shape))
             lo += arr.size
-        grads.append(Grads(*views))
+        grads.append(HashNetParams(*views))
     return grads
 
 
 def init_params(d_in: int, d_hidden: int, code_length: int, seed: int) -> HashNetParams:
-    """Glorot-uniform weights, zero biases, zero velocities; fixed per seed."""
+    """Glorot-uniform weights and zero biases; fixed per seed."""
     rng = np.random.default_rng(seed)
     bound1 = np.sqrt(6.0 / (d_in + d_hidden))
     bound2 = np.sqrt(6.0 / (d_hidden + code_length))
@@ -155,13 +152,13 @@ def forward(params: HashNetParams, x: np.ndarray, eta: float,
 
 
 def backward(params: HashNetParams, acts: Activations, d_h: np.ndarray,
-             grads: Grads) -> Grads:
+             grads: HashNetParams) -> HashNetParams:
     """Parameter gradients given dL/dH at the network output.
 
     acts must come from forward on these parameters, before any update.
     dL/dpre2 = dL/dH * eta * (1 - H^2), then the usual two-layer chain;
     the relu mask a1 > 0 selects the same entries as pre1 > 0.  The
-    gradients are written into the arrays of grads, a Grads of this
+    gradients are written into the arrays of grads, a record of this
     network's shapes such as shared_grads gives, and grads is returned.
     """
     a1 = acts.a1
@@ -178,40 +175,34 @@ def backward(params: HashNetParams, acts: Activations, d_h: np.ndarray,
     return grads
 
 
-def sgd_step(params: HashNetParams, grads: Grads, lr: float,
-             momentum: float, weight_decay: float) -> None:
+def sgd_step(params: HashNetParams, velocity: HashNetParams, grads: HashNetParams,
+             lr: float, momentum: float, weight_decay: float) -> None:
     """In-place SGD update: vel <- momentum*vel + (g + wd*p); p <- p - lr*vel.
 
     Weight decay touches the weight matrices only, never the biases.  The
-    settings are a TrainConfig's, checked when it was built, and grads has
-    the parameters' shapes, as shared_grads builds it.  Each parameter
-    is walked in flat blocks of _SGD_BLOCK elements, each block checked for
-    a finite step before it is applied; a DivergenceError may leave the
-    parameters partly updated, which ends the run anyway.
+    settings are a TrainConfig's, checked when it was built; velocity and
+    grads have the parameters' shapes, as zeros_like and shared_grads
+    build them.  Each parameter is walked in flat blocks of _SGD_BLOCK
+    elements, each block checked for a finite step before it is applied;
+    a DivergenceError may leave the parameters partly updated, which ends
+    the run anyway.
     """
-    size = min(_SGD_BLOCK, max(params.w1.size, params.b1.size,
-                               params.w2.size, params.b2.size))
+    size = min(_SGD_BLOCK, max(arr.size for arr in params.arrays()))
     scratch, finite = np.empty(size), np.empty(size, dtype=bool)
-    for p_name, v_name, g, decayed in (
-        ("w1", "vw1", grads.w1, True),
-        ("b1", "vb1", grads.b1, False),
-        ("w2", "vw2", grads.w2, True),
-        ("b2", "vb2", grads.b2, False),
-    ):
-        p = getattr(params, p_name)
-        v = getattr(params, v_name)
+    for name, p, v, g in zip(_PARAM_NAMES, params.arrays(), velocity.arrays(),
+                             grads.arrays()):
         p, v, g = p.reshape(-1), v.reshape(-1), g.reshape(-1)
         for lo in range(0, p.size, _SGD_BLOCK):
             block = slice(lo, lo + _SGD_BLOCK)
             pb, vb, gb = p[block], v[block], g[block]
             buf = scratch[:pb.size]
-            if decayed:
+            if name.startswith("w"):
                 np.multiply(weight_decay, pb, out=buf)
                 step = np.add(gb, buf, out=buf)
             else:
                 step = gb
             if not np.isfinite(step, out=finite[:pb.size]).all():
-                raise DivergenceError(f"sgd_step: non-finite gradient for {p_name}")
+                raise DivergenceError(f"sgd_step: non-finite gradient for {name}")
             vb *= momentum
             vb += step
             pb -= np.multiply(lr, vb, out=buf)
@@ -225,11 +216,11 @@ def sign_codes(h: np.ndarray) -> np.ndarray:
 
 def save_checkpoint(params: HashNetParams, path: str) -> None:
     CHECKPOINT.write(path, (params.d_in, params.d_hidden, params.code_length),
-                     [getattr(params, name) for name in _PARAM_NAMES])
+                     params.arrays())
 
 
 def load_checkpoint(path: str) -> HashNetParams:
-    """Read a checkpoint back; momentum state is not stored and loads as zero."""
+    """Read a checkpoint's weights and biases back as float64."""
     return HashNetParams(*(arr.astype(np.float64) for arr in CHECKPOINT.read(path)))
 
 

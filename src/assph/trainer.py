@@ -9,12 +9,13 @@ side is replaced by its detached sign codes.  At the end of an epoch the
 whole training set is pushed through both encoders once for diagnostics
 and, when adaptive mining is on, to grow the correlation set.
 
-Training holds both encoders' parameters and velocities, one gradient
-workspace sized for the larger encoder (each update runs the image
-backward and step, then the text backward and step, so the two sides'
-gradients never need to coexist) and the float32 training features; each
-batch converts its rows to float64 once, and the end-of-epoch pass
-converts inside forward.
+A run is one TrainState, which train returns with its history.  Training
+holds both encoders' parameters and velocities and one gradient
+workspace, all HashNetParams records, the workspace sized for the larger
+encoder (each update runs the image backward and step, then the text
+backward and step, so the two sides' gradients never need to coexist),
+and the float32 training features; each batch converts its rows to
+float64 once, and the end-of-epoch pass converts inside forward.
 
 The tanh sharpness follows eta = eta_base * epoch, so codes soften early
 and settle late.  Ablation switches turn off adaptive mining, binary
@@ -26,7 +27,7 @@ the neighborhood-overlap mining rule for plain symmetrized KNN.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,8 +66,9 @@ class EpochRecord:
 
 @dataclass
 class TrainState:
-    """Everything train_epoch needs; restartable across epochs.  The
-    features are the training split's float32 rows, as loaded."""
+    """One training run: everything train_epoch needs, restartable across
+    epochs, and the history train appends to.  The features are the
+    training split's float32 rows, as loaded."""
 
     cfg: TrainConfig
     weights_eff: objective.LossWeights
@@ -79,18 +81,12 @@ class TrainState:
     setup_timings: dict  # build_targets' stage timings
     params_image: hashnet.HashNetParams
     params_text: hashnet.HashNetParams
+    velocity_image: hashnet.HashNetParams
+    velocity_text: hashnet.HashNetParams
     rng: np.random.Generator
     prev_codes_image: np.ndarray
     prev_codes_text: np.ndarray
-
-
-@dataclass
-class TrainResult:
-    params_image: hashnet.HashNetParams
-    params_text: hashnet.HashNetParams
-    rel: corrmine.CorrelationSet
-    history: list
-    setup_timings: dict
+    history: list = field(default_factory=list)  # train's EpochRecords
 
 
 def build_targets(image_features: np.ndarray, text_features: np.ndarray,
@@ -151,6 +147,8 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
                                        cfg.code_length, cfg.seed)
     params_text = hashnet.init_params(ft32.shape[1], cfg.d_hidden,
                                       cfg.code_length, cfg.seed + 1)
+    velocity_image = hashnet.zeros_like(params_image)
+    velocity_text = hashnet.zeros_like(params_text)
     eta0 = eta_schedule(1, cfg.eta_base)
     prev_i = hashnet.sign_codes(hashnet.forward(params_image, fi32, eta0,
                                                 cfg.hidden_act).h)
@@ -168,6 +166,8 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
         setup_timings=setup_timings,
         params_image=params_image,
         params_text=params_text,
+        velocity_image=velocity_image,
+        velocity_text=velocity_text,
         rng=np.random.default_rng(cfg.seed + 2),
         prev_codes_image=prev_i,
         prev_codes_text=prev_t,
@@ -186,12 +186,12 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
     sums = np.zeros(4)
     g_i, g_t = hashnet.shared_grads(state.params_image, state.params_text)
 
-    def update(params, acts, d_h, grads):
+    def update(params, velocity, acts, d_h, grads):
         # the two sides' gradients share one workspace, so each side's
         # step is applied before the other side's backward overwrites it
         hashnet.backward(params, acts, d_h, grads)
-        hashnet.sgd_step(params, grads, cfg.learning_rate, cfg.momentum,
-                         cfg.weight_decay)
+        hashnet.sgd_step(params, velocity, grads, cfg.learning_rate,
+                         cfg.momentum, cfg.weight_decay)
 
     for it in range(n_iter):
         idx = perm[it * m:(it + 1) * m]
@@ -211,8 +211,8 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
         # the text backward reads only text parameters and activations
         # formed before either step, so stepping the image side first
         # changes no bit
-        update(state.params_image, acts_i, out.grad_image, g_i)
-        update(state.params_text, acts_t, out.grad_text, g_t)
+        update(state.params_image, state.velocity_image, acts_i, out.grad_image, g_i)
+        update(state.params_text, state.velocity_text, acts_t, out.grad_text, g_t)
 
         if cfg.bin_opt:
             # refresh soft codes under the just-updated parameters, then
@@ -223,9 +223,9 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
             b_i = hashnet.sign_codes(acts_i.h).astype(np.float64)
             b_t = hashnet.sign_codes(acts_t.h).astype(np.float64)
             d_hi = objective.image_grad(acts_i.h, b_t, s_b, r_b, state.weights_eff)
-            update(state.params_image, acts_i, d_hi, g_i)
+            update(state.params_image, state.velocity_image, acts_i, d_hi, g_i)
             d_ht = objective.text_grad(b_i, acts_t.h, s_b, r_b, state.weights_eff)
-            update(state.params_text, acts_t, d_ht, g_t)
+            update(state.params_text, state.velocity_text, acts_t, d_ht, g_t)
 
     del g_i, g_t  # free the gradient workspace before the full pass
     # end of epoch: one full pass for diagnostics and adaptive mining
@@ -264,16 +264,9 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
     )
 
 
-def train(bundle: DatasetBundle, cfg: TrainConfig) -> TrainResult:
+def train(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
     """Full run over cfg.epochs; deterministic given (bundle, cfg)."""
     state = init_state(bundle, cfg)
-    history = []
     for epoch in range(1, cfg.epochs + 1):
-        history.append(train_epoch(state, epoch))
-    return TrainResult(
-        params_image=state.params_image,
-        params_text=state.params_text,
-        rel=state.rel,
-        history=history,
-        setup_timings=state.setup_timings,
-    )
+        state.history.append(train_epoch(state, epoch))
+    return state

@@ -322,12 +322,13 @@ def naive_backward(params, x, eta, d_h, hidden_act="relu"):
             "w2": d_pre2.T @ a1, "b2": d_pre2.sum(axis=0)}
 
 
-def naive_sgd_step(params, grads, lr, momentum, weight_decay):
+def naive_sgd_step(params, velocity, grads, lr, momentum, weight_decay):
     """Whole-array momentum SGD with weight decay on w1 and w2 only;
+    velocity is a record of the parameters' shapes, updated in place, and
     grads maps each parameter name to its gradient."""
     for name in ("w1", "b1", "w2", "b2"):
         p = getattr(params, name)
-        v = getattr(params, "v" + name)
+        v = getattr(velocity, name)
         g = grads[name]
         step = g + weight_decay * p if name.startswith("w") else g
         if not np.all(np.isfinite(step)):

@@ -694,6 +694,28 @@ class TestExitCodes:
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("exported, flag, want", [
+        ("2", ["--threads", "1"], "1"),  # an explicit flag wins
+        ("2", [], "2"),  # an exported value stands without it
+        (None, [], "1"),  # and unset variables default to 1
+    ])
+    def test_threads_precedence(self, tmp_path, exported, flag, want):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        if exported:
+            env.update(OMP_NUM_THREADS=exported, OPENBLAS_NUM_THREADS=exported,
+                       MKL_NUM_THREADS=exported)
+        probe = ("import os, sys; from assph import cli; cli.dispatch(sys.argv[1:]); "
+                 "print(*(os.environ[v] for v in "
+                 "('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')))")
+        argv = flag + ["synth", "--out", str(tmp_path / "s"), "--classes", "2",
+                       "--instances", "30", "--dim-image", "6", "--dim-text", "5"]
+        out = subprocess.run([sys.executable, "-c", probe, *argv], check=True,
+                             capture_output=True, text=True,
+                             env={**env, "PYTHONPATH": src})
+        assert out.stdout.splitlines()[-1] == f"{want} {want} {want}"
+
     def test_threads_flag_accepted(self, tmp_path):
         out = str(tmp_path / "s")
         assert cli.dispatch(["--threads", "2", "synth", "--out", out,

@@ -359,6 +359,8 @@ class TestCurves:
         db = np.array([[1, 1]])
         with pytest.raises(ConfigError, match="k_grid"):
             curves_of(q, db, np.ones((1, 1), int), [5, 2])
+        with pytest.raises(ConfigError, match="k_grid"):
+            curves_of(q, db, np.ones((1, 1), int), [5, 5, 10])
 
 
 class TestBlocks:

@@ -1,6 +1,7 @@
 """Encoder networks: init, forward/backward, SGD, codes, and containers."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -25,8 +26,10 @@ class TestInitParams:
 
     def test_biases_and_velocities_zero(self):
         p = hashnet.init_params(5, 8, 3, seed=0)
-        for arr in (p.b1, p.b2, p.vw1, p.vb1, p.vw2, p.vb2):
+        v = hashnet.zeros_like(p)
+        for arr in (p.b1, p.b2, v.w1, v.b1, v.w2, v.b2):
             npt.assert_array_equal(arr, 0.0)
+        assert [a.shape for a in v.arrays()] == [a.shape for a in p.arrays()]
 
     def test_uniform_bounds(self):
         p = hashnet.init_params(40, 60, 30, seed=1)
@@ -200,20 +203,19 @@ class TestSgdStep:
                                      w2=np.full((1, 1), -1.0), b2=np.full(1, 0.25))
 
     def _zero_grads(self):
-        return hashnet.Grads(w1=np.zeros((1, 1)), b1=np.zeros(1),
-                             w2=np.zeros((1, 1)), b2=np.zeros(1))
+        return hashnet.zeros_like(self._unit_params())
 
     def test_zero_grad_zero_decay_is_identity(self):
         p = self._unit_params()
-        hashnet.sgd_step(p, self._zero_grads(), lr=0.1, momentum=0.9,
-                         weight_decay=0.0)
+        hashnet.sgd_step(p, hashnet.zeros_like(p), self._zero_grads(), lr=0.1,
+                         momentum=0.9, weight_decay=0.0)
         npt.assert_allclose(p.w1, 2.0)
         npt.assert_allclose(p.b1, 0.5)
 
     def test_weight_decay_shrinks_weights_not_biases(self):
         p = self._unit_params()
-        hashnet.sgd_step(p, self._zero_grads(), lr=0.1, momentum=0.0,
-                         weight_decay=0.5)
+        hashnet.sgd_step(p, hashnet.zeros_like(p), self._zero_grads(), lr=0.1,
+                         momentum=0.0, weight_decay=0.5)
         npt.assert_allclose(p.w1, 2.0 - 0.1 * 0.5 * 2.0)
         npt.assert_allclose(p.w2, -1.0 - 0.1 * 0.5 * -1.0)
         npt.assert_allclose(p.b1, 0.5)
@@ -221,14 +223,17 @@ class TestSgdStep:
 
     def test_two_step_momentum_unroll(self):
         p = self._unit_params()
-        g = hashnet.Grads(w1=np.full((1, 1), 1.0), b1=np.zeros(1),
-                          w2=np.zeros((1, 1)), b2=np.zeros(1))
+        v = hashnet.zeros_like(p)
+        g = hashnet.HashNetParams(w1=np.full((1, 1), 1.0), b1=np.zeros(1),
+                                  w2=np.zeros((1, 1)), b2=np.zeros(1))
         lr, mu = 0.1, 0.9
         # v1 = g, p1 = p0 - lr*g; v2 = mu*g + g, p2 = p1 - lr*v2
-        hashnet.sgd_step(p, g, lr, mu, 0.0)
+        hashnet.sgd_step(p, v, g, lr, mu, 0.0)
         npt.assert_allclose(p.w1, 2.0 - lr * 1.0)
-        hashnet.sgd_step(p, g, lr, mu, 0.0)
+        npt.assert_allclose(v.w1, 1.0)
+        hashnet.sgd_step(p, v, g, lr, mu, 0.0)
         npt.assert_allclose(p.w1, 2.0 - lr * 1.0 - lr * (mu * 1.0 + 1.0))
+        npt.assert_allclose(v.w1, mu * 1.0 + 1.0)
 
     def test_bad_hyperparams(self):
         # sgd_step trusts its settings: TrainConfig is their one check
@@ -248,8 +253,7 @@ class TestSgdStep:
 
     @staticmethod
     def _random_grads(rng, p):
-        return hashnet.Grads(**{n: rng.standard_normal(getattr(p, n).shape)
-                                for n in ("w1", "b1", "w2", "b2")})
+        return hashnet.HashNetParams(*(rng.standard_normal(a.shape) for a in p.arrays()))
 
     @pytest.mark.parametrize("block, dims", [(7, (5, 9, 4)), (None, (300, 250, 3))])
     def test_blocks_match_whole_array_update(self, monkeypatch, block, dims):
@@ -259,13 +263,15 @@ class TestSgdStep:
             monkeypatch.setattr(hashnet, "_SGD_BLOCK", block)
         rng = np.random.default_rng(12)
         p = hashnet.init_params(*dims, seed=12)
-        ref = copy.deepcopy(p)
+        v = hashnet.zeros_like(p)
+        ref, ref_v = copy.deepcopy(p), copy.deepcopy(v)
         for _ in range(3):
             g = self._random_grads(rng, p)
-            hashnet.sgd_step(p, g, 0.05, 0.9, 0.3)
-            naive_sgd_step(ref, vars(g), 0.05, 0.9, 0.3)
-        for name in ("w1", "b1", "w2", "b2", "vw1", "vb1", "vw2", "vb2"):
-            npt.assert_array_equal(getattr(p, name), getattr(ref, name))
+            hashnet.sgd_step(p, v, g, 0.05, 0.9, 0.3)
+            naive_sgd_step(ref, ref_v, vars(g), 0.05, 0.9, 0.3)
+        for got, want in ((p, ref), (v, ref_v)):
+            for a, b in zip(got.arrays(), want.arrays()):
+                npt.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("name, value", [("w1", np.nan), ("b2", np.inf)])
     def test_non_finite_gradient_names_parameter(self, monkeypatch, name, value):
@@ -276,17 +282,17 @@ class TestSgdStep:
         getattr(g, name).flat[-1] = value  # w1's last block holds 3 elements
         with pytest.raises(DivergenceError,
                            match=f"^sgd_step: non-finite gradient for {name}$"):
-            hashnet.sgd_step(p, g, 0.05, 0.9, 0.3)
+            hashnet.sgd_step(p, hashnet.zeros_like(p), g, 0.05, 0.9, 0.3)
 
     def test_non_contiguous_parameters_update_in_place(self):
         w1 = np.arange(6.0).reshape(2, 3).T  # transposed view
         p = hashnet.HashNetParams(w1=w1, b1=np.zeros(3), w2=np.ones((1, 3)),
                                   b2=np.zeros(1))
         ref = copy.deepcopy(p)
-        g = hashnet.Grads(w1=np.ones((3, 2)), b1=np.ones(3),
-                          w2=np.ones((1, 3)), b2=np.ones(1))
-        hashnet.sgd_step(p, g, 0.1, 0.5, 0.2)
-        naive_sgd_step(ref, vars(g), 0.1, 0.5, 0.2)
+        g = hashnet.HashNetParams(w1=np.ones((3, 2)), b1=np.ones(3),
+                                  w2=np.ones((1, 3)), b2=np.ones(1))
+        hashnet.sgd_step(p, hashnet.zeros_like(p), g, 0.1, 0.5, 0.2)
+        naive_sgd_step(ref, hashnet.zeros_like(ref), vars(g), 0.1, 0.5, 0.2)
         npt.assert_array_equal(p.w1, ref.w1)
 
 
@@ -319,8 +325,24 @@ class TestCheckpointIO:
         q = hashnet.load_checkpoint(path)
         npt.assert_allclose(q.w1, p.w1, atol=1e-6)
         npt.assert_allclose(q.b2, p.b2, atol=1e-6)
-        npt.assert_array_equal(q.vw1, 0.0)
+        assert [a.dtype for a in q.arrays()] == [np.float64] * 4
         assert (q.d_in, q.d_hidden, q.code_length) == (5, 8, 4)
+
+    def test_load_allocates_no_momentum(self, tmp_path):
+        # the file's 4 B per parameter and the 8 B float64 copy, plus slack;
+        # zero velocities would add 8 B per parameter more
+        p = hashnet.init_params(300, 400, 64, seed=0)
+        path = str(tmp_path / "net.assp")
+        hashnet.save_checkpoint(p, path)
+        n = sum(arr.size for arr in (p.w1, p.b1, p.w2, p.b2))
+        tracemalloc.start()
+        try:
+            q = hashnet.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.d_in == 300
+        assert peak < 13 * n
 
     def test_header_layout(self, tmp_path):
         p = hashnet.init_params(3, 4, 2, seed=0)

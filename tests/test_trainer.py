@@ -256,9 +256,9 @@ class TestTrainEpoch:
             order.append("b" + side(params))
             return real_backward(params, acts, d_h, grads)
 
-        def step(params, grads, lr, momentum, weight_decay):
+        def step(params, velocity, grads, lr, momentum, weight_decay):
             order.append("s" + side(params))
-            return real_step(params, grads, lr, momentum, weight_decay)
+            return real_step(params, velocity, grads, lr, momentum, weight_decay)
 
         monkeypatch.setattr(hashnet, "backward", backward)
         monkeypatch.setattr(hashnet, "sgd_step", step)
@@ -308,11 +308,13 @@ def reference_batches(state, epoch):
     eta = trainer.eta_schedule(epoch, cfg.eta_base)
     fi, ft = state.features_image, state.features_text
     pi, pt = state.params_image, state.params_text
+    vi, vt = state.velocity_image, state.velocity_text
     m = cfg.batch_size
     perm = state.rng.permutation(fi.shape[0])
 
-    def step(params, x, d_h):
-        naive_sgd_step(params, naive_backward(params, x, eta, d_h, cfg.hidden_act),
+    def step(params, velocity, x, d_h):
+        naive_sgd_step(params, velocity,
+                       naive_backward(params, x, eta, d_h, cfg.hidden_act),
                        cfg.learning_rate, cfg.momentum, cfg.weight_decay)
 
     for it in range(fi.shape[0] // m):
@@ -323,16 +325,16 @@ def reference_batches(state, epoch):
         hi = hashnet.forward(pi, xi, eta, cfg.hidden_act).h
         ht = hashnet.forward(pt, xt, eta, cfg.hidden_act).h
         out = objective.total_loss_and_grads(hi, ht, s_b, r_b, state.weights_eff)
-        step(pi, xi, out.grad_image)  # both gradients read pre-update weights
-        step(pt, xt, out.grad_text)
+        step(pi, vi, xi, out.grad_image)  # both gradients read pre-update weights
+        step(pt, vt, xt, out.grad_text)
         if cfg.bin_opt:
             hi = hashnet.forward(pi, xi, eta, cfg.hidden_act).h
             ht = hashnet.forward(pt, xt, eta, cfg.hidden_act).h
             b_i = hashnet.sign_codes(hi).astype(np.float64)
             b_t = hashnet.sign_codes(ht).astype(np.float64)
-            step(pi, xi, objective.total_loss_and_grads(
+            step(pi, vi, xi, objective.total_loss_and_grads(
                 hi, b_t, s_b, r_b, state.weights_eff).grad_image)
-            step(pt, xt, objective.total_loss_and_grads(
+            step(pt, vt, xt, objective.total_loss_and_grads(
                 b_i, ht, s_b, r_b, state.weights_eff).grad_text)
 
 
@@ -347,10 +349,11 @@ class TestEpochExactness:
             trainer.train_epoch(state, epoch)
             reference_batches(ref, epoch)
             ref.rel = state.rel  # the reference mines nothing
-            for side in ("params_image", "params_text"):
-                for name in ("w1", "b1", "w2", "b2", "vw1", "vb1", "vw2", "vb2"):
-                    npt.assert_array_equal(getattr(getattr(state, side), name),
-                                           getattr(getattr(ref, side), name))
+            for record in ("params_image", "params_text",
+                           "velocity_image", "velocity_text"):
+                for got, want in zip(getattr(state, record).arrays(),
+                                     getattr(ref, record).arrays()):
+                    npt.assert_array_equal(got, want)
 
 
 class TestTrain:
