@@ -131,7 +131,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_build_sim(args: argparse.Namespace) -> int:
-    from . import corrmine, trainer
+    from . import corrmine, kernels, trainer
     from .dataio import load_bundle, write_features, write_json
 
     t0 = time.perf_counter()
@@ -147,8 +147,8 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
     with open(os.path.join(args.out, "correlations.csv"), "w") as fh:
         fh.write("i,j\n")
         for pairs in rel.upper_pairs():
-            for lo in range(0, len(pairs), _CSV_PAIRS):
-                chunk = pairs[lo:lo + _CSV_PAIRS]
+            for lo, hi in kernels.row_blocks(len(pairs), _CSV_PAIRS):
+                chunk = pairs[lo:hi]
                 fh.write(("%d,%d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
     stats = {"order": rel.order, "epoch": rel.epoch}
     if bundle.labels is not None:
@@ -328,6 +328,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"unknown variants {unknown}; available: {sorted(_VARIANTS)}"
         )
+    repeated = sorted({v for v in names if names.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"variants repeated: {repeated}")
     bundle = load_bundle(args.bundle)
     if bundle.labels is None:
         raise DataError("ablate needs a labeled bundle to score variants")

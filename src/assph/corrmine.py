@@ -4,36 +4,20 @@ A correlation set is a symmetric reflexive 0/1 relation over training
 instances.  It seeds from second-order neighborhood overlaps of the raw
 feature cosines and grows monotonically between epochs by re-mining the
 same relation from the learned hidden embeddings and unioning it in.
-Bits are kept row-packed (order rows of ceil(order/8) bytes), so a
-5000-instance relation costs a few megabytes.  The miners set their hits
-straight in those packed rows, mirrored, so a mined relation is
-symmetric and reflexive as built; no order x order array of any dtype is
-formed.
+Bits are kept in kernels' packed relation rows, so a 5000-instance
+relation costs a few megabytes.  The miners set their hits straight in
+those rows, mirrored, so a mined relation is symmetric and reflexive as
+built; no order x order array of any dtype is formed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .evalkit import _overlap, pack_rows
-from .simgraph import _row_blocks, _unit_rows, cosine_blocks, top_k_indices
+from . import kernels
+from .simgraph import cosine_blocks, top_k_indices
 # not called here, but bench/tracing.py patches corrmine.cosine_matrix
 from .simgraph import cosine_matrix  # noqa: F401
-
-
-def _count_bits(packed: np.ndarray) -> int:
-    return int(np.bitwise_count(packed).sum(dtype=np.int64))
-
-
-def _diagonal_bits(packed: np.ndarray) -> np.ndarray:
-    """Bit (i, i) of each row of a row-packed square relation."""
-    i = np.arange(packed.shape[0])
-    return (packed[i, i >> 3] >> (7 - (i & 7))) & 1
-
-
-def _mark(packed: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
-    """Set bit (rows[e], cols[e]) of row-packed bits for every e."""
-    np.bitwise_or.at(packed, (rows, cols >> 3), (0x80 >> (cols & 7)).astype(np.uint8))
 
 
 class CorrelationSet:
@@ -47,20 +31,20 @@ class CorrelationSet:
     @classmethod
     def identity(cls, order: int) -> "CorrelationSet":
         bits = np.zeros((order, (order + 7) >> 3), dtype=np.uint8)
-        _mark(bits, np.arange(order), np.arange(order))
+        kernels.mark(bits, np.arange(order), np.arange(order))
         return cls(order, bits)
 
     def upper_pairs(self):
         """Yield the pairs (i, j), i <= j, as (n, 2) index arrays in
         row-major order, one per block of rows; only that block's rows are
         ever unpacked."""
-        for lo, hi in _row_blocks(self.order):
+        for lo, hi in kernels.row_blocks(self.order):
             rows = np.unpackbits(self.bits[lo:hi], axis=1, count=self.order)
             i, j = np.nonzero(np.triu(rows, lo))
             yield np.column_stack((i + lo, j))
 
     def popcount(self) -> int:
-        return _count_bits(self.bits)
+        return kernels.count_bits(self.bits)
 
     def union(self, other: "CorrelationSet", epoch: int) -> "CorrelationSet":
         return CorrelationSet(self.order, self.bits | other.bits, epoch)
@@ -89,7 +73,7 @@ def knn_adjacency(sim: np.ndarray, kr: int) -> np.ndarray:
     of rows bounds the temporaries of top_k_indices' tie fix-up.
     """
     m = len(sim)
-    return _select(((lo, hi, sim[lo:hi]) for lo, hi in _row_blocks(m)), m, kr)
+    return _select(((lo, hi, sim[lo:hi]) for lo, hi in kernels.row_blocks(m)), m, kr)
 
 
 def _join(nn_a: np.ndarray, nn_b: np.ndarray, tau: int, out: np.ndarray) -> None:
@@ -100,9 +84,9 @@ def _join(nn_a: np.ndarray, nn_b: np.ndarray, tau: int, out: np.ndarray) -> None
     than p times (at tau 1, their OR)."""
     m, k = nn_b.shape
     sets = np.zeros((m, ((m + 63) >> 6) << 3), dtype=np.uint8)
-    _mark(sets, nn_b.ravel(), np.repeat(np.arange(m), k))
+    kernels.mark(sets, nn_b.ravel(), np.repeat(np.arange(m), k))
     sets = sets.view(np.uint64)
-    for lo, hi in _row_blocks(m):
+    for lo, hi in kernels.row_blocks(m):
         planes = np.zeros((tau, hi - lo, sets.shape[1]), dtype=np.uint64)
         for col in nn_a[lo:hi].T:
             x = sets[col]
@@ -152,8 +136,8 @@ def _mine(nn_i: np.ndarray, nn_t: np.ndarray, tau: int,
     nn = np.hstack((nn_i, nn_t))
     if pairwise:
         rows = np.repeat(np.arange(len(nn)), nn.shape[1])
-        _mark(bits, rows, nn.ravel())
-        _mark(bits, nn.ravel(), rows)
+        kernels.mark(bits, rows, nn.ravel())
+        kernels.mark(bits, nn.ravel(), rows)
     else:
         joins = [(nn, nn)] if tau == 1 else [(nn_i, nn_i), (nn_t, nn_t), (nn_i, nn_t)]
         for nn_a, nn_b in joins:
@@ -180,8 +164,8 @@ def adaptive_update(rel: CorrelationSet, hidden_image: np.ndarray,
     held, and only one side's float64 product at a time.  A zero-norm
     hidden row means the network collapsed, so it raises DivergenceError.
     """
-    units = [_unit_rows(hidden_image, "image embedding")[0],
-             _unit_rows(hidden_text, "text embedding")[0]]
+    units = [kernels.unit_rows(hidden_image, "image embedding")[0],
+             kernels.unit_rows(hidden_text, "text embedding")[0]]
     nn_i, nn_t = (_select(cosine_blocks(u), rel.order, kr) for u in units)
     return rel.union(_mine(nn_i, nn_t, tau, pairwise), epoch=rel.epoch + 1)
 
@@ -194,10 +178,10 @@ def label_share(labels: np.ndarray) -> np.ndarray:
     overlap of the labels' pack_rows words, as evaluation's relevance is,
     packed as soon as it is formed, so no order x order array is.
     """
-    words = pack_rows(np.asarray(labels) != 0)
+    words = kernels.pack_rows(np.asarray(labels) != 0)
     share = np.empty((len(words), (len(words) + 7) >> 3), dtype=np.uint8)
-    for lo, hi in _row_blocks(len(words)):
-        share[lo:hi] = np.packbits(_overlap(words[lo:hi], words), axis=1)
+    for lo, hi in kernels.row_blocks(len(words)):
+        share[lo:hi] = np.packbits(kernels.overlap(words[lo:hi], words), axis=1)
     return share
 
 
@@ -217,5 +201,5 @@ def correlation_stats(rel: CorrelationSet, labels: np.ndarray,
         return {"count": count, "precision": 1.0, "no_offdiag": True}
     if share is None:
         share = label_share(labels)
-    shared = _count_bits(rel.bits & share) - int(_diagonal_bits(share).sum())
+    shared = kernels.count_bits(rel.bits & share) - int(kernels.diagonal_bits(share).sum())
     return {"count": count, "precision": shared / n_off, "no_offdiag": False}

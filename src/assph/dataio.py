@@ -23,37 +23,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .config import SynthConfig
 from .errors import ConfigError, DataError
-
-# entries per block of the feature and code checks: 1 MiB of float32
-_CHECK_ENTRIES = 1 << 18
-
-
-def _check_blocks(arr: np.ndarray):
-    """(lo, block) for consecutive row blocks of a 2-d array, each of at
-    most _CHECK_ENTRIES entries (at least one row)."""
-    step = max(1, _CHECK_ENTRIES // max(arr.shape[1], 1))
-    return ((lo, arr[lo:lo + step]) for lo in range(0, arr.shape[0], step))
 
 
 def validate_features(arr: np.ndarray, name: str = "features") -> np.ndarray:
     """Check the feature-matrix contract: 2-d float32, finite, no zero rows.
 
-    The rows are checked in blocks, so the check's temporaries stay small
-    whatever the matrix size; a non-finite entry anywhere is reported
-    before a zero-norm row.
+    The rows are checked in blocks of about kernels.BLOCK_ENTRIES entries,
+    so the check's temporaries stay small whatever the matrix size; a
+    non-finite entry anywhere is reported before a zero-norm row.
     """
     arr = np.ascontiguousarray(arr, dtype=np.float32)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DataError(f"{name}: expected a non-empty 2-d matrix, got shape {arr.shape}")
     zero = None
-    for lo, block in _check_blocks(arr):
-        finite = np.isfinite(block).all(axis=1)
+    step = kernels.rows_within(kernels.BLOCK_ENTRIES, arr.shape[1])
+    for lo, hi in kernels.row_blocks(len(arr), step):
+        finite = np.isfinite(arr[lo:hi]).all(axis=1)
         if not finite.all():
             raise DataError(f"{name}: non-finite entry in row {lo + int(np.argmin(finite))}")
         if zero is None:
-            norms = np.linalg.norm(block, axis=1)
+            norms = np.linalg.norm(arr[lo:hi], axis=1)
             if np.any(norms == 0.0):
                 zero = lo + int(np.argmax(norms == 0.0))
     if zero is not None:
@@ -84,12 +76,15 @@ class Container:
 
     def write(self, path: str, dims, arrays) -> None:
         """Write the header and each array's payload, unchecked: the arrays
-        have the shapes dims implies."""
+        have the shapes dims implies.  Each array is converted to the payload
+        dtype one block of kernels.BLOCK_ENTRIES entries at a time."""
         version = () if self.version is None else (self.version,)
         with open(path, "wb") as fh:
             fh.write(self.header.pack(self.magic, *version, *dims))
             for arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype=self.dtype))
+                step = kernels.rows_within(kernels.BLOCK_ENTRIES, math.prod(arr.shape[1:]))
+                for lo, hi in kernels.row_blocks(len(arr), step):
+                    fh.write(np.ascontiguousarray(arr[lo:hi], dtype=self.dtype))
 
     def unpack(self, path: str, raw: bytes) -> list[np.ndarray]:
         """The payload arrays in a file's bytes, read-only views of them,

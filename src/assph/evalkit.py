@@ -1,26 +1,17 @@
 """Hamming-space retrieval evaluation: ranking, MAP, and curve protocols.
 
-Ranking runs on packed bits.  pack_rows stores a code's +1 bits, or a
-label row's nonzero labels, in words of the narrowest unsigned dtype that
-holds the row (uint8 to uint32), else in as many zero-padded uint64
-words as it takes.  The distance between two code rows is the number of
-set bits of their XOR, np.bitwise_count summed over the words: an
-integer in [0, K], exact by construction, held in the smallest unsigned
-dtype that holds K (uint8 up to K = 255, uint16 up to 65535).  An item
-is relevant to a query when their label words share a set bit, an OR
-over the words of (q_w & d_w) != 0 kept as one bool per pair, not a
-word per pair, so MS-COCO's 80 labels (two words) take no more memory
-than 24 (one).  Rankings sort by ascending
-distance with ties broken by ascending database index, so every metric
-here is exactly reproducible.
+Ranking runs on kernels' packed-bit rows: a code's +1 bits and a label
+row's nonzero labels.  The distance between two code rows is the number
+of set bits of their XOR (kernels.distances), an integer in [0, K], exact
+by construction.  An item is relevant to a query when their label words
+share a set bit (kernels.overlap), one bool per pair whatever the number
+of labels.  Rankings sort by ascending distance with ties broken by
+ascending database index, so every metric here is exactly reproducible.
 
 evaluate_direction packs the codes and the labels once per direction
-and ranks the queries in blocks of _BLOCK_PAIRS // D rows (at least
-one).  A block's word operations run on chunks of about _CHUNK_PAIRS
-pairs, so their word-sized temporaries stay in cache and do not grow
-with the block; its arrays peak near 10 bytes per query-item pair (the
-int64 rank order beside the 1-byte distances and relevance; tracemalloc
-measures 10.3 at 64 bits and 24 labels), about 11 MB whatever Q is.
+and ranks the queries in blocks of about _BLOCK_PAIRS query-item pairs.
+A block's arrays peak near 10 bytes per pair (the int64 rank order
+beside the 1-byte distances and relevance), about 11 MB whatever Q is.
 Each block counts its distances per query, sorts them once and gathers
 its relevance into rank order once; every metric then reads the hits,
 the flat rank positions of the relevant items, and only a few numbers
@@ -40,35 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .config import MAP_CUTOFFS
 from .dataio import write_json
 from .errors import ConfigError, DataError
 from .hashnet import all_signs
-from .simgraph import _row_blocks
 
 # query-item pairs ranked per block of queries
 _BLOCK_PAIRS = 1 << 20
-# query-item pairs per word operation of _distances and _overlap, so each
-# one's temporaries stay in cache and far below a block's
-_CHUNK_PAIRS = 1 << 16
-
-
-def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Rows of a 2-d bool array as words: one word of the narrowest
-    unsigned dtype that holds a row (uint8 to uint32), else as many uint64
-    words as it takes, zero padded.  Rows packed alike compare word by word, and
-    their padding bits, zero on both sides, never count."""
-    size = next((s for s in (1, 2, 4) if bits.shape[1] <= 8 * s), 8)
-    packed = np.packbits(bits, axis=1)
-    words = np.zeros((len(bits), -(-packed.shape[1] // size) * size), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    return words.view(f"u{size}")
-
-
-def _row_chunks(q: np.ndarray, d: np.ndarray):
-    """(lo, hi) bounds of blocks of q's rows that meet d's rows in about
-    _CHUNK_PAIRS pairs."""
-    return _row_blocks(len(q), max(1, _CHUNK_PAIRS // max(len(d), 1)))
 
 
 def _check_codes(codes: np.ndarray, name: str) -> np.ndarray:
@@ -82,32 +52,18 @@ def _check_codes(codes: np.ndarray, name: str) -> np.ndarray:
 
 def _check_pair(query_codes: np.ndarray,
                 db_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The checked codes' +1 bits as pack_rows words, and the code length."""
+    """The checked codes' +1 bits as kernels.pack_rows words, and their length."""
     q = _check_codes(query_codes, "query codes")
     d = _check_codes(db_codes, "db codes")
     if q.shape[1] != d.shape[1]:
         raise DataError(f"code length mismatch: {q.shape[1]} vs {d.shape[1]}")
-    return pack_rows(q > 0), pack_rows(d > 0), q.shape[1]
-
-
-def _distances(q: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
-    """hamming_matrix of the code words and length _check_pair returns:
-    the set bits of q XOR d, word by word, summed in the smallest unsigned
-    dtype that holds k.  Integer counts, so exact for every k."""
-    dist = np.empty((len(q), len(d)), dtype=np.min_scalar_type(k))
-    for lo, hi in _row_chunks(q, d):
-        rows, words = dist[lo:hi], zip(q[lo:hi].T, d.T)
-        q_w, d_w = next(words)  # k >= 1, so there is a first word
-        np.bitwise_count(q_w[:, None] ^ d_w, out=rows)
-        for q_w, d_w in words:
-            rows += np.bitwise_count(q_w[:, None] ^ d_w)
-    return dist
+    return kernels.pack_rows(q > 0), kernels.pack_rows(d > 0), q.shape[1]
 
 
 def hamming_matrix(query_codes: np.ndarray, db_codes: np.ndarray) -> np.ndarray:
     """Distance matrix, queries by database rows, in the smallest
     unsigned dtype that holds the code length."""
-    return _distances(*_check_pair(query_codes, db_codes))
+    return kernels.distances(*_check_pair(query_codes, db_codes))
 
 
 def rank(query_codes: np.ndarray, db_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,24 +92,10 @@ def average_precision(precisions: np.ndarray, starts: np.ndarray,
                      for a, b in zip(starts.tolist(), stops.tolist())])
 
 
-def _overlap(q: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """out[i, j] is True iff rows q[i] and d[j] of pack_rows words have a
-    set bit in common: an OR over the words of (q_w & d_w) != 0.
-
-    relevance_matrix's kernel, kept apart so corrmine.label_share can run
-    it without its setup time being traced as evaluation."""
-    out = np.zeros((len(q), len(d)), dtype=bool)
-    for lo, hi in _row_chunks(q, d):
-        rows = out[lo:hi]
-        for q_w, d_w in zip(q[lo:hi].T, d.T):
-            rows |= (q_w[:, None] & d_w) != 0
-    return out
-
-
 def relevance_matrix(query_words: np.ndarray, db_words: np.ndarray) -> np.ndarray:
     """rel[q, d] is True iff the query and database item share any label:
-    their rows of nonzero labels, packed by pack_rows, share a set bit."""
-    return _overlap(query_words, db_words)
+    their kernels.pack_rows rows of nonzero labels share a set bit."""
+    return kernels.overlap(query_words, db_words)
 
 
 def curves(n_within: np.ndarray, rel_within: np.ndarray, topk_hits: np.ndarray,
@@ -271,8 +213,7 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
     for cutoff in cutoffs:
         if cutoff < 1:
             raise ConfigError(f"evaluate_direction: cutoff must be >= 1, got {cutoff}")
-    query_labels, db_labels = pack_rows(query_labels != 0), pack_rows(db_labels != 0)
-    step = max(1, _BLOCK_PAIRS // n_db)
+    query_labels, db_labels = (kernels.pack_rows(x != 0) for x in (query_labels, db_labels))
     # the fixed windows, clipped to the list: each MAP cutoff, then each top k
     windows = np.minimum(np.array(cutoffs + k_grid, dtype=np.int64), n_db)
     aps = np.zeros((1 + len(cutoffs), n_q))
@@ -280,9 +221,9 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
     # the items, and the relevant ones, within each Hamming radius of a query
     n_within = np.zeros((n_q, k + 1), dtype=np.int64)
     rel_within = np.zeros((n_q, k + 1), dtype=np.int64)
-    for lo in range(0, n_q, step):
-        block = slice(lo, lo + step)
-        dist = _distances(query_codes[block], db_codes, k)
+    for lo, hi in kernels.row_blocks(n_q, kernels.rows_within(_BLOCK_PAIRS, n_db)):
+        block = slice(lo, hi)
+        dist = kernels.distances(query_codes[block], db_codes, k)
         rel = relevance_matrix(query_labels[block], db_labels)
         n_within[block] = np.cumsum([np.bincount(row, minlength=k + 1) for row in dist],
                                     axis=1)

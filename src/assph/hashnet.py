@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .config import HIDDEN_ACTS
-from .dataio import CHECKPOINT, CODES, _check_blocks
+from .dataio import CHECKPOINT, CODES
 from .errors import ConfigError, DataError, DivergenceError
 
 # parameter elements sgd_step updates per block
@@ -192,9 +193,8 @@ def sgd_step(params: HashNetParams, velocity: HashNetParams, grads: HashNetParam
     for name, p, v, g in zip(_PARAM_NAMES, params.arrays(), velocity.arrays(),
                              grads.arrays()):
         p, v, g = p.reshape(-1), v.reshape(-1), g.reshape(-1)
-        for lo in range(0, p.size, _SGD_BLOCK):
-            block = slice(lo, lo + _SGD_BLOCK)
-            pb, vb, gb = p[block], v[block], g[block]
+        for lo, hi in kernels.row_blocks(p.size, _SGD_BLOCK):
+            pb, vb, gb = p[lo:hi], v[lo:hi], g[lo:hi]
             buf = scratch[:pb.size]
             if name.startswith("w"):
                 np.multiply(weight_decay, pb, out=buf)
@@ -228,8 +228,9 @@ def all_signs(codes: np.ndarray) -> bool:
     """Whether a 2-d array holds only -1/+1 code entries: a bool, integer
     or real dtype (abs of a complex entry such as 1j is 1 too), checked in
     row blocks so no code-sized temporary is formed."""
+    step = kernels.rows_within(kernels.BLOCK_ENTRIES, codes.shape[1])
     return codes.dtype.kind in "biuf" and all(
-        (np.abs(block) == 1).all() for _, block in _check_blocks(codes))
+        (np.abs(codes[lo:hi]) == 1).all() for lo, hi in kernels.row_blocks(len(codes), step))
 
 
 def save_codes(codes: np.ndarray, path: str) -> None:

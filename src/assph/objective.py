@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .config import LossWeights
-from .simgraph import _unit_rows
 
 
 @dataclass
@@ -50,8 +50,8 @@ _Cosines = namedtuple("_Cosines", "hi_hat hi_norms ht_hat ht_norms s r c_it c_ii
 
 def _cosines(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray,
              r_batch: np.ndarray) -> _Cosines:
-    hi_hat, hi_norms = _unit_rows(hi, "image batch")
-    ht_hat, ht_norms = _unit_rows(ht, "text batch")
+    hi_hat, hi_norms = kernels.unit_rows(hi, "image batch")
+    ht_hat, ht_norms = kernels.unit_rows(ht, "text batch")
     s = np.asarray(s_batch, dtype=np.float64)
     r = np.asarray(r_batch, dtype=np.float64)
     return _Cosines(hi_hat, hi_norms, ht_hat, ht_norms, s, r,

@@ -14,13 +14,12 @@ it onto the other, and without BLAS entries (i, j) and (j, i) sum the
 same products in the same order.  So both products are exactly
 symmetric as computed, and no stage mirrors a triangle.
 
-Two kinds of row block bound the temporaries.  Selections (the cosine's
-float32 rows and each row's top-K) walk blocks of _BLOCK_ROWS rows.  The
-elementwise stages (fuse, and combine, which also scales, clips and
-rounds the co-neighborhood product into the structural map) walk blocks
-of about _BLOCK_ELEMENTS entries, so each float64 temporary stays in a
-core's cache; each stage computes its block in float64 and writes the
-float32 rows, and no M x M float32 structural map is formed.  fuse
+Row blocks bound the temporaries (see kernels' block policy): selections
+(the cosine's float32 rows and each row's top-K) walk kernels.BLOCK_ROWS
+rows, and the elementwise stages (fuse, and combine, which also scales,
+clips and rounds the co-neighborhood product into the structural map)
+about _BLOCK_ELEMENTS entries, so each float64 temporary stays in a
+core's cache; no M x M float32 structural map is formed.  fuse
 writes over one of the two cosines, and build_semantic writes its result
 over the fusion.
 """
@@ -31,24 +30,10 @@ import warnings
 
 import numpy as np
 
-from .errors import DivergenceError
+from . import kernels
 
-# rows per block of the selection stages
-_BLOCK_ROWS = 256
 # entries per block of the elementwise stages: 256 KiB per float64 temporary
 _BLOCK_ELEMENTS = 1 << 15
-
-
-def _row_blocks(m: int, step: int | None = None):
-    """(lo, hi) bounds of consecutive blocks of step rows, by default
-    _BLOCK_ROWS."""
-    step = step or _BLOCK_ROWS
-    return ((lo, min(lo + step, m)) for lo in range(0, m, step))
-
-
-def _elementwise_rows(m: int) -> int:
-    """Rows per block of an elementwise stage over rows of m entries."""
-    return max(1, _BLOCK_ELEMENTS // max(m, 1))
 
 
 def _top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
@@ -82,26 +67,11 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     return (np.flatnonzero(_top_k_mask(values, k)) % n).reshape(m, k)
 
 
-def _unit_rows(h: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """A private float64 copy of a 2-d matrix of soft codes or embeddings,
-    each row scaled to unit norm, and the row norms; the input is never
-    written.  A zero-norm row has no cosine and means the network
-    collapsed, so it raises DivergenceError naming name and the row."""
-    unit = np.array(h, dtype=np.float64)
-    norms = np.linalg.norm(unit, axis=1)
-    if np.any(norms == 0.0):
-        raise DivergenceError(f"{name}: zero-norm row {int(np.argmax(norms == 0.0))} "
-                              "(cosine undefined; training diverged)")
-    unit /= norms[:, None]
-    return unit, norms
-
-
 def cosine_blocks(unit: np.ndarray):
     """Yield (lo, hi, rows): rows lo..hi-1 of the float32 cosine of unit.
 
-    unit holds unit-norm float64 rows, as cosine_matrix and _unit_rows
-    make them.  The
-    float64 product unit @ unit.T is formed once; each block of rows is
+    unit holds unit-norm float64 rows, as kernels.unit_rows makes them.
+    The float64 product unit @ unit.T is formed once; each block of rows is
     rounded into one reused float32 buffer, clipped to [-1, 1] and given
     unit self-similarity.  Rounding is elementwise and monotone and keeps
     -1 and 1, so this gives the bits that clipping in float64 before
@@ -112,8 +82,8 @@ def cosine_blocks(unit: np.ndarray):
     """
     m = len(unit)
     prod = unit @ unit.T
-    buf = np.empty((min(_BLOCK_ROWS, m), m), dtype=np.float32)
-    for lo, hi in _row_blocks(m):
+    buf = np.empty((min(kernels.BLOCK_ROWS, m), m), dtype=np.float32)
+    for lo, hi in kernels.row_blocks(m):
         rows = buf[:hi - lo]
         np.copyto(rows, prod[lo:hi], casting="same_kind")
         np.clip(rows, -1.0, 1.0, out=rows)
@@ -125,8 +95,7 @@ def cosine_matrix(features: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity of feature rows, float32 and exactly
     symmetric: the blocks of cosine_blocks collected into one matrix.  The
     rows are checked features, none of zero norm."""
-    unit = np.array(features, dtype=np.float64)
-    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    unit = kernels.unit_rows(features, "features")[0]
     s = np.empty((len(unit), len(unit)), dtype=np.float32)
     for lo, hi, rows in cosine_blocks(unit):
         s[lo:hi] = rows
@@ -150,10 +119,10 @@ def fuse(cos_image: np.ndarray, cos_text: np.ndarray,
     the same shape that may be either input, and out is returned.
     """
     m, n = cos_image.shape
-    step = _elementwise_rows(n)
+    step = kernels.rows_within(_BLOCK_ELEMENTS, n)
     p_buf = np.empty((min(step, m), n), dtype=np.float32)
     q_buf = np.empty_like(p_buf)
-    for lo, hi in _row_blocks(m, step):
+    for lo, hi in kernels.row_blocks(m, step):
         p = _probability(cos_image[lo:hi], p_buf[:hi - lo])
         q = _probability(cos_text[lo:hi], q_buf[:hi - lo])
         np.subtract(np.add(p, q, dtype=np.float64),
@@ -177,8 +146,8 @@ def topk_normalize(fused: np.ndarray, ks: int) -> np.ndarray:
         warnings.warn(f"topk_normalize: ks={ks} exceeds order {m}, clamping")
         ks = m
     w = np.empty((m, m), dtype=np.float64)
-    rounded = np.empty((min(_BLOCK_ROWS, m), m), dtype=np.float32)
-    for lo, hi in _row_blocks(m):
+    rounded = np.empty((min(kernels.BLOCK_ROWS, m), m), dtype=np.float32)
+    for lo, hi in kernels.row_blocks(m):
         rows, block = fused[lo:hi], w[lo:hi]
         np.multiply(rows, _top_k_mask(rows, ks), out=block)
         block[...] = np.divide(block, block.sum(axis=1)[:, None], out=rounded[:hi - lo])
@@ -214,13 +183,13 @@ def combine(fused: np.ndarray, cooc: np.ndarray | None, ks: int, gamma: float,
     returned.
     """
     m, n = fused.shape
-    step = _elementwise_rows(n)
+    step = kernels.rows_within(_BLOCK_ELEMENTS, n)
     s_buf = np.empty((min(step, m), n), dtype=np.float64)
     if cooc is not None:
         t_buf = np.empty_like(s_buf)
         r_buf = np.empty(s_buf.shape, dtype=np.float32)
         scale = min(ks, m)
-    for lo, hi in _row_blocks(m, step):
+    for lo, hi in kernels.row_blocks(m, step):
         s = s_buf[:hi - lo]
         if cooc is None:
             # gamma == 0: (1 - gamma) * fused + gamma * 0 is fused itself

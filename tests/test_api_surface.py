@@ -1,4 +1,5 @@
-"""Every public name of the package is used by the program itself.
+"""Every public name of the package is used by the program itself, and
+no private name crosses a module.
 
 A public top-level function or class of ``src/assph``, or a public
 method of such a class, must be used somewhere in ``src`` or ``bench``
@@ -9,6 +10,10 @@ benchmark's tracer patches.  In ``bench`` only attributes and dotted
 strings count: the benchmark reaches the package through its modules, and
 a bare name there is one of the benchmark's own, such as its input
 writers.
+
+A helper two modules share is public in ``kernels``, which imports numpy
+and the package's errors only, so no module reaches into another's
+underscore names.
 """
 
 import ast
@@ -84,3 +89,43 @@ def test_finds_the_definitions():
     assert {"cosine_matrix", "CorrelationSet", "CorrelationSet.union",
             "EvalReport.save_json"} <= names
     assert not any(name.startswith("_") or "._" in name for name in names)
+
+
+def private_crossings():
+    """(file:line, module.name) of each underscore name a package module
+    takes from another: ``from .x import _name`` or ``x._name``."""
+    modules = {name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py")}
+    found = []
+    for path, tree in _modules(PACKAGE):
+        others = modules - {os.path.basename(path)[:-3]}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.removeprefix("assph.")
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                module, names = node.value.id, [node.attr]
+            else:
+                continue
+            if module in others:
+                found += [(f"{os.path.basename(path)}:{node.lineno}", f"{module}.{name}")
+                          for name in names if name.startswith("_")]
+    return found
+
+
+def test_no_private_name_crosses_a_module():
+    crossings = private_crossings()
+    assert not crossings, crossings
+
+
+def test_kernels_imports_numpy_and_errors_only():
+    path = os.path.join(PACKAGE, "kernels.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            imported |= {"." * node.level + name for name in names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert imported <= {"__future__", "numpy", ".errors"}, imported

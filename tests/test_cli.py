@@ -376,28 +376,27 @@ class TestEncodeEval:
                                                      tmp_path):
         bundle = dataio.load_bundle(data_dir)
         q, r = bundle.split.query, bundle.split.retrieval
-        qi_feats = str(tmp_path / "query_image.assf")
-        dt_feats = str(tmp_path / "db_text.assf")
-        dataio.write_features(bundle.image_features[q], qi_feats)
-        dataio.write_features(bundle.text_features[r], dt_feats)
         ql_path = str(tmp_path / "query_labels.csv")
         dl_path = str(tmp_path / "db_labels.csv")
         dataio.write_labels(bundle.labels[q], ql_path)
         dataio.write_labels(bundle.labels[r], dl_path)
 
-        qi_codes = str(tmp_path / "qi.assb")
-        dt_codes = str(tmp_path / "dt.assb")
-        assert cli.dispatch(["encode", "--features", qi_feats, "--checkpoint",
-                             os.path.join(train_dir, "imgnet.assp"),
-                             "--hidden-act", "relu", "--out", qi_codes]) == 0
-        assert cli.dispatch(["encode", "--features", dt_feats, "--checkpoint",
-                             os.path.join(train_dir, "txtnet.assp"),
-                             "--hidden-act", "relu", "--out", dt_codes]) == 0
-
-        # codes must agree with the ones the train command wrote
-        np.testing.assert_array_equal(
-            hashnet.load_codes(qi_codes),
-            hashnet.load_codes(os.path.join(train_dir, "query_image.assb")))
+        # every split's codes must agree with the ones the train command wrote
+        for split, rows in (("query", q), ("db", r)):
+            for modality, features, net in (
+                    ("image", bundle.image_features, "imgnet.assp"),
+                    ("text", bundle.text_features, "txtnet.assp")):
+                name = f"{split}_{modality}"
+                feats, codes = str(tmp_path / f"{name}.assf"), str(tmp_path / f"{name}.assb")
+                dataio.write_features(features[rows], feats)
+                assert cli.dispatch(["encode", "--features", feats, "--checkpoint",
+                                     os.path.join(train_dir, net),
+                                     "--hidden-act", "relu", "--out", codes]) == 0
+                np.testing.assert_array_equal(
+                    hashnet.load_codes(codes),
+                    hashnet.load_codes(os.path.join(train_dir, f"{name}.assb")))
+        qi_codes = str(tmp_path / "query_image.assb")
+        dt_codes = str(tmp_path / "db_text.assb")
 
         out = str(tmp_path / "eval")
         assert cli.dispatch(["eval", "--query-codes", qi_codes,
@@ -484,6 +483,15 @@ class TestAblate:
         code = cli.dispatch(["ablate", "--bundle", data_dir, "--out", out,
                              "--variants", "nothing"] + TRAIN_FLAGS)
         assert code == 2
+
+    def test_repeated_variant(self, data_dir, tmp_path, capsys):
+        # rejected before any training: each variant is trained once
+        out = str(tmp_path / "ab3")
+        code = cli.dispatch(["ablate", "--bundle", data_dir, "--out", out,
+                             "--variants", "noadapt,nocorr,noadapt"] + TRAIN_FLAGS)
+        assert code == 2
+        assert "['noadapt']" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestConfigResolution:

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from assph import cli, config, corrmine, dataio, simgraph
+from assph import cli, config, corrmine, dataio, kernels, simgraph
 from assph.errors import ConfigError, DataError, DivergenceError
 from oracles import (argsort_top_k, dense_adjacency, dense_correlation_stats,
                      dense_init_correlations, dense_second_order, naive_relation,
@@ -154,8 +154,8 @@ class TestSecondOrder:
         a = random_lists(rng, m, k, skip=[3, 8])  # neighbors no row of a picks
         b = random_lists(rng, m, k, skip=[8, 15])  # ... or no row of b
         cases = [(a, b), (b, a), (a, a), (b, b)]
-        for block_rows in (simgraph._BLOCK_ROWS, 7):  # one block of rows, many
-            monkeypatch.setattr(simgraph, "_BLOCK_ROWS", block_rows)
+        for block_rows in (kernels.BLOCK_ROWS, 7):  # one block of rows, many
+            monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
             for x, y in cases:
                 for tau in (1, 2, 3):
                     out = second_order(x, y, tau)
@@ -540,7 +540,7 @@ def hidden_codes(kind, m, d, seed):
 
 
 REGIMES = ["random", "identical", "five"]
-BLOCK = simgraph._BLOCK_ROWS
+BLOCK = kernels.BLOCK_ROWS
 
 
 class TestStreamedMining:
@@ -551,7 +551,7 @@ class TestStreamedMining:
     @pytest.mark.parametrize("kind", REGIMES)
     def test_lists_equal_knn_of_cosine_matrix(self, m, kind):
         h = hidden_codes(kind, m, 12, m)
-        unit = simgraph._unit_rows(h, "embedding")[0]
+        unit = kernels.unit_rows(h, "embedding")[0]
         for kr in (1, 5, m, m + 3):
             streamed = corrmine._select(simgraph.cosine_blocks(unit), m, kr)
             npt.assert_array_equal(

@@ -12,7 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from assph import dataio, hashnet
+from assph import dataio, hashnet, kernels
 from assph.errors import ConfigError, DataError
 
 
@@ -63,7 +63,7 @@ class TestFeatureContainer:
         ({4: np.inf, 6: np.nan}, "non-finite entry in row 4"),
     ], ids=["non-finite-first", "first-zero", "first-non-finite"])
     def test_row_blocks_keep_first_bad_row(self, monkeypatch, bad, message):
-        monkeypatch.setattr(dataio, "_CHECK_ENTRIES", 6)  # two rows per block
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 6)  # two rows per block
         mat = np.ones((8, 3), dtype=np.float32)
         for row, value in bad.items():
             mat[row] = 0.0

@@ -15,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from assph import evalkit  # noqa: E402
+from assph import evalkit, kernels  # noqa: E402
 from oracles import sorted_gather_direction  # noqa: E402
 
 # code lengths and label widths at the edges of the packed words
@@ -63,9 +63,9 @@ def directions(draw):
 
 def check_against_oracle(q, db, ql, dl, cutoffs, k_grid, rows, chunk_rows):
     block_pairs = evalkit._BLOCK_PAIRS if rows is None else rows * len(db)
-    chunk_pairs = evalkit._CHUNK_PAIRS if chunk_rows is None else chunk_rows * len(db)
+    chunk_pairs = kernels._CHUNK_PAIRS if chunk_rows is None else chunk_rows * len(db)
     with mock.patch.object(evalkit, "_BLOCK_PAIRS", block_pairs), \
-            mock.patch.object(evalkit, "_CHUNK_PAIRS", chunk_pairs):
+            mock.patch.object(kernels, "_CHUNK_PAIRS", chunk_pairs):
         got = evalkit.evaluate_direction("i2t", q, db, ql, dl, cutoffs, k_grid)
     want = sorted_gather_direction("i2t", q, db, ql, dl, cutoffs, k_grid,
                                    max(1, block_pairs // len(db)))

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from assph import evalkit
+from assph import evalkit, kernels
 from assph.errors import ConfigError, DataError
 from oracles import (block_average_precision, naive_average_precision, naive_hamming,
                      naive_rank, naive_relevance, sorted_gather_direction)
@@ -159,8 +159,8 @@ class TestAveragePrecision:
 
 def packed_relevance(query_labels, db_labels):
     """relevance_matrix of labels packed as evaluate_direction packs them."""
-    return evalkit.relevance_matrix(evalkit.pack_rows(np.asarray(query_labels) != 0),
-                                    evalkit.pack_rows(np.asarray(db_labels) != 0))
+    return evalkit.relevance_matrix(kernels.pack_rows(np.asarray(query_labels) != 0),
+                                    kernels.pack_rows(np.asarray(db_labels) != 0))
 
 
 class TestRelevance:
@@ -180,7 +180,7 @@ class TestRelevance:
         assert want.any() and not want.all()
         npt.assert_array_equal(packed_relevance(ql, dl), want)
         # chunks of one to three query rows
-        monkeypatch.setattr(evalkit, "_CHUNK_PAIRS", 2 * len(dl))
+        monkeypatch.setattr(kernels, "_CHUNK_PAIRS", 2 * len(dl))
         npt.assert_array_equal(packed_relevance(ql, dl), want)
 
     @pytest.mark.parametrize("width, dtype, n_words", [
@@ -188,13 +188,13 @@ class TestRelevance:
         (33, np.uint64, 1), (64, np.uint64, 1), (65, np.uint64, 2), (130, np.uint64, 3)])
     def test_pack_rows_narrowest_words(self, width, dtype, n_words):
         bits = np.ones((3, width), dtype=bool)
-        words = evalkit.pack_rows(bits)
+        words = kernels.pack_rows(bits)
         assert words.dtype == dtype and words.shape == (3, n_words)
         npt.assert_array_equal(np.bitwise_count(words).sum(axis=1), width)
 
     def test_shape_mismatch(self, monkeypatch):
         # checked once, at evaluate_direction's entry, before any ranking
-        monkeypatch.setattr(evalkit, "_distances", None)
+        monkeypatch.setattr(kernels, "distances", None)
         q = np.ones((2, 4), dtype=np.int8)
         with pytest.raises(DataError, match="incompatible"):
             evalkit.evaluate_direction("i2t", q, q, np.ones((2, 3)), np.ones((2, 4)))
@@ -244,7 +244,7 @@ class TestMapEval:
 
     def test_rejects_cutoff_below_one(self, monkeypatch):
         # checked once, at evaluate_direction's entry, before any ranking
-        monkeypatch.setattr(evalkit, "_distances", None)
+        monkeypatch.setattr(kernels, "distances", None)
         q, db, ql, dl = self._hand_fixture()
         with pytest.raises(ConfigError, match="^evaluate_direction: cutoff must be >= 1, "
                                               "got 0$"):

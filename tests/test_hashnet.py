@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from assph import config, dataio, evalkit, hashnet
+from assph import config, dataio, evalkit, hashnet, kernels
 from assph.errors import ConfigError, DataError, DivergenceError
 from oracles import central_difference, gradient_errors, naive_backward, naive_sgd_step
 
@@ -344,6 +344,20 @@ class TestCheckpointIO:
         assert q.d_in == 300
         assert peak < 13 * n
 
+    def test_save_converts_one_row_block_at_a_time(self, tmp_path):
+        # w1's float32 copy would take 8 MiB; a block's takes at most 1 MiB
+        p = hashnet.init_params(1024, 2048, 64, seed=0)
+        path = str(tmp_path / "net.assp")
+        tracemalloc.start()
+        try:
+            hashnet.save_checkpoint(p, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 4 * kernels.BLOCK_ENTRIES
+        npt.assert_array_equal(hashnet.load_checkpoint(path).w1,
+                               p.w1.astype(np.float32))
+
     def test_header_layout(self, tmp_path):
         p = hashnet.init_params(3, 4, 2, seed=0)
         path = str(tmp_path / "net.assp")
@@ -423,7 +437,7 @@ class TestCodesIO:
     ])
     def test_one_sign_rule(self, tmp_path, monkeypatch, caller, entry, message):
         # several check blocks, the bad entry in the last one
-        monkeypatch.setattr(dataio, "_CHECK_ENTRIES", 8)
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 8)
         codes = np.ones((5, 4), dtype=np.result_type(np.int8, entry))
         codes[::2] = -1
         codes[-1, -1] = entry

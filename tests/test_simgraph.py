@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from assph import config, simgraph
+from assph import config, kernels, simgraph
 from assph.errors import ConfigError
 from oracles import (argsort_top_k, naive_semantic, tril_mirror_cosine,
                      whole_matrix_semantic)
@@ -30,11 +30,11 @@ def five_repeated_features(rng, m, d):
     return random_features(rng, 5, d)[np.arange(m) % 5]
 
 
-def elementwise_rows(monkeypatch, rows):
-    """Force the elementwise stages' block to rows; None keeps the size
-    derived from the order."""
+def elementwise_rows(monkeypatch, rows, m):
+    """Force the elementwise stages' block over m x m matrices to rows;
+    None keeps the size derived from the order."""
     if rows is not None:
-        monkeypatch.setattr(simgraph, "_elementwise_rows", lambda n: rows)
+        monkeypatch.setattr(simgraph, "_BLOCK_ELEMENTS", rows * m)
 
 
 def cosine(arr):
@@ -89,7 +89,7 @@ class TestCosineMatrix:
         # no triangle is mirrored: numpy's f @ f.T must come out exactly
         # symmetric at every width, or these bits would move
         rng = np.random.default_rng(3)
-        block = simgraph._BLOCK_ROWS
+        block = kernels.BLOCK_ROWS
         for d in (1, 6, 64, 300, 1386):
             for m in (1, 7, block, block + 1, 2 * block + 37):
                 f = random_features(rng, m, d)
@@ -100,7 +100,7 @@ class TestCosineMatrix:
 
     def test_blocks_reuse_one_buffer(self):
         f = random_features(np.random.default_rng(6), 600, 5)
-        unit = simgraph._unit_rows(f, "features")[0]
+        unit = kernels.unit_rows(f, "features")[0]
         whole = simgraph.cosine_matrix(f)
         bases = set()
         for lo, hi, rows in simgraph.cosine_blocks(unit):
@@ -218,7 +218,7 @@ class TestFuse:
         assert (out >= (b + 1) / 2 - 1e-6).all()
 
     def test_out_may_be_an_input(self, monkeypatch):
-        monkeypatch.setattr(simgraph, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 7)
         rng = np.random.default_rng(12)
         a = simgraph.cosine_matrix(random_features(rng, 30, 6))
         b = simgraph.cosine_matrix(random_features(rng, 30, 5))
@@ -414,7 +414,7 @@ class TestBuildSemantic:
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
     def test_blocks_match_whole_matrix_oracle(self, monkeypatch, gamma):
-        monkeypatch.setattr(simgraph, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 7)
         rng = np.random.default_rng(14)
         for m in (1, 6, 13, 50):
             fi = random_features(rng, m, 8)
@@ -429,7 +429,7 @@ class TestBuildSemantic:
 
     def test_default_blocks_match_whole_matrix_oracle(self):
         rng = np.random.default_rng(15)
-        m = simgraph._BLOCK_ROWS + 45
+        m = kernels.BLOCK_ROWS + 45
         fi = random_features(rng, m, 12)
         ft = random_features(rng, m, 7)
         for gamma in (0.0, 0.3):
@@ -443,9 +443,9 @@ class TestBuildSemantic:
                                                           make):
         # elementwise blocks of 1 row, of 7 and of the size derived from M,
         # across the selection blocks' edges at 256 rows
-        elementwise_rows(monkeypatch, rows)
         rng = np.random.default_rng(25)
         for m in (1, 7, 255, 256, 257, 600):
+            elementwise_rows(monkeypatch, rows, m)
             fi, ft = make(rng, m, 12), make(rng, m, 7)
             for ks in sorted({1, max(1, m // 3), m, m + 5}):
                 for gamma in (0.0, 0.3, 1.0):

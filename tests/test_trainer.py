@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from assph import config, corrmine, dataio, evalkit, hashnet, objective, trainer
+from assph import config, corrmine, dataio, evalkit, hashnet, kernels, objective, trainer
 from assph.errors import ConfigError, DivergenceError
 from oracles import naive_backward, naive_sgd_step, to_dense, whole_matrix_semantic
 
@@ -183,10 +183,10 @@ class TestInitState:
         # elementwise blocks of 1 row, of 7 and of the size derived from M,
         # over 257 clustered rows: one selection block and one row more
         from assph import simgraph
-        if rows is not None:
-            monkeypatch.setattr(simgraph, "_elementwise_rows", lambda n: rows)
         rng = np.random.default_rng(27)
-        m = simgraph._BLOCK_ROWS + 1
+        m = kernels.BLOCK_ROWS + 1
+        if rows is not None:
+            monkeypatch.setattr(simgraph, "_BLOCK_ELEMENTS", rows * m)
         centers = rng.standard_normal((4, 20)) * 4.0
         fi = (centers[np.arange(m) % 4]
               + 0.05 * rng.standard_normal((m, 20))).astype(np.float32)
