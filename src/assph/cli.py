@@ -100,16 +100,12 @@ def _resolve_config(args: argparse.Namespace) -> TrainConfig:
             )
         flat.update(PROFILES[args.profile])
     if args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid config JSON: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-        flat.update(file_cfg)
+        from .dataio import read_json
+
+        try:
+            flat.update(read_json(args.config, "config"))
+        except DataError as exc:  # a config file's faults are config errors
+            raise ConfigError(str(exc)) from None
     flat.update(_given(args, TrainConfig))
     return TrainConfig.from_dict(flat)
 
@@ -152,7 +148,8 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
                 fh.write(("%d,%d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
     stats = {"order": rel.order, "epoch": rel.epoch}
     if bundle.labels is not None:
-        stats.update(corrmine.correlation_stats(rel, bundle.labels[train_idx]))
+        stats.update(corrmine.correlation_stats(
+            rel, corrmine.label_share(bundle.labels[train_idx])))
     if "count" not in stats:  # no labels, so no correlation_stats count
         stats["count"] = rel.popcount()
     write_json(stats, os.path.join(args.out, "stats.json"))
@@ -171,19 +168,21 @@ def _encode(params, features, hidden_act):
     return sign_codes(forward(params, features, 1.0, hidden_act).h)
 
 
-def _self_evaluate(bundle, result, cfg, out_dir, map_cutoffs):
-    """Encode the query/retrieval splits and write both direction reports."""
+def _self_evaluate(bundle, state, out_dir, map_cutoffs):
+    """Encode the query/retrieval splits with a trained run's encoders and
+    write both direction reports."""
     from .evalkit import evaluate_direction
     from .hashnet import save_codes
 
     q, r = bundle.split.query, bundle.split.retrieval
     fi, ft, pi, pt = (bundle.image_features, bundle.text_features,
-                      result.params_image, result.params_text)
+                      state.params_image, state.params_text)
+    act = state.cfg.hidden_act
     codes = {
-        "query_image": _encode(pi, fi[q], cfg.hidden_act),
-        "query_text": _encode(pt, ft[q], cfg.hidden_act),
-        "db_image": _encode(pi, fi[r], cfg.hidden_act),
-        "db_text": _encode(pt, ft[r], cfg.hidden_act),
+        "query_image": _encode(pi, fi[q], act),
+        "query_text": _encode(pt, ft[q], act),
+        "db_image": _encode(pi, fi[r], act),
+        "db_text": _encode(pt, ft[r], act),
     }
     outputs = []
     for name, mat in codes.items():
@@ -215,22 +214,21 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     map_cutoffs = _map_cutoffs(args)
     bundle = load_bundle(args.bundle)
-    result = train(bundle, cfg)
+    state = train(bundle, cfg)
     t_train = time.perf_counter() - t0
 
     os.makedirs(args.out, exist_ok=True)
-    save_checkpoint(result.params_image, os.path.join(args.out, "imgnet.assp"))
-    save_checkpoint(result.params_text, os.path.join(args.out, "txtnet.assp"))
+    save_checkpoint(state.params_image, os.path.join(args.out, "imgnet.assp"))
+    save_checkpoint(state.params_text, os.path.join(args.out, "txtnet.assp"))
     with open(os.path.join(args.out, "history.jsonl"), "w") as fh:
-        for record in result.history:
+        for record in state.history:
             fh.write(json.dumps(record.to_dict(), sort_keys=True))
             fh.write("\n")
     outputs = ["imgnet.assp", "txtnet.assp", "history.jsonl"]
-    reports, eval_outputs = _self_evaluate(bundle, result, cfg, args.out,
-                                           map_cutoffs)
+    reports, eval_outputs = _self_evaluate(bundle, state, args.out, map_cutoffs)
     outputs.extend(eval_outputs)
     _write_manifest(args.out, "train", cfg.to_dict(), _inputs(bundle, args), outputs,
-                    {**result.setup_timings, "train_s": t_train,
+                    {**state.setup_timings, "train_s": t_train,
                      "total_s": time.perf_counter() - t0})
     line = f"train: {cfg.epochs} epochs done"
     for direction, report in sorted(reports.items()):
@@ -340,13 +338,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     outputs = ["ablation.json"]
     runs = [("ASSPH", {})] + [_VARIANTS[v] for v in names]
     for title, patch in runs:
-        run_cfg = dataclasses.replace(cfg, **patch)
-        result = train(bundle, run_cfg)
+        state = train(bundle, dataclasses.replace(cfg, **patch))
         sub = os.path.join(args.out, title)
         os.makedirs(sub, exist_ok=True)
-        reports, sub_outputs = _self_evaluate(bundle, result, run_cfg, sub,
-                                              map_cutoffs)
-        del result  # free this run's state before the next variant trains
+        reports, sub_outputs = _self_evaluate(bundle, state, sub, map_cutoffs)
+        del state  # free this run's state before the next variant trains
         outputs.extend(os.path.join(title, name) for name in sub_outputs)
         rows[title] = {d: reports[d].map_all for d in ("I2T", "T2I")}
         print(f"ablate {title}: I2T {rows[title]['I2T']:.4f}, "

@@ -23,16 +23,19 @@ from .simgraph import cosine_matrix  # noqa: F401
 class CorrelationSet:
     """Packed symmetric reflexive bit relation plus its mining epoch."""
 
-    def __init__(self, order: int, bits: np.ndarray, epoch: int = 0):
-        self.order = order
+    def __init__(self, bits: np.ndarray, epoch: int = 0):
         self.bits = bits  # (order, ceil(order/8)) uint8, row-packed
         self.epoch = epoch
+
+    @property
+    def order(self) -> int:
+        return len(self.bits)
 
     @classmethod
     def identity(cls, order: int) -> "CorrelationSet":
         bits = np.zeros((order, (order + 7) >> 3), dtype=np.uint8)
         kernels.mark(bits, np.arange(order), np.arange(order))
-        return cls(order, bits)
+        return cls(bits)
 
     def upper_pairs(self):
         """Yield the pairs (i, j), i <= j, as (n, 2) index arrays in
@@ -47,7 +50,7 @@ class CorrelationSet:
         return kernels.count_bits(self.bits)
 
     def union(self, other: "CorrelationSet", epoch: int) -> "CorrelationSet":
-        return CorrelationSet(self.order, self.bits | other.bits, epoch)
+        return CorrelationSet(self.bits | other.bits, epoch)
 
     def batch(self, idx: np.ndarray) -> np.ndarray:
         """Dense float64 submatrix over the given instance indices."""
@@ -142,7 +145,7 @@ def _mine(nn_i: np.ndarray, nn_t: np.ndarray, tau: int,
         joins = [(nn, nn)] if tau == 1 else [(nn_i, nn_i), (nn_t, nn_t), (nn_i, nn_t)]
         for nn_a, nn_b in joins:
             second_order(nn_a, nn_b, tau, bits)
-    return CorrelationSet(len(bits), bits)
+    return CorrelationSet(bits)
 
 
 def init_correlations(sim_image: np.ndarray, sim_text: np.ndarray, kr: int,
@@ -173,10 +176,10 @@ def adaptive_update(rel: CorrelationSet, hidden_image: np.ndarray,
 def label_share(labels: np.ndarray) -> np.ndarray:
     """Row-packed relation of instance pairs that share at least one label.
 
-    It depends on the labels alone, so a training run builds it once and
-    passes it to every correlation_stats call.  Each block of rows is the
-    overlap of the labels' pack_rows words, as evaluation's relevance is,
-    packed as soon as it is formed, so no order x order array is.
+    It depends on the labels alone, so a training run builds it once for
+    every correlation_stats call.  Each block of rows is the overlap of the
+    labels' pack_rows words, as evaluation's relevance is, packed as soon
+    as it is formed, so no order x order array is.
     """
     words = kernels.pack_rows(np.asarray(labels) != 0)
     share = np.empty((len(words), (len(words) + 7) >> 3), dtype=np.uint8)
@@ -185,21 +188,18 @@ def label_share(labels: np.ndarray) -> np.ndarray:
     return share
 
 
-def correlation_stats(rel: CorrelationSet, labels: np.ndarray,
-                      share: np.ndarray | None = None) -> dict:
+def correlation_stats(rel: CorrelationSet, share: np.ndarray) -> dict:
     """Size and label-agreement precision of the relation.
 
     count includes the diagonal; precision is the fraction of off-diagonal
-    pairs sharing at least one label.  With no off-diagonal pairs the
-    precision reports 1.0 and the flag says so.  share is label_share of
-    these labels, built here when not given.  Both figures are bit counts
-    on the packed rows; no order^2 matrix is unpacked.
+    pairs sharing at least one label, share being the label_share of the
+    training labels.  With no off-diagonal pairs the precision reports 1.0
+    and the flag says so.  Both figures are bit counts on the packed rows;
+    no order^2 matrix is unpacked.
     """
     count = rel.popcount()
     n_off = count - rel.order  # every relation holds its self pairs
     if n_off == 0:
         return {"count": count, "precision": 1.0, "no_offdiag": True}
-    if share is None:
-        share = label_share(labels)
     shared = kernels.count_bits(rel.bits & share) - int(kernels.diagonal_bits(share).sum())
     return {"count": count, "precision": shared / n_off, "no_offdiag": False}

@@ -205,13 +205,18 @@ def _canonical_labels(raw: bytes) -> np.ndarray | None:
     return labels if (labels <= 1).all() else None
 
 
-def _parse_labels(path: str, text: str) -> np.ndarray:
-    """Parse the text of any label file row by row with int().
+def _parse_labels(path: str, raw: bytes) -> np.ndarray:
+    """Parse the bytes of any label file, decoded as UTF-8 with universal
+    newlines, row by row with int().
 
     Blank lines are skipped, but the row numbers in parse errors count
     them; int() takes spellings such as " 1" or "+0", and the first bad
     row is the one reported.
     """
+    try:
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     lines = [(i, s) for i, s in enumerate(map(str.strip, text.split("\n"))) if s]
     if not lines:
         raise DataError(f"{path}: no label rows")
@@ -238,13 +243,12 @@ def _read_labels(path: str) -> np.ndarray:
     validate_labels.
 
     The file is read once.  A canonical file (_canonical_labels) parses in
-    one pass over its bytes; any other is decoded as text mode would, with
-    universal newlines, and parsed row by row (_parse_labels).
+    one pass over its bytes; any other is parsed row by row (_parse_labels).
     """
     raw = _read_file(path, "label")
     labels = _canonical_labels(raw)
     if labels is None:
-        labels = _parse_labels(path, io.TextIOWrapper(io.BytesIO(raw)).read())
+        labels = _parse_labels(path, raw)
     return labels
 
 
@@ -392,6 +396,19 @@ def write_json(obj, path: str) -> None:
         fh.write("\n")
 
 
+def read_json(path: str, kind: str) -> dict:
+    """The JSON object a UTF-8 file holds, read once; kind names the file
+    in the messages."""
+    raw = _read_file(path, kind)
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{path}: invalid {kind} JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: {kind} file must hold a JSON object")
+    return obj
+
+
 def save_bundle(bundle: DatasetBundle, out_dir: str) -> str:
     """Write the bundle's files plus a JSON manifest; returns manifest path.
 
@@ -426,15 +443,15 @@ def load_bundle(path: str) -> DatasetBundle:
         path = os.path.join(path, _MANIFEST_NAME)
     if not os.path.exists(path):
         raise DataError(f"bundle manifest not found: {path}")
-    with open(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid manifest JSON: {exc}")
+    manifest = read_json(path, "manifest")
     base = os.path.dirname(path)
-    for key in ("image_features", "text_features", "split"):
-        if key not in manifest:
-            raise DataError(f"{path}: manifest missing key '{key}'")
+    # labels alone may be absent
+    for key, kind, want in (("image_features", str, "a file name"),
+                            ("text_features", str, "a file name"),
+                            ("labels", (str, type(None)), "a file name or null"),
+                            ("split", dict, "an object")):
+        if not isinstance(manifest.get(key), kind):
+            raise DataError(f"{path}: manifest key '{key}' must be {want}")
     files = [path, os.path.join(base, manifest["image_features"]),
              os.path.join(base, manifest["text_features"])]
     fi = _read_features(files[1])

@@ -74,8 +74,7 @@ class TrainState:
     weights_eff: objective.LossWeights
     features_image: np.ndarray
     features_text: np.ndarray
-    labels: np.ndarray | None
-    label_share: np.ndarray | None  # corrmine.label_share(labels)
+    label_share: np.ndarray | None  # corrmine.label_share of the labels
     semantic: np.ndarray
     rel: corrmine.CorrelationSet
     setup_timings: dict  # build_targets' stage timings
@@ -134,7 +133,6 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
         )
     fi32 = bundle.image_features[train_idx]
     ft32 = bundle.text_features[train_idx]
-    labels = bundle.labels[train_idx] if bundle.labels is not None else None
 
     semantic, rel, setup_timings = build_targets(fi32, ft32, cfg)
     weights_eff = objective.LossWeights(
@@ -159,8 +157,8 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
         weights_eff=weights_eff,
         features_image=fi32,
         features_text=ft32,
-        labels=labels,
-        label_share=corrmine.label_share(labels) if labels is not None else None,
+        label_share=(None if bundle.labels is None
+                     else corrmine.label_share(bundle.labels[train_idx])),
         semantic=semantic,
         rel=rel,
         setup_timings=setup_timings,
@@ -242,10 +240,8 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
         state.rel = corrmine.adaptive_update(state.rel, hi_all, ht_all,
                                              cfg.kr, cfg.tau,
                                              pairwise=cfg.pair_corr)
-    stats = None
-    if state.labels is not None:
-        stats = corrmine.correlation_stats(state.rel, state.labels,
-                                           share=state.label_share)
+    stats = (None if state.label_share is None
+             else corrmine.correlation_stats(state.rel, state.label_share))
 
     mean = sums / max(n_iter, 1)
     return EpochRecord(

@@ -21,8 +21,9 @@ pinned to 1 BLAS thread runs build-sim (base and four switches), train
 for 2 epochs (base and four switches), encode of the base image
 checkpoint and ablate with its default variants, and digests every
 semantic matrix, correlation list, statistics file, checkpoint, code
-file, self-evaluation report, ablation table and history (without
-wall_time).  These outputs hold BLAS sums, so cli_digests.json records
+file, self-evaluation report, ablation table, history (without
+wall_time) and manifest (without timings, its input paths relative to
+the fixture directory).  These outputs hold BLAS sums, so cli_digests.json records
 the environment they were made in: numpy, the BLAS build, its thread
 count and the CPU.
 
@@ -168,6 +169,17 @@ def _history_digest(path: str) -> str:
     return digest.hexdigest()
 
 
+def _manifest_digest(path: str, fixture: str) -> str:
+    """sha256 of a manifest.json with its timings dropped and its input
+    paths made relative to the fixture directory."""
+    with open(path) as fh:
+        manifest = json.load(fh)
+    del manifest["timings"]
+    manifest["inputs"] = {os.path.relpath(p, fixture).replace(os.sep, "/"): digest
+                          for p, digest in manifest["inputs"].items()}
+    return hashlib.sha256((json.dumps(manifest, sort_keys=True) + "\n").encode()).hexdigest()
+
+
 def cli_digests() -> dict:
     """sha256 of each digested output of the CLI matrix, keyed by its
     path under the run directory, such as "train/tanh/imgnet.assp"."""
@@ -198,6 +210,8 @@ def cli_digests() -> dict:
                 key = os.path.relpath(path, runs).replace(os.sep, "/")
                 if name == "history.jsonl":
                     digests[key] = _history_digest(path)
+                elif name == "manifest.json":
+                    digests[key] = _manifest_digest(path, tmp)
                 elif (name in DIGESTED or name.endswith((".assp", ".assb"))
                       or name.startswith("eval_")):
                     digests[key] = _sha256(path)

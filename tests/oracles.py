@@ -161,7 +161,7 @@ def relation_from_dense(dense) -> "corrmine.CorrelationSet":
         raise DataError("correlation set must be symmetric")
     if not np.all(np.diagonal(dense)):
         raise DataError("correlation set must include every self pair")
-    return corrmine.CorrelationSet(len(dense), np.packbits(dense.astype(np.uint8), axis=1))
+    return corrmine.CorrelationSet(np.packbits(dense.astype(np.uint8), axis=1))
 
 
 def to_dense(rel) -> np.ndarray:

@@ -26,7 +26,7 @@ ENTRY_POINTS = {
     "dataio._read_file", "dataio.Container.unpack",
     "dataio.validate_features", "dataio._read_features", "dataio.load_features",
     "dataio.validate_labels", "dataio._parse_labels",
-    "dataio.load_bundle", "hashnet.load_codes",
+    "dataio.read_json", "dataio.load_bundle", "hashnet.load_codes",
     # constructors of checked objects
     "config.LossWeights.__post_init__", "config.TrainConfig.__post_init__",
     "config.TrainConfig.from_dict", "config._coerce",

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -172,7 +173,7 @@ class TestBuildSim:
         del offset
         monkeypatch.setattr(trainer, "build_targets",
                             lambda fi, ft, cfg: (np.eye(2, dtype=np.float32), rel, {}))
-        monkeypatch.setattr(corrmine, "correlation_stats", lambda rel, labels: {})
+        monkeypatch.setattr(corrmine, "correlation_stats", lambda rel, share: {})
         out = str(tmp_path / "band")
         tracemalloc.start()
         try:
@@ -200,7 +201,7 @@ class TestBuildSim:
         assert len(first_strip) > cli._CSV_PAIRS
         monkeypatch.setattr(trainer, "build_targets",
                             lambda fi, ft, cfg: (np.eye(2, dtype=np.float32), rel, {}))
-        monkeypatch.setattr(corrmine, "correlation_stats", lambda rel, labels: {})
+        monkeypatch.setattr(corrmine, "correlation_stats", lambda rel, share: {})
         out = str(tmp_path / "dense")
         assert cli.dispatch(["build-sim", "--bundle", data_dir, "--out", out]) == 0
         expect = tmp_path / "expect.csv"
@@ -546,6 +547,58 @@ class TestConfigResolution:
         assert code == 2
         assert "bad config value: adaptive" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "x"))
+
+
+def _with_keys(raw: bytes, **values) -> bytes:
+    """A bundle.json's bytes with some keys set to other JSON values."""
+    return json.dumps({**json.loads(raw), **values}).encode()
+
+
+class TestMalformedTextInputs:
+    """Undecodable bytes or wrong JSON types in a text input: exit 3 for
+    data, 2 for a config file, with one error line naming the file or key."""
+
+    @pytest.mark.parametrize("name, edit, code, named", [
+        ("labels.csv", lambda raw: b"\xff" + raw[1:], 3, "labels.csv"),
+        ("bundle.json", lambda raw: b"\xff\xfe" + raw, 3, "bundle.json"),
+        ("bundle.json", lambda raw: b"7", 3, "bundle.json"),
+        ("bundle.json", lambda raw: _with_keys(raw, image_features=5), 3,
+         "'image_features'"),
+        ("bundle.json", lambda raw: _with_keys(raw, split=["train", "query", "retrieval"]),
+         3, "'split'"),
+        ("cfg.json", lambda raw: b'{"ks": 10\xff}', 2, "cfg.json"),
+    ], ids=["labels-bytes", "manifest-bytes", "manifest-number", "image-number",
+            "split-list", "config-bytes"])
+    def test_train(self, data_dir, tmp_path, capsys, name, edit, code, named):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(data_dir, bundle)
+        cfg = bundle / "cfg.json"
+        cfg.write_text("{}")
+        path = bundle / name
+        path.write_bytes(edit(path.read_bytes()))
+        out = tmp_path / "run"
+        assert cli.dispatch(["train", "--bundle", str(bundle), "--out", str(out),
+                             "--config", str(cfg)] + TRAIN_FLAGS) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err
+        assert not out.exists()
+
+    def test_eval_label_bytes(self, data_dir, train_dir, tmp_path, capsys):
+        with open(os.path.join(data_dir, "labels.csv"), "rb") as fh:
+            raw = fh.read()
+        labels = tmp_path / "ql.csv"
+        labels.write_bytes(b"\xff" + raw[1:])
+        out = tmp_path / "ev"
+        assert cli.dispatch(["eval", "--query-codes",
+                             os.path.join(train_dir, "query_image.assb"),
+                             "--db-codes", os.path.join(train_dir, "db_text.assb"),
+                             "--query-labels", str(labels),
+                             "--db-labels", str(labels), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"error: data: {labels}: not UTF-8 text: 'utf-8' codec can't "
+                       f"decode byte 0xff in position 0: invalid start byte\n")
+        assert not out.exists()
 
 
 def _non_default(field):

@@ -465,13 +465,13 @@ class TestCorrelationStats:
     def test_identity_reports_no_offdiag(self):
         rel = corrmine.CorrelationSet.identity(6)
         labels = np.eye(6, dtype=np.int8)
-        stats = corrmine.correlation_stats(rel, labels)
+        stats = corrmine.correlation_stats(rel, corrmine.label_share(labels))
         assert stats == {"count": 6, "precision": 1.0, "no_offdiag": True}
 
     def test_same_class_all_pairs(self):
         rel = relation_from_dense(np.ones((5, 5), dtype=np.uint8))
         labels = np.tile([[1, 0]], (5, 1)).astype(np.int8)
-        stats = corrmine.correlation_stats(rel, labels)
+        stats = corrmine.correlation_stats(rel, corrmine.label_share(labels))
         assert stats["precision"] == 1.0
         assert stats["count"] == 25
 
@@ -481,7 +481,7 @@ class TestCorrelationStats:
         labels = np.zeros((m, 2), dtype=np.int8)
         labels[: m // 2, 0] = 1
         labels[m // 2:, 1] = 1
-        stats = corrmine.correlation_stats(rel, labels)
+        stats = corrmine.correlation_stats(rel, corrmine.label_share(labels))
         expect = (m // 2 - 1) / (m - 1)  # fraction of same-class others
         npt.assert_allclose(stats["precision"], expect)
 
@@ -523,9 +523,8 @@ class TestLabelShare:
             labels = (rng.random((m, 4)) < 0.3).astype(np.int8)
             labels[0] = 0  # an unlabeled row shares no label, not even with itself
             expect = dense_correlation_stats(dense, labels)
-            assert corrmine.correlation_stats(rel, labels) == expect
             share = corrmine.label_share(labels)
-            assert corrmine.correlation_stats(rel, labels, share=share) == expect
+            assert corrmine.correlation_stats(rel, share) == expect
 
 
 def hidden_codes(kind, m, d, seed):

@@ -1,7 +1,6 @@
 """Feature/label containers, bundle manifests, and the synthetic corpus."""
 
 import dataclasses
-import io
 import itertools
 import json
 import os
@@ -297,7 +296,7 @@ class TestLabels:
         path.write_bytes(raw)
         fast = dataio._canonical_labels(raw)
         assert fast is not None
-        npt.assert_array_equal(fast, dataio._parse_labels(str(path), path.read_text()))
+        npt.assert_array_equal(fast, dataio._parse_labels(str(path), raw))
         npt.assert_array_equal(dataio._read_labels(str(path)), fast)
 
     def test_one_pass_agrees_with_text_parser(self):
@@ -310,8 +309,7 @@ class TestLabels:
                 fast = dataio._canonical_labels(raw)
                 if fast is not None:
                     accepted += 1
-                    text = io.TextIOWrapper(io.BytesIO(raw)).read()
-                    npt.assert_array_equal(fast, dataio._parse_labels("l.csv", text))
+                    npt.assert_array_equal(fast, dataio._parse_labels("l.csv", raw))
         assert accepted > 50
 
     @pytest.mark.parametrize("raw, expected", [
@@ -528,4 +526,40 @@ class TestBundle:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest not found"):
+            dataio.load_bundle(str(tmp_path))
+
+    @staticmethod
+    def _manifest_with(raw: bytes, **values) -> bytes:
+        manifest = json.loads(raw)
+        manifest.update(values)
+        return json.dumps(manifest).encode()
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("bundle.json", lambda raw: b"7", "manifest file must hold a JSON object"),
+        ("bundle.json", lambda raw: b"[]", "manifest file must hold a JSON object"),
+        ("bundle.json", lambda raw: TestBundle._manifest_with(raw, image_features=5),
+         "manifest key 'image_features' must be a file name$"),
+        ("bundle.json", lambda raw: TestBundle._manifest_with(raw, text_features=None),
+         "manifest key 'text_features' must be a file name$"),
+        ("bundle.json", lambda raw: TestBundle._manifest_with(raw, labels=True),
+         "manifest key 'labels' must be a file name or null$"),
+        ("bundle.json",
+         lambda raw: TestBundle._manifest_with(raw, split=["train", "query", "retrieval"]),
+         "manifest key 'split' must be an object$"),
+        ("bundle.json",
+         lambda raw: json.dumps({k: v for k, v in json.loads(raw).items()
+                                 if k != "split"}).encode(),
+         "manifest key 'split' must be an object$"),
+        ("bundle.json", lambda raw: b"\xff\xfe" + raw,
+         "invalid manifest JSON: 'utf-8' codec can't decode byte 0xff"),
+        ("labels.csv", lambda raw: b"\xff" + raw[1:],
+         "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["number", "list", "image-number", "text-null", "labels-bool", "split-list",
+            "split-missing", "manifest-bytes", "labels-bytes"])
+    def test_malformed_text_names_its_file(self, tmp_path, name, edit, message):
+        dataio.save_bundle(dataio.generate_synthetic(
+            dataio.SynthConfig(instances=60, seed=2)), str(tmp_path))
+        path = tmp_path / name
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DataError, match=f"^{path}: {message}"):
             dataio.load_bundle(str(tmp_path))
