@@ -28,11 +28,8 @@ import os
 import sys
 import time
 
-from .config import HIDDEN_ACTS, MAP_CUTOFFS, PROFILES, SynthConfig, TrainConfig
+from .config import HIDDEN_ACTS, MAP_CUTOFFS, SynthConfig, TrainConfig
 from .errors import ConfigError, DataError, DivergenceError
-
-# correlation pairs formatted per string when build-sim writes them
-_CSV_PAIRS = 1 << 16
 
 
 def _sha256(path: str) -> str:
@@ -86,19 +83,16 @@ def _given(args: argparse.Namespace, cls) -> dict:
 
 def _add_config_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file with training config keys")
-    sub.add_argument("--profile", help="built-in hyperparameter profile name")
+    # the paper's hyperparameters are TrainConfig's defaults, so the one
+    # profile changes nothing; the flag stays for scripts that name it
+    sub.add_argument("--profile", choices=["paper-default"],
+                     help="the paper's hyperparameters, which are the defaults")
     _add_fields(sub, TrainConfig)
 
 
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:
-    """defaults < profile < config file < explicit flags."""
+    """defaults < config file < explicit flags."""
     flat = {}
-    if args.profile:
-        if args.profile not in PROFILES:
-            raise ConfigError(
-                f"unknown profile '{args.profile}'; available: {sorted(PROFILES)}"
-            )
-        flat.update(PROFILES[args.profile])
     if args.config:
         from .dataio import read_json
 
@@ -116,9 +110,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = SynthConfig(**_given(args, SynthConfig))
     bundle = generate_synthetic(cfg, train_size=args.train_size)
-    os.makedirs(args.out, exist_ok=True)
-    save_bundle(bundle, args.out)
-    outputs = ["bundle.json", "image.assf", "text.assf", "labels.csv"]
+    outputs = save_bundle(bundle, args.out)
     config = {**dataclasses.asdict(cfg), "train_size": args.train_size}
     _write_manifest(args.out, "synth", config, [], outputs,
                     {"total_s": time.perf_counter() - t0})
@@ -142,16 +134,15 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
     write_features(semantic, os.path.join(args.out, "semantic.assf"))
     with open(os.path.join(args.out, "correlations.csv"), "w") as fh:
         fh.write("i,j\n")
+        step = kernels.rows_within(kernels.BLOCK_ENTRIES, 2)  # a pair is a row of 2
         for pairs in rel.upper_pairs():
-            for lo, hi in kernels.row_blocks(len(pairs), _CSV_PAIRS):
+            for lo, hi in kernels.row_blocks(len(pairs), step):
                 chunk = pairs[lo:hi]
                 fh.write(("%d,%d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
-    stats = {"order": rel.order, "epoch": rel.epoch}
-    if bundle.labels is not None:
-        stats.update(corrmine.correlation_stats(
-            rel, corrmine.label_share(bundle.labels[train_idx])))
-    if "count" not in stats:  # no labels, so no correlation_stats count
-        stats["count"] = rel.popcount()
+    share = (None if bundle.labels is None
+             else corrmine.label_share(bundle.labels[train_idx]))
+    stats = {"order": rel.order, "epoch": rel.epoch,
+             **corrmine.correlation_stats(rel, share)}
     write_json(stats, os.path.join(args.out, "stats.json"))
     outputs = ["semantic.assf", "correlations.csv", "stats.json"]
     _write_manifest(args.out, "build-sim", cfg.to_dict(), _inputs(bundle, args),
@@ -414,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--map-at")
-    p.add_argument("--variants", default="noadapt,paircorr,nocorr,nobinopt,nostruct")
+    p.add_argument("--variants", default=",".join(_VARIANTS))
     _add_config_args(p)
     p.set_defaults(func=cmd_ablate)
     return parser

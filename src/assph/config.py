@@ -1,11 +1,11 @@
 """The two configuration schemas: training and the synthetic corpus.
 
-The fields of ``TrainConfig`` are the keys of a ``--config`` JSON file,
-of the manifest's ``config`` block and of ``PROFILES``; the fields of
-``SynthConfig`` are the keys of a synth manifest's ``config`` block.  The
-CLI generates one flag per field of each (``code_length`` ->
-``--code-length``; bools get a ``--no-`` form), so adding a field adds
-all of them, and a field's default is defined here only.
+The fields of ``TrainConfig`` are the keys of a ``--config`` JSON file
+and of the manifest's ``config`` block; the fields of ``SynthConfig``
+are the keys of a synth manifest's ``config`` block.  The CLI generates
+one flag per field of each (``code_length`` -> ``--code-length``; bools
+get a ``--no-`` form), so adding a field adds all of them, and a field's
+default is defined here only.
 
 The module imports no numpy, so the CLI can build its parser before
 ``--threads`` caps the BLAS pools.
@@ -20,10 +20,6 @@ HIDDEN_ACTS = ("relu", "tanh")
 
 # MAP cutoffs a self-evaluation or an eval reports when none are asked for
 MAP_CUTOFFS = (50,)
-
-# named settings a --profile flag applies over the defaults; the paper's
-# hyperparameters are TrainConfig's own defaults, so its profile is empty
-PROFILES = {"paper-default": {}}
 
 
 @dataclass(frozen=True)

@@ -188,16 +188,19 @@ def label_share(labels: np.ndarray) -> np.ndarray:
     return share
 
 
-def correlation_stats(rel: CorrelationSet, share: np.ndarray) -> dict:
+def correlation_stats(rel: CorrelationSet, share: np.ndarray | None) -> dict:
     """Size and label-agreement precision of the relation.
 
     count includes the diagonal; precision is the fraction of off-diagonal
     pairs sharing at least one label, share being the label_share of the
-    training labels.  With no off-diagonal pairs the precision reports 1.0
-    and the flag says so.  Both figures are bit counts on the packed rows;
-    no order^2 matrix is unpacked.
+    training labels.  With no labels (share None) only the count is
+    given.  With no off-diagonal pairs the precision reports 1.0 and the
+    flag says so.  Both figures are bit counts on the packed rows; no
+    order^2 matrix is unpacked.
     """
     count = rel.popcount()
+    if share is None:
+        return {"count": count}
     n_off = count - rel.order  # every relation holds its self pairs
     if n_off == 0:
         return {"count": count, "precision": 1.0, "no_offdiag": True}

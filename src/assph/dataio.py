@@ -141,9 +141,9 @@ def _read_features(path: str) -> np.ndarray:
         magic, raw = raw[:4], None  # freed before numpy parses the text
         try:
             return np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
-        except UnicodeDecodeError:  # binary bytes: a container whose magic is damaged
-            raise DataError(f"{path}: not a feature file: magic {magic!r}, "
-                            f"expected {FEATURES.magic!r}")
+        except UnicodeDecodeError:  # a damaged container, or text that is not UTF-8
+            raise DataError(f"{path}: neither a feature container (magic {magic!r}, "
+                            f"expected {FEATURES.magic!r}) nor UTF-8 CSV text")
         except ValueError as exc:
             raise DataError(f"{path}: not a feature container and CSV parse failed: {exc}")
     return FEATURES.unpack(path, raw)[0]
@@ -409,8 +409,9 @@ def read_json(path: str, kind: str) -> dict:
     return obj
 
 
-def save_bundle(bundle: DatasetBundle, out_dir: str) -> str:
-    """Write the bundle's files plus a JSON manifest; returns manifest path.
+def save_bundle(bundle: DatasetBundle, out_dir: str) -> list[str]:
+    """Write the bundle's files plus a JSON manifest; returns the names of
+    the files written.
 
     The arrays are written as the bundle checked them when built."""
     os.makedirs(out_dir, exist_ok=True)
@@ -429,9 +430,8 @@ def save_bundle(bundle: DatasetBundle, out_dir: str) -> str:
     if bundle.labels is not None:
         write_labels(bundle.labels, os.path.join(out_dir, "labels.csv"))
         manifest["labels"] = "labels.csv"
-    path = os.path.join(out_dir, _MANIFEST_NAME)
-    write_json(manifest, path)
-    return path
+    write_json(manifest, os.path.join(out_dir, _MANIFEST_NAME))
+    return [name for name in manifest.values() if isinstance(name, str)] + [_MANIFEST_NAME]
 
 
 def load_bundle(path: str) -> DatasetBundle:

@@ -9,13 +9,12 @@ of labels.  Rankings sort by ascending distance with ties broken by
 ascending database index, so every metric here is exactly reproducible.
 
 evaluate_direction packs the codes and the labels once per direction
-and ranks the queries in blocks of about _BLOCK_PAIRS query-item pairs.
-A block's arrays peak near 10 bytes per pair (the int64 rank order
-beside the 1-byte distances and relevance), about 11 MB whatever Q is.
-Each block counts its distances per query, sorts them once and gathers
-its relevance into rank order once; every metric then reads the hits,
-the flat rank positions of the relevant items, and only a few numbers
-per query and radius outlive the block.
+and ranks the queries in blocks of about _BLOCK_PAIRS query-item pairs,
+so a block's footprint does not grow with Q.  Each block counts its
+distances per query, sorts them once and gathers its relevance into
+rank order once; every metric then reads the hits, the flat rank
+positions of the relevant items, and only a few numbers per query and
+radius outlive the block.
 
 Average precision truncated at a cutoff divides by the number of relevant
 items inside the cutoff window; queries with no relevant item in the
@@ -35,9 +34,9 @@ from . import kernels
 from .config import MAP_CUTOFFS
 from .dataio import write_json
 from .errors import ConfigError, DataError
-from .hashnet import all_signs
 
-# query-item pairs ranked per block of queries
+# query-item pairs ranked per block of queries, a decision of its own:
+# it trades a ranked block's footprint against its per-block Python work
 _BLOCK_PAIRS = 1 << 20
 
 
@@ -45,7 +44,7 @@ def _check_codes(codes: np.ndarray, name: str) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.ndim != 2 or min(codes.shape) < 1:
         raise DataError(f"{name}: expected a 2-d code matrix with rows and bits")
-    if not all_signs(codes):
+    if not kernels.all_signs(codes):
         raise DataError(f"{name}: code entries must be -1 or +1")
     return codes
 

@@ -9,16 +9,12 @@ Activations record (input, hidden layer, output) and backward reads it, so
 no pass is run twice.  Callers that only need the output take ``.h`` and
 drop the record.  Parameters, gradients and momentum are all
 HashNetParams records of w1, b1, w2 and b2.  The optimizer is plain SGD
-with momentum and weight decay on the weight matrices only;
-sgd_step(params, velocity, grads, ...) walks each parameter in flat
-blocks of _SGD_BLOCK elements through one scratch buffer, so a step
-reads and writes each parameter, velocity and gradient once (40 bytes
-per float64 parameter) and allocates no parameter-sized temporaries.
-The caller owns the velocity, so a loaded checkpoint holds weights
-only.  A training loop that updates several networks one after another holds their
-gradients in one workspace (shared_grads), sized for the largest
-network, so it keeps parameters, velocities and one gradient set, not
-one per network.
+with momentum and weight decay on the weight matrices only, an
+elementwise walk under the block policy of kernels.  The caller owns the
+velocity, so a loaded checkpoint holds weights only.  A training loop
+that updates several networks one after another holds their gradients
+in one workspace (shared_grads), sized for the largest network, so it
+keeps parameters, velocities and one gradient set, not one per network.
 
 Checkpoints (the four parameter arrays as float32) and code matrices
 (signed bytes in {-1, +1}) are written and read through dataio's
@@ -35,9 +31,6 @@ from . import kernels
 from .config import HIDDEN_ACTS
 from .dataio import CHECKPOINT, CODES
 from .errors import ConfigError, DataError, DivergenceError
-
-# parameter elements sgd_step updates per block
-_SGD_BLOCK = 1 << 16
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
@@ -183,17 +176,19 @@ def sgd_step(params: HashNetParams, velocity: HashNetParams, grads: HashNetParam
     Weight decay touches the weight matrices only, never the biases.  The
     settings are a TrainConfig's, checked when it was built; velocity and
     grads have the parameters' shapes, as zeros_like and shared_grads
-    build them.  Each parameter is walked in flat blocks of _SGD_BLOCK
-    elements, each block checked for a finite step before it is applied;
-    a DivergenceError may leave the parameters partly updated, which ends
-    the run anyway.
+    build them.  Each parameter is walked in flat blocks of
+    kernels.BLOCK_ENTRIES elements through one scratch buffer, so a step
+    reads and writes each parameter, velocity and gradient once and
+    allocates no parameter-sized temporaries.  Each block is checked for
+    a finite step before it is applied; a DivergenceError may leave the
+    parameters partly updated, which ends the run anyway.
     """
-    size = min(_SGD_BLOCK, max(arr.size for arr in params.arrays()))
+    size = min(kernels.BLOCK_ENTRIES, max(arr.size for arr in params.arrays()))
     scratch, finite = np.empty(size), np.empty(size, dtype=bool)
     for name, p, v, g in zip(_PARAM_NAMES, params.arrays(), velocity.arrays(),
                              grads.arrays()):
         p, v, g = p.reshape(-1), v.reshape(-1), g.reshape(-1)
-        for lo, hi in kernels.row_blocks(p.size, _SGD_BLOCK):
+        for lo, hi in kernels.row_blocks(p.size, kernels.BLOCK_ENTRIES):
             pb, vb, gb = p[lo:hi], v[lo:hi], g[lo:hi]
             buf = scratch[:pb.size]
             if name.startswith("w"):
@@ -224,15 +219,6 @@ def load_checkpoint(path: str) -> HashNetParams:
     return HashNetParams(*(arr.astype(np.float64) for arr in CHECKPOINT.read(path)))
 
 
-def all_signs(codes: np.ndarray) -> bool:
-    """Whether a 2-d array holds only -1/+1 code entries: a bool, integer
-    or real dtype (abs of a complex entry such as 1j is 1 too), checked in
-    row blocks so no code-sized temporary is formed."""
-    step = kernels.rows_within(kernels.BLOCK_ENTRIES, codes.shape[1])
-    return codes.dtype.kind in "biuf" and all(
-        (np.abs(codes[lo:hi]) == 1).all() for lo, hi in kernels.row_blocks(len(codes), step))
-
-
 def save_codes(codes: np.ndarray, path: str) -> None:
     """Write sign_codes output as it is; load_codes checks what it reads."""
     CODES.write(path, codes.shape, [codes])
@@ -241,6 +227,6 @@ def save_codes(codes: np.ndarray, path: str) -> None:
 def load_codes(path: str) -> np.ndarray:
     """Read a code matrix, a read-only view of the file's bytes."""
     codes = CODES.read(path)[0]
-    if not all_signs(codes):
+    if not kernels.all_signs(codes):
         raise DataError(f"{path}: codes contain values other than -1/+1")
     return codes

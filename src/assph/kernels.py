@@ -2,17 +2,20 @@
 package's errors only.
 
 Block policy: a walk over an array's rows visits the consecutive (lo, hi)
-blocks of row_blocks, BLOCK_ROWS rows each unless the caller gives a
-step; a walk bounded by entries takes rows_within(budget, row_len) rows a
-block, at least one.  Whole-array checks and container writes use
-BLOCK_ENTRIES; a budget one module uses stays in that module.
+blocks of row_blocks.  A walk that selects or multiplies whole rows
+takes BLOCK_ROWS rows a block.  A walk whose blocks hold elementwise
+temporaries takes rows_within(BLOCK_ENTRIES, row_len) rows a block (a
+flat array's rows are its entries), so each temporary stays in a core's
+cache: fuse and combine, sgd_step, distances and overlap, all_signs,
+the whole-array checks and container writes, and build-sim's correlation
+listing.  No result depends on where these blocks end, so BLOCK_ENTRIES
+changes no output.  evalkit sizes its ranked blocks itself.
 
 Packed-bit rows: pack_rows stores each row of a 2-d bool array in words
 of the narrowest unsigned dtype that holds it (uint8 to uint32), else in
 zero-padded uint64 words, so rows packed alike compare word by word and
 their padding never counts.  distances (XOR popcount) and overlap (a
-shared set bit) compare such rows in chunks of about _CHUNK_PAIRS pairs,
-so their temporaries stay in cache.  A relation over instances is held
+shared set bit) compare such rows.  A relation over instances is held
 as np.packbits rows (ceil(order / 8) bytes a row, first bit most
 significant), which mark, count_bits and diagonal_bits write and read.
 """
@@ -25,10 +28,8 @@ from .errors import DivergenceError
 
 # rows per block of a row walk
 BLOCK_ROWS = 256
-# entries per block of the whole-array checks and writes: 1 MiB of float32
-BLOCK_ENTRIES = 1 << 18
-# row pairs per word operation of distances and overlap
-_CHUNK_PAIRS = 1 << 16
+# entries per block of an elementwise walk
+BLOCK_ENTRIES = 1 << 16
 
 
 def row_blocks(m: int, step: int | None = None):
@@ -70,7 +71,7 @@ def distances(q: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
     pack_rows words of k-bit codes, in the smallest unsigned dtype that
     holds k.  Integer counts, so exact for every k."""
     dist = np.empty((len(q), len(d)), dtype=np.min_scalar_type(k))
-    for lo, hi in row_blocks(len(q), rows_within(_CHUNK_PAIRS, len(d))):
+    for lo, hi in row_blocks(len(q), rows_within(BLOCK_ENTRIES, len(d))):
         rows, words = dist[lo:hi], zip(q[lo:hi].T, d.T)
         q_w, d_w = next(words)  # k >= 1, so there is a first word
         np.bitwise_count(q_w[:, None] ^ d_w, out=rows)
@@ -83,11 +84,19 @@ def overlap(q: np.ndarray, d: np.ndarray) -> np.ndarray:
     """out[i, j] is True iff rows q[i] and d[j] of pack_rows words have a
     set bit in common: an OR over the words of (q_w & d_w) != 0."""
     out = np.zeros((len(q), len(d)), dtype=bool)
-    for lo, hi in row_blocks(len(q), rows_within(_CHUNK_PAIRS, len(d))):
+    for lo, hi in row_blocks(len(q), rows_within(BLOCK_ENTRIES, len(d))):
         rows = out[lo:hi]
         for q_w, d_w in zip(q[lo:hi].T, d.T):
             rows |= (q_w[:, None] & d_w) != 0
     return out
+
+
+def all_signs(codes: np.ndarray) -> bool:
+    """Whether a 2-d array holds only -1/+1 code entries: a bool, integer
+    or real dtype (abs of a complex entry such as 1j is 1 too)."""
+    step = rows_within(BLOCK_ENTRIES, codes.shape[1])
+    return codes.dtype.kind in "biuf" and all(
+        (np.abs(codes[lo:hi]) == 1).all() for lo, hi in row_blocks(len(codes), step))
 
 
 def mark(packed: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:

@@ -14,14 +14,12 @@ it onto the other, and without BLAS entries (i, j) and (j, i) sum the
 same products in the same order.  So both products are exactly
 symmetric as computed, and no stage mirrors a triangle.
 
-Row blocks bound the temporaries (see kernels' block policy): selections
-(the cosine's float32 rows and each row's top-K) walk kernels.BLOCK_ROWS
-rows, and the elementwise stages (fuse, and combine, which also scales,
-clips and rounds the co-neighborhood product into the structural map)
-about _BLOCK_ELEMENTS entries, so each float64 temporary stays in a
-core's cache; no M x M float32 structural map is formed.  fuse
-writes over one of the two cosines, and build_semantic writes its result
-over the fusion.
+Row blocks bound the temporaries, by the block policy of kernels: the
+cosine's float32 rows and each row's top-K are row walks, and fuse and
+combine, which also scales, clips and rounds the co-neighborhood product
+into the structural map, are elementwise walks; no M x M float32
+structural map is formed.  fuse writes over one of the two cosines, and
+build_semantic writes its result over the fusion.
 """
 
 from __future__ import annotations
@@ -31,9 +29,6 @@ import warnings
 import numpy as np
 
 from . import kernels
-
-# entries per block of the elementwise stages: 256 KiB per float64 temporary
-_BLOCK_ELEMENTS = 1 << 15
 
 
 def _top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
@@ -119,7 +114,7 @@ def fuse(cos_image: np.ndarray, cos_text: np.ndarray,
     the same shape that may be either input, and out is returned.
     """
     m, n = cos_image.shape
-    step = kernels.rows_within(_BLOCK_ELEMENTS, n)
+    step = kernels.rows_within(kernels.BLOCK_ENTRIES, n)
     p_buf = np.empty((min(step, m), n), dtype=np.float32)
     q_buf = np.empty_like(p_buf)
     for lo, hi in kernels.row_blocks(m, step):
@@ -183,7 +178,7 @@ def combine(fused: np.ndarray, cooc: np.ndarray | None, ks: int, gamma: float,
     returned.
     """
     m, n = fused.shape
-    step = kernels.rows_within(_BLOCK_ELEMENTS, n)
+    step = kernels.rows_within(kernels.BLOCK_ENTRIES, n)
     s_buf = np.empty((min(step, m), n), dtype=np.float64)
     if cooc is not None:
         t_buf = np.empty_like(s_buf)

@@ -9,13 +9,11 @@ side is replaced by its detached sign codes.  At the end of an epoch the
 whole training set is pushed through both encoders once for diagnostics
 and, when adaptive mining is on, to grow the correlation set.
 
-A run is one TrainState, which train returns with its history.  Training
-holds both encoders' parameters and velocities and one gradient
-workspace, all HashNetParams records, the workspace sized for the larger
-encoder (each update runs the image backward and step, then the text
-backward and step, so the two sides' gradients never need to coexist),
-and the float32 training features; each batch converts its rows to
-float64 once, and the end-of-epoch pass converts inside forward.
+A run is one TrainState, which train returns with its history.  The two
+encoders share one gradient workspace (hashnet.shared_grads): each
+update runs the image backward and step, then the text backward and
+step.  The training features stay float32; each batch converts its rows
+to float64 once, and the end-of-epoch pass converts inside forward.
 
 The tanh sharpness follows eta = eta_base * epoch, so codes soften early
 and settle late.  Ablation switches turn off adaptive mining, binary
@@ -240,8 +238,7 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
         state.rel = corrmine.adaptive_update(state.rel, hi_all, ht_all,
                                              cfg.kr, cfg.tau,
                                              pairwise=cfg.pair_corr)
-    stats = (None if state.label_share is None
-             else corrmine.correlation_stats(state.rel, state.label_share))
+    stats = corrmine.correlation_stats(state.rel, state.label_share)
 
     mean = sums / max(n_iter, 1)
     return EpochRecord(
@@ -252,8 +249,8 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
         loss_sr=float(mean[1]),
         loss_cp=float(mean[2]),
         loss_sa=float(mean[3]),
-        r_popcount=stats["count"] if stats else state.rel.popcount(),
-        r_precision=stats["precision"] if stats else None,
+        r_popcount=stats["count"],
+        r_precision=stats.get("precision"),
         code_flips_image=flips_i,
         code_flips_text=flips_t,
         wall_time=time.perf_counter() - t0,

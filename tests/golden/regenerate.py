@@ -126,8 +126,6 @@ BUILD_SIM = {"base": [], "tau2": ["--tau", "2"], "nostruct": ["--no-struct"],
              "paircorr": ["--pair-corr"], "nocorr": ["--no-corr"]}
 TRAIN = {"base": [], "tanh": ["--hidden-act", "tanh"], "nobinopt": ["--no-bin-opt"],
          "noadapt": ["--no-adaptive"], "paircorr": ["--pair-corr"]}
-DIGESTED = ("semantic.assf", "correlations.csv", "stats.json", "ablation.json",
-            "history.jsonl")
 
 
 def write_bundle(out_dir: str) -> None:
@@ -180,6 +178,24 @@ def _manifest_digest(path: str, fixture: str) -> str:
     return hashlib.sha256((json.dumps(manifest, sort_keys=True) + "\n").encode()).hexdigest()
 
 
+def tree_digests(run_dir: str, fixture: str) -> dict:
+    """sha256 of every file under run_dir, keyed by its path relative to
+    run_dir: a history without its wall times, a manifest without its
+    timings (see _manifest_digest)."""
+    digests = {}
+    for root, _, files in os.walk(run_dir):
+        for name in files:
+            path = os.path.join(root, name)
+            key = os.path.relpath(path, run_dir).replace(os.sep, "/")
+            if name == "history.jsonl":
+                digests[key] = _history_digest(path)
+            elif name == "manifest.json":
+                digests[key] = _manifest_digest(path, fixture)
+            else:
+                digests[key] = _sha256(path)
+    return digests
+
+
 def cli_digests() -> dict:
     """sha256 of each digested output of the CLI matrix, keyed by its
     path under the run directory, such as "train/tanh/imgnet.assp"."""
@@ -189,7 +205,6 @@ def cli_digests() -> dict:
         if cli.dispatch(["--threads", "1", *argv]) != 0:
             raise RuntimeError(f"assph failed: {list(argv)}")
 
-    digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         bundle, runs = os.path.join(tmp, "bundle"), os.path.join(tmp, "runs")
         write_bundle(bundle)
@@ -204,18 +219,7 @@ def cli_digests() -> dict:
             "--hidden-act", "relu", "--out", os.path.join(runs, "encode", "image.assb"))
         run("ablate", "--bundle", bundle, "--out", os.path.join(runs, "ablate"),
             *TRAIN_FLAGS)
-        for root, _, files in os.walk(runs):
-            for name in files:
-                path = os.path.join(root, name)
-                key = os.path.relpath(path, runs).replace(os.sep, "/")
-                if name == "history.jsonl":
-                    digests[key] = _history_digest(path)
-                elif name == "manifest.json":
-                    digests[key] = _manifest_digest(path, tmp)
-                elif (name in DIGESTED or name.endswith((".assp", ".assb"))
-                      or name.startswith("eval_")):
-                    digests[key] = _sha256(path)
-    return digests
+        return tree_digests(runs, tmp)
 
 
 def environment() -> dict:

@@ -55,11 +55,7 @@ def _efficacy_bundle() -> dataio.DatasetBundle:
 
 
 def _scaled_config(seed: int, **patch) -> config.TrainConfig:
-    flat = dict(config.PROFILES["paper-default"])
-    flat.update(SCALED)
-    flat["seed"] = seed
-    flat.update(patch)
-    return config.TrainConfig.from_dict(flat)
+    return config.TrainConfig.from_dict({**SCALED, "seed": seed, **patch})
 
 
 def _map_both(bundle, result, hidden_act) -> tuple[float, float]:
@@ -294,10 +290,9 @@ class TestSaturation:
                                    dim_text=12, label_cardinality=0.5,
                                    noise_sigma=0.05, seed=9)
         bundle = dataio.generate_synthetic(cfg_d)
-        flat = dict(config.PROFILES["paper-default"])
-        flat.update(code_length=16, ks=50, kr=8, epochs=50, seed=0,
-                    learning_rate=1e-4, d_hidden=64)
-        result = trainer.train(bundle, config.TrainConfig.from_dict(flat))
+        result = trainer.train(bundle, config.TrainConfig(
+            code_length=16, ks=50, kr=8, epochs=50, seed=0, learning_rate=1e-4,
+            d_hidden=64))
         tail = result.history[-5:]
         flips = sum(r.code_flips_image + r.code_flips_text for r in tail)
         _verdict(flips == 0, "sign codes stable over final schedule steps",

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from assph import cli, dataio, hashnet, trainer
+from assph import cli, dataio, hashnet, kernels, trainer
 from assph.config import HIDDEN_ACTS, LossWeights, SynthConfig, TrainConfig
 from oracles import relation_from_dense, to_dense
 
@@ -49,7 +49,8 @@ class TestSynth:
         manifest = json.load(open(os.path.join(data_dir, "manifest.json")))
         assert manifest["command"] == "synth"
         assert manifest["config"]["classes"] == 3
-        assert set(manifest["outputs"]) >= {"bundle.json", "image.assf"}
+        assert sorted(manifest["outputs"]) == ["bundle.json", "image.assf",
+                                               "labels.csv", "text.assf"]
         assert all("sha256" in v for v in manifest["inputs"].values())
 
     def test_bundle_loads_with_expected_split(self, data_dir):
@@ -173,7 +174,8 @@ class TestBuildSim:
         del offset
         monkeypatch.setattr(trainer, "build_targets",
                             lambda fi, ft, cfg: (np.eye(2, dtype=np.float32), rel, {}))
-        monkeypatch.setattr(corrmine, "correlation_stats", lambda rel, share: {})
+        monkeypatch.setattr(corrmine, "correlation_stats",
+                            lambda rel, share: {"count": rel.popcount()})
         out = str(tmp_path / "band")
         tracemalloc.start()
         try:
@@ -189,8 +191,8 @@ class TestBuildSim:
 
     def test_pair_listing_matches_savetxt(self, data_dir, tmp_path, monkeypatch):
         # order 600 spans three 256-row strips; a random symmetric relation
-        # of about 80% of all pairs puts more than 2^16 pairs in the first
-        # strip, so the listing is formatted in several chunks
+        # of about 80% of all pairs puts more pairs in the first strip than
+        # one block holds, so the listing is formatted in several chunks
         from assph import corrmine
         m = 600
         rng = np.random.default_rng(4)
@@ -198,10 +200,11 @@ class TestBuildSim:
         dense = dense | dense.T | np.eye(m, dtype=bool)
         rel = relation_from_dense(dense)
         first_strip = next(rel.upper_pairs())
-        assert len(first_strip) > cli._CSV_PAIRS
+        assert len(first_strip) > kernels.rows_within(kernels.BLOCK_ENTRIES, 2)
         monkeypatch.setattr(trainer, "build_targets",
                             lambda fi, ft, cfg: (np.eye(2, dtype=np.float32), rel, {}))
-        monkeypatch.setattr(corrmine, "correlation_stats", lambda rel, share: {})
+        monkeypatch.setattr(corrmine, "correlation_stats",
+                            lambda rel, share: {"count": rel.popcount()})
         out = str(tmp_path / "dense")
         assert cli.dispatch(["build-sim", "--bundle", data_dir, "--out", out]) == 0
         expect = tmp_path / "expect.csv"
@@ -222,9 +225,9 @@ class TestInputsCheckedOnce:
         def count(owner, attr, key):
             real = getattr(owner, attr)
 
-            def counted(*args):
-                checks.append(key(*args))
-                return real(*args)
+            def counted(*args, **kwargs):
+                checks.append(key(*args, **kwargs))
+                return real(*args, **kwargs)
 
             monkeypatch.setattr(owner, attr, counted)
 
@@ -264,6 +267,36 @@ class TestInputsCheckedOnce:
         assert cli.dispatch(["synth", "--out", str(tmp_path / "data"),
                              "--instances", "60", "--seed", "2"]) == 0
         assert sorted(checks) == ["image features", "labels", "text features"]
+
+    def test_encode_reads_and_checks_its_features_once(self, data_dir, train_dir,
+                                                       tmp_path, monkeypatch):
+        checks, count = self.counter(monkeypatch)
+        count(dataio, "_read_file", lambda path, kind: ("read", os.path.basename(path)))
+        count(dataio, "validate_features",
+              lambda arr, name="features": ("check", os.path.basename(name)))
+        assert cli.dispatch(["encode", "--features", os.path.join(data_dir, "image.assf"),
+                             "--checkpoint", os.path.join(train_dir, "imgnet.assp"),
+                             "--hidden-act", "relu", "--out", str(tmp_path / "c.assb")]) == 0
+        assert sorted(checks) == [("check", "image.assf"), ("read", "image.assf"),
+                                  ("read", "imgnet.assp")]
+
+    def test_eval_reads_each_file_and_checks_each_label_file_once(
+            self, data_dir, train_dir, tmp_path, monkeypatch):
+        bundle = dataio.load_bundle(data_dir)
+        labels = [str(tmp_path / "q.csv"), str(tmp_path / "d.csv")]
+        for path, rows in zip(labels, (bundle.split.query, bundle.split.retrieval)):
+            dataio.write_labels(bundle.labels[rows], path)
+        checks, count = self.counter(monkeypatch)
+        count(dataio, "_read_file", lambda path, kind: ("read", os.path.basename(path)))
+        count(dataio, "validate_labels",
+              lambda arr, name="labels": ("check", os.path.basename(name)))
+        assert cli.dispatch(["eval", "--query-codes", os.path.join(train_dir, "query_image.assb"),
+                             "--db-codes", os.path.join(train_dir, "db_text.assb"),
+                             "--query-labels", labels[0], "--db-labels", labels[1],
+                             "--out", str(tmp_path / "ev")]) == 0
+        assert sorted(checks) == [("check", "d.csv"), ("check", "q.csv"),
+                                  ("read", "d.csv"), ("read", "db_text.assb"),
+                                  ("read", "q.csv"), ("read", "query_image.assb")]
 
 
 class TestManifestInputs:
@@ -526,7 +559,7 @@ class TestConfigResolution:
                              "--out", str(tmp_path / "x"),
                              "--profile", "mystery"])
         assert code == 2
-        assert "error: config:" in capsys.readouterr().err
+        assert "--profile: invalid choice: 'mystery'" in capsys.readouterr().err
 
     def test_unknown_config_key(self, data_dir, tmp_path, capsys):
         cfg_path = str(tmp_path / "bad.json")
@@ -668,8 +701,25 @@ class TestExitCodes:
         code = cli.dispatch(["encode", "--features", feats, "--checkpoint", ckpt,
                              "--hidden-act", "relu", "--out", out])
         assert code == 3
-        assert capsys.readouterr().err == (f"error: data: {feats}: not a feature file: "
-                                           f"magic b'JUNK', expected b'ASSF'\n")
+        assert capsys.readouterr().err == (
+            f"error: data: {feats}: neither a feature container "
+            f"(magic b'JUNK', expected b'ASSF') nor UTF-8 CSV text\n")
+        assert not os.path.exists(out)
+
+    def test_feature_csv_not_utf8(self, tmp_path, capsys):
+        # CSV text whose last row holds a byte UTF-8 cannot decode
+        feats = tmp_path / "f.csv"
+        feats.write_bytes(b"1.0,2.0\n3.0,4.0\n5.0,6.0\n7.0,\xff\n")
+        ckpt = str(tmp_path / "net.assp")
+        hashnet.save_checkpoint(hashnet.HashNetParams(
+            w1=np.ones((2, 2)), b1=np.zeros(2), w2=np.ones((8, 2)), b2=np.zeros(8)), ckpt)
+        out = str(tmp_path / "c.assb")
+        code = cli.dispatch(["encode", "--features", str(feats), "--checkpoint", ckpt,
+                             "--hidden-act", "relu", "--out", out])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: data: {feats}: neither a feature container "
+            f"(magic b'1.0,', expected b'ASSF') nor UTF-8 CSV text\n")
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("d_in, d_hidden, k", [(0, 16, 8), (12, 0, 8), (12, 16, 0)])

@@ -86,6 +86,15 @@ class TestFeatureContainer:
         got = dataio.load_features(path)
         npt.assert_allclose(got, [[1, 2], [3, 4]])
 
+    def test_csv_not_utf8_named_as_text(self, tmp_path):
+        # the message fits a CSV file as well as a container with a damaged magic
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"1.0,2.0\n3.0,4.0\n5.0,6.0\n7.0,\xff\n")
+        with pytest.raises(DataError, match=r"f\.csv: neither a feature container "
+                                            r"\(magic b'1\.0,', expected b'ASSF'\) "
+                                            r"nor UTF-8 CSV text$"):
+            dataio.load_features(str(path))
+
     def test_garbage_rejected(self, tmp_path):
         path = str(tmp_path / "f.bin")
         with open(path, "wb") as fh:

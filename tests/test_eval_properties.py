@@ -63,9 +63,9 @@ def directions(draw):
 
 def check_against_oracle(q, db, ql, dl, cutoffs, k_grid, rows, chunk_rows):
     block_pairs = evalkit._BLOCK_PAIRS if rows is None else rows * len(db)
-    chunk_pairs = kernels._CHUNK_PAIRS if chunk_rows is None else chunk_rows * len(db)
+    chunk_pairs = kernels.BLOCK_ENTRIES if chunk_rows is None else chunk_rows * len(db)
     with mock.patch.object(evalkit, "_BLOCK_PAIRS", block_pairs), \
-            mock.patch.object(kernels, "_CHUNK_PAIRS", chunk_pairs):
+            mock.patch.object(kernels, "BLOCK_ENTRIES", chunk_pairs):
         got = evalkit.evaluate_direction("i2t", q, db, ql, dl, cutoffs, k_grid)
     want = sorted_gather_direction("i2t", q, db, ql, dl, cutoffs, k_grid,
                                    max(1, block_pairs // len(db)))

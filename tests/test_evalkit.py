@@ -180,7 +180,7 @@ class TestRelevance:
         assert want.any() and not want.all()
         npt.assert_array_equal(packed_relevance(ql, dl), want)
         # chunks of one to three query rows
-        monkeypatch.setattr(kernels, "_CHUNK_PAIRS", 2 * len(dl))
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 2 * len(dl))
         npt.assert_array_equal(packed_relevance(ql, dl), want)
 
     @pytest.mark.parametrize("width, dtype, n_words", [

@@ -45,3 +45,32 @@ def test_cli_outputs_match_golden_digests():
     assert not changed, (f"CLI outputs differ from the golden digests: {changed}; "
                          f"if the change is intended, run `{regenerate.REGENERATE}` "
                          f"and name it in CHANGES.md")
+
+
+def test_block_budget_changes_no_output(tmp_path, monkeypatch, capsys):
+    """Every walk kernels.BLOCK_ENTRIES sizes gives the same bytes at a
+    small odd budget as at the default: build-sim and train on the CLI
+    fixture, eval on the 64-bit eval fixture."""
+    from assph import cli, kernels
+
+    bundle = str(tmp_path / "bundle")
+    regenerate.write_bundle(bundle)
+    codes = regenerate.write_fixture(str(tmp_path), 64)
+    runs = []
+    for budget in (kernels.BLOCK_ENTRIES, 7):
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", budget)
+        run = str(tmp_path / f"budget{budget}")
+        for argv in (
+                ["build-sim", "--bundle", bundle, "--out", os.path.join(run, "sim")],
+                ["train", "--bundle", bundle, "--out", os.path.join(run, "train")],
+                ["eval", "--query-codes", codes["query_image"],
+                 "--db-codes", codes["db_text"], "--query-labels", codes["query_labels"],
+                 "--db-labels", codes["db_labels"], "--map-at", regenerate.MAP_AT,
+                 "--out", os.path.join(run, "eval")]):
+            flags = regenerate.TRAIN_FLAGS if argv[0] != "eval" else []
+            assert cli.dispatch(argv + flags) == 0, capsys.readouterr().err
+        runs.append(regenerate.tree_digests(run, str(tmp_path)))
+    capsys.readouterr()  # the commands' summary lines
+    assert {"sim/semantic.assf", "sim/correlations.csv", "train/imgnet.assp",
+            "train/history.jsonl", "train/db_text.assb", "eval/report.json"} <= runs[0].keys()
+    assert _changed(runs[0], runs[1]) == []

@@ -260,7 +260,7 @@ class TestSgdStep:
         # (5, 9, 4): sizes 45, 9, 36, 4, none a multiple of 7;
         # (300, 250, 3): w1 has 75000 elements, past one default block
         if block is not None:
-            monkeypatch.setattr(hashnet, "_SGD_BLOCK", block)
+            monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
         rng = np.random.default_rng(12)
         p = hashnet.init_params(*dims, seed=12)
         v = hashnet.zeros_like(p)
@@ -275,7 +275,7 @@ class TestSgdStep:
 
     @pytest.mark.parametrize("name, value", [("w1", np.nan), ("b2", np.inf)])
     def test_non_finite_gradient_names_parameter(self, monkeypatch, name, value):
-        monkeypatch.setattr(hashnet, "_SGD_BLOCK", 7)
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 7)
         rng = np.random.default_rng(13)
         p = hashnet.init_params(5, 9, 4, seed=13)
         g = self._random_grads(rng, p)
@@ -345,7 +345,7 @@ class TestCheckpointIO:
         assert peak < 13 * n
 
     def test_save_converts_one_row_block_at_a_time(self, tmp_path):
-        # w1's float32 copy would take 8 MiB; a block's takes at most 1 MiB
+        # w1's float32 copy would take 8 MiB; a block's, 4 bytes an entry
         p = hashnet.init_params(1024, 2048, 64, seed=0)
         path = str(tmp_path / "net.assp")
         tracemalloc.start()
@@ -396,7 +396,7 @@ class TestCodesIO:
     ], ids=["int8-min", "two", "half", "nan", "bool-false", "complex", "str"])
     def test_non_code_values_rejected(self, bad):
         # the one sign rule load_codes and evaluate_direction's code check apply
-        assert not hashnet.all_signs(bad)
+        assert not kernels.all_signs(bad)
 
     def test_bool_true_saves_as_plus_one(self, tmp_path):
         path = str(tmp_path / "c.assb")

@@ -1,5 +1,5 @@
-"""README.md cites only what exists, quotes no measurement, and its
-quickstarts run as written.
+"""README.md cites only what exists, it and the package's docstrings and
+comments quote no measurement, and its quickstarts run as written.
 
 A repository path the README cites (``tests/...``, ``bench/...`` or
 ``src/...``) must exist, and each ``::Name`` after a path must be
@@ -11,9 +11,12 @@ epochs cut to 1, so every flag, path and call they use is exercised.
 """
 
 import ast
+import glob
+import io
 import os
 import re
 import shlex
+import tokenize
 
 import pytest
 
@@ -71,6 +74,38 @@ def test_cited_paths_and_names_exist():
 
 def test_quotes_no_measurement():
     assert not figures(_read())
+
+
+def prose(source: str) -> list:
+    """(line, text) of each docstring and comment of Python source; its
+    code, such as a struct format "<4s", is not prose."""
+    found = [(tok.start[0], tok.string)
+             for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+             if tok.type == tokenize.COMMENT]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc is not None:
+                found.append((node.body[0].lineno, doc))
+    return sorted(found)
+
+
+def test_source_docs_quote_no_measurement():
+    quoted = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "assph", "*.py"))):
+        for line, text in prose(_read(path)):
+            for match in FIGURE.finditer(text):
+                at = line + text.count("\n", 0, match.start())
+                quoted.append(f"{os.path.relpath(path, ROOT)}:{at}: {match.group(0)}")
+    assert not quoted
+
+
+def test_prose_is_docstrings_and_comments():
+    source = ('"""Took 11 ms."""\n'
+              'HEADER = "<4s"  # 2 MB a block\n'
+              'def f():\n    """About 1.5 s."""\n    return "3 s"\n')
+    assert [figure for _, text in prose(source) for figure in figures(text)] == [
+        "11 ms", "2 MB", "1.5 s"]
 
 
 @pytest.mark.parametrize("text, broken", [

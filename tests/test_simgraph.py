@@ -34,7 +34,7 @@ def elementwise_rows(monkeypatch, rows, m):
     """Force the elementwise stages' block over m x m matrices to rows;
     None keeps the size derived from the order."""
     if rows is not None:
-        monkeypatch.setattr(simgraph, "_BLOCK_ELEMENTS", rows * m)
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", rows * m)
 
 
 def cosine(arr):

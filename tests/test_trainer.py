@@ -99,22 +99,18 @@ class TestConfig:
             config.LossWeights().beta = 0.5
 
     def test_reference_profile_resolves(self):
-        cfg = config.TrainConfig.from_dict(config.PROFILES["paper-default"])
+        # the paper's hyperparameters are the defaults, which the one
+        # profile names and leaves as they are
+        from assph import cli
+        args = cli.build_parser().parse_args(
+            ["train", "--bundle", "b", "--out", "o", "--profile", "paper-default"])
+        cfg = cli._resolve_config(args)
+        assert cfg == config.TrainConfig()
         assert cfg.epochs == 50
         assert cfg.batch_size == 32
         assert cfg.d_hidden == 4096
         assert cfg.learning_rate == pytest.approx(0.001)
         assert cfg.beta == pytest.approx(1.5)
-
-    def test_profiles_restate_no_default(self):
-        # the paper's hyperparameters are the defaults, so its profile only
-        # names them; a profile lists just the values that differ
-        defaults = config.TrainConfig().to_dict()
-        restated = [(name, key) for name, profile in config.PROFILES.items()
-                    for key, value in profile.items() if value == defaults[key]]
-        assert restated == []
-        assert (config.TrainConfig.from_dict(config.PROFILES["paper-default"])
-                == config.TrainConfig())
 
 
 class TestInitState:
@@ -186,7 +182,7 @@ class TestInitState:
         rng = np.random.default_rng(27)
         m = kernels.BLOCK_ROWS + 1
         if rows is not None:
-            monkeypatch.setattr(simgraph, "_BLOCK_ELEMENTS", rows * m)
+            monkeypatch.setattr(kernels, "BLOCK_ENTRIES", rows * m)
         centers = rng.standard_normal((4, 20)) * 4.0
         fi = (centers[np.arange(m) % 4]
               + 0.05 * rng.standard_normal((m, 20))).astype(np.float32)
