@@ -57,6 +57,17 @@ def _write_manifest(out_dir: str, command: str, config: dict,
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
 
 
+def _out_dir(path: str) -> str:
+    """path, checked before a command reads any input to name a directory
+    it can write or make; it is made only to write, so a failed run leaves none."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):  # its nearest existing ancestor
+        probe = os.path.dirname(probe)
+    if not (os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK)):
+        raise ConfigError(f"output directory {path}: {probe} is not a writable directory")
+    return path
+
+
 def _inputs(bundle, args: argparse.Namespace) -> list[str]:
     """The files a training command read: the bundle's, then --config."""
     return list(bundle.files) + ([args.config] if args.config else [])
@@ -108,6 +119,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from .dataio import generate_synthetic, save_bundle
 
     t0 = time.perf_counter()
+    _out_dir(args.out)
     cfg = SynthConfig(**_given(args, SynthConfig))
     bundle = generate_synthetic(cfg, train_size=args.train_size)
     outputs = save_bundle(bundle, args.out)
@@ -123,6 +135,7 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
     from .dataio import load_bundle, write_features, write_json
 
     t0 = time.perf_counter()
+    _out_dir(args.out)
     cfg = _resolve_config(args)
     bundle = load_bundle(args.bundle)
     train_idx = bundle.split.train
@@ -152,28 +165,21 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _encode(params, features, hidden_act):
-    """Sign codes of feature rows; forward converts them to float64."""
-    from .hashnet import forward, sign_codes
-
-    return sign_codes(forward(params, features, 1.0, hidden_act).h)
-
-
 def _self_evaluate(bundle, state, out_dir, map_cutoffs):
     """Encode the query/retrieval splits with a trained run's encoders and
     write both direction reports."""
     from .evalkit import evaluate_direction
-    from .hashnet import save_codes
+    from .hashnet import encode, save_codes
 
     q, r = bundle.split.query, bundle.split.retrieval
     fi, ft, pi, pt = (bundle.image_features, bundle.text_features,
                       state.params_image, state.params_text)
     act = state.cfg.hidden_act
     codes = {
-        "query_image": _encode(pi, fi[q], act),
-        "query_text": _encode(pt, ft[q], act),
-        "db_image": _encode(pi, fi[r], act),
-        "db_text": _encode(pt, ft[r], act),
+        "query_image": encode(pi, fi[q], act),
+        "query_text": encode(pt, ft[q], act),
+        "db_image": encode(pi, fi[r], act),
+        "db_text": encode(pt, ft[r], act),
     }
     outputs = []
     for name, mat in codes.items():
@@ -202,6 +208,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .trainer import train
 
     t0 = time.perf_counter()
+    _out_dir(args.out)
     cfg = _resolve_config(args)
     map_cutoffs = _map_cutoffs(args)
     bundle = load_bundle(args.bundle)
@@ -230,13 +237,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     from .dataio import load_features
-    from .hashnet import load_checkpoint, save_codes
+    from .hashnet import encode, load_checkpoint, save_codes
 
     t0 = time.perf_counter()
+    out_dir = _out_dir(os.path.dirname(os.path.abspath(args.out)))
     params = load_checkpoint(args.checkpoint)
     feats = load_features(args.features, expected_dim=params.d_in)
-    codes = _encode(params, feats, args.hidden_act)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
+    codes = encode(params, feats, args.hidden_act)
     os.makedirs(out_dir, exist_ok=True)
     save_codes(codes, args.out)
     _write_manifest(out_dir, "encode", {"hidden_act": args.hidden_act},
@@ -270,6 +277,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .hashnet import load_codes
 
     t0 = time.perf_counter()
+    _out_dir(args.out)
     map_cutoffs = _map_cutoffs(args)
     k_grid = _parse_int_list(args.k_grid, "k-grid") if args.k_grid else None
     query_codes = load_codes(args.query_codes)
@@ -309,6 +317,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     from .trainer import train
 
     t0 = time.perf_counter()
+    _out_dir(args.out)
     cfg = _resolve_config(args)
     map_cutoffs = _map_cutoffs(args)
     names = [v for v in args.variants.split(",") if v]

@@ -55,11 +55,14 @@ def validate_features(arr: np.ndarray, name: str = "features") -> np.ndarray:
 
 def _read_file(path: str, kind: str) -> bytes:
     """The bytes of an input file, read once; kind names the file in the
-    message for a missing one."""
-    if not os.path.exists(path):
-        raise DataError(f"{kind} file not found: {path}")
-    with open(path, "rb") as fh:
-        return fh.read()
+    messages for a missing or unreadable one."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise DataError(f"{kind} file not found: {path}") from None
+    except OSError as exc:  # a directory, no permission, a read fault
+        raise DataError(f"{path}: cannot read {kind} file: {exc.strerror}") from None
 
 
 class Container:
@@ -445,19 +448,20 @@ def load_bundle(path: str) -> DatasetBundle:
         raise DataError(f"bundle manifest not found: {path}")
     manifest = read_json(path, "manifest")
     base = os.path.dirname(path)
-    # labels alone may be absent
+    # labels alone may be absent; a file name is never empty
     for key, kind, want in (("image_features", str, "a file name"),
                             ("text_features", str, "a file name"),
                             ("labels", (str, type(None)), "a file name or null"),
                             ("split", dict, "an object")):
-        if not isinstance(manifest.get(key), kind):
+        value = manifest.get(key)
+        if not isinstance(value, kind) or value == "":
             raise DataError(f"{path}: manifest key '{key}' must be {want}")
     files = [path, os.path.join(base, manifest["image_features"]),
              os.path.join(base, manifest["text_features"])]
     fi = _read_features(files[1])
     ft = _read_features(files[2])
     labels = None
-    if manifest.get("labels"):
+    if manifest.get("labels") is not None:
         files.append(os.path.join(base, manifest["labels"]))
         labels = _read_labels(files[3])
     sp = manifest["split"]

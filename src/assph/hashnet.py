@@ -5,16 +5,17 @@ H = tanh(eta * (W2 @ act(W1 @ x + b1) + b2)).  The eta factor scales only
 the final pre-activation; pushing it up over training drives tanh toward
 its saturated +-1 plateau so the soft values approach binary codes.
 Gradients are computed analytically (no autodiff): forward returns an
-Activations record (input, hidden layer, output) and backward reads it, so
-no pass is run twice.  Callers that only need the output take ``.h`` and
-drop the record.  Parameters, gradients and momentum are all
-HashNetParams records of w1, b1, w2 and b2.  The optimizer is plain SGD
-with momentum and weight decay on the weight matrices only, an
-elementwise walk under the block policy of kernels.  The caller owns the
-velocity, so a loaded checkpoint holds weights only.  A training loop
-that updates several networks one after another holds their gradients
-in one workspace (shared_grads), sized for the largest network, so it
-keeps parameters, velocities and one gradient set, not one per network.
+Activations record (input, hidden layer, output) and backward reads it,
+so no pass is run twice.  Callers that only need the output take ``.h``
+and drop the record; encode gives the sign codes of feature rows.
+Parameters, gradients and momentum are all HashNetParams records of w1,
+b1, w2 and b2.  The optimizer is plain SGD with momentum and weight
+decay on the weight matrices only, an elementwise walk under the block
+policy of kernels.  The caller owns the velocity, so a loaded checkpoint
+holds weights only.  A training loop that updates several networks one
+after another holds their gradients in one workspace (shared_grads),
+sized for the largest network, so it keeps parameters, velocities and
+one gradient set, not one per network.
 
 Checkpoints (the four parameter arrays as float32) and code matrices
 (signed bytes in {-1, +1}) are written and read through dataio's
@@ -48,8 +49,8 @@ class HashNetParams:
 
     def __post_init__(self):
         # sgd_step updates flat views in place, so every array is held
-        # C-contiguous float64 (init_params, zeros_like, shared_grads and
-        # load_checkpoint build them so, and then nothing is copied)
+        # C-contiguous float64 (only load_checkpoint's float32 arrays are
+        # copied; init_params, zeros_like and shared_grads build them so)
         for name in _PARAM_NAMES:
             setattr(self, name, np.ascontiguousarray(getattr(self, name),
                                                      dtype=np.float64))
@@ -209,6 +210,12 @@ def sign_codes(h: np.ndarray) -> np.ndarray:
     return np.where(h >= 0.0, 1, -1).astype(np.int8)
 
 
+def encode(params: HashNetParams, x: np.ndarray, hidden_act: str) -> np.ndarray:
+    """The sign codes of feature rows.  tanh keeps the sign of its
+    argument, so any eta gives these codes; they are computed at eta 1."""
+    return sign_codes(forward(params, x, 1.0, hidden_act).h)
+
+
 def save_checkpoint(params: HashNetParams, path: str) -> None:
     CHECKPOINT.write(path, (params.d_in, params.d_hidden, params.code_length),
                      params.arrays())
@@ -216,7 +223,7 @@ def save_checkpoint(params: HashNetParams, path: str) -> None:
 
 def load_checkpoint(path: str) -> HashNetParams:
     """Read a checkpoint's weights and biases back as float64."""
-    return HashNetParams(*(arr.astype(np.float64) for arr in CHECKPOINT.read(path)))
+    return HashNetParams(*CHECKPOINT.read(path))
 
 
 def save_codes(codes: np.ndarray, path: str) -> None:

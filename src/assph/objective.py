@@ -13,6 +13,9 @@ slices:
     sa = |C_ii - C_tt|^2 + |C_it - C_ii|^2 + |C_it - C_tt|^2
     cp = sum R * (C_it - beta)^2
     total = sr + mu1 * cp + mu2 * sa
+
+S and R are symmetric, so the text gradient is the image gradient of the
+mirrored batch, the one with its two sides swapped (_mirror).
 """
 
 from __future__ import annotations
@@ -36,11 +39,12 @@ class LossOutput:
     grad_text: np.ndarray
 
 
-def _grad_self(g: np.ndarray, c: np.ndarray, a_hat: np.ndarray,
-               a_norms: np.ndarray) -> np.ndarray:
-    # rows appear on both sides of cos(A, A): fold g and g.T together
-    h = g + g.T
-    return (h @ a_hat - (h * c).sum(axis=1)[:, None] * a_hat) / a_norms[:, None]
+def _d_cos(g: np.ndarray, c: np.ndarray, b_hat: np.ndarray, a_hat: np.ndarray,
+           a_norms: np.ndarray) -> np.ndarray:
+    """Rows of dL/dA given g = dL/dC for C = cos(A, B) with unit rows a_hat
+    and b_hat: d cos(a_i, b_j) / d a_i = (b_hat_j - c_ij * a_hat_i) / |a_i|.
+    For C = cos(A, A), whose rows appear on both sides, pass g + g.T."""
+    return (g @ b_hat - (g * c).sum(axis=1)[:, None] * a_hat) / a_norms[:, None]
 
 
 # one batch pair: unit rows, norms, targets and the three cosine
@@ -66,22 +70,17 @@ def _g_it(c: _Cosines, weights: LossWeights) -> np.ndarray:
         + weights.mu2 * 2.0 * ((c.c_it - c.c_ii) + (c.c_it - c.c_tt))
 
 
+def _mirror(c: _Cosines) -> _Cosines:
+    """The batch with its two sides swapped; c_it becomes a transposed view."""
+    return _Cosines(c.ht_hat, c.ht_norms, c.hi_hat, c.hi_norms, c.s, c.r,
+                    c.c_it.T, c.c_tt, c.c_ii)
+
+
 def _image_side(c: _Cosines, g_it: np.ndarray, weights: LossWeights) -> np.ndarray:
     g_ii = 2.0 * (c.c_ii - c.s) \
         + weights.mu2 * (2.0 * (c.c_ii - c.c_tt) - 2.0 * (c.c_it - c.c_ii))
-    # d cos(hi_i, ht_j) / d hi_i = (ht_hat_j - c_ij * hi_hat_i) / |hi_i|
-    pair = (g_it @ c.ht_hat - (g_it * c.c_it).sum(axis=1)[:, None] * c.hi_hat) \
-        / c.hi_norms[:, None]
-    return pair + _grad_self(g_ii, c.c_ii, c.hi_hat, c.hi_norms)
-
-
-def _text_side(c: _Cosines, g_it: np.ndarray, weights: LossWeights) -> np.ndarray:
-    g_tt = 2.0 * (c.c_tt - c.s) \
-        + weights.mu2 * (-2.0 * (c.c_ii - c.c_tt) - 2.0 * (c.c_it - c.c_tt))
-    # the same derivative for the column side ht_j of cos(hi_i, ht_j)
-    pair = (g_it.T @ c.hi_hat - (g_it * c.c_it).sum(axis=0)[:, None] * c.ht_hat) \
-        / c.ht_norms[:, None]
-    return pair + _grad_self(g_tt, c.c_tt, c.ht_hat, c.ht_norms)
+    return _d_cos(g_it, c.c_it, c.ht_hat, c.hi_hat, c.hi_norms) \
+        + _d_cos(g_ii + g_ii.T, c.c_ii, c.hi_hat, c.hi_hat, c.hi_norms)
 
 
 def total_loss_and_grads(hi: np.ndarray, ht: np.ndarray,
@@ -105,7 +104,7 @@ def total_loss_and_grads(hi: np.ndarray, ht: np.ndarray,
     g_it = _g_it(c, weights)
     return LossOutput(total=total, sr=sr, sa=sa, cp=cp,
                       grad_image=_image_side(c, g_it, weights),
-                      grad_text=_text_side(c, g_it, weights))
+                      grad_text=_image_side(_mirror(c), g_it.T, weights))
 
 
 def image_grad(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray,
@@ -120,4 +119,4 @@ def text_grad(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray,
               r_batch: np.ndarray, weights: LossWeights) -> np.ndarray:
     """dL/dHt alone, equal to total_loss_and_grads(...).grad_text."""
     c = _cosines(hi, ht, s_batch, r_batch)
-    return _text_side(c, _g_it(c, weights), weights)
+    return _image_side(_mirror(c), _g_it(c, weights).T, weights)

@@ -145,11 +145,6 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
                                       cfg.code_length, cfg.seed + 1)
     velocity_image = hashnet.zeros_like(params_image)
     velocity_text = hashnet.zeros_like(params_text)
-    eta0 = eta_schedule(1, cfg.eta_base)
-    prev_i = hashnet.sign_codes(hashnet.forward(params_image, fi32, eta0,
-                                                cfg.hidden_act).h)
-    prev_t = hashnet.sign_codes(hashnet.forward(params_text, ft32, eta0,
-                                                cfg.hidden_act).h)
     return TrainState(
         cfg=cfg,
         weights_eff=weights_eff,
@@ -165,8 +160,8 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
         velocity_image=velocity_image,
         velocity_text=velocity_text,
         rng=np.random.default_rng(cfg.seed + 2),
-        prev_codes_image=prev_i,
-        prev_codes_text=prev_t,
+        prev_codes_image=hashnet.encode(params_image, fi32, cfg.hidden_act),
+        prev_codes_text=hashnet.encode(params_text, ft32, cfg.hidden_act),
     )
 
 

@@ -6,14 +6,15 @@ outputs round to float32 exactly where the library's containers declare
 32-bit storage, so both sides select neighbors from identical values.
 Others are earlier versions of a library stage (whole_matrix_semantic,
 naive_backward, naive_sgd_step, block_average_precision,
-sorted_gather_direction) that the current one must match bit for bit.
+sorted_gather_direction, explicit_text_grad) that the current one must
+match bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from assph import corrmine, evalkit
+from assph import corrmine, evalkit, kernels
 from assph.errors import DataError
 
 
@@ -336,6 +337,26 @@ def naive_sgd_step(params, velocity, grads, lr, momentum, weight_decay):
         v *= momentum
         v += step
         p -= lr * v
+
+
+def explicit_text_grad(hi, ht, s, r, weights):
+    """dL/dHt from the text side's own formula, as the objective once
+    wrote it beside the image side's: the pair term differentiates the
+    column side of cos(hi_i, ht_j), summing over rows with sum(axis=0)."""
+    hi_hat, hi_norms = kernels.unit_rows(hi, "image batch")
+    ht_hat, ht_norms = kernels.unit_rows(ht, "text batch")
+    s = np.asarray(s, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    c_it, c_ii, c_tt = hi_hat @ ht_hat.T, hi_hat @ hi_hat.T, ht_hat @ ht_hat.T
+    mu1, mu2, beta = weights.mu1, weights.mu2, weights.beta
+    g_it = 2.0 * (c_it - s) + mu1 * 2.0 * r * (c_it - beta) \
+        + mu2 * 2.0 * ((c_it - c_ii) + (c_it - c_tt))
+    g_tt = 2.0 * (c_tt - s) + mu2 * (-2.0 * (c_ii - c_tt) - 2.0 * (c_it - c_tt))
+    pair = (g_it.T @ hi_hat - (g_it * c_it).sum(axis=0)[:, None] * ht_hat) \
+        / ht_norms[:, None]
+    h = g_tt + g_tt.T  # rows of cos(ht, ht) appear on both sides
+    return pair + (h @ ht_hat - (h * c_tt).sum(axis=1)[:, None] * ht_hat) \
+        / ht_norms[:, None]
 
 
 def central_difference(fn, arr, step):

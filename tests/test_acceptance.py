@@ -64,7 +64,7 @@ def _map_both(bundle, result, hidden_act) -> tuple[float, float]:
     ft = bundle.text_features.astype(np.float64)
 
     def codes(params, x):
-        return hashnet.sign_codes(hashnet.forward(params, x, 1.0, hidden_act).h)
+        return hashnet.encode(params, x, hidden_act)
 
     ci_q, ct_q = codes(result.params_image, fi[q]), codes(result.params_text, ft[q])
     ci_d, ct_d = codes(result.params_image, fi[r]), codes(result.params_text, ft[r])

@@ -38,7 +38,7 @@ ENTRY_POINTS = {
     # the batch-size rule, which needs both a bundle and a config
     "trainer.init_state",
     # CLI handlers
-    "cli._resolve_config", "cli._parse_int_list", "cli.cmd_ablate",
+    "cli._out_dir", "cli._resolve_config", "cli._parse_int_list", "cli.cmd_ablate",
 }
 
 

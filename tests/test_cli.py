@@ -600,8 +600,9 @@ class TestMalformedTextInputs:
         ("bundle.json", lambda raw: _with_keys(raw, split=["train", "query", "retrieval"]),
          3, "'split'"),
         ("cfg.json", lambda raw: b'{"ks": 10\xff}', 2, "cfg.json"),
+        ("bundle.json", lambda raw: _with_keys(raw, labels=""), 3, "'labels'"),
     ], ids=["labels-bytes", "manifest-bytes", "manifest-number", "image-number",
-            "split-list", "config-bytes"])
+            "split-list", "config-bytes", "labels-empty-name"])
     def test_train(self, data_dir, tmp_path, capsys, name, edit, code, named):
         bundle = tmp_path / "bundle"
         shutil.copytree(data_dir, bundle)
@@ -659,6 +660,87 @@ class TestFlagsMatchFields:
             args = cli.build_parser().parse_args(
                 [command, "--bundle", "b", "--out", "o"] + extra)
             assert getattr(cli._resolve_config(args), field.name) == value
+
+
+class TestUnusablePaths:
+    """An input path naming a directory exits 3 (a --config file, 2), and
+    an --out that cannot be a directory exits 2 before any input is read;
+    each with one error line, leaving no output behind."""
+
+    @staticmethod
+    def _one_error(capsys, kind):
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind}: ") and err.count("\n") == 1, err
+        return err
+
+    def test_encode_checkpoint_is_a_directory(self, tmp_path, capsys):
+        d = str(tmp_path)
+        out = str(tmp_path / "o" / "c.assb")
+        assert cli.dispatch(["encode", "--features", d, "--checkpoint", d,
+                             "--hidden-act", "relu", "--out", out]) == 3
+        assert self._one_error(capsys, "data") == (
+            f"error: data: {d}: cannot read checkpoint file: Is a directory\n")
+        assert not os.path.exists(out)
+
+    def test_encode_features_is_a_directory(self, train_dir, tmp_path, capsys):
+        d = str(tmp_path)
+        assert cli.dispatch(["encode", "--features", d,
+                             "--checkpoint", os.path.join(train_dir, "imgnet.assp"),
+                             "--hidden-act", "relu",
+                             "--out", str(tmp_path / "c.assb")]) == 3
+        assert "cannot read feature file" in self._one_error(capsys, "data")
+
+    def test_eval_codes_is_a_directory(self, data_dir, tmp_path, capsys):
+        d, labels = str(tmp_path), os.path.join(data_dir, "labels.csv")
+        assert cli.dispatch(["eval", "--query-codes", d, "--db-codes", d,
+                             "--query-labels", labels, "--db-labels", labels,
+                             "--out", str(tmp_path / "ev")]) == 3
+        assert "cannot read codes file" in self._one_error(capsys, "data")
+        assert not (tmp_path / "ev").exists()
+
+    def test_bundle_feature_name_is_a_directory(self, data_dir, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(data_dir, bundle)
+        (bundle / "sub").mkdir()
+        raw = (bundle / "bundle.json").read_bytes()
+        (bundle / "bundle.json").write_bytes(_with_keys(raw, image_features="sub"))
+        assert cli.dispatch(["train", "--bundle", str(bundle),
+                             "--out", str(tmp_path / "run")] + TRAIN_FLAGS) == 3
+        assert f"{bundle / 'sub'}: cannot read feature file" in self._one_error(capsys, "data")
+
+    def test_config_is_a_directory(self, data_dir, tmp_path, capsys):
+        assert cli.dispatch(["train", "--bundle", data_dir, "--config", str(tmp_path),
+                             "--out", str(tmp_path / "run")] + TRAIN_FLAGS) == 2
+        assert "cannot read config file" in self._one_error(capsys, "config")
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    @pytest.mark.parametrize("command", ["synth", "build-sim", "train", "encode",
+                                         "eval", "ablate"])
+    def test_unusable_out_read_no_input(self, data_dir, tmp_path, monkeypatch,
+                                        capsys, command, below):
+        def no_read(path, kind):
+            raise AssertionError(f"read {kind} file {path} before checking --out")
+
+        monkeypatch.setattr(dataio, "_read_file", no_read)
+        blocker = tmp_path / "taken"
+        blocker.write_bytes(b"a file")
+        out = str(blocker / "x" if below else blocker)
+        inputs = {
+            "synth": [],
+            "build-sim": ["--bundle", data_dir],
+            "train": ["--bundle", data_dir] + TRAIN_FLAGS,
+            "encode": ["--features", "f.assf", "--checkpoint", "n.assp",
+                       "--hidden-act", "relu"],
+            "eval": ["--query-codes", "q", "--db-codes", "d", "--query-labels", "ql",
+                     "--db-labels", "dl"],
+            "ablate": ["--bundle", data_dir] + TRAIN_FLAGS,
+        }[command]
+        if command == "encode":
+            out = os.path.join(out, "c.assb")  # encode's --out is a file in the directory
+        assert cli.dispatch([command, "--out", out] + inputs) == 2
+        assert "is not a writable directory" in self._one_error(capsys, "config")
+        assert blocker.read_bytes() == b"a file"
+        assert os.listdir(tmp_path) == ["taken"]
 
 
 class TestExitCodes:

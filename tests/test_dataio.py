@@ -563,8 +563,13 @@ class TestBundle:
          "invalid manifest JSON: 'utf-8' codec can't decode byte 0xff"),
         ("labels.csv", lambda raw: b"\xff" + raw[1:],
          "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+        ("bundle.json", lambda raw: TestBundle._manifest_with(raw, labels=""),
+         "manifest key 'labels' must be a file name or null$"),
+        ("bundle.json", lambda raw: TestBundle._manifest_with(raw, image_features=""),
+         "manifest key 'image_features' must be a file name$"),
     ], ids=["number", "list", "image-number", "text-null", "labels-bool", "split-list",
-            "split-missing", "manifest-bytes", "labels-bytes"])
+            "split-missing", "manifest-bytes", "labels-bytes", "labels-empty",
+            "image-empty"])
     def test_malformed_text_names_its_file(self, tmp_path, name, edit, message):
         dataio.save_bundle(dataio.generate_synthetic(
             dataio.SynthConfig(instances=60, seed=2)), str(tmp_path))

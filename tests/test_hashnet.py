@@ -317,6 +317,26 @@ class TestSignCodes:
         assert hashnet.sign_codes(np.zeros((2, 2))).dtype == np.int8
 
 
+class TestEncode:
+    """encode gives the signs of forward's soft values at any eta."""
+
+    @pytest.mark.parametrize("hidden_act", config.HIDDEN_ACTS)
+    @pytest.mark.parametrize("eta", [0.05, 1.0, 40.0])
+    def test_signs_of_forward(self, eta, hidden_act):
+        p = hashnet.init_params(7, 12, 9, seed=4)
+        x = np.random.default_rng(6).standard_normal((30, 7)).astype(np.float32)
+        codes = hashnet.encode(p, x, hidden_act)
+        assert codes.dtype == np.int8
+        npt.assert_array_equal(codes, hashnet.sign_codes(
+            hashnet.forward(p, x, eta, hidden_act).h))
+
+    def test_zero_weights_give_plus_one(self):
+        p = hashnet.HashNetParams(w1=np.zeros((4, 3)), b1=np.zeros(4),
+                                  w2=np.zeros((5, 4)), b2=np.zeros(5))
+        codes = hashnet.encode(p, -np.ones((6, 3), dtype=np.float32), "tanh")
+        npt.assert_array_equal(codes, np.ones((6, 5), dtype=np.int8))
+
+
 class TestCheckpointIO:
     def test_roundtrip(self, tmp_path):
         p = hashnet.init_params(5, 8, 4, seed=9)

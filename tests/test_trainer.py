@@ -427,10 +427,8 @@ class TestTrain:
         labels = bundle.labels[idx]
         fi = bundle.image_features[idx].astype(np.float64)
         ft = bundle.text_features[idx].astype(np.float64)
-        ci = hashnet.sign_codes(hashnet.forward(res.params_image, fi, 1.0,
-                                                cfg.hidden_act).h)
-        ct = hashnet.sign_codes(hashnet.forward(res.params_text, ft, 1.0,
-                                                cfg.hidden_act).h)
+        ci = hashnet.encode(res.params_image, fi, cfg.hidden_act)
+        ct = hashnet.encode(res.params_text, ft, cfg.hidden_act)
         score = evalkit.evaluate_direction("I2T", ci, ct, labels, labels).map_all
         assert score > 0.85
 
