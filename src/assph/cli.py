@@ -171,16 +171,11 @@ def _self_evaluate(bundle, state, out_dir, map_cutoffs):
     from .evalkit import evaluate_direction
     from .hashnet import encode, save_codes
 
-    q, r = bundle.split.query, bundle.split.retrieval
-    fi, ft, pi, pt = (bundle.image_features, bundle.text_features,
-                      state.params_image, state.params_text)
-    act = state.cfg.hidden_act
-    codes = {
-        "query_image": encode(pi, fi[q], act),
-        "query_text": encode(pt, ft[q], act),
-        "db_image": encode(pi, fi[r], act),
-        "db_text": encode(pt, ft[r], act),
-    }
+    splits = {"query": bundle.split.query, "db": bundle.split.retrieval}
+    features = (bundle.image_features, bundle.text_features)
+    codes = {f"{split}_{side}": encode(params, f[rows], state.cfg.hidden_act)
+             for split, rows in splits.items()
+             for side, params, f in zip(("image", "text"), state.params, features)}
     outputs = []
     for name, mat in codes.items():
         fname = f"{name}.assb"
@@ -188,17 +183,14 @@ def _self_evaluate(bundle, state, out_dir, map_cutoffs):
         outputs.append(fname)
     reports = {}
     if bundle.labels is not None:
-        ql, dl = bundle.labels[q], bundle.labels[r]
-        reports["I2T"] = evaluate_direction("I2T", codes["query_image"],
-                                            codes["db_text"], ql, dl,
-                                            map_cutoffs)
-        reports["T2I"] = evaluate_direction("T2I", codes["query_text"],
-                                            codes["db_image"], ql, dl,
-                                            map_cutoffs)
-        for direction, report in reports.items():
+        ql, dl = bundle.labels[splits["query"]], bundle.labels[splits["db"]]
+        for direction, query, db in (("I2T", "image", "text"), ("T2I", "text", "image")):
+            report = evaluate_direction(direction, codes[f"query_{query}"],
+                                        codes[f"db_{db}"], ql, dl, map_cutoffs)
             fname = f"eval_{direction.lower()}.json"
             report.save_json(os.path.join(out_dir, fname))
             outputs.append(fname)
+            reports[direction] = report
     return reports, outputs
 
 
@@ -216,13 +208,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     t_train = time.perf_counter() - t0
 
     os.makedirs(args.out, exist_ok=True)
-    save_checkpoint(state.params_image, os.path.join(args.out, "imgnet.assp"))
-    save_checkpoint(state.params_text, os.path.join(args.out, "txtnet.assp"))
+    checkpoints = ["imgnet.assp", "txtnet.assp"]
+    for params, fname in zip(state.params, checkpoints):
+        save_checkpoint(params, os.path.join(args.out, fname))
     with open(os.path.join(args.out, "history.jsonl"), "w") as fh:
         for record in state.history:
             fh.write(json.dumps(record.to_dict(), sort_keys=True))
             fh.write("\n")
-    outputs = ["imgnet.assp", "txtnet.assp", "history.jsonl"]
+    outputs = checkpoints + ["history.jsonl"]
     reports, eval_outputs = _self_evaluate(bundle, state, args.out, map_cutoffs)
     outputs.extend(eval_outputs)
     _write_manifest(args.out, "train", cfg.to_dict(), _inputs(bundle, args), outputs,
@@ -240,6 +233,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
     from .hashnet import encode, load_checkpoint, save_codes
 
     t0 = time.perf_counter()
+    if os.path.isdir(args.out):
+        raise ConfigError(f"output file {args.out} is a directory")
     out_dir = _out_dir(os.path.dirname(os.path.abspath(args.out)))
     params = load_checkpoint(args.checkpoint)
     feats = load_features(args.features, expected_dim=params.d_in)
@@ -329,6 +324,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     repeated = sorted({v for v in names if names.count(v) > 1})
     if repeated:
         raise ConfigError(f"variants repeated: {repeated}")
+    runs = [("ASSPH", {})] + [_VARIANTS[v] for v in names]
+    for title, _ in runs:  # each run writes into its own subdirectory
+        _out_dir(os.path.join(args.out, title))
     bundle = load_bundle(args.bundle)
     if bundle.labels is None:
         raise DataError("ablate needs a labeled bundle to score variants")
@@ -336,7 +334,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     rows = {}
     outputs = ["ablation.json"]
-    runs = [("ASSPH", {})] + [_VARIANTS[v] for v in names]
     for title, patch in runs:
         state = train(bundle, dataclasses.replace(cfg, **patch))
         sub = os.path.join(args.out, title)

@@ -19,7 +19,9 @@ one gradient set, not one per network.
 
 Checkpoints (the four parameter arrays as float32) and code matrices
 (signed bytes in {-1, +1}) are written and read through dataio's
-containers CHECKPOINT and CODES, which hold their layouts and their checks.
+containers CHECKPOINT and CODES, which hold their layouts and their checks;
+load_checkpoint also rejects a non-finite weight, and load_codes an entry
+other than -1/+1.
 """
 
 from __future__ import annotations
@@ -222,8 +224,16 @@ def save_checkpoint(params: HashNetParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> HashNetParams:
-    """Read a checkpoint's weights and biases back as float64."""
-    return HashNetParams(*CHECKPOINT.read(path))
+    """Read a checkpoint's weights and biases back as float64.  Each array
+    is checked finite in flat blocks of kernels.BLOCK_ENTRIES entries, so
+    no code is computed from a non-finite weight."""
+    arrays = CHECKPOINT.read(path)
+    for name, arr in zip(_PARAM_NAMES, arrays):
+        flat = arr.reshape(-1)
+        for lo, hi in kernels.row_blocks(flat.size, kernels.BLOCK_ENTRIES):
+            if not np.isfinite(flat[lo:hi]).all():
+                raise DataError(f"{path}: non-finite entry in {name}")
+    return HashNetParams(*arrays)
 
 
 def save_codes(codes: np.ndarray, path: str) -> None:

@@ -9,11 +9,14 @@ side is replaced by its detached sign codes.  At the end of an epoch the
 whole training set is pushed through both encoders once for diagnostics
 and, when adaptive mining is on, to grow the correlation set.
 
-A run is one TrainState, which train returns with its history.  The two
-encoders share one gradient workspace (hashnet.shared_grads): each
-update runs the image backward and step, then the text backward and
-step.  The training features stay float32; each batch converts its rows
-to float64 once, and the end-of-epoch pass converts inside forward.
+A run is one TrainState, which train returns with its history.  Each
+per-modality field of the state is an (image, text) pair, and each
+per-side step is one loop over the pairs, image first.  The two encoders
+share one gradient workspace (hashnet.shared_grads): each update runs
+the image backward and step, then the text backward and step.  The
+training features stay float32; each batch converts its rows to float64
+once, and the end-of-epoch pass converts inside forward, one side at a
+time.
 
 The tanh sharpness follows eta = eta_base * epoch, so codes soften early
 and settle late.  Ablation switches turn off adaptive mining, binary
@@ -65,24 +68,21 @@ class EpochRecord:
 @dataclass
 class TrainState:
     """One training run: everything train_epoch needs, restartable across
-    epochs, and the history train appends to.  The features are the
-    training split's float32 rows, as loaded."""
+    epochs, and the history train appends to.  Each per-modality field is
+    an (image, text) pair; the features are the training split's float32
+    rows, as loaded."""
 
     cfg: TrainConfig
     weights_eff: objective.LossWeights
-    features_image: np.ndarray
-    features_text: np.ndarray
+    features: tuple[np.ndarray, np.ndarray]
     label_share: np.ndarray | None  # corrmine.label_share of the labels
     semantic: np.ndarray
     rel: corrmine.CorrelationSet
     setup_timings: dict  # build_targets' stage timings
-    params_image: hashnet.HashNetParams
-    params_text: hashnet.HashNetParams
-    velocity_image: hashnet.HashNetParams
-    velocity_text: hashnet.HashNetParams
+    params: tuple[hashnet.HashNetParams, hashnet.HashNetParams]
+    velocity: tuple[hashnet.HashNetParams, hashnet.HashNetParams]
     rng: np.random.Generator
-    prev_codes_image: np.ndarray
-    prev_codes_text: np.ndarray
+    codes: tuple[np.ndarray, np.ndarray]  # the training rows' latest sign codes
     history: list = field(default_factory=list)  # train's EpochRecords
 
 
@@ -129,39 +129,31 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
         raise ConfigError(
             f"batch_size {cfg.batch_size} exceeds training rows {m_train}"
         )
-    fi32 = bundle.image_features[train_idx]
-    ft32 = bundle.text_features[train_idx]
+    features = (bundle.image_features[train_idx], bundle.text_features[train_idx])
 
-    semantic, rel, setup_timings = build_targets(fi32, ft32, cfg)
+    semantic, rel, setup_timings = build_targets(*features, cfg)
     weights_eff = objective.LossWeights(
         mu1=cfg.mu1 if cfg.corr else 0.0,
         mu2=cfg.mu2,
         beta=cfg.beta,
     )
-
-    params_image = hashnet.init_params(fi32.shape[1], cfg.d_hidden,
-                                       cfg.code_length, cfg.seed)
-    params_text = hashnet.init_params(ft32.shape[1], cfg.d_hidden,
-                                      cfg.code_length, cfg.seed + 1)
-    velocity_image = hashnet.zeros_like(params_image)
-    velocity_text = hashnet.zeros_like(params_text)
+    params = tuple(hashnet.init_params(f.shape[1], cfg.d_hidden, cfg.code_length,
+                                       cfg.seed + side)
+                   for side, f in enumerate(features))
     return TrainState(
         cfg=cfg,
         weights_eff=weights_eff,
-        features_image=fi32,
-        features_text=ft32,
+        features=features,
         label_share=(None if bundle.labels is None
                      else corrmine.label_share(bundle.labels[train_idx])),
         semantic=semantic,
         rel=rel,
         setup_timings=setup_timings,
-        params_image=params_image,
-        params_text=params_text,
-        velocity_image=velocity_image,
-        velocity_text=velocity_text,
+        params=params,
+        velocity=tuple(map(hashnet.zeros_like, params)),
         rng=np.random.default_rng(cfg.seed + 2),
-        prev_codes_image=hashnet.encode(params_image, fi32, cfg.hidden_act),
-        prev_codes_text=hashnet.encode(params_text, ft32, cfg.hidden_act),
+        codes=tuple(hashnet.encode(p, f, cfg.hidden_act)
+                    for p, f in zip(params, features)),
     )
 
 
@@ -170,68 +162,69 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
     t0 = time.perf_counter()
     cfg = state.cfg
     eta = eta_schedule(epoch, cfg.eta_base)
-    fi, ft = state.features_image, state.features_text
     m = cfg.batch_size
-    n_iter = fi.shape[0] // m
-    perm = state.rng.permutation(fi.shape[0])
+    rows = len(state.features[0])
+    n_iter = rows // m
+    perm = state.rng.permutation(rows)
     sums = np.zeros(4)
-    g_i, g_t = hashnet.shared_grads(state.params_image, state.params_text)
+    grads = hashnet.shared_grads(*state.params)
 
-    def update(params, velocity, acts, d_h, grads):
+    def forward(xs):
+        return [hashnet.forward(p, x, eta, cfg.hidden_act)
+                for p, x in zip(state.params, xs)]
+
+    def signs(hs):
+        return tuple(hashnet.sign_codes(h) for h in hs)
+
+    def update(acts, d_hs):
         # the two sides' gradients share one workspace, so each side's
-        # step is applied before the other side's backward overwrites it
-        hashnet.backward(params, acts, d_h, grads)
-        hashnet.sgd_step(params, velocity, grads, cfg.learning_rate,
-                         cfg.momentum, cfg.weight_decay)
+        # step is applied before the other side's backward overwrites it;
+        # the text backward reads only text parameters and activations
+        # formed before either step, so stepping the image side first
+        # changes no bit
+        for p, v, g, a, d_h in zip(state.params, state.velocity, grads, acts, d_hs):
+            hashnet.backward(p, a, d_h, g)
+            hashnet.sgd_step(p, v, g, cfg.learning_rate, cfg.momentum,
+                             cfg.weight_decay)
 
     for it in range(n_iter):
         idx = perm[it * m:(it + 1) * m]
-        xi, xt = fi[idx].astype(np.float64), ft[idx].astype(np.float64)
+        xs = [f[idx].astype(np.float64) for f in state.features]
         s_b = state.semantic[np.ix_(idx, idx)].astype(np.float64)
         r_b = state.rel.batch(idx)
 
-        acts_i = hashnet.forward(state.params_image, xi, eta, cfg.hidden_act)
-        acts_t = hashnet.forward(state.params_text, xt, eta, cfg.hidden_act)
-        out = objective.total_loss_and_grads(acts_i.h, acts_t.h, s_b, r_b,
+        acts = forward(xs)
+        out = objective.total_loss_and_grads(acts[0].h, acts[1].h, s_b, r_b,
                                              state.weights_eff)
         if not np.isfinite(out.total):
             raise DivergenceError(
                 f"non-finite loss at epoch {epoch} iteration {it}"
             )
         sums += (out.total, out.sr, out.cp, out.sa)
-        # the text backward reads only text parameters and activations
-        # formed before either step, so stepping the image side first
-        # changes no bit
-        update(state.params_image, state.velocity_image, acts_i, out.grad_image, g_i)
-        update(state.params_text, state.velocity_text, acts_t, out.grad_text, g_t)
+        update(acts, (out.grad_image, out.grad_text))
 
         if cfg.bin_opt:
             # refresh soft codes under the just-updated parameters, then
             # fit each side against the other's detached sign codes, whose
-            # gradient is not applied
-            acts_i = hashnet.forward(state.params_image, xi, eta, cfg.hidden_act)
-            acts_t = hashnet.forward(state.params_text, xt, eta, cfg.hidden_act)
-            b_i = hashnet.sign_codes(acts_i.h).astype(np.float64)
-            b_t = hashnet.sign_codes(acts_t.h).astype(np.float64)
-            d_hi = objective.image_grad(acts_i.h, b_t, s_b, r_b, state.weights_eff)
-            update(state.params_image, state.velocity_image, acts_i, d_hi, g_i)
-            d_ht = objective.text_grad(b_i, acts_t.h, s_b, r_b, state.weights_eff)
-            update(state.params_text, state.velocity_text, acts_t, d_ht, g_t)
+            # gradient is not applied; both gradients read only what this
+            # forward formed, so both are taken before either step
+            acts = forward(xs)
+            b_i, b_t = signs(a.h for a in acts)
+            update(acts, (
+                objective.image_grad(acts[0].h, b_t, s_b, r_b, state.weights_eff),
+                objective.text_grad(b_i, acts[1].h, s_b, r_b, state.weights_eff)))
 
-    del g_i, g_t  # free the gradient workspace before the full pass
-    # end of epoch: one full pass for diagnostics and adaptive mining
-    hi_all = hashnet.forward(state.params_image, fi, eta, cfg.hidden_act).h
-    ht_all = hashnet.forward(state.params_text, ft, eta, cfg.hidden_act).h
-    codes_i = hashnet.sign_codes(hi_all)
-    codes_t = hashnet.sign_codes(ht_all)
-    flips_i = int((codes_i != state.prev_codes_image).sum())
-    flips_t = int((codes_t != state.prev_codes_text).sum())
-    state.prev_codes_image = codes_i
-    state.prev_codes_text = codes_t
+    del grads  # free the gradient workspace before the full pass
+    # end of epoch: one full pass for diagnostics and adaptive mining; each
+    # side's activations are dropped as soon as its soft codes are taken
+    hs = [hashnet.forward(p, f, eta, cfg.hidden_act).h
+          for p, f in zip(state.params, state.features)]
+    codes = signs(hs)
+    flips = [int((c != prev).sum()) for c, prev in zip(codes, state.codes)]
+    state.codes = codes
 
     if cfg.adaptive and cfg.corr:
-        state.rel = corrmine.adaptive_update(state.rel, hi_all, ht_all,
-                                             cfg.kr, cfg.tau,
+        state.rel = corrmine.adaptive_update(state.rel, *hs, cfg.kr, cfg.tau,
                                              pairwise=cfg.pair_corr)
     stats = corrmine.correlation_stats(state.rel, state.label_share)
 
@@ -246,8 +239,8 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
         loss_sa=float(mean[3]),
         r_popcount=stats["count"],
         r_precision=stats.get("precision"),
-        code_flips_image=flips_i,
-        code_flips_text=flips_t,
+        code_flips_image=flips[0],
+        code_flips_text=flips[1],
         wall_time=time.perf_counter() - t0,
     )
 

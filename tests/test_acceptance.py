@@ -66,8 +66,9 @@ def _map_both(bundle, result, hidden_act) -> tuple[float, float]:
     def codes(params, x):
         return hashnet.encode(params, x, hidden_act)
 
-    ci_q, ct_q = codes(result.params_image, fi[q]), codes(result.params_text, ft[q])
-    ci_d, ct_d = codes(result.params_image, fi[r]), codes(result.params_text, ft[r])
+    pi, pt = result.params
+    ci_q, ct_q = codes(pi, fi[q]), codes(pt, ft[q])
+    ci_d, ct_d = codes(pi, fi[r]), codes(pt, ft[r])
     ql, dl = bundle.labels[q], bundle.labels[r]
     return (evalkit.evaluate_direction("I2T", ci_q, ct_d, ql, dl).map_all,
             evalkit.evaluate_direction("T2I", ct_q, ci_d, ql, dl).map_all)

@@ -26,7 +26,8 @@ ENTRY_POINTS = {
     "dataio._read_file", "dataio.Container.unpack",
     "dataio.validate_features", "dataio._read_features", "dataio.load_features",
     "dataio.validate_labels", "dataio._parse_labels",
-    "dataio.read_json", "dataio.load_bundle", "hashnet.load_codes",
+    "dataio.read_json", "dataio.load_bundle", "hashnet.load_checkpoint",
+    "hashnet.load_codes",
     # constructors of checked objects
     "config.LossWeights.__post_init__", "config.TrainConfig.__post_init__",
     "config.TrainConfig.from_dict", "config._coerce",
@@ -38,7 +39,8 @@ ENTRY_POINTS = {
     # the batch-size rule, which needs both a bundle and a config
     "trainer.init_state",
     # CLI handlers
-    "cli._out_dir", "cli._resolve_config", "cli._parse_int_list", "cli.cmd_ablate",
+    "cli._out_dir", "cli._resolve_config", "cli._parse_int_list", "cli.cmd_encode",
+    "cli.cmd_ablate",
 }
 
 

@@ -713,15 +713,43 @@ class TestUnusablePaths:
                              "--out", str(tmp_path / "run")] + TRAIN_FLAGS) == 2
         assert "cannot read config file" in self._one_error(capsys, "config")
 
+    @staticmethod
+    def _no_read(monkeypatch):
+        def no_read(path, kind):
+            raise AssertionError(f"read {kind} file {path} before checking --out")
+
+        monkeypatch.setattr(dataio, "_read_file", no_read)
+
+    def test_encode_out_is_a_directory(self, tmp_path, monkeypatch, capsys):
+        self._no_read(monkeypatch)
+        out = tmp_path / "codes"
+        out.mkdir()
+        assert cli.dispatch(["encode", "--features", "f.assf", "--checkpoint", "n.assp",
+                             "--hidden-act", "relu", "--out", str(out)]) == 2
+        assert self._one_error(capsys, "config") == (
+            f"error: config: output file {out} is a directory\n")
+        assert os.listdir(tmp_path) == ["codes"] and os.listdir(out) == []
+
+    @pytest.mark.parametrize("title", ["ASSPH", "ASSPH_NoCorr"])
+    def test_ablate_run_directory_taken(self, data_dir, tmp_path, monkeypatch,
+                                        capsys, title):
+        # each run's subdirectory is checked before the bundle is read, so
+        # no variant trains into an --out that cannot hold its outputs
+        self._no_read(monkeypatch)
+        out = tmp_path / "ab"
+        out.mkdir()
+        (out / title).write_bytes(b"a file")
+        assert cli.dispatch(["ablate", "--bundle", data_dir, "--out", str(out),
+                             "--variants", "noadapt,nocorr"] + TRAIN_FLAGS) == 2
+        assert "is not a writable directory" in self._one_error(capsys, "config")
+        assert os.listdir(out) == [title]
+
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
     @pytest.mark.parametrize("command", ["synth", "build-sim", "train", "encode",
                                          "eval", "ablate"])
     def test_unusable_out_read_no_input(self, data_dir, tmp_path, monkeypatch,
                                         capsys, command, below):
-        def no_read(path, kind):
-            raise AssertionError(f"read {kind} file {path} before checking --out")
-
-        monkeypatch.setattr(dataio, "_read_file", no_read)
+        self._no_read(monkeypatch)
         blocker = tmp_path / "taken"
         blocker.write_bytes(b"a file")
         out = str(blocker / "x" if below else blocker)
@@ -769,6 +797,20 @@ class TestExitCodes:
                              "--hidden-act", "relu",
                              "--out", str(tmp_path / "c.assb")])
         assert code == 3
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_checkpoint(self, data_dir, train_dir, tmp_path, capsys, value):
+        # a non-finite weight would give every row the same code
+        params = hashnet.load_checkpoint(os.path.join(train_dir, "imgnet.assp"))
+        params.w2[:] = value
+        ckpt = str(tmp_path / "bad.assp")
+        hashnet.save_checkpoint(params, ckpt)
+        out = str(tmp_path / "o" / "c.assb")
+        code = cli.dispatch(["encode", "--features", os.path.join(data_dir, "image.assf"),
+                             "--checkpoint", ckpt, "--hidden-act", "relu", "--out", out])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: data: {ckpt}: non-finite entry in w2\n"
+        assert not os.path.exists(tmp_path / "o")
 
     def test_damaged_feature_magic(self, tmp_path, capsys):
         # a 3 x 4 container whose magic is overwritten; its payload is not text

@@ -120,7 +120,7 @@ class TestInitState:
 
     def test_no_corr_uses_identity_relation(self, bundle):
         state = trainer.init_state(bundle, small_config(corr=False))
-        m = state.features_image.shape[0]
+        m = state.features[0].shape[0]
         assert state.weights_eff.mu1 == 0.0
         npt.assert_array_equal(to_dense(state.rel), np.eye(m))
 
@@ -222,8 +222,7 @@ class TestInitState:
 
     def test_initial_codes_shape(self, bundle):
         state = trainer.init_state(bundle, small_config())
-        assert state.prev_codes_image.shape == (90, 16)
-        assert state.prev_codes_text.shape == (90, 16)
+        assert [c.shape for c in state.codes] == [(90, 16), (90, 16)]
 
 
 class TestTrainEpoch:
@@ -246,7 +245,7 @@ class TestTrainEpoch:
         real_backward, real_step = hashnet.backward, hashnet.sgd_step
 
         def side(params):
-            return "i" if params is state.params_image else "t"
+            return "i" if params is state.params[0] else "t"
 
         def backward(params, acts, d_h, grads):
             order.append("b" + side(params))
@@ -285,9 +284,8 @@ class TestTrainEpoch:
             classes=3, instances=200, dim_image=512, dim_text=256,
             noise_sigma=0.05, seed=1))
         state = trainer.init_state(wide, small_config(epochs=1, d_hidden=512))
-        assert state.features_image.dtype == np.float32
-        assert state.features_text.dtype == np.float32
-        p = state.params_image
+        assert [f.dtype for f in state.features] == [np.float32, np.float32]
+        p = state.params[0]
         grad_bytes = p.w1.nbytes + p.b1.nbytes + p.w2.nbytes + p.b2.nbytes
         tracemalloc.start()
         try:
@@ -297,14 +295,33 @@ class TestTrainEpoch:
             tracemalloc.stop()
         assert peak < 1.6 * grad_bytes, peak / grad_bytes
 
+    def test_end_pass_holds_one_side_at_a_time(self):
+        # many rows against a small network, so the end-of-epoch pass sets
+        # the peak.  Each side's float64 input copy and hidden layer are
+        # dropped once its soft codes are taken: near 1.3 times one side's,
+        # and 2.4 when both sides' activations are alive at once
+        dim = 256
+        tall = dataio.generate_synthetic(dataio.SynthConfig(
+            classes=3, instances=1500, dim_image=dim, dim_text=dim,
+            noise_sigma=0.05, seed=1))
+        state = trainer.init_state(tall, small_config(epochs=1, adaptive=False))
+        one_side = 8 * len(state.features[0]) * (dim + state.cfg.d_hidden)
+        tracemalloc.start()
+        try:
+            trainer.train_epoch(state, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * one_side, peak / one_side
+
 
 def reference_batches(state, epoch):
     """train_epoch's batches with a recomputing backward and whole-array SGD."""
     cfg = state.cfg
     eta = trainer.eta_schedule(epoch, cfg.eta_base)
-    fi, ft = state.features_image, state.features_text
-    pi, pt = state.params_image, state.params_text
-    vi, vt = state.velocity_image, state.velocity_text
+    fi, ft = state.features
+    pi, pt = state.params
+    vi, vt = state.velocity
     m = cfg.batch_size
     perm = state.rng.permutation(fi.shape[0])
 
@@ -345,11 +362,10 @@ class TestEpochExactness:
             trainer.train_epoch(state, epoch)
             reference_batches(ref, epoch)
             ref.rel = state.rel  # the reference mines nothing
-            for record in ("params_image", "params_text",
-                           "velocity_image", "velocity_text"):
-                for got, want in zip(getattr(state, record).arrays(),
-                                     getattr(ref, record).arrays()):
-                    npt.assert_array_equal(got, want)
+            for record in ("params", "velocity"):
+                for got, want in zip(getattr(state, record), getattr(ref, record)):
+                    for a, b in zip(got.arrays(), want.arrays()):
+                        npt.assert_array_equal(a, b)
 
 
 class TestTrain:
@@ -357,8 +373,8 @@ class TestTrain:
         cfg = small_config(epochs=2)
         a = trainer.train(bundle, cfg)
         b = trainer.train(bundle, small_config(epochs=2))
-        npt.assert_array_equal(a.params_image.w1, b.params_image.w1)
-        npt.assert_array_equal(a.params_text.w2, b.params_text.w2)
+        npt.assert_array_equal(a.params[0].w1, b.params[0].w1)
+        npt.assert_array_equal(a.params[1].w2, b.params[1].w2)
         npt.assert_array_equal(a.rel.bits, b.rel.bits)
         for ra, rb in zip(a.history, b.history):
             da, db = ra.to_dict(), rb.to_dict()
@@ -368,7 +384,7 @@ class TestTrain:
     def test_seed_changes_run(self, bundle):
         a = trainer.train(bundle, small_config(epochs=1))
         b = trainer.train(bundle, small_config(epochs=1, seed=6))
-        assert not np.array_equal(a.params_image.w1, b.params_image.w1)
+        assert not np.array_equal(a.params[0].w1, b.params[0].w1)
 
     def test_adaptive_growth_monotone(self, bundle):
         res = trainer.train(bundle, small_config(epochs=4))
@@ -401,22 +417,22 @@ class TestTrain:
     def test_loss_decreases_on_easy_data(self, bundle):
         cfg = small_config(epochs=8, adaptive=False)
         state = trainer.init_state(bundle, cfg)
-        m = state.features_image.shape[0]
+        m = state.features[0].shape[0]
         eta_end = trainer.eta_schedule(cfg.epochs)
         r_full = state.rel.batch(np.arange(m))
         semantic = state.semantic.astype(np.float64)
 
         def full_loss(params_image, params_text):
-            hi = hashnet.forward(params_image, state.features_image, eta_end,
+            hi = hashnet.forward(params_image, state.features[0], eta_end,
                                  cfg.hidden_act).h
-            ht = hashnet.forward(params_text, state.features_text, eta_end,
+            ht = hashnet.forward(params_text, state.features[1], eta_end,
                                  cfg.hidden_act).h
             return objective.total_loss_and_grads(
                 hi, ht, semantic, r_full, state.weights_eff).total
 
-        before = full_loss(state.params_image, state.params_text)
+        before = full_loss(*state.params)
         res = trainer.train(bundle, cfg)
-        after = full_loss(res.params_image, res.params_text)
+        after = full_loss(*res.params)
         assert after < before
         assert res.history[-1].loss_total < res.history[0].loss_total
 
@@ -427,8 +443,8 @@ class TestTrain:
         labels = bundle.labels[idx]
         fi = bundle.image_features[idx].astype(np.float64)
         ft = bundle.text_features[idx].astype(np.float64)
-        ci = hashnet.encode(res.params_image, fi, cfg.hidden_act)
-        ct = hashnet.encode(res.params_text, ft, cfg.hidden_act)
+        ci = hashnet.encode(res.params[0], fi, cfg.hidden_act)
+        ct = hashnet.encode(res.params[1], ft, cfg.hidden_act)
         score = evalkit.evaluate_direction("I2T", ci, ct, labels, labels).map_all
         assert score > 0.85
 
