@@ -5,9 +5,12 @@ are 0 on success, 2 for configuration errors, 3 for data errors, and 4
 for numeric divergence; failures print a single machine-parsable line
 ``error: <kind>: <message>`` on stderr.
 
-Every run writes a manifest.json into its output directory recording the
-resolved configuration, sha256 digests of the inputs, the output files,
-the package version, and wall-clock timings.
+Every command runs in one skeleton, ``_run``: it checks --out before any
+input is read, times the run, writes the manifest beside the outputs and
+prints the summary line.  A handler ``cmd_*`` only reads its inputs, does
+its work and returns a ``_Run`` for the manifest: the resolved config, the
+input files (recorded with their sha256), the outputs, the handler's own
+stage timings (total_s is added) and the summary line.
 
 The training flags of build-sim, train and ablate are generated from the
 fields of ``config.TrainConfig``, the same keys a --config file and the
@@ -40,21 +43,16 @@ def _sha256(path: str) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _write_manifest(out_dir: str, command: str, config: dict,
-                    inputs: list[str], outputs: list[str],
-                    timings: dict) -> None:
-    from . import __version__
-    from .dataio import write_json
+@dataclasses.dataclass
+class _Run:
+    """What a handler did.  outputs are relative to the manifest's
+    directory; ablate has no summary, it prints a line per variant."""
 
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config": config,
-        "inputs": {p: _sha256(p) for p in sorted(set(inputs))},
-        "outputs": sorted(outputs),
-        "timings": timings,
-    }
-    write_json(manifest, os.path.join(out_dir, "manifest.json"))
+    config: dict
+    inputs: list
+    outputs: list
+    summary: str = ""
+    timings: dict = dataclasses.field(default_factory=dict)
 
 
 def _out_dir(path: str) -> str:
@@ -66,6 +64,17 @@ def _out_dir(path: str) -> str:
     if not (os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK)):
         raise ConfigError(f"output directory {path}: {probe} is not a writable directory")
     return path
+
+
+def _manifest_path(args: argparse.Namespace) -> str:
+    """Where the manifest goes once --out is checked: <out>/manifest.json,
+    or <out>.manifest.json for encode, whose --out names its one file."""
+    if args.command != "encode":
+        return os.path.join(_out_dir(args.out), "manifest.json")
+    if os.path.isdir(args.out):
+        raise ConfigError(f"output file {args.out} is a directory")
+    _out_dir(os.path.dirname(os.path.abspath(args.out)))
+    return args.out + ".manifest.json"
 
 
 def _inputs(bundle, args: argparse.Namespace) -> list[str]:
@@ -115,27 +124,21 @@ def _resolve_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig.from_dict(flat)
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace, elapsed) -> _Run:
     from .dataio import generate_synthetic, save_bundle
 
-    t0 = time.perf_counter()
-    _out_dir(args.out)
     cfg = SynthConfig(**_given(args, SynthConfig))
     bundle = generate_synthetic(cfg, train_size=args.train_size)
     outputs = save_bundle(bundle, args.out)
     config = {**dataclasses.asdict(cfg), "train_size": args.train_size}
-    _write_manifest(args.out, "synth", config, [], outputs,
-                    {"total_s": time.perf_counter() - t0})
-    print(f"synth: wrote {bundle.n_rows} instances to {args.out}")
-    return 0
+    return _Run(config, [], outputs,
+                f"synth: wrote {bundle.n_rows} instances to {args.out}")
 
 
-def cmd_build_sim(args: argparse.Namespace) -> int:
+def cmd_build_sim(args: argparse.Namespace, elapsed) -> _Run:
     from . import corrmine, kernels, trainer
     from .dataio import load_bundle, write_features, write_json
 
-    t0 = time.perf_counter()
-    _out_dir(args.out)
     cfg = _resolve_config(args)
     bundle = load_bundle(args.bundle)
     train_idx = bundle.split.train
@@ -158,11 +161,9 @@ def cmd_build_sim(args: argparse.Namespace) -> int:
              **corrmine.correlation_stats(rel, share)}
     write_json(stats, os.path.join(args.out, "stats.json"))
     outputs = ["semantic.assf", "correlations.csv", "stats.json"]
-    _write_manifest(args.out, "build-sim", cfg.to_dict(), _inputs(bundle, args),
-                    outputs, {**timings, "total_s": time.perf_counter() - t0})
-    print(f"build-sim: semantic {len(semantic)}x{len(semantic)}, "
-          f"{stats['count']} correlated pairs")
-    return 0
+    return _Run(cfg.to_dict(), _inputs(bundle, args), outputs,
+                f"build-sim: semantic {len(semantic)}x{len(semantic)}, "
+                f"{stats['count']} correlated pairs", timings)
 
 
 def _self_evaluate(bundle, state, out_dir, map_cutoffs):
@@ -194,59 +195,45 @@ def _self_evaluate(bundle, state, out_dir, map_cutoffs):
     return reports, outputs
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace, elapsed) -> _Run:
     from .dataio import load_bundle
     from .hashnet import save_checkpoint
     from .trainer import train
 
-    t0 = time.perf_counter()
-    _out_dir(args.out)
     cfg = _resolve_config(args)
     map_cutoffs = _map_cutoffs(args)
     bundle = load_bundle(args.bundle)
     state = train(bundle, cfg)
-    t_train = time.perf_counter() - t0
+    timings = {**state.setup_timings, "train_s": elapsed()}
 
     os.makedirs(args.out, exist_ok=True)
-    checkpoints = ["imgnet.assp", "txtnet.assp"]
-    for params, fname in zip(state.params, checkpoints):
+    outputs = ["imgnet.assp", "txtnet.assp"]
+    for params, fname in zip(state.params, outputs):
         save_checkpoint(params, os.path.join(args.out, fname))
     with open(os.path.join(args.out, "history.jsonl"), "w") as fh:
         for record in state.history:
             fh.write(json.dumps(record.to_dict(), sort_keys=True))
             fh.write("\n")
-    outputs = checkpoints + ["history.jsonl"]
-    reports, eval_outputs = _self_evaluate(bundle, state, args.out, map_cutoffs)
-    outputs.extend(eval_outputs)
-    _write_manifest(args.out, "train", cfg.to_dict(), _inputs(bundle, args), outputs,
-                    {**state.setup_timings, "train_s": t_train,
-                     "total_s": time.perf_counter() - t0})
+    reports, evaluated = _self_evaluate(bundle, state, args.out, map_cutoffs)
+    outputs += ["history.jsonl"] + evaluated
     line = f"train: {cfg.epochs} epochs done"
     for direction, report in sorted(reports.items()):
         line += f", {direction} MAP@all {report.map_all:.4f}"
-    print(line)
-    return 0
+    return _Run(cfg.to_dict(), _inputs(bundle, args), outputs, line, timings)
 
 
-def cmd_encode(args: argparse.Namespace) -> int:
+def cmd_encode(args: argparse.Namespace, elapsed) -> _Run:
     from .dataio import load_features
     from .hashnet import encode, load_checkpoint, save_codes
 
-    t0 = time.perf_counter()
-    if os.path.isdir(args.out):
-        raise ConfigError(f"output file {args.out} is a directory")
-    out_dir = _out_dir(os.path.dirname(os.path.abspath(args.out)))
     params = load_checkpoint(args.checkpoint)
     feats = load_features(args.features, expected_dim=params.d_in)
     codes = encode(params, feats, args.hidden_act)
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     save_codes(codes, args.out)
-    _write_manifest(out_dir, "encode", {"hidden_act": args.hidden_act},
-                    [args.features, args.checkpoint],
-                    [os.path.basename(args.out)],
-                    {"total_s": time.perf_counter() - t0})
-    print(f"encode: {codes.shape[0]} codes of {codes.shape[1]} bits -> {args.out}")
-    return 0
+    return _Run({"hidden_act": args.hidden_act}, [args.features, args.checkpoint],
+                [os.path.basename(args.out)],
+                f"encode: {codes.shape[0]} codes of {codes.shape[1]} bits -> {args.out}")
 
 
 def _map_cutoffs(args: argparse.Namespace) -> list[int]:
@@ -266,13 +253,11 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace, elapsed) -> _Run:
     from .dataio import load_labels
     from .evalkit import evaluate_direction
     from .hashnet import load_codes
 
-    t0 = time.perf_counter()
-    _out_dir(args.out)
     map_cutoffs = _map_cutoffs(args)
     k_grid = _parse_int_list(args.k_grid, "k-grid") if args.k_grid else None
     query_codes = load_codes(args.query_codes)
@@ -285,17 +270,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report.save_json(os.path.join(args.out, "report.json"))
     report.save_curves_csv(os.path.join(args.out, "pr_curve.csv"),
                            os.path.join(args.out, "topk_curve.csv"))
-    _write_manifest(args.out, "eval",
-                    {"direction": args.direction, "map_at": map_cutoffs},
-                    [args.query_codes, args.db_codes, args.query_labels,
-                     args.db_labels],
-                    ["report.json", "pr_curve.csv", "topk_curve.csv"],
-                    {"total_s": time.perf_counter() - t0})
     line = f"eval {args.direction}: MAP@all {report.map_all:.4f}"
     for k, v in sorted(report.map_at.items()):
         line += f", MAP@{k} {v:.4f}"
-    print(line)
-    return 0
+    return _Run({"direction": args.direction, "map_at": map_cutoffs},
+                [args.query_codes, args.db_codes, args.query_labels, args.db_labels],
+                ["report.json", "pr_curve.csv", "topk_curve.csv"], line)
 
 
 _VARIANTS = {
@@ -307,12 +287,10 @@ _VARIANTS = {
 }
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
+def cmd_ablate(args: argparse.Namespace, elapsed) -> _Run:
     from .dataio import load_bundle, write_json
     from .trainer import train
 
-    t0 = time.perf_counter()
-    _out_dir(args.out)
     cfg = _resolve_config(args)
     map_cutoffs = _map_cutoffs(args)
     names = [v for v in args.variants.split(",") if v]
@@ -350,9 +328,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         "rows": rows,
     }
     write_json(table, os.path.join(args.out, "ablation.json"))
-    _write_manifest(args.out, "ablate", cfg.to_dict(), _inputs(bundle, args), outputs,
-                    {"total_s": time.perf_counter() - t0})
-    return 0
+    return _Run(cfg.to_dict(), _inputs(bundle, args), outputs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,6 +393,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> int:
+    """The skeleton every command runs in (see the module docstring)."""
+    from . import __version__
+    from .dataio import write_json
+
+    t0 = time.perf_counter()
+    manifest = _manifest_path(args)
+
+    def elapsed() -> float:  # seconds since the run started
+        return time.perf_counter() - t0
+
+    run = args.func(args, elapsed)
+    run.timings["total_s"] = elapsed()
+    write_json({"command": args.command, "version": __version__, "config": run.config,
+                "inputs": {p: _sha256(p) for p in sorted(set(run.inputs))},
+                "outputs": sorted(run.outputs), "timings": run.timings}, manifest)
+    if run.summary:
+        print(run.summary)
+    return 0
+
+
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
@@ -429,7 +426,7 @@ def dispatch(argv: list[str]) -> int:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = threads or os.environ.get(var, "1")
     try:
-        return args.func(args)
+        return _run(args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

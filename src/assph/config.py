@@ -127,9 +127,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("classes", "instances", "dim_image", "dim_text"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"synth: {name} must be >= 1")
+        # one instance always goes to the query split, so one more must train
+        for name, least in (("classes", 1), ("instances", 2), ("dim_image", 1),
+                            ("dim_text", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"synth: {name} must be >= {least}")
         if not 0 < self.label_cardinality <= self.classes:
             raise ConfigError("synth: label_cardinality must be in (0, classes]")
         if self.noise_sigma < 0:

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Golden digests of the CLI's outputs on fixed-seed fixtures.
 
-Rewrites ``tests/golden/eval_digests.json`` and
-``tests/golden/cli_digests.json`` from this checkout's ``src``:
+Rewrites ``tests/golden/eval_digests.json``,
+``tests/golden/cli_digests.json`` and ``tests/golden/help.txt`` from this
+checkout's ``src``:
 
     python tests/golden/regenerate.py
 
@@ -27,6 +28,9 @@ the fixture directory).  These outputs hold BLAS sums, so cli_digests.json recor
 the environment they were made in: numpy, the BLAS build, its thread
 count and the CPU.
 
+The help text: the --help of ``assph`` and of each subcommand, printed
+for a terminal HELP_COLUMNS wide.
+
 ``tests/test_golden.py`` recomputes the digests and compares them with
 the files; run this script only when a change to the outputs is
 intended, and name the change in CHANGES.md.
@@ -36,18 +40,21 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DIGESTS = os.path.join(HERE, "eval_digests.json")
 CLI_DIGESTS = os.path.join(HERE, "cli_digests.json")
+HELP = os.path.join(HERE, "help.txt")
 REGENERATE = "python tests/golden/regenerate.py"
 
 SEED = 22
@@ -180,8 +187,8 @@ def _manifest_digest(path: str, fixture: str) -> str:
 
 def tree_digests(run_dir: str, fixture: str) -> dict:
     """sha256 of every file under run_dir, keyed by its path relative to
-    run_dir: a history without its wall times, a manifest without its
-    timings (see _manifest_digest)."""
+    run_dir: a history without its wall times, a manifest (any name
+    ending in manifest.json) without its timings (see _manifest_digest)."""
     digests = {}
     for root, _, files in os.walk(run_dir):
         for name in files:
@@ -189,7 +196,7 @@ def tree_digests(run_dir: str, fixture: str) -> dict:
             key = os.path.relpath(path, run_dir).replace(os.sep, "/")
             if name == "history.jsonl":
                 digests[key] = _history_digest(path)
-            elif name == "manifest.json":
+            elif name.endswith("manifest.json"):
                 digests[key] = _manifest_digest(path, fixture)
             else:
                 digests[key] = _sha256(path)
@@ -220,6 +227,25 @@ def cli_digests() -> dict:
         run("ablate", "--bundle", bundle, "--out", os.path.join(runs, "ablate"),
             *TRAIN_FLAGS)
         return tree_digests(runs, tmp)
+
+
+HELP_COLUMNS = "80"
+COMMANDS = ("synth", "build-sim", "train", "encode", "eval", "ablate")
+
+
+def help_text() -> str:
+    """The --help of assph and of each subcommand, each after a line
+    "$ assph [command] --help", as a terminal HELP_COLUMNS wide prints it."""
+    from assph import cli
+
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": HELP_COLUMNS}), \
+            contextlib.redirect_stdout(out):
+        for argv in [["--help"]] + [[command, "--help"] for command in COMMANDS]:
+            print("$ assph", *argv)
+            if cli.dispatch(argv) != 0:
+                raise RuntimeError(f"assph {' '.join(argv)} failed")
+    return out.getvalue()
 
 
 def environment() -> dict:
@@ -259,6 +285,9 @@ def main(argv: list[str]) -> int:
         return 0
     _write(DIGESTS, {"numpy": np.__version__, "digests": eval_digests()})
     _write(CLI_DIGESTS, pinned_cli_digests())
+    with open(HELP, "w") as fh:
+        fh.write(help_text())
+    print(f"wrote {HELP}")
     return 0
 
 

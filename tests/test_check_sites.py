@@ -39,7 +39,7 @@ ENTRY_POINTS = {
     # the batch-size rule, which needs both a bundle and a config
     "trainer.init_state",
     # CLI handlers
-    "cli._out_dir", "cli._resolve_config", "cli._parse_int_list", "cli.cmd_encode",
+    "cli._out_dir", "cli._manifest_path", "cli._resolve_config", "cli._parse_int_list",
     "cli.cmd_ablate",
 }
 

@@ -49,9 +49,6 @@ class TestSynth:
         manifest = json.load(open(os.path.join(data_dir, "manifest.json")))
         assert manifest["command"] == "synth"
         assert manifest["config"]["classes"] == 3
-        assert sorted(manifest["outputs"]) == ["bundle.json", "image.assf",
-                                               "labels.csv", "text.assf"]
-        assert all("sha256" in v for v in manifest["inputs"].values())
 
     def test_bundle_loads_with_expected_split(self, data_dir):
         bundle = dataio.load_bundle(data_dir)
@@ -340,6 +337,94 @@ class TestManifestInputs:
         assert sorted(manifest["inputs"]) == [
             os.path.join(unlabeled, name)
             for name in ("bundle.json", "image.assf", "text.assf")]
+
+
+def _files_under(root: str) -> set:
+    return {os.path.join(d, name) for d, _, names in os.walk(root) for name in names}
+
+
+class TestManifestContract:
+    """Every command's manifest: the same keys, a total time, every file
+    the run wrote, relative to the manifest's directory, and every file it
+    read."""
+
+    @pytest.mark.parametrize("command", ["synth", "build-sim", "train", "encode",
+                                         "eval", "ablate"])
+    def test_keys_outputs_and_inputs(self, data_dir, train_dir, tmp_path, monkeypatch,
+                                     command):
+        bundle = dataio.load_bundle(data_dir)
+        labels = [str(tmp_path / "q.csv"), str(tmp_path / "d.csv")]
+        for path, rows in zip(labels, (bundle.split.query, bundle.split.retrieval)):
+            dataio.write_labels(bundle.labels[rows], path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        out = str(tmp_path / "out")
+        training = ["--bundle", data_dir, "--config", str(cfg)] + TRAIN_FLAGS + [
+            "--epochs", "1"]
+        argv = {
+            "synth": ["--instances", "30", "--classes", "2", "--dim-image", "6",
+                      "--dim-text", "5"],
+            "build-sim": training,
+            "train": training,
+            "encode": ["--features", os.path.join(data_dir, "image.assf"),
+                       "--checkpoint", os.path.join(train_dir, "imgnet.assp"),
+                       "--hidden-act", "relu"],
+            "eval": ["--query-codes", os.path.join(train_dir, "query_image.assb"),
+                     "--db-codes", os.path.join(train_dir, "db_text.assb"),
+                     "--query-labels", labels[0], "--db-labels", labels[1]],
+            "ablate": training + ["--variants", "nocorr"],
+        }[command]
+        if command == "encode":
+            out = os.path.join(out, "c.assb")  # encode's --out is its one file
+        read = set()
+        real = dataio._read_file
+
+        def recorded(path, kind):
+            read.add(os.path.abspath(path))
+            return real(path, kind)
+
+        monkeypatch.setattr(dataio, "_read_file", recorded)
+        before = _files_under(str(tmp_path))
+        assert cli.dispatch([command, "--out", out] + argv) == 0
+        path = out + ".manifest.json" if command == "encode" else os.path.join(
+            out, "manifest.json")
+        with open(path) as fh:
+            manifest = json.load(fh)
+        assert set(manifest) == {"command", "version", "config", "inputs", "outputs",
+                                 "timings"}
+        assert manifest["command"] == command
+        assert manifest["timings"]["total_s"] >= 0.0
+        created = _files_under(str(tmp_path)) - before - {path}
+        home = os.path.dirname(path)
+        assert set(manifest["outputs"]) == {os.path.relpath(p, home) for p in created}
+        assert {os.path.abspath(p) for p in manifest["inputs"]} == read
+        assert read or command == "synth"
+
+
+class TestManifestPlacement:
+    """encode writes <out>.manifest.json, so no run's manifest is replaced."""
+
+    def _encode(self, data_dir, train_dir, out):
+        assert cli.dispatch(["encode", "--features", os.path.join(data_dir, "image.assf"),
+                             "--checkpoint", os.path.join(train_dir, "imgnet.assp"),
+                             "--hidden-act", "relu", "--out", out]) == 0
+        with open(out + ".manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["command"] == "encode"
+        assert manifest["outputs"] == [os.path.basename(out)]
+
+    def test_two_encodes_into_one_directory(self, data_dir, train_dir, tmp_path):
+        for name in ("a.assb", "b.assb"):
+            self._encode(data_dir, train_dir, str(tmp_path / name))
+        assert sorted(os.listdir(tmp_path)) == ["a.assb", "a.assb.manifest.json",
+                                                "b.assb", "b.assb.manifest.json"]
+
+    def test_encode_into_a_train_run(self, data_dir, train_dir, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(train_dir, run)
+        self._encode(data_dir, train_dir, str(run / "image_codes.assb"))
+        with open(run / "manifest.json") as fh:
+            assert json.load(fh)["command"] == "train"
 
 
 class TestManifestTimings:
@@ -778,10 +863,15 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: config:")
 
-    def test_bad_synth_value(self, tmp_path, capsys):
-        code = cli.dispatch(["synth", "--out", str(tmp_path / "x"), "--classes", "0"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--classes", "0", "synth: classes"),
+        # one row always goes to the query split, so one instance trains nothing
+        ("--instances", "1", "synth: instances must be >= 2"),
+    ], ids=["classes", "instances"])
+    def test_bad_synth_value(self, tmp_path, capsys, flag, value, message):
+        code = cli.dispatch(["synth", "--out", str(tmp_path / "x"), flag, value])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: config: synth: classes")
+        assert capsys.readouterr().err.startswith(f"error: config: {message}")
         assert not os.path.exists(tmp_path / "x")
 
     def test_missing_bundle(self, tmp_path, capsys):

@@ -1,8 +1,9 @@
-"""The CLI's outputs are byte-identical to the committed digests.
+"""The CLI's outputs and --help are byte-identical to the committed files.
 
 The digests in ``tests/golden/eval_digests.json`` and
-``tests/golden/cli_digests.json`` were written by
-``tests/golden/regenerate.py``; a mismatch means an output changed.
+``tests/golden/cli_digests.json`` and the text in ``tests/golden/help.txt``
+were written by ``tests/golden/regenerate.py``; a mismatch means an
+output or a flag changed.
 """
 
 import json
@@ -45,6 +46,15 @@ def test_cli_outputs_match_golden_digests():
     assert not changed, (f"CLI outputs differ from the golden digests: {changed}; "
                          f"if the change is intended, run `{regenerate.REGENERATE}` "
                          f"and name it in CHANGES.md")
+
+
+def test_help_matches_golden_text():
+    """The --help of assph and of each subcommand, at a fixed width."""
+    with open(regenerate.HELP) as fh:
+        want = fh.read()
+    assert regenerate.help_text() == want, (
+        f"--help differs from {regenerate.HELP}; if the change is intended, "
+        f"run `{regenerate.REGENERATE}` and name it in CHANGES.md")
 
 
 def test_block_budget_changes_no_output(tmp_path, monkeypatch, capsys):
