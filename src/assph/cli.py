@@ -58,6 +58,8 @@ class _Run:
 def _out_dir(path: str) -> str:
     """path, checked before a command reads any input to name a directory
     it can write or make; it is made only to write, so a failed run leaves none."""
+    if not path:  # abspath would make it the working directory
+        raise ConfigError("output directory: empty path")
     probe = os.path.abspath(path)
     while not os.path.lexists(probe):  # its nearest existing ancestor
         probe = os.path.dirname(probe)
@@ -73,6 +75,8 @@ def _manifest_path(args: argparse.Namespace) -> str:
         return os.path.join(_out_dir(args.out), "manifest.json")
     if os.path.isdir(args.out):
         raise ConfigError(f"output file {args.out} is a directory")
+    if os.path.basename(args.out) in ("", ".", ".."):
+        raise ConfigError(f"output file '{args.out}' names no file")
     _out_dir(os.path.dirname(os.path.abspath(args.out)))
     return args.out + ".manifest.json"
 
@@ -281,9 +285,9 @@ def cmd_eval(args: argparse.Namespace, elapsed) -> _Run:
 _VARIANTS = {
     "noadapt": ("ASSPH_NoAdapt", {"adaptive": False}),
     "paircorr": ("ASSPH_PairCorr", {"pair_corr": True}),
-    "nocorr": ("ASSPH_NoCorr", {"corr": False}),
+    "nocorr": ("ASSPH_NoCorr", {"mu1": 0.0}),
     "nobinopt": ("ASSPH_NoBinOpt", {"bin_opt": False}),
-    "nostruct": ("ASSPH_NoStruct", {"struct": False}),
+    "nostruct": ("ASSPH_NoStruct", {"gamma": 0.0}),
 }
 
 

@@ -7,6 +7,10 @@ one flag per field of each (``code_length`` -> ``--code-length``; bools
 get a ``--no-`` form), so adding a field adds all of them, and a field's
 default is defined here only.
 
+A term of the loss is off when its weight is 0: mu1 = 0 drops the
+correlation-preserving term and gamma = 0 the structural similarity,
+the paper's two term ablations.
+
 The module imports no numpy, so the CLI can build its parser before
 ``--threads`` caps the BLAS pools.
 """
@@ -20,25 +24,6 @@ HIDDEN_ACTS = ("relu", "tanh")
 
 # MAP cutoffs a self-evaluation or an eval reports when none are asked for
 MAP_CUTOFFS = (50,)
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Term weights: mu1 on the correlation term, mu2 on agreement, plus
-    the target cosine level beta for correlated pairs.  Checked once, when
-    built."""
-
-    mu1: float = 2.0
-    mu2: float = 1.0
-    beta: float = 1.5
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu1) and self.mu1 >= 0):
-            raise ConfigError(f"mu1 must be a finite real >= 0, got {self.mu1}")
-        if not (math.isfinite(self.mu2) and self.mu2 >= 0):
-            raise ConfigError(f"mu2 must be a finite real >= 0, got {self.mu2}")
-        if not (math.isfinite(self.beta) and self.beta >= 1):
-            raise ConfigError(f"beta must be a finite real >= 1, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -59,9 +44,9 @@ class TrainConfig:
     kr: int = 50
     tau: int = 1
     gamma: float = 0.3
-    mu1: float = LossWeights.mu1
-    mu2: float = LossWeights.mu2
-    beta: float = LossWeights.beta
+    mu1: float = 2.0
+    mu2: float = 1.0
+    beta: float = 1.5
     learning_rate: float = 0.001
     momentum: float = 0.9
     weight_decay: float = 0.0005
@@ -71,8 +56,6 @@ class TrainConfig:
     hidden_act: str = "relu"
     adaptive: bool = True
     bin_opt: bool = True
-    corr: bool = True
-    struct: bool = True
     pair_corr: bool = False
 
     def __post_init__(self) -> None:
@@ -83,21 +66,17 @@ class TrainConfig:
             raise ConfigError(f"tau must be >= 1, got {self.tau}")
         if not 0 <= self.gamma <= 1:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not (math.isfinite(self.eta_base) and self.eta_base > 0):
-            raise ConfigError(f"eta_base must be a finite real > 0, got {self.eta_base}")
+        for name, op, bound in (("mu1", ">=", 0), ("mu2", ">=", 0), ("beta", ">=", 1),
+                                ("learning_rate", ">", 0), ("weight_decay", ">=", 0),
+                                ("eta_base", ">", 0)):
+            value = getattr(self, name)
+            if not (math.isfinite(value)
+                    and (value > bound if op == ">" else value >= bound)):
+                raise ConfigError(f"{name} must be a finite real {op} {bound}, got {value}")
         if self.hidden_act not in HIDDEN_ACTS:
             raise ConfigError(f"hidden_act must be one of {HIDDEN_ACTS}")
-        LossWeights(self.mu1, self.mu2, self.beta)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(
-                f"learning_rate must be a finite real > 0, got {self.learning_rate}"
-            )
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ConfigError(
-                f"weight_decay must be a finite real >= 0, got {self.weight_decay}"
-            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -134,8 +113,8 @@ class SynthConfig:
                 raise ConfigError(f"synth: {name} must be >= {least}")
         if not 0 < self.label_cardinality <= self.classes:
             raise ConfigError("synth: label_cardinality must be in (0, classes]")
-        if self.noise_sigma < 0:
-            raise ConfigError("synth: noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError("synth: noise_sigma must be a finite real >= 0")
 
 
 def _coerce(key: str, kind: type, value):

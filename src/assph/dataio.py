@@ -19,6 +19,7 @@ import json
 import math
 import os
 import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,7 +136,8 @@ def write_features(arr: np.ndarray, path: str) -> None:
 
 def _read_features(path: str) -> np.ndarray:
     """Parse a feature file, the binary container or CSV text as its first
-    four bytes say; the values are not checked.
+    four bytes say; the values are not checked, and a table of no rows
+    parses to shape (0, 1) without a warning.
 
     The container is read once and its matrix is a read-only view of the
     file's bytes; CSV text is left to numpy's parser."""
@@ -143,7 +145,9 @@ def _read_features(path: str) -> np.ndarray:
     if raw[:4] != FEATURES.magic:
         magic, raw = raw[:4], None  # freed before numpy parses the text
         try:
-            return np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
+            with warnings.catch_warnings():  # no rows is validate_features' error
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                return np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
         except UnicodeDecodeError:  # a damaged container, or text that is not UTF-8
             raise DataError(f"{path}: neither a feature container (magic {magic!r}, "
                             f"expected {FEATURES.magic!r}) nor UTF-8 CSV text")

@@ -14,6 +14,10 @@ slices:
     cp = sum R * (C_it - beta)^2
     total = sr + mu1 * cp + mu2 * sa
 
+mu1, mu2 and beta are read from the run's TrainConfig; with mu1 = 0 the
+trainer passes the identity relation as R, and cp is reported but adds
+nothing to the loss or its gradients.
+
 S and R are symmetric, so the text gradient is the image gradient of the
 mirrored batch, the one with its two sides swapped (_mirror).
 """
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .config import LossWeights
+from .config import TrainConfig
 
 
 @dataclass
@@ -63,11 +67,11 @@ def _cosines(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray,
                     c_tt=ht_hat @ ht_hat.T)
 
 
-def _g_it(c: _Cosines, weights: LossWeights) -> np.ndarray:
+def _g_it(c: _Cosines, cfg: TrainConfig) -> np.ndarray:
     """dL/dC_it, which both sides' gradients read."""
     return 2.0 * (c.c_it - c.s) \
-        + weights.mu1 * 2.0 * c.r * (c.c_it - weights.beta) \
-        + weights.mu2 * 2.0 * ((c.c_it - c.c_ii) + (c.c_it - c.c_tt))
+        + cfg.mu1 * 2.0 * c.r * (c.c_it - cfg.beta) \
+        + cfg.mu2 * 2.0 * ((c.c_it - c.c_ii) + (c.c_it - c.c_tt))
 
 
 def _mirror(c: _Cosines) -> _Cosines:
@@ -76,16 +80,16 @@ def _mirror(c: _Cosines) -> _Cosines:
                     c.c_it.T, c.c_tt, c.c_ii)
 
 
-def _image_side(c: _Cosines, g_it: np.ndarray, weights: LossWeights) -> np.ndarray:
+def _image_side(c: _Cosines, g_it: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     g_ii = 2.0 * (c.c_ii - c.s) \
-        + weights.mu2 * (2.0 * (c.c_ii - c.c_tt) - 2.0 * (c.c_it - c.c_ii))
+        + cfg.mu2 * (2.0 * (c.c_ii - c.c_tt) - 2.0 * (c.c_it - c.c_ii))
     return _d_cos(g_it, c.c_it, c.ht_hat, c.hi_hat, c.hi_norms) \
         + _d_cos(g_ii + g_ii.T, c.c_ii, c.hi_hat, c.hi_hat, c.hi_norms)
 
 
 def total_loss_and_grads(hi: np.ndarray, ht: np.ndarray,
                          s_batch: np.ndarray, r_batch: np.ndarray,
-                         weights: LossWeights) -> LossOutput:
+                         cfg: TrainConfig) -> LossOutput:
     """Weighted objective plus dL/dHi and dL/dHt.
 
     When one side is a constant, such as detached sign codes, its
@@ -99,24 +103,24 @@ def total_loss_and_grads(hi: np.ndarray, ht: np.ndarray,
                + ((s - c_tt) ** 2).sum())
     sa = float(((c_ii - c_tt) ** 2).sum() + ((c_it - c_ii) ** 2).sum()
                + ((c_it - c_tt) ** 2).sum())
-    cp = float((r * (c_it - weights.beta) ** 2).sum())
-    total = sr + weights.mu1 * cp + weights.mu2 * sa
-    g_it = _g_it(c, weights)
+    cp = float((r * (c_it - cfg.beta) ** 2).sum())
+    total = sr + cfg.mu1 * cp + cfg.mu2 * sa
+    g_it = _g_it(c, cfg)
     return LossOutput(total=total, sr=sr, sa=sa, cp=cp,
-                      grad_image=_image_side(c, g_it, weights),
-                      grad_text=_image_side(_mirror(c), g_it.T, weights))
+                      grad_image=_image_side(c, g_it, cfg),
+                      grad_text=_image_side(_mirror(c), g_it.T, cfg))
 
 
 def image_grad(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray,
-               r_batch: np.ndarray, weights: LossWeights) -> np.ndarray:
+               r_batch: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """dL/dHi alone, equal to total_loss_and_grads(...).grad_image: no loss
     values and no text gradient are computed."""
     c = _cosines(hi, ht, s_batch, r_batch)
-    return _image_side(c, _g_it(c, weights), weights)
+    return _image_side(c, _g_it(c, cfg), cfg)
 
 
 def text_grad(hi: np.ndarray, ht: np.ndarray, s_batch: np.ndarray,
-              r_batch: np.ndarray, weights: LossWeights) -> np.ndarray:
+              r_batch: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """dL/dHt alone, equal to total_loss_and_grads(...).grad_text."""
     c = _cosines(hi, ht, s_batch, r_batch)
-    return _image_side(_mirror(c), _g_it(c, weights).T, weights)
+    return _image_side(_mirror(c), _g_it(c, cfg).T, cfg)

@@ -19,10 +19,12 @@ once, and the end-of-epoch pass converts inside forward, one side at a
 time.
 
 The tanh sharpness follows eta = eta_base * epoch, so codes soften early
-and settle late.  Ablation switches turn off adaptive mining, binary
-refinement, the correlation term (identity relation, mu1 forced to 0),
-or the structural similarity stage (gamma forced to 0); pair_corr swaps
-the neighborhood-overlap mining rule for plain symmetrized KNN.
+and settle late.  Ablation switches turn off adaptive mining or binary
+refinement; pair_corr swaps the neighborhood-overlap mining rule for
+plain symmetrized KNN.  The two term ablations are weights: with mu1 = 0
+there is no correlation term, so no relation is mined and the identity
+stands in for it, and with gamma = 0 the structural similarity stage is
+skipped.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ class TrainState:
     rows, as loaded."""
 
     cfg: TrainConfig
-    weights_eff: objective.LossWeights
     features: tuple[np.ndarray, np.ndarray]
     label_share: np.ndarray | None  # corrmine.label_share of the labels
     semantic: np.ndarray
@@ -94,16 +95,16 @@ def build_targets(image_features: np.ndarray, text_features: np.ndarray,
 
     Each modality's cosine is computed once: the seed mining reads both,
     then the fusion and the target overwrite the image cosine.  With
-    cfg.corr off the relation is the identity.  gamma counts only when
-    cfg.struct is on.  The timings are perf_counter seconds: cosine_s for
-    the two cosines, seed_mine_s for the relation and semantic_s for the
-    fusion and the target.
+    cfg.mu1 == 0 the relation is the identity, and with cfg.gamma == 0
+    build_semantic skips the structural stage.  The timings are
+    perf_counter seconds: cosine_s for the two cosines, seed_mine_s for
+    the relation and semantic_s for the fusion and the target.
     """
     t0 = time.perf_counter()
     cos_i = simgraph.cosine_matrix(image_features)
     cos_t = simgraph.cosine_matrix(text_features)
     t1 = time.perf_counter()
-    if cfg.corr:
+    if cfg.mu1 > 0:
         rel = corrmine.init_correlations(cos_i, cos_t, cfg.kr, cfg.tau,
                                          pairwise=cfg.pair_corr)
     else:
@@ -112,8 +113,7 @@ def build_targets(image_features: np.ndarray, text_features: np.ndarray,
     fused = simgraph.fuse(cos_i, cos_t, out=cos_i)
     # free the text cosine before structural holds W and W @ W.T beside fused
     del cos_t
-    gamma = cfg.gamma if cfg.struct else 0.0
-    semantic = simgraph.build_semantic(fused, cfg.ks, gamma)
+    semantic = simgraph.build_semantic(fused, cfg.ks, cfg.gamma)
     timings = {"cosine_s": t1 - t0, "seed_mine_s": t2 - t1,
                "semantic_s": time.perf_counter() - t2}
     return semantic, rel, timings
@@ -132,17 +132,11 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
     features = (bundle.image_features[train_idx], bundle.text_features[train_idx])
 
     semantic, rel, setup_timings = build_targets(*features, cfg)
-    weights_eff = objective.LossWeights(
-        mu1=cfg.mu1 if cfg.corr else 0.0,
-        mu2=cfg.mu2,
-        beta=cfg.beta,
-    )
     params = tuple(hashnet.init_params(f.shape[1], cfg.d_hidden, cfg.code_length,
                                        cfg.seed + side)
                    for side, f in enumerate(features))
     return TrainState(
         cfg=cfg,
-        weights_eff=weights_eff,
         features=features,
         label_share=(None if bundle.labels is None
                      else corrmine.label_share(bundle.labels[train_idx])),
@@ -194,8 +188,7 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
         r_b = state.rel.batch(idx)
 
         acts = forward(xs)
-        out = objective.total_loss_and_grads(acts[0].h, acts[1].h, s_b, r_b,
-                                             state.weights_eff)
+        out = objective.total_loss_and_grads(acts[0].h, acts[1].h, s_b, r_b, cfg)
         if not np.isfinite(out.total):
             raise DivergenceError(
                 f"non-finite loss at epoch {epoch} iteration {it}"
@@ -211,8 +204,8 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
             acts = forward(xs)
             b_i, b_t = signs(a.h for a in acts)
             update(acts, (
-                objective.image_grad(acts[0].h, b_t, s_b, r_b, state.weights_eff),
-                objective.text_grad(b_i, acts[1].h, s_b, r_b, state.weights_eff)))
+                objective.image_grad(acts[0].h, b_t, s_b, r_b, cfg),
+                objective.text_grad(b_i, acts[1].h, s_b, r_b, cfg)))
 
     del grads  # free the gradient workspace before the full pass
     # end of epoch: one full pass for diagnostics and adaptive mining; each
@@ -223,7 +216,7 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
     flips = [int((c != prev).sum()) for c, prev in zip(codes, state.codes)]
     state.codes = codes
 
-    if cfg.adaptive and cfg.corr:
+    if cfg.adaptive and cfg.mu1 > 0:
         state.rel = corrmine.adaptive_update(state.rel, *hs, cfg.kr, cfg.tau,
                                              pairwise=cfg.pair_corr)
     stats = corrmine.correlation_stats(state.rel, state.label_share)

@@ -18,8 +18,8 @@ numpy's own sums, so its digests hold on any BLAS.
 The CLI fixture: a 240-row bundle of 8 multi-hot classes with centred
 48-d image and 32-d text features, in which 60 rows repeat earlier ones,
 so similarities tie and tie-breaking shows in the outputs.  One process
-pinned to 1 BLAS thread runs build-sim (base and four switches), train
-for 2 epochs (base and four switches), encode of the base image
+pinned to 1 BLAS thread runs build-sim (base and four variants), train
+for 2 epochs (base and four variants), encode of the base image
 checkpoint and ablate with its default variants, and digests every
 semantic matrix, correlation list, statistics file, checkpoint, code
 file, self-evaluation report, ablation table, history (without
@@ -129,8 +129,8 @@ BUNDLE_ROWS, BUNDLE_DISTINCT, BUNDLE_CLASSES, BUNDLE_DIMS, BUNDLE_NOISE = (
 TRAIN_FLAGS = ["--code-length", "16", "--d-hidden", "32", "--epochs", "2",
                "--batch-size", "16", "--ks", "60", "--kr", "8",
                "--learning-rate", "0.0001", "--seed", "5"]
-BUILD_SIM = {"base": [], "tau2": ["--tau", "2"], "nostruct": ["--no-struct"],
-             "paircorr": ["--pair-corr"], "nocorr": ["--no-corr"]}
+BUILD_SIM = {"base": [], "tau2": ["--tau", "2"], "nostruct": ["--gamma", "0"],
+             "paircorr": ["--pair-corr"], "nocorr": ["--mu1", "0"]}
 TRAIN = {"base": [], "tanh": ["--hidden-act", "tanh"], "nobinopt": ["--no-bin-opt"],
          "noadapt": ["--no-adaptive"], "paircorr": ["--pair-corr"]}
 

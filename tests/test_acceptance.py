@@ -33,9 +33,9 @@ VARIANTS = {
     "full": {},
     "noadapt": {"adaptive": False},
     "paircorr": {"pair_corr": True},
-    "nocorr": {"corr": False},
+    "nocorr": {"mu1": 0.0},
     "nobinopt": {"bin_opt": False},
-    "nostruct": {"struct": False},
+    "nostruct": {"gamma": 0.0},
 }
 
 
@@ -96,7 +96,7 @@ class TestGradients:
     def test_full_chain_matches_finite_differences(self):
         t0 = time.perf_counter()
         rng = np.random.default_rng(42)
-        weights = objective.LossWeights(mu1=2.0, mu2=1.0, beta=1.5)
+        weights = config.TrainConfig(mu1=2.0, mu2=1.0, beta=1.5)
         worst_rel = 0.0
         tiny_ok = True
         for case in range(20):

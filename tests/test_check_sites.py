@@ -29,8 +29,7 @@ ENTRY_POINTS = {
     "dataio.read_json", "dataio.load_bundle", "hashnet.load_checkpoint",
     "hashnet.load_codes",
     # constructors of checked objects
-    "config.LossWeights.__post_init__", "config.TrainConfig.__post_init__",
-    "config.TrainConfig.from_dict", "config._coerce",
+    "config.TrainConfig.__post_init__", "config.TrainConfig.from_dict", "config._coerce",
     "config.SynthConfig.__post_init__", "dataio.Split.validate",
     "dataio.DatasetBundle.__post_init__", "dataio.generate_synthetic",
     # library entry points

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from assph import cli, dataio, hashnet, kernels, trainer
-from assph.config import HIDDEN_ACTS, LossWeights, SynthConfig, TrainConfig
+from assph.config import HIDDEN_ACTS, SynthConfig, TrainConfig
 from oracles import relation_from_dense, to_dense
 
 TRAIN_FLAGS = ["--code-length", "8", "--epochs", "2", "--batch-size", "24",
@@ -144,7 +144,7 @@ class TestBuildSim:
     def test_no_corr_writes_the_identity(self, data_dir, tmp_path):
         out = str(tmp_path / "simn")
         assert cli.dispatch(["build-sim", "--bundle", data_dir, "--out", out,
-                             "--ks", "12", "--kr", "4", "--no-corr"]) == 0
+                             "--ks", "12", "--kr", "4", "--mu1", "0"]) == 0
         lines = open(os.path.join(out, "correlations.csv")).read().splitlines()
         assert lines == ["i,j"] + [f"{i},{i}" for i in range(72)]
         stats = json.load(open(os.path.join(out, "stats.json")))
@@ -152,7 +152,7 @@ class TestBuildSim:
         assert stats["no_offdiag"] is True
         # the relation train starts from under the same config
         config = json.load(open(os.path.join(out, "manifest.json")))["config"]
-        assert config["corr"] is False
+        assert config["mu1"] == 0.0
         state = trainer.init_state(dataio.load_bundle(data_dir),
                                    TrainConfig.from_dict(config))
         ii, jj = np.nonzero(np.triu(to_dense(state.rel)))
@@ -236,16 +236,15 @@ class TestInputsCheckedOnce:
         count(dataio, "validate_labels", lambda arr, name: os.path.basename(name))
         count(dataio.Split, "validate", lambda split, rows, name: "split")
         count(TrainConfig, "__post_init__", lambda cfg: "config")
-        count(LossWeights, "__post_init__", lambda weights: "weights")
         out = str(tmp_path / "run")
         assert cli.dispatch(["train", "--bundle", data_dir, "--out", out]
                             + TRAIN_FLAGS) == 0
         with open(os.path.join(out, "history.jsonl")) as fh:
             assert sum(json.loads(line)["iterations"] for line in fh) > 2
-        # two LossWeights objects, whatever the iteration count: the
-        # config's own mu1/mu2/beta and the run's effective weights
+        # one config, whatever the iteration count: the loss reads its
+        # weights from it
         assert sorted(checks) == sorted(["image.assf", "text.assf", "labels.csv",
-                                         "split", "config", "weights", "weights"])
+                                         "split", "config"])
 
     def test_build_sim_checks_each_input_once(self, data_dir, tmp_path, monkeypatch):
         checks, count = self.counter(monkeypatch)
@@ -667,6 +666,51 @@ class TestConfigResolution:
         assert not os.path.exists(str(tmp_path / "x"))
 
 
+class TestTermWeights:
+    """A loss term is off when its weight is 0, and that is the one way to
+    turn it off: no flag or config key names the term itself."""
+
+    def test_mu1_zero_mines_no_relation(self, data_dir, tmp_path, monkeypatch):
+        from assph import corrmine
+
+        def no_mining(*args, **kwargs):
+            raise AssertionError("mined a relation under mu1 = 0")
+
+        monkeypatch.setattr(corrmine, "init_correlations", no_mining)
+        monkeypatch.setattr(corrmine, "adaptive_update", no_mining)
+        out = tmp_path / "run"
+        assert cli.dispatch(["train", "--bundle", data_dir, "--out", str(out)]
+                            + TRAIN_FLAGS + ["--epochs", "3", "--mu1", "0"]) == 0
+        with open(out / "history.jsonl") as fh:
+            popcounts = [json.loads(line)["r_popcount"] for line in fh]
+        assert popcounts == [72] * 3  # the identity over the training rows
+
+    def test_gamma_zero_skips_structural(self, data_dir, tmp_path, monkeypatch):
+        from assph import simgraph
+
+        def no_structural(*args, **kwargs):
+            raise AssertionError("structural similarity under gamma = 0")
+
+        monkeypatch.setattr(simgraph, "structural", no_structural)
+        assert cli.dispatch(["train", "--bundle", data_dir, "--out",
+                             str(tmp_path / "run")] + TRAIN_FLAGS + ["--gamma", "0"]) == 0
+
+    @pytest.mark.parametrize("flag", ["--no-corr", "--no-struct"])
+    def test_removed_switch_flag(self, data_dir, tmp_path, capsys, flag):
+        assert cli.dispatch(["train", "--bundle", data_dir, "--out",
+                             str(tmp_path / "run"), flag] + TRAIN_FLAGS) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["corr", "struct"])
+    def test_removed_switch_key(self, data_dir, tmp_path, capsys, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: False}))
+        assert cli.dispatch(["train", "--bundle", data_dir, "--out", str(tmp_path / "run"),
+                             "--config", str(cfg_path)] + TRAIN_FLAGS) == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 def _with_keys(raw: bytes, **values) -> bytes:
     """A bundle.json's bytes with some keys set to other JSON values."""
     return json.dumps({**json.loads(raw), **values}).encode()
@@ -805,6 +849,20 @@ class TestUnusablePaths:
 
         monkeypatch.setattr(dataio, "_read_file", no_read)
 
+    @staticmethod
+    def _inputs(command, data_dir):
+        """Each command's flags besides --out."""
+        return {
+            "synth": [],
+            "build-sim": ["--bundle", data_dir],
+            "train": ["--bundle", data_dir] + TRAIN_FLAGS,
+            "encode": ["--features", "f.assf", "--checkpoint", "n.assp",
+                       "--hidden-act", "relu"],
+            "eval": ["--query-codes", "q", "--db-codes", "d", "--query-labels", "ql",
+                     "--db-labels", "dl"],
+            "ablate": ["--bundle", data_dir] + TRAIN_FLAGS,
+        }[command]
+
     def test_encode_out_is_a_directory(self, tmp_path, monkeypatch, capsys):
         self._no_read(monkeypatch)
         out = tmp_path / "codes"
@@ -838,22 +896,35 @@ class TestUnusablePaths:
         blocker = tmp_path / "taken"
         blocker.write_bytes(b"a file")
         out = str(blocker / "x" if below else blocker)
-        inputs = {
-            "synth": [],
-            "build-sim": ["--bundle", data_dir],
-            "train": ["--bundle", data_dir] + TRAIN_FLAGS,
-            "encode": ["--features", "f.assf", "--checkpoint", "n.assp",
-                       "--hidden-act", "relu"],
-            "eval": ["--query-codes", "q", "--db-codes", "d", "--query-labels", "ql",
-                     "--db-labels", "dl"],
-            "ablate": ["--bundle", data_dir] + TRAIN_FLAGS,
-        }[command]
         if command == "encode":
             out = os.path.join(out, "c.assb")  # encode's --out is a file in the directory
-        assert cli.dispatch([command, "--out", out] + inputs) == 2
+        assert cli.dispatch([command, "--out", out]
+                            + self._inputs(command, data_dir)) == 2
         assert "is not a writable directory" in self._one_error(capsys, "config")
         assert blocker.read_bytes() == b"a file"
         assert os.listdir(tmp_path) == ["taken"]
+
+    @pytest.mark.parametrize("command", ["synth", "build-sim", "train", "encode",
+                                         "eval", "ablate"])
+    def test_empty_out_reads_no_input(self, data_dir, tmp_path, monkeypatch,
+                                      capsys, command):
+        # "" is no path, though abspath makes it the working directory
+        self._no_read(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert cli.dispatch([command, "--out", ""]
+                            + self._inputs(command, data_dir)) == 2
+        self._one_error(capsys, "config")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("tail", [os.sep, os.sep + "."], ids=["separator", "dot"])
+    def test_encode_out_names_no_file(self, tmp_path, monkeypatch, capsys, tail):
+        self._no_read(monkeypatch)
+        out = str(tmp_path / "codes") + tail
+        assert cli.dispatch(["encode", "--out", out]
+                            + self._inputs("encode", None)) == 2
+        assert self._one_error(capsys, "config") == (
+            f"error: config: output file '{out}' names no file\n")
+        assert os.listdir(tmp_path) == []
 
 
 class TestExitCodes:
@@ -867,7 +938,9 @@ class TestExitCodes:
         ("--classes", "0", "synth: classes"),
         # one row always goes to the query split, so one instance trains nothing
         ("--instances", "1", "synth: instances must be >= 2"),
-    ], ids=["classes", "instances"])
+        ("--noise-sigma", "nan", "synth: noise_sigma must be a finite real >= 0"),
+        ("--noise-sigma", "inf", "synth: noise_sigma must be a finite real >= 0"),
+    ], ids=["classes", "instances", "noise-nan", "noise-inf"])
     def test_bad_synth_value(self, tmp_path, capsys, flag, value, message):
         code = cli.dispatch(["synth", "--out", str(tmp_path / "x"), flag, value])
         assert code == 2
@@ -935,6 +1008,23 @@ class TestExitCodes:
             f"error: data: {feats}: neither a feature container "
             f"(magic b'1.0,', expected b'ASSF') nor UTF-8 CSV text\n")
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# no rows\n"],
+                             ids=["empty", "blank", "comment"])
+    def test_feature_csv_of_no_rows(self, train_dir, tmp_path, text):
+        # numpy's parser warns on a table of no rows; a separate process
+        # shows the warning, which pytest would otherwise capture
+        feats = tmp_path / "f.csv"
+        feats.write_text(text)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "assph.cli", "encode", "--features", str(feats),
+             "--checkpoint", os.path.join(train_dir, "imgnet.assp"),
+             "--hidden-act", "relu", "--out", str(tmp_path / "c.assb")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 3
+        assert out.stderr == (f"error: data: {feats}: expected a non-empty 2-d "
+                              f"matrix, got shape (0, 1)\n")
 
     @pytest.mark.parametrize("d_in, d_hidden, k", [(0, 16, 8), (12, 0, 8), (12, 16, 0)])
     def test_zero_dimension_checkpoint(self, data_dir, tmp_path, capsys,

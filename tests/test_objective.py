@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from assph import objective
+from assph.config import TrainConfig
 from assph.errors import ConfigError, DivergenceError
 from oracles import central_difference, gradient_errors
 
@@ -28,7 +29,7 @@ def terms(hi, ht, s=None, r=None, beta=1.5):
     s = np.zeros((m, m)) if s is None else s
     r = np.zeros((m, m)) if r is None else r
     return objective.total_loss_and_grads(
-        hi, ht, s, r, objective.LossWeights(beta=beta))
+        hi, ht, s, r, TrainConfig(beta=beta))
 
 
 def objective_cosine(hi, ht, beta=1.5):
@@ -110,7 +111,7 @@ class TestLossValues:
     def test_total_worked_example(self):
         hi = np.array([[1.0, 0.0]])
         ht = np.array([[0.0, 1.0]])
-        weights = objective.LossWeights(mu1=2.0, mu2=1.0, beta=1.5)
+        weights = TrainConfig(mu1=2.0, mu2=1.0, beta=1.5)
         out = objective.total_loss_and_grads(hi, ht, np.array([[1.0]]),
                                              np.array([[1.0]]), weights)
         assert out.sr == pytest.approx(1.0)
@@ -127,7 +128,7 @@ class TestLossValues:
         r = (rng.random((6, 6)) < 0.4).astype(float)
         r = np.maximum(r, r.T)
         np.fill_diagonal(r, 1)
-        weights = objective.LossWeights(mu1=1.7, mu2=0.6, beta=1.2)
+        weights = TrainConfig(mu1=1.7, mu2=0.6, beta=1.2)
         out = objective.total_loss_and_grads(hi, ht, s, r, weights)
         c_it = scalar_cosine(hi, ht)
         c_ii = scalar_cosine(hi, hi)
@@ -148,7 +149,7 @@ class TestLossValues:
         ht = rng.standard_normal((5, 4))
         s = np.zeros((5, 5))
         r = np.eye(5)
-        weights = objective.LossWeights()
+        weights = TrainConfig()
         base = objective.total_loss_and_grads(hi, ht, s, r, weights).total
         scale = rng.uniform(0.5, 3.0, size=(5, 1))
         scaled = objective.total_loss_and_grads(hi * scale, ht, s, r,
@@ -162,7 +163,7 @@ class TestLossValues:
         s = rng.uniform(-1, 1, (6, 6))
         s = (s + s.T) / 2
         r = np.eye(6)
-        weights = objective.LossWeights()
+        weights = TrainConfig()
         base = objective.total_loss_and_grads(hi, ht, s, r, weights).total
         perm = rng.permutation(6)
         permuted = objective.total_loss_and_grads(
@@ -181,7 +182,7 @@ class TestGradients:
             s = (s + s.T) / 2
             r = np.eye(3)
             r[0, 2] = r[2, 0] = 1
-            weights = objective.LossWeights(mu1=2.0, mu2=1.0, beta=1.5)
+            weights = TrainConfig(mu1=2.0, mu2=1.0, beta=1.5)
             out = objective.total_loss_and_grads(hi, ht, s, r, weights)
 
             def loss():
@@ -199,7 +200,7 @@ class TestGradients:
         b_t = np.where(rng.standard_normal((4, 6)) >= 0, 1.0, -1.0)
         s = np.zeros((4, 4))
         r = np.eye(4)
-        weights = objective.LossWeights()
+        weights = TrainConfig()
         out = objective.total_loss_and_grads(hi, b_t, s, r, weights)
 
         def loss():
@@ -217,7 +218,7 @@ class TestOneSidedGradients:
     def _batch(rng, m, d=8):
         s = np.clip(rng.standard_normal((m, m)) * 0.5, -1, 1)
         r = (rng.random((m, m)) < 0.3).astype(float)
-        weights = objective.LossWeights(mu1=0.7, mu2=0.3, beta=1.2)
+        weights = TrainConfig(mu1=0.7, mu2=0.3, beta=1.2)
         return (np.tanh(rng.standard_normal((m, d))),
                 np.tanh(rng.standard_normal((m, d))), (s + s.T) / 2, r, weights)
 
@@ -246,7 +247,7 @@ class TestOneSidedGradients:
             self._assert_sides_equal(*pair, s, r, weights)
 
     def test_checks_its_inputs(self):
-        weights = objective.LossWeights()
+        weights = TrainConfig()
         h = np.ones((3, 4))
         h[1] = 0.0
         with pytest.raises(DivergenceError, match="zero-norm row 1"):
@@ -257,6 +258,6 @@ class TestOneSidedGradients:
 class TestValidation:
     def test_bad_weights(self):
         with pytest.raises(ConfigError, match="beta"):
-            objective.LossWeights(beta=0.5)
+            TrainConfig(beta=0.5)
         with pytest.raises(ConfigError, match="mu1"):
-            objective.LossWeights(mu1=-1.0)
+            TrainConfig(mu1=-1.0)

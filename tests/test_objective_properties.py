@@ -15,6 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from assph import objective  # noqa: E402
+from assph.config import TrainConfig  # noqa: E402
 from oracles import explicit_text_grad  # noqa: E402
 
 
@@ -40,9 +41,9 @@ def batches(draw):
     s = _symmetric(rng.uniform(-1.0, 1.0, (m, m)))
     r = _symmetric((rng.random((m, m)) < draw(st.sampled_from([0.0, 0.3, 1.0])))
                    .astype(np.float64))
-    weights = objective.LossWeights(mu1=draw(st.sampled_from([0.0, 0.7, 2.0])),
-                                    mu2=draw(st.sampled_from([0.0, 0.3, 1.0])),
-                                    beta=draw(st.sampled_from([1.0, 1.5])))
+    weights = TrainConfig(mu1=draw(st.sampled_from([0.0, 0.7, 2.0])),
+                          mu2=draw(st.sampled_from([0.0, 0.3, 1.0])),
+                          beta=draw(st.sampled_from([1.0, 1.5])))
     return hi, ht, s, r, weights
 
 
