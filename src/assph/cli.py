@@ -30,6 +30,7 @@ import json
 import os
 import sys
 import time
+import typing
 
 from .config import HIDDEN_ACTS, MAP_CUTOFFS, SynthConfig, TrainConfig
 from .errors import ConfigError, DataError, DivergenceError
@@ -88,7 +89,7 @@ def _inputs(bundle, args: argparse.Namespace) -> list[str]:
 
 def _add_fields(sub: argparse.ArgumentParser, cls) -> None:
     """One flag per field of the config dataclass cls, with no default of
-    its own, so an absent flag leaves the field to cls."""
+    its own, so an absent flag leaves the field to cls; int | None takes ints."""
     for f in dataclasses.fields(cls):
         flag = "--" + f.name.replace("_", "-")
         if f.type is bool:
@@ -96,7 +97,7 @@ def _add_fields(sub: argparse.ArgumentParser, cls) -> None:
         elif f.name == "hidden_act":
             sub.add_argument(flag, choices=HIDDEN_ACTS)
         else:
-            sub.add_argument(flag, type=f.type)
+            sub.add_argument(flag, type=(typing.get_args(f.type) or (f.type,))[0])
 
 
 def _given(args: argparse.Namespace, cls) -> dict:
@@ -132,10 +133,9 @@ def cmd_synth(args: argparse.Namespace, elapsed) -> _Run:
     from .dataio import generate_synthetic, save_bundle
 
     cfg = SynthConfig(**_given(args, SynthConfig))
-    bundle = generate_synthetic(cfg, train_size=args.train_size)
+    bundle = generate_synthetic(cfg)
     outputs = save_bundle(bundle, args.out)
-    config = {**dataclasses.asdict(cfg), "train_size": args.train_size}
-    return _Run(config, [], outputs,
+    return _Run(dataclasses.asdict(cfg), [], outputs,
                 f"synth: wrote {bundle.n_rows} instances to {args.out}")
 
 
@@ -161,8 +161,8 @@ def cmd_build_sim(args: argparse.Namespace, elapsed) -> _Run:
                 fh.write(("%d,%d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
     share = (None if bundle.labels is None
              else corrmine.label_share(bundle.labels[train_idx]))
-    stats = {"order": rel.order, "epoch": rel.epoch,
-             **corrmine.correlation_stats(rel, share)}
+    # the seed relation, mined before any epoch
+    stats = {"order": rel.order, "epoch": 0, **corrmine.correlation_stats(rel, share)}
     write_json(stats, os.path.join(args.out, "stats.json"))
     outputs = ["semantic.assf", "correlations.csv", "stats.json"]
     return _Run(cfg.to_dict(), _inputs(bundle, args), outputs,
@@ -349,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic two-modality bundle")
     p.add_argument("--out", required=True)
     _add_fields(p, SynthConfig)
-    p.add_argument("--train-size", type=int)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("build-sim",

@@ -59,11 +59,11 @@ class TrainConfig:
     pair_corr: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("code_length", "epochs", "batch_size", "ks", "kr", "d_hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.tau < 1:
-            raise ConfigError(f"tau must be >= 1, got {self.tau}")
+        for name, least in (("code_length", 1), ("epochs", 1), ("batch_size", 1),
+                            ("ks", 1), ("kr", 1), ("d_hidden", 1), ("tau", 1),
+                            ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0 <= self.gamma <= 1:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
         for name, op, bound in (("mu1", ">=", 0), ("mu2", ">=", 0), ("beta", ">=", 1),
@@ -95,7 +95,7 @@ class TrainConfig:
 @dataclass(frozen=True)
 class SynthConfig:
     """Knobs for the synthetic multi-label two-modality corpus, checked
-    once, when built."""
+    once, when built; train_size None trains on every retrieval row."""
 
     classes: int = 5
     instances: int = 2000
@@ -104,17 +104,26 @@ class SynthConfig:
     label_cardinality: float = 1.0
     noise_sigma: float = 0.1
     seed: int = 0
+    train_size: int | None = None
+
+    @property
+    def n_query(self) -> int:  # 10% of the instances, at least one
+        return max(1, self.instances // 10)
 
     def __post_init__(self) -> None:
         # one instance always goes to the query split, so one more must train
         for name, least in (("classes", 1), ("instances", 2), ("dim_image", 1),
-                            ("dim_text", 1)):
+                            ("dim_text", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"synth: {name} must be >= {least}")
         if not 0 < self.label_cardinality <= self.classes:
             raise ConfigError("synth: label_cardinality must be in (0, classes]")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ConfigError("synth: noise_sigma must be a finite real >= 0")
+        n_retrieval = self.instances - self.n_query
+        if self.train_size is not None and not 1 <= self.train_size <= n_retrieval:
+            raise ConfigError(
+                f"synth: train_size {self.train_size} outside [1, {n_retrieval}]")
 
 
 def _coerce(key: str, kind: type, value):

@@ -4,10 +4,11 @@ A correlation set is a symmetric reflexive 0/1 relation over training
 instances.  It seeds from second-order neighborhood overlaps of the raw
 feature cosines and grows monotonically between epochs by re-mining the
 same relation from the learned hidden embeddings and unioning it in.
-Bits are kept in kernels' packed relation rows, so a 5000-instance
-relation costs a few megabytes.  The miners set their hits straight in
-those rows, mirrored, so a mined relation is symmetric and reflexive as
-built; no order x order array of any dtype is formed.
+A relation is held as np.packbits rows (ceil(order / 8) bytes a row,
+first bit most significant), so a 5000-instance relation costs a few
+megabytes.  The miners set their hits straight in those rows (_mark),
+mirrored, so a mined relation is symmetric and reflexive as built; no
+order x order array of any dtype is formed.
 """
 
 from __future__ import annotations
@@ -20,12 +21,26 @@ from .simgraph import cosine_blocks, top_k_indices
 from .simgraph import cosine_matrix  # noqa: F401
 
 
-class CorrelationSet:
-    """Packed symmetric reflexive bit relation plus its mining epoch."""
+def _mark(packed: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Set bit (rows[e], cols[e]) of np.packbits rows for every e."""
+    np.bitwise_or.at(packed, (rows, cols >> 3), (0x80 >> (cols & 7)).astype(np.uint8))
 
-    def __init__(self, bits: np.ndarray, epoch: int = 0):
+
+def _count_bits(packed: np.ndarray) -> int:
+    return int(np.bitwise_count(packed).sum(dtype=np.int64))
+
+
+def _diagonal_bits(packed: np.ndarray) -> np.ndarray:
+    """Bit (i, i) of each row of a square relation's np.packbits rows."""
+    i = np.arange(packed.shape[0])
+    return (packed[i, i >> 3] >> (7 - (i & 7))) & 1
+
+
+class CorrelationSet:
+    """Packed symmetric reflexive bit relation."""
+
+    def __init__(self, bits: np.ndarray):
         self.bits = bits  # (order, ceil(order/8)) uint8, row-packed
-        self.epoch = epoch
 
     @property
     def order(self) -> int:
@@ -34,7 +49,7 @@ class CorrelationSet:
     @classmethod
     def identity(cls, order: int) -> "CorrelationSet":
         bits = np.zeros((order, (order + 7) >> 3), dtype=np.uint8)
-        kernels.mark(bits, np.arange(order), np.arange(order))
+        _mark(bits, np.arange(order), np.arange(order))
         return cls(bits)
 
     def upper_pairs(self):
@@ -45,12 +60,6 @@ class CorrelationSet:
             rows = np.unpackbits(self.bits[lo:hi], axis=1, count=self.order)
             i, j = np.nonzero(np.triu(rows, lo))
             yield np.column_stack((i + lo, j))
-
-    def popcount(self) -> int:
-        return kernels.count_bits(self.bits)
-
-    def union(self, other: "CorrelationSet", epoch: int) -> "CorrelationSet":
-        return CorrelationSet(self.bits | other.bits, epoch)
 
     def batch(self, idx: np.ndarray) -> np.ndarray:
         """Dense float64 submatrix over the given instance indices."""
@@ -87,7 +96,7 @@ def _join(nn_a: np.ndarray, nn_b: np.ndarray, tau: int, out: np.ndarray) -> None
     than p times (at tau 1, their OR)."""
     m, k = nn_b.shape
     sets = np.zeros((m, ((m + 63) >> 6) << 3), dtype=np.uint8)
-    kernels.mark(sets, nn_b.ravel(), np.repeat(np.arange(m), k))
+    _mark(sets, nn_b.ravel(), np.repeat(np.arange(m), k))
     sets = sets.view(np.uint64)
     for lo, hi in kernels.row_blocks(m):
         planes = np.zeros((tau, hi - lo, sets.shape[1]), dtype=np.uint64)
@@ -139,8 +148,8 @@ def _mine(nn_i: np.ndarray, nn_t: np.ndarray, tau: int,
     nn = np.hstack((nn_i, nn_t))
     if pairwise:
         rows = np.repeat(np.arange(len(nn)), nn.shape[1])
-        kernels.mark(bits, rows, nn.ravel())
-        kernels.mark(bits, nn.ravel(), rows)
+        _mark(bits, rows, nn.ravel())
+        _mark(bits, nn.ravel(), rows)
     else:
         joins = [(nn, nn)] if tau == 1 else [(nn_i, nn_i), (nn_t, nn_t), (nn_i, nn_t)]
         for nn_a, nn_b in joins:
@@ -161,7 +170,7 @@ def adaptive_update(rel: CorrelationSet, hidden_image: np.ndarray,
                     pairwise: bool = False) -> CorrelationSet:
     """Union the relation mined from hidden embeddings into rel.
 
-    The result is monotone (never loses a pair) and carries epoch + 1.
+    The result is monotone: it never loses a pair.
     Each side's neighbor lists are selected from the blocks of
     cosine_blocks as they stream, so no order x order float32 cosine is
     held, and only one side's float64 product at a time.  A zero-norm
@@ -170,7 +179,7 @@ def adaptive_update(rel: CorrelationSet, hidden_image: np.ndarray,
     units = [kernels.unit_rows(hidden_image, "image embedding")[0],
              kernels.unit_rows(hidden_text, "text embedding")[0]]
     nn_i, nn_t = (_select(cosine_blocks(u), rel.order, kr) for u in units)
-    return rel.union(_mine(nn_i, nn_t, tau, pairwise), epoch=rel.epoch + 1)
+    return CorrelationSet(rel.bits | _mine(nn_i, nn_t, tau, pairwise).bits)
 
 
 def label_share(labels: np.ndarray) -> np.ndarray:
@@ -198,11 +207,11 @@ def correlation_stats(rel: CorrelationSet, share: np.ndarray | None) -> dict:
     flag says so.  Both figures are bit counts on the packed rows; no
     order^2 matrix is unpacked.
     """
-    count = rel.popcount()
+    count = _count_bits(rel.bits)
     if share is None:
         return {"count": count}
     n_off = count - rel.order  # every relation holds its self pairs
     if n_off == 0:
         return {"count": count, "precision": 1.0, "no_offdiag": True}
-    shared = kernels.count_bits(rel.bits & share) - int(kernels.diagonal_bits(share).sum())
+    shared = _count_bits(rel.bits & share) - int(_diagonal_bits(share).sum())
     return {"count": count, "precision": shared / n_off, "no_offdiag": False}

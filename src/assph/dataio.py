@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .config import SynthConfig
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 
 def validate_features(arr: np.ndarray, name: str = "features") -> np.ndarray:
@@ -282,9 +282,8 @@ class Split:
     retrieval: np.ndarray
 
     def __post_init__(self) -> None:
-        self.train = np.asarray(self.train, dtype=np.int64)
-        self.query = np.asarray(self.query, dtype=np.int64)
-        self.retrieval = np.asarray(self.retrieval, dtype=np.int64)
+        for cell in ("train", "query", "retrieval"):
+            setattr(self, cell, np.asarray(getattr(self, cell), dtype=np.int64))
 
     def validate(self, n_rows: int, name: str = "split") -> None:
         for cell, idx in (("train", self.train), ("query", self.query),
@@ -343,16 +342,16 @@ class DatasetBundle:
         return self.image_features.shape[0]
 
 
-def generate_synthetic(cfg: SynthConfig, train_size: int | None = None) -> DatasetBundle:
+def generate_synthetic(cfg: SynthConfig) -> DatasetBundle:
     """Build a deterministic synthetic bundle with shared class structure.
 
     Each class owns one fixed random unit prototype per modality.  An
     instance samples its label set (every class independently with
     probability ``label_cardinality / classes``, redrawn while empty), and
     its feature in each modality is the sum of the owned prototypes plus
-    isotropic Gaussian noise.  The split reserves 10% of rows as queries,
-    the remainder as retrieval, and takes ``train_size`` retrieval rows
-    (all of them by default) as the training set.
+    isotropic Gaussian noise.  The split reserves cfg.n_query rows as
+    queries, the remainder as retrieval, and takes cfg.train_size
+    retrieval rows (all of them when None) as the training set.
     """
     rng = np.random.default_rng(cfg.seed)
     protos_i = rng.standard_normal((cfg.classes, cfg.dim_image))
@@ -372,17 +371,10 @@ def generate_synthetic(cfg: SynthConfig, train_size: int | None = None) -> Datas
     ft = labels @ protos_t + cfg.noise_sigma * rng.standard_normal((cfg.instances, cfg.dim_text))
 
     perm = rng.permutation(cfg.instances)
-    n_query = max(1, cfg.instances // 10)
-    query = np.sort(perm[:n_query])
-    retrieval = np.sort(perm[n_query:])
-    if train_size is None:
-        train = retrieval.copy()
-    else:
-        if not 1 <= train_size <= retrieval.size:
-            raise ConfigError(
-                f"synth: train_size {train_size} outside [1, {retrieval.size}]"
-            )
-        train = np.sort(rng.permutation(retrieval)[:train_size])
+    query = np.sort(perm[:cfg.n_query])
+    retrieval = np.sort(perm[cfg.n_query:])
+    train = (retrieval.copy() if cfg.train_size is None
+             else np.sort(rng.permutation(retrieval)[:cfg.train_size]))
 
     return DatasetBundle(
         image_features=fi.astype(np.float32),
@@ -472,9 +464,11 @@ def load_bundle(path: str) -> DatasetBundle:
     for cell in ("train", "query", "retrieval"):
         if cell not in sp:
             raise DataError(f"{path}: split missing cell '{cell}'")
-        # bool is an int subclass, and np.asarray would truncate 0.7 to 0
-        if not isinstance(sp[cell], list) or any(type(v) is not int for v in sp[cell]):
-            raise DataError(f"{path}: split cell '{cell}' is not a list of integer indices")
+        # bool is an int subclass, np.asarray would truncate 0.7 to 0, and
+        # Split holds int64 indices
+        if not isinstance(sp[cell], list) or any(
+                type(v) is not int or not -2**63 <= v < 2**63 for v in sp[cell]):
+            raise DataError(f"{path}: split cell '{cell}' is not a list of int64 indices")
     split = Split(train=sp["train"], query=sp["query"], retrieval=sp["retrieval"])
     return DatasetBundle(image_features=fi, text_features=ft, labels=labels,
                          split=split, files=files)

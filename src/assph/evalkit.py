@@ -2,19 +2,19 @@
 
 Ranking runs on kernels' packed-bit rows: a code's +1 bits and a label
 row's nonzero labels.  The distance between two code rows is the number
-of set bits of their XOR (kernels.distances), an integer in [0, K], exact
+of set bits of their XOR (hamming_matrix), an integer in [0, K], exact
 by construction.  An item is relevant to a query when their label words
-share a set bit (kernels.overlap), one bool per pair whatever the number
-of labels.  Rankings sort by ascending distance with ties broken by
+share a set bit (relevance_matrix), one bool per pair whatever the
+number of labels.  rank sorts by ascending distance with ties broken by
 ascending database index, so every metric here is exactly reproducible.
 
-evaluate_direction packs the codes and the labels once per direction
-and ranks the queries in blocks of about _BLOCK_PAIRS query-item pairs,
-so a block's footprint does not grow with Q.  Each block counts its
-distances per query, sorts them once and gathers its relevance into
-rank order once; every metric then reads the hits, the flat rank
-positions of the relevant items, and only a few numbers per query and
-radius outlive the block.
+evaluate_direction, the one entry point, checks the codes and packs them
+and the labels once per direction, then ranks the queries in blocks of
+about _BLOCK_PAIRS query-item pairs, so a block's footprint does not grow
+with Q.  Each block counts its hamming_matrix distances per query, ranks
+them once and gathers its relevance into rank order once; every metric
+then reads the hits, the flat rank positions of the relevant items, and
+only a few numbers per query and radius outlive the block.
 
 Average precision truncated at a cutoff divides by the number of relevant
 items inside the cutoff window; queries with no relevant item in the
@@ -59,22 +59,25 @@ def _check_pair(query_codes: np.ndarray,
     return kernels.pack_rows(q > 0), kernels.pack_rows(d > 0), q.shape[1]
 
 
-def hamming_matrix(query_codes: np.ndarray, db_codes: np.ndarray) -> np.ndarray:
-    """Distance matrix, queries by database rows, in the smallest
-    unsigned dtype that holds the code length."""
-    return kernels.distances(*_check_pair(query_codes, db_codes))
+def hamming_matrix(query_words: np.ndarray, db_words: np.ndarray, k: int) -> np.ndarray:
+    """out[i, j] is the number of set bits of query_words[i] XOR
+    db_words[j], kernels.pack_rows rows of k-bit codes, in the smallest
+    unsigned dtype that holds k.  Integer counts, so exact for every k."""
+    dist = np.empty((len(query_words), len(db_words)), dtype=np.min_scalar_type(k))
+    step = kernels.rows_within(kernels.BLOCK_ENTRIES, len(db_words))
+    for lo, hi in kernels.row_blocks(len(query_words), step):
+        rows, words = dist[lo:hi], zip(query_words[lo:hi].T, db_words.T)
+        q_w, d_w = next(words)  # k >= 1, so there is a first word
+        np.bitwise_count(q_w[:, None] ^ d_w, out=rows)
+        for q_w, d_w in words:
+            rows += np.bitwise_count(q_w[:, None] ^ d_w)
+    return dist
 
 
-def rank(query_codes: np.ndarray, db_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank the database for every query: (ordering, distances), both Q x D.
-
-    Row q of ordering lists database indices by ascending distance, ties
-    by ascending index (one stable argsort over all rows); row q of
-    distances holds the distances along that ordering.
-    """
-    dist = hamming_matrix(query_codes, db_codes)
-    ordering = np.argsort(dist, axis=1, kind="stable")
-    return ordering, np.take_along_axis(dist, ordering, axis=1)
+def rank(dist: np.ndarray) -> np.ndarray:
+    """Row q lists the database indices by ascending dist[q], ties by
+    ascending index: one stable argsort over all rows."""
+    return np.argsort(dist, axis=1, kind="stable")
 
 
 def average_precision(precisions: np.ndarray, starts: np.ndarray,
@@ -182,8 +185,8 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
     The codes, the labels, the cutoffs and k_grid are checked here, once
     per call, and the stages below trust them; the codes and the labels
     are packed into words once, here too.  Each block of queries is
-    ranked by one stable sort and its relevance gathered into rank order
-    once; one flatnonzero of the ranked flags gives the hits.  AP@all and
+    ranked by one rank of its distances and its relevance gathered into
+    rank order once; one flatnonzero of the ranked flags gives the hits.  AP@all and
     every AP@cutoff sum the precision at each hit, j / rank, over a row's
     hits or their prefix; the top-k counts and the counts of relevant
     items within each Hamming radius are window ends searchsorted in the
@@ -213,8 +216,8 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
         if cutoff < 1:
             raise ConfigError(f"evaluate_direction: cutoff must be >= 1, got {cutoff}")
     query_labels, db_labels = (kernels.pack_rows(x != 0) for x in (query_labels, db_labels))
-    # the fixed windows, clipped to the list: each MAP cutoff, then each top k
-    windows = np.minimum(np.array(cutoffs + k_grid, dtype=np.int64), n_db)
+    # each MAP cutoff, then each top k, clipped to the list before int64 holds it
+    windows = np.array([min(w, n_db) for w in cutoffs + k_grid], dtype=np.int64)
     aps = np.zeros((1 + len(cutoffs), n_q))
     window_hits = np.zeros((n_q, len(windows)), dtype=np.int64)
     # the items, and the relevant ones, within each Hamming radius of a query
@@ -222,13 +225,13 @@ def evaluate_direction(direction: str, query_codes: np.ndarray,
     rel_within = np.zeros((n_q, k + 1), dtype=np.int64)
     for lo, hi in kernels.row_blocks(n_q, kernels.rows_within(_BLOCK_PAIRS, n_db)):
         block = slice(lo, hi)
-        dist = kernels.distances(query_codes[block], db_codes, k)
+        dist = hamming_matrix(query_codes[block], db_codes, k)
         rel = relevance_matrix(query_labels[block], db_labels)
         n_within[block] = np.cumsum([np.bincount(row, minlength=k + 1) for row in dist],
                                     axis=1)
         # row r of the block is ranked in flat positions offsets[r] onwards
         offsets = np.arange(len(dist) + 1) * n_db
-        ordering = np.argsort(dist, axis=1, kind="stable")
+        ordering = rank(dist)
         del dist
         ordering += offsets[:-1, None]
         flags = rel.ravel().take(ordering)

@@ -20,8 +20,8 @@ one gradient set, not one per network.
 Checkpoints (the four parameter arrays as float32) and code matrices
 (signed bytes in {-1, +1}) are written and read through dataio's
 containers CHECKPOINT and CODES, which hold their layouts and their checks;
-load_checkpoint also rejects a non-finite weight, and load_codes an entry
-other than -1/+1.
+load_checkpoint also rejects a non-finite weight (unstorable), and
+load_codes an entry other than -1/+1.
 """
 
 from __future__ import annotations
@@ -223,17 +223,27 @@ def save_checkpoint(params: HashNetParams, path: str) -> None:
                      params.arrays())
 
 
-def load_checkpoint(path: str) -> HashNetParams:
-    """Read a checkpoint's weights and biases back as float64.  Each array
-    is checked finite in flat blocks of kernels.BLOCK_ENTRIES entries, so
-    no code is computed from a non-finite weight."""
-    arrays = CHECKPOINT.read(path)
-    for name, arr in zip(_PARAM_NAMES, arrays):
+def unstorable(params: HashNetParams) -> str | None:
+    """The name of the first array no checkpoint can hold (an entry not
+    finite or past float32's range), or None: one walk in flat blocks."""
+    limit = np.finfo(np.float32).max
+    for name, arr in zip(_PARAM_NAMES, params.arrays()):
         flat = arr.reshape(-1)
         for lo, hi in kernels.row_blocks(flat.size, kernels.BLOCK_ENTRIES):
-            if not np.isfinite(flat[lo:hi]).all():
-                raise DataError(f"{path}: non-finite entry in {name}")
-    return HashNetParams(*arrays)
+            if not np.abs(flat[lo:hi]).max() <= limit:  # NaN fails too
+                return name
+    return None
+
+
+def load_checkpoint(path: str) -> HashNetParams:
+    """Read a checkpoint's weights and biases back as float64.  Every
+    finite float32 is storable, so no code is computed from a non-finite
+    weight."""
+    params = HashNetParams(*CHECKPOINT.read(path))
+    name = unstorable(params)
+    if name is not None:
+        raise DataError(f"{path}: non-finite entry in {name}")
+    return params
 
 
 def save_codes(codes: np.ndarray, path: str) -> None:

@@ -239,8 +239,12 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
 
 
 def train(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
-    """Full run over cfg.epochs; deterministic given (bundle, cfg)."""
+    """Full run over cfg.epochs; deterministic given (bundle, cfg).  A
+    weight no checkpoint can hold (hashnet.unstorable) means it diverged."""
     state = init_state(bundle, cfg)
     for epoch in range(1, cfg.epochs + 1):
         state.history.append(train_epoch(state, epoch))
+    for side, name in zip(("image", "text"), map(hashnet.unstorable, state.params)):
+        if name is not None:
+            raise DivergenceError(f"{side} network: {name} beyond float32's range")
     return state

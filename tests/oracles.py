@@ -224,6 +224,14 @@ def dense_correlation_stats(rel_dense, labels) -> dict:
             "no_offdiag": False}
 
 
+def code_distances(query_codes, db_codes) -> np.ndarray:
+    """evalkit.hamming_matrix of two -1/+1 code matrices, their +1 bits
+    packed as evaluate_direction packs them."""
+    q, d = np.asarray(query_codes), np.asarray(db_codes)
+    return evalkit.hamming_matrix(kernels.pack_rows(q > 0), kernels.pack_rows(d > 0),
+                                  q.shape[1])
+
+
 def naive_hamming(code_a, code_b) -> int:
     return sum(1 for x, y in zip(code_a, code_b) if x != y)
 

@@ -15,6 +15,7 @@ import pytest
 from assph import cli, config, corrmine, dataio, evalkit, hashnet, objective, simgraph, trainer
 from oracles import (
     central_difference,
+    code_distances,
     naive_average_precision,
     naive_combine,
     naive_pipeline_stages,
@@ -235,7 +236,7 @@ class TestEvaluationExactness:
         axioms = True
         for _ in range(10_000):
             abc = np.where(rng.standard_normal((3, 16)) >= 0, 1, -1)
-            dist = evalkit.hamming_matrix(abc, abc).astype(int)  # rows a, b, c
+            dist = code_distances(abc, abc).astype(int)  # rows a, b, c
             axioms &= dist[0, 1] == dist[1, 0]
             axioms &= dist[0, 0] == 0
             axioms &= dist[0, 1] <= dist[0, 2] + dist[2, 1]

@@ -13,7 +13,8 @@ writers.
 
 A helper two modules share is public in ``kernels``, which imports numpy
 and the package's errors only, so no module reaches into another's
-underscore names.
+underscore names.  ``kernels`` holds nothing else: a helper one module
+calls lives in that module.
 """
 
 import ast
@@ -86,7 +87,7 @@ def test_every_public_name_is_used_by_the_program():
 
 def test_finds_the_definitions():
     names = {qualified for _, qualified, *_ in public_definitions()}
-    assert {"cosine_matrix", "CorrelationSet", "CorrelationSet.union",
+    assert {"cosine_matrix", "CorrelationSet", "CorrelationSet.batch",
             "EvalReport.save_json"} <= names
     assert not any(name.startswith("_") or "._" in name for name in names)
 
@@ -115,6 +116,23 @@ def private_crossings():
 def test_no_private_name_crosses_a_module():
     crossings = private_crossings()
     assert not crossings, crossings
+
+
+def test_each_kernel_is_shared_by_two_modules():
+    kernels_path = os.path.join(PACKAGE, "kernels.py")
+    users = {}
+    for path, tree in _modules(PACKAGE):
+        for node in ast.walk(tree):
+            if (path != kernels_path and isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id == "kernels"):
+                users.setdefault(node.attr, set()).add(os.path.basename(path))
+    with open(kernels_path) as fh:
+        tree = ast.parse(fh.read(), filename=kernels_path)
+    functions = [node.name for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    alone = {name: sorted(users.get(name, ())) for name in functions
+             if len(users.get(name, ())) < 2}
+    assert functions and not alone, f"kernels used by fewer than two modules: {alone}"
 
 
 def test_kernels_imports_numpy_and_errors_only():

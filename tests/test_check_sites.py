@@ -31,7 +31,7 @@ ENTRY_POINTS = {
     # constructors of checked objects
     "config.TrainConfig.__post_init__", "config.TrainConfig.from_dict", "config._coerce",
     "config.SynthConfig.__post_init__", "dataio.Split.validate",
-    "dataio.DatasetBundle.__post_init__", "dataio.generate_synthetic",
+    "dataio.DatasetBundle.__post_init__",
     # library entry points
     "hashnet._check_forward_args", "evalkit._check_codes", "evalkit._check_pair",
     "evalkit.evaluate_direction",

@@ -70,15 +70,14 @@ class TestSynth:
         synth = next(a for a in cli.build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)).choices["synth"]
         flags = {s for a in synth._actions for s in a.option_strings}
-        assert flags - {"-h", "--help"} == {"--out", "--train-size"} | {
+        assert flags - {"-h", "--help"} == {"--out"} | {
             "--" + f.name.replace("_", "-") for f in dataclasses.fields(SynthConfig)}
 
     def test_no_flags_records_the_config_defaults(self, tmp_path):
         out = str(tmp_path / "data")
         assert cli.dispatch(["synth", "--out", out]) == 0
         manifest = json.load(open(os.path.join(out, "manifest.json")))
-        assert manifest["config"] == {**dataclasses.asdict(SynthConfig()),
-                                      "train_size": None}
+        assert manifest["config"] == dataclasses.asdict(SynthConfig())
 
 
 class TestBuildSim:
@@ -172,7 +171,7 @@ class TestBuildSim:
         monkeypatch.setattr(trainer, "build_targets",
                             lambda fi, ft, cfg: (np.eye(2, dtype=np.float32), rel, {}))
         monkeypatch.setattr(corrmine, "correlation_stats",
-                            lambda rel, share: {"count": rel.popcount()})
+                            lambda rel, share: {"count": int(np.bitwise_count(rel.bits).sum())})
         out = str(tmp_path / "band")
         tracemalloc.start()
         try:
@@ -201,7 +200,7 @@ class TestBuildSim:
         monkeypatch.setattr(trainer, "build_targets",
                             lambda fi, ft, cfg: (np.eye(2, dtype=np.float32), rel, {}))
         monkeypatch.setattr(corrmine, "correlation_stats",
-                            lambda rel, share: {"count": rel.popcount()})
+                            lambda rel, share: {"count": int(np.bitwise_count(rel.bits).sum())})
         out = str(tmp_path / "dense")
         assert cli.dispatch(["build-sim", "--bundle", data_dir, "--out", out]) == 0
         expect = tmp_path / "expect.csv"
@@ -579,6 +578,32 @@ class TestEncodeEval:
         report = json.load(open(os.path.join(out, "report.json")))
         assert [k for k, _ in report["topk_curve"]] == [5, 10]
 
+    def test_windows_beyond_int64(self, data_dir, train_dir, tmp_path):
+        # a cutoff or a top-k window past the database is clipped to it, so
+        # MAP at such a cutoff is MAP@all, even past int64's range
+        huge = 10**23
+        out = str(tmp_path / "tr")
+        assert cli.dispatch(["train", "--bundle", data_dir, "--out", out,
+                             "--map-at", f"5,{huge}"] + TRAIN_FLAGS) == 0
+        assert os.path.exists(os.path.join(out, "manifest.json"))
+        report = json.load(open(os.path.join(out, "eval_i2t.json")))
+        assert report["map_at"][str(huge)] == report["map_all"]
+
+        bundle = dataio.load_bundle(data_dir)
+        ql_path, dl_path = str(tmp_path / "ql.csv"), str(tmp_path / "dl.csv")
+        dataio.write_labels(bundle.labels[bundle.split.query], ql_path)
+        dataio.write_labels(bundle.labels[bundle.split.retrieval], dl_path)
+        out = str(tmp_path / "ev")
+        assert cli.dispatch(["eval", "--query-codes",
+                             os.path.join(train_dir, "query_image.assb"),
+                             "--db-codes", os.path.join(train_dir, "db_text.assb"),
+                             "--query-labels", ql_path, "--db-labels", dl_path,
+                             "--map-at", str(huge), "--k-grid", f"5,{huge}",
+                             "--out", out]) == 0
+        report = json.load(open(os.path.join(out, "report.json")))
+        assert [k for k, _ in report["topk_curve"]] == [5, huge]
+        assert report["map_at"][str(huge)] == report["map_all"]
+
 
 class TestAblate:
     def test_table_layout(self, data_dir, tmp_path):
@@ -940,12 +965,51 @@ class TestExitCodes:
         ("--instances", "1", "synth: instances must be >= 2"),
         ("--noise-sigma", "nan", "synth: noise_sigma must be a finite real >= 0"),
         ("--noise-sigma", "inf", "synth: noise_sigma must be a finite real >= 0"),
-    ], ids=["classes", "instances", "noise-nan", "noise-inf"])
-    def test_bad_synth_value(self, tmp_path, capsys, flag, value, message):
+        ("--seed", "-3", "synth: seed must be >= 0"),
+        # 2000 instances by default, 200 of them queries
+        ("--train-size", "0", "synth: train_size 0 outside [1, 1800]"),
+        ("--train-size", "1801", "synth: train_size 1801 outside [1, 1800]"),
+    ], ids=["classes", "instances", "noise-nan", "noise-inf", "seed", "train-size-0",
+            "train-size-past-retrieval"])
+    def test_bad_synth_value(self, tmp_path, capsys, monkeypatch, flag, value, message):
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("corpus generated")
+
+        monkeypatch.setattr(dataio, "generate_synthetic", no_corpus)
         code = cli.dispatch(["synth", "--out", str(tmp_path / "x"), flag, value])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: config: {message}")
         assert not os.path.exists(tmp_path / "x")
+
+    @pytest.mark.parametrize("command", ["build-sim", "train", "ablate"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_reads_no_input(self, tmp_path, capsys, command, source):
+        # the bundle does not exist, so reading it would exit 3
+        if source == "flag":
+            given = ["--seed", "-1"]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"seed": -2}))
+            given = ["--config", str(tmp_path / "cfg.json")]
+        code = cli.dispatch([command, "--bundle", str(tmp_path / "none"),
+                             "--out", str(tmp_path / "x")] + given)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: config: seed must be >= 0, got {-1 if source == 'flag' else -2}\n")
+        assert not os.path.exists(tmp_path / "x")
+
+    def test_weights_past_float32_exit_4_with_no_output(self, data_dir, tmp_path,
+                                                        capsys):
+        # a huge step leaves finite float64 weights that a float32
+        # checkpoint cannot hold, which encode would then refuse
+        out = tmp_path / "x"
+        code = cli.dispatch(["train", "--bundle", data_dir, "--out", str(out)]
+                            + TRAIN_FLAGS + ["--learning-rate", "1e9"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: divergence: image network: w")
+        assert "beyond float32's range" in err
+        assert not out.exists()
 
     def test_missing_bundle(self, tmp_path, capsys):
         code = cli.dispatch(["train", "--bundle", str(tmp_path / "nope"),

@@ -422,15 +422,17 @@ class TestSynthetic:
         assert not set(bundle.split.query) & set(bundle.split.retrieval)
 
     def test_train_size_subset(self):
-        cfg = dataio.SynthConfig(instances=200, seed=5)
-        bundle = dataio.generate_synthetic(cfg, train_size=50)
+        cfg = dataio.SynthConfig(instances=200, seed=5, train_size=50)
+        bundle = dataio.generate_synthetic(cfg)
         assert bundle.split.train.size == 50
         assert set(bundle.split.train) <= set(bundle.split.retrieval)
 
     def test_bad_train_size(self):
-        cfg = dataio.SynthConfig(instances=100, seed=5)
-        with pytest.raises(ConfigError, match="train_size"):
-            dataio.generate_synthetic(cfg, train_size=91)
+        # 100 instances hold 10 queries and 90 retrieval rows
+        dataio.SynthConfig(instances=100, seed=5, train_size=90)
+        for size in (0, 91):
+            with pytest.raises(ConfigError, match=f"train_size {size} outside"):
+                dataio.SynthConfig(instances=100, seed=5, train_size=size)
 
     def test_bad_cardinality(self):
         with pytest.raises(ConfigError, match="label_cardinality"):
@@ -487,7 +489,9 @@ class TestBundle:
         [[0, 1], [2, 3]],
         "0,1,2",
         {"0": 1},
-    ], ids=["fractions", "strings", "booleans", "nested", "string", "object"])
+        [10**30, 1, 2],
+    ], ids=["fractions", "strings", "booleans", "nested", "string", "object",
+            "beyond-int64"])
     def test_split_cell_of_non_indices_rejected(self, tmp_path, cell):
         dataio.save_bundle(dataio.generate_synthetic(
             dataio.SynthConfig(instances=60, seed=2)), str(tmp_path))

@@ -10,8 +10,8 @@ import pytest
 
 from assph import evalkit, kernels
 from assph.errors import ConfigError, DataError
-from oracles import (block_average_precision, naive_average_precision, naive_hamming,
-                     naive_rank, naive_relevance, sorted_gather_direction)
+from oracles import (block_average_precision, code_distances, naive_average_precision,
+                     naive_hamming, naive_rank, naive_relevance, sorted_gather_direction)
 
 
 def random_codes(rng, rows, k):
@@ -19,18 +19,20 @@ def random_codes(rng, rows, k):
 
 
 class TestHamming:
+    """Distances of -1/+1 codes packed as evaluate_direction packs them;
+    evaluate_direction checks the codes before it packs them."""
+
     def test_examples(self):
         npt.assert_array_equal(
-            evalkit.hamming_matrix([[1, 1, 1]], [[1, 1, 1], [-1, -1, -1]]), [[0, 3]])
-        npt.assert_array_equal(
-            evalkit.hamming_matrix([[1, -1, 1, -1]], [[1, 1, 1, 1]]), [[2]])
+            code_distances([[1, 1, 1]], [[1, 1, 1], [-1, -1, -1]]), [[0, 3]])
+        npt.assert_array_equal(code_distances([[1, -1, 1, -1]], [[1, 1, 1, 1]]), [[2]])
 
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(0)
         q = random_codes(rng, 7, 16)
         d = random_codes(rng, 9, 16)
         expected = [[naive_hamming(a, b) for b in d] for a in q]
-        npt.assert_array_equal(evalkit.hamming_matrix(q, d), expected)
+        npt.assert_array_equal(code_distances(q, d), expected)
 
     def test_metric_axioms(self):
         rng = np.random.default_rng(1)
@@ -38,7 +40,7 @@ class TestHamming:
         for _ in range(50):
             # all 22**3 = 10648 ordered triples of rows
             codes = random_codes(rng, 22, k)
-            dist = evalkit.hamming_matrix(codes, codes).astype(int)
+            dist = code_distances(codes, codes).astype(int)
             assert ((0 <= dist) & (dist <= k)).all()
             npt.assert_array_equal(dist, dist.T)
             npt.assert_array_equal(np.diag(dist), 0)
@@ -51,17 +53,19 @@ class TestHamming:
         for k, dtype in ((8, np.uint8), (255, np.uint8), (256, np.uint16),
                          (300, np.uint16)):
             codes = random_codes(rng, 3, k)
-            dist = evalkit.hamming_matrix(codes, -codes)
+            dist = code_distances(codes, -codes)
             assert dist.dtype == dtype
             npt.assert_array_equal(np.diag(dist), k)
 
     def test_rejects_non_binary(self):
         with pytest.raises(DataError, match="-1 or \\+1"):
-            evalkit.hamming_matrix(np.zeros((2, 4)), np.ones((2, 4)))
+            evalkit.evaluate_direction("i2t", np.zeros((2, 4)), np.ones((2, 4)),
+                                       np.ones((2, 1)), np.ones((2, 1)))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(DataError, match="mismatch"):
-            evalkit.hamming_matrix(np.ones((1, 4)), np.ones((1, 5)))
+            evalkit.evaluate_direction("i2t", np.ones((1, 4)), np.ones((1, 5)),
+                                       np.ones((1, 1)), np.ones((1, 1)))
 
     @pytest.mark.parametrize("role", ["query", "db"])
     def test_rejects_complex_entries(self, role):
@@ -72,35 +76,32 @@ class TestHamming:
         else:
             db = np.array([[1, 1], [1j, -1]])
         with pytest.raises(DataError, match=f"{role} codes: code entries must be -1 or"):
-            evalkit.hamming_matrix(q, db)
-        with pytest.raises(DataError, match=f"{role} codes: code entries must be -1 or"):
             evalkit.evaluate_direction("i2t", q, db, np.ones((1, 2)), np.ones((2, 2)))
 
 
 class TestRank:
     def test_exact_match_first_ties_by_index(self):
-        q = np.array([[1, 1]])
-        db = np.array([[1, -1], [-1, 1], [1, 1]])
-        ordering, distances = evalkit.rank(q, db)
-        npt.assert_array_equal(ordering, [[2, 0, 1]])
-        npt.assert_array_equal(distances, [[0, 1, 1]])
+        dist = code_distances([[1, 1]], [[1, -1], [-1, 1], [1, 1]])
+        npt.assert_array_equal(dist, [[1, 1, 0]])
+        npt.assert_array_equal(evalkit.rank(dist), [[2, 0, 1]])
 
     def test_matches_scalar_ranker(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             q = random_codes(rng, 4, 8)
             db = random_codes(rng, 15, 8)
-            ordering, _ = evalkit.rank(q, db)
+            ordering = evalkit.rank(code_distances(q, db))
             npt.assert_array_equal(ordering, naive_rank(q, db))
 
     def test_distances_non_decreasing(self):
         rng = np.random.default_rng(3)
         q = random_codes(rng, 5, 12)
         db = random_codes(rng, 40, 12)
-        ordering, distances = evalkit.rank(q, db)
-        assert (np.diff(distances.astype(int), axis=1) >= 0).all()
-        npt.assert_array_equal(
-            distances, np.take_along_axis(evalkit.hamming_matrix(q, db), ordering, 1))
+        dist = code_distances(q, db)
+        ordering = evalkit.rank(dist)
+        npt.assert_array_equal(np.sort(ordering, axis=1), np.tile(np.arange(40), (5, 1)))
+        ranked = np.take_along_axis(dist, ordering, 1)
+        assert (np.diff(ranked.astype(int), axis=1) >= 0).all()
 
 
 def ap_of_flags(flags, cutoff=None):
@@ -194,7 +195,7 @@ class TestRelevance:
 
     def test_shape_mismatch(self, monkeypatch):
         # checked once, at evaluate_direction's entry, before any ranking
-        monkeypatch.setattr(kernels, "distances", None)
+        monkeypatch.setattr(evalkit, "hamming_matrix", None)
         q = np.ones((2, 4), dtype=np.int8)
         with pytest.raises(DataError, match="incompatible"):
             evalkit.evaluate_direction("i2t", q, q, np.ones((2, 3)), np.ones((2, 4)))
@@ -244,7 +245,7 @@ class TestMapEval:
 
     def test_rejects_cutoff_below_one(self, monkeypatch):
         # checked once, at evaluate_direction's entry, before any ranking
-        monkeypatch.setattr(kernels, "distances", None)
+        monkeypatch.setattr(evalkit, "hamming_matrix", None)
         q, db, ql, dl = self._hand_fixture()
         with pytest.raises(ConfigError, match="^evaluate_direction: cutoff must be >= 1, "
                                               "got 0$"):
@@ -343,7 +344,7 @@ class TestCurves:
             q = random_codes(rng, 6, 8)
             db = random_codes(rng, 25, 8)
             rel = (rng.random((6, 25)) < 0.3).astype(int)
-            dist = evalkit.hamming_matrix(q, db)
+            dist = code_distances(q, db)
             got, _ = curves_of(q, db, rel, [5])
             npt.assert_allclose(got, naive_pr_curve(dist, rel), atol=1e-12)
 
@@ -472,7 +473,7 @@ class TestSortedGatherOracle:
         got = evalkit.evaluate_direction("t2i", q, db, ql, dl, cutoffs, k_grid)
         want = sorted_gather_direction("t2i", q, db, ql, dl, cutoffs, k_grid, rows)
         assert got == want
-        assert evalkit.hamming_matrix(q, db).max() == k
+        assert code_distances(q, db).max() == k
         assert not naive_relevance(ql, dl)[4].any()
         assert got.pr_curve and 0.0 < got.map_all < 1.0
 

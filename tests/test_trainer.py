@@ -21,6 +21,19 @@ def bundle():
     return dataio.generate_synthetic(cfg)
 
 
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one on each call of module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 def small_config(**overrides):
     base = dict(code_length=16, epochs=3, batch_size=30, ks=15, kr=4,
                 d_hidden=32, seed=5, learning_rate=3e-4)
@@ -87,6 +100,8 @@ class TestConfig:
             small_config(momentum=1.0)
         with pytest.raises(ConfigError, match="hidden_act"):
             small_config(hidden_act="gelu")
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            small_config(seed=-1)
 
     def test_checked_whenever_built(self):
         cfg = small_config()
@@ -381,29 +396,24 @@ class TestTrain:
         b = trainer.train(bundle, small_config(epochs=1, seed=6))
         assert not np.array_equal(a.params[0].w1, b.params[0].w1)
 
-    def test_adaptive_growth_monotone(self, bundle):
+    def test_adaptive_growth_monotone(self, bundle, monkeypatch):
+        updates = count_calls(monkeypatch, corrmine, "adaptive_update")
         res = trainer.train(bundle, small_config(epochs=4))
         pops = [r.r_popcount for r in res.history]
         assert all(b >= a for a, b in zip(pops, pops[1:]))
-        assert res.rel.epoch == 4
+        assert len(updates) == 4  # re-mined every epoch
 
-    def test_no_adapt_keeps_relation_fixed(self, bundle):
+    def test_no_adapt_keeps_relation_fixed(self, bundle, monkeypatch):
         cfg = small_config(epochs=3, adaptive=False)
         state = trainer.init_state(bundle, cfg)
-        pop0 = state.rel.popcount()
+        pop0 = corrmine.correlation_stats(state.rel, None)["count"]
+        updates = count_calls(monkeypatch, corrmine, "adaptive_update")
         res = trainer.train(bundle, cfg)
         assert [r.r_popcount for r in res.history] == [pop0] * 3
-        assert res.rel.epoch == 0
+        assert not updates
 
     def test_pair_corr_never_counts_shared_neighbors(self, bundle, monkeypatch):
-        calls = []
-        real = corrmine.second_order
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(corrmine, "second_order", spy)
+        calls = count_calls(monkeypatch, corrmine, "second_order")
         trainer.train(bundle, small_config(epochs=2, pair_corr=True))
         assert calls == []
         trainer.train(bundle, small_config(epochs=2))
