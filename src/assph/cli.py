@@ -2,8 +2,8 @@
 
 Subcommands: synth, build-sim, train, encode, eval, ablate.  Exit codes
 are 0 on success, 2 for configuration errors, 3 for data errors, and 4
-for numeric divergence; failures print a single machine-parsable line
-``error: <kind>: <message>`` on stderr.
+for numeric divergence.  A failure prints one machine-parsable stderr
+line ``error: <kind>: <message>``, and a warning ``warning: <message>``.
 
 Every command runs in one skeleton, ``_run``: it checks --out before any
 input is read, times the run, writes the manifest beside the outputs and
@@ -31,6 +31,7 @@ import os
 import sys
 import time
 import typing
+import warnings
 
 from .config import HIDDEN_ACTS, MAP_CUTOFFS, SynthConfig, TrainConfig
 from .errors import ConfigError, DataError, DivergenceError
@@ -429,7 +430,9 @@ def dispatch(argv: list[str]) -> int:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = threads or os.environ.get(var, "1")
     try:
-        return _run(args)
+        with warnings.catch_warnings():  # a warning shows as one line
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            return _run(args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

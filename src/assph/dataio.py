@@ -354,21 +354,19 @@ def generate_synthetic(cfg: SynthConfig) -> DatasetBundle:
     retrieval rows (all of them when None) as the training set.
     """
     rng = np.random.default_rng(cfg.seed)
-    protos_i = rng.standard_normal((cfg.classes, cfg.dim_image))
-    protos_i /= np.linalg.norm(protos_i, axis=1, keepdims=True)
-    protos_t = rng.standard_normal((cfg.classes, cfg.dim_text))
-    protos_t /= np.linalg.norm(protos_t, axis=1, keepdims=True)
+    protos = [rng.standard_normal((cfg.classes, dim)) for dim in (cfg.dim_image, cfg.dim_text)]
+    for proto in protos:
+        proto /= np.linalg.norm(proto, axis=1, keepdims=True)
 
     p = cfg.label_cardinality / cfg.classes
     labels = np.zeros((cfg.instances, cfg.classes), dtype=np.int8)
-    for i in range(cfg.instances):
-        row = (rng.random(cfg.classes) < p).astype(np.int8)
+    for row in labels:
         while not row.any():
-            row = (rng.random(cfg.classes) < p).astype(np.int8)
-        labels[i] = row
+            row[:] = rng.random(cfg.classes) < p
 
-    fi = labels @ protos_i + cfg.noise_sigma * rng.standard_normal((cfg.instances, cfg.dim_image))
-    ft = labels @ protos_t + cfg.noise_sigma * rng.standard_normal((cfg.instances, cfg.dim_text))
+    fi, ft = (labels @ proto
+              + cfg.noise_sigma * rng.standard_normal((cfg.instances, proto.shape[1]))
+              for proto in protos)
 
     perm = rng.permutation(cfg.instances)
     query = np.sort(perm[:cfg.n_query])
@@ -420,11 +418,8 @@ def save_bundle(bundle: DatasetBundle, out_dir: str) -> list[str]:
         "image_features": "image.assf",
         "text_features": "text.assf",
         "labels": None,
-        "split": {
-            "train": bundle.split.train.tolist(),
-            "query": bundle.split.query.tolist(),
-            "retrieval": bundle.split.retrieval.tolist(),
-        },
+        "split": {cell: getattr(bundle.split, cell).tolist()
+                  for cell in ("train", "query", "retrieval")},
     }
     if bundle.labels is not None:
         write_labels(bundle.labels, os.path.join(out_dir, "labels.csv"))
@@ -454,8 +449,7 @@ def load_bundle(path: str) -> DatasetBundle:
             raise DataError(f"{path}: manifest key '{key}' must be {want}")
     files = [path, os.path.join(base, manifest["image_features"]),
              os.path.join(base, manifest["text_features"])]
-    fi = _read_features(files[1])
-    ft = _read_features(files[2])
+    fi, ft = map(_read_features, files[1:])
     labels = None
     if manifest.get("labels") is not None:
         files.append(os.path.join(base, manifest["labels"]))

@@ -12,7 +12,10 @@ float32-rounded neighbor weights).  numpy computes a @ a.T as one
 symmetric rank-k update: BLAS syrk fills one triangle and numpy copies
 it onto the other, and without BLAS entries (i, j) and (j, i) sum the
 same products in the same order.  So both products are exactly
-symmetric as computed, and no stage mirrors a triangle.
+symmetric as computed, and no stage mirrors a triangle.  fuse remaps a
+cosine c onto a probability in float32: c + 1 rounds once and halving is
+exact, which for every float32 c in [-1, 1] gives the bits of (c + 1) / 2
+formed in float64 and then rounded.
 
 Row blocks bound the temporaries, by the block policy of kernels: the
 cosine's float32 rows and each row's top-K are row walks, and fuse and
@@ -97,31 +100,28 @@ def cosine_matrix(features: np.ndarray) -> np.ndarray:
     return s
 
 
-def _probability(cos_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Cosine rows remapped from [-1, 1] onto [0, 1] in float64 and
-    rounded into out, a float32 buffer of the same shape."""
-    p = np.add(cos_rows, 1.0, dtype=np.float64)
-    return np.divide(p, 2.0, out=out)
-
-
 def fuse(cos_image: np.ndarray, cos_text: np.ndarray,
          out: np.ndarray) -> np.ndarray:
     """Probabilistic-OR fusion of the two modalities' cosines.
 
-    Each cosine is remapped onto [0, 1] as a probability p (rounded to
-    float32), and the pair fuses to p_i + p_t - p_i * p_t, computed in
-    float64 and rounded.  The result goes into out, a float32 buffer of
-    the same shape that may be either input, and out is returned.
+    Each cosine c is remapped onto [0, 1] as p = (c + 1) * 0.5 in float32,
+    the bits of (c + 1) / 2 in float64, rounded (see the module docstring).
+    The pair fuses to p_i + p_t - p_i * p_t in float64, where the product
+    is exact, rounded into out, a float32 buffer of the same shape that
+    may be either input: each block reads its cosine rows first.
     """
     m, n = cos_image.shape
-    step = kernels.rows_within(kernels.BLOCK_ENTRIES, n)
-    p_buf = np.empty((min(step, m), n), dtype=np.float32)
-    q_buf = np.empty_like(p_buf)
-    for lo, hi in kernels.row_blocks(m, step):
-        p = _probability(cos_image[lo:hi], p_buf[:hi - lo])
-        q = _probability(cos_text[lo:hi], q_buf[:hi - lo])
-        np.subtract(np.add(p, q, dtype=np.float64),
-                    np.multiply(p, q, dtype=np.float64), out=out[lo:hi])
+    shape = (2, min(kernels.rows_within(kernels.BLOCK_ENTRIES, n), m), n)
+    p_buf, a_buf = np.empty(shape, dtype=np.float32), np.empty(shape)
+    for lo, hi in kernels.row_blocks(m, shape[1]):
+        p, a = p_buf[:, :hi - lo], a_buf[:, :hi - lo]  # image, then text
+        np.add(cos_image[lo:hi], 1.0, out=p[0])
+        np.add(cos_text[lo:hi], 1.0, out=p[1])
+        p *= 0.5
+        np.copyto(a, p)
+        np.multiply(a[0], a[1], out=a[1])
+        a[0] += p[1]
+        np.subtract(a[0], a[1], out=out[lo:hi])
     return out
 
 
@@ -173,9 +173,9 @@ def combine(fused: np.ndarray, cooc: np.ndarray | None, ks: int, gamma: float,
     rounded to float32.  Per entry the result is then
     2 ((1 - gamma) fused + gamma struct) - 1 in float64, clipped to
     [-1, 1].  cooc None stands for the skipped stage of gamma == 0: the
-    result is the stretched fusion alone.  The result goes into out, a
-    float32 buffer of the same shape that may be fused, and out is
-    returned.
+    result is the stretched fusion alone, as 1 - gamma is 1.  The result
+    goes into out, a float32 buffer of the same shape that may be fused,
+    and out is returned.
     """
     m, n = fused.shape
     step = kernels.rows_within(kernels.BLOCK_ENTRIES, n)
@@ -186,17 +186,14 @@ def combine(fused: np.ndarray, cooc: np.ndarray | None, ks: int, gamma: float,
         scale = min(ks, m)
     for lo, hi in kernels.row_blocks(m, step):
         s = s_buf[:hi - lo]
-        if cooc is None:
-            # gamma == 0: (1 - gamma) * fused + gamma * 0 is fused itself
-            np.multiply(fused[lo:hi], 2.0, out=s, dtype=np.float64)
-        else:
+        np.multiply(fused[lo:hi], 1.0 - gamma, out=s, dtype=np.float64)
+        if cooc is not None:
             t, struct = t_buf[:hi - lo], r_buf[:hi - lo]
             np.multiply(cooc[lo:hi], scale, out=t)
             np.clip(t, 0.0, 1.0, out=struct)
             np.multiply(struct, gamma, out=t, dtype=np.float64)
-            np.multiply(fused[lo:hi], 1.0 - gamma, out=s, dtype=np.float64)
             s += t
-            s *= 2.0
+        s *= 2.0
         s -= 1.0
         np.clip(s, -1.0, 1.0, out=out[lo:hi])
     return out

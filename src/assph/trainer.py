@@ -6,8 +6,9 @@ permutation (the trailing partial batch is dropped).  Every iteration
 does a symmetric update of both encoders against the soft codes, and,
 when binary refinement is on, two further asymmetric updates where one
 side is replaced by its detached sign codes.  At the end of an epoch the
-whole training set is pushed through both encoders once for diagnostics
-and, when adaptive mining is on, to grow the correlation set.
+whole training set is pushed through both encoders once for diagnostics,
+to grow the correlation set when adaptive mining is on, and to stop with
+DivergenceError a run whose training rows all got one code on a side.
 
 A run is one TrainState, which train returns with its history.  Each
 per-modality field of the state is an (image, text) pair, and each
@@ -220,6 +221,10 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
         state.rel = corrmine.adaptive_update(state.rel, *hs, cfg.kr, cfg.tau,
                                              pairwise=cfg.pair_corr)
     stats = corrmine.correlation_stats(state.rel, state.label_share)
+    for side, c in zip(("image", "text"), codes):
+        if rows > 1 and (c == c[0]).all():
+            raise DivergenceError(f"epoch {epoch}: the {side} training codes collapsed onto "
+                                  f"one code, relation fill {stats['count'] / rows ** 2:.4g}")
 
     mean = sums / max(n_iter, 1)
     return EpochRecord(

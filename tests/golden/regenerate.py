@@ -135,12 +135,12 @@ TRAIN = {"base": [], "tanh": ["--hidden-act", "tanh"], "nobinopt": ["--no-bin-op
          "noadapt": ["--no-adaptive"], "paircorr": ["--pair-corr"]}
 
 
-def write_bundle(out_dir: str) -> None:
+def write_bundle(out_dir: str, centre: bool = True) -> None:
     """The CLI fixture: BUNDLE_DISTINCT rows, then repeats of some of them
     up to BUNDLE_ROWS, shuffled.  Each class owns a random unit prototype
     per modality; a row's feature is the sum of its classes' prototypes
-    plus Gaussian noise, centred.  Every 6th row is a query, the rest form
-    the database, whose first 160 rows train."""
+    plus Gaussian noise, centred unless centre is False.  Every 6th row is
+    a query, the rest form the database, whose first 160 rows train."""
     from assph import dataio
 
     rng = np.random.default_rng(BUNDLE_SEED)
@@ -152,7 +152,7 @@ def write_bundle(out_dir: str) -> None:
         protos = rng.standard_normal((classes, dim))
         protos /= np.linalg.norm(protos, axis=1, keepdims=True)
         f = labels @ protos + BUNDLE_NOISE * rng.standard_normal((n, dim))
-        feats.append(f - f.mean(axis=0))
+        feats.append(f - f.mean(axis=0) if centre else f)
     rows = rng.permutation(np.concatenate(
         [np.arange(n), rng.choice(n, BUNDLE_ROWS - n, replace=False)]))
     query = np.arange(0, BUNDLE_ROWS, 6)

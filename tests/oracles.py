@@ -36,15 +36,26 @@ def naive_cosine(features) -> list:
 
 def naive_pipeline_stages(fi, ft, ks: int) -> tuple:
     """Gamma-independent stages: (fused, structural) as scalar grids."""
-    m = len(fi)
-    ks = min(ks, m)
-    cos_i = naive_cosine(fi)
-    cos_t = naive_cosine(ft)
-    prob_i = [[f32((v + 1.0) / 2.0) for v in row] for row in cos_i]
-    prob_t = [[f32((v + 1.0) / 2.0) for v in row] for row in cos_t]
-    fused = [[f32(prob_i[i][j] + prob_t[i][j] - prob_i[i][j] * prob_t[i][j])
-              for j in range(m)] for i in range(m)]
+    fused = naive_fusion(naive_cosine(fi), naive_cosine(ft))
+    return fused, naive_structural(fused, ks)
 
+
+def naive_fusion(cos_i, cos_t) -> list:
+    """The probabilistic OR of two grids of float32 cosines: each remapped
+    to (c + 1) / 2 in float64 and rounded, then p + q - p * q rounded."""
+    prob_i = [[f32((float(v) + 1.0) / 2.0) for v in row] for row in cos_i]
+    prob_t = [[f32((float(v) + 1.0) / 2.0) for v in row] for row in cos_t]
+    m = len(prob_i)
+    return [[f32(prob_i[i][j] + prob_t[i][j] - prob_i[i][j] * prob_t[i][j])
+             for j in range(m)] for i in range(m)]
+
+
+def naive_structural(fused, ks: int) -> list:
+    """The structural map of a fused grid: each row's ks largest entries
+    normalized to sum 1 and rounded, then ks times the co-neighborhood
+    sums, clipped to [0, 1] and rounded; ks clamps to the order."""
+    m = len(fused)
+    ks = min(ks, m)
     # descending value, ties by ascending index
     neighbors = [sorted(range(m), key=lambda j: (-fused[i][j], j))[:ks]
                  for i in range(m)]
@@ -59,7 +70,7 @@ def naive_pipeline_stages(fi, ft, ks: int) -> tuple:
         for j in range(m):
             v = ks * math.fsum(shat[i][k] * shat[j][k] for k in neighbors[i])
             struct[i][j] = f32(min(max(v, 0.0), 1.0))
-    return fused, struct
+    return struct
 
 
 def naive_combine(fused, struct, gamma: float) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 
 from assph import cli, dataio, hashnet, kernels, trainer
 from assph.config import HIDDEN_ACTS, SynthConfig, TrainConfig
+from golden import regenerate
 from oracles import relation_from_dense, to_dense
 
 TRAIN_FLAGS = ["--code-length", "8", "--epochs", "2", "--batch-size", "24",
@@ -640,9 +641,10 @@ class TestAblate:
 class TestConfigResolution:
     def test_config_file_and_flag_precedence(self, data_dir, tmp_path):
         cfg_path = str(tmp_path / "cfg.json")
+        # at learning rate 3e-4 this run's codes collapse onto one (exit 4)
         json.dump({"epochs": 5, "code_length": 8, "batch_size": 24,
                    "ks": 12, "kr": 4, "d_hidden": 16,
-                   "learning_rate": 3e-4}, open(cfg_path, "w"))
+                   "learning_rate": 1e-4}, open(cfg_path, "w"))
         out = str(tmp_path / "run")
         assert cli.dispatch(["train", "--bundle", data_dir, "--out", out,
                              "--config", cfg_path, "--epochs", "1"]) == 0
@@ -657,7 +659,8 @@ class TestConfigResolution:
         assert cli.dispatch(["train", "--bundle", data_dir, "--out", out,
                              "--profile", "paper-default", "--epochs", "1",
                              "--batch-size", "24", "--ks", "12", "--kr", "4",
-                             "--d-hidden", "16", "--code-length", "8"]) == 0
+                             # 8 bits collapse onto one code at lr 1e-3 (exit 4)
+                             "--d-hidden", "16", "--code-length", "16"]) == 0
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["config"]["learning_rate"] == pytest.approx(0.001)
         assert manifest["config"]["momentum"] == pytest.approx(0.9)
@@ -717,8 +720,10 @@ class TestTermWeights:
             raise AssertionError("structural similarity under gamma = 0")
 
         monkeypatch.setattr(simgraph, "structural", no_structural)
+        # at TRAIN_FLAGS' learning rate the text codes collapse onto one (exit 4)
         assert cli.dispatch(["train", "--bundle", data_dir, "--out",
-                             str(tmp_path / "run")] + TRAIN_FLAGS + ["--gamma", "0"]) == 0
+                             str(tmp_path / "run")] + TRAIN_FLAGS
+                            + ["--gamma", "0", "--learning-rate", "1e-4"]) == 0
 
     @pytest.mark.parametrize("flag", ["--no-corr", "--no-struct"])
     def test_removed_switch_flag(self, data_dir, tmp_path, capsys, flag):
@@ -1011,6 +1016,25 @@ class TestExitCodes:
         assert "beyond float32's range" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("centre, lr, epochs, code", [
+        (False, "1e-2", "2", 4), (True, "1e-3", "4", 0)], ids=["collapsed", "learning"])
+    def test_codes_collapsed_onto_one_exit_4(self, tmp_path, capsys, centre, lr,
+                                             epochs, code):
+        # the CLI fixture: uncentred at 1e-2, each side's training codes are
+        # one row after epoch 1; centred at 1e-3 a few codes remain
+        bundle, out = str(tmp_path / "bundle"), tmp_path / "x"
+        regenerate.write_bundle(bundle, centre=centre)
+        assert cli.dispatch(["train", "--bundle", bundle, "--out", str(out)]
+                            + regenerate.TRAIN_FLAGS
+                            + ["--learning-rate", lr, "--epochs", epochs]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == ("error: divergence: epoch 1: the image training codes "
+                           "collapsed onto one code, relation fill 1\n")
+            assert not out.exists()
+        else:
+            assert err == "" and (out / "history.jsonl").read_text().count("\n") == 4
+
     def test_missing_bundle(self, tmp_path, capsys):
         code = cli.dispatch(["train", "--bundle", str(tmp_path / "nope"),
                              "--out", str(tmp_path / "x")])
@@ -1089,6 +1113,16 @@ class TestExitCodes:
         assert out.returncode == 3
         assert out.stderr == (f"error: data: {feats}: expected a non-empty 2-d "
                               f"matrix, got shape (0, 1)\n")
+
+    def test_warning_prints_one_line(self, data_dir, tmp_path):
+        # a child process, as above: --ks past the 72 training rows clamps
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "assph.cli", "build-sim", "--bundle", data_dir,
+             "--ks", "1000", "--out", str(tmp_path / "sim")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0
+        assert out.stderr == "warning: topk_normalize: ks=1000 exceeds order 72, clamping\n"
 
     @pytest.mark.parametrize("d_in, d_hidden, k", [(0, 16, 8), (12, 0, 8), (12, 16, 0)])
     def test_zero_dimension_checkpoint(self, data_dir, tmp_path, capsys,

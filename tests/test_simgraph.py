@@ -13,6 +13,13 @@ from oracles import (argsort_top_k, naive_semantic, tril_mirror_cosine,
                      whole_matrix_semantic)
 
 
+# cosines at the remap's edges: the ends, signed zeros, the two float32
+# values above -1, and values within 2**-25 of 0 down to the least subnormal
+REMAP_EDGES = [1.0, -1.0, 0.0, -0.0, -1.0 + 2.0 ** -24, -1.0 + 2.0 ** -23,
+               2.0 ** -25, -(2.0 ** -25), 2.0 ** -26, -(2.0 ** -26), 2.0 ** -126,
+               2.0 ** -149, -(2.0 ** -149)]
+
+
 def random_features(rng, m, d):
     return rng.standard_normal((m, d)).astype(np.float32)
 
@@ -184,6 +191,13 @@ class TestProbabilityMap:
         # and 0.5 OR 0.5 is 0.75
         npt.assert_allclose(simgraph.fuse(c, cosine(c), new_out(c)),
                             [[1.0, 0.75], [0.75, 1.0]])
+
+    def test_edge_values_round_as_in_float64(self):
+        # the float32 remap gives the bits of (c + 1) / 2 in float64, rounded
+        c = cosine([REMAP_EDGES])
+        got = simgraph.fuse(c, cosine(-np.ones(c.shape)), new_out(c))
+        want = ((c.astype(np.float64) + 1.0) / 2.0).astype(np.float32)
+        npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_order_preserved(self):
         rng = np.random.default_rng(3)

@@ -236,10 +236,22 @@ class TestInitState:
 
 
 class TestTrainEpoch:
+    def test_one_training_row_is_no_collapse(self):
+        # one row always has one code; only two or more rows can collapse
+        one = dataio.generate_synthetic(dataio.SynthConfig(
+            classes=3, instances=40, dim_image=8, dim_text=6, seed=1, train_size=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # ks clamps to 1
+            res = trainer.train(one, small_config(epochs=2, batch_size=1))
+        assert len(res.history) == 2
+
     def test_iteration_count_drops_partial_batch(self, bundle):
-        res = trainer.train(bundle, small_config(epochs=1, batch_size=30))
+        # at learning rate 3e-4 batches of 40 collapse the image codes
+        res = trainer.train(bundle, small_config(epochs=1, batch_size=30,
+                                                 learning_rate=1e-4))
         assert res.history[0].iterations == 3
-        res = trainer.train(bundle, small_config(epochs=1, batch_size=40))
+        res = trainer.train(bundle, small_config(epochs=1, batch_size=40,
+                                                 learning_rate=1e-4))
         assert res.history[0].iterations == 2
 
     def test_epoch_numbering_and_eta(self, bundle):
@@ -293,7 +305,9 @@ class TestTrainEpoch:
         wide = dataio.generate_synthetic(dataio.SynthConfig(
             classes=3, instances=200, dim_image=512, dim_text=256,
             noise_sigma=0.05, seed=1))
-        state = trainer.init_state(wide, small_config(epochs=1, d_hidden=512))
+        # at learning rates from 1e-4 up the codes collapse onto one (an error)
+        state = trainer.init_state(wide, small_config(epochs=1, d_hidden=512,
+                                                      learning_rate=3e-5))
         assert [f.dtype for f in state.features] == [np.float32, np.float32]
         p = state.params[0]
         grad_bytes = p.w1.nbytes + p.b1.nbytes + p.w2.nbytes + p.b2.nbytes
@@ -314,7 +328,9 @@ class TestTrainEpoch:
         tall = dataio.generate_synthetic(dataio.SynthConfig(
             classes=3, instances=1500, dim_image=dim, dim_text=dim,
             noise_sigma=0.05, seed=1))
-        state = trainer.init_state(tall, small_config(epochs=1, adaptive=False))
+        # at learning rate 3e-4 the codes collapse onto one (an error)
+        state = trainer.init_state(tall, small_config(epochs=1, adaptive=False,
+                                                      learning_rate=1e-4))
         one_side = 8 * len(state.features[0]) * (dim + state.cfg.d_hidden)
         tracemalloc.start()
         try:
