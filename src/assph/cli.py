@@ -33,7 +33,7 @@ import time
 import typing
 import warnings
 
-from .config import HIDDEN_ACTS, MAP_CUTOFFS, SynthConfig, TrainConfig
+from .config import HIDDEN_ACTS, MAP_CUTOFFS, VARIANTS, SynthConfig, TrainConfig
 from .errors import ConfigError, DataError, DivergenceError
 
 
@@ -171,39 +171,22 @@ def cmd_build_sim(args: argparse.Namespace, elapsed) -> _Run:
                 f"{stats['count']} correlated pairs", timings)
 
 
-def _self_evaluate(bundle, state, out_dir, map_cutoffs):
-    """Encode the query/retrieval splits with a trained run's encoders and
-    write both direction reports."""
-    from .evalkit import evaluate_direction
-    from .hashnet import encode, save_codes
+def _write_scores(codes: dict, reports: dict, out_dir: str) -> list[str]:
+    """Write a scored run's codes and reports (trainer.score) into out_dir;
+    returns the file names."""
+    from .hashnet import save_codes
 
-    splits = {"query": bundle.split.query, "db": bundle.split.retrieval}
-    features = (bundle.image_features, bundle.text_features)
-    codes = {f"{split}_{side}": encode(params, f[rows], state.cfg.hidden_act)
-             for split, rows in splits.items()
-             for side, params, f in zip(("image", "text"), state.params, features)}
-    outputs = []
     for name, mat in codes.items():
-        fname = f"{name}.assb"
-        save_codes(mat, os.path.join(out_dir, fname))
-        outputs.append(fname)
-    reports = {}
-    if bundle.labels is not None:
-        ql, dl = bundle.labels[splits["query"]], bundle.labels[splits["db"]]
-        for direction, query, db in (("I2T", "image", "text"), ("T2I", "text", "image")):
-            report = evaluate_direction(direction, codes[f"query_{query}"],
-                                        codes[f"db_{db}"], ql, dl, map_cutoffs)
-            fname = f"eval_{direction.lower()}.json"
-            report.save_json(os.path.join(out_dir, fname))
-            outputs.append(fname)
-            reports[direction] = report
-    return reports, outputs
+        save_codes(mat, os.path.join(out_dir, f"{name}.assb"))
+    for direction, report in reports.items():
+        report.save_json(os.path.join(out_dir, f"eval_{direction.lower()}.json"))
+    return [f"{name}.assb" for name in codes] + [f"eval_{d.lower()}.json" for d in reports]
 
 
 def cmd_train(args: argparse.Namespace, elapsed) -> _Run:
     from .dataio import load_bundle
     from .hashnet import save_checkpoint
-    from .trainer import train
+    from .trainer import score, train
 
     cfg = _resolve_config(args)
     map_cutoffs = _map_cutoffs(args)
@@ -219,11 +202,10 @@ def cmd_train(args: argparse.Namespace, elapsed) -> _Run:
         for record in state.history:
             fh.write(json.dumps(record.to_dict(), sort_keys=True))
             fh.write("\n")
-    reports, evaluated = _self_evaluate(bundle, state, args.out, map_cutoffs)
-    outputs += ["history.jsonl"] + evaluated
-    line = f"train: {cfg.epochs} epochs done"
-    for direction, report in sorted(reports.items()):
-        line += f", {direction} MAP@all {report.map_all:.4f}"
+    codes, reports = score(bundle, state, map_cutoffs)
+    outputs += ["history.jsonl"] + _write_scores(codes, reports, args.out)
+    line = f"train: {cfg.epochs} epochs done" + "".join(
+        f", {direction} MAP@all {report.map_all:.4f}" for direction, report in reports.items())
     return _Run(cfg.to_dict(), _inputs(bundle, args), outputs, line, timings)
 
 
@@ -283,56 +265,42 @@ def cmd_eval(args: argparse.Namespace, elapsed) -> _Run:
                 ["report.json", "pr_curve.csv", "topk_curve.csv"], line)
 
 
-_VARIANTS = {
-    "noadapt": ("ASSPH_NoAdapt", {"adaptive": False}),
-    "paircorr": ("ASSPH_PairCorr", {"pair_corr": True}),
-    "nocorr": ("ASSPH_NoCorr", {"mu1": 0.0}),
-    "nobinopt": ("ASSPH_NoBinOpt", {"bin_opt": False}),
-    "nostruct": ("ASSPH_NoStruct", {"gamma": 0.0}),
-}
+# the variants --variants may name; the full model always runs first
+_ABLATIONS = list(VARIANTS)[1:]
 
 
 def cmd_ablate(args: argparse.Namespace, elapsed) -> _Run:
     from .dataio import load_bundle, write_json
-    from .trainer import train
+    from .trainer import ablate
 
     cfg = _resolve_config(args)
     map_cutoffs = _map_cutoffs(args)
     names = [v for v in args.variants.split(",") if v]
-    unknown = [v for v in names if v not in _VARIANTS]
+    unknown = [v for v in names if v not in _ABLATIONS]
     if unknown:
-        raise ConfigError(
-            f"unknown variants {unknown}; available: {sorted(_VARIANTS)}"
-        )
+        raise ConfigError(f"unknown variants {unknown}; available: {sorted(_ABLATIONS)}")
     repeated = sorted({v for v in names if names.count(v) > 1})
     if repeated:
         raise ConfigError(f"variants repeated: {repeated}")
-    runs = [("ASSPH", {})] + [_VARIANTS[v] for v in names]
-    for title, _ in runs:  # each run writes into its own subdirectory
-        _out_dir(os.path.join(args.out, title))
+    names = ["full", *names]
+    for name in names:  # each run writes into its own subdirectory
+        _out_dir(os.path.join(args.out, VARIANTS[name][0]))
     bundle = load_bundle(args.bundle)
     if bundle.labels is None:
         raise DataError("ablate needs a labeled bundle to score variants")
 
-    os.makedirs(args.out, exist_ok=True)
     rows = {}
     outputs = ["ablation.json"]
-    for title, patch in runs:
-        state = train(bundle, dataclasses.replace(cfg, **patch))
+    for title, _, codes, reports in ablate(bundle, cfg, names, map_cutoffs):
         sub = os.path.join(args.out, title)
         os.makedirs(sub, exist_ok=True)
-        reports, sub_outputs = _self_evaluate(bundle, state, sub, map_cutoffs)
-        del state  # free this run's state before the next variant trains
-        outputs.extend(os.path.join(title, name) for name in sub_outputs)
+        outputs.extend(os.path.join(title, name)
+                       for name in _write_scores(codes, reports, sub))
         rows[title] = {d: reports[d].map_all for d in ("I2T", "T2I")}
         print(f"ablate {title}: I2T {rows[title]['I2T']:.4f}, "
               f"T2I {rows[title]['T2I']:.4f}")
-    table = {
-        "code_length": cfg.code_length,
-        "seed": cfg.seed,
-        "rows": rows,
-    }
-    write_json(table, os.path.join(args.out, "ablation.json"))
+    write_json({"code_length": cfg.code_length, "seed": cfg.seed, "rows": rows},
+               os.path.join(args.out, "ablation.json"))
     return _Run(cfg.to_dict(), _inputs(bundle, args), outputs)
 
 
@@ -391,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--map-at")
-    p.add_argument("--variants", default=",".join(_VARIANTS))
+    p.add_argument("--variants", default=",".join(_ABLATIONS))
     _add_config_args(p)
     p.set_defaults(func=cmd_ablate)
     return parser

@@ -25,6 +25,17 @@ HIDDEN_ACTS = ("relu", "tanh")
 # MAP cutoffs a self-evaluation or an eval reports when none are asked for
 MAP_CUTOFFS = (50,)
 
+# the paper's ablation study: short name -> (run title, the TrainConfig
+# fields the variant changes), the full model first
+VARIANTS = {
+    "full": ("ASSPH", {}),
+    "noadapt": ("ASSPH_NoAdapt", {"adaptive": False}),
+    "paircorr": ("ASSPH_PairCorr", {"pair_corr": True}),
+    "nocorr": ("ASSPH_NoCorr", {"mu1": 0.0}),
+    "nobinopt": ("ASSPH_NoBinOpt", {"bin_opt": False}),
+    "nostruct": ("ASSPH_NoStruct", {"gamma": 0.0}),
+}
+
 
 @dataclass(frozen=True)
 class TrainConfig:

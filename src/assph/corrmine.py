@@ -3,7 +3,8 @@
 A correlation set is a symmetric reflexive 0/1 relation over training
 instances.  It seeds from second-order neighborhood overlaps of the raw
 feature cosines and grows monotonically between epochs by re-mining the
-same relation from the learned hidden embeddings and unioning it in.
+same relation from the training rows' soft codes (the networks' tanh
+outputs, not their hidden layers) and unioning it in.
 A relation is held as np.packbits rows (ceil(order / 8) bytes a row,
 first bit most significant), so a 5000-instance relation costs a few
 megabytes.  The miners set their hits straight in those rows (_mark),
@@ -165,19 +166,22 @@ def init_correlations(sim_image: np.ndarray, sim_text: np.ndarray, kr: int,
                  tau, pairwise)
 
 
-def adaptive_update(rel: CorrelationSet, hidden_image: np.ndarray,
-                    hidden_text: np.ndarray, kr: int, tau: int = 1,
+def adaptive_update(rel: CorrelationSet, soft_image: np.ndarray,
+                    soft_text: np.ndarray, kr: int, tau: int = 1,
                     pairwise: bool = False) -> CorrelationSet:
-    """Union the relation mined from hidden embeddings into rel.
+    """Union into rel the relation _mine mines from each side's soft codes
+    of the training rows, h = tanh(eta * (W2 a1 + b2)), not the hidden
+    layer a1.  eta grows with the epoch, so these saturate and their
+    cosines tie.
 
     The result is monotone: it never loses a pair.
     Each side's neighbor lists are selected from the blocks of
     cosine_blocks as they stream, so no order x order float32 cosine is
     held, and only one side's float64 product at a time.  A zero-norm
-    hidden row means the network collapsed, so it raises DivergenceError.
+    soft code means the network collapsed, so it raises DivergenceError.
     """
-    units = [kernels.unit_rows(hidden_image, "image embedding")[0],
-             kernels.unit_rows(hidden_text, "text embedding")[0]]
+    units = [kernels.unit_rows(soft_image, "image embedding")[0],
+             kernels.unit_rows(soft_text, "text embedding")[0]]
     nn_i, nn_t = (_select(cosine_blocks(u), rel.order, kr) for u in units)
     return CorrelationSet(rel.bits | _mine(nn_i, nn_t, tau, pairwise).bits)
 

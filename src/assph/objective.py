@@ -18,6 +18,10 @@ mu1, mu2 and beta are read from the run's TrainConfig; with mu1 = 0 the
 trainer passes the identity relation as R, and cp is reported but adds
 nothing to the loss or its gradients.
 
+A cosine is at most 1, so for beta > 1 the cp part of dL/dC_it on a
+related pair, 2 * mu1 * (C_it - beta), is negative at every cosine and
+never vanishes: it pulls every related pair's cosine up, even at 1.
+
 S and R are symmetric, so the text gradient is the image gradient of the
 mirrored batch, the one with its two sides swapped (_mirror).
 """

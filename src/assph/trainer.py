@@ -25,18 +25,18 @@ refinement; pair_corr swaps the neighborhood-overlap mining rule for
 plain symmetrized KNN.  The two term ablations are weights: with mu1 = 0
 there is no correlation term, so no relation is mined and the identity
 stands in for it, and with gamma = 0 the structural similarity stage is
-skipped.
+skipped.  ablate trains and scores (score) the config.VARIANTS named.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import corrmine, hashnet, objective, simgraph
-from .config import TrainConfig
+from . import corrmine, evalkit, hashnet, objective, simgraph
+from .config import MAP_CUTOFFS, VARIANTS, TrainConfig
 from .dataio import DatasetBundle
 from .errors import ConfigError, DivergenceError
 
@@ -253,3 +253,37 @@ def train(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
         if name is not None:
             raise DivergenceError(f"{side} network: {name} beyond float32's range")
     return state
+
+
+def score(bundle: DatasetBundle, state: TrainState,
+          map_cutoffs=MAP_CUTOFFS) -> tuple[dict, dict]:
+    """The sign codes of the bundle's query and retrieval rows under a
+    trained run's two encoders, keyed query_image, query_text, db_image
+    and db_text, and the I2T and T2I reports of each side's query codes
+    against the other side's retrieval codes, {} for an unlabeled bundle."""
+    splits = {"query": bundle.split.query, "db": bundle.split.retrieval}
+    features = (bundle.image_features, bundle.text_features)
+    codes = {f"{split}_{side}": hashnet.encode(params, f[rows], state.cfg.hidden_act)
+             for split, rows in splits.items()
+             for side, params, f in zip(("image", "text"), state.params, features)}
+    reports = {}
+    if bundle.labels is not None:
+        ql, dl = (bundle.labels[rows] for rows in splits.values())
+        for direction, query, db in (("I2T", "image", "text"), ("T2I", "text", "image")):
+            reports[direction] = evalkit.evaluate_direction(
+                direction, codes[f"query_{query}"], codes[f"db_{db}"], ql, dl, map_cutoffs)
+    return codes, reports
+
+
+def ablate(bundle: DatasetBundle, cfg: TrainConfig, names, map_cutoffs=MAP_CUTOFFS):
+    """Train and score the named variants of config.VARIANTS in turn, each
+    being cfg with its variant's fields changed.  Yields (title, history,
+    codes, reports) per run, codes and reports as score gives them; each
+    run's state is freed before the next variant trains."""
+    for name in names:
+        title, patch = VARIANTS[name]
+        state = train(bundle, replace(cfg, **patch))
+        codes, reports = score(bundle, state, map_cutoffs)
+        history = state.history
+        del state  # freed before the next variant trains
+        yield title, history, codes, reports

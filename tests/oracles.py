@@ -6,8 +6,8 @@ outputs round to float32 exactly where the library's containers declare
 32-bit storage, so both sides select neighbors from identical values.
 Others are earlier versions of a library stage (whole_matrix_semantic,
 naive_backward, naive_sgd_step, block_average_precision,
-sorted_gather_direction, explicit_text_grad) that the current one must
-match bit for bit.
+sorted_gather_direction, explicit_text_grad) or its formula written out
+(explicit_g_it), which the current one must match bit for bit.
 """
 
 import math
@@ -376,6 +376,22 @@ def explicit_text_grad(hi, ht, s, r, weights):
     h = g_tt + g_tt.T  # rows of cos(ht, ht) appear on both sides
     return pair + (h @ ht_hat - (h * c_tt).sum(axis=1)[:, None] * ht_hat) \
         / ht_norms[:, None]
+
+
+def explicit_g_it(hi, ht, s, r, weights):
+    """The three terms of dL/dC_it, C_it = cos(hi, ht), each written out
+    from its term of the loss, in the order objective._g_it adds them:
+    (d|S - C_it|^2, mu1 * d sum R (C_it - beta)^2,
+    mu2 * d(|C_it - C_ii|^2 + |C_it - C_tt|^2))."""
+    hi_hat = kernels.unit_rows(hi, "image batch")[0]
+    ht_hat = kernels.unit_rows(ht, "text batch")[0]
+    s = np.asarray(s, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    c_it, c_ii, c_tt = hi_hat @ ht_hat.T, hi_hat @ hi_hat.T, ht_hat @ ht_hat.T
+    sr = 2.0 * (c_it - s)
+    cp = weights.mu1 * 2.0 * r * (c_it - weights.beta)
+    sa = weights.mu2 * 2.0 * ((c_it - c_ii) + (c_it - c_tt))
+    return sr, cp, sa
 
 
 def central_difference(fn, arr, step):

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per shipped guarantee, one verdict line each.
 
 The synthetic efficacy and ablation checks share a single block of
-training runs (six variants, three seeds) through a module fixture;
-its wall time is charged to the efficacy budget.
+training runs, trainer.ablate over the six config.VARIANTS for each of
+three seeds, through a module fixture; its wall time is charged to the
+efficacy budget.
 """
 
 import json
@@ -13,31 +14,15 @@ import numpy as np
 import pytest
 
 from assph import cli, config, corrmine, dataio, evalkit, hashnet, objective, simgraph, trainer
-from oracles import (
-    central_difference,
-    code_distances,
-    naive_average_precision,
-    naive_combine,
-    naive_pipeline_stages,
-    naive_rank,
-    naive_relation,
-    naive_relevance,
-    to_dense,
-)
+from oracles import (central_difference, code_distances, naive_average_precision,
+                     naive_combine, naive_pipeline_stages, naive_rank, naive_relation,
+                     naive_relevance, to_dense)
 
 GEOMETRY = dict(classes=5, instances=2000, dim_image=24, dim_text=48,
                 label_cardinality=0.5, noise_sigma=0.45, seed=100)
 SCALED = dict(code_length=32, ks=400, kr=10, epochs=25,
               learning_rate=1e-4, d_hidden=256)
 SEEDS = (0, 1, 2)
-VARIANTS = {
-    "full": {},
-    "noadapt": {"adaptive": False},
-    "paircorr": {"pair_corr": True},
-    "nocorr": {"mu1": 0.0},
-    "nobinopt": {"bin_opt": False},
-    "nostruct": {"gamma": 0.0},
-}
 
 
 def _verdict(ok: bool, name: str, detail: str) -> None:
@@ -55,40 +40,18 @@ def _efficacy_bundle() -> dataio.DatasetBundle:
                                 gen.labels, split)
 
 
-def _scaled_config(seed: int, **patch) -> config.TrainConfig:
-    return config.TrainConfig.from_dict({**SCALED, "seed": seed, **patch})
-
-
-def _map_both(bundle, result, hidden_act) -> tuple[float, float]:
-    q, r = bundle.split.query, bundle.split.retrieval
-    fi = bundle.image_features.astype(np.float64)
-    ft = bundle.text_features.astype(np.float64)
-
-    def codes(params, x):
-        return hashnet.encode(params, x, hidden_act)
-
-    pi, pt = result.params
-    ci_q, ct_q = codes(pi, fi[q]), codes(pt, ft[q])
-    ci_d, ct_d = codes(pi, fi[r]), codes(pt, ft[r])
-    ql, dl = bundle.labels[q], bundle.labels[r]
-    return (evalkit.evaluate_direction("I2T", ci_q, ct_d, ql, dl).map_all,
-            evalkit.evaluate_direction("T2I", ct_q, ci_d, ql, dl).map_all)
-
-
 @pytest.fixture(scope="module")
 def ablation_suite():
     bundle = _efficacy_bundle()
     t0 = time.perf_counter()
-    runs = {}
-    for name, patch in VARIANTS.items():
-        rows = []
-        for seed in SEEDS:
-            cfg = _scaled_config(seed, **patch)
-            result = trainer.train(bundle, cfg)
-            i2t, t2i = _map_both(bundle, result, cfg.hidden_act)
+    runs = {name: [] for name in config.VARIANTS}
+    for seed in SEEDS:
+        cfg = config.TrainConfig.from_dict({**SCALED, "seed": seed})
+        scored = trainer.ablate(bundle, cfg, list(runs))
+        for rows, (_, history, _, reports) in zip(runs.values(), scored):
+            i2t, t2i = reports["I2T"].map_all, reports["T2I"].map_all
             rows.append({"i2t": i2t, "t2i": t2i, "mean": (i2t + t2i) / 2,
-                         "history": result.history})
-        runs[name] = rows
+                         "history": history})
     return {"bundle": bundle, "runs": runs,
             "elapsed": time.perf_counter() - t0}
 

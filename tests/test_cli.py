@@ -30,6 +30,12 @@ def data_dir(tmp_path_factory):
                          "--dim-text", "10", "--noise-sigma", "0.05",
                          "--seed", "1"])
     assert code == 0
+    # centred per column, as golden/regenerate.py::write_bundle centres its
+    # bundle, so the toy runs keep more than one code a side
+    for name in ("image.assf", "text.assf"):
+        path = os.path.join(out, name)
+        f = dataio.load_features(path).astype(np.float64)
+        dataio.write_features((f - f.mean(axis=0)).astype(np.float32), path)
     return out
 
 
@@ -636,6 +642,13 @@ class TestAblate:
         assert code == 2
         assert "['noadapt']" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_divergent_full_model_exit_4_with_no_output(self, data_dir, tmp_path):
+        # the weights past float32's range end the first run, the full model
+        out = tmp_path / "ab4"
+        assert cli.dispatch(["ablate", "--bundle", data_dir, "--out", str(out)]
+                            + TRAIN_FLAGS + ["--learning-rate", "1e9"]) == 4
+        assert not out.exists()
 
 
 class TestConfigResolution:
