@@ -33,7 +33,7 @@ import time
 import typing
 import warnings
 
-from .config import HIDDEN_ACTS, MAP_CUTOFFS, VARIANTS, SynthConfig, TrainConfig
+from .config import MAP_CUTOFFS, VARIANTS, SynthConfig, TrainConfig
 from .errors import ConfigError, DataError, DivergenceError
 
 
@@ -95,8 +95,6 @@ def _add_fields(sub: argparse.ArgumentParser, cls) -> None:
         flag = "--" + f.name.replace("_", "-")
         if f.type is bool:
             sub.add_argument(flag, action=argparse.BooleanOptionalAction)
-        elif f.name == "hidden_act":
-            sub.add_argument(flag, choices=HIDDEN_ACTS)
         else:
             sub.add_argument(flag, type=(typing.get_args(f.type) or (f.type,))[0])
 
@@ -215,10 +213,10 @@ def cmd_encode(args: argparse.Namespace, elapsed) -> _Run:
 
     params = load_checkpoint(args.checkpoint)
     feats = load_features(args.features, expected_dim=params.d_in)
-    codes = encode(params, feats, args.hidden_act)
+    codes = encode(params, feats)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     save_codes(codes, args.out)
-    return _Run({"hidden_act": args.hidden_act}, [args.features, args.checkpoint],
+    return _Run({}, [args.features, args.checkpoint],
                 [os.path.basename(args.out)],
                 f"encode: {codes.shape[0]} codes of {codes.shape[1]} bits -> {args.out}")
 
@@ -246,7 +244,7 @@ def cmd_eval(args: argparse.Namespace, elapsed) -> _Run:
     from .hashnet import load_codes
 
     map_cutoffs = _map_cutoffs(args)
-    k_grid = _parse_int_list(args.k_grid, "k-grid") if args.k_grid else None
+    k_grid = _parse_int_list(args.k_grid, "k-grid") if args.k_grid is not None else None
     query_codes = load_codes(args.query_codes)
     db_codes = load_codes(args.db_codes)
     query_labels = load_labels(args.query_labels)
@@ -339,9 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    # the checkpoint does not record its activation, so nothing can default it
-    p.add_argument("--hidden-act", choices=HIDDEN_ACTS, required=True,
-                   help="hidden activation the checkpoint was trained with")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("eval", help="score stored codes against labels")

@@ -20,8 +20,6 @@ from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
 
-HIDDEN_ACTS = ("relu", "tanh")
-
 # MAP cutoffs a self-evaluation or an eval reports when none are asked for
 MAP_CUTOFFS = (50,)
 
@@ -64,7 +62,6 @@ class TrainConfig:
     eta_base: float = 1.0
     d_hidden: int = 4096
     seed: int = 0
-    hidden_act: str = "relu"
     adaptive: bool = True
     bin_opt: bool = True
     pair_corr: bool = False
@@ -84,8 +81,6 @@ class TrainConfig:
             if not (math.isfinite(value)
                     and (value > bound if op == ">" else value >= bound)):
                 raise ConfigError(f"{name} must be a finite real {op} {bound}, got {value}")
-        if self.hidden_act not in HIDDEN_ACTS:
-            raise ConfigError(f"hidden_act must be one of {HIDDEN_ACTS}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
 

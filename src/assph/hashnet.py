@@ -1,9 +1,10 @@
 """Two-layer modality encoders with hand-rolled backprop.
 
 Each modality owns one network mapping features to K soft hash values:
-H = tanh(eta * (W2 @ act(W1 @ x + b1) + b2)).  The eta factor scales only
-the final pre-activation; pushing it up over training drives tanh toward
-its saturated +-1 plateau so the soft values approach binary codes.
+H = tanh(eta * (W2 @ relu(W1 @ x + b1) + b2)), with the paper's ReLU
+hidden layer.  The eta factor scales only the final pre-activation;
+pushing it up over training drives tanh toward its saturated +-1 plateau
+so the soft values approach binary codes.
 Gradients are computed analytically (no autodiff): forward returns an
 Activations record (input, hidden layer, output) and backward reads it,
 so no pass is run twice.  Callers that only need the output take ``.h``
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .config import HIDDEN_ACTS
 from .dataio import CHECKPOINT, CODES
 from .errors import ConfigError, DataError, DivergenceError
 
@@ -109,10 +109,7 @@ def init_params(d_in: int, d_hidden: int, code_length: int, seed: int) -> HashNe
     )
 
 
-def _check_forward_args(params: HashNetParams, x: np.ndarray, eta: float,
-                        hidden_act: str) -> np.ndarray:
-    if hidden_act not in HIDDEN_ACTS:
-        raise ConfigError(f"hidden_act must be one of {HIDDEN_ACTS}, got '{hidden_act}'")
+def _check_forward_args(params: HashNetParams, x: np.ndarray, eta: float) -> np.ndarray:
     if eta <= 0.0 or not np.isfinite(eta):
         raise ConfigError(f"eta must be a positive finite real, got {eta}")
     x = np.asarray(x, dtype=np.float64)
@@ -126,26 +123,23 @@ def _check_forward_args(params: HashNetParams, x: np.ndarray, eta: float,
 @dataclass
 class Activations:
     """One forward pass, as backward needs it: the float64 input rows x,
-    the hidden layer a1 = act(W1 x + b1) and the output h."""
+    the hidden layer a1 = relu(W1 x + b1) and the output h."""
 
     x: np.ndarray
     a1: np.ndarray
     h: np.ndarray
     eta: float
-    hidden_act: str
 
 
-def forward(params: HashNetParams, x: np.ndarray, eta: float,
-            hidden_act: str) -> Activations:
+def forward(params: HashNetParams, x: np.ndarray, eta: float) -> Activations:
     """Soft hash values in (-1, 1) for a batch of feature rows (``.h``),
     with the activations backward reuses."""
-    x = _check_forward_args(params, x, eta, hidden_act)
+    x = _check_forward_args(params, x, eta)
     a1 = x @ params.w1.T
-    a1 += params.b1  # pre-activation, replaced in place by the activation
-    a1 = np.maximum(a1, 0.0, out=a1) if hidden_act == "relu" else np.tanh(a1, out=a1)
+    a1 += params.b1  # pre-activation, replaced in place by its ReLU
+    np.maximum(a1, 0.0, out=a1)
     pre2 = a1 @ params.w2.T + params.b2
-    return Activations(x=x, a1=a1, h=np.tanh(eta * pre2), eta=eta,
-                       hidden_act=hidden_act)
+    return Activations(x=x, a1=a1, h=np.tanh(eta * pre2), eta=eta)
 
 
 def backward(params: HashNetParams, acts: Activations, d_h: np.ndarray,
@@ -163,10 +157,7 @@ def backward(params: HashNetParams, acts: Activations, d_h: np.ndarray,
     np.matmul(d_pre2.T, a1, out=grads.w2)
     np.sum(d_pre2, axis=0, out=grads.b2)
     d_a1 = d_pre2 @ params.w2
-    if acts.hidden_act == "relu":
-        d_pre1 = d_a1 * (a1 > 0.0)
-    else:
-        d_pre1 = d_a1 * (1.0 - a1 * a1)
+    d_pre1 = d_a1 * (a1 > 0.0)
     np.matmul(d_pre1.T, acts.x, out=grads.w1)
     np.sum(d_pre1, axis=0, out=grads.b1)
     return grads
@@ -212,10 +203,10 @@ def sign_codes(h: np.ndarray) -> np.ndarray:
     return np.where(h >= 0.0, 1, -1).astype(np.int8)
 
 
-def encode(params: HashNetParams, x: np.ndarray, hidden_act: str) -> np.ndarray:
+def encode(params: HashNetParams, x: np.ndarray) -> np.ndarray:
     """The sign codes of feature rows.  tanh keeps the sign of its
     argument, so any eta gives these codes; they are computed at eta 1."""
-    return sign_codes(forward(params, x, 1.0, hidden_act).h)
+    return sign_codes(forward(params, x, 1.0).h)
 
 
 def save_checkpoint(params: HashNetParams, path: str) -> None:

@@ -147,8 +147,7 @@ def init_state(bundle: DatasetBundle, cfg: TrainConfig) -> TrainState:
         params=params,
         velocity=tuple(map(hashnet.zeros_like, params)),
         rng=np.random.default_rng(cfg.seed + 2),
-        codes=tuple(hashnet.encode(p, f, cfg.hidden_act)
-                    for p, f in zip(params, features)),
+        codes=tuple(hashnet.encode(p, f) for p, f in zip(params, features)),
     )
 
 
@@ -165,8 +164,7 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
     grads = hashnet.shared_grads(*state.params)
 
     def forward(xs):
-        return [hashnet.forward(p, x, eta, cfg.hidden_act)
-                for p, x in zip(state.params, xs)]
+        return [hashnet.forward(p, x, eta) for p, x in zip(state.params, xs)]
 
     def signs(hs):
         return tuple(hashnet.sign_codes(h) for h in hs)
@@ -211,8 +209,7 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
     del grads  # free the gradient workspace before the full pass
     # end of epoch: one full pass for diagnostics and adaptive mining; each
     # side's activations are dropped as soon as its soft codes are taken
-    hs = [hashnet.forward(p, f, eta, cfg.hidden_act).h
-          for p, f in zip(state.params, state.features)]
+    hs = [hashnet.forward(p, f, eta).h for p, f in zip(state.params, state.features)]
     codes = signs(hs)
     flips = [int((c != prev).sum()) for c, prev in zip(codes, state.codes)]
     state.codes = codes
@@ -263,7 +260,7 @@ def score(bundle: DatasetBundle, state: TrainState,
     against the other side's retrieval codes, {} for an unlabeled bundle."""
     splits = {"query": bundle.split.query, "db": bundle.split.retrieval}
     features = (bundle.image_features, bundle.text_features)
-    codes = {f"{split}_{side}": hashnet.encode(params, f[rows], state.cfg.hidden_act)
+    codes = {f"{split}_{side}": hashnet.encode(params, f[rows])
              for split, rows in splits.items()
              for side, params, f in zip(("image", "text"), state.params, features)}
     reports = {}

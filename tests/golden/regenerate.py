@@ -19,7 +19,7 @@ The CLI fixture: a 240-row bundle of 8 multi-hot classes with centred
 48-d image and 32-d text features, in which 60 rows repeat earlier ones,
 so similarities tie and tie-breaking shows in the outputs.  One process
 pinned to 1 BLAS thread runs build-sim (base and four variants), train
-for 2 epochs (base and four variants), encode of the base image
+for 2 epochs (base and three variants), encode of the base image
 checkpoint and ablate with its default variants, and digests every
 semantic matrix, correlation list, statistics file, checkpoint, code
 file, self-evaluation report, ablation table, history (without
@@ -33,12 +33,15 @@ for a terminal HELP_COLUMNS wide.
 
 ``tests/test_golden.py`` recomputes the digests and compares them with
 the files; run this script only when a change to the outputs is
-intended, and name the change in CHANGES.md.
+intended, and name the change in CHANGES.md.  For each file it rewrites,
+the script prints the digest keys added, removed and changed, or the
+help lines removed (-) and added (+).
 """
 
 from __future__ import annotations
 
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -131,8 +134,8 @@ TRAIN_FLAGS = ["--code-length", "16", "--d-hidden", "32", "--epochs", "2",
                "--learning-rate", "0.0001", "--seed", "5"]
 BUILD_SIM = {"base": [], "tau2": ["--tau", "2"], "nostruct": ["--gamma", "0"],
              "paircorr": ["--pair-corr"], "nocorr": ["--mu1", "0"]}
-TRAIN = {"base": [], "tanh": ["--hidden-act", "tanh"], "nobinopt": ["--no-bin-opt"],
-         "noadapt": ["--no-adaptive"], "paircorr": ["--pair-corr"]}
+TRAIN = {"base": [], "nobinopt": ["--no-bin-opt"], "noadapt": ["--no-adaptive"],
+         "paircorr": ["--pair-corr"]}
 
 
 def write_bundle(out_dir: str, centre: bool = True) -> None:
@@ -205,7 +208,7 @@ def tree_digests(run_dir: str, fixture: str) -> dict:
 
 def cli_digests() -> dict:
     """sha256 of each digested output of the CLI matrix, keyed by its
-    path under the run directory, such as "train/tanh/imgnet.assp"."""
+    path under the run directory, such as "train/noadapt/imgnet.assp"."""
     from assph import cli
 
     def run(*argv):
@@ -223,7 +226,7 @@ def cli_digests() -> dict:
                 os.path.join(runs, "train", name), *TRAIN_FLAGS, *flags)
         run("encode", "--features", os.path.join(bundle, "image.assf"),
             "--checkpoint", os.path.join(runs, "train", "base", "imgnet.assp"),
-            "--hidden-act", "relu", "--out", os.path.join(runs, "encode", "image.assb"))
+            "--out", os.path.join(runs, "encode", "image.assb"))
         run("ablate", "--bundle", bundle, "--out", os.path.join(runs, "ablate"),
             *TRAIN_FLAGS)
         return tree_digests(runs, tmp)
@@ -269,11 +272,43 @@ def pinned_cli_digests() -> dict:
     return json.loads(out.stdout)
 
 
+def changed(want: dict, got: dict) -> list:
+    """The keys whose values differ between two digest maps, or that only
+    one of them holds."""
+    return sorted(key for key in want.keys() | got.keys() if want.get(key) != got.get(key))
+
+
+def _flat(record: dict) -> dict:
+    """A digests file as one map: its digests, and each other entry (the
+    environment they were made in) under its own name."""
+    return {**{k: v for k, v in record.items() if k != "digests"}, **record["digests"]}
+
+
 def _write(path: str, obj: dict) -> None:
+    old = {"digests": {}}
+    with contextlib.suppress(FileNotFoundError), open(path) as fh:
+        old = json.load(fh)
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {path}")
+    before, after = _flat(old), _flat(obj)
+    for key in changed(before, after):
+        what = "added" if key not in before else "removed" if key not in after else "changed"
+        print(f"  {what} {key}")
+
+
+def _write_help(text: str) -> None:
+    old = ""
+    with contextlib.suppress(FileNotFoundError), open(HELP) as fh:
+        old = fh.read()
+    with open(HELP, "w") as fh:
+        fh.write(text)
+    print(f"wrote {HELP}")
+    for line in difflib.unified_diff(old.splitlines(), text.splitlines(),
+                                     lineterm="", n=0):
+        if not line.startswith(("---", "+++", "@@")):
+            print(f"  {line}")
 
 
 def main(argv: list[str]) -> int:
@@ -285,9 +320,7 @@ def main(argv: list[str]) -> int:
         return 0
     _write(DIGESTS, {"numpy": np.__version__, "digests": eval_digests()})
     _write(CLI_DIGESTS, pinned_cli_digests())
-    with open(HELP, "w") as fh:
-        fh.write(help_text())
-    print(f"wrote {HELP}")
+    _write_help(help_text())
     return 0
 
 

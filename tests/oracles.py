@@ -326,18 +326,14 @@ def sorted_gather_direction(direction, query_codes, db_codes, query_labels,
         pr_curve=pr_curve, topk_curve=topk_curve)
 
 
-def naive_backward(params, x, eta, d_h, hidden_act="relu"):
+def naive_backward(params, x, eta, d_h):
     """Gradients after recomputing the forward pass, pre-activations kept."""
     x = np.asarray(x, dtype=np.float64)
     pre1 = x @ params.w1.T + params.b1
-    a1 = np.maximum(pre1, 0.0) if hidden_act == "relu" else np.tanh(pre1)
+    a1 = np.maximum(pre1, 0.0)
     h = np.tanh(eta * (a1 @ params.w2.T + params.b2))
     d_pre2 = d_h * eta * (1.0 - h * h)
-    d_a1 = d_pre2 @ params.w2
-    if hidden_act == "relu":
-        d_pre1 = d_a1 * (pre1 > 0.0)
-    else:
-        d_pre1 = d_a1 * (1.0 - a1 * a1)
+    d_pre1 = (d_pre2 @ params.w2) * (pre1 > 0.0)
     return {"w1": d_pre1.T @ x, "b1": d_pre1.sum(axis=0),
             "w2": d_pre2.T @ a1, "b2": d_pre2.sum(axis=0)}
 

@@ -66,7 +66,6 @@ class TestGradients:
         for case in range(20):
             # the named side is replaced by its detached sign codes, a constant
             constant = ("none", "image", "text")[case % 3]
-            act = "relu" if case % 2 == 0 else "tanh"
             m = int(rng.integers(2, 5))
             xi = rng.standard_normal((m, 8))
             xt = rng.standard_normal((m, 8))
@@ -81,20 +80,20 @@ class TestGradients:
 
             if constant == "text":
                 const_t = hashnet.sign_codes(
-                    hashnet.forward(pt, xt, eta, act).h).astype(np.float64)
+                    hashnet.forward(pt, xt, eta).h).astype(np.float64)
             if constant == "image":
                 const_i = hashnet.sign_codes(
-                    hashnet.forward(pi, xi, eta, act).h).astype(np.float64)
+                    hashnet.forward(pi, xi, eta).h).astype(np.float64)
 
             def loss():
                 hi = (const_i if constant == "image"
-                      else hashnet.forward(pi, xi, eta, act).h)
+                      else hashnet.forward(pi, xi, eta).h)
                 ht = (const_t if constant == "text"
-                      else hashnet.forward(pt, xt, eta, act).h)
+                      else hashnet.forward(pt, xt, eta).h)
                 return objective.total_loss_and_grads(hi, ht, s, r, weights).total
 
-            acts_i = hashnet.forward(pi, xi, eta, act)
-            acts_t = hashnet.forward(pt, xt, eta, act)
+            acts_i = hashnet.forward(pi, xi, eta)
+            acts_t = hashnet.forward(pt, xt, eta)
             hi = const_i if constant == "image" else acts_i.h
             ht = const_t if constant == "text" else acts_t.h
             out = objective.total_loss_and_grads(hi, ht, s, r, weights)
@@ -243,7 +242,7 @@ class TestSaturation:
         rng = np.random.default_rng(1)
         params = hashnet.init_params(12, 16, 8, seed=1)
         x = rng.standard_normal((20, 12))
-        means = [float(np.abs(hashnet.forward(params, x, float(e), "relu").h).mean())
+        means = [float(np.abs(hashnet.forward(params, x, float(e)).h).mean())
                  for e in range(1, 51)]
         diffs = np.diff(means)
         ok = bool((diffs >= -1e-12).all())

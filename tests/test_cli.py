@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from assph import cli, dataio, hashnet, kernels, trainer
-from assph.config import HIDDEN_ACTS, SynthConfig, TrainConfig
+from assph.config import SynthConfig, TrainConfig
 from golden import regenerate
 from oracles import relation_from_dense, to_dense
 
@@ -278,7 +278,7 @@ class TestInputsCheckedOnce:
               lambda arr, name="features": ("check", os.path.basename(name)))
         assert cli.dispatch(["encode", "--features", os.path.join(data_dir, "image.assf"),
                              "--checkpoint", os.path.join(train_dir, "imgnet.assp"),
-                             "--hidden-act", "relu", "--out", str(tmp_path / "c.assb")]) == 0
+                             "--out", str(tmp_path / "c.assb")]) == 0
         assert sorted(checks) == [("check", "image.assf"), ("read", "image.assf"),
                                   ("read", "imgnet.assp")]
 
@@ -372,8 +372,7 @@ class TestManifestContract:
             "build-sim": training,
             "train": training,
             "encode": ["--features", os.path.join(data_dir, "image.assf"),
-                       "--checkpoint", os.path.join(train_dir, "imgnet.assp"),
-                       "--hidden-act", "relu"],
+                       "--checkpoint", os.path.join(train_dir, "imgnet.assp")],
             "eval": ["--query-codes", os.path.join(train_dir, "query_image.assb"),
                      "--db-codes", os.path.join(train_dir, "db_text.assb"),
                      "--query-labels", labels[0], "--db-labels", labels[1]],
@@ -412,7 +411,7 @@ class TestManifestPlacement:
     def _encode(self, data_dir, train_dir, out):
         assert cli.dispatch(["encode", "--features", os.path.join(data_dir, "image.assf"),
                              "--checkpoint", os.path.join(train_dir, "imgnet.assp"),
-                             "--hidden-act", "relu", "--out", out]) == 0
+                             "--out", out]) == 0
         with open(out + ".manifest.json") as fh:
             manifest = json.load(fh)
         assert manifest["command"] == "encode"
@@ -515,7 +514,7 @@ class TestEncodeEval:
                 dataio.write_features(features[rows], feats)
                 assert cli.dispatch(["encode", "--features", feats, "--checkpoint",
                                      os.path.join(train_dir, net),
-                                     "--hidden-act", "relu", "--out", codes]) == 0
+                                     "--out", codes]) == 0
                 np.testing.assert_array_equal(
                     hashnet.load_codes(codes),
                     hashnet.load_codes(os.path.join(train_dir, f"{name}.assb")))
@@ -537,51 +536,54 @@ class TestEncodeEval:
         topk_lines = open(os.path.join(out, "topk_curve.csv")).read().splitlines()
         assert topk_lines[0] == "k,precision"
 
-    def test_encode_needs_the_checkpoint_activation(self, tmp_path, capsys):
-        data, run = str(tmp_path / "data"), str(tmp_path / "run")
-        assert cli.dispatch(["synth", "--out", data, "--instances", "400",
-                             "--dim-image", "24", "--dim-text", "20",
-                             "--seed", "1"]) == 0
-        assert cli.dispatch(["train", "--bundle", data, "--out", run,
-                             "--code-length", "32", "--epochs", "3",
-                             "--ks", "100", "--kr", "5", "--learning-rate", "1e-4",
-                             "--d-hidden", "64", "--hidden-act", "tanh",
-                             "--seed", "0"]) == 0
-        bundle = dataio.load_bundle(data)
+    def test_encode_decodes_a_checkpoint_one_way(self, data_dir, train_dir,
+                                                 tmp_path, capsys):
+        # the hidden layer is ReLU, so a checkpoint alone gives the run's codes
+        bundle = dataio.load_bundle(data_dir)
         feats = str(tmp_path / "db_image.assf")
         dataio.write_features(bundle.image_features[bundle.split.retrieval], feats)
         argv = ["encode", "--features", feats,
-                "--checkpoint", os.path.join(run, "imgnet.assp")]
+                "--checkpoint", os.path.join(train_dir, "imgnet.assp")]
         out = str(tmp_path / "codes" / "db_image.assb")
-
-        # the checkpoint does not record its activation: no default for it
-        assert cli.dispatch(argv + ["--out", out]) == 2
-        assert "--hidden-act" in capsys.readouterr().err
-        assert not os.path.exists(out)
-
-        assert cli.dispatch(argv + ["--hidden-act", "tanh", "--out", out]) == 0
-        with open(out, "rb") as got, open(os.path.join(run, "db_image.assb"),
+        assert cli.dispatch(argv + ["--out", out]) == 0
+        with open(out, "rb") as got, open(os.path.join(train_dir, "db_image.assb"),
                                           "rb") as want:
             assert got.read() == want.read()
-        # relu, the old default, encodes these rows to other codes
-        wrong = str(tmp_path / "relu.assb")
-        assert cli.dispatch(argv + ["--hidden-act", "relu", "--out", wrong]) == 0
-        assert not np.array_equal(hashnet.load_codes(wrong), hashnet.load_codes(out))
 
-    def test_eval_k_grid_flag(self, data_dir, train_dir, tmp_path):
+        # no activation can be named, as a flag or a config key
+        training = ["--bundle", data_dir] + TRAIN_FLAGS
+        for command, args in (("train", training), ("build-sim", training),
+                              ("ablate", training), ("encode", argv[1:])):
+            sub = str(tmp_path / command)
+            assert cli.dispatch([command, *args, "--hidden-act", "relu",
+                                 "--out", sub]) == 2
+            assert "unrecognized arguments: --hidden-act relu" in capsys.readouterr().err
+            assert not os.path.exists(sub)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hidden_act": "relu"}))
+        sub = str(tmp_path / "config")
+        assert cli.dispatch(["train", *training, "--config", str(cfg),
+                             "--out", sub]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not os.path.exists(sub)
+
+    def test_eval_k_grid_flag(self, data_dir, train_dir, tmp_path, capsys):
         bundle = dataio.load_bundle(data_dir)
         ql_path = str(tmp_path / "ql.csv")
         dl_path = str(tmp_path / "dl.csv")
         dataio.write_labels(bundle.labels[bundle.split.query], ql_path)
         dataio.write_labels(bundle.labels[bundle.split.retrieval], dl_path)
         out = str(tmp_path / "ev")
-        assert cli.dispatch(["eval", "--query-codes",
-                             os.path.join(train_dir, "query_image.assb"),
-                             "--db-codes",
-                             os.path.join(train_dir, "db_text.assb"),
-                             "--query-labels", ql_path,
-                             "--db-labels", dl_path,
-                             "--k-grid", "5,10", "--out", out]) == 0
+        argv = ["eval", "--query-codes", os.path.join(train_dir, "query_image.assb"),
+                "--db-codes", os.path.join(train_dir, "db_text.assb"),
+                "--query-labels", ql_path, "--db-labels", dl_path, "--out", out]
+        # an empty grid is no grid: it exits 2, not ranks on the default one
+        for empty in ("", ","):
+            assert cli.dispatch(argv + ["--k-grid", empty]) == 2
+            assert capsys.readouterr().err == (
+                "error: config: --k-grid: values must be positive ints\n")
+            assert not os.path.exists(out)
+        assert cli.dispatch(argv + ["--k-grid", "5,10"]) == 0
         report = json.load(open(os.path.join(out, "report.json")))
         assert [k for k, _ in report["topk_curve"]] == [5, 10]
 
@@ -809,8 +811,6 @@ class TestMalformedTextInputs:
 
 def _non_default(field):
     """A valid value of a non-bool config field other than its default."""
-    if field.type is str:
-        return next(a for a in HIDDEN_ACTS if a != field.default)
     return field.default + (1 if field.type is int else 0.05)
 
 
@@ -849,7 +849,7 @@ class TestUnusablePaths:
         d = str(tmp_path)
         out = str(tmp_path / "o" / "c.assb")
         assert cli.dispatch(["encode", "--features", d, "--checkpoint", d,
-                             "--hidden-act", "relu", "--out", out]) == 3
+                             "--out", out]) == 3
         assert self._one_error(capsys, "data") == (
             f"error: data: {d}: cannot read checkpoint file: Is a directory\n")
         assert not os.path.exists(out)
@@ -858,7 +858,6 @@ class TestUnusablePaths:
         d = str(tmp_path)
         assert cli.dispatch(["encode", "--features", d,
                              "--checkpoint", os.path.join(train_dir, "imgnet.assp"),
-                             "--hidden-act", "relu",
                              "--out", str(tmp_path / "c.assb")]) == 3
         assert "cannot read feature file" in self._one_error(capsys, "data")
 
@@ -899,8 +898,7 @@ class TestUnusablePaths:
             "synth": [],
             "build-sim": ["--bundle", data_dir],
             "train": ["--bundle", data_dir] + TRAIN_FLAGS,
-            "encode": ["--features", "f.assf", "--checkpoint", "n.assp",
-                       "--hidden-act", "relu"],
+            "encode": ["--features", "f.assf", "--checkpoint", "n.assp"],
             "eval": ["--query-codes", "q", "--db-codes", "d", "--query-labels", "ql",
                      "--db-labels", "dl"],
             "ablate": ["--bundle", data_dir] + TRAIN_FLAGS,
@@ -911,7 +909,7 @@ class TestUnusablePaths:
         out = tmp_path / "codes"
         out.mkdir()
         assert cli.dispatch(["encode", "--features", "f.assf", "--checkpoint", "n.assp",
-                             "--hidden-act", "relu", "--out", str(out)]) == 2
+                             "--out", str(out)]) == 2
         assert self._one_error(capsys, "config") == (
             f"error: config: output file {out} is a directory\n")
         assert os.listdir(tmp_path) == ["codes"] and os.listdir(out) == []
@@ -1058,7 +1056,6 @@ class TestExitCodes:
         code = cli.dispatch(["encode", "--features",
                              os.path.join(data_dir, "image.assf"),
                              "--checkpoint", str(tmp_path / "nope.assp"),
-                             "--hidden-act", "relu",
                              "--out", str(tmp_path / "c.assb")])
         assert code == 3
 
@@ -1071,7 +1068,7 @@ class TestExitCodes:
         hashnet.save_checkpoint(params, ckpt)
         out = str(tmp_path / "o" / "c.assb")
         code = cli.dispatch(["encode", "--features", os.path.join(data_dir, "image.assf"),
-                             "--checkpoint", ckpt, "--hidden-act", "relu", "--out", out])
+                             "--checkpoint", ckpt, "--out", out])
         assert code == 3
         assert capsys.readouterr().err == f"error: data: {ckpt}: non-finite entry in w2\n"
         assert not os.path.exists(tmp_path / "o")
@@ -1087,7 +1084,7 @@ class TestExitCodes:
             w1=np.ones((2, 4)), b1=np.zeros(2), w2=np.ones((8, 2)), b2=np.zeros(8)), ckpt)
         out = str(tmp_path / "c.assb")
         code = cli.dispatch(["encode", "--features", feats, "--checkpoint", ckpt,
-                             "--hidden-act", "relu", "--out", out])
+                             "--out", out])
         assert code == 3
         assert capsys.readouterr().err == (
             f"error: data: {feats}: neither a feature container "
@@ -1103,7 +1100,7 @@ class TestExitCodes:
             w1=np.ones((2, 2)), b1=np.zeros(2), w2=np.ones((8, 2)), b2=np.zeros(8)), ckpt)
         out = str(tmp_path / "c.assb")
         code = cli.dispatch(["encode", "--features", str(feats), "--checkpoint", ckpt,
-                             "--hidden-act", "relu", "--out", out])
+                             "--out", out])
         assert code == 3
         assert capsys.readouterr().err == (
             f"error: data: {feats}: neither a feature container "
@@ -1121,7 +1118,7 @@ class TestExitCodes:
         out = subprocess.run(
             [sys.executable, "-m", "assph.cli", "encode", "--features", str(feats),
              "--checkpoint", os.path.join(train_dir, "imgnet.assp"),
-             "--hidden-act", "relu", "--out", str(tmp_path / "c.assb")],
+             "--out", str(tmp_path / "c.assb")],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
         assert out.returncode == 3
         assert out.stderr == (f"error: data: {feats}: expected a non-empty 2-d "
@@ -1147,8 +1144,7 @@ class TestExitCodes:
         out = str(tmp_path / "c.assb")
         code = cli.dispatch(["encode", "--features",
                              os.path.join(data_dir, "image.assf"),
-                             "--checkpoint", ckpt, "--hidden-act", "relu",
-                             "--out", out])
+                             "--checkpoint", ckpt, "--out", out])
         assert code == 3
         assert "bad dimensions" in capsys.readouterr().err
         assert not os.path.exists(out)

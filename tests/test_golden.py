@@ -17,16 +17,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "gol
 import regenerate  # noqa: E402
 
 
-def _changed(want: dict, got: dict) -> list:
-    return sorted(key for key in want.keys() | got.keys() if want.get(key) != got.get(key))
-
-
 def test_eval_outputs_match_golden_digests(capsys):
     with open(regenerate.DIGESTS) as fh:
         want = json.load(fh)["digests"]
     got = regenerate.eval_digests()
     capsys.readouterr()  # the eval summary lines
-    changed = _changed(want, got)
+    changed = regenerate.changed(want, got)
     assert not changed, (f"eval outputs differ from the golden digests: {changed}; "
                          f"if the change is intended, run `{regenerate.REGENERATE}` "
                          f"and name it in CHANGES.md")
@@ -42,7 +38,7 @@ def test_cli_outputs_match_golden_digests():
     if got["environment"] != want["environment"]:
         pytest.skip(f"CLI digests were recorded on {want['environment']}, "
                     f"this environment is {got['environment']}")
-    changed = _changed(want["digests"], got["digests"])
+    changed = regenerate.changed(want["digests"], got["digests"])
     assert not changed, (f"CLI outputs differ from the golden digests: {changed}; "
                          f"if the change is intended, run `{regenerate.REGENERATE}` "
                          f"and name it in CHANGES.md")
@@ -83,4 +79,4 @@ def test_block_budget_changes_no_output(tmp_path, monkeypatch, capsys):
     capsys.readouterr()  # the commands' summary lines
     assert {"sim/semantic.assf", "sim/correlations.csv", "train/imgnet.assp",
             "train/history.jsonl", "train/db_text.assb", "eval/report.json"} <= runs[0].keys()
-    assert _changed(runs[0], runs[1]) == []
+    assert regenerate.changed(runs[0], runs[1]) == []

@@ -57,35 +57,35 @@ class TestForward:
     def test_zero_weights_give_zero_output(self):
         p = hashnet.HashNetParams(w1=np.zeros((4, 3)), b1=np.zeros(4),
                                   w2=np.zeros((2, 4)), b2=np.zeros(2))
-        h = hashnet.forward(p, np.ones((5, 3)), eta=1.0, hidden_act="relu").h
+        h = hashnet.forward(p, np.ones((5, 3)), eta=1.0).h
         npt.assert_array_equal(h, 0.0)
 
     def test_constant_bias_path(self):
         p = hashnet.HashNetParams(w1=np.zeros((4, 3)), b1=np.zeros(4),
                                   w2=np.zeros((2, 4)),
                                   b2=np.array([0.5, -0.25]))
-        h = hashnet.forward(p, np.zeros((3, 3)), eta=2.0, hidden_act="relu").h
+        h = hashnet.forward(p, np.zeros((3, 3)), eta=2.0).h
         npt.assert_allclose(h, np.tile(np.tanh([1.0, -0.5]), (3, 1)))
 
     def test_output_in_open_interval(self):
         rng = np.random.default_rng(0)
         p = hashnet.init_params(6, 12, 8, seed=0)
-        h = hashnet.forward(p, rng.standard_normal((30, 6)), eta=3.0, hidden_act="relu").h
+        h = hashnet.forward(p, rng.standard_normal((30, 6)), eta=3.0).h
         assert np.abs(h).max() < 1.0
 
     def test_large_eta_saturates(self):
         rng = np.random.default_rng(1)
         p = hashnet.init_params(6, 12, 8, seed=1)
-        h = hashnet.forward(p, rng.standard_normal((20, 6)), eta=1e3, hidden_act="relu").h
+        h = hashnet.forward(p, rng.standard_normal((20, 6)), eta=1e3).h
         assert np.abs(h).min() > 0.99
 
     def test_abs_output_monotone_in_eta(self):
         rng = np.random.default_rng(2)
         p = hashnet.init_params(5, 9, 6, seed=2)
         x = rng.standard_normal((15, 5))
-        prev = np.abs(hashnet.forward(p, x, eta=1.0, hidden_act="relu").h)
+        prev = np.abs(hashnet.forward(p, x, eta=1.0).h)
         for eta in (2.0, 4.0, 8.0):
-            cur = np.abs(hashnet.forward(p, x, eta=eta, hidden_act="relu").h)
+            cur = np.abs(hashnet.forward(p, x, eta=eta).h)
             assert (cur >= prev - 1e-12).all()
             prev = cur
 
@@ -94,33 +94,25 @@ class TestForward:
         p = hashnet.init_params(5, 7, 4, seed=3)
         x = rng.standard_normal((10, 5))
         perm = rng.permutation(10)
-        npt.assert_allclose(hashnet.forward(p, x, 2.0, "relu").h[perm],
-                            hashnet.forward(p, x[perm], 2.0, "relu").h)
-
-    def test_tanh_hidden_variant(self):
-        rng = np.random.default_rng(4)
-        p = hashnet.init_params(5, 7, 4, seed=4)
-        x = rng.standard_normal((6, 5))
-        pre1 = x @ p.w1.T + p.b1
-        expect = np.tanh(1.5 * (np.tanh(pre1) @ p.w2.T + p.b2))
-        npt.assert_allclose(hashnet.forward(p, x, 1.5, "tanh").h, expect)
+        npt.assert_allclose(hashnet.forward(p, x, 2.0).h[perm],
+                            hashnet.forward(p, x[perm], 2.0).h)
 
     def test_bad_eta(self):
         p = hashnet.init_params(3, 4, 2, seed=0)
         with pytest.raises(ConfigError, match="eta"):
-            hashnet.forward(p, np.ones((2, 3)), eta=0.0, hidden_act="relu")
+            hashnet.forward(p, np.ones((2, 3)), eta=0.0)
 
     def test_bad_input_width(self):
         p = hashnet.init_params(3, 4, 2, seed=0)
         with pytest.raises(DataError, match="incompatible"):
-            hashnet.forward(p, np.ones((2, 5)), eta=1.0, hidden_act="relu")
+            hashnet.forward(p, np.ones((2, 5)), eta=1.0)
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(5)
         p = hashnet.init_params(4, 6, 3, seed=5)
-        acts = hashnet.forward(p, rng.standard_normal((7, 4)), 2.0, "relu")
+        acts = hashnet.forward(p, rng.standard_normal((7, 4)), 2.0)
         g = hashnet.backward(p, acts, np.zeros((7, 3)), hashnet.shared_grads(p)[0])
         for arr in (g.w1, g.b1, g.w2, g.b2):
             npt.assert_array_equal(arr, 0.0)
@@ -131,33 +123,31 @@ class TestBackward:
                                   w2=np.array([[1.0]]), b2=np.array([0.3]))
         x = np.array([[0.7]])
         eta = 2.5
-        acts = hashnet.forward(p, x, eta, "relu")
+        acts = hashnet.forward(p, x, eta)
         g = hashnet.backward(p, acts, np.ones((1, 1)), hashnet.shared_grads(p)[0])
         h = acts.h
         npt.assert_allclose(g.b2, eta * (1 - h[0, 0] ** 2))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
-        for hidden_act in ("relu", "tanh"):
-            p = hashnet.init_params(4, 6, 3, seed=7)
-            x = rng.standard_normal((5, 4))
-            d_h = rng.standard_normal((5, 3))
-            eta = 1.7
-            grads = hashnet.backward(p, hashnet.forward(p, x, eta, hidden_act), d_h,
-                                     hashnet.shared_grads(p)[0])
+        p = hashnet.init_params(4, 6, 3, seed=7)
+        x = rng.standard_normal((5, 4))
+        d_h = rng.standard_normal((5, 3))
+        eta = 1.7
+        grads = hashnet.backward(p, hashnet.forward(p, x, eta), d_h,
+                                 hashnet.shared_grads(p)[0])
 
-            def loss():
-                return float((hashnet.forward(p, x, eta, hidden_act).h * d_h).sum())
+        def loss():
+            return float((hashnet.forward(p, x, eta).h * d_h).sum())
 
-            for analytic, arr in ((grads.w1, p.w1), (grads.b1, p.b1),
-                                  (grads.w2, p.w2), (grads.b2, p.b2)):
-                numeric = central_difference(loss, arr, step=1e-3)
-                errors = gradient_errors(analytic, numeric)
-                assert errors.max() <= 1e-4
+        for analytic, arr in ((grads.w1, p.w1), (grads.b1, p.b1),
+                              (grads.w2, p.w2), (grads.b2, p.b2)):
+            numeric = central_difference(loss, arr, step=1e-3)
+            errors = gradient_errors(analytic, numeric)
+            assert errors.max() <= 1e-4
 
 
-    @pytest.mark.parametrize("hidden_act", ["relu", "tanh"])
-    def test_reuses_forward_activations_exactly(self, hidden_act):
+    def test_reuses_forward_activations_exactly(self):
         rng = np.random.default_rng(11)
         p = hashnet.init_params(6, 9, 5, seed=11)
         p.w1[2] = 0.0  # hidden unit 2 and input row 0 pre-activate to exactly 0
@@ -166,8 +156,8 @@ class TestBackward:
         x[0] = 0.0
         d_h = rng.standard_normal((8, 5))
         assert ((x @ p.w1.T + p.b1) == 0.0).sum() >= 8
-        acts = hashnet.forward(p, x, 1.3, hidden_act)
-        expect = naive_backward(p, x, 1.3, d_h, hidden_act)
+        acts = hashnet.forward(p, x, 1.3)
+        expect = naive_backward(p, x, 1.3, d_h)
         fresh = hashnet.backward(p, acts, d_h, hashnet.shared_grads(p)[0])
         earlier = hashnet.backward(p, acts, rng.standard_normal((8, 5)),
                                    hashnet.shared_grads(p)[0])
@@ -190,7 +180,7 @@ class TestBackward:
                 assert getattr(grads, name).shape == getattr(p, name).shape
                 assert getattr(grads, name).base is workspace
         x, d_h = rng.standard_normal((8, 4)), rng.standard_normal((8, 5))
-        acts = hashnet.forward(small, x, 1.3, "relu")
+        acts = hashnet.forward(small, x, 1.3)
         fresh = hashnet.backward(small, acts, d_h, hashnet.shared_grads(small)[0])
         assert hashnet.backward(small, acts, d_h, g_small) is g_small
         for name in names:
@@ -320,20 +310,19 @@ class TestSignCodes:
 class TestEncode:
     """encode gives the signs of forward's soft values at any eta."""
 
-    @pytest.mark.parametrize("hidden_act", config.HIDDEN_ACTS)
     @pytest.mark.parametrize("eta", [0.05, 1.0, 40.0])
-    def test_signs_of_forward(self, eta, hidden_act):
+    def test_signs_of_forward(self, eta):
         p = hashnet.init_params(7, 12, 9, seed=4)
         x = np.random.default_rng(6).standard_normal((30, 7)).astype(np.float32)
-        codes = hashnet.encode(p, x, hidden_act)
+        codes = hashnet.encode(p, x)
         assert codes.dtype == np.int8
         npt.assert_array_equal(codes, hashnet.sign_codes(
-            hashnet.forward(p, x, eta, hidden_act).h))
+            hashnet.forward(p, x, eta).h))
 
     def test_zero_weights_give_plus_one(self):
         p = hashnet.HashNetParams(w1=np.zeros((4, 3)), b1=np.zeros(4),
                                   w2=np.zeros((5, 4)), b2=np.zeros(5))
-        codes = hashnet.encode(p, -np.ones((6, 3), dtype=np.float32), "tanh")
+        codes = hashnet.encode(p, -np.ones((6, 3), dtype=np.float32))
         npt.assert_array_equal(codes, np.ones((6, 5), dtype=np.int8))
 
 

@@ -56,8 +56,7 @@ class TestEtaSchedule:
 
 class TestConfig:
     def test_round_trip(self):
-        cfg = small_config(gamma=0.7, adaptive=False, pair_corr=True,
-                           hidden_act="tanh")
+        cfg = small_config(gamma=0.7, adaptive=False, pair_corr=True)
         assert config.TrainConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_key_rejected(self):
@@ -98,8 +97,6 @@ class TestConfig:
             small_config(batch_size=0)
         with pytest.raises(ConfigError, match="momentum"):
             small_config(momentum=1.0)
-        with pytest.raises(ConfigError, match="hidden_act"):
-            small_config(hidden_act="gelu")
         with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
             small_config(seed=-1)
 
@@ -353,7 +350,7 @@ def reference_batches(state, epoch):
 
     def step(params, velocity, x, d_h):
         naive_sgd_step(params, velocity,
-                       naive_backward(params, x, eta, d_h, cfg.hidden_act),
+                       naive_backward(params, x, eta, d_h),
                        cfg.learning_rate, cfg.momentum, cfg.weight_decay)
 
     for it in range(fi.shape[0] // m):
@@ -361,14 +358,14 @@ def reference_batches(state, epoch):
         xi, xt = fi[idx], ft[idx]
         s_b = state.semantic[np.ix_(idx, idx)].astype(np.float64)
         r_b = state.rel.batch(idx)
-        hi = hashnet.forward(pi, xi, eta, cfg.hidden_act).h
-        ht = hashnet.forward(pt, xt, eta, cfg.hidden_act).h
+        hi = hashnet.forward(pi, xi, eta).h
+        ht = hashnet.forward(pt, xt, eta).h
         out = objective.total_loss_and_grads(hi, ht, s_b, r_b, cfg)
         step(pi, vi, xi, out.grad_image)  # both gradients read pre-update weights
         step(pt, vt, xt, out.grad_text)
         if cfg.bin_opt:
-            hi = hashnet.forward(pi, xi, eta, cfg.hidden_act).h
-            ht = hashnet.forward(pt, xt, eta, cfg.hidden_act).h
+            hi = hashnet.forward(pi, xi, eta).h
+            ht = hashnet.forward(pt, xt, eta).h
             b_i = hashnet.sign_codes(hi).astype(np.float64)
             b_t = hashnet.sign_codes(ht).astype(np.float64)
             step(pi, vi, xi, objective.total_loss_and_grads(
@@ -378,10 +375,9 @@ def reference_batches(state, epoch):
 
 
 class TestEpochExactness:
-    @pytest.mark.parametrize("hidden_act, bin_opt", [
-        ("relu", True), ("tanh", True), ("relu", False)])
-    def test_epoch_matches_recomputing_reference(self, bundle, hidden_act, bin_opt):
-        cfg = small_config(hidden_act=hidden_act, bin_opt=bin_opt, weight_decay=0.01)
+    @pytest.mark.parametrize("bin_opt", [True, False])
+    def test_epoch_matches_recomputing_reference(self, bundle, bin_opt):
+        cfg = small_config(bin_opt=bin_opt, weight_decay=0.01)
         state = trainer.init_state(bundle, cfg)
         ref = copy.deepcopy(state)
         for epoch in (1, 2):
@@ -444,10 +440,8 @@ class TestTrain:
         semantic = state.semantic.astype(np.float64)
 
         def full_loss(params_image, params_text):
-            hi = hashnet.forward(params_image, state.features[0], eta_end,
-                                 cfg.hidden_act).h
-            ht = hashnet.forward(params_text, state.features[1], eta_end,
-                                 cfg.hidden_act).h
+            hi = hashnet.forward(params_image, state.features[0], eta_end).h
+            ht = hashnet.forward(params_text, state.features[1], eta_end).h
             return objective.total_loss_and_grads(
                 hi, ht, semantic, r_full, cfg).total
 
@@ -464,8 +458,8 @@ class TestTrain:
         labels = bundle.labels[idx]
         fi = bundle.image_features[idx].astype(np.float64)
         ft = bundle.text_features[idx].astype(np.float64)
-        ci = hashnet.encode(res.params[0], fi, cfg.hidden_act)
-        ct = hashnet.encode(res.params[1], ft, cfg.hidden_act)
+        ci = hashnet.encode(res.params[0], fi)
+        ct = hashnet.encode(res.params[1], ft)
         score = evalkit.evaluate_direction("I2T", ci, ct, labels, labels).map_all
         assert score > 0.85
 
