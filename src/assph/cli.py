@@ -235,6 +235,9 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ConfigError(f"--{flag}: expected comma-separated ints, got '{text}'")
     if not values or any(v < 1 for v in values):
         raise ConfigError(f"--{flag}: values must be positive ints")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:  # a cutoff or grid point given twice would be computed twice
+        raise ConfigError(f"--{flag}: values repeated: {repeated}")
     return values
 
 

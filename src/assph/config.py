@@ -59,7 +59,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     momentum: float = 0.9
     weight_decay: float = 0.0005
-    eta_base: float = 1.0
     d_hidden: int = 4096
     seed: int = 0
     adaptive: bool = True
@@ -75,8 +74,7 @@ class TrainConfig:
         if not 0 <= self.gamma <= 1:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
         for name, op, bound in (("mu1", ">=", 0), ("mu2", ">=", 0), ("beta", ">=", 1),
-                                ("learning_rate", ">", 0), ("weight_decay", ">=", 0),
-                                ("eta_base", ">", 0)):
+                                ("learning_rate", ">", 0), ("weight_decay", ">=", 0)):
             value = getattr(self, name)
             if not (math.isfinite(value)
                     and (value > bound if op == ">" else value >= bound)):

@@ -19,7 +19,7 @@ training features stay float32; each batch converts its rows to float64
 once, and the end-of-epoch pass converts inside forward, one side at a
 time.
 
-The tanh sharpness follows eta = eta_base * epoch, so codes soften early
+The tanh sharpness is the epoch number, eta = epoch, so codes soften early
 and settle late.  Ablation switches turn off adaptive mining or binary
 refinement; pair_corr swaps the neighborhood-overlap mining rule for
 plain symmetrized KNN.  The two term ablations are weights: with mu1 = 0
@@ -39,11 +39,6 @@ from . import corrmine, evalkit, hashnet, objective, simgraph
 from .config import MAP_CUTOFFS, VARIANTS, TrainConfig
 from .dataio import DatasetBundle
 from .errors import ConfigError, DivergenceError
-
-
-def eta_schedule(epoch: int, eta_base: float = 1.0) -> float:
-    """Linear sharpness ramp: eta = eta_base * epoch, epochs count from 1."""
-    return eta_base * epoch
 
 
 @dataclass
@@ -155,7 +150,7 @@ def train_epoch(state: TrainState, epoch: int) -> EpochRecord:
     """Run one epoch's batches plus the end-of-epoch full pass."""
     t0 = time.perf_counter()
     cfg = state.cfg
-    eta = eta_schedule(epoch, cfg.eta_base)
+    eta = float(epoch)  # the tanh sharpness
     m = cfg.batch_size
     rows = len(state.features[0])
     n_iter = rows // m

@@ -459,6 +459,26 @@ class TestTrain:
         assert [r["epoch"] for r in records] == [1, 2]
         assert records[0]["iterations"] == 3  # 72 // 24
         assert all(np.isfinite(r["loss_total"]) for r in records)
+        # the tanh sharpness is the epoch number
+        assert all(r["eta"] == r["epoch"] for r in records)
+
+    def test_sharpness_cannot_be_set(self, data_dir, tmp_path, capsys):
+        # no flag or config key scales it, so none can zero or saturate codes
+        training = ["--bundle", data_dir] + TRAIN_FLAGS
+        for command in ("train", "build-sim", "ablate"):
+            sub = str(tmp_path / command)
+            assert cli.dispatch([command, *training, "--eta-base", "2",
+                                 "--out", sub]) == 2
+            assert "unrecognized arguments: --eta-base 2" in capsys.readouterr().err
+            assert not os.path.exists(sub)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta_base": 0.5}))
+        sub = str(tmp_path / "config")
+        assert cli.dispatch(["train", *training, "--config", str(cfg),
+                             "--out", sub]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: unknown config keys: ['eta_base']\n")
+        assert not os.path.exists(sub)
 
     def test_manifest_snapshot(self, train_dir, data_dir):
         manifest = json.load(open(os.path.join(train_dir, "manifest.json")))
@@ -586,6 +606,23 @@ class TestEncodeEval:
         assert cli.dispatch(argv + ["--k-grid", "5,10"]) == 0
         report = json.load(open(os.path.join(out, "report.json")))
         assert [k for k, _ in report["topk_curve"]] == [5, 10]
+
+    def test_repeated_value_exits_2(self, data_dir, train_dir, tmp_path, capsys):
+        # a cutoff or grid point given twice is refused before any input is read
+        training = ["--bundle", data_dir] + TRAIN_FLAGS
+        evaluation = ["--query-codes", os.path.join(train_dir, "query_image.assb"),
+                      "--db-codes", os.path.join(train_dir, "db_text.assb"),
+                      "--query-labels", str(tmp_path / "ql.csv"),
+                      "--db-labels", str(tmp_path / "dl.csv")]
+        for command, args, flag in (("train", training, "--map-at"),
+                                    ("ablate", training, "--map-at"),
+                                    ("eval", evaluation, "--map-at"),
+                                    ("eval", evaluation, "--k-grid")):
+            out = str(tmp_path / command)
+            assert cli.dispatch([command, *args, flag, "5,5", "--out", out]) == 2
+            assert capsys.readouterr().err == (
+                f"error: config: {flag}: values repeated: [5]\n")
+            assert not os.path.exists(out)
 
     def test_windows_beyond_int64(self, data_dir, train_dir, tmp_path):
         # a cutoff or a top-k window past the database is clipped to it, so

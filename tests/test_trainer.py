@@ -1,4 +1,4 @@
-"""Training loop: schedule, config plumbing, determinism, update order."""
+"""Training loop: config plumbing, determinism, update order."""
 
 import copy
 import dataclasses
@@ -41,19 +41,6 @@ def small_config(**overrides):
     return config.TrainConfig(**base)
 
 
-class TestEtaSchedule:
-    def test_linear_ramp(self):
-        assert trainer.eta_schedule(1) == 1.0
-        assert trainer.eta_schedule(7) == 7.0
-        assert trainer.eta_schedule(5, eta_base=0.5) == 2.5
-
-    def test_rejects_bad_args(self):
-        # eta_schedule trusts eta_base: TrainConfig is its one check
-        for eta_base in (0.0, -1.0):
-            with pytest.raises(ConfigError, match="eta_base"):
-                small_config(eta_base=eta_base)
-
-
 class TestConfig:
     def test_round_trip(self):
         cfg = small_config(gamma=0.7, adaptive=False, pair_corr=True)
@@ -85,7 +72,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("key", ["learning_rate", "weight_decay",
-                                     "eta_base", "gamma", "mu1", "beta"])
+                                     "gamma", "mu1", "beta"])
     def test_non_finite_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             config.TrainConfig.from_dict({key: value})
@@ -251,11 +238,6 @@ class TestTrainEpoch:
                                                  learning_rate=1e-4))
         assert res.history[0].iterations == 2
 
-    def test_epoch_numbering_and_eta(self, bundle):
-        res = trainer.train(bundle, small_config(epochs=3, eta_base=0.5))
-        assert [r.epoch for r in res.history] == [1, 2, 3]
-        assert [r.eta for r in res.history] == [0.5, 1.0, 1.5]
-
     @staticmethod
     def record_updates(state, monkeypatch):
         """Spy on backward and sgd_step: "bi" is an image backward, "st" a
@@ -339,9 +321,9 @@ class TestTrainEpoch:
 
 
 def reference_batches(state, epoch):
-    """train_epoch's batches with a recomputing backward and whole-array SGD."""
+    """train_epoch's batches with a recomputing backward and whole-array SGD;
+    the tanh sharpness is the epoch."""
     cfg = state.cfg
-    eta = trainer.eta_schedule(epoch, cfg.eta_base)
     fi, ft = state.features
     pi, pt = state.params
     vi, vt = state.velocity
@@ -350,7 +332,7 @@ def reference_batches(state, epoch):
 
     def step(params, velocity, x, d_h):
         naive_sgd_step(params, velocity,
-                       naive_backward(params, x, eta, d_h),
+                       naive_backward(params, x, epoch, d_h),
                        cfg.learning_rate, cfg.momentum, cfg.weight_decay)
 
     for it in range(fi.shape[0] // m):
@@ -358,14 +340,14 @@ def reference_batches(state, epoch):
         xi, xt = fi[idx], ft[idx]
         s_b = state.semantic[np.ix_(idx, idx)].astype(np.float64)
         r_b = state.rel.batch(idx)
-        hi = hashnet.forward(pi, xi, eta).h
-        ht = hashnet.forward(pt, xt, eta).h
+        hi = hashnet.forward(pi, xi, epoch).h
+        ht = hashnet.forward(pt, xt, epoch).h
         out = objective.total_loss_and_grads(hi, ht, s_b, r_b, cfg)
         step(pi, vi, xi, out.grad_image)  # both gradients read pre-update weights
         step(pt, vt, xt, out.grad_text)
         if cfg.bin_opt:
-            hi = hashnet.forward(pi, xi, eta).h
-            ht = hashnet.forward(pt, xt, eta).h
+            hi = hashnet.forward(pi, xi, epoch).h
+            ht = hashnet.forward(pt, xt, epoch).h
             b_i = hashnet.sign_codes(hi).astype(np.float64)
             b_t = hashnet.sign_codes(ht).astype(np.float64)
             step(pi, vi, xi, objective.total_loss_and_grads(
@@ -435,13 +417,12 @@ class TestTrain:
         cfg = small_config(epochs=8, adaptive=False)
         state = trainer.init_state(bundle, cfg)
         m = state.features[0].shape[0]
-        eta_end = trainer.eta_schedule(cfg.epochs)
         r_full = state.rel.batch(np.arange(m))
         semantic = state.semantic.astype(np.float64)
 
         def full_loss(params_image, params_text):
-            hi = hashnet.forward(params_image, state.features[0], eta_end).h
-            ht = hashnet.forward(params_text, state.features[1], eta_end).h
+            hi = hashnet.forward(params_image, state.features[0], cfg.epochs).h
+            ht = hashnet.forward(params_text, state.features[1], cfg.epochs).h
             return objective.total_loss_and_grads(
                 hi, ht, semantic, r_full, cfg).total
 
