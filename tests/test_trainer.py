@@ -1,4 +1,4 @@
-"""Training loop: config plumbing, determinism, update order."""
+"""Training loop: schedule, config plumbing, determinism, update order."""
 
 import copy
 import dataclasses
@@ -39,6 +39,25 @@ def small_config(**overrides):
                 d_hidden=32, seed=5, learning_rate=3e-4)
     base.update(overrides)
     return config.TrainConfig(**base)
+
+
+class TestEtaSchedule:
+    def test_linear_ramp(self, bundle, monkeypatch):
+        # every forward pass of epoch n runs at tanh sharpness n
+        state = trainer.init_state(bundle, small_config(epochs=7))
+        etas = []
+        real = hashnet.forward
+
+        def forward(params, x, eta):
+            etas.append(eta)
+            return real(params, x, eta)
+
+        monkeypatch.setattr(hashnet, "forward", forward)
+        for epoch in (1, 7):
+            etas.clear()
+            rec = trainer.train_epoch(state, epoch)
+            assert rec.eta == float(epoch)
+            assert etas and set(etas) == {float(epoch)}
 
 
 class TestConfig:
@@ -237,6 +256,11 @@ class TestTrainEpoch:
         res = trainer.train(bundle, small_config(epochs=1, batch_size=40,
                                                  learning_rate=1e-4))
         assert res.history[0].iterations == 2
+
+    def test_epoch_numbering_and_eta(self, bundle):
+        res = trainer.train(bundle, small_config(epochs=3))
+        assert [r.epoch for r in res.history] == [1, 2, 3]
+        assert [r.eta for r in res.history] == [1.0, 2.0, 3.0]
 
     @staticmethod
     def record_updates(state, monkeypatch):
